@@ -10,7 +10,10 @@ substrate.  Two questions:
   (hit rate across a 50-step loop should be well above 90%)?
 
 Both results are read from the telemetry registry / span trace, so the
-emitted numbers and the persisted trace are one measurement.
+emitted numbers and the persisted trace are one measurement.  Backend
+timings pin every pass to the ``gemm`` strategy (``PinnedStencil``): a
+measured ``direct`` choice never reaches a backend, and would time the
+same shifted-add kernel on both sides.
 
 Runs standalone (CI smoke)::
 
@@ -31,6 +34,7 @@ import numpy as np
 
 from _common import emit, emit_json, emit_obs
 from repro import ConvStencil, get_kernel, telemetry
+from repro.core.api import PinnedStencil
 from repro.runtime import PlanCache, TiledBackend, get_plan_cache, set_plan_cache
 from repro.utils.rng import default_rng
 from repro.utils.tables import format_table
@@ -69,8 +73,8 @@ def compare_backends(
         for name, shape, steps in cases:
             kernel = get_kernel(name)
             x = default_rng(7).random(shape)
-            serial_cs = ConvStencil(kernel, backend="serial")
-            tiled_cs = ConvStencil(kernel, backend=tiled)
+            serial_cs = PinnedStencil(kernel, "gemm", backend="serial")
+            tiled_cs = PinnedStencil(kernel, "gemm", backend=tiled)
             out_serial = serial_cs.run(x, steps=steps)  # warm-up + identity check
             out_tiled = tiled_cs.run(x, steps=steps)
             if not np.array_equal(out_serial, out_tiled):
@@ -164,7 +168,7 @@ def test_bench_backend_serial(benchmark):
     pytest.importorskip("pytest_benchmark")
     kernel = get_kernel("heat-2d")
     x = default_rng(7).random((512, 512))
-    cs = ConvStencil(kernel, backend="serial")
+    cs = PinnedStencil(kernel, "gemm", backend="serial")
     benchmark(cs.run, x, 1)
 
 
@@ -175,7 +179,7 @@ def test_bench_backend_tiled(benchmark):
     kernel = get_kernel("heat-2d")
     x = default_rng(7).random((512, 512))
     tiled = TiledBackend(min_rows_per_tile=64)
-    cs = ConvStencil(kernel, backend=tiled)
+    cs = PinnedStencil(kernel, "gemm", backend=tiled)
     try:
         benchmark(cs.run, x, 1)
     finally:

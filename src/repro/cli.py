@@ -16,7 +16,8 @@ and prints the artifact's output format (§A.5)::
 
 ``Time`` and ``GStencil/s`` come from the calibrated A100 performance model
 (there is no GPU here); ``--verify`` additionally executes a scaled-down
-grid functionally and checks it against the reference, and ``--custom``
+grid functionally under each execution strategy (``gemm`` and ``direct``)
+and checks it against the reference, and ``--custom``
 accepts user weights exactly like the artifact's ``--custom`` option.
 Functional runs (``--verify``/``--trace``) execute on a
 :mod:`repro.runtime` backend selected by ``--backend`` (or the
@@ -61,11 +62,12 @@ import numpy as np
 
 from repro import telemetry
 from repro.analysis.breakdown import run_breakdown
-from repro.core.api import ConvStencil
+from repro.core.api import ConvStencil, PinnedStencil
 from repro.errors import ReproError, StaticCheckError
 from repro.gpu.specs import A100, H100, V100, DeviceSpec
 from repro.model.convstencil_model import convstencil_throughput
 from repro.runtime import list_backends
+from repro.runtime.plan import STRATEGIES
 from repro.stencils.catalog import ARTIFACT_ALIASES, get_kernel
 from repro.stencils.kernel import StencilKernel
 from repro.stencils.reference import run_reference
@@ -331,7 +333,7 @@ def _run_lint(argv: List[str]) -> List[str]:
         description=(
             "Static determinism & safety checks: the AST linter "
             "(RPR001-006), the plan/LUT verifier over the kernel catalog "
-            "(RPR201-206), the concurrency discipline rules (RPR101-103), "
+            "(RPR201-207), the concurrency discipline rules (RPR101-103), "
             "the generated-kernel prover (RPR400-406), and the asyncio "
             "serve-layer rules (RPR301-304)"
         ),
@@ -1290,14 +1292,25 @@ def run(argv: Sequence[str]) -> List[str]:
         shape = _VERIFY_SHAPES[ndim]
         x = default_rng(0).random(shape)
         steps = 2
-        got = ConvStencil(
-            kernel, fusion=_fusion(args.fusion), backend=args.backend
-        ).run(x, steps=steps)
         ref = run_reference(x, kernel, steps)
-        err = float(np.abs(got - ref).max())
+        # Each strategy in turn, whatever the measured crossover would pick
+        # at this size, so the backend's GEMM path is always checked.
+        err = max(
+            float(
+                np.abs(
+                    PinnedStencil(
+                        kernel, strategy, fusion=_fusion(args.fusion),
+                        backend=args.backend,
+                    ).run(x, steps=steps)
+                    - ref
+                ).max()
+            )
+            for strategy in STRATEGIES
+        )
         lines.append("")
         lines.append(
-            f"VERIFY: {steps} steps on {'x'.join(map(str, shape))} grid, "
+            f"VERIFY: {steps} steps on {'x'.join(map(str, shape))} grid "
+            f"({' and '.join(STRATEGIES)}), "
             f"max |err| = {err:.3e} -> {'OK' if err < 1e-10 else 'FAIL'}"
         )
         if err >= 1e-10:

@@ -332,3 +332,37 @@ class ConvStencil:
                 f"got {data.ndim}-D"
             )
         return data, bc, fill
+
+
+class PinnedStencil(ConvStencil):
+    """A :class:`ConvStencil` whose plans run every pass by one pinned
+    execution strategy (``"gemm"`` or ``"direct"``) instead of the measured
+    crossover.
+
+    Internal, for harnesses that must reach a given path whatever the
+    crossover picks: ``repro verify`` runs every case under each strategy,
+    and the backend benchmarks pin ``gemm`` to compare GEMM engines.
+    Pinned plans go through the plan cache under their own key, so they
+    are shared across backends but never stand in for measured plans.
+    """
+
+    def __init__(
+        self,
+        kernel: StencilKernel,
+        strategy: str,
+        fusion: "int | str" = 1,
+        backend: "str | object | None" = None,
+    ) -> None:
+        from repro.runtime.plan import STRATEGIES
+
+        if strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+        super().__init__(kernel, fusion=fusion, backend=backend)
+        self.strategy = strategy
+
+    def _plan_for(self, grid_shape: Tuple[int, ...], boundary: BoundaryCondition):
+        from repro.runtime import plan_for
+
+        return plan_for(
+            self.kernel, grid_shape, boundary, self.plan, strategy=self.strategy
+        )

@@ -42,8 +42,8 @@ from repro.utils.arrays import sliding_windows
 
 __all__ = ["convstencil_valid_2d", "convstencil_valid_2d_batched"]
 
-#: Tile-shift rows processed per einsum call; bounds temporary memory at
-#: roughly ``_CHUNK * n * k`` doubles while keeping GEMMs large.
+#: Tile shifts per stacked-matmul call; bounds the materialised window at
+#: ``_CHUNK × R × k²`` doubles per matrix while keeping each call large.
 _CHUNK = 128
 
 

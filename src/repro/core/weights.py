@@ -97,8 +97,8 @@ def weight_blocks_2d(kernel: StencilKernel) -> tuple:
     """Per-kernel-row weight blocks ``(WA3, WB3)`` of shape ``(k, k, k+1)``.
 
     ``WA3[x']`` is the lower-triangular block for kernel row ``x'``; the
-    vectorised engine contracts these directly
-    (``einsum('txri,xij->trj')``) without materialising the stacked form.
+    vectorised engine reshapes them to the ``(k², k+1)`` right operand of
+    its stacked ``(R, k²) @ (k², k+1)`` GEMMs.
     Memoised per kernel instance so time loops build them once.
     """
     if kernel.ndim != 2:

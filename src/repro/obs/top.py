@@ -257,7 +257,9 @@ def run_demo_workload(runs: int = 1) -> None:
 
     Used by ``repro top --demo`` and ``repro obs-snapshot --demo`` so the
     view has data without a separately running workload.  Threads, not
-    processes: the demo must be cheap and portable.
+    processes: the demo must be cheap and portable.  The plan is pinned
+    to the ``gemm`` strategy: a measured ``direct`` choice would never
+    reach the tiled backend, and its worker gauges would stay empty.
     """
     from repro import obs
     from repro.runtime.execute import execute_batch, plan_for
@@ -268,7 +270,7 @@ def run_demo_workload(runs: int = 1) -> None:
     obs.enable()
     kernel = get_kernel("heat-2d")
     batch = default_rng(0).random((2, 48, 48))
-    plan = plan_for(kernel, (48, 48))
+    plan = plan_for(kernel, (48, 48), strategy="gemm")
     backend = TiledBackend(workers=2, min_rows_per_tile=4, use_processes=False)
     try:
         for _ in range(max(1, runs)):

@@ -7,7 +7,10 @@ stable — trajectory charts only mean something when the cells never move
 — and spans the axes the paper's evaluation varies: dimensionality
 (§5.2–5.4), kernel width (Table 3's shapes), temporal fusion (§3.3), and
 the execution substrate (serial vs tiled, this repo's stand-in for the
-cuDNN-vs-ConvStencil axis).
+cuDNN-vs-ConvStencil axis).  Every cell pins its passes to the ``gemm``
+strategy (:class:`~repro.core.api.PinnedStencil`): the suite compares GEMM
+engines, and its analytic counters describe GEMM work, which a measured
+``direct`` pass would not run.
 
 :func:`run_suite` measures every cell with the
 :mod:`repro.perfwatch.timer` protocol, folds in the
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import telemetry
-from repro.core.api import ConvStencil
+from repro.core.api import PinnedStencil
 from repro.errors import ReproError
 from repro.perfwatch.counters import (
     efficiency_counters,
@@ -160,7 +163,7 @@ def _measure_workload(
         x = rng.random((w.batch,) + w.shape)
     else:
         x = rng.random(w.shape)
-    cs = ConvStencil(kernel, fusion=w.fusion, backend=backend)
+    cs = PinnedStencil(kernel, "gemm", fusion=w.fusion, backend=backend)
 
     def run_once():
         if w.batch:
@@ -260,7 +263,7 @@ def _obs_summary_pass(suite: List[Workload], quick: bool) -> Dict:
                 backend, owned = _make_backend(w.backend, quick)
                 rng = default_rng(INPUT_SEED)
                 x = rng.random((w.batch,) + w.shape) if w.batch else rng.random(w.shape)
-                cs = ConvStencil(kernel, fusion=w.fusion, backend=backend)
+                cs = PinnedStencil(kernel, "gemm", fusion=w.fusion, backend=backend)
                 try:
                     if w.batch:
                         cs.run_batch(x, steps=w.steps)

@@ -28,6 +28,10 @@ executor, a remote pool)::
 
     register_backend("mine", MyBackend)
     ConvStencil(kernel, backend="mine")
+
+A backend only ever receives ``gemm`` passes: passes whose plan chose the
+``direct`` strategy run in the pass sequencer
+(:mod:`repro.runtime.execute`), whatever the backend.
 """
 
 from __future__ import annotations
@@ -89,8 +93,8 @@ class Backend(abc.ABC):
         """One pass over a batch of padded grids (leading batch axis).
 
         The default loops :meth:`apply_pass` per grid; backends with a
-        faster ensemble path (one einsum across the stack, tile-per-worker)
-        override this.  An empty batch short-circuits to an empty result
+        faster ensemble path (one stacked GEMM across the stack,
+        tile-per-worker) override this.  An empty batch short-circuits to an empty result
         rather than surfacing a raw ``np.stack`` error.
         """
         if padded.shape[0] == 0:
@@ -109,7 +113,7 @@ class SerialBackend(Backend):
 
     Receives every shape-invariant table (gather LUTs, weight matrices,
     plane decompositions) from the plan, so the per-pass work is exactly
-    the gathers and einsums — the §3.4 precompute-once discipline applied
+    the gathers and GEMMs — the §3.4 precompute-once discipline applied
     to the Python engines.
     """
 
@@ -136,7 +140,7 @@ class SerialBackend(Backend):
         if padded.shape[0] == 0:
             return _empty_batch_result(pp, padded)
         if pp.ndim == 2:
-            # Ensemble fast path: one einsum sweep covers the whole batch.
+            # Ensemble fast path: one stacked-GEMM sweep covers the whole batch.
             return convstencil_valid_2d_batched(
                 padded, pp.kernel, offsets=pp.offsets, weights=pp.weights
             )

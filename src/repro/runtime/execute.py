@@ -3,9 +3,13 @@
 This is the single code path every :class:`~repro.core.api.ConvStencil`
 entry point (``run``, ``run_batch``, ``apply_valid``) funnels through:
 fetch a cached plan, pad per pass with the plan's boundary semantics, and
-hand each pass to the selected :class:`~repro.runtime.backends.Backend`.
-Keeping one sequencer guarantees every backend sees identical ghost-zone
-semantics — the property the differential test suite leans on.
+run each pass by the strategy its plan carries: ``gemm`` passes go to the
+selected :class:`~repro.runtime.backends.Backend`, ``direct`` passes to the
+shifted-add kernel (:func:`~repro.core.direct.direct_valid`), whatever the
+backend.  Keeping one sequencer guarantees every backend sees identical
+ghost-zone semantics — the property the differential test suite leans on —
+and that a plan gives the same bits on every backend, single-grid or
+batched, served or called directly.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro import obs, telemetry
+from repro.core.direct import direct_valid
 from repro.core.fusion import FusionPlan
 from repro.runtime.backends import Backend, get_backend
 from repro.runtime.cache import get_plan_cache
@@ -30,12 +35,17 @@ def plan_for(
     grid_shape: Tuple[int, ...],
     boundary: BoundaryCondition = BoundaryCondition.CONSTANT,
     fusion: "int | str | FusionPlan" = 1,
+    *,
+    strategy: Optional[str] = None,
 ) -> ExecutionPlan:
     """The cached :class:`ExecutionPlan` for a problem, built on first use.
 
     Keyed by ``(kernel, grid_shape, boundary, fusion_depth)`` in the global
     :class:`~repro.runtime.cache.PlanCache`; repeated runs over the same
     problem reuse one plan's LUTs, weight matrices, and tile bounds.
+    ``strategy`` pins every pass (see ``build_plan``); a pinned plan is
+    cached under the key extended by the pin, so it never stands in for
+    the measured one.
     """
     if isinstance(fusion, FusionPlan):
         depth = fusion.depth
@@ -45,6 +55,8 @@ def plan_for(
         fusion = plan_fusion(kernel, fusion)
         depth = fusion.depth
     key = plan_key(kernel, grid_shape, boundary, depth)
+    if strategy is not None:
+        key += (strategy,)
     # Tile geometry is a *backend* property, not a plan property: plans are
     # cached with the trivial single-tile decomposition and every executor
     # derives its own bounds at dispatch time via ``PassPlan.retile`` (the
@@ -53,8 +65,19 @@ def plan_for(
     # plan cache.
     return get_plan_cache().get_or_build(
         key,
-        lambda: build_plan(kernel, grid_shape, boundary, fusion, tiles=1),
+        lambda: build_plan(
+            kernel, grid_shape, boundary, fusion, tiles=1, strategy=strategy
+        ),
     )
+
+
+def _apply(pp: PassPlan, padded: np.ndarray, backend: Backend, batched: bool) -> np.ndarray:
+    """One pass by the plan's strategy; backends only ever see ``gemm``."""
+    if pp.strategy == "direct":
+        return direct_valid(padded, pp.kernel, batched=batched)
+    if batched:
+        return backend.apply_pass_batch(pp, padded)
+    return backend.apply_pass(pp, padded)
 
 
 def execute_pass(
@@ -63,7 +86,9 @@ def execute_pass(
     backend: Union[str, Backend, None] = None,
 ) -> np.ndarray:
     """One valid-region pass over an already-padded array."""
-    return get_backend(backend).apply_pass(pp, np.asarray(padded, dtype=np.float64))
+    return _apply(
+        pp, np.asarray(padded, dtype=np.float64), get_backend(backend), batched=False
+    )
 
 
 def _run_passes(
@@ -83,14 +108,11 @@ def _run_passes(
             radius=pp.halo,
             shape=out.shape,
             backend=backend.name,
+            strategy=pp.strategy,
             **({"batched": True} if batched else {}),
         ):
             padded = pad(out, pp.halo, plan.boundary, fill_value)
-            out = (
-                backend.apply_pass_batch(pp, padded)
-                if batched
-                else backend.apply_pass(pp, padded)
-            )
+            out = _apply(pp, padded, backend, batched)
     if out is data:
         # Zero passes (steps=0): a no-op run still returns a fresh float64
         # array, never an alias of the caller's input.

@@ -6,7 +6,7 @@ Five layers behind one finding model and one reporter (see DESIGN.md
 1. **AST determinism/numerics linter** (:mod:`.rules_ast`, RPR001–006) —
    the bit-stability hazard classes the PR 3 differential harness caught
    dynamically, flagged in source text before anything runs.
-2. **Plan/LUT static verifier** (:mod:`.plan_invariants`, RPR201–206) —
+2. **Plan/LUT static verifier** (:mod:`.plan_invariants`, RPR201–207) —
    proves the paper's stencil2row/dirty-zone/triangular-weights
    invariants on built (never executed) execution plans; auto-runs on
    every :class:`~repro.runtime.cache.PlanCache` insert under

@@ -1,4 +1,4 @@
-"""Layer 2 — static verification of built execution plans (RPR201–RPR206).
+"""Layer 2 — static verification of built execution plans (RPR201–RPR207).
 
 The paper's correctness story rests on *static* properties of the
 precomputed host-side tables: the stencil2row lookup table realises the
@@ -29,6 +29,8 @@ RPR205    axis-0 tiles do not partition the output rows contiguously, or
           bit-identical-tiling precondition).
 RPR206    3-D plane decomposition inconsistent: bad plane offsets, or
           ``weights_by_plane`` disagreeing with the dense-plane set.
+RPR207    execution strategy is neither ``"gemm"`` nor ``"direct"``, or a
+          ``gemm`` pass lacks the LUT and weight tables its engine reads.
 ========  ==================================================================
 
 ``check_plan(plan)`` returns the violations as :class:`Finding`\\ s
@@ -336,8 +338,46 @@ def _check_planes(pp, name: str, label: str, findings: List[Finding]) -> None:
                 break
 
 
+#: The strategies a pass may carry — restated here rather than imported
+#: from :mod:`repro.runtime.plan`, like the weight blocks above.
+_STRATEGIES = ("gemm", "direct")
+
+
+def _check_strategy(pp, name: str, label: str, findings: List[Finding]) -> None:
+    """RPR207: a known strategy; a ``gemm`` pass carries its tables."""
+    strategy = getattr(pp, "strategy", None)
+    if strategy not in _STRATEGIES:
+        findings.append(
+            _finding(
+                name,
+                "RPR207",
+                f"{label}: strategy {strategy!r} is not one of {_STRATEGIES}",
+                fix_hint="plans get their strategy from build_plan",
+            )
+        )
+        return
+    if strategy != "gemm":
+        return
+    if pp.ndim == 3:
+        tables = {"LUT": pp.offsets, "plane decomposition": pp.planes,
+                  "per-plane weights": pp.weights_by_plane}
+    else:
+        tables = {"LUT": pp.offsets, "weights": pp.weights}
+    missing = [what for what, table in tables.items() if table is None]
+    if missing:
+        findings.append(
+            _finding(
+                name,
+                "RPR207",
+                f"{label}: gemm pass has no {', '.join(missing)} — its "
+                "backend engine would rebuild or miss them",
+            )
+        )
+
+
 def _check_pass(pp, name: str, label: str) -> List[Finding]:
     findings: List[Finding] = []
+    _check_strategy(pp, name, label, findings)
     _check_halo(pp, name, label, findings)
     _check_lut(pp, name, label, findings)
     _check_weights(pp, name, label, findings)
@@ -389,7 +429,9 @@ def check_plan_catalog() -> Tuple[List[Finding], int]:
 
     Builds (uncached) plans at fixed awkward shapes and fusion depths 1
     and 2 — the same kernel population the verify harness draws cases
-    from.  Returns ``(findings, plans_checked)``.
+    from — pinned to the ``gemm`` strategy, so the sweep is static (no
+    calibration timing) and covers the tables the GEMM engines read.
+    Returns ``(findings, plans_checked)``.
     """
     from repro.runtime.plan import build_plan
     from repro.stencils.catalog import get_kernel, list_kernels
@@ -404,6 +446,7 @@ def check_plan_catalog() -> Tuple[List[Finding], int]:
                 _CATALOG_SHAPES[kernel.ndim],
                 fusion=depth,
                 tiles=2,
+                strategy="gemm",
             )
             findings.extend(check_plan(plan))
             checked += 1

@@ -17,6 +17,7 @@ telemetry-report TRACE``.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
@@ -32,6 +33,7 @@ __all__ = [
     "phase_breakdown",
     "render_phase_report",
     "staticcheck_summary",
+    "strategy_summary",
     "worker_summary",
 ]
 
@@ -231,6 +233,36 @@ def worker_summary(spans: List[Dict[str, Any]]) -> Dict[str, Any]:
     return totals
 
 
+def strategy_summary(spans: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """How passes ran and what choosing cost.
+
+    Counts ``convstencil.pass`` spans per ``strategy=`` attribute, and
+    ``runtime.plan.calibrate`` spans with their total seconds and the
+    strategy each chose.  Empty counts for traces without runtime passes.
+    """
+    passes: Counter = Counter()
+    chosen: Counter = Counter()
+    calibrate_s = 0.0
+    for sp in spans:
+        name = str(sp.get("name", ""))
+        attrs = sp.get("attributes", {}) or {}
+        if name == "convstencil.pass":
+            passes[str(attrs.get("strategy", "gemm"))] += 1
+        elif name == "runtime.plan.calibrate":
+            chosen[str(attrs.get("strategy", "?"))] += 1
+            calibrate_s += float(sp.get("duration", 0.0))
+    return {
+        "passes": dict(passes),
+        "calibrations": sum(chosen.values()),
+        "calibrate_s": calibrate_s,
+        "chosen": dict(chosen),
+    }
+
+
+def _counts(counts: Dict[str, int]) -> str:
+    return ", ".join(f"{n} {key}" for key, n in sorted(counts.items()))
+
+
 def perfwatch_summary(spans: List[Dict[str, Any]]) -> Dict[str, int]:
     """Aggregate ``perfwatch.*`` span attributes from a trace.
 
@@ -296,6 +328,14 @@ def render_phase_report(trace_path: "str | Path", top: int = 0) -> str:
             f"({', '.join(wk['workers'])}), busy {wk['busy'] * 1e3:.3f} ms, "
             f"{wk['degraded_passes']}/{wk['passes']} pass(es) degraded"
         )
+    st = strategy_summary(spans)
+    if st["passes"] or st["calibrations"]:
+        table += f"\nPass strategies: {_counts(st['passes']) or 'no passes'}"
+        if st["calibrations"]:
+            table += (
+                f"; {st['calibrations']} calibration(s) in "
+                f"{st['calibrate_s'] * 1e3:.3f} ms chose {_counts(st['chosen'])}"
+            )
     pw = perfwatch_summary(spans)
     if pw["suites"]:
         table += (

@@ -9,7 +9,10 @@ random cases across the whole configuration space
 
 including randomized star/box weights, degenerate and non-group-aligned
 extents, and minimum-legal sizes, then runs every case through all
-registered backends and two independent oracles:
+registered backends — once per plan-level execution strategy (dual
+tessellation ``gemm`` and shifted-add ``direct``, pinned instead of
+measured so the GEMM engines stay covered whatever the crossover picks)
+— and two independent oracles:
 
 * the **mirror oracle** — :func:`apply_stencil_reference` (shifted-view
   weighted sums, no stencil2row, no dual tessellation) applied with
@@ -21,7 +24,8 @@ registered backends and two independent oracles:
   only where temporal fusion is claimed exact (depth 1, or periodic
   halos), under a looser budget.
 
-Backends are always compared with each other **bit for bit**.
+Backends are always compared with each other **bit for bit**, per
+strategy.
 
 Failing cases are shrunk to a minimal reproduction (fewer steps, smaller
 extents, simpler layout/boundary) and emitted as a JSON-serialisable dict
@@ -43,8 +47,9 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.core.api import ConvStencil
+from repro.core.api import PinnedStencil
 from repro.core.fusion import plan_fusion
+from repro.runtime.plan import STRATEGIES, build_plan
 from repro.stencils.catalog import get_kernel, list_kernels
 from repro.stencils.grid import BoundaryCondition, Grid
 from repro.stencils.kernel import StencilKernel
@@ -292,9 +297,12 @@ def _case_input(case: Case) -> np.ndarray:
     return default_rng(case.seed).random(shape)
 
 
-def _execute_case(case: Case, kernel: StencilKernel, backend, data: np.ndarray):
-    """Run one case on one backend through the public API layout it names."""
-    cs = ConvStencil(kernel, fusion=case.fusion, backend=backend)
+def _execute_case(
+    case: Case, kernel: StencilKernel, backend, data: np.ndarray, strategy: str
+):
+    """Run one case on one backend, with every pass pinned to ``strategy``,
+    through the public API layout it names."""
+    cs = PinnedStencil(kernel, strategy, fusion=case.fusion, backend=backend)
     bc = case.boundary
     fill = case.fill_value
     if case.layout == "array":
@@ -349,12 +357,17 @@ def _apply_oracle(case: Case, oracle, kernel: StencilKernel, data: np.ndarray):
 
 @dataclass
 class CaseResult:
-    """Outcome of one case across all backends and both oracles."""
+    """Outcome of one case across all strategies, backends and both oracles.
+
+    ``ulp_mirror``/``ulp_unfused`` are the worst over the strategies;
+    ``ulp_by_strategy`` keeps each strategy's mirror-oracle drift.
+    """
 
     case: Case
     failures: List[str] = field(default_factory=list)
     ulp_mirror: float = 0.0
     ulp_unfused: Optional[float] = None
+    ulp_by_strategy: Dict[str, float] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -367,7 +380,8 @@ def run_case(
     tight_ulp: float = DEFAULT_TIGHT_ULP,
     loose_ulp: float = DEFAULT_LOOSE_ULP,
 ) -> CaseResult:
-    """Run ``case`` on every backend, cross-check bits, check both oracles."""
+    """Run ``case`` under each strategy on every backend: cross-check bits
+    per strategy, and check each strategy against both oracles."""
     result = CaseResult(case=case)
     try:
         kernel = case.resolve_kernel()
@@ -378,16 +392,69 @@ def run_case(
         )
         return result
 
+    mirror = unfused = None
+    depth = plan_fusion(kernel, case.fusion).depth
+    for strategy in STRATEGIES:
+        base_name, base = _run_strategy(case, kernel, data, backends, strategy, result)
+        if base is None:
+            continue
+
+        # Mirror oracle: same pass semantics, independent algorithm.
+        if mirror is None:
+            try:
+                mirror = _apply_oracle(case, _oracle_passes, kernel, data)
+            except Exception as exc:
+                result.failures.append(
+                    f"mirror oracle raised {type(exc).__name__}: {exc}"
+                )
+                return result
+        ulp = max_ulp(base, mirror)
+        result.ulp_by_strategy[strategy] = ulp
+        result.ulp_mirror = max(result.ulp_mirror, ulp)
+        if ulp > tight_ulp:
+            result.failures.append(
+                f"[{strategy}] backend {base_name!r} drifts {ulp:.3g} ULP "
+                f"from the mirror oracle (budget {tight_ulp:g})"
+            )
+
+        # Unfused oracle, where fusion is claimed exact everywhere.
+        if depth > 1 and case.boundary == "periodic":
+            if unfused is None:
+                unfused = _apply_oracle(case, _oracle_unfused, kernel, data)
+            drift = max_ulp(base, unfused)
+            result.ulp_unfused = max(result.ulp_unfused or 0.0, drift)
+            if drift > loose_ulp:
+                result.failures.append(
+                    f"[{strategy}] fused result drifts {drift:.3g} ULP from "
+                    f"the unfused step loop under periodic halos "
+                    f"(budget {loose_ulp:g})"
+                )
+    return result
+
+
+def _run_strategy(
+    case: Case,
+    kernel: StencilKernel,
+    data: np.ndarray,
+    backends: Dict[str, object],
+    strategy: str,
+    result: CaseResult,
+) -> Tuple[str, Optional[np.ndarray]]:
+    """Run ``case`` on every backend under ``strategy``; record raises and
+    bitwise disagreements.  Returns the name and output the oracles judge
+    (``reference`` when present), or ``None`` if every backend raised."""
     outputs: Dict[str, np.ndarray] = {}
     for name, backend in backends.items():
         try:
-            outputs[name] = np.asarray(_execute_case(case, kernel, backend, data))
+            outputs[name] = np.asarray(
+                _execute_case(case, kernel, backend, data, strategy)
+            )
         except Exception as exc:
             result.failures.append(
-                f"backend {name!r} raised {type(exc).__name__}: {exc}"
+                f"[{strategy}] backend {name!r} raised {type(exc).__name__}: {exc}"
             )
     if not outputs:
-        return result
+        return "", None
 
     # Backends must agree bit for bit (the PR 2 contract).
     base_name = "reference" if "reference" in outputs else sorted(outputs)[0]
@@ -397,42 +464,15 @@ def run_case(
             continue
         if out.shape != base.shape:
             result.failures.append(
-                f"backend {name!r} shape {out.shape} != {base_name!r} "
-                f"shape {base.shape}"
+                f"[{strategy}] backend {name!r} shape {out.shape} != "
+                f"{base_name!r} shape {base.shape}"
             )
         elif not np.array_equal(out, base):
             result.failures.append(
-                f"backend {name!r} differs from {base_name!r} bitwise "
-                f"(max ulp {max_ulp(out, base):.3g})"
+                f"[{strategy}] backend {name!r} differs from {base_name!r} "
+                f"bitwise (max ulp {max_ulp(out, base):.3g})"
             )
-
-    # Mirror oracle: same pass semantics, independent algorithm.
-    try:
-        mirror = _apply_oracle(case, _oracle_passes, kernel, data)
-    except Exception as exc:
-        result.failures.append(
-            f"mirror oracle raised {type(exc).__name__}: {exc}"
-        )
-        return result
-    result.ulp_mirror = max_ulp(base, mirror)
-    if result.ulp_mirror > tight_ulp:
-        result.failures.append(
-            f"backend {base_name!r} drifts {result.ulp_mirror:.3g} ULP "
-            f"from the mirror oracle (budget {tight_ulp:g})"
-        )
-
-    # Unfused oracle, where fusion is claimed exact everywhere.
-    depth = plan_fusion(kernel, case.fusion).depth
-    if depth > 1 and case.boundary == "periodic":
-        unfused = _apply_oracle(case, _oracle_unfused, kernel, data)
-        result.ulp_unfused = max_ulp(base, unfused)
-        if result.ulp_unfused > loose_ulp:
-            result.failures.append(
-                f"fused result drifts {result.ulp_unfused:.3g} ULP from the "
-                f"unfused step loop under periodic halos "
-                f"(budget {loose_ulp:g})"
-            )
-    return result
+    return base_name, base
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +579,10 @@ def mutation_check(
     off-by-one has no business judging the real engines.
     """
     from repro.runtime.backends import SerialBackend
-    from repro.runtime.plan import build_plan
     from repro.stencils.grid import pad_halo
 
     kernel = get_kernel(kernel_name)
-    plan = build_plan(kernel, shape)
+    plan = build_plan(kernel, shape, strategy="gemm")
     pp = plan.fused_pass
     mutated = np.array(pp.offsets)  # a copy of the LUT...
     mutated[0, 0] += 1  # ...with a deliberate off-by-one gather
@@ -578,6 +617,10 @@ class VerifyReport:
     ulp_max: float = 0.0
     ulp_unfused_max: float = 0.0
     mutation_caught: Optional[bool] = None
+    #: Worst mirror-oracle drift per execution strategy.
+    ulp_max_by_strategy: Dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(STRATEGIES, 0.0)
+    )
 
     @property
     def ok(self) -> bool:
@@ -591,6 +634,7 @@ class VerifyReport:
             "failures": list(self.failures),
             "ulp_max": self.ulp_max,
             "ulp_unfused_max": self.ulp_unfused_max,
+            "ulp_max_by_strategy": dict(self.ulp_max_by_strategy),
             "mutation_caught": self.mutation_caught,
             "ok": self.ok,
         }
@@ -604,8 +648,11 @@ class VerifyReport:
     def summary_lines(self) -> List[str]:
         lines = [
             f"VERIFY: {self.cases} cases x backends "
-            f"[{', '.join(self.backends)}], seed {self.seed}",
-            f"  max ULP vs mirror oracle:  {self.ulp_max:.3g}",
+            f"[{', '.join(self.backends)}] x strategies "
+            f"[{', '.join(self.ulp_max_by_strategy)}], seed {self.seed}",
+            f"  max ULP vs mirror oracle:  {self.ulp_max:.3g} ("
+            + ", ".join(f"{k} {v:.3g}" for k, v in self.ulp_max_by_strategy.items())
+            + ")",
         ]
         if self.ulp_unfused_max:
             lines.append(
@@ -685,6 +732,10 @@ def run_verification(
                 telemetry.counter("verify.cases").inc()
                 result = run_case(case, resolved, tight, loose)
                 report.ulp_max = max(report.ulp_max, result.ulp_mirror)
+                for strategy, ulp in result.ulp_by_strategy.items():
+                    report.ulp_max_by_strategy[strategy] = max(
+                        report.ulp_max_by_strategy[strategy], ulp
+                    )
                 if result.ulp_unfused is not None:
                     report.ulp_unfused_max = max(
                         report.ulp_unfused_max, result.ulp_unfused

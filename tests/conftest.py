@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro.runtime.plan import choose_strategy as _MEASURED_CHOOSER
 from repro.stencils.catalog import list_kernels
 from repro.utils.rng import default_rng
 
@@ -13,6 +16,61 @@ from repro.utils.rng import default_rng
 def rng() -> np.random.Generator:
     """Deterministic generator, fresh per test."""
     return default_rng(1234)
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "measured_strategy: build plans with the measured gemm/direct "
+        "crossover instead of the suite-wide gemm pin",
+    )
+
+
+@functools.wraps(_MEASURED_CHOOSER)  # introspection still sees the real one
+def _pinned_gemm(pp) -> str:
+    return "gemm"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _gemm_strategy_by_default():
+    """Pin every plan the suite builds to the ``gemm`` strategy.
+
+    The measured crossover sends most small test grids to the ``direct``
+    kernel, which never reaches a backend: tests that compare backends,
+    or assert what happens inside one (tile spans, worker folds, engine
+    phases, custom backends), would silently stop exercising the GEMM
+    engines, and so would the ``REPRO_BACKEND`` CI legs.  Session-scoped
+    so plans built by wider-scoped fixtures are pinned too.  Tests about
+    the crossover itself opt out with ``@pytest.mark.measured_strategy``;
+    the direct kernel is covered by pinning ``direct`` explicitly.
+    """
+    from repro.runtime import plan as plan_mod
+    from repro.runtime.cache import get_plan_cache
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plan_mod, "choose_strategy", _pinned_gemm)
+        get_plan_cache().clear()
+        yield
+
+
+@pytest.fixture(autouse=True)
+def _measured_strategy(request):
+    """Restore the measured crossover for ``measured_strategy`` tests,
+    clearing the plan cache on both sides so no measured plan is shared
+    with a pinned test."""
+    if request.node.get_closest_marker("measured_strategy") is None:
+        yield
+        return
+    from repro.runtime import plan as plan_mod
+    from repro.runtime.cache import get_plan_cache
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plan_mod, "choose_strategy", _MEASURED_CHOOSER)
+        get_plan_cache().clear()
+        try:
+            yield
+        finally:
+            get_plan_cache().clear()
 
 
 def pytest_generate_tests(metafunc):

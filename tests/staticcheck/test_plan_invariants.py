@@ -112,6 +112,34 @@ class TestMutationsRejected:
         }
 
 
+class TestStrategyInvariant:
+    """RPR207: a known strategy, and a gemm pass keeps its tables."""
+
+    def _rules(self, plan):
+        return {f.rule_id for f in check_plan(plan)}
+
+    @pytest.mark.parametrize("strategy", ["gemm", "direct"])
+    def test_both_strategies_accepted(self, strategy):
+        for name, shape in (("heat-1d", (67,)), ("heat-2d", (16, 21)), ("heat-3d", (8, 9, 11))):
+            plan = build_plan(get_kernel(name), shape, fusion=2, strategy=strategy)
+            assert check_plan(plan) == []
+
+    def test_unknown_strategy_caught(self):
+        plan = build_plan(get_kernel("heat-2d"), (16, 21), strategy="gemm")
+        assert "RPR207" in self._rules(_mutate_base_pass(plan, strategy="sparse"))
+
+    def test_gemm_pass_without_tables_caught(self):
+        plan = build_plan(get_kernel("heat-2d"), (16, 21), strategy="gemm")
+        assert "RPR207" in self._rules(_mutate_base_pass(plan, weights=None))
+        plan3 = build_plan(get_kernel("heat-3d"), (8, 9, 11), strategy="gemm")
+        assert "RPR207" in self._rules(_mutate_base_pass(plan3, weights_by_plane=None))
+
+    def test_direct_pass_needs_no_tables(self):
+        plan = build_plan(get_kernel("heat-2d"), (16, 21), strategy="direct")
+        stripped = _mutate_base_pass(plan, offsets=None, weights=None)
+        assert "RPR207" not in self._rules(stripped)
+
+
 def test_eq13_count_matches_paper_values():
     # Eq. 13: 2 * ceil(k^2/4) * ceil((k+1)/8)
     # k=3: 2*3*1 = 6 ; k=5: 2*7*1 = 14 ; k=7: 2*13*1 = 26 ; k=9: 2*21*2 = 84

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.api import ConvStencil
 from repro.core.simulated import run_simulated_2d
 from repro.stencils.catalog import get_kernel
@@ -43,6 +45,31 @@ class TestEngineSpans:
         kernel = get_kernel("box-2d9p")
         ConvStencil(kernel).run(default_rng(3).random((32, 32)), 2)
         assert len(tele.get_tracer()) == 0
+
+
+@pytest.mark.measured_strategy
+class TestStrategySpans:
+    def test_calibration_and_pass_spans_name_the_strategy(self, tele, monkeypatch):
+        """A fresh (kernel, size class) is measured inside a
+        runtime.plan.calibrate span; every pass span says how it ran."""
+        from collections import OrderedDict
+
+        from repro.runtime import plan as plan_mod
+
+        monkeypatch.setattr(plan_mod, "_strategy_memo", OrderedDict())
+        tele.enable()
+        ConvStencil(get_kernel("star-2d9p")).run(
+            default_rng(3).random((40, 40)), steps=2
+        )
+        spans = tele.get_tracer().spans()
+        (calibrate,) = [sp for sp in spans if sp.name == "runtime.plan.calibrate"]
+        chosen = calibrate.attributes["strategy"]
+        assert chosen in plan_mod.STRATEGIES
+        assert calibrate.attributes["gemm_ms"] > 0
+        assert calibrate.attributes["direct_ms"] > 0
+        passes = [sp for sp in spans if sp.name == "convstencil.pass"]
+        assert len(passes) == 2
+        assert {p.attributes["strategy"] for p in passes} == {chosen}
 
 
 class TestSimulatorMetrics:

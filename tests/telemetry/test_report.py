@@ -13,6 +13,7 @@ from repro.telemetry.report import (
     load_trace_details,
     phase_breakdown,
     render_phase_report,
+    strategy_summary,
 )
 
 
@@ -141,6 +142,20 @@ class TestCli:
 
 
 class TestFooters:
+    def test_strategy_footer_counts_passes_and_calibrations(self, tele, tmp_path):
+        tele.enable()
+        with tele.span("run"):
+            with tele.span("runtime.plan.calibrate", kernel="k") as sp:
+                sp.set_attribute("strategy", "direct")
+            for strategy in ("direct", "direct", "gemm"):
+                with tele.span("convstencil.pass", strategy=strategy):
+                    pass
+        path = tele.get_tracer().export(tmp_path / "strategy.jsonl")
+        assert strategy_summary(load_trace(path))["passes"] == {"direct": 2, "gemm": 1}
+        text = render_phase_report(path)
+        assert "Pass strategies: 2 direct, 1 gemm; 1 calibration(s) in" in text
+        assert text.rstrip().endswith("chose 1 direct")
+
     def test_tiled_process_trace_shows_per_worker_spans(self, tele, tmp_path):
         """End-to-end fold: process-pool tiles appear per worker in the report."""
         from repro.runtime.tiled import TiledBackend

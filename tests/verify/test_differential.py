@@ -153,6 +153,42 @@ class TestRunCase:
         assert any("RuntimeError" in f for f in result.failures)
 
 
+class TestStrategies:
+    def test_broken_backend_caught_when_the_crossover_picks_direct(
+        self, backends, monkeypatch
+    ):
+        """verify pins each strategy itself: a measured ``direct`` choice
+        must not hide a broken GEMM backend."""
+        from repro.runtime import Backend
+        from repro.runtime import plan as plan_mod
+
+        monkeypatch.setattr(plan_mod, "choose_strategy", lambda pp: "direct")
+
+        class Liar(Backend):
+            name = "liar"
+
+            def apply_pass(self, pp, padded):
+                out = backends["serial"].apply_pass(pp, padded)
+                out[0] += 1e-3
+                return out
+
+        case = Case(seed=1, kernel={"kind": "catalog", "name": "box-2d9p"}, shape=(9, 11))
+        result = run_case(case, {"serial": backends["serial"], "liar": Liar()})
+        assert any(f.startswith("[gemm] backend 'liar'") for f in result.failures)
+        assert not any(f.startswith("[direct]") for f in result.failures)
+
+    def test_report_records_drift_per_strategy(self):
+        report = run_verification(
+            seed=0, cases=4, quick=True, backends=["serial", "reference"],
+            mutation=False,
+        )
+        assert report.ok
+        assert set(report.to_dict()["ulp_max_by_strategy"]) == {"gemm", "direct"}
+        # direct passes are the mirror oracle's own arithmetic
+        assert report.ulp_max_by_strategy["direct"] == 0.0
+        assert report.ulp_max == report.ulp_max_by_strategy["gemm"]
+
+
 class TestShrink:
     def test_shrinks_to_predicate_minimum(self):
         case = Case(
