@@ -544,6 +544,8 @@ def _serve_config_from_args(args) -> "ServeConfig":
 
 def _serve_args(parser: argparse.ArgumentParser) -> None:
     """Knobs shared by ``repro serve`` and ``repro loadgen``."""
+    from repro.serve import ServeConfig
+
     parser.add_argument("--seed", type=int, default=0, help="trace seed (default 0)")
     parser.add_argument(
         "--requests", type=int, default=96, help="requests per trace (default 96)"
@@ -560,8 +562,12 @@ def _serve_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--window-ms",
         type=float,
-        default=2.0,
-        help="coalesce window in milliseconds (default 2.0)",
+        default=ServeConfig.coalesce_window_ms,
+        help=(
+            "minimum hold in milliseconds before a new batch may take a free "
+            "lane; batches always coalesce while every lane is busy "
+            f"(default {ServeConfig.coalesce_window_ms:g})"
+        ),
     )
     parser.add_argument(
         "--max-batch", type=int, default=32, help="flush-at batch size (default 32)"

@@ -4,7 +4,7 @@
 :class:`~repro.serve.service.StencilService`.  Every field has a default,
 so configuration reads as keyword-only prose::
 
-    ServeConfig(lanes=4, coalesce_window_ms=2.0, max_batch=32,
+    ServeConfig(lanes=4, max_batch=32,
                 quota=TenantQuota(rate=200.0, burst=50))
 
 ``TenantQuota`` describes one token bucket: ``rate`` tokens refill per
@@ -53,10 +53,15 @@ class ServeConfig:
         key route to the lane that already holds the warm
         :class:`~repro.runtime.plan.ExecutionPlan` (affinity routing).
     coalesce_window_ms:
-        How long the first request of a coalesce key waits for companions
-        before its batch is flushed to a lane.
+        Minimum hold of a new batch before it may be dispatched.  A batch
+        is dispatched when a lane is free and coalesces while lanes are
+        busy: past this window it goes to the first free lane, and until
+        one frees up it keeps taking same-key companions.  The default
+        ``0`` never holds a request while a lane is idle; requests
+        admitted in the same event-loop tick still share a batch.
     max_batch:
-        Coalesced batch size that triggers an immediate flush.
+        Coalesced batch size at which a batch takes no more companions
+        and is dispatched as soon as a lane is free, whatever the window.
     max_queue_depth:
         Bound on requests admitted but not yet completed; beyond it the
         service rejects with HTTP-429-style backpressure.
@@ -83,7 +88,7 @@ class ServeConfig:
     """
 
     lanes: int = 2
-    coalesce_window_ms: float = 2.0
+    coalesce_window_ms: float = 0.0
     max_batch: int = 32
     max_queue_depth: int = 256
     quota: Union[TenantQuota, Dict[str, TenantQuota]] = field(

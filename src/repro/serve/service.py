@@ -2,21 +2,28 @@
 
 Architecture (one event loop, N single-thread executor lanes)::
 
-    submit() ──quota──backpressure──▶ pending[coalesce_key] ──window/full──▶
-        lane (affinity-routed) ──execute_batch (one stacked pass)──▶
+    submit() ──quota──backpressure──▶ pending[coalesce_key] ──ready──▶
+        free lane (affinity-routed) ──execute_batch (one stacked pass)──▶
         split per request ──▶ Response futures
 
+* **Work-conserving dispatch** — a pending batch becomes *ready* once
+  its ``coalesce_window_ms`` has elapsed (at once under the default
+  ``0``) or it reaches ``max_batch``.  A ready batch is dispatched as
+  soon as a lane is free; while every lane is busy it stays pending and
+  keeps taking same-key companions, and each lane that finishes a batch
+  takes the oldest ready one.  So no request waits while a lane is idle,
+  and batches form behind busy lanes, where there is work to amortise.
 * **Batch coalescing** — requests sharing a coalesce key (plan key +
-  ``steps`` + ``fill_value``) that arrive within ``coalesce_window_ms``
-  are stacked into one :func:`~repro.runtime.execute.execute_batch`
-  pass and split back per request.  The PR-3 stacked-GEMM fix makes the
-  split results bit-identical to direct
-  :meth:`~repro.core.api.ConvStencil.run` — the paper's amortisation
-  argument (many small problems → one large GEMM) applied to serving.
+  ``steps`` + ``fill_value``) that are pending together are stacked
+  into one :func:`~repro.runtime.execute.execute_batch` pass and split
+  back per request.  The stacked-GEMM batch path makes the split results
+  bit-identical to direct :meth:`~repro.core.api.ConvStencil.run` — the
+  paper's amortisation argument (many small problems → one large GEMM)
+  applied to serving.
 * **Plan-affinity routing** — each lane remembers which plan keys it has
-  executed; a batch routes to the lane already holding the warm
+  executed; a batch goes to an idle lane already holding the warm
   :class:`~repro.runtime.plan.ExecutionPlan`, else to the least-loaded
-  lane (which then adopts the key).
+  idle lane (which then adopts the key).
 * **Admission control** — per-tenant token buckets
   (:mod:`repro.serve.quota`) and a bounded in-flight request count;
   refusals are HTTP-429-style :class:`~repro.serve.request.Response`
@@ -32,10 +39,10 @@ import asyncio
 import itertools
 import time
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -67,9 +74,17 @@ _CLOCK = time.monotonic
 #: instead of racing the wall clock.
 _SLEEP = asyncio.sleep
 
+#: Floor of the ``retry_after`` hint on queue rejections, for when no
+#: batch has finished yet and no coalescing window is configured.
+_MIN_RETRY_AFTER_S = 1e-3
+
 
 class _Lane:
-    """One executor lane: a single-thread pool plus its warm plan keys."""
+    """One executor lane: a single-thread pool plus its warm plan keys.
+
+    ``inflight`` counts the requests of the batch dispatched to it; the
+    lane is free when it is 0 (a lane runs at most one batch at a time).
+    """
 
     __slots__ = ("index", "pool", "plans", "inflight", "batches")
 
@@ -115,12 +130,15 @@ class _TenantStats:
 
 @dataclass
 class _PendingBatch:
-    """Requests accumulated for one coalesce key awaiting flush.
+    """Requests accumulated for one coalesce key awaiting dispatch.
 
     Holds its own reference to the interned kernel so an in-flight batch
     survives the kernel being LRU-evicted from the interning map.
+    ``ready`` is set once its window has elapsed or it is full; ``timer``
+    is the window task until then.
     """
 
+    key: Any
     kernel: StencilKernel
     fusion: FusionPlan
     requests: List[Request] = field(default_factory=list)
@@ -131,6 +149,7 @@ class _PendingBatch:
     flights: List[Any] = field(default_factory=list)
     admitted_at: List[float] = field(default_factory=list)
     timer: Optional["asyncio.Task"] = None
+    ready: bool = False
 
     def add(
         self,
@@ -177,7 +196,11 @@ class StencilService:
         self._sleep = sleep if sleep is not None else _SLEEP
         self._lanes = [_Lane(i) for i in range(self.config.lanes)]
         self._quota = QuotaLedger(self.config.quota_for)
+        # Open batches by coalesce key (taking companions), and the ready
+        # batches awaiting a free lane, oldest first.  A ready batch stays
+        # open until it is dispatched or full.
         self._pending: Dict[tuple, _PendingBatch] = {}
+        self._ready: Deque[_PendingBatch] = deque()
         self._tasks: Set["asyncio.Task"] = set()
         # LRU-bounded service-lifetime maps (config.max_interned_kernels /
         # max_tenant_stats): a long-lived multi-tenant service must not
@@ -194,6 +217,7 @@ class StencilService:
         self._affinity_hits = 0
         self._affinity_misses = 0
         self._batch_seq = itertools.count(1)
+        self._last_execute_s = 0.0
         self._closed = False
 
     # -- kernel interning --------------------------------------------------
@@ -313,7 +337,13 @@ class StencilService:
         # service cannot even enqueue does not burn quota — tenants must
         # not be double-penalised during backpressure.
         if self._queued >= self.config.max_queue_depth:
-            retry_after = self.config.coalesce_window_s
+            # The queue drains a batch per lane at a time, so the last
+            # batch's execute time is what waiting for a slot costs.
+            retry_after = max(
+                self._last_execute_s,
+                self.config.coalesce_window_s,
+                _MIN_RETRY_AFTER_S,
+            )
             self._account_reject(request.tenant, "queue")
             fl.stage("admit", now, self._clock(), outcome="rejected_queue")
             fl.finish("rejected", reason="queue")
@@ -359,13 +389,17 @@ class StencilService:
 
         batch = self._pending.get(key)
         if batch is None:
-            batch = self._pending[key] = _PendingBatch(kernel=kernel, fusion=fusion)
-            batch.timer = self._spawn(self._flush_after_window(key))
+            batch = self._pending[key] = _PendingBatch(
+                key=key, kernel=kernel, fusion=fusion
+            )
+            batch.timer = self._spawn(self._ready_after_window(batch))
         batch.add(request, future, now, fl, admit_end)
         self._queued += 1
         self._queue_peak = max(self._queue_peak, self._queued)
         if len(batch) >= self.config.max_batch:
-            self._trigger_flush(key)
+            # Full: no more companions; dispatch as soon as a lane is free.
+            del self._pending[key]
+            self._make_ready(batch)
 
         response = await future
         if strict and response.rejected:  # pragma: no cover - defensive
@@ -383,26 +417,52 @@ class StencilService:
         task.add_done_callback(self._tasks.discard)
         return task
 
-    async def _flush_after_window(self, key: tuple) -> None:
+    async def _ready_after_window(self, batch: _PendingBatch) -> None:
+        # With no window this still runs one loop iteration after the
+        # first request, so requests admitted in the same tick coalesce.
         window = self.config.coalesce_window_s
         if window > 0.0:
             await self._sleep(window)
-        await self._flush(key)
+        batch.timer = None
+        self._make_ready(batch)
 
-    def _trigger_flush(self, key: tuple) -> None:
-        batch = self._pending.get(key)
-        if batch is not None and batch.timer is not None:
+    def _make_ready(self, batch: _PendingBatch) -> None:
+        """Mark ``batch`` ready (cancelling its window) and dispatch."""
+        if batch.timer is not None:
             batch.timer.cancel()
             batch.timer = None
-        self._spawn(self._flush(key))
+        if not batch.ready:
+            batch.ready = True
+            self._ready.append(batch)
+        self._dispatch()
 
-    def _route(self, plan_tuple: tuple) -> Tuple[_Lane, bool]:
-        """The lane owning ``plan_tuple``, else the least-loaded lane."""
-        for lane in self._lanes:
+    def _dispatch(self) -> None:
+        """Send ready batches, oldest first, to free lanes until either
+        runs out.  The lane is counted busy here, at dispatch, so two
+        batches made ready in the same tick never claim one lane."""
+        while self._ready:
+            batch = self._ready[0]
+            routed = self._route(batch.key.plan_tuple)
+            if routed is None:
+                return
+            self._ready.popleft()
+            if self._pending.get(batch.key) is batch:
+                del self._pending[batch.key]
+            lane, affinity_hit = routed
+            lane.inflight += len(batch)
+            self._spawn(self._flush(batch, lane, affinity_hit, self._clock()))
+
+    def _route(self, plan_tuple: tuple) -> Optional[Tuple[_Lane, bool]]:
+        """A free lane owning ``plan_tuple``, else the least-loaded free
+        lane (which adopts the key); ``None`` while every lane is busy."""
+        free = [lane for lane in self._lanes if not lane.inflight]
+        if not free:
+            return None
+        for lane in free:
             if plan_tuple in lane.plans:
                 self._affinity_hits += 1
                 return lane, True
-        lane = min(self._lanes, key=lambda l: (l.inflight, len(l.plans), l.index))
+        lane = min(free, key=lambda l: (len(l.plans), l.index))
         lane.plans.add(plan_tuple)
         self._affinity_misses += 1
         return lane, False
@@ -447,18 +507,20 @@ class StencilService:
             )
         return [out[i] for i in range(out.shape[0])]
 
-    async def _flush(self, key: tuple) -> None:
-        batch = self._pending.pop(key, None)
-        if batch is None:
-            return
-        lane, affinity_hit = self._route(key.plan_tuple)
+    async def _flush(
+        self,
+        batch: _PendingBatch,
+        lane: _Lane,
+        affinity_hit: bool,
+        dispatched: float,
+    ) -> None:
+        """Run one dispatched batch on ``lane`` and settle its futures."""
+        key = batch.key
         n = len(batch)
-        lane.inflight += n
         loop = asyncio.get_running_loop()
         error: Optional[Exception] = None
         outputs: List[np.ndarray] = []
         arrays = [request.data for request in batch.requests]
-        flush_start = self._clock()
         batch_id = f"b{next(self._batch_seq):05d}"
         members = tuple(request.request_id for request in batch.requests)
         # The batch executes under the lead (first-admitted) request's
@@ -466,7 +528,7 @@ class StencilService:
         batch_trace = next((h.trace_id for h in batch.flights if h.trace_id), "")
         lead_request = members[0] if members else ""
         for fl, admitted in zip(batch.flights, batch.admitted_at):
-            fl.stage("queue_wait", admitted, flush_start, batch_id=batch_id)
+            fl.stage("queue_wait", admitted, dispatched, batch_id=batch_id)
         exec_start = self._clock()
         try:
             # staticcheck: trace-context-propagated — run_in_executor does
@@ -487,13 +549,17 @@ class StencilService:
                 key.kernel_name, type(exc).__name__, exc,
             )
         finally:
-            # Settle every future and release queue depth no matter how
-            # the pass ended — even cancellation — or submit() awaits
-            # forever and _queued leaks until the service rejects all
-            # traffic with 'queue'.
+            # Free the lane and hand it the next ready batch first: held
+            # batches wait on exactly this, so nothing below may strand
+            # them.  Then settle every future and release queue depth no
+            # matter how the pass ended — even cancellation — or submit()
+            # awaits forever and _queued leaks until the service rejects
+            # all traffic with 'queue'.
             lane.inflight -= n
             lane.batches += 1
             end = self._clock()
+            self._last_execute_s = end - exec_start
+            self._dispatch()
             queued_at_flush = self._queued
             if error is None and len(outputs) != n:
                 error = ServeError(
@@ -512,7 +578,7 @@ class StencilService:
                 zip(batch.requests, batch.futures, batch.enqueued_at, batch.flights)
             ):
                 self._queued -= 1
-                fl.stage("coalesce", flush_start, exec_start, **stage_attrs)
+                fl.stage("coalesce", dispatched, exec_start, **stage_attrs)
                 fl.stage(
                     "execute", exec_start, end, links=list(members), **stage_attrs
                 )
@@ -556,9 +622,13 @@ class StencilService:
     # -- lifecycle ---------------------------------------------------------
 
     async def drain(self) -> None:
-        """Flush every pending batch and wait for in-flight work."""
-        for key in list(self._pending):
-            self._trigger_flush(key)
+        """Make every pending batch ready and wait until all have run.
+
+        Batches still held behind busy lanes are dispatched by the flush
+        tasks this waits on, as their lanes finish.
+        """
+        for batch in list(self._pending.values()):
+            self._make_ready(batch)
         while self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
 

@@ -1,6 +1,7 @@
 """StencilService behaviour: coalescing, identity, routing, admission."""
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -45,6 +46,48 @@ class ManualSleep:
         if self._released is None:
             self._released = asyncio.Event()
         self._released.set()
+
+
+class LaneGate:
+    """Holds lane passes on a ``threading.Event`` until :meth:`release`.
+
+    Replaces ``service._execute`` so the lane thread blocks before running
+    the real pass (the first ``hold`` passes, or every pass when ``hold``
+    is ``None``); ``calls`` records ``(steps, batch size)`` per pass in
+    execution order.  ``fail`` makes the first pass raise once released.
+    """
+
+    def __init__(self, service, hold=1, fail=None):
+        self.event = threading.Event()
+        self.calls = []
+        real = service._execute
+
+        def gated(key, kernel, fusion, arrays, batch_meta=("", "", "", ())):
+            index = len(self.calls)
+            self.calls.append((key.steps, len(arrays)))
+            if hold is None or index < hold:
+                self.event.wait(timeout=30.0)
+            if fail is not None and index == 0:
+                raise fail
+            return real(key, kernel, fusion, arrays, batch_meta)
+
+        service._execute = gated
+
+    def release(self):
+        self.event.set()
+
+
+async def settle(ticks=5):
+    """Let admitted requests reach their dispatch decision."""
+    for _ in range(ticks):
+        await asyncio.sleep(0)
+
+
+def elapsed_sleep():
+    """A window sleep that returns at once: only a busy lane can hold."""
+    sleep = ManualSleep()
+    sleep.release()
+    return sleep
 
 
 class TestRequestValidation:
@@ -319,6 +362,38 @@ class TestBackpressure:
             assert r.reason == "queue"
             assert r.retry_after is not None and r.retry_after > 0.0
 
+    def test_default_config_retry_after_is_positive(self, rng):
+        # With no coalescing window the hint must still tell clients to
+        # back off, not to retry at once.
+        kernel = get_kernel("heat-2d")
+
+        async def scenario():
+            config = ServeConfig()
+            async with StencilService(config) as service:
+                gate = LaneGate(service, hold=None)
+                try:
+                    tasks = [
+                        asyncio.create_task(
+                            service.submit(
+                                Request("t", kernel=kernel, data=rng.random((4, 4)))
+                            )
+                        )
+                        for _ in range(config.max_queue_depth)
+                    ]
+                    await settle()
+                    rejected = await service.submit(
+                        Request("t", kernel=kernel, data=rng.random((4, 4)))
+                    )
+                finally:
+                    gate.release()
+                served = await asyncio.wait_for(asyncio.gather(*tasks), 30.0)
+                return rejected, served
+
+        rejected, served = run_async(scenario())
+        assert rejected.rejected and rejected.reason == "queue"
+        assert rejected.retry_after is not None and rejected.retry_after > 0.0
+        assert all(r.ok for r in served)
+
     def test_queue_rejection_does_not_burn_quota(self, rng):
         kernel = get_kernel("heat-2d")
 
@@ -421,6 +496,177 @@ class TestExecuteFailure:
         assert all(isinstance(r, TessellationError) for r in results)
         assert recovered.ok  # queue-depth budget fully released
         assert stats["queued"] == 0
+
+
+    @pytest.mark.parametrize("failure", ["raise", "cancel"])
+    def test_failed_lane_pass_strands_no_held_batch(self, rng, failure):
+        heat = get_kernel("heat-2d")
+
+        def request(steps):
+            return Request("t", kernel=heat, data=rng.random((8, 8)), steps=steps)
+
+        async def scenario():
+            service = StencilService(ServeConfig(lanes=1))
+            gate = LaneGate(
+                service,
+                fail=TessellationError("injected") if failure == "raise" else None,
+            )
+            spawned = []
+            spawn = service._spawn
+            service._spawn = lambda coro: spawned.append(spawn(coro)) or spawned[-1]
+            try:
+                blocker = asyncio.create_task(service.submit(request(1)))
+                await settle()
+                # Held behind the blocked lane: a same-key pair and a
+                # different-key request.
+                held = [
+                    asyncio.create_task(service.submit(request(s)))
+                    for s in (1, 1, 2)
+                ]
+                await settle()
+                assert len(gate.calls) == 1
+                if failure == "cancel":
+                    running = [t for t in spawned if not t.done()]
+                    assert len(running) == 1
+                    running[0].cancel()
+                    await settle()
+                stopping = asyncio.create_task(service.stop())
+                await settle()
+                assert not stopping.done()
+            finally:
+                gate.release()
+            await asyncio.wait_for(stopping, 30.0)
+            outcomes = await asyncio.gather(blocker, *held, return_exceptions=True)
+            return service, spawned, gate.calls, outcomes
+
+        service, spawned, calls, outcomes = run_async(scenario())
+        blocked, *held = outcomes
+        expected_error = TessellationError if failure == "raise" else ServeError
+        assert isinstance(blocked, expected_error)
+        assert all(r.ok for r in held)
+        assert [r.batch_size for r in held] == [2, 2, 1]
+        assert calls == [(1, 1), (1, 2), (2, 1)]
+        # Every future was settled exactly once: a second settle would
+        # have raised InvalidStateError inside a flush task.
+        for task in spawned:
+            assert task.done()
+            assert task.cancelled() or task.exception() is None
+        stats = service.stats()
+        assert stats["queued"] == 0
+        assert stats["batched_requests"] == 4
+        assert not service._pending and not service._ready
+
+
+class TestWorkConservingDispatch:
+    def test_lone_request_on_idle_lane_never_sleeps(self, rng):
+        kernel = get_kernel("heat-2d")
+
+        async def scenario():
+            sleep = ManualSleep()
+            async with StencilService(ServeConfig(), sleep=sleep) as service:
+                response = await asyncio.wait_for(
+                    service.submit(
+                        Request("t", kernel=kernel, data=rng.random((8, 8)))
+                    ),
+                    timeout=30.0,
+                )
+            return response, sleep.calls
+
+        response, calls = run_async(scenario())
+        assert response.ok and response.batch_size == 1
+        assert calls == []
+
+    def test_requests_behind_a_busy_lane_coalesce(self, rng):
+        kernel = get_kernel("box-2d9p")
+        grids = [rng.random((12, 12)) for _ in range(5)]
+
+        async def scenario():
+            sleep = elapsed_sleep()
+            async with StencilService(ServeConfig(lanes=1), sleep=sleep) as service:
+                gate = LaneGate(service)
+                try:
+                    blocker = asyncio.create_task(
+                        service.submit(
+                            Request("t", kernel=kernel, data=grids[0], steps=1)
+                        )
+                    )
+                    await settle()
+                    held = []
+                    for grid in grids:
+                        held.append(
+                            asyncio.create_task(
+                                service.submit(
+                                    Request("t", kernel=kernel, data=grid, steps=3)
+                                )
+                            )
+                        )
+                        await settle()  # arrivals spread over many ticks
+                finally:
+                    gate.release()
+                responses = await asyncio.wait_for(
+                    asyncio.gather(blocker, *held), timeout=30.0
+                )
+                return responses, sleep.calls
+
+        (blocker, *responses), calls = run_async(scenario())
+        assert calls == []
+        assert blocker.batch_size == 1
+        assert [r.batch_size for r in responses] == [len(grids)] * len(grids)
+        direct = ConvStencil(kernel)
+        for grid, response in zip(grids, responses):
+            np.testing.assert_array_equal(response.data, direct.run(grid, steps=3))
+
+    def test_held_keys_dispatch_oldest_first(self, rng):
+        kernel = get_kernel("heat-2d")
+
+        def request(steps):
+            return Request("t", kernel=kernel, data=rng.random((8, 8)), steps=steps)
+
+        async def scenario():
+            sleep = elapsed_sleep()
+            async with StencilService(ServeConfig(lanes=1), sleep=sleep) as service:
+                gate = LaneGate(service)
+                tasks = []
+                try:
+                    for steps in (1, 2, 3, 2):
+                        tasks.append(asyncio.create_task(service.submit(request(steps))))
+                        await settle()
+                finally:
+                    gate.release()
+                await asyncio.wait_for(asyncio.gather(*tasks), timeout=30.0)
+                return gate.calls
+
+        # steps=2 was held first, so it runs before steps=3, and the late
+        # steps=2 request joins its still-pending batch.
+        assert run_async(scenario()) == [(1, 1), (2, 2), (3, 1)]
+
+    def test_ready_batch_takes_the_idle_lane_when_its_lane_is_busy(self, rng):
+        kernel = get_kernel("heat-2d")
+
+        def request():
+            return Request("t", kernel=kernel, data=rng.random((8, 8)), steps=1)
+
+        async def scenario():
+            async with StencilService(ServeConfig(lanes=2)) as service:
+                gate = LaneGate(service)
+                try:
+                    blocker = asyncio.create_task(service.submit(request()))
+                    await settle()
+                    # Same plan key, its affinity lane busy: served by the
+                    # other lane while the first is still blocked.
+                    second = await asyncio.wait_for(
+                        service.submit(request()), timeout=30.0
+                    )
+                finally:
+                    gate.release()
+                first = await asyncio.wait_for(blocker, timeout=30.0)
+                return first, second, service.stats()
+
+        first, second, stats = run_async(scenario())
+        assert first.ok and second.ok
+        assert second.lane != first.lane
+        assert not second.affinity_hit
+        assert [lane["plans"] for lane in stats["lanes"]] == [1, 1]
 
 
 class TestBoundedCaches:
