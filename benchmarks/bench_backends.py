@@ -1,11 +1,11 @@
-"""Backend comparison — serial vs tiled wall clock, plan-cache effectiveness.
+"""Backend comparison — GEMM-engine wall clock per backend, plan-cache effectiveness.
 
 Not a paper figure: measures this library's :mod:`repro.runtime` execution
 substrate.  Two questions:
 
-* does the ``tiled`` backend beat ``serial`` on this host (it should once
-  the grid is large enough and more than one core exists — on a single-core
-  container it reports the pool overhead instead), and
+* how does every registered optimised backend (all but the plan-free
+  ``reference``) compare with ``serial`` on this host, with outputs
+  checked bit-identical, and
 * does the :class:`~repro.runtime.PlanCache` actually absorb repeated runs
   (hit rate across a 50-step loop should be well above 90%)?
 
@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import argparse
 import time
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from _common import emit, emit_json, emit_obs
 from repro import ConvStencil, get_kernel, telemetry
 from repro.core.api import PinnedStencil
-from repro.runtime import PlanCache, TiledBackend, get_plan_cache, set_plan_cache
+from repro.runtime import PlanCache, get_plan_cache, list_backends, set_plan_cache
 from repro.utils.rng import default_rng
 from repro.utils.tables import format_table
 
@@ -60,41 +60,44 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
+def _compared_backends() -> List[str]:
+    """``serial`` first, then every other registered backend but ``reference``."""
+    others = [n for n in list_backends() if n not in ("serial", "reference")]
+    return ["serial"] + others
+
+
 def compare_backends(
     cases: List[Tuple[str, Tuple[int, ...], int]],
     repeats: int = 3,
-    workers: Optional[int] = None,
-    min_rows_per_tile: int = 64,
 ) -> List[dict]:
-    """Time each case on serial and tiled; verify bit-identity while at it."""
-    tiled = TiledBackend(workers=workers, min_rows_per_tile=min_rows_per_tile)
+    """Time each case on every compared backend; verify bit-identity while at it."""
+    names = _compared_backends()
     rows = []
-    try:
-        for name, shape, steps in cases:
-            kernel = get_kernel(name)
-            x = default_rng(7).random(shape)
-            serial_cs = PinnedStencil(kernel, "gemm", backend="serial")
-            tiled_cs = PinnedStencil(kernel, "gemm", backend=tiled)
-            out_serial = serial_cs.run(x, steps=steps)  # warm-up + identity check
-            out_tiled = tiled_cs.run(x, steps=steps)
-            if not np.array_equal(out_serial, out_tiled):
-                raise AssertionError(f"{name}: tiled output != serial output")
-            t_serial = _best_of(lambda: serial_cs.run(x, steps=steps), repeats)
-            t_tiled = _best_of(lambda: tiled_cs.run(x, steps=steps), repeats)
-            rows.append(
-                {
-                    "kernel": name,
-                    "shape": "x".join(map(str, shape)),
-                    "steps": steps,
-                    "serial_s": t_serial,
-                    "tiled_s": t_tiled,
-                    "speedup": t_serial / t_tiled,
-                    "workers": tiled.workers,
-                    "bit_identical": True,
-                }
-            )
-    finally:
-        tiled.close()
+    for name, shape, steps in cases:
+        kernel = get_kernel(name)
+        x = default_rng(7).random(shape)
+        solvers = {b: PinnedStencil(kernel, "gemm", backend=b) for b in names}
+        # Warm-up (plans, compiled kernels) doubles as the identity check.
+        outputs = {b: cs.run(x, steps=steps) for b, cs in solvers.items()}
+        for b, out in outputs.items():
+            if not np.array_equal(outputs["serial"], out):
+                raise AssertionError(f"{name}: {b} output != serial output")
+        seconds = {
+            b: _best_of(lambda cs=cs: cs.run(x, steps=steps), repeats)
+            for b, cs in solvers.items()
+        }
+        rows.append(
+            {
+                "kernel": name,
+                "shape": "x".join(map(str, shape)),
+                "steps": steps,
+                "seconds": seconds,
+                "speedup_vs_serial": {
+                    b: seconds["serial"] / t for b, t in seconds.items() if b != "serial"
+                },
+                "bit_identical": True,
+            }
+        )
     return rows
 
 
@@ -117,31 +120,33 @@ def measure_cache_hit_rate(steps: int = 50) -> dict:
         set_plan_cache(previous)
 
 
-def run_suite(quick: bool = False, workers: Optional[int] = None) -> List[str]:
+def run_suite(quick: bool = False) -> List[str]:
     was_enabled = telemetry.enabled()
     telemetry.enable()
     try:
         rows = compare_backends(
             QUICK_CASES if quick else CASES,
             repeats=2 if quick else 3,
-            workers=workers,
         )
         cache = measure_cache_hit_rate(steps=10 if quick else 50)
+        names = _compared_backends()
+        others = names[1:]
         table = format_table(
-            ["kernel", "shape", "steps", "serial [s]", "tiled [s]", "speedup"],
+            ["kernel", "shape", "steps"]
+            + [f"{b} [s]" for b in names]
+            + [f"{b} speedup" for b in others],
             [
                 (
                     r["kernel"],
                     r["shape"],
                     str(r["steps"]),
-                    f"{r['serial_s']:.4f}",
-                    f"{r['tiled_s']:.4f}",
-                    f"{r['speedup']:.2f}x",
+                    *(f"{r['seconds'][b]:.4f}" for b in names),
+                    *(f"{r['speedup_vs_serial'][b]:.2f}x" for b in others),
                 )
                 for r in rows
             ],
             title=(
-                f"Backend comparison ({rows[0]['workers']} tiled worker(s); "
+                "Backend comparison (gemm passes, speedup vs serial; "
                 "all outputs bit-identical)"
             ),
         )
@@ -169,21 +174,17 @@ def test_bench_backend_serial(benchmark):
     kernel = get_kernel("heat-2d")
     x = default_rng(7).random((512, 512))
     cs = PinnedStencil(kernel, "gemm", backend="serial")
-    benchmark(cs.run, x, 1)
+    benchmark(cs.run, x, steps=1)
 
 
-def test_bench_backend_tiled(benchmark):
+def test_bench_backend_compiled(benchmark):
     import pytest
 
     pytest.importorskip("pytest_benchmark")
     kernel = get_kernel("heat-2d")
     x = default_rng(7).random((512, 512))
-    tiled = TiledBackend(min_rows_per_tile=64)
-    cs = PinnedStencil(kernel, "gemm", backend=tiled)
-    try:
-        benchmark(cs.run, x, 1)
-    finally:
-        tiled.close()
+    cs = PinnedStencil(kernel, "gemm", backend="compiled")
+    benchmark(cs.run, x, steps=1)
 
 
 def test_bench_emit_backend_comparison(benchmark):
@@ -199,14 +200,8 @@ def main(argv=None) -> int:
         action="store_true",
         help="one small case, fewer repeats (CI smoke)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="tiled worker count (default: $REPRO_TILED_WORKERS or cpu_count)",
-    )
     args = parser.parse_args(argv)
-    for block in run_suite(quick=args.quick, workers=args.workers):
+    for block in run_suite(quick=args.quick):
         print(block)
     return 0
 

@@ -33,7 +33,7 @@ def test_bench_convstencil_functional(benchmark, kernel_name):
     kernel = get_kernel(kernel_name)
     cs = ConvStencil(kernel, fusion="auto")
     x = _grid(kernel)
-    out = benchmark(cs.run, x, cs.fusion_depth)
+    out = benchmark(cs.run, x, steps=cs.fusion_depth)
     assert np.all(np.isfinite(out))
 
 
@@ -43,7 +43,7 @@ def test_bench_baseline_functional(benchmark, system, kernel_name):
     kernel = get_kernel(kernel_name)
     engine = ENGINES[system]
     x = _grid(kernel)
-    out = benchmark(engine.run, x, kernel, 1)
+    out = benchmark(engine.run, x, kernel, steps=1)
     assert np.all(np.isfinite(out))
 
 

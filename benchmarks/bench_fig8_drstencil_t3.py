@@ -20,7 +20,7 @@ def test_bench_convstencil_fused_pass(benchmark, size):
     kernel = get_kernel("box-2d9p")
     cs = ConvStencil(kernel, fusion=3)
     x = default_rng(0).random((size, size))
-    out = benchmark(cs.run, x, 3)
+    out = benchmark(cs.run, x, steps=3)
     assert np.all(np.isfinite(out))
 
 
@@ -29,7 +29,7 @@ def test_bench_drstencil_t3_pass(benchmark, size):
     kernel = get_kernel("box-2d9p")
     engine = DRStencil(fuse_steps=3)
     x = default_rng(0).random((size, size))
-    out = benchmark(engine.run, x, kernel, 3)
+    out = benchmark(engine.run, x, kernel, steps=3)
     assert np.all(np.isfinite(out))
 
 

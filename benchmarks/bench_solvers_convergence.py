@@ -54,7 +54,7 @@ def test_bench_wave_steps(benchmark):
 def test_bench_heat_fused_steps(benchmark):
     solver = HeatSolver(ndim=2, r=0.2)
     field = default_rng(2).random((256, 256))
-    out = benchmark(solver.run, field, 3, "periodic")
+    out = benchmark(solver.run, field, steps=3, boundary="periodic")
     assert np.all(np.isfinite(out))
 
 

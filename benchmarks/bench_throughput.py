@@ -24,7 +24,7 @@ def test_bench_engine_throughput(benchmark, kernel_name, backend):
     kernel = get_kernel(kernel_name)
     x = default_rng(2).random(SHAPES[kernel.ndim])
     cs = ConvStencil(kernel, backend=backend)
-    out = benchmark(cs.run, x, 1)
+    out = benchmark(cs.run, x, steps=1)
     assert out.shape == x.shape
 
 

@@ -2,9 +2,9 @@
 
 ``--backend`` routes every bench's ConvStencil through a chosen
 :mod:`repro.runtime` backend, so the same bench file measures serial,
-tiled, or any registered custom backend::
+compiled, or any registered custom backend::
 
-    pytest benchmarks/bench_throughput.py --benchmark-only --backend tiled
+    pytest benchmarks/bench_throughput.py --benchmark-only --backend compiled
 """
 
 import pytest
@@ -17,7 +17,7 @@ def pytest_addoption(parser):
         default=None,
         help=(
             "repro.runtime backend the benches execute on "
-            "(serial/tiled/reference; default: $REPRO_BACKEND or serial)"
+            "(serial/compiled/reference; default: $REPRO_BACKEND or serial)"
         ),
     )
 

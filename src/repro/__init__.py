@@ -13,12 +13,12 @@ Quickstart::
     from repro import ConvStencil, Grid, get_kernel
 
     grid = Grid.random((512, 512))
-    cs = ConvStencil(get_kernel("box-2d9p"), fusion="auto", backend="tiled")
+    cs = ConvStencil(get_kernel("box-2d9p"), fusion="auto")
     out = cs.run(grid, steps=12)
 
 Execution is routed through the pluggable :mod:`repro.runtime` — cached
 :class:`ExecutionPlan` objects plus a swappable :class:`Backend`
-(``"serial"``, ``"tiled"``, ``"reference"``, or anything registered via
+(``"serial"``, ``"compiled"``, ``"reference"``, or anything registered via
 :func:`repro.runtime.register_backend`; see :func:`list_backends`).
 
 Serving::
@@ -43,7 +43,7 @@ execution engine (:class:`ConvStencil`, :func:`plan_for`,
 keyword-only past their positional inputs (``cs.run(grid, steps=12)``)
 and follow one vocabulary: ``steps``, ``fusion``, ``boundary``,
 ``fill_value``, ``backend``.  Submodules reachable only by import path
-(:mod:`repro.core.engine2d`, :mod:`repro.runtime.tiled`,
+(:mod:`repro.core.engine2d`, :mod:`repro.runtime.plan`,
 :mod:`repro.obs.collector`, …) are internal: their contents may change
 between releases without a deprecation cycle.
 """

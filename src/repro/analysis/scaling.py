@@ -1,10 +1,11 @@
-"""Multi-device scaling study for distributed ConvStencil.
+"""Modelled multi-device scaling study for slab-decomposed ConvStencil.
 
-The paper evaluates a single A100; scaling further requires the slab
-decomposition of :mod:`repro.distributed`.  This study combines:
+The paper evaluates a single A100; scaling further means splitting the
+grid into axis-0 slabs, one per device, that swap ghost rows every pass.
+This study is analytic throughout.  It combines:
 
-* *measured* halo-exchange volume from actually running
-  :class:`~repro.distributed.DistributedStencil` on a scaled-down grid;
+* the halo-exchange volume of one pass, computed from the fused kernel's
+  radius and the slab face area (no distributed run is executed);
 * the calibrated per-device ConvStencil throughput model for the compute
   phase at full problem scale;
 * a two-parameter interconnect model (bandwidth + per-message latency)

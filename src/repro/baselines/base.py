@@ -11,7 +11,6 @@ from repro.errors import BaselineError
 from repro.gpu.specs import A100, DeviceSpec
 from repro.stencils.grid import BoundaryCondition
 from repro.stencils.kernel import StencilKernel
-from repro.utils.deprecation import shim_positional
 
 __all__ = ["StencilBaseline", "all_baselines"]
 
@@ -46,31 +45,15 @@ class StencilBaseline(abc.ABC):
         self,
         data: np.ndarray,
         kernel: StencilKernel,
-        *args,
-        steps: int | None = None,
-        boundary: BoundaryCondition | str | None = None,
-        fill_value: float | None = None,
+        *,
+        steps: int = 1,
+        boundary: BoundaryCondition | str = BoundaryCondition.CONSTANT,
+        fill_value: float = 0.0,
     ) -> np.ndarray:
         """Advance ``steps`` (default 1) time steps from ``data``.
 
         Everything past ``kernel`` is keyword-only: ``run(x, k, steps=4)``.
-        (Legacy positional arguments warn for one release.)
         """
-        if args:
-            # ``None`` is the absent sentinel, so run(x, k, 5, steps=1)
-            # raises TypeError exactly as the keyword-only signature will.
-            merged = shim_positional(
-                f"{type(self).__name__}.run",
-                ("steps", "boundary", "fill_value"),
-                args,
-                {"steps": steps, "boundary": boundary, "fill_value": fill_value},
-            )
-            steps = merged["steps"]
-            boundary = merged["boundary"]
-            fill_value = merged["fill_value"]
-        steps = 1 if steps is None else steps
-        boundary = BoundaryCondition.CONSTANT if boundary is None else boundary
-        fill_value = 0.0 if fill_value is None else fill_value
         if steps < 0:
             raise BaselineError(f"steps must be non-negative, got {steps}")
         if not self.supports(kernel):

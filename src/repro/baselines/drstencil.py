@@ -81,6 +81,7 @@ class DRStencil(StencilBaseline):
         self,
         data: np.ndarray,
         kernel: StencilKernel,
+        *,
         steps: int = 1,
         boundary: BoundaryCondition | str = BoundaryCondition.CONSTANT,
         fill_value: float = 0.0,

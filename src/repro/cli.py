@@ -126,11 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also execute a scaled-down grid and check it against the reference",
     )
     parser.add_argument(
-        "--autotune",
-        action="store_true",
-        help="search block/fusion configurations and report the top candidates (2-D only)",
-    )
-    parser.add_argument(
         "--cuda",
         metavar="FILE.cu",
         help="write the reference CUDA kernel for this shape (2-D only)",
@@ -146,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "execution backend for functional runs (--verify/--trace): "
-            "serial (default), tiled (multi-core), or reference; "
+            "serial (default), compiled, or reference; "
             "defaults to $REPRO_BACKEND if set"
         ),
     )
@@ -248,10 +243,7 @@ def _run_verify(argv: List[str]) -> List[str]:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help=(
-            "small extents and the tiled backend's thread pool — the CI "
-            "smoke configuration"
-        ),
+        help="small extents — the CI smoke configuration",
     )
     parser.add_argument(
         "--backend",
@@ -278,18 +270,6 @@ def _run_verify(argv: List[str]) -> List[str]:
         action="store_true",
         help="skip the stencil2row LUT mutation smoke-check",
     )
-    parser.add_argument(
-        "--inject",
-        action="append",
-        choices=["worker", "attach", "spawn"],
-        default=None,
-        metavar="KIND",
-        help=(
-            "arm a tiled-runtime fault for the whole sweep (repeatable): "
-            "worker, attach, or spawn — bits must still match while the "
-            "backend degrades"
-        ),
-    )
     args = parser.parse_args(argv)
     if args.cases is not None and args.cases < 1:
         raise ReproError(f"--cases must be positive, got {args.cases}")
@@ -303,7 +283,6 @@ def _run_verify(argv: List[str]) -> List[str]:
         quick=args.quick,
         tight_ulp=args.max_ulp,
         mutation=not args.no_mutation,
-        inject=args.inject,
     )
     lines = report.summary_lines()
     if args.report:
@@ -423,7 +402,7 @@ def _run_obs_snapshot(argv: List[str]) -> List[str]:
     """The ``obs-snapshot`` subcommand: one-shot live-observability dump.
 
     Prints the collector's health snapshot as JSON (default) or
-    Prometheus exposition text; ``--demo`` first runs a small tiled
+    Prometheus exposition text; ``--demo`` first runs a small serial
     workload so the snapshot is populated, ``--serve`` additionally
     serves ``/metrics`` + ``/health`` for a bounded window (what the CI
     smoke scrapes), and ``--profile-out`` exports the sampler's flame
@@ -442,7 +421,7 @@ def _run_obs_snapshot(argv: List[str]) -> List[str]:
     parser.add_argument(
         "--demo",
         action="store_true",
-        help="run a small tiled demo workload first so gauges are non-empty",
+        help="run a small serial demo workload first so gauges are non-empty",
     )
     parser.add_argument(
         "--demo-runs",
@@ -990,7 +969,7 @@ def _run_top(argv: List[str]) -> List[str]:
     parser.add_argument(
         "--demo",
         action="store_true",
-        help="run a small tiled demo workload before each frame",
+        help="run a small serial demo workload before each frame",
     )
     parser.add_argument(
         "--no-color",
@@ -1321,20 +1300,6 @@ def run(argv: Sequence[str]) -> List[str]:
         )
         if err >= 1e-10:
             raise ReproError("functional verification failed")
-
-    if args.autotune:
-        from repro.autotune import autotune
-
-        if ndim != 2:
-            raise ReproError("--autotune currently supports 2-D shapes")
-        lines.append("")
-        lines.append("Autotune (block x fusion, best first):")
-        for cfg in autotune(kernel, tuple(extents), spec=spec)[:5]:
-            lines.append(
-                f"  block {cfg.block[0]:>3}x{cfg.block[1]:<4} fusion {cfg.fusion_depth} "
-                f"-> {cfg.gstencils_per_s:7.1f} GStencils/s "
-                f"(occ {cfg.occupancy:.2f}, smem {cfg.shared_bytes // 1024} KiB)"
-            )
 
     if args.cuda:
         from repro.codegen import generate_cuda_2d

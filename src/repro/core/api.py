@@ -5,7 +5,7 @@ fusion plan and executes time iterations through the pluggable
 :mod:`repro.runtime` — cached execution plans plus a swappable backend::
 
     from repro import ConvStencil, get_kernel
-    cs = ConvStencil(get_kernel("box-2d9p"), fusion="auto", backend="tiled")
+    cs = ConvStencil(get_kernel("box-2d9p"), fusion="auto", backend="compiled")
     out = cs.run(grid, steps=12)
 
 Boundary semantics match the reference executors: each pass pads the grid by
@@ -35,7 +35,6 @@ from repro.core.fusion import FusionPlan, plan_fusion
 from repro.errors import KernelError
 from repro.stencils.grid import BoundaryCondition, Grid
 from repro.stencils.kernel import StencilKernel
-from repro.utils.deprecation import shim_positional
 
 __all__ = ["ConvStencil", "convstencil_valid"]
 
@@ -103,7 +102,7 @@ class ConvStencil:
         ``1`` (default, no fusion), a positive integer depth, or ``"auto"``
         to densify Tensor-Core fragments per §3.3 (e.g. Box-2D9P → depth 3).
     backend:
-        Execution backend: a registered name (``"serial"``, ``"tiled"``,
+        Execution backend: a registered name (``"serial"``, ``"compiled"``,
         ``"reference"``, or anything added via
         :func:`repro.runtime.register_backend`), a
         :class:`~repro.runtime.Backend` instance, or ``None`` for the
@@ -164,17 +163,15 @@ class ConvStencil:
     def run(
         self,
         grid: "Grid | np.ndarray",
-        *args,
-        steps: "int | None" = None,
+        *,
+        steps: int,
         boundary: "BoundaryCondition | str | None" = None,
         fill_value: "float | None" = None,
     ) -> np.ndarray:
         """Advance ``steps`` time steps and return the final same-shape array.
 
         Everything past ``grid`` is keyword-only: ``run(x, steps=4,
-        boundary="periodic")``.  (Legacy positional ``steps``/``boundary``/
-        ``fill_value`` still work for one release with a
-        ``DeprecationWarning``.)
+        boundary="periodic")``.
 
         If ``grid`` is a :class:`~repro.stencils.grid.Grid` its boundary
         metadata is used (passing ``boundary=``/``fill_value=`` too raises
@@ -184,20 +181,6 @@ class ConvStencil:
         """
         from repro.runtime import execute
 
-        if args:
-            merged = shim_positional(
-                "ConvStencil.run",
-                ("steps", "boundary", "fill_value"),
-                args,
-                {"steps": steps, "boundary": boundary, "fill_value": fill_value},
-            )
-            steps = merged["steps"]
-            boundary = merged["boundary"]
-            fill_value = merged["fill_value"]
-        if steps is None:
-            raise TypeError(
-                "ConvStencil.run() missing required keyword argument: 'steps'"
-            )
         if steps < 0:
             raise ValueError(f"steps must be non-negative, got {steps}")
         if isinstance(grid, Grid):
@@ -218,15 +201,15 @@ class ConvStencil:
     def run_batch(
         self,
         batch: "np.ndarray | Grid | Sequence[Grid] | Sequence[np.ndarray]",
-        *args,
-        steps: "int | None" = None,
+        *,
+        steps: int,
         boundary: "BoundaryCondition | str | None" = None,
         fill_value: "float | None" = None,
     ) -> np.ndarray:
         """Advance a batch of independent grids (leading batch axis).
 
         Everything past ``batch`` is keyword-only: ``run_batch(stack,
-        steps=4)``.  (Legacy positional arguments warn for one release.)
+        steps=4)``.
 
         ``batch`` may be an array of shape ``(batch, *grid)``, a
         :class:`~repro.stencils.grid.Grid` holding such a stack, or a list
@@ -247,21 +230,6 @@ class ConvStencil:
         """
         from repro.runtime import execute_batch
 
-        if args:
-            merged = shim_positional(
-                "ConvStencil.run_batch",
-                ("steps", "boundary", "fill_value"),
-                args,
-                {"steps": steps, "boundary": boundary, "fill_value": fill_value},
-            )
-            steps = merged["steps"]
-            boundary = merged["boundary"]
-            fill_value = merged["fill_value"]
-        if steps is None:
-            raise TypeError(
-                "ConvStencil.run_batch() missing required keyword argument: "
-                "'steps'"
-            )
         if steps < 0:
             raise ValueError(f"steps must be non-negative, got {steps}")
         data, bc, fill = self._coerce_batch(batch, boundary, fill_value)

@@ -121,7 +121,7 @@ def plan_blocks_2d(
     s2r_rows = ceil_div(s2r_groups, 8) * 8
     s2r_cols = k * tile_m
     # the final fragment chunk overlaps rather than overshooting
-    # (core.simulated._chunk_plan), so only the live width needs padding
+    # (core.chunks.chunk_plan), so only the live width needs padding
     pad = plan_padding(s2r_cols, padding, dirty_bits)
     blocks = ceil_div(out_shape[0], bx) * ceil_div(out_shape[1], by)
     _log.debug(

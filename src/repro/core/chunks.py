@@ -10,8 +10,7 @@ instead of reading past the matrix end: it re-reads the last 4 rows and
 zeroes the already-accumulated prefix, which is exactly what lets the
 266-column block matrices pad to 268 rather than a full fragment stride.
 
-:func:`chunk_plan` is the single public source of that decomposition;
-``repro.core.simulated._chunk_plan`` remains as a deprecated alias.
+:func:`chunk_plan` is the single public source of that decomposition.
 """
 
 from __future__ import annotations

@@ -20,10 +20,10 @@ contraction strategies with operand *size*, which made per-grid bits
 depend on the batch extent (and row-count tails made any flattening that
 folds the shift axis into GEMM rows depend on the tile height).  The
 differential harness in :mod:`repro.verify` flushed both out as
-bit-identity breaks between the tiled and serial backends.  With the
-GEMM's shape a pure function of the grid *width*, results are invariant
-under axis-0 tiling, batch splitting, and the chunk parameter, and
-batched/single-grid execution agree bit for bit.
+bit-identity breaks between backends.  With the GEMM's shape a pure
+function of the grid *width*, results are invariant under axis-0
+slicing, batch splitting, and the chunk parameter, and batched/single-grid
+execution agree bit for bit.
 
 Memory is bounded by chunking the shift axis: each chunk materialises at
 most ``chunk × R × k²`` window elements.
@@ -130,8 +130,8 @@ def convstencil_valid_2d_batched(
     dense kernel plane across every output plane at once.  Each batch slice
     is an identically-shaped ``(rows, k²) @ (k², g)`` GEMM, so per-grid
     bits are invariant under batch splitting and equal to
-    :func:`convstencil_valid_2d` on the slice — the property the tiled
-    backend's ensemble path relies on.  ``offsets``/``weights`` accept
+    :func:`convstencil_valid_2d` on the slice — the property the batched
+    serve path relies on.  ``offsets``/``weights`` accept
     plan-precomputed tables exactly as in :func:`convstencil_valid_2d`.
     """
     if kernel.ndim != 2:

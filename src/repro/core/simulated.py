@@ -157,16 +157,12 @@ def _charge_explicit_roundtrip(sim: DeviceSim, live_elements: int) -> None:
     sim.global_memory.read_linear(0, live_elements)
 
 
-#: Deprecated private alias — the decomposition now lives in
-#: :func:`repro.core.chunks.chunk_plan`; this name predates the public API.
-_chunk_plan = chunk_plan
-
-
 def _weight_fragments(w: np.ndarray) -> list:
     """Split a ``(rows, g)`` weight matrix into ``(start, 4×8 fragment)``.
 
-    Fragments follow :func:`_chunk_plan`; the overlapped final fragment has
-    its duplicate leading rows zeroed so the MMA chain never double-counts.
+    Fragments follow :func:`~repro.core.chunks.chunk_plan`; the overlapped
+    final fragment has its duplicate leading rows zeroed so the MMA chain
+    never double-counts.
     """
     rows, g = w.shape
     if g > 8:
@@ -175,7 +171,7 @@ def _weight_fragments(w: np.ndarray) -> list:
             f"weight width {g} exceeds the m8n8k4 fragment"
         )
     frags = []
-    for start, zero_prefix in _chunk_plan(rows):
+    for start, zero_prefix in chunk_plan(rows):
         frag = np.zeros((4, 8), dtype=np.float64)
         take = min(4, rows - start)
         frag[:take, :g] = w[start : start + take]
@@ -219,7 +215,7 @@ def run_simulated_1d(
     r_full = ceil_div(n, g)
     bands = ceil_div(r_full, 8)
     # only kernels narrower than one fragment chunk need overshoot space;
-    # wider kernels overlap their final chunk (see _chunk_plan)
+    # wider kernels overlap their final chunk (see chunk_plan)
     overshoot = 4 - k if k < 4 else 0
     plan = plan_padding(k + overshoot, config.padding, config.dirty_bits)
     smem_a = sim.shared_array(bands * 8, cols=k, pitch=plan.pitch)
@@ -310,7 +306,7 @@ def run_simulated_2d(
     live_cols = k * m
 
     # the final partial fragment chunk overlaps instead of overshooting
-    # (see _chunk_plan), so the pitch is planned on the live width alone —
+    # (see chunk_plan), so the pitch is planned on the live width alone —
     # which is how the paper's 266-column example pads to exactly 268
     plan = plan_padding(live_cols, config.padding, config.dirty_bits)
     smem_a = sim.shared_array(bands * 8, cols=live_cols, pitch=plan.pitch)

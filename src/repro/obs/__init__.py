@@ -3,7 +3,7 @@
 PRs 1 and 5 made the pipeline observable *after the fact*: traces you
 export, counters a bench run folds.  This layer makes the same signals
 **live**: while a workload runs it maintains per-plan-key latency
-histograms with SLO accounting, worker liveness/utilisation, achieved
+histograms with SLO accounting, serving-layer gauges, achieved
 MMA/s and GStencil/s against the calibrated model ceiling, and a
 sampling profiler attributing time to the pipeline's phases — servable
 over HTTP (:mod:`repro.obs.exporter`), renderable in-terminal
@@ -11,10 +11,9 @@ over HTTP (:mod:`repro.obs.exporter`), renderable in-terminal
 
 Enablement follows the telemetry layer's convention: the ``REPRO_OBS``
 environment variable (any value other than ``0/false/no/off``) or
-:func:`enable`.  While disabled every hook in the hot path —
-:func:`record_run` in the executor, :func:`tile_capture` in tiled
-workers — returns a shared no-op object after a single attribute check,
-so the cost of shipping this layer always-on is one branch per run.
+:func:`enable`.  While disabled the hot-path hook — :func:`record_run`
+in the executor — returns a shared no-op object after a single attribute
+check, so the cost of shipping this layer always-on is one branch per run.
 
 Environment knobs::
 
@@ -43,16 +42,13 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
-    "fold_worker_payload",
     "get_alert_engine",
     "get_collector",
     "get_profiler",
-    "pass_timer",
     "record_request",
     "record_run",
     "record_serve_batch",
     "snapshot",
-    "tile_capture",
 ]
 
 #: Environment variable that switches the obs layer on at import time.
@@ -213,9 +209,6 @@ class _NoopTimer:
     def __exit__(self, exc_type, exc, tb) -> bool:
         return False
 
-    def payload(self) -> None:
-        return None
-
 
 _NOOP = _NoopTimer()
 
@@ -291,128 +284,6 @@ def record_serve_batch(size: int, queue_depth: int, affinity_hit: bool) -> None:
     _state.collector.observe_serve_batch(size, queue_depth, affinity_hit)
 
 
-# -- tiled-pass / tile accounting (runtime.tiled hooks) --------------------
-
-
-class _PassTimer:
-    """Times one tiled pass dispatch (worker-utilisation denominator)."""
-
-    __slots__ = ("_workers", "_t0")
-
-    def __init__(self, workers: int) -> None:
-        self._workers = workers
-        self._t0 = 0.0
-
-    def __enter__(self):
-        self._t0 = _CLOCK()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is None:
-            _state.collector.observe_pass(_CLOCK() - self._t0, self._workers)
-        return False
-
-
-def pass_timer(workers: int):
-    """Time one tiled pass while enabled; shared no-op otherwise."""
-    if not _state.enabled:
-        return _NOOP
-    return _PassTimer(workers)
-
-
-class _TileCapture:
-    """Times one tile and (in pool workers) samples its own stacks.
-
-    Records into the local collector either way; :meth:`payload` ships a
-    picklable obs fragment back with the worker's result tuple, which the
-    parent folds — skipping same-pid payloads, so nothing double-counts
-    whichever side of a fork/spawn/thread boundary the tile ran on.
-    """
-
-    __slots__ = ("_t0", "_busy", "_profiler")
-
-    def __init__(self) -> None:
-        self._t0 = 0.0
-        self._busy = 0.0
-        self._profiler: Optional[SamplingProfiler] = None
-
-    def __enter__(self):
-        # A forked pool worker inherits the parent's profiler *object* but
-        # not its thread; a spawned worker starts fresh.  Either way, if no
-        # sampler is running in this process, run a short-lived one for the
-        # duration of the tile.
-        if _state.profile_wanted:
-            running = _state.profiler is not None and _state.profiler.running
-            if not running:
-                self._profiler = SamplingProfiler(
-                    interval=_env_profile_interval()
-                ).start()
-        self._t0 = _CLOCK()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._busy = _CLOCK() - self._t0
-        if self._profiler is not None:
-            self._profiler.stop()
-        if exc_type is None:
-            collector = _state.collector
-            label = (
-                f"thread-{threading.get_ident()}"
-                if collector.pid == os.getpid()
-                else f"pid-{os.getpid()}"
-            )
-            collector.observe_tile(label, self._busy)
-        return False
-
-    def payload(self) -> Optional[Dict[str, Any]]:
-        """Picklable fragment for the worker→parent fold."""
-        out: Dict[str, Any] = {
-            "pid": os.getpid(),
-            "tiles": 1,
-            "busy_s": self._busy,
-        }
-        if self._profiler is not None:
-            out["profile"] = self._profiler.payload()
-        return out
-
-
-def tile_capture():
-    """Obs capture around one tile body; shared no-op while disabled."""
-    if not _state.enabled:
-        return _NOOP
-    return _TileCapture()
-
-
-def attach_tile_payload(
-    telemetry_payload: Optional[Dict[str, Any]], capture
-) -> Optional[Dict[str, Any]]:
-    """Ride the obs fragment on the worker's telemetry payload.
-
-    Keeps the worker result tuple at its existing 3-element arity: the
-    obs fragment nests under ``"obs"`` inside the telemetry payload,
-    creating a minimal carrier when span telemetry is off.
-    """
-    fragment = capture.payload()
-    if fragment is None:
-        return telemetry_payload
-    if telemetry_payload is None:
-        telemetry_payload = {"pid": os.getpid(), "spans": [], "counters": {}}
-    telemetry_payload["obs"] = fragment
-    return telemetry_payload
-
-
-def fold_worker_payload(payload: Optional[Dict[str, Any]]) -> int:
-    """Parent-side fold of a worker result payload's obs fragment."""
-    if not _state.enabled or not payload:
-        return 0
-    fragment = payload.get("obs")
-    if not fragment:
-        return 0
-    return _state.collector.fold_worker_payload(
-        fragment, profiler=_ensure_profiler() if _state.profile_wanted else None
-    )
-
-
 # -- snapshots -------------------------------------------------------------
 
 
@@ -453,7 +324,6 @@ def bench_summary() -> Dict[str, Any]:
     return {
         "enabled": enabled(),
         "plan_cache": snap.get("plan_cache", {}),
-        "worker_utilisation": snap.get("worker_utilisation"),
         "profiler_samples": int(profile.get("samples", 0)),
         "runs": runs,
     }

@@ -1,4 +1,4 @@
-"""The obs collector: per-plan-key run stats, worker health, efficiency.
+"""The obs collector: per-plan-key run stats, serving gauges, efficiency.
 
 One process-wide :class:`ObsCollector` accumulates, while the obs layer
 is enabled:
@@ -9,11 +9,8 @@ is enabled:
   (Eq.-13 MMA totals via :func:`repro.perfwatch.counters.pass_mma_total`,
   the calibrated model ceiling via
   :func:`repro.model.convstencil_model.convstencil_throughput`);
-* per worker — busy seconds, tile counts, and a liveness timestamp, fed
-  either directly (in-process thread tiles) or by folding the obs payload
-  a process-pool worker ships back with its result tuple;
-* tiled pass wall time × pool width, the denominator of the same
-  busy-utilisation ratio perfwatch's probe reports.
+* per tenant and per service — the serving layer's request outcomes,
+  batch sizes, affinity hits and queue depth.
 
 ``snapshot()`` renders everything — plus the live plan-cache stats and
 profiler aggregates — into one JSON-able dict that the exporter, the
@@ -170,16 +167,13 @@ class TenantStats:
 
 
 class ObsCollector:
-    """Thread-safe aggregate of live run/worker/pass observations."""
+    """Thread-safe aggregate of live run and serving observations."""
 
     def __init__(self, slo_seconds: Optional[float] = None) -> None:
         self.pid = os.getpid()
         self.slo_seconds = slo_seconds if slo_seconds is not None else _env_slo_seconds()
         self._lock = threading.Lock()
         self._runs: Dict[str, RunStats] = {}
-        self._workers: Dict[str, Dict[str, float]] = {}
-        self._passes = 0
-        self._pass_wall_x_workers = 0.0
         self._tenants: Dict[str, TenantStats] = {}
         self._serve: Dict[str, float] = {
             "batches": 0,
@@ -317,44 +311,6 @@ class ObsCollector:
             else:
                 serve["affinity_misses"] += 1
 
-    def observe_tile(self, worker: str, busy_seconds: float, tiles: int = 1) -> None:
-        """Account tile compute time against a worker label."""
-        with self._lock:
-            entry = self._workers.setdefault(
-                worker, {"busy_s": 0.0, "tiles": 0, "last_seen": 0.0}
-            )
-            entry["busy_s"] += busy_seconds
-            entry["tiles"] += tiles
-            entry["last_seen"] = _CLOCK()
-
-    def observe_pass(self, wall_seconds: float, workers: int) -> None:
-        """Account one tiled pass dispatch (utilisation denominator)."""
-        with self._lock:
-            self._passes += 1
-            self._pass_wall_x_workers += wall_seconds * max(1, workers)
-
-    def fold_worker_payload(
-        self, payload: Optional[Dict[str, Any]], profiler=None
-    ) -> int:
-        """Merge one worker obs payload (see :func:`repro.obs.tile_capture`).
-
-        Returns the number of tiles folded; same-pid payloads were already
-        recorded in place and fold to zero.
-        """
-        if not payload:
-            return 0
-        pid = payload.get("pid")
-        if pid == os.getpid():
-            return 0
-        tiles = int(payload.get("tiles", 0))
-        if tiles:
-            self.observe_tile(
-                f"pid-{pid}", float(payload.get("busy_s", 0.0)), tiles
-            )
-        if profiler is not None:
-            profiler.merge_payload(payload.get("profile"))
-        return tiles
-
     # -- snapshot ----------------------------------------------------------
 
     def _plan_cache_stats(self) -> Dict[str, Any]:
@@ -363,29 +319,11 @@ class ObsCollector:
         stats = dict(get_plan_cache().stats)
         return stats
 
-    def _degradations(self) -> float:
-        from repro.telemetry import metrics as _metrics
-
-        metric = _metrics.get_registry().get("runtime.tiled.degradations")
-        if isinstance(metric, _metrics.Counter):
-            return float(metric.value)
-        return 0.0
-
     def snapshot(self, profiler=None) -> Dict[str, Any]:
         """One JSON-able health snapshot of everything collected so far."""
         now = _CLOCK()
         with self._lock:
             runs = {label: stats.to_dict() for label, stats in self._runs.items()}
-            workers = {
-                label: {
-                    "busy_s": entry["busy_s"],
-                    "tiles": int(entry["tiles"]),
-                    "age_s": max(0.0, now - entry["last_seen"]),
-                }
-                for label, entry in self._workers.items()
-            }
-            passes = self._passes
-            denominator = self._pass_wall_x_workers
             uptime = now - self._started_at
             tenants = {
                 name: stats.to_dict()
@@ -395,18 +333,12 @@ class ObsCollector:
         serve["mean_batch"] = (
             serve["batched_requests"] / serve["batches"] if serve["batches"] else 0.0
         )
-        total_busy = sum(w["busy_s"] for w in workers.values())
-        utilisation = total_busy / denominator if denominator > 0 else None
         snap: Dict[str, Any] = {
             "pid": self.pid,
             "uptime_s": uptime,
             "slo_seconds": self.slo_seconds,
             "plan_cache": self._plan_cache_stats(),
             "runs": runs,
-            "workers": workers,
-            "worker_utilisation": utilisation,
-            "tiled_passes": passes,
-            "tiled_degradations": self._degradations(),
             "tenants": tenants,
             "serve": serve,
         }

@@ -204,33 +204,6 @@ def render_prometheus(snap: Dict[str, Any]) -> str:
             out.sample("repro_run_latency_seconds_sum", plan, float(hist.sum))
             out.sample("repro_run_latency_seconds_count", plan, float(hist.count))
 
-    for worker, entry in sorted((snap.get("workers") or {}).items()):
-        labels = {"worker": worker}
-        out.family("repro_worker_busy_seconds_total", "counter", "Worker tile compute seconds.")
-        out.sample("repro_worker_busy_seconds_total", labels, float(entry.get("busy_s", 0.0)))
-        out.family("repro_worker_tiles_total", "counter", "Tiles computed by worker.")
-        out.sample("repro_worker_tiles_total", labels, float(entry.get("tiles", 0)))
-        out.family(
-            "repro_worker_age_seconds", "gauge", "Seconds since the worker was last seen."
-        )
-        out.sample("repro_worker_age_seconds", labels, float(entry.get("age_s", 0.0)))
-
-    util = snap.get("worker_utilisation")
-    out.family(
-        "repro_worker_utilisation",
-        "gauge",
-        "Tile busy time over pool width x pass wall time.",
-    )
-    out.sample("repro_worker_utilisation", None, float(util) if util is not None else 0.0)
-    out.family("repro_tiled_passes_total", "counter", "Tiled pass dispatches.")
-    out.sample("repro_tiled_passes_total", None, float(snap.get("tiled_passes", 0)))
-    out.family(
-        "repro_tiled_degradations_total", "counter", "Process-pool to thread degradations."
-    )
-    out.sample(
-        "repro_tiled_degradations_total", None, float(snap.get("tiled_degradations", 0.0))
-    )
-
     for tenant, entry in sorted((snap.get("tenants") or {}).items()):
         base = {"tenant": tenant}
         out.family(

@@ -1,17 +1,16 @@
 """Streaming latency histograms with bit-exact cross-process merges.
 
 Live SLO monitoring needs latency *distributions*, not means: the p99 of
-``run_batch`` under a tiled backend is what a serving deployment gates
-on.  This module records latencies into a **fixed logarithmic bucket
-layout** shared by every process:
+``run_batch`` under load is what a serving deployment gates on.  This
+module records latencies into a **fixed logarithmic bucket layout**
+shared by every process:
 
 * bounds run from 1 µs to 10 s at 8 buckets per decade (57 finite
   bounds), plus one overflow bucket;
-* every histogram in every worker uses the *same* bounds, so a merge is
+* every histogram in every process uses the *same* bounds, so a merge is
   an element-wise **integer** addition — associative and commutative,
-  hence folding per-worker histograms in any order yields bit-identical
-  bucket counts and therefore bit-identical quantiles.  This mirrors the
-  cross-process counter-fold guarantee in :mod:`repro.telemetry.fold`.
+  hence folding histograms in any order yields bit-identical bucket
+  counts and therefore bit-identical quantiles.
 
 Quantiles are a deterministic pure function of the bucket counts: the
 reported pXX is the *upper bound* of the bucket containing the target

@@ -17,12 +17,7 @@ A daemon thread periodically snapshots every interpreter thread via
 
 Sampling costs one ``sys._current_frames()`` walk per interval (default
 5 ms) regardless of workload size; when the profiler is not started the
-cost is zero.  Profiler threads do **not** survive ``fork()`` — tiled
-pool workers therefore run their own short-lived profiler around each
-tile (see :func:`repro.obs.tile_capture`) and ship the sample payload
-back through the worker result fold, where :meth:`merge_payload`
-accumulates it.  Payload merging is integer addition over shared keys,
-so it is merge-order invariant like the histogram fold.
+cost is zero.
 """
 
 from __future__ import annotations
@@ -230,44 +225,6 @@ class SamplingProfiler:
         """Snapshot copy of the distinct-stack counts."""
         with self._lock:
             return dict(self._stacks)
-
-    # -- cross-process fold -----------------------------------------------
-
-    def payload(self) -> Dict[str, Any]:
-        """Picklable/JSON-able aggregate for the worker→parent fold."""
-        with self._lock:
-            samples = self._samples
-            ticks = self._ticks
-            phases = dict(self._phases)
-            stacks = dict(self._stacks)
-        return {
-            "samples": samples,
-            "ticks": ticks,
-            "interval": self.interval,
-            "phases": {k: v for k, v in phases.items() if v},
-            "stacks": {";".join(key): n for key, n in stacks.items()},
-        }
-
-    def merge_payload(self, payload: Optional[Dict[str, Any]]) -> int:
-        """Fold a foreign :meth:`payload` into this profiler's aggregates.
-
-        Integer addition over shared keys — merge-order invariant.
-        Returns the number of samples merged.
-        """
-        if not payload:
-            return 0
-        samples = int(payload.get("samples", 0))
-        with self._lock:
-            self._samples += samples
-            self._ticks += int(payload.get("ticks", 0))
-            for phase, n in (payload.get("phases") or {}).items():
-                self._phases[phase] = self._phases.get(phase, 0) + int(n)
-            for joined, n in (payload.get("stacks") or {}).items():
-                key = tuple(joined.split(";"))
-                if key not in self._stacks and len(self._stacks) >= MAX_DISTINCT_STACKS:
-                    key = _TRUNCATED_STACK
-                self._stacks[key] = self._stacks.get(key, 0) + int(n)
-        return samples
 
     # -- export -----------------------------------------------------------
 

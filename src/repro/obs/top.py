@@ -6,8 +6,7 @@ from a running exporter's ``/health`` endpoint):
 * the plan cache line (hit rate, size, evictions);
 * a per-plan-key table — runs, p50/p95/p99 latency, SLO breaches,
   achieved MMA/s and GStencil/s, model attainment;
-* tiled worker state (tiles, busy seconds, liveness age) and the pool
-  busy-utilisation gauge;
+* per-tenant serving state;
 * the profiler's phase attribution as proportional bars.
 
 Rendering is a pure function of the snapshot (deterministic given the
@@ -131,32 +130,6 @@ def render_top(snap: Dict[str, Any], color: bool = True) -> List[str]:
         lines.append(_paint("no runs recorded yet", _DIM, color))
     lines.append("")
 
-    workers = snap.get("workers") or {}
-    if workers:
-        rows = [
-            (
-                label,
-                int(entry.get("tiles", 0)),
-                f"{float(entry.get('busy_s', 0.0)) * 1e3:.1f}",
-                f"{float(entry.get('age_s', 0.0)):.1f}",
-            )
-            for label, entry in sorted(workers.items())
-        ]
-        lines.extend(
-            format_table(
-                ["worker", "tiles", "busy [ms]", "age [s]"],
-                rows,
-                title="Tiled workers",
-            ).splitlines()
-        )
-        util = snap.get("worker_utilisation")
-        util_text = f"{100.0 * util:.1f}%" if util is not None else "n/a"
-        lines.append(
-            f"utilisation {util_text} over {int(snap.get('tiled_passes', 0))} pass(es), "
-            f"{int(snap.get('tiled_degradations', 0))} degradation(s)"
-        )
-        lines.append("")
-
     tenants = snap.get("tenants") or {}
     if tenants:
         rows = []
@@ -253,17 +226,15 @@ def fetch_snapshot(url: str, timeout: float = 2.0) -> Dict[str, Any]:
 
 
 def run_demo_workload(runs: int = 1) -> None:
-    """A small tiled ``run_batch`` workload that exercises every gauge.
+    """A small ``serial`` ``run_batch`` workload that exercises the run gauges.
 
     Used by ``repro top --demo`` and ``repro obs-snapshot --demo`` so the
-    view has data without a separately running workload.  Threads, not
-    processes: the demo must be cheap and portable.  The plan is pinned
-    to the ``gemm`` strategy: a measured ``direct`` choice would never
-    reach the tiled backend, and its worker gauges would stay empty.
+    view has data without a separately running workload.  The plan is
+    pinned to the ``gemm`` strategy, so the profiler sees the
+    stencil2row and GEMM phases a measured ``direct`` choice would skip.
     """
     from repro import obs
     from repro.runtime.execute import execute_batch, plan_for
-    from repro.runtime.tiled import TiledBackend
     from repro.stencils.catalog import get_kernel
     from repro.utils.rng import default_rng
 
@@ -271,12 +242,8 @@ def run_demo_workload(runs: int = 1) -> None:
     kernel = get_kernel("heat-2d")
     batch = default_rng(0).random((2, 48, 48))
     plan = plan_for(kernel, (48, 48), strategy="gemm")
-    backend = TiledBackend(workers=2, min_rows_per_tile=4, use_processes=False)
-    try:
-        for _ in range(max(1, runs)):
-            execute_batch(plan, batch, 2, backend=backend)
-    finally:
-        backend.close()
+    for _ in range(max(1, runs)):
+        execute_batch(plan, batch, 2, backend="serial")
 
 
 def run_live(

@@ -14,7 +14,7 @@ closes that gap:
   threshold), carrying
 * :mod:`~repro.perfwatch.counters` — paper-derived efficiency counters
   (Eq.-13 MMA totals, Table-3 footprint factors, model attainment,
-  plan-cache hit rate, tiled worker utilisation), persisted by
+  plan-cache hit rate), persisted by
 * :mod:`~repro.perfwatch.baseline` — schema-versioned ``BENCH_PR<N>.json``
   documents with environment fingerprints, and rendered by
 * :mod:`~repro.perfwatch.report` — the cross-PR trajectory dashboard.
@@ -38,12 +38,7 @@ from repro.perfwatch.baseline import (
     make_report,
     write_baseline,
 )
-from repro.perfwatch.counters import (
-    efficiency_counters,
-    plan_cache_delta,
-    runtime_counters_probe,
-    worker_utilisation_from_spans,
-)
+from repro.perfwatch.counters import efficiency_counters, plan_cache_delta
 from repro.perfwatch.report import discover_baselines, render_run, render_trajectory
 from repro.perfwatch.stats import (
     Interval,
@@ -93,8 +88,6 @@ __all__ = [
     "render_trajectory",
     "run_check",
     "run_suite",
-    "runtime_counters_probe",
     "time_callable",
-    "worker_utilisation_from_spans",
     "write_baseline",
 ]

@@ -18,17 +18,15 @@ measured time:
   model (:func:`repro.model.convstencil_model.convstencil_throughput`),
   the achieved-vs-roofline framing of Fig. 7.
 * **Runtime counters** — plan-cache hit rate over the workload
-  (:class:`repro.runtime.cache.PlanCache` telemetry), tiled degradations,
-  and worker busy-time utilisation from an instrumented probe pass.
+  (:class:`repro.runtime.cache.PlanCache` telemetry).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import numpy as np
 
-from repro import telemetry
 from repro.core.fusion import plan_fusion
 from repro.core.im2row import im2row_expansion_factor
 from repro.core.stencil2row import (
@@ -45,8 +43,6 @@ __all__ = [
     "efficiency_counters",
     "pass_mma_total",
     "plan_cache_delta",
-    "runtime_counters_probe",
-    "worker_utilisation_from_spans",
 ]
 
 
@@ -78,28 +74,6 @@ def plan_cache_delta(before: Dict[str, float], after: Dict[str, float]) -> Dict[
         "plan_cache_misses": float(misses),
         "plan_cache_hit_rate": (hits / total) if total else 1.0,
     }
-
-
-def worker_utilisation_from_spans(spans, workers: int) -> Optional[float]:
-    """Worker busy fraction from an instrumented tiled probe.
-
-    ``sum(tile span durations) / (workers × sum(pass span durations))`` —
-    1.0 means every worker computed for the whole pass; the gap is
-    dispatch/IPC overhead plus load imbalance.  ``None`` when the probe
-    recorded no tiled pass (grid below the tiling threshold).
-    """
-    tile_busy = 0.0
-    pass_wall = 0.0
-    for sp in spans:
-        name = sp.name if hasattr(sp, "name") else sp.get("name", "")
-        duration = sp.duration if hasattr(sp, "duration") else sp.get("duration", 0.0)
-        if name == "runtime.tiled.tile":
-            tile_busy += duration
-        elif name == "runtime.tiled.pass":
-            pass_wall += duration
-    if pass_wall <= 0.0 or workers < 1:
-        return None
-    return tile_busy / (workers * pass_wall)
 
 
 def efficiency_counters(
@@ -146,30 +120,3 @@ def efficiency_counters(
         ),
     }
     return counters
-
-
-def runtime_counters_probe(run_once, workers: int) -> Dict[str, Any]:
-    """Instrumented probe: run the workload once with telemetry enabled.
-
-    Measures what wall-clock timing cannot — worker busy fraction and
-    degradation events — by replaying the workload under span tracing,
-    *outside* the timed batches so the probe's overhead never skews the
-    wall-time samples.  The prior telemetry enablement state is restored.
-    """
-    was_enabled = telemetry.enabled()
-    tracer = telemetry.get_tracer()
-    mark = tracer.total_recorded
-    deg = telemetry.counter("runtime.tiled.degradations")
-    deg_before = deg.value
-    telemetry.enable()
-    try:
-        run_once()
-    finally:
-        if not was_enabled:
-            telemetry.disable()
-    probe_spans = tracer.spans_since(mark)
-    return {
-        "tiled_degradations": float(deg.value - deg_before),
-        "worker_utilisation": worker_utilisation_from_spans(probe_spans, workers),
-        "workers": workers,
-    }

@@ -92,7 +92,6 @@ def render_run(report: Dict) -> str:
     for entry in report.get("entries", []):
         timing = entry["timing"]
         counters = entry.get("counters", {})
-        util = counters.get("worker_utilisation")
         rows.append(
             (
                 str(entry.get("key", "?")),
@@ -102,7 +101,6 @@ def render_run(report: Dict) -> str:
                 f"{counters.get('model_attainment', 0.0):.2e}",
                 f"{counters.get('stencil2row_factor', 0.0):.2f}",
                 f"{counters.get('plan_cache_hit_rate', 0.0):.2f}",
-                "-" if util is None else f"{util:.2f}",
             )
         )
     table = format_table(
@@ -114,7 +112,6 @@ def render_run(report: Dict) -> str:
             "vs model",
             "s2r factor",
             "cache hit",
-            "worker util",
         ],
         rows,
         title=(

@@ -6,7 +6,7 @@ extent for the ensemble path).  The suite is deliberately small and
 stable — trajectory charts only mean something when the cells never move
 — and spans the axes the paper's evaluation varies: dimensionality
 (§5.2–5.4), kernel width (Table 3's shapes), temporal fusion (§3.3), and
-the execution substrate (serial vs tiled, this repo's stand-in for the
+the execution substrate (serial vs compiled, this repo's stand-in for the
 cuDNN-vs-ConvStencil axis).  Every cell pins its passes to the ``gemm``
 strategy (:class:`~repro.core.api.PinnedStencil`): the suite compares GEMM
 engines, and its analytic counters describe GEMM work, which a measured
@@ -27,11 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro import telemetry
 from repro.core.api import PinnedStencil
 from repro.errors import ReproError
-from repro.perfwatch.counters import (
-    efficiency_counters,
-    plan_cache_delta,
-    runtime_counters_probe,
-)
+from repro.perfwatch.counters import efficiency_counters, plan_cache_delta
 from repro.perfwatch.timer import FULL_SPEC, QUICK_SPEC, TimingSpec, time_callable
 from repro.runtime.cache import get_plan_cache
 from repro.stencils.catalog import get_kernel
@@ -98,16 +94,9 @@ _FULL_CELLS: Tuple[Tuple[str, str, Tuple[int, ...], int, int, int], ...] = (
     ("heat-2d-ensemble32", "heat-2d", (128, 128), 4, 1, 32),
 )
 
-#: Backends every cell is measured on.  ``tiled`` is constructed with a
-#: low tiling threshold so the suite's laptop-scale grids genuinely fan
-#: out instead of silently degenerating to the serial path; ``compiled``
-#: exercises the plan-driven shape-pinned generated kernels.
-SUITE_BACKENDS: Tuple[str, ...] = ("serial", "tiled", "compiled")
-
-#: Tiled-backend pool parameters pinned by the suite (environment
-#: defaults would make the measurement cell machine-dependent).
-TILED_WORKERS = 2
-TILED_MIN_ROWS = 8
+#: Backends every cell is measured on: the plan-driven vectorised
+#: engines and the shape-pinned generated kernels.
+SUITE_BACKENDS: Tuple[str, ...] = ("serial", "compiled")
 
 
 def default_suite(quick: bool = True) -> List[Workload]:
@@ -128,42 +117,19 @@ def default_suite(quick: bool = True) -> List[Workload]:
     ]
 
 
-def _make_backend(name: str, quick: bool):
-    """Backend instance for one workload (owned by the caller: close it).
-
-    ``tiled`` gets a pinned two-worker pool with a low row threshold —
-    threads in quick mode (fast, low-variance CI smoke), processes plus
-    shared memory in full mode (the real substrate).  Other names resolve
-    through the ordinary registry.
-    """
-    if name == "tiled":
-        from repro.runtime.tiled import TiledBackend
-
-        return TiledBackend(
-            workers=TILED_WORKERS,
-            min_rows_per_tile=TILED_MIN_ROWS,
-            use_processes=not quick,
-        ), True
-    from repro.runtime import get_backend
-
-    return get_backend(name), False
-
-
 def _measure_workload(
     w: Workload,
     spec: TimingSpec,
-    quick: bool,
     clock: Optional[Callable[[], float]],
 ) -> dict:
-    """Measure one workload cell: timing, analytic counters, runtime probe."""
+    """Measure one workload cell: timing and analytic counters."""
     kernel = get_kernel(w.kernel)
-    backend, owned = _make_backend(w.backend, quick)
     rng = default_rng(INPUT_SEED)
     if w.batch:
         x = rng.random((w.batch,) + w.shape)
     else:
         x = rng.random(w.shape)
-    cs = PinnedStencil(kernel, "gemm", fusion=w.fusion, backend=backend)
+    cs = PinnedStencil(kernel, "gemm", fusion=w.fusion, backend=w.backend)
 
     def run_once():
         if w.batch:
@@ -172,33 +138,23 @@ def _measure_workload(
             cs.run(x, steps=w.steps)
 
     cache_before = get_plan_cache().stats
-    try:
-        with telemetry.span(
-            "perfwatch.workload",
-            workload=w.name,
-            backend=w.backend,
-            samples=spec.batches,
-        ):
-            timing = time_callable(run_once, spec=spec, clock=clock)
-        cache_after = get_plan_cache().stats
-        counters = efficiency_counters(
-            kernel,
-            w.shape,
-            w.steps,
-            w.fusion,
-            timing.point,
-            batch=w.batch,
-        )
-        counters.update(plan_cache_delta(cache_before, cache_after))
-        if w.backend == "tiled":
-            counters.update(runtime_counters_probe(run_once, TILED_WORKERS))
-        else:
-            counters.update(
-                {"tiled_degradations": 0.0, "worker_utilisation": None, "workers": 1}
-            )
-    finally:
-        if owned:
-            backend.close()
+    with telemetry.span(
+        "perfwatch.workload",
+        workload=w.name,
+        backend=w.backend,
+        samples=spec.batches,
+    ):
+        timing = time_callable(run_once, spec=spec, clock=clock)
+    cache_after = get_plan_cache().stats
+    counters = efficiency_counters(
+        kernel,
+        w.shape,
+        w.steps,
+        w.fusion,
+        timing.point,
+        batch=w.batch,
+    )
+    counters.update(plan_cache_delta(cache_before, cache_after))
     telemetry.counter("perfwatch.workloads").inc()
     return {
         "workload": w.to_dict(),
@@ -231,16 +187,16 @@ def run_suite(
         workloads=len(suite),
     ):
         for w in suite:
-            entries.append(_measure_workload(w, resolved_spec, quick, clock))
+            entries.append(_measure_workload(w, resolved_spec, clock))
     telemetry.counter("perfwatch.suites").inc()
     return {
         "suite": "quick" if quick else "full",
         "entries": entries,
-        "obs": _obs_summary_pass(suite, quick),
+        "obs": _obs_summary_pass(suite),
     }
 
 
-def _obs_summary_pass(suite: List[Workload], quick: bool) -> Dict:
+def _obs_summary_pass(suite: List[Workload]) -> Dict:
     """One obs-instrumented run per cell, *after* the timing loop.
 
     The live-observability summary embedded in ``BENCH_PR<N>.json``
@@ -260,18 +216,13 @@ def _obs_summary_pass(suite: List[Workload], quick: bool) -> Dict:
         with telemetry.span("perfwatch.obs_summary", workloads=len(suite)):
             for w in suite:
                 kernel = get_kernel(w.kernel)
-                backend, owned = _make_backend(w.backend, quick)
                 rng = default_rng(INPUT_SEED)
                 x = rng.random((w.batch,) + w.shape) if w.batch else rng.random(w.shape)
-                cs = PinnedStencil(kernel, "gemm", fusion=w.fusion, backend=backend)
-                try:
-                    if w.batch:
-                        cs.run_batch(x, steps=w.steps)
-                    else:
-                        cs.run(x, steps=w.steps)
-                finally:
-                    if owned:
-                        backend.close()
+                cs = PinnedStencil(kernel, "gemm", fusion=w.fusion, backend=w.backend)
+                if w.batch:
+                    cs.run_batch(x, steps=w.steps)
+                else:
+                    cs.run(x, steps=w.steps)
         return obs.bench_summary()
     finally:
         if not was_enabled:

@@ -8,29 +8,30 @@ package is both ideas as architecture:
 * :class:`ExecutionPlan` — everything shape-invariant for a
   ``(kernel, grid_shape, boundary, fusion_depth)`` problem: stencil2row
   gather LUTs, triangular weight matrices, halo geometry, 3-D plane
-  decompositions, and an axis-0 tile decomposition;
+  decompositions, and a measured execution strategy per pass;
 * :class:`PlanCache` — a bounded, telemetry-instrumented LRU sharing
   plans across runs (``runtime.plan_cache.*`` metrics);
-* :class:`Backend` — the execution protocol, with three built-ins:
-  ``serial`` (plan-driven vectorised engines, the default), ``tiled``
-  (multi-core halo-overlapped tiles over shared memory), and
-  ``reference`` (plan-free ground truth for differential testing);
+* :class:`Backend` — the execution protocol, with four built-ins:
+  ``serial`` (plan-driven vectorised engines, the default), ``compiled``
+  (shape-pinned generated kernels, :mod:`repro.codegen.compiled`),
+  ``reference`` (plan-free ground truth for differential testing), and
+  ``tiled`` (axis-0 slabs on a thread pool, :mod:`repro.runtime.tiled`);
 * :func:`execute` / :func:`execute_batch` / :func:`execute_pass` — the
   single sequencing path every public API call funnels through.
 
 Typical use::
 
     from repro import ConvStencil, get_kernel
-    cs = ConvStencil(get_kernel("heat-2d"), backend="tiled")
+    cs = ConvStencil(get_kernel("heat-2d"), backend="compiled")
     out = cs.run(grid, steps=50)        # plan built once, reused 50×
 
 or one level lower::
 
     from repro.runtime import execute, plan_for
     plan = plan_for(kernel, grid.shape, grid.boundary, fusion="auto")
-    out = execute(plan, grid.data, steps=50, backend="tiled")
+    out = execute(plan, grid.data, steps=50, backend="compiled")
 
-The default backend is ``serial``; set ``REPRO_BACKEND=tiled`` (or pass
+The default backend is ``serial``; set ``REPRO_BACKEND=compiled`` (or pass
 ``backend=``) to switch every run in the process.
 """
 
@@ -51,7 +52,6 @@ from repro.runtime.plan import (
     PassPlan,
     build_plan,
     plan_key,
-    tile_bounds,
 )
 from repro.runtime.compiled import CompiledBackend
 from repro.runtime.tiled import TiledBackend
@@ -78,5 +78,4 @@ __all__ = [
     "plan_key",
     "register_backend",
     "set_plan_cache",
-    "tile_bounds",
 ]

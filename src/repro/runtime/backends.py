@@ -12,8 +12,8 @@ substrate swappable behind one stable surface:
 * :class:`ReferenceBackend` — the same engines invoked plan-free in the
   plainest straight-line way: the ground truth optimised backends must
   match **bit for bit** (name ``"reference"``);
-* :mod:`repro.runtime.tiled` registers ``"tiled"`` — multi-core execution
-  over halo-overlapped axis-0 tiles.
+* :mod:`repro.runtime.compiled` registers ``"compiled"`` — shape-pinned
+  generated kernels.
 
 Custom backends register via :func:`register_backend`; anything accepting
 a plan-described pass can slot in (a GPU runtime, an out-of-core
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 #: Environment variable selecting the default backend (CI runs the whole
-#: suite under ``REPRO_BACKEND=tiled`` to enforce backend parity).
+#: suite under each backend to enforce backend parity).
 BACKEND_ENV = "REPRO_BACKEND"
 
 _log = get_logger("runtime.backends")
@@ -93,8 +93,8 @@ class Backend(abc.ABC):
         """One pass over a batch of padded grids (leading batch axis).
 
         The default loops :meth:`apply_pass` per grid; backends with a
-        faster ensemble path (one stacked GEMM across the stack,
-        tile-per-worker) override this.  An empty batch short-circuits to an empty result
+        faster ensemble path (one stacked GEMM across the stack) override
+        this.  An empty batch short-circuits to an empty result
         rather than surfacing a raw ``np.stack`` error.
         """
         if padded.shape[0] == 0:
@@ -102,7 +102,7 @@ class Backend(abc.ABC):
         return np.stack([self.apply_pass(pp, grid) for grid in padded])
 
     def close(self) -> None:
-        """Release backend resources (worker pools, shared buffers)."""
+        """Release backend resources (the built-ins hold none)."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"
@@ -152,7 +152,7 @@ class ReferenceBackend(Backend):
 
     Runs the engines plan-free and straight-line — exactly the pre-runtime
     code path, with every table rebuilt from the kernel on the spot.  The
-    optimised backends (``serial``, ``tiled``) must reproduce its output
+    optimised backends (``serial``, ``compiled``) must reproduce its output
     bit for bit for every catalogued kernel; the differential suite in
     ``tests/runtime/test_backends.py`` enforces that.
     """

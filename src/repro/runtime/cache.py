@@ -32,7 +32,7 @@ from typing import Callable, Dict, Optional
 
 from repro import telemetry
 from repro.errors import StaticCheckError
-from repro.runtime.plan import ExecutionPlan, invalidate_tile_bounds
+from repro.runtime.plan import ExecutionPlan
 
 __all__ = ["PlanCache", "get_plan_cache", "set_plan_cache"]
 
@@ -65,26 +65,6 @@ def _staticcheck_plan(plan: ExecutionPlan) -> None:
 #: with kernel volume and one row of the grid), so 64 distinct
 #: (kernel, shape, boundary, depth) working sets fit comfortably.
 DEFAULT_CAPACITY = 64
-
-
-def _release_plan_memos(plan: ExecutionPlan) -> None:
-    """Release module-level memo entries an evicted plan was pinning.
-
-    ``tile_bounds`` memoises per ``(extent, tiles, align, ...)`` at module
-    scope; without this hook those entries would outlive every plan that
-    could ever request them again (the bug: an unbounded-in-practice
-    residue behind a bounded cache).  Over-invalidation — another
-    resident plan sharing the same extent/alignment — is harmless; the
-    next call recomputes and re-memoises.
-    """
-    # Duck-typed: tests exercise the LRU machinery with stand-in values.
-    passes = (getattr(plan, "fused_pass", None), getattr(plan, "base_pass", None))
-    seen = set()
-    for pp in passes:
-        if pp is None or id(pp) in seen:
-            continue
-        seen.add(id(pp))
-        invalidate_tile_bounds(pp.grid_shape[0], pp.tile_align)
 
 
 class PlanCache:
@@ -142,33 +122,25 @@ class PlanCache:
                 # Outside the global lock, like the build itself: the
                 # invariant sweep may touch every precomputed table.
                 _staticcheck_plan(plan)
-                evicted = []
                 with self._lock:
                     self._plans[key] = plan
                     self._plans.move_to_end(key)
                     while len(self._plans) > self.capacity:
-                        _, old = self._plans.popitem(last=False)
-                        evicted.append(old)
+                        self._plans.popitem(last=False)
                         self._evictions += 1
                         telemetry.counter("runtime.plan_cache.evictions").inc()
                     telemetry.gauge("runtime.plan_cache.size").set(len(self._plans))
-                for old in evicted:
-                    _release_plan_memos(old)
             finally:
                 with self._lock:
                     self._building.pop(key, None)
         return plan
 
     def clear(self) -> None:
-        """Drop every cached plan (releasing the tile-bounds memo entries
-        they pinned) and reset hit/miss/eviction statistics."""
+        """Drop every cached plan and reset hit/miss/eviction statistics."""
         with self._lock:
-            dropped = list(self._plans.values())
             self._plans.clear()
             self._hits = self._misses = self._evictions = 0
             telemetry.gauge("runtime.plan_cache.size").set(0)
-        for plan in dropped:
-            _release_plan_memos(plan)
 
     def __len__(self) -> int:
         with self._lock:

@@ -42,7 +42,7 @@ def plan_for(
 
     Keyed by ``(kernel, grid_shape, boundary, fusion_depth)`` in the global
     :class:`~repro.runtime.cache.PlanCache`; repeated runs over the same
-    problem reuse one plan's LUTs, weight matrices, and tile bounds.
+    problem reuse one plan's LUTs and weight matrices.
     ``strategy`` pins every pass (see ``build_plan``); a pinned plan is
     cached under the key extended by the pin, so it never stands in for
     the measured one.
@@ -57,17 +57,8 @@ def plan_for(
     key = plan_key(kernel, grid_shape, boundary, depth)
     if strategy is not None:
         key += (strategy,)
-    # Tile geometry is a *backend* property, not a plan property: plans are
-    # cached with the trivial single-tile decomposition and every executor
-    # derives its own bounds at dispatch time via ``PassPlan.retile`` (the
-    # memoised ``tile_bounds``).  Baking a pool size into the cached plan
-    # would let one lane's geometry leak into another's through the shared
-    # plan cache.
     return get_plan_cache().get_or_build(
-        key,
-        lambda: build_plan(
-            kernel, grid_shape, boundary, fusion, tiles=1, strategy=strategy
-        ),
+        key, lambda: build_plan(kernel, grid_shape, boundary, fusion, strategy=strategy)
     )
 
 

@@ -9,8 +9,6 @@ and reuses them across every time iteration (§3.4, Table 5).  An
 * the stencil2row **gather-offset LUTs** per pass,
 * the triangular **weight matrices** (1-D pairs, 2-D blocks, 3-D
   per-plane blocks + plane decomposition),
-* a **tile decomposition** of axis 0 for multi-core backends, aligned so
-  tiled execution stays bit-identical to serial execution,
 * an execution **strategy** per pass: ``"gemm"`` (dual tessellation,
   handed to the backend) or ``"direct"`` (shifted adds, run by the pass
   sequencer), chosen by a measured crossover (:func:`choose_strategy`).
@@ -26,7 +24,7 @@ import dataclasses
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
@@ -37,7 +35,6 @@ from repro.core.engine3d import plane_decomposition
 from repro.core.fusion import FusionPlan, plan_fusion
 from repro.core.stencil2row import stencil2row_offsets, stencil2row_shape
 from repro.core.weights import weight_blocks_2d, weight_matrices_1d
-from repro.distributed.decomposition import DomainDecomposition
 from repro.errors import KernelError
 from repro.stencils.grid import BoundaryCondition
 from repro.stencils.kernel import StencilKernel
@@ -48,10 +45,7 @@ __all__ = [
     "PassPlan",
     "build_plan",
     "choose_strategy",
-    "clear_tile_bounds",
-    "invalidate_tile_bounds",
     "plan_key",
-    "tile_bounds",
 ]
 
 
@@ -68,94 +62,6 @@ def plan_key(
     collision-free.
     """
     return (kernel, tuple(grid_shape), BoundaryCondition(boundary), int(fusion_depth))
-
-
-_tile_bounds_lock = threading.Lock()
-_tile_bounds_memo: "OrderedDict[tuple, Tuple[Tuple[int, int], ...]]" = OrderedDict()
-
-#: Memo capacity; matches the old ``lru_cache`` bound, but unlike it the
-#: memo is tied to the plan-cache lifecycle (see :func:`invalidate_tile_bounds`).
-_TILE_BOUNDS_CAPACITY = 4096
-
-
-def tile_bounds(
-    extent: int, tiles: int, align: int = 1, min_rows: int = 1
-) -> Tuple[Tuple[int, int], ...]:
-    """Partition ``extent`` output rows into ``(lo, hi)`` tile bounds.
-
-    Reuses :class:`~repro.distributed.decomposition.DomainDecomposition`
-    for the balanced split, then rounds interior cut points *down* to a
-    multiple of ``align``.  1-D dual tessellation groups input columns in
-    runs of ``edge + 1``; aligning the cuts to that group width keeps every
-    output element's A/B summation split — and therefore the bits of the
-    result — independent of the tiling.
-
-    Memoised (the result is a small immutable tuple of a pure function of
-    four ints) so backends can re-derive their geometry on every dispatch
-    without re-running the decomposition.  Repeat calls return the *same*
-    tuple object while the entry is resident.  The memo is bounded and,
-    unlike a bare ``lru_cache``, participates in the plan-cache lifecycle:
-    :class:`~repro.runtime.cache.PlanCache` eviction and ``clear`` release
-    the entries its plans pinned (:func:`invalidate_tile_bounds`), so
-    long-lived processes cycling through many grid extents do not strand
-    up to 4096 dead decompositions behind an unreachable cache slot.
-    """
-    key = (int(extent), int(tiles), int(align), int(min_rows))
-    with _tile_bounds_lock:
-        cached = _tile_bounds_memo.get(key)
-        if cached is not None:
-            _tile_bounds_memo.move_to_end(key)
-            return cached
-    result = _compute_tile_bounds(*key)
-    with _tile_bounds_lock:
-        won = _tile_bounds_memo.setdefault(key, result)
-        _tile_bounds_memo.move_to_end(key)
-        while len(_tile_bounds_memo) > _TILE_BOUNDS_CAPACITY:
-            _tile_bounds_memo.popitem(last=False)
-    # a concurrent caller may have inserted first; keep identity stable
-    return won
-
-
-def _compute_tile_bounds(
-    extent: int, tiles: int, align: int, min_rows: int
-) -> Tuple[Tuple[int, int], ...]:
-    tiles = max(1, min(int(tiles), max(1, extent // max(align, min_rows))))
-    if tiles <= 1:
-        return ((0, extent),)
-    deco = DomainDecomposition((extent,), tiles)
-    cuts = sorted({(s // align) * align for s in deco.starts[1:-1]} - {0})
-    starts = [0] + [c for c in cuts if c < extent] + [extent]
-    return tuple(
-        (lo, hi) for lo, hi in zip(starts[:-1], starts[1:]) if hi > lo
-    )
-
-
-def invalidate_tile_bounds(extent: int, align: Optional[int] = None) -> int:
-    """Release memoised decompositions of ``extent`` (optionally per ``align``).
-
-    Called by :class:`~repro.runtime.cache.PlanCache` when a plan is
-    evicted or the cache is cleared, so tile geometry only stays memoised
-    while some resident plan can still ask for it.  Returns the number of
-    entries released.  Over-invalidation is harmless — the next
-    :func:`tile_bounds` call recomputes.
-    """
-    with _tile_bounds_lock:
-        doomed = [
-            k
-            for k in _tile_bounds_memo
-            if k[0] == extent and (align is None or k[2] == align)
-        ]
-        for k in doomed:
-            del _tile_bounds_memo[k]
-    return len(doomed)
-
-
-def clear_tile_bounds() -> int:
-    """Drop the entire tile-bounds memo; returns how many entries it held."""
-    with _tile_bounds_lock:
-        n = len(_tile_bounds_memo)
-        _tile_bounds_memo.clear()
-    return n
 
 
 @dataclass(frozen=True)
@@ -183,11 +89,6 @@ class PassPlan:
     planes: Optional[tuple] = None
     #: 3-D only: ``dz`` → 2-D weight blocks for the dense planes.
     weights_by_plane: Optional[Dict[int, tuple]] = None
-    #: Axis-0 tile decomposition ``((lo, hi), ...)`` over *output* rows,
-    #: aligned so tiled execution is bit-identical to serial.
-    tiles: Tuple[Tuple[int, int], ...] = field(default_factory=tuple)
-    #: Alignment (in output rows) any re-tiling of this pass must respect.
-    tile_align: int = 1
     #: How the pass runs: ``"gemm"`` hands it to the backend's
     #: dual-tessellation engine; ``"direct"`` runs the shifted-add kernel
     #: in the pass sequencer.  Both keep the tables above, so a ``direct``
@@ -197,10 +98,6 @@ class PassPlan:
     @property
     def ndim(self) -> int:
         return self.kernel.ndim
-
-    def retile(self, tiles: int) -> Tuple[Tuple[int, int], ...]:
-        """Tile bounds for a different tile count (same alignment rule)."""
-        return tile_bounds(self.grid_shape[0], tiles, self.tile_align)
 
 
 #: The execution strategies a pass can carry.
@@ -244,7 +141,7 @@ def _calibration_pass(pp: PassPlan) -> PassPlan:
     rows = max(1, _CALIBRATION_POINTS // row)
     if rows >= pp.grid_shape[0]:
         return pp
-    return _build_pass(pp.kernel, (rows,) + pp.grid_shape[1:], 1, "gemm")
+    return _build_pass(pp.kernel, (rows,) + pp.grid_shape[1:], "gemm")
 
 
 def _calibrate(pp: PassPlan) -> str:
@@ -288,8 +185,8 @@ def choose_strategy(pp: PassPlan) -> str:
     """The measured strategy for ``pp``, memoised per process.
 
     Keyed by :func:`_strategy_key`; the memo is bounded, LRU and
-    lock-guarded like the tile-bounds memo, and unlike the plan cache it
-    survives ``PlanCache.clear()``, so a (kernel, size class) keeps its
+    lock-guarded, and unlike the plan cache it survives
+    ``PlanCache.clear()``, so a (kernel, size class) keeps its
     strategy for the life of the process once measured.  Concurrent first
     calls may both measure; the first result stored wins for everyone.
     A grid with no points has no pass to time; it stays ``gemm``, so its
@@ -315,21 +212,16 @@ def choose_strategy(pp: PassPlan) -> str:
 def _build_pass(
     kernel: StencilKernel,
     grid_shape: Tuple[int, ...],
-    tiles: int,
     strategy: Optional[str] = None,
 ) -> PassPlan:
     halo = kernel.radius
     padded_shape = tuple(s + 2 * halo for s in grid_shape)
     k = kernel.edge
     offsets = weights = planes = weights_by_plane = None
-    align = 1
     if kernel.ndim == 1:
         rows, _ = stencil2row_shape(padded_shape, k)
         offsets = stencil2row_offsets(rows, k)
         weights = weight_matrices_1d(kernel)
-        # 1-D tiling shifts the stencil2row group phase; align cuts to the
-        # group width so the A/B summation split is tiling-invariant.
-        align = k + 1
     elif kernel.ndim == 2:
         rows, _ = stencil2row_shape(padded_shape, k)
         offsets = stencil2row_offsets(rows, k)
@@ -352,8 +244,6 @@ def _build_pass(
         weights=weights,
         planes=planes,
         weights_by_plane=weights_by_plane,
-        tiles=tile_bounds(grid_shape[0], tiles, align),
-        tile_align=align,
     )
     # Measured on the finished pass: the GEMM side needs its tables.
     return dataclasses.replace(pp, strategy=strategy or choose_strategy(pp))
@@ -414,18 +304,16 @@ def build_plan(
     grid_shape: Tuple[int, ...],
     boundary: BoundaryCondition = BoundaryCondition.CONSTANT,
     fusion: "int | str | FusionPlan" = 1,
-    tiles: int = 1,
     *,
     strategy: Optional[str] = None,
 ) -> ExecutionPlan:
     """Construct an :class:`ExecutionPlan` (uncached — see ``plan_for``).
 
     ``fusion`` accepts a depth, ``"auto"``, or an already-resolved
-    :class:`~repro.core.fusion.FusionPlan`; ``tiles`` sizes the default
-    axis-0 tile decomposition (backends may re-tile via ``PassPlan.retile``).
-    Each pass's strategy is measured (:func:`choose_strategy`) unless
-    ``strategy`` pins both passes — an internal hook for the verify
-    harness and the static provers, which must cover each strategy.
+    :class:`~repro.core.fusion.FusionPlan`.  Each pass's strategy is
+    measured (:func:`choose_strategy`) unless ``strategy`` pins both
+    passes — an internal hook for the verify harness and the static
+    provers, which must cover each strategy.
     """
     grid_shape = tuple(int(s) for s in grid_shape)
     if kernel.ndim != len(grid_shape):
@@ -436,11 +324,11 @@ def build_plan(
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     fplan = fusion if isinstance(fusion, FusionPlan) else plan_fusion(kernel, fusion)
     boundary = BoundaryCondition(boundary)
-    fused_pass = _build_pass(fplan.fused, grid_shape, tiles, strategy)
+    fused_pass = _build_pass(fplan.fused, grid_shape, strategy)
     base_pass = (
         fused_pass
         if fplan.depth == 1
-        else _build_pass(fplan.base, grid_shape, tiles, strategy)
+        else _build_pass(fplan.base, grid_shape, strategy)
     )
     return ExecutionPlan(
         key=plan_key(kernel, grid_shape, boundary, fplan.depth),

@@ -1,512 +1,104 @@
-"""Multi-core tiled execution over halo-overlapped axis-0 tiles.
+"""Row-tiled backend: one pass split into halo-overlapped slabs on threads.
 
-The grid's leading axis is partitioned into contiguous tiles (reusing the
-balanced split of :mod:`repro.distributed.decomposition` via
-``ExecutionPlan``'s tile bounds).  Each tile's *input* is the halo-padded
-rows ``[lo, hi + edge - 1)`` of the globally padded array — the same
-ghost-zone overlap a distributed slab run reads — and each tile's output
-rows ``[lo, hi)`` are stitched into the result.  Because every output row
-of dual tessellation depends only on its own ``edge`` input rows (and 1-D
-tile cuts are group-aligned by the plan), tiled output is **bit-identical**
-to serial output.
+Each slab of output rows is computed by the plan-free engines on its own
+slice of the padded input (its rows plus a ``edge - 1`` halo), one slab
+per thread; BLAS releases the GIL, so the GEMMs of different slabs can
+overlap.  Batched passes run as on ``serial``.
 
-Tiles run across a :class:`concurrent.futures.ProcessPoolExecutor` whose
-workers communicate through :mod:`multiprocessing.shared_memory` buffers:
-the parent publishes one padded-input segment and one output segment per
-pass; workers gather from the input and scatter their valid rows into the
-output, so no grid data crosses the pickle pipe.  Environments without
-working process pools or shared memory (restricted sandboxes) degrade to
-an in-process thread pool over plain arrays — same tiling, same bits.
+Nothing selects this backend by default.  The repository benchmark
+times one pass of it per spot cell (``runtime.backend.tiled.*.pass_ms``
+in ``BENCHMARK.json``), next to ``serial`` and ``compiled``.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import List, Optional, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro import obs, telemetry
-from repro.telemetry.fold import capture_delta, capture_mark, fold_capture
 from repro.core.engine1d import convstencil_valid_1d
-from repro.core.engine2d import convstencil_valid_2d, convstencil_valid_2d_batched
+from repro.core.engine2d import convstencil_valid_2d
 from repro.core.engine3d import convstencil_valid_3d
 from repro.runtime.backends import SerialBackend, register_backend
 from repro.runtime.plan import PassPlan
-from repro.stencils.kernel import StencilKernel
-from repro.telemetry.log import get_logger
 
-__all__ = ["TiledBackend", "default_worker_count"]
+__all__ = ["TiledBackend"]
 
-_log = get_logger("runtime.tiled")
-
-#: Environment overrides for CI and benchmarks.
-WORKERS_ENV = "REPRO_TILED_WORKERS"
-MIN_ROWS_ENV = "REPRO_TILED_MIN_ROWS"
-
-#: Fault-injection switch consumed by :mod:`repro.verify.faults` — a
-#: comma-separated list of fault kinds (``worker``, ``attach``, ``spawn``)
-#: the conformance harness plants at the hook points below.  Unset (the
-#: default) costs one environment lookup per hook.
-FAULTS_ENV = "REPRO_TILED_FAULTS"
-
-#: Below this many output rows per tile, pool/IPC overhead dominates and
-#: the pass runs serially instead.
+#: Below this many output rows per slab, thread overhead dominates and the
+#: pass runs serially instead.
 DEFAULT_MIN_ROWS_PER_TILE = 128
 
+_ENGINES = {1: convstencil_valid_1d, 2: convstencil_valid_2d, 3: convstencil_valid_3d}
 
-def _env_int(name: str, default: int) -> int:
-    """Integer environment override with warn-and-default error handling.
 
-    A malformed or out-of-range value deep inside a run must not abort it:
-    log a warning and use ``default``.  ``"0"`` and the empty string mean
-    "unset" (the historical convention for ``REPRO_TILED_WORKERS=0``).
-    """
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
+def _usable_cpus() -> int:
     try:
-        value = int(raw)
-    except ValueError:
-        _log.warning(
-            "%s=%r is not an integer; falling back to the default %d",
-            name, raw, default,
-        )
-        return default
-    if value == 0:
-        return default
-    if value < 0:
-        _log.warning(
-            "%s=%r must be positive; falling back to the default %d",
-            name, raw, default,
-        )
-        return default
-    return value
-
-
-def default_worker_count() -> int:
-    """Pool size the tiled backend uses when none is given explicitly."""
-    return _env_int(WORKERS_ENV, os.cpu_count() or 1)
-
-
-def _injected_fault(point: str) -> None:
-    """Raise an injected fault if the verify harness armed ``point``."""
-    spec = os.environ.get(FAULTS_ENV)
-    if not spec:
-        return
-    from repro.verify.faults import raise_if_injected
-
-    raise_if_injected(point, spec)
-
-
-def _engine_for(ndim: int):
-    return {
-        1: convstencil_valid_1d,
-        2: convstencil_valid_2d,
-        3: convstencil_valid_3d,
-    }[ndim]
-
-
-def _attach_shared(name: str):
-    """Attach an existing shared-memory segment without tracker side effects.
-
-    On Python < 3.13 attaching registers the segment with the process's
-    ``resource_tracker``, which then "cleans up" (unlinks) segments it never
-    owned and prints leak warnings at worker exit.  Forked workers share the
-    parent's tracker, so unregistering after attach would strip the creator's
-    own registration and make the final ``unlink`` complain instead; silencing
-    registration during the attach keeps ownership purely create-side.
-    """
-    _injected_fault("attach")
-    from multiprocessing import shared_memory
-
-    try:  # pragma: no cover - depends on stdlib internals
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name, create=False)
-        finally:
-            resource_tracker.register = original
-    except (ImportError, AttributeError):
-        return shared_memory.SharedMemory(name=name, create=False)
-
-
-def _unlink_segments(*segments) -> None:
-    """Close and unlink creator-owned shared-memory segments.
-
-    Tolerates ``None`` (never created) and already-unlinked segments, and
-    keeps going past a failing segment so one unlink error cannot leak the
-    remaining ones.
-    """
-    for seg in segments:
-        if seg is None:
-            continue
-        try:
-            seg.close()
-        except OSError:  # pragma: no cover - close on a dead mapping
-            pass
-        try:
-            seg.unlink()
-        except FileNotFoundError:
-            pass  # double clean-up (e.g. resource tracker got there first)
-        except OSError as exc:  # pragma: no cover - platform-specific
-            _log.warning("tiled: failed to unlink segment %s (%s)", seg.name, exc)
-
-
-def _run_tile_shm(task: dict) -> Tuple[int, int, Optional[dict]]:
-    """Worker body: one axis-0 tile of one pass, via shared memory.
-
-    Gathers padded rows ``[lo, hi + edge - 1)`` from the input segment,
-    applies the engine, and scatters output rows ``[lo, hi)`` into the
-    output segment.  Returns the bounds plus the telemetry the worker
-    recorded while computing (``None`` when telemetry is off) — the parent
-    folds it back into its own tracer, so process-pool tiles keep their
-    spans instead of dropping them with the worker.
-
-    The task dict may carry a ``"trace"`` tag (the submitting request's
-    ``(trace_id, request_id)``); the worker re-enters that scope so both
-    its spans and the capture payload are stamped with the right trace.
-    """
-    _injected_fault("worker")
-    with telemetry.trace_scope(*(task.get("trace") or ("",))):
-        mark = capture_mark()
-        cap = obs.tile_capture()
-        lo, hi = task["lo"], task["hi"]
-        kernel: StencilKernel = task["kernel"]
-        k = kernel.edge
-        seg_in = _attach_shared(task["in_name"])
-        seg_out = _attach_shared(task["out_name"])
-        try:
-            padded = np.ndarray(task["in_shape"], dtype=np.float64, buffer=seg_in.buf)
-            out = np.ndarray(task["out_shape"], dtype=np.float64, buffer=seg_out.buf)
-            engine = _engine_for(kernel.ndim)
-            with telemetry.span(
-                "runtime.tiled.tile", kernel=kernel.name, lo=lo, hi=hi
-            ), cap:
-                out[lo:hi] = engine(padded[lo : hi + k - 1], kernel)
-        finally:
-            seg_in.close()
-            seg_out.close()
-        return lo, hi, obs.attach_tile_payload(capture_delta(mark), cap)
-
-
-def _run_batch_tile_shm(task: dict) -> Tuple[int, int, Optional[dict]]:
-    """Worker body: one batch-axis tile of one ensemble pass."""
-    _injected_fault("worker")
-    with telemetry.trace_scope(*(task.get("trace") or ("",))):
-        mark = capture_mark()
-        cap = obs.tile_capture()
-        lo, hi = task["lo"], task["hi"]
-        kernel: StencilKernel = task["kernel"]
-        seg_in = _attach_shared(task["in_name"])
-        seg_out = _attach_shared(task["out_name"])
-        try:
-            padded = np.ndarray(task["in_shape"], dtype=np.float64, buffer=seg_in.buf)
-            out = np.ndarray(task["out_shape"], dtype=np.float64, buffer=seg_out.buf)
-            with telemetry.span(
-                "runtime.tiled.tile", kernel=kernel.name, lo=lo, hi=hi, batched=True
-            ), cap:
-                if kernel.ndim == 2:
-                    out[lo:hi] = convstencil_valid_2d_batched(padded[lo:hi], kernel)
-                else:
-                    engine = _engine_for(kernel.ndim)
-                    for b in range(lo, hi):
-                        out[b] = engine(padded[b], kernel)
-        finally:
-            seg_in.close()
-            seg_out.close()
-        return lo, hi, obs.attach_tile_payload(capture_delta(mark), cap)
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        return os.cpu_count() or 1
 
 
 class TiledBackend(SerialBackend):
-    """Halo-overlapped tiled execution across a worker pool.
+    """Split axis 0 of each pass into slabs and run them on a thread pool.
 
     Parameters
     ----------
     workers:
-        Pool size.  ``None`` reads ``REPRO_TILED_WORKERS``, falling back to
-        :func:`os.cpu_count`.  With one worker the backend degrades to the
-        (inherited) plan-driven serial path.
+        Slab (and thread) count; ``None`` means the CPUs this process may
+        use.  With one worker every pass runs on the inherited serial path.
     min_rows_per_tile:
-        Smallest tile worth dispatching; grids thinner than two such tiles
-        run serially.  ``None`` reads ``REPRO_TILED_MIN_ROWS``.
-    use_processes:
-        ``False`` forces the in-process thread pool (used by tests and as
-        the automatic degradation when process pools are unavailable).
+        Smallest slab worth a thread; thinner grids run serially.
     """
 
     name = "tiled"
 
     def __init__(
-        self,
-        workers: Optional[int] = None,
-        min_rows_per_tile: Optional[int] = None,
-        use_processes: bool = True,
+        self, workers: Optional[int] = None, min_rows_per_tile: Optional[int] = None
     ) -> None:
         if workers is None:
-            workers = default_worker_count()
+            workers = _usable_cpus()
         if min_rows_per_tile is None:
-            min_rows_per_tile = _env_int(MIN_ROWS_ENV, DEFAULT_MIN_ROWS_PER_TILE)
+            min_rows_per_tile = DEFAULT_MIN_ROWS_PER_TILE
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if min_rows_per_tile < 1:
-            raise ValueError(
-                f"min_rows_per_tile must be >= 1, got {min_rows_per_tile}"
-            )
+            raise ValueError(f"min_rows_per_tile must be >= 1, got {min_rows_per_tile}")
         self.workers = int(workers)
         self.min_rows_per_tile = int(min_rows_per_tile)
-        self._use_processes = bool(use_processes)
-        self._pool = None
-        self._pool_lock = threading.Lock()
-        atexit.register(self.close)
 
-    # -- pool management ---------------------------------------------------
+    def bounds(self, pp: PassPlan, extent: int) -> Tuple[Tuple[int, int], ...]:
+        """``(lo, hi)`` slabs of ``extent`` output rows for one pass of ``pp``.
 
-    def _get_pool(self):
-        """The lazily created pool, degrading processes → threads once."""
-        with self._pool_lock:
-            if self._pool is None:
-                if self._use_processes:
-                    try:
-                        import multiprocessing as mp
-
-                        _injected_fault("spawn")
-                        ctx = (
-                            mp.get_context("fork")
-                            if "fork" in mp.get_all_start_methods()
-                            else mp.get_context()
-                        )
-                        self._pool = ProcessPoolExecutor(
-                            max_workers=self.workers, mp_context=ctx
-                        )
-                    except (OSError, ValueError, ImportError) as exc:
-                        _log.warning(
-                            "tiled: process pool unavailable (%s); "
-                            "degrading to threads",
-                            exc,
-                        )
-                        self._use_processes = False
-                if self._pool is None:
-                    self._pool = ThreadPoolExecutor(max_workers=self.workers)
-            return self._pool
-
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    # -- tile dispatch -----------------------------------------------------
-
-    def _bounds(self, pp: PassPlan, extent: int) -> Tuple[Tuple[int, int], ...]:
-        """Tile bounds honouring this backend's worker count and floor."""
-        want = min(self.workers, max(1, extent // self.min_rows_per_tile))
-        if want <= 1:
-            return ((0, extent),)
-        # Always derive at dispatch time: cached plans carry the trivial
-        # single-tile decomposition, and trusting ``pp.tiles`` whenever its
-        # length happens to match would reuse geometry another pool size
-        # baked in.  ``retile`` is memoised, so this is a dict hit.
-        return pp.retile(want)
-
-    def _dispatch(self, worker, tasks: List[dict]) -> None:
-        pool = self._get_pool()
-        try:
-            results = [
-                future.result()
-                for future in [pool.submit(worker, t) for t in tasks]
-            ]
-        except Exception as exc:
-            if not self._use_processes:
-                # Thread-pool failures are genuine engine errors: the
-                # computation is deterministic, so a retry cannot help.
-                raise
-            # Any failure crossing the process pool — a broken pool (killed
-            # worker, fork restrictions), a shared-memory attach error, or
-            # an exception raised inside a worker — degrades to threads for
-            # the rest of the process and the pass is retried in full
-            # (tiles are idempotent writes into disjoint output rows).
-            _log.warning(
-                "tiled: pool failed (%s: %s); degrading to threads",
-                type(exc).__name__, exc,
-            )
-            telemetry.counter("runtime.tiled.degradations").inc()
-            active = telemetry.get_tracer().current()
-            if active is not None:
-                active.set_attribute("degraded", True)
-            self.close()
-            self._use_processes = False
-            pool = self._get_pool()
-            results = [
-                future.result()
-                for future in [pool.submit(worker, t) for t in tasks]
-            ]
-        self._fold_worker_telemetry(results)
-
-    @staticmethod
-    def _fold_worker_telemetry(results: List[tuple]) -> None:
-        """Merge the telemetry payloads workers returned with their bounds.
-
-        Payloads from this very process (the thread-degradation retry runs
-        the same worker functions in-process) fold to zero spans — their
-        telemetry was recorded directly — so nothing double-counts.  The
-        obs fragment riding the same payload (tile busy time + profiler
-        samples) folds into the live collector under the same same-pid
-        rule.
+        1-D dual tessellation groups input columns in runs of ``edge + 1``;
+        cutting on multiples of that width keeps each output's summation
+        split, and so its bits, the same as on ``serial``.
         """
-        folded = 0
-        for res in results:
-            if isinstance(res, tuple) and len(res) == 3:
-                folded += fold_capture(res[2])
-                obs.fold_worker_payload(res[2])
-        if folded:
-            telemetry.counter("runtime.tiled.folded_spans").inc(folded)
-
-    def _run_shared(
-        self,
-        worker,
-        padded: np.ndarray,
-        out_shape: Tuple[int, ...],
-        bounds: Tuple[Tuple[int, int], ...],
-        kernel: StencilKernel,
-    ) -> np.ndarray:
-        """Publish input/output shared segments, fan tiles out, stitch."""
-        if not self._use_processes:
-            return self._run_threaded(worker, padded, out_shape, bounds, kernel)
-        from multiprocessing import shared_memory
-
-        seg_in = seg_out = None
-        try:
-            seg_in = shared_memory.SharedMemory(create=True, size=padded.nbytes)
-            seg_out = shared_memory.SharedMemory(
-                create=True, size=int(np.prod(out_shape)) * 8
-            )
-        except OSError as exc:
-            # A half-created pair (input segment created, output segment
-            # failed) must be released here, not left to atexit.
-            _unlink_segments(seg_in, seg_out)
-            _log.warning(
-                "tiled: shared memory unavailable (%s); degrading to threads", exc
-            )
-            self._use_processes = False
-            self.close()
-            return self._run_threaded(worker, padded, out_shape, bounds, kernel)
-        try:
-            shared_in = np.ndarray(padded.shape, dtype=np.float64, buffer=seg_in.buf)
-            shared_in[...] = padded
-            # Pool workers don't inherit contextvars; ship the ambient
-            # request identity with each task so worker spans land under
-            # the submitting request's trace.
-            ctx = telemetry.current_trace()
-            trace_tag = tuple(ctx) if ctx is not None else None
-            tasks = [
-                {
-                    "lo": lo,
-                    "hi": hi,
-                    "kernel": kernel,
-                    "in_name": seg_in.name,
-                    "in_shape": padded.shape,
-                    "out_name": seg_out.name,
-                    "out_shape": out_shape,
-                    "trace": trace_tag,
-                }
-                for lo, hi in bounds
-            ]
-            # If the pool degrades to threads mid-pass, the retry still
-            # works: shared segments are attachable from this process too.
-            self._dispatch(worker, tasks)
-            out = np.ndarray(out_shape, dtype=np.float64, buffer=seg_out.buf)
-            return np.array(out)  # copy out before the segment is unlinked
-        finally:
-            # Unlink on every exit path — success, worker failure, or
-            # degradation mid-pass — so no segment outlives the pass.
-            _unlink_segments(seg_in, seg_out)
-
-    def _run_threaded(
-        self, worker, padded, out_shape, bounds, kernel
-    ) -> np.ndarray:
-        """Thread-pool tiling over plain arrays (same tiles, same bits)."""
-        out = np.empty(out_shape, dtype=np.float64)
-        k = kernel.edge
-        engine = _engine_for(kernel.ndim)
-        # Thread-pool workers don't inherit contextvars either; close over
-        # the caller's trace so tile spans keep their request identity.
-        trace = telemetry.current_trace()
-
-        def run_tile(b):
-            lo, hi = b
-            with telemetry.trace_scope(trace), telemetry.span(
-                "runtime.tiled.tile", kernel=kernel.name, lo=lo, hi=hi
-            ), obs.tile_capture():
-                if worker is _run_batch_tile_shm:
-                    if kernel.ndim == 2:
-                        out[lo:hi] = convstencil_valid_2d_batched(
-                            padded[lo:hi], kernel
-                        )
-                    else:
-                        for i in range(lo, hi):
-                            out[i] = engine(padded[i], kernel)
-                else:
-                    out[lo:hi] = engine(padded[lo : hi + k - 1], kernel)
-
-        pool = self._get_pool()
-        for future in [pool.submit(run_tile, b) for b in bounds]:
-            future.result()
-        return out
-
-    # -- Backend interface -------------------------------------------------
+        align = pp.kernel.edge + 1 if pp.ndim == 1 else 1
+        tiles = min(self.workers, extent // max(align, self.min_rows_per_tile))
+        if tiles <= 1:
+            return ((0, extent),)
+        cuts = sorted({(extent * i // tiles) // align * align for i in range(1, tiles)} - {0})
+        starts = [0] + cuts + [extent]
+        return tuple(zip(starts[:-1], starts[1:]))
 
     def apply_pass(self, pp: PassPlan, padded: np.ndarray) -> np.ndarray:
-        extent = pp.grid_shape[0]
-        bounds = self._bounds(pp, extent)
-        if self.workers <= 1 or len(bounds) <= 1:
+        edge = pp.kernel.edge
+        out_shape = tuple(s - edge + 1 for s in padded.shape)
+        bounds = self.bounds(pp, out_shape[0])
+        if len(bounds) <= 1:
             return super().apply_pass(pp, padded)
-        out_shape = tuple(
-            s - pp.kernel.edge + 1 for s in padded.shape
-        )
-        with telemetry.span(
-            "runtime.tiled.pass",
-            kernel=pp.kernel.name,
-            tiles=len(bounds),
-            workers=self.workers,
-            shape=padded.shape,
-        ), obs.pass_timer(self.workers):
-            return self._run_shared(
-                _run_tile_shm, np.ascontiguousarray(padded), out_shape, bounds,
-                pp.kernel,
-            )
+        engine = _ENGINES[pp.ndim]
+        out = np.empty(out_shape, dtype=np.float64)
 
-    def apply_pass_batch(self, pp: PassPlan, padded: np.ndarray) -> np.ndarray:
-        batch = padded.shape[0]
-        ntiles = min(self.workers, batch)
-        if self.workers <= 1 or ntiles <= 1:
-            return super().apply_pass_batch(pp, padded)
-        # Balanced batch split — no alignment constraints on the batch axis.
-        cuts = [round(i * batch / ntiles) for i in range(ntiles + 1)]
-        bounds = tuple(
-            (lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo
-        )
-        out_shape = (batch,) + tuple(
-            s - pp.kernel.edge + 1 for s in padded.shape[1:]
-        )
-        with telemetry.span(
-            "runtime.tiled.pass",
-            kernel=pp.kernel.name,
-            tiles=len(bounds),
-            workers=self.workers,
-            shape=padded.shape,
-            batched=True,
-        ), obs.pass_timer(self.workers):
-            return self._run_shared(
-                _run_batch_tile_shm, np.ascontiguousarray(padded), out_shape,
-                bounds, pp.kernel,
-            )
+        def run_slab(lo: int, hi: int) -> None:
+            out[lo:hi] = engine(padded[lo : hi + edge - 1], pp.kernel)
+
+        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
+            for future in [pool.submit(run_slab, lo, hi) for lo, hi in bounds]:
+                future.result()
+        return out
 
 
 register_backend("tiled", TiledBackend)

@@ -479,8 +479,8 @@ class StencilService:
 
         ``batch_meta`` is ``(trace_id, lead_request_id, batch_id,
         member_request_ids)``: the lane thread re-enters the lead
-        request's trace scope so every span the pass emits — including
-        tiled-worker folds — lands under that trace, and the single
+        request's trace scope so every span the pass emits lands under
+        that trace, and the single
         ``serve.batch`` span links all N coalesced members (the N:1
         structure of the paper's GEMM amortisation, Eq. 13).
         """

@@ -16,7 +16,6 @@ from repro.core.api import ConvStencil
 from repro.errors import ReproError
 from repro.stencils.grid import BoundaryCondition
 from repro.stencils.kernel import StencilKernel
-from repro.utils.deprecation import shim_positional
 
 __all__ = ["HeatSolver"]
 
@@ -49,35 +48,16 @@ class HeatSolver:
     def run(
         self,
         field: np.ndarray,
-        *args,
-        steps: int | None = None,
-        boundary: BoundaryCondition | str | None = None,
-        fill_value: float | None = None,
+        *,
+        steps: int,
+        boundary: BoundaryCondition | str = BoundaryCondition.CONSTANT,
+        fill_value: float = 0.0,
     ) -> np.ndarray:
         """Advance ``steps`` diffusion steps.
 
         Everything past ``field`` is keyword-only: ``run(u, steps=100,
-        boundary="periodic")``.  (Legacy positional arguments warn for one
-        release.)
+        boundary="periodic")``.
         """
-        if args:
-            merged = shim_positional(
-                "HeatSolver.run",
-                ("steps", "boundary", "fill_value"),
-                args,
-                {"steps": steps, "boundary": boundary, "fill_value": fill_value},
-            )
-            steps = merged["steps"]
-            boundary = merged["boundary"]
-            fill_value = merged["fill_value"]
-        if steps is None:
-            raise TypeError(
-                "HeatSolver.run() missing required keyword argument: 'steps'"
-            )
-        boundary = (
-            BoundaryCondition.CONSTANT if boundary is None else boundary
-        )
-        fill_value = 0.0 if fill_value is None else fill_value
         field = np.asarray(field, dtype=np.float64)
         if field.ndim != self.ndim:
             raise ReproError(f"{self.ndim}-D solver given a {field.ndim}-D field")

@@ -5,8 +5,8 @@ precomputed host-side tables: the stencil2row lookup table realises the
 Eq. 5/6 index maps exactly, matrix B's overhang lands in the dirty zone
 §3.4 zero-fills (never out of bounds), the dual-tessellation weight
 matrices are the Figure-3 triangular stacks whose column split makes
-Eq. 13's ``2·⌈k²/4⌉`` MMA count come out, and halo/tile geometry follows
-the kernel radius.  PR 3 tested all of this *dynamically* (run both
+Eq. 13's ``2·⌈k²/4⌉`` MMA count come out, and halo geometry follows the
+kernel radius.  PR 3 tested all of this *dynamically* (run both
 backends, compare bits); this layer proves it on the plan object itself —
 built, never executed — so a corrupted table is rejected before any
 engine consumes it:
@@ -24,9 +24,6 @@ RPR203    weight matrices are not the triangular Figure-3 stacks, or
           ``2·⌈k²/4⌉·⌈(k+1)/8⌉``.
 RPR204    halo geometry inconsistent with kernel radius (pass halo,
           padded shape, fused-pass radius vs fusion depth).
-RPR205    axis-0 tiles do not partition the output rows contiguously, or
-          an interior cut violates the pass's group alignment (the
-          bit-identical-tiling precondition).
 RPR206    3-D plane decomposition inconsistent: bad plane offsets, or
           ``weights_by_plane`` disagreeing with the dense-plane set.
 RPR207    execution strategy is neither ``"gemm"`` nor ``"direct"``, or a
@@ -238,43 +235,6 @@ def _check_halo(pp, name: str, label: str, findings: List[Finding]) -> None:
         )
 
 
-def _check_tiles(pp, name: str, label: str, findings: List[Finding]) -> None:
-    """RPR205: contiguous partition + group-aligned interior cuts."""
-    extent = pp.grid_shape[0]
-    tiles = tuple(pp.tiles)
-    if not tiles:
-        findings.append(
-            _finding(name, "RPR205", f"{label}: plan has no tile decomposition")
-        )
-        return
-    ok = tiles[0][0] == 0 and tiles[-1][1] == extent
-    ok = ok and all(hi > lo for lo, hi in tiles)
-    ok = ok and all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
-    if not ok:
-        findings.append(
-            _finding(
-                name,
-                "RPR205",
-                f"{label}: tiles {tiles} do not partition [0, {extent}) "
-                "contiguously",
-                fix_hint="tiles must come from tile_bounds()",
-            )
-        )
-        return
-    align = max(1, pp.tile_align)
-    bad_cuts = [lo for lo, _ in tiles[1:] if lo % align != 0]
-    if bad_cuts:
-        findings.append(
-            _finding(
-                name,
-                "RPR205",
-                f"{label}: interior tile cuts {bad_cuts} are not multiples "
-                f"of the group alignment {align} — tiled bits would differ "
-                "from serial",
-            )
-        )
-
-
 def _check_planes(pp, name: str, label: str, findings: List[Finding]) -> None:
     """RPR206: 3-D plane decomposition / per-plane weight consistency."""
     if pp.ndim != 3:
@@ -381,7 +341,6 @@ def _check_pass(pp, name: str, label: str) -> List[Finding]:
     _check_halo(pp, name, label, findings)
     _check_lut(pp, name, label, findings)
     _check_weights(pp, name, label, findings)
-    _check_tiles(pp, name, label, findings)
     _check_planes(pp, name, label, findings)
     return findings
 
@@ -445,7 +404,6 @@ def check_plan_catalog() -> Tuple[List[Finding], int]:
                 kernel,
                 _CATALOG_SHAPES[kernel.ndim],
                 fusion=depth,
-                tiles=2,
                 strategy="gemm",
             )
             findings.extend(check_plan(plan))

@@ -1,10 +1,10 @@
 """Layer 3 — concurrency discipline rules (RPR101–RPR103).
 
-The tiled runtime owns real OS resources (POSIX shared-memory segments)
-and a small family of locks (backend registry, plan-cache global lock,
-per-key build locks, pool lock).  PR 3's cache fix — moving plan builds
-*outside* the global cache lock — is exactly the regression class RPR103
-pins down statically.  These rules scan every checked file, so a fixture
+Code that creates POSIX shared-memory segments owns real OS resources,
+and the runtime holds a small family of locks (backend registry,
+plan-cache global lock, per-key build locks).  PR 3's cache fix — moving
+plan builds *outside* the global cache lock — is exactly the regression
+class RPR103 pins down statically.  These rules scan every checked file, so a fixture
 dropped anywhere under a checked path is caught too:
 
 ========  ==================================================================
@@ -92,7 +92,7 @@ def _is_shared_memory_create(node: ast.AST) -> bool:
 
 def _calls_unlink(stmts: List[ast.stmt]) -> bool:
     """True when any call in ``stmts`` unlinks (``seg.unlink()`` or a
-    helper whose name mentions unlink, e.g. ``_unlink_segments``)."""
+    helper whose name mentions unlink, e.g. ``_unlink_all``)."""
     for stmt in stmts:
         for node in ast.walk(stmt):
             if isinstance(node, ast.Call) and "unlink" in _terminal_name(
@@ -143,7 +143,7 @@ def check_shared_memory_unlink(module: ModuleSource) -> Iterator[Finding]:
                 "past process exit",
                 fix_hint=(
                     "wrap the segment's lifetime in try/finally calling "
-                    ".unlink() (see _unlink_segments in runtime/tiled.py)"
+                    ".unlink() or a helper that unlinks every segment"
                 ),
             )
 

@@ -1436,8 +1436,7 @@ def check_generated_catalog() -> Tuple[List[Finding], int]:
         kernel = get_kernel(kernel_name)
         for depth in (1, 2):
             plan = build_plan(
-                kernel, _CATALOG_SHAPES[kernel.ndim], fusion=depth, tiles=2,
-                strategy="gemm",
+                kernel, _CATALOG_SHAPES[kernel.ndim], fusion=depth, strategy="gemm"
             )
             passes = [plan.base_pass]
             if plan.fused_pass is not plan.base_pass:

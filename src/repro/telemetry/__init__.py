@@ -12,10 +12,6 @@ its own execution:
 * :mod:`repro.telemetry.metrics` — a **registry** of counters, gauges,
   and fixed-bucket histograms, plus adapters folding the GPU simulator's
   :class:`~repro.gpu.counters.PerfCounters` in (and back out, bit-exactly).
-* :mod:`repro.telemetry.fold` — cross-process capture/merge: pool
-  workers package the spans/counters they recorded into a picklable
-  payload and the parent folds it back in with ``worker=`` attribution,
-  so multiprocess tiled runs lose no telemetry.
 * :mod:`repro.telemetry.log` — library-style ``logging`` wiring
   (``NullHandler`` by default, :func:`configure_logging` to opt in).
 * :mod:`repro.telemetry.report` — Fig.-6-style phase-breakdown tables
@@ -31,7 +27,6 @@ Typical use::
     print(telemetry.get_registry().snapshot())   # folded sim counters
 """
 
-from repro.telemetry.fold import capture_delta, capture_mark, fold_capture
 from repro.telemetry.log import LOGGER_NAME, configure_logging, get_logger
 from repro.telemetry.metrics import (
     Counter,
@@ -52,7 +47,6 @@ from repro.telemetry.report import (
     phase_breakdown,
     render_phase_report,
     staticcheck_summary,
-    worker_summary,
 )
 from repro.telemetry.trace import (
     Span,
@@ -83,13 +77,10 @@ __all__ = [
     "SpanContext",
     "TraceContext",
     "Tracer",
-    "capture_delta",
-    "capture_mark",
     "configure_logging",
     "counter",
     "current_trace",
     "disable",
-    "fold_capture",
     "enable",
     "enabled",
     "fold_perf_counters",
@@ -110,5 +101,4 @@ __all__ = [
     "span",
     "staticcheck_summary",
     "trace_scope",
-    "worker_summary",
 ]

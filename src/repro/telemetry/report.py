@@ -34,7 +34,6 @@ __all__ = [
     "render_phase_report",
     "staticcheck_summary",
     "strategy_summary",
-    "worker_summary",
 ]
 
 
@@ -201,38 +200,6 @@ def staticcheck_summary(spans: List[Dict[str, Any]]) -> Dict[str, int]:
     return totals
 
 
-def worker_summary(spans: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Aggregate tiled-backend worker telemetry from a trace.
-
-    Counts ``runtime.tiled.tile`` spans, the distinct workers they ran on
-    (the ``worker=`` attribute the cross-process fold attaches; in-process
-    thread tiles fall back to their thread id), their total busy seconds,
-    and how many ``runtime.tiled.pass`` spans were marked ``degraded``.
-    All totals are zero for traces without tiled activity.
-    """
-    totals: Dict[str, Any] = {
-        "tiles": 0,
-        "workers": [],
-        "busy": 0.0,
-        "passes": 0,
-        "degraded_passes": 0,
-    }
-    workers = set()
-    for sp in spans:
-        name = str(sp.get("name", ""))
-        attrs = sp.get("attributes", {}) or {}
-        if name == "runtime.tiled.tile":
-            totals["tiles"] += 1
-            totals["busy"] += float(sp.get("duration", 0.0))
-            workers.add(str(attrs.get("worker", f"thread-{sp.get('thread_id', 0)}")))
-        elif name == "runtime.tiled.pass":
-            totals["passes"] += 1
-            if attrs.get("degraded"):
-                totals["degraded_passes"] += 1
-    totals["workers"] = sorted(workers)
-    return totals
-
-
 def strategy_summary(spans: List[Dict[str, Any]]) -> Dict[str, Any]:
     """How passes ran and what choosing cost.
 
@@ -319,14 +286,6 @@ def render_phase_report(trace_path: "str | Path", top: int = 0) -> str:
         table += (
             f"\nStatic checks: {sc['runs']} run(s), {sc['files']} files, "
             f"{sc['plans_checked']} plans checked, {sc['findings']} findings"
-        )
-    wk = worker_summary(spans)
-    if wk["tiles"]:
-        table += (
-            f"\nTiled workers: {wk['tiles']} tile(s) on "
-            f"{len(wk['workers'])} worker(s) "
-            f"({', '.join(wk['workers'])}), busy {wk['busy'] * 1e3:.3f} ms, "
-            f"{wk['degraded_passes']}/{wk['passes']} pass(es) degraded"
         )
     st = strategy_summary(spans)
     if st["passes"] or st["calibrations"]:

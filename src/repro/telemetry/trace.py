@@ -40,7 +40,6 @@ import json
 import os
 import threading
 import time
-from bisect import bisect_right
 from collections import deque
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -179,8 +178,7 @@ class TraceContext(NamedTuple):
 
     ``trace_id`` names one end-to-end request journey; ``request_id`` is
     the caller-visible id riding it (the serve layer uses the request's
-    own id).  Both are plain strings so the context pickles into tiled
-    worker task dicts unchanged.
+    own id).  Both are plain strings, so the context pickles unchanged.
     """
 
     trace_id: str
@@ -225,7 +223,7 @@ class trace_scope:
     Accepts either ``(trace_id, request_id)`` strings or an existing
     :class:`TraceContext` as the first argument.  A falsy ``trace_id``
     makes the scope inert, so call sites can pass through unset context
-    (e.g. a tiled worker task that carries no trace) without branching.
+    without branching.
     """
 
     __slots__ = ("_ctx", "_token")
@@ -277,8 +275,8 @@ class Tracer:
     :data:`DEFAULT_MAX_SPANS`, override via ``REPRO_TELEMETRY_MAX_SPANS``;
     ``<= 0`` means unbounded): once full, recording a new span evicts the
     oldest.  ``total_recorded`` counts every span ever buffered — it never
-    decreases, so cross-process capture marks (:mod:`repro.telemetry.fold`)
-    stay valid even after eviction.
+    decreases, so marks taken from it (:meth:`spans_since`) stay valid
+    even after eviction.
     """
 
     def __init__(self, max_spans: Optional[int] = None) -> None:
@@ -369,86 +367,6 @@ class Tracer:
         with self._lock:
             self._record_locked(sp)
         return sp
-
-    def ingest(
-        self,
-        span_dicts,
-        attributes: Optional[Dict[str, Any]] = None,
-        defaults: Optional[Dict[str, Any]] = None,
-    ) -> int:
-        """Re-record foreign spans (``Span.to_dict`` shapes) into this buffer.
-
-        Used by the cross-process fold (:mod:`repro.telemetry.fold`): every
-        ingested span gets a fresh ``span_id`` from this tracer's sequence;
-        parent links *within* the batch are remapped to the new ids, and
-        spans whose parent is outside the batch (or absent) are attached
-        under the context's currently active span, so worker tiles nest
-        beneath the pass that dispatched them.  ``attributes`` entries are
-        merged into every span (e.g. ``{"worker": "pid-123"}``);
-        ``defaults`` entries are *setdefault*-merged, so a worker span that
-        already stamped its own ``trace_id`` keeps it while spans recorded
-        outside the worker's trace scope inherit the payload's (this is
-        how tiled fold marks land worker spans under the originating
-        request's trace).  Returns the number of spans recorded.
-
-        A single worker pid restarts its span-id sequence at 1 for every
-        pass, so a batch concatenated from several passes (or repeated
-        ingest of the same payload) contains *duplicate* old ids.  Each
-        occurrence gets its own fresh id; a parent reference resolves to
-        the **nearest occurrence** of that old id — first looking forward
-        (spans are buffered in completion order, so a child precedes its
-        parent), then backward — never to a span from a different pass at
-        the far end of the batch.
-        """
-        records = [obj for obj in span_dicts if isinstance(obj, dict)]
-        if not records:
-            return 0
-        parent = self._current.get()
-        fallback_parent = parent.span_id if parent is not None else None
-        # Positions (ascending) of every occurrence of each old span id.
-        positions: Dict[Any, List[int]] = {}
-        for i, obj in enumerate(records):
-            old_id = obj.get("span_id")
-            if old_id is not None:
-                positions.setdefault(old_id, []).append(i)
-        with self._lock:
-            new_ids = [next(self._ids) for _ in records]
-
-            def resolve_parent(old_parent: Any, at: int) -> Optional[int]:
-                if old_parent is None:
-                    return fallback_parent
-                idxs = positions.get(old_parent)
-                if not idxs:
-                    return fallback_parent
-                after = bisect_right(idxs, at)
-                if after < len(idxs):
-                    return new_ids[idxs[after]]  # nearest following occurrence
-                before = idxs[after - 1]
-                if before == at:  # self-reference: try the one further back
-                    if after - 2 >= 0:
-                        return new_ids[idxs[after - 2]]
-                    return fallback_parent
-                return new_ids[before]
-
-            for i, obj in enumerate(records):
-                attrs = dict(obj.get("attributes") or {})
-                if attributes:
-                    attrs.update(attributes)
-                if defaults:
-                    for key, value in defaults.items():
-                        attrs.setdefault(key, value)
-                self._record_locked(
-                    Span(
-                        name=str(obj.get("name", "?")),
-                        start=float(obj.get("start", 0.0)),
-                        end=float(obj.get("end", 0.0)),
-                        span_id=new_ids[i],
-                        parent_id=resolve_parent(obj.get("parent_id"), i),
-                        thread_id=int(obj.get("thread_id") or 0),
-                        attributes=attrs,
-                    )
-                )
-        return len(records)
 
     # -- inspection -------------------------------------------------------
 

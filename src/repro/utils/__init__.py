@@ -6,7 +6,6 @@ from repro.utils.arrays import (
     round_up,
     sliding_windows,
 )
-from repro.utils.deprecation import reset_warned, warn_once
 from repro.utils.rng import default_rng
 from repro.utils.tables import format_table
 
@@ -15,8 +14,6 @@ __all__ = [
     "ceil_div",
     "default_rng",
     "format_table",
-    "reset_warned",
     "round_up",
     "sliding_windows",
-    "warn_once",
 ]

@@ -1,16 +1,12 @@
-"""Differential conformance and fault-injection harness.
+"""Differential conformance harness.
 
-Two halves, one claim: the runtime may be *fast* however it likes, but it
-must be *right* the same way everywhere.
-
-* :mod:`repro.verify.differential` — seeded random cases across
-  (kernel × shape × boundary × fusion × layout), every registered backend
-  against two independent oracles, bit-identity between backends,
-  automatic shrinking of failures to minimal repro dicts, and a mutation
-  smoke-check proving the harness can see a planted LUT off-by-one.
-* :mod:`repro.verify.faults` — on-demand failures (worker crash, shm
-  attach error, pool-spawn error) inside the tiled runtime, for asserting
-  graceful degradation with identical bits and zero leaked shared memory.
+One claim: the runtime may be *fast* however it likes, but it must be
+*right* the same way everywhere.  :mod:`repro.verify.differential` draws
+seeded random cases across (kernel × shape × boundary × fusion × layout),
+runs every registered backend against two independent oracles, checks
+bit-identity between backends, shrinks failures to minimal repro dicts,
+and runs a mutation smoke-check proving the harness can see a planted LUT
+off-by-one.
 
 CLI: ``repro verify --quick --seed 0`` (see :mod:`repro.cli`).
 """
@@ -28,31 +24,17 @@ from repro.verify.differential import (
     run_verification,
     shrink,
 )
-from repro.verify.faults import (
-    FAULT_KINDS,
-    InjectedFault,
-    assert_no_leaked_shm,
-    inject,
-    leaked_shm_segments,
-    shm_segments,
-)
 
 __all__ = [
     "Case",
     "CaseResult",
     "DEFAULT_LOOSE_ULP",
     "DEFAULT_TIGHT_ULP",
-    "FAULT_KINDS",
-    "InjectedFault",
     "VerifyReport",
-    "assert_no_leaked_shm",
     "generate_cases",
-    "inject",
-    "leaked_shm_segments",
     "max_ulp",
     "mutation_check",
     "run_case",
     "run_verification",
-    "shm_segments",
     "shrink",
 ]

@@ -1,6 +1,6 @@
 """Differential conformance harness: randomized backends-vs-oracle checking.
 
-PR 2 staked the runtime's core claim — serial == tiled == reference, bit
+PR 2 staked the runtime's core claim — every backend == reference, bit
 for bit, for every catalogued kernel — on a fixed test matrix.  This
 module checks the same claim *adversarially*: a seeded generator draws
 random cases across the whole configuration space
@@ -673,27 +673,6 @@ class VerifyReport:
         return lines
 
 
-def _resolve_backends(names: Optional[Sequence[str]], quick: bool):
-    """Backend instances for the sweep; ``tiled`` gets a fresh instance with
-    an aggressive tiling floor so small verify grids genuinely tile."""
-    from repro.runtime import get_backend, list_backends
-    from repro.runtime.tiled import TiledBackend
-
-    wanted = list(names) if names else list_backends()
-    resolved: Dict[str, object] = {}
-    owned: List[object] = []
-    for name in wanted:
-        if name == "tiled":
-            backend = TiledBackend(
-                workers=2, min_rows_per_tile=2, use_processes=not quick
-            )
-            owned.append(backend)
-            resolved[name] = backend
-        else:
-            resolved[name] = get_backend(name)
-    return resolved, owned
-
-
 def run_verification(
     seed: int = 0,
     cases: int = 25,
@@ -703,65 +682,60 @@ def run_verification(
     loose_ulp: Optional[float] = None,
     mutation: bool = True,
     shrink_failures: bool = True,
-    inject: Optional[Sequence[str]] = None,
 ) -> VerifyReport:
     """Run the differential sweep and return a :class:`VerifyReport`.
 
-    ``quick`` shrinks the generated extents and runs the tiled backend on
-    its thread pool (CI smoke); the full mode exercises the multiprocess
-    shared-memory path.  Failing cases are shrunk to minimal repro dicts
-    unless ``shrink_failures`` is disabled.  ``inject`` arms tiled-runtime
-    fault kinds (see :mod:`repro.verify.faults`) for the whole sweep:
-    results must *still* be bit-identical across backends while the tiled
-    backend degrades under fire.
+    ``quick`` shrinks the generated extents (CI smoke).  ``backends``
+    defaults to every registered backend; ``tiled`` gets its own instance
+    with a two-row floor so the small verify grids genuinely split.
+    Failing cases are shrunk to minimal repro dicts unless
+    ``shrink_failures`` is disabled.
     """
-    from contextlib import nullcontext
-
-    from repro.verify import faults
+    from repro.runtime import TiledBackend, get_backend, list_backends
 
     tight = DEFAULT_TIGHT_ULP if tight_ulp is None else float(tight_ulp)
     loose = DEFAULT_LOOSE_ULP if loose_ulp is None else float(loose_ulp)
-    resolved, owned = _resolve_backends(backends, quick)
+    resolved = {
+        name: TiledBackend(workers=2, min_rows_per_tile=2)
+        if name == "tiled"
+        else get_backend(name)
+        for name in (backends or list_backends())
+    }
     report = VerifyReport(seed=seed, cases=cases, backends=sorted(resolved))
-    armed = faults.inject(*inject) if inject else nullcontext()
-    try:
-        with armed, telemetry.span(
-            "verify.run", seed=seed, cases=cases, backends=tuple(sorted(resolved))
-        ):
-            for case in generate_cases(seed, cases, quick=quick):
-                telemetry.counter("verify.cases").inc()
-                result = run_case(case, resolved, tight, loose)
-                report.ulp_max = max(report.ulp_max, result.ulp_mirror)
-                for strategy, ulp in result.ulp_by_strategy.items():
-                    report.ulp_max_by_strategy[strategy] = max(
-                        report.ulp_max_by_strategy[strategy], ulp
-                    )
-                if result.ulp_unfused is not None:
-                    report.ulp_unfused_max = max(
-                        report.ulp_unfused_max, result.ulp_unfused
-                    )
-                if result.ok:
-                    continue
-                telemetry.counter("verify.failures").inc()
-                minimal = case
-                if shrink_failures:
-                    minimal = shrink(
-                        case,
-                        lambda c: not run_case(c, resolved, tight, loose).ok,
-                    )
-                report.failures.append(
-                    {
-                        "case": case.to_dict(),
-                        "minimal": minimal.to_dict(),
-                        "errors": list(result.failures),
-                    }
+    with telemetry.span(
+        "verify.run", seed=seed, cases=cases, backends=tuple(sorted(resolved))
+    ):
+        for case in generate_cases(seed, cases, quick=quick):
+            telemetry.counter("verify.cases").inc()
+            result = run_case(case, resolved, tight, loose)
+            report.ulp_max = max(report.ulp_max, result.ulp_mirror)
+            for strategy, ulp in result.ulp_by_strategy.items():
+                report.ulp_max_by_strategy[strategy] = max(
+                    report.ulp_max_by_strategy[strategy], ulp
                 )
-            if mutation:
-                report.mutation_caught = mutation_check(tight_ulp=tight)
-                if not report.mutation_caught:
-                    telemetry.counter("verify.failures").inc()
-            telemetry.gauge("verify.ulp_max").set(report.ulp_max)
-    finally:
-        for backend in owned:
-            backend.close()
+            if result.ulp_unfused is not None:
+                report.ulp_unfused_max = max(
+                    report.ulp_unfused_max, result.ulp_unfused
+                )
+            if result.ok:
+                continue
+            telemetry.counter("verify.failures").inc()
+            minimal = case
+            if shrink_failures:
+                minimal = shrink(
+                    case,
+                    lambda c: not run_case(c, resolved, tight, loose).ok,
+                )
+            report.failures.append(
+                {
+                    "case": case.to_dict(),
+                    "minimal": minimal.to_dict(),
+                    "errors": list(result.failures),
+                }
+            )
+        if mutation:
+            report.mutation_caught = mutation_check(tight_ulp=tight)
+            if not report.mutation_caught:
+                telemetry.counter("verify.failures").inc()
+        telemetry.gauge("verify.ulp_max").set(report.ulp_max)
     return report

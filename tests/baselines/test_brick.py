@@ -36,14 +36,14 @@ class TestBrickStencil:
     def test_ragged_grid_correct(self, rng):
         kernel = get_kernel("box-2d9p")
         x = rng.random((19, 23))
-        got = BrickStencil(brick_edge=8).run(x, kernel, 1)
+        got = BrickStencil(brick_edge=8).run(x, kernel, steps=1)
         np.testing.assert_allclose(got, apply_stencil_reference(x, kernel), rtol=1e-12)
 
     def test_custom_brick_edge(self, rng):
         kernel = get_kernel("heat-2d")
         x = rng.random((20, 20))
         for edge in (4, 8, 16):
-            got = BrickStencil(brick_edge=edge).run(x, kernel, 1)
+            got = BrickStencil(brick_edge=edge).run(x, kernel, steps=1)
             np.testing.assert_allclose(
                 got, apply_stencil_reference(x, kernel), rtol=1e-12
             )
@@ -51,4 +51,4 @@ class TestBrickStencil:
     def test_radius_exceeding_brick_rejected(self, rng):
         kernel = get_kernel("box-2d49p")
         with pytest.raises(BaselineError, match="radius"):
-            BrickStencil(brick_edge=2).run(rng.random((16, 16)), kernel, 1)
+            BrickStencil(brick_edge=2).run(rng.random((16, 16)), kernel, steps=1)

@@ -19,22 +19,22 @@ class TestDRStencil:
     def test_t3_periodic_equals_stepped(self, rng):
         kernel = get_kernel("box-2d9p")
         x = rng.random((24, 24))
-        got = DRStencil(fuse_steps=3).run(x, kernel, 6, boundary="periodic")
+        got = DRStencil(fuse_steps=3).run(x, kernel, steps=6, boundary="periodic")
         expect = run_reference(x, kernel, 6, BoundaryCondition.PERIODIC)
         np.testing.assert_allclose(got, expect, rtol=1e-12)
 
     def test_t3_remainder_handling(self, rng):
         kernel = get_kernel("heat-1d")
         x = rng.random(64)
-        got = DRStencil(fuse_steps=3).run(x, kernel, 5, boundary="periodic")
+        got = DRStencil(fuse_steps=3).run(x, kernel, steps=5, boundary="periodic")
         expect = run_reference(x, kernel, 5, BoundaryCondition.PERIODIC)
         np.testing.assert_allclose(got, expect, rtol=1e-12)
 
     def test_partition_invariance(self, rng):
         kernel = get_kernel("heat-2d")
         x = rng.random((40, 40))
-        a = DRStencil(tile_edge=8).run(x, kernel, 2)
-        b = DRStencil(tile_edge=64).run(x, kernel, 2)
+        a = DRStencil(tile_edge=8).run(x, kernel, steps=2)
+        b = DRStencil(tile_edge=64).run(x, kernel, steps=2)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_ghost_overhead_grows_with_fusion(self):

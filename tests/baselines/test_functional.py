@@ -31,7 +31,7 @@ def test_baseline_matches_reference(engines, kernel_name, steps, rng):
     for name, engine in engines.items():
         if not engine.supports(kernel):
             continue
-        got = engine.run(x, kernel, steps)
+        got = engine.run(x, kernel, steps=steps)
         rtol = TOLERANCES.get(name, 1e-11)
         np.testing.assert_allclose(got, expected, rtol=rtol, atol=rtol, err_msg=name)
 
@@ -42,7 +42,7 @@ def test_boundary_conditions_respected(engines, boundary, rng):
     x = rng.random((20, 20))
     expected = run_reference(x, kernel, 2, boundary)
     for name, engine in engines.items():
-        got = engine.run(x, kernel, 2, boundary)
+        got = engine.run(x, kernel, steps=2, boundary=boundary)
         rtol = TOLERANCES.get(name, 1e-11)
         np.testing.assert_allclose(got, expected, rtol=rtol, atol=rtol, err_msg=name)
 

@@ -14,7 +14,7 @@ class TestNumerics:
         """TCStencil's FP16 path must be close to—but measurably off—FP64."""
         kernel = get_kernel("heat-2d")
         x = rng.random((48, 48))
-        got = TCStencil().run(x, kernel, 1)
+        got = TCStencil().run(x, kernel, steps=1)
         ref = apply_stencil_reference(x, kernel)
         err = np.abs(got - ref).max() / np.abs(ref).max()
         assert err < 5e-3  # correct to FP16 accuracy
@@ -23,14 +23,14 @@ class TestNumerics:
     def test_1d_banded_formulation(self, rng):
         kernel = get_kernel("1d5p")
         x = rng.random(96)
-        got = TCStencil().run(x, kernel, 1)
+        got = TCStencil().run(x, kernel, steps=1)
         ref = apply_stencil_reference(x, kernel)
         np.testing.assert_allclose(got, ref, rtol=5e-3, atol=5e-3)
 
     def test_box_kernel_supported(self, rng):
         kernel = get_kernel("box-2d49p")
         x = rng.random((40, 40))
-        got = TCStencil().run(x, kernel, 1)
+        got = TCStencil().run(x, kernel, steps=1)
         ref = apply_stencil_reference(x, kernel)
         np.testing.assert_allclose(got, ref, rtol=2e-2, atol=2e-2)
 

@@ -13,43 +13,43 @@ from repro.stencils.reference import apply_stencil_reference, run_reference
 class TestRun:
     def test_zero_steps_identity(self, rng):
         x = rng.random((12, 12))
-        out = ConvStencil(get_kernel("heat-2d")).run(x, 0)
+        out = ConvStencil(get_kernel("heat-2d")).run(x, steps=0)
         np.testing.assert_array_equal(out, x)
 
     def test_negative_steps(self, rng):
         with pytest.raises(ValueError):
-            ConvStencil(get_kernel("heat-2d")).run(rng.random((8, 8)), -1)
+            ConvStencil(get_kernel("heat-2d")).run(rng.random((8, 8)), steps=-1)
 
     def test_multi_step_matches_reference(self, kernel_name, rng):
         kernel = get_kernel(kernel_name)
         shape = {1: (64,), 2: (20, 22), 3: (9, 10, 11)}[kernel.ndim]
         x = rng.random(shape)
-        got = ConvStencil(kernel).run(x, 3)
+        got = ConvStencil(kernel).run(x, steps=3)
         np.testing.assert_allclose(got, run_reference(x, kernel, 3), rtol=1e-12)
 
     def test_grid_metadata_overrides(self, rng):
         kernel = get_kernel("heat-1d")
         g = Grid(rng.random(40), boundary="periodic")
-        got = ConvStencil(kernel).run(g, 2)
+        got = ConvStencil(kernel).run(g, steps=2)
         expect = run_reference(g.data, kernel, 2, BoundaryCondition.PERIODIC)
         np.testing.assert_allclose(got, expect, rtol=1e-12)
 
     def test_string_boundary_on_raw_array(self, rng):
         kernel = get_kernel("heat-1d")
         x = rng.random(40)
-        got = ConvStencil(kernel).run(x, 1, boundary="reflect")
+        got = ConvStencil(kernel).run(x, steps=1, boundary="reflect")
         expect = apply_stencil_reference(x, kernel, BoundaryCondition.REFLECT)
         np.testing.assert_allclose(got, expect, rtol=1e-12)
 
     def test_dim_mismatch(self, rng):
         with pytest.raises(KernelError):
-            ConvStencil(get_kernel("heat-2d")).run(rng.random(16), 1)
+            ConvStencil(get_kernel("heat-2d")).run(rng.random(16), steps=1)
 
     def test_fill_value_constant_boundary(self, rng):
         kernel = get_kernel("heat-2d")
         x = rng.random((10, 10))
-        a = ConvStencil(kernel).run(x, 1, fill_value=0.0)
-        b = ConvStencil(kernel).run(x, 1, fill_value=3.0)
+        a = ConvStencil(kernel).run(x, steps=1, fill_value=0.0)
+        b = ConvStencil(kernel).run(x, steps=1, fill_value=3.0)
         assert a[0, 0] != b[0, 0]
         np.testing.assert_allclose(a[2:-2, 2:-2], b[2:-2, 2:-2])
 
@@ -85,8 +85,8 @@ class TestProperties:
         kernel = get_kernel("box-2d9p")
         cs = ConvStencil(kernel)
         x, y = rng.random((2, 12, 12))
-        lhs = cs.run(2.5 * x + y, 1)
-        rhs = 2.5 * cs.run(x, 1) + cs.run(y, 1)
+        lhs = cs.run(2.5 * x + y, steps=1)
+        rhs = 2.5 * cs.run(x, steps=1) + cs.run(y, steps=1)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
@@ -97,17 +97,17 @@ class TestBoundaryPrecedence:
         cs = ConvStencil(get_kernel("heat-1d"))
         g = Grid(rng.random(40), boundary="periodic")
         with pytest.raises(ValueError, match="boundary"):
-            cs.run(g, 1, boundary="constant")
+            cs.run(g, steps=1, boundary="constant")
 
     def test_run_grid_plus_fill_value_raises(self, rng):
         cs = ConvStencil(get_kernel("heat-1d"))
         g = Grid(rng.random(40))
         with pytest.raises(ValueError, match="fill_value"):
-            cs.run(g, 1, fill_value=1.0)
+            cs.run(g, steps=1, fill_value=1.0)
 
     def test_raw_array_keywords_still_work(self, rng):
         kernel = get_kernel("heat-1d")
         x = rng.random(40)
-        got = ConvStencil(kernel).run(x, 2, boundary="periodic")
-        want = ConvStencil(kernel).run(Grid(x, boundary="periodic"), 2)
+        got = ConvStencil(kernel).run(x, steps=2, boundary="periodic")
+        want = ConvStencil(kernel).run(Grid(x, boundary="periodic"), steps=2)
         np.testing.assert_array_equal(got, want)

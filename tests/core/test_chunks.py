@@ -1,18 +1,12 @@
-"""Public ``chunk_plan`` API (promoted from ``simulated._chunk_plan``)."""
+"""Public ``chunk_plan`` API."""
 
 from repro.core import chunk_plan
 from repro.core.chunks import chunk_plan as chunk_plan_direct
-from repro.core.simulated import _chunk_plan
 
 
 class TestPublicApi:
     def test_exported_from_repro_core(self):
         assert chunk_plan is chunk_plan_direct
-
-    def test_deprecated_private_alias_still_works(self):
-        # repro.codegen used to reach into simulated._chunk_plan; the
-        # alias keeps old imports working while the public API takes over
-        assert _chunk_plan is chunk_plan
 
     def test_multiple_of_four(self):
         assert chunk_plan(8) == [(0, 0), (4, 0)]

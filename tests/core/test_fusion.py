@@ -61,7 +61,7 @@ class TestFusionSemantics:
     def test_periodic_exact_equivalence(self, rng):
         kernel = get_kernel("box-2d9p")
         x = rng.random((32, 32))
-        fused = ConvStencil(kernel, fusion=3).run(x, 6, boundary="periodic")
+        fused = ConvStencil(kernel, fusion=3).run(x, steps=6, boundary="periodic")
         stepped = run_reference(x, kernel, 6, BoundaryCondition.PERIODIC)
         np.testing.assert_allclose(fused, stepped, rtol=1e-12)
 
@@ -69,7 +69,7 @@ class TestFusionSemantics:
         kernel = get_kernel("heat-2d")
         x = rng.random((40, 40))
         depth = 3
-        fused = ConvStencil(kernel, fusion=depth).run(x, depth)
+        fused = ConvStencil(kernel, fusion=depth).run(x, steps=depth)
         stepped = run_reference(x, kernel, depth)
         # identical at distance >= depth*r from the boundary
         d = depth * kernel.radius
@@ -80,6 +80,6 @@ class TestFusionSemantics:
     def test_remainder_steps_run_unfused(self, rng):
         kernel = get_kernel("heat-1d")
         x = rng.random(80)
-        got = ConvStencil(kernel, fusion=3).run(x, 7, boundary="periodic")
+        got = ConvStencil(kernel, fusion=3).run(x, steps=7, boundary="periodic")
         expect = run_reference(x, kernel, 7, BoundaryCondition.PERIODIC)
         np.testing.assert_allclose(got, expect, rtol=1e-12)

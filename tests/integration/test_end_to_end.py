@@ -21,7 +21,7 @@ class TestHeatPhysics:
         prev_var = grid.var()
         state = grid
         for _ in range(10):
-            state = cs.run(state, 5, boundary="periodic")
+            state = cs.run(state, steps=5, boundary="periodic")
             assert state.var() < prev_var
             prev_var = state.var()
         assert np.isclose(state.sum(), 100.0, rtol=1e-9)  # mass conserved
@@ -31,7 +31,7 @@ class TestHeatPhysics:
         kernel = get_kernel("heat-1d")
         x = np.zeros(100)
         x[40:60] = 1.0
-        out = ConvStencil(kernel).run(x, 50)
+        out = ConvStencil(kernel).run(x, steps=50)
         assert out.max() <= 1.0 + 1e-12
         assert out.min() >= -1e-12
 
@@ -43,12 +43,12 @@ class TestCrossEngineAgreement:
         kernel = get_kernel("box-2d9p")
         x = rng.random((26, 30))
         reference = run_reference(x, kernel, 4)
-        conv = ConvStencil(kernel).run(x, 4)
+        conv = ConvStencil(kernel).run(x, steps=4)
         np.testing.assert_allclose(conv, reference, rtol=1e-12)
         for name, engine in all_baselines().items():
             if not engine.supports(kernel):
                 continue
-            got = engine.run(x, kernel, 4)
+            got = engine.run(x, kernel, steps=4)
             tol = 2e-2 if name == "tcstencil" else 1e-10
             np.testing.assert_allclose(got, reference, rtol=tol, atol=tol, err_msg=name)
 
@@ -58,7 +58,7 @@ class TestCrossEngineAgreement:
         x = rng.random(shape)
         padded = pad_halo(x, kernel.radius)
         sim_out = run_simulated(padded, kernel).output
-        api_out = ConvStencil(kernel).run(x, 1)
+        api_out = ConvStencil(kernel).run(x, steps=1)
         np.testing.assert_allclose(sim_out, api_out, rtol=1e-12, atol=1e-13)
 
 
@@ -66,14 +66,14 @@ class TestGridWorkflow:
     def test_grid_roundtrip_with_fusion(self, rng):
         kernel = get_kernel("box-2d9p")
         grid = Grid(rng.random((24, 24)), boundary=BoundaryCondition.PERIODIC)
-        fast = ConvStencil(kernel, fusion="auto").run(grid, 9)
+        fast = ConvStencil(kernel, fusion="auto").run(grid, steps=9)
         slow = run_reference(grid.data, kernel, 9, BoundaryCondition.PERIODIC)
         np.testing.assert_allclose(fast, slow, rtol=1e-11)
 
     def test_long_time_loop_stability(self, rng):
         kernel = get_kernel("heat-2d")
         grid = rng.random((16, 16))
-        out = ConvStencil(kernel, fusion="auto").run(grid, 100, boundary="periodic")
+        out = ConvStencil(kernel, fusion="auto").run(grid, steps=100, boundary="periodic")
         assert np.all(np.isfinite(out))
         assert out.min() >= grid.min() - 1e-9
         assert out.max() <= grid.max() + 1e-9

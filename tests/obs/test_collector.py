@@ -1,9 +1,6 @@
-"""Obs collector: run accounting, SLO breaches, worker folds, snapshots."""
+"""Obs collector: run accounting, SLO breaches, snapshots."""
 
 from __future__ import annotations
-
-import os
-import random
 
 import pytest
 
@@ -19,7 +16,7 @@ def plan():
 
 class TestRunAccounting:
     def test_label_format(self):
-        assert run_label("heat-2d", (96, 128), "tiled", 3) == "heat-2d|96x128|tiled|f3"
+        assert run_label("heat-2d", (96, 128), "compiled", 3) == "heat-2d|96x128|compiled|f3"
 
     def test_record_run_accumulates_under_plan_key(self, plan):
         col = ObsCollector(slo_seconds=None)
@@ -42,7 +39,7 @@ class TestRunAccounting:
 
     def test_batch_multiplies_grids_and_updates(self, plan):
         col = ObsCollector(slo_seconds=None)
-        col.record_run(plan, "tiled", steps=3, batch=4, elapsed=0.05)
+        col.record_run(plan, "serial", steps=3, batch=4, elapsed=0.05)
         stats = next(iter(col.snapshot()["runs"].values()))
         assert stats["grids"] == 4
         assert stats["stencil_updates"] == pytest.approx(3 * 32 * 32 * 4)
@@ -50,7 +47,7 @@ class TestRunAccounting:
     def test_distinct_backends_get_distinct_keys(self, plan):
         col = ObsCollector(slo_seconds=None)
         col.record_run(plan, "serial", steps=1, batch=0, elapsed=0.01)
-        col.record_run(plan, "tiled", steps=1, batch=0, elapsed=0.01)
+        col.record_run(plan, "compiled", steps=1, batch=0, elapsed=0.01)
         assert len(col.snapshot()["runs"]) == 2
 
 
@@ -71,70 +68,6 @@ class TestSLO:
         assert ObsCollector().slo_seconds is None
 
 
-class TestWorkersAndPasses:
-    def test_utilisation_ratio(self):
-        col = ObsCollector(slo_seconds=None)
-        col.observe_pass(wall_seconds=1.0, workers=2)
-        col.observe_tile("thread-1", busy_seconds=0.6)
-        col.observe_tile("thread-2", busy_seconds=0.4)
-        snap = col.snapshot()
-        assert snap["tiled_passes"] == 1
-        assert snap["worker_utilisation"] == pytest.approx(0.5)
-        assert snap["workers"]["thread-1"]["tiles"] == 1
-        assert snap["workers"]["thread-1"]["age_s"] >= 0.0
-
-    def test_utilisation_none_without_passes(self):
-        assert ObsCollector(slo_seconds=None).snapshot()["worker_utilisation"] is None
-
-    def test_same_pid_payload_folds_to_zero(self):
-        col = ObsCollector(slo_seconds=None)
-        payload = {"pid": os.getpid(), "tiles": 1, "busy_s": 0.5}
-        assert col.fold_worker_payload(payload) == 0
-        assert col.snapshot()["workers"] == {}
-
-    def test_foreign_payload_folds_tiles_and_profile(self):
-        from repro.obs.profiler import SamplingProfiler
-
-        col = ObsCollector(slo_seconds=None)
-        prof = SamplingProfiler()
-        payload = {
-            "pid": os.getpid() + 1,
-            "tiles": 3,
-            "busy_s": 0.9,
-            "profile": {
-                "samples": 4,
-                "ticks": 4,
-                "phases": {"gemm": 4},
-                "stacks": {"m:f": 4},
-            },
-        }
-        assert col.fold_worker_payload(payload, profiler=prof) == 3
-        workers = col.snapshot()["workers"]
-        label = f"pid-{os.getpid() + 1}"
-        assert workers[label]["tiles"] == 3
-        assert workers[label]["busy_s"] == pytest.approx(0.9)
-        assert prof.phase_counts()["gemm"] == 4
-
-    def test_fold_order_invariance(self):
-        payloads = [
-            {"pid": 10_000 + i, "tiles": i + 1, "busy_s": 0.1 * (i + 1)}
-            for i in range(5)
-        ]
-        reference = ObsCollector(slo_seconds=None)
-        for p in payloads:
-            reference.fold_worker_payload(p)
-        shuffled = list(payloads)
-        random.Random(7).shuffle(shuffled)
-        other = ObsCollector(slo_seconds=None)
-        for p in shuffled:
-            other.fold_worker_payload(p)
-        strip = lambda snap: {  # noqa: E731 - drop the liveness timestamps
-            w: {"tiles": e["tiles"], "busy_s": e["busy_s"]}
-            for w, e in snap["workers"].items()
-        }
-        assert strip(reference.snapshot()) == strip(other.snapshot())
-
-
 class TestSnapshotShape:
     def test_top_level_fields(self, plan):
         col = ObsCollector(slo_seconds=0.1)
@@ -146,10 +79,8 @@ class TestSnapshotShape:
             "slo_seconds",
             "plan_cache",
             "runs",
-            "workers",
-            "worker_utilisation",
-            "tiled_passes",
-            "tiled_degradations",
+            "tenants",
+            "serve",
         ):
             assert field in snap
         assert snap["slo_seconds"] == pytest.approx(0.1)

@@ -18,10 +18,8 @@ from repro.stencils.catalog import get_kernel
 def snap():
     col = ObsCollector(slo_seconds=0.001)
     plan = plan_for(get_kernel("heat-2d"), (32, 32))
-    col.record_run(plan, "tiled", steps=2, batch=0, elapsed=0.004)
-    col.record_run(plan, "tiled", steps=2, batch=0, elapsed=0.0005)
-    col.observe_pass(wall_seconds=0.01, workers=2)
-    col.observe_tile("thread-1", busy_seconds=0.008)
+    col.record_run(plan, "serial", steps=2, batch=0, elapsed=0.004)
+    col.record_run(plan, "serial", steps=2, batch=0, elapsed=0.0005)
     return col.snapshot()
 
 
@@ -51,10 +49,6 @@ EXPECTED_FAMILIES = (
     "repro_model_gstencils_per_second",
     "repro_model_attainment",
     "repro_run_latency_seconds",
-    "repro_worker_busy_seconds_total",
-    "repro_worker_utilisation",
-    "repro_tiled_passes_total",
-    "repro_tiled_degradations_total",
     "repro_profiler_samples_total",
 )
 

@@ -1,4 +1,4 @@
-"""End-to-end obs acceptance: tiled workloads drive every live gauge."""
+"""End-to-end obs acceptance: batched workloads drive every live gauge."""
 
 from __future__ import annotations
 
@@ -6,27 +6,22 @@ import numpy as np
 import pytest
 
 from repro.runtime.execute import execute_batch, plan_for
-from repro.runtime.tiled import TiledBackend
 from repro.stencils.catalog import get_kernel
 from repro.utils.rng import default_rng
 
 
-def _tiled_batch(obs_mod, runs: int = 1, use_processes: bool = False):
-    """A tiled heat-2d run_batch workload big enough to sample."""
+def _serial_batch(obs_mod, runs: int = 1):
+    """A serial heat-2d run_batch workload big enough to sample."""
     kernel = get_kernel("heat-2d")
     batch = default_rng(1).random((4, 128, 128))
-    plan = plan_for(kernel, (128, 128))
-    backend = TiledBackend(workers=2, min_rows_per_tile=8, use_processes=use_processes)
-    try:
-        out = batch
-        for _ in range(runs):
-            out = execute_batch(plan, batch, 4, backend=backend)
-    finally:
-        backend.close()
+    plan = plan_for(kernel, (128, 128), strategy="gemm")
+    out = batch
+    for _ in range(runs):
+        out = execute_batch(plan, batch, 4, backend="serial")
     return out
 
 
-class TestTiledRunBatch:
+class TestRunBatch:
     def test_phase_attributed_profile_covers_stencil2row_and_gemm(
         self, obs_profiled, monkeypatch
     ):
@@ -34,7 +29,7 @@ class TestTiledRunBatch:
         # Sampling is statistical: repeat the workload until both compute
         # phases have been caught on the stack (bounded, normally 1-2 runs).
         for _ in range(30):
-            _tiled_batch(obs_profiled)
+            _serial_batch(obs_profiled)
             profiler = obs_profiled.get_profiler()
             assert profiler is not None
             phases = profiler.phase_counts()
@@ -49,9 +44,9 @@ class TestTiledRunBatch:
         )
 
     def test_snapshot_carries_health_gauges(self, obs_on):
-        _tiled_batch(obs_on, runs=3)
+        _serial_batch(obs_on, runs=3)
         snap = obs_on.snapshot()
-        (label,) = [k for k in snap["runs"] if k.startswith("heat-2d|128x128|tiled")]
+        (label,) = [k for k in snap["runs"] if k.startswith("heat-2d|128x128|serial")]
         stats = snap["runs"][label]
         assert stats["runs"] == 3
         assert stats["latency"]["count"] == 3
@@ -59,25 +54,12 @@ class TestTiledRunBatch:
         assert stats["model_mma_per_s"] > 0
         assert 0 <= stats["model_attainment"]
         assert snap["plan_cache"]["hits"] + snap["plan_cache"]["misses"] > 0
-        assert snap["worker_utilisation"] is not None
-        assert 0.0 < snap["worker_utilisation"]
-        assert snap["tiled_passes"] >= 3
-        assert len(snap["workers"]) >= 1
 
     def test_results_identical_with_obs_on_and_off(self, obs_on):
-        with_obs = _tiled_batch(obs_on)
+        with_obs = _serial_batch(obs_on)
         obs_on.disable()
-        without_obs = _tiled_batch(obs_on)
+        without_obs = _serial_batch(obs_on)
         assert np.array_equal(with_obs, without_obs)
-
-    def test_process_pool_workers_fold_into_parent(self, obs_on):
-        _tiled_batch(obs_on, use_processes=True)
-        snap = obs_on.snapshot()
-        if snap["tiled_degradations"] > 0:
-            pytest.skip("process pool degraded to threads on this host")
-        assert any(w.startswith("pid-") for w in snap["workers"])
-        total_tiles = sum(e["tiles"] for e in snap["workers"].values())
-        assert total_tiles > 0
 
 
 class TestBenchEmbedding:
@@ -126,8 +108,8 @@ class TestBenchEmbedding:
         monkeypatch.syspath_prepend(str(bench_dir))
         _common = __import__("_common")
         monkeypatch.setattr(_common, "RESULTS_DIR", tmp_path)
-        _tiled_batch(obs_on)
+        _serial_batch(obs_on)
         _common.emit_obs("obs_smoke")
         payload = json.loads((tmp_path / "obs_smoke.obs.json").read_text())
-        assert any(k.startswith("heat-2d|128x128|tiled") for k in payload["runs"])
+        assert any(k.startswith("heat-2d|128x128|serial") for k in payload["runs"])
         sys.modules.pop("_common", None)

@@ -23,7 +23,7 @@ SNAP = {
         "evictions": 0,
     },
     "runs": {
-        "heat-2d|96x96|tiled|f1": {
+        "heat-2d|96x96|serial|f1": {
             "runs": 10,
             "p50_s": 0.002,
             "p95_s": 0.004,
@@ -34,10 +34,6 @@ SNAP = {
             "model_attainment": 0.42,
         }
     },
-    "workers": {"thread-1": {"tiles": 20, "busy_s": 0.05, "age_s": 0.1}},
-    "worker_utilisation": 0.5,
-    "tiled_passes": 10,
-    "tiled_degradations": 0,
     "profile": {
         "interval_s": 0.005,
         "phases": {"gemm": 30, "stencil2row": 10, "idle": 60},
@@ -54,8 +50,7 @@ class TestRenderTop:
         assert "repro top — pid 4242" in text
         assert "SLO 250.0ms" in text
         assert "plan cache: 9 hit / 1 miss (rate 90.0%)" in text
-        assert "heat-2d|96x96|tiled|f1" in text
-        assert "utilisation 50.0% over 10 pass(es)" in text
+        assert "heat-2d|96x96|serial|f1" in text
         assert "Profiler phases (100 samples" in text
         assert "gemm" in text and "stencil2row" in text
 
@@ -89,7 +84,7 @@ class TestCLI:
     def test_top_once_demo_populates_runs(self, obs_on):
         lines = cli.run(["top", "--once", "--demo", "--no-color"])
         text = "\n".join(lines)
-        assert "heat-2d|48x48|tiled|f1" in text
+        assert "heat-2d|48x48|serial|f1" in text
 
     def test_obs_snapshot_requires_enabled_layer(self):
         from repro import obs
@@ -108,7 +103,7 @@ class TestCLI:
         out = tmp_path / "snap.json"
         lines = cli.run(["obs-snapshot", "--output", str(out)])
         payload = json.loads("\n".join(ln for ln in lines if not ln.startswith("OBS:")))
-        assert "heat-2d|48x48|tiled|f1" in payload["runs"]
+        assert "heat-2d|48x48|serial|f1" in payload["runs"]
         assert json.loads(out.read_text())["runs"] == payload["runs"]
         prom = cli.run(["obs-snapshot", "--format", "prom"])
         assert any(ln.startswith("# HELP repro_run_total") for ln in prom)

@@ -49,8 +49,8 @@ class TestEnvelope:
             assert field in env
 
     def test_fingerprint_captures_repro_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "tiled")
-        assert environment_fingerprint()["repro_env"]["REPRO_BACKEND"] == "tiled"
+        monkeypatch.setenv("REPRO_BACKEND", "compiled")
+        assert environment_fingerprint()["repro_env"]["REPRO_BACKEND"] == "compiled"
 
     def test_default_path_names_current_pr(self, tmp_path):
         assert default_baseline_path(tmp_path).name == f"BENCH_PR{CURRENT_PR}.json"
@@ -173,7 +173,10 @@ class TestCommittedBaseline:
 
         assert committed["suite"] == "full"
         keys = {e["key"] for e in committed["entries"]}
-        assert keys == {w.key for w in default_suite(quick=False)}
+        # The file predates the removal of the ``tiled`` backend; its
+        # ``@tiled`` cells are history, every other cell must match.
+        current = {k for k in keys if not k.endswith("@tiled")}
+        assert current == {w.key for w in default_suite(quick=False)}
 
     def test_compiled_beats_serial_with_disjoint_cis(self, committed):
         timings = {e["key"]: e["timing"] for e in committed["entries"]}

@@ -6,16 +6,14 @@ import pytest
 
 from repro.errors import ReproError
 from repro.perfwatch import (
-    Workload,
     default_suite,
     efficiency_counters,
     make_report,
     plan_cache_delta,
     run_check,
     run_suite,
-    worker_utilisation_from_spans,
 )
-from repro.perfwatch.suite import SUITE_BACKENDS, TILED_WORKERS
+from repro.perfwatch.suite import SUITE_BACKENDS
 from repro.stencils.catalog import get_kernel
 from tests.perfwatch.conftest import TINY_SPEC, make_scripted_clock
 
@@ -51,26 +49,12 @@ class TestRunSuite:
         counters = entry["counters"]
         assert counters["mma_total"] > 0.0
         assert counters["stencil2row_factor"] == pytest.approx(1.5)
-        assert counters["workers"] == 1
-        assert counters["worker_utilisation"] is None
+        assert "worker_utilisation" not in counters
         assert "plan_cache_hit_rate" in counters
 
     def test_empty_suite_rejected(self):
         with pytest.raises(ReproError, match="empty"):
             run_suite(workloads=[])
-
-    def test_tiled_cell_probes_runtime_counters(self, tele):
-        w = Workload(
-            name="tiny-heat-2d",
-            kernel="heat-2d",
-            shape=(32, 32),
-            steps=1,
-            backend="tiled",
-        )
-        body = run_suite(workloads=[w], spec=TINY_SPEC)
-        counters = body["entries"][0]["counters"]
-        assert counters["workers"] == TILED_WORKERS
-        assert counters["tiled_degradations"] >= 0.0
 
 
 class TestCounters:
@@ -99,17 +83,6 @@ class TestCounters:
 
     def test_plan_cache_delta_idle_is_full_hit_rate(self):
         assert plan_cache_delta({}, {})["plan_cache_hit_rate"] == 1.0
-
-    def test_worker_utilisation(self):
-        spans = [
-            {"name": "runtime.tiled.pass", "duration": 1.0},
-            {"name": "runtime.tiled.tile", "duration": 0.8},
-            {"name": "runtime.tiled.tile", "duration": 0.6},
-        ]
-        assert worker_utilisation_from_spans(spans, 2) == pytest.approx(0.7)
-
-    def test_worker_utilisation_none_without_pass(self):
-        assert worker_utilisation_from_spans([], 2) is None
 
 
 class TestRunCheck:

@@ -40,7 +40,7 @@ def test_fused_execution_equals_stepped_periodic(depth, steps_extra, seed):
     kernel = StencilKernel.box(2, 1, weights=default_rng(seed).random(9))
     x = default_rng(seed + 1).random((20, 20))
     steps = depth * 2 + steps_extra
-    fused = ConvStencil(kernel, fusion=depth).run(x, steps, boundary="periodic")
+    fused = ConvStencil(kernel, fusion=depth).run(x, steps=steps, boundary="periodic")
     stepped = run_reference(x, kernel, steps, "periodic")
     np.testing.assert_allclose(fused, stepped, rtol=1e-9, atol=1e-9)
 
@@ -83,6 +83,6 @@ def test_convstencil_linearity(seed, alpha):
     kernel = StencilKernel.box(2, 1, weights=rng.random(9))
     cs = ConvStencil(kernel)
     x, y = rng.random((2, 14, 14))
-    lhs = cs.run(alpha * x + y, 1)
-    rhs = alpha * cs.run(x, 1) + cs.run(y, 1)
+    lhs = cs.run(alpha * x + y, steps=1)
+    rhs = alpha * cs.run(x, steps=1) + cs.run(y, steps=1)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-9)

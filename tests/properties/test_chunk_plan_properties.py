@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.simulated import _chunk_plan, _weight_fragments
+from repro.core.chunks import chunk_plan
+from repro.core.simulated import _weight_fragments
 from repro.utils.arrays import ceil_div
 from repro.utils.rng import default_rng
 
@@ -20,7 +21,7 @@ finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, width=64)
 @settings(max_examples=100, deadline=None)
 @given(rows=st.integers(min_value=1, max_value=200))
 def test_chunk_plan_invariants(rows):
-    plan = _chunk_plan(rows)
+    plan = chunk_plan(rows)
     # Eq. 13: exactly ceil(rows/4) chunks (a single padded one below 4)
     assert len(plan) == max(1, ceil_div(rows, 4))
     covered = np.zeros(rows, dtype=int)

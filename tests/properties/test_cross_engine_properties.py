@@ -1,5 +1,5 @@
 """Property tests crossing execution paths: simulated vs vectorised vs
-distributed — all must agree for arbitrary kernels/shapes."""
+blocked — all must agree for arbitrary kernels/shapes."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from repro.core.api import ConvStencil
 from repro.core.blocked import run_simulated_2d_blocked
 from repro.core.simulated import run_simulated_2d
-from repro.distributed import DistributedStencil
 from repro.stencils.kernel import StencilKernel
 from repro.utils.rng import default_rng
 
@@ -50,22 +49,6 @@ def test_blocked_equals_unblocked_any_block(bx, by, seed):
     blocked = run_simulated_2d_blocked(x, kernel, block=(bx, by)).output
     unblocked = run_simulated_2d(x, kernel).output
     np.testing.assert_allclose(blocked, unblocked, rtol=1e-12, atol=1e-13)
-
-
-@settings(max_examples=12, deadline=None)
-@given(
-    ranks=st.integers(min_value=1, max_value=6),
-    steps=st.integers(min_value=0, max_value=4),
-    boundary=st.sampled_from(["constant", "periodic", "reflect"]),
-    seed=st.integers(min_value=0, max_value=1000),
-)
-def test_distributed_equals_single_domain(ranks, steps, boundary, seed):
-    """Slab decomposition is exact for any rank count / step count / bc."""
-    kernel = StencilKernel.star(2, 1, weights=default_rng(seed).random(5))
-    x = default_rng(seed + 1).random((24, 14))
-    dist = DistributedStencil(kernel, ranks).run(x, steps, boundary)
-    single = ConvStencil(kernel).run(x, steps, boundary)
-    np.testing.assert_allclose(dist, single, rtol=1e-11, atol=1e-12)
 
 
 @settings(max_examples=15, deadline=None)

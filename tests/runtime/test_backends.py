@@ -40,7 +40,7 @@ def test_backends_bit_identical(kernel_name, boundary, fusion, tiled):
     x = default_rng(11).random(SHAPES[kernel.ndim])
     outs = {
         name: ConvStencil(kernel, fusion=fusion, backend=backend).run(
-            x, STEPS, boundary=boundary
+            x, steps=STEPS, boundary=boundary
         )
         for name, backend in [
             ("reference", "reference"),
@@ -65,7 +65,7 @@ def test_batch_bit_identical_across_backends(tiled):
     kernel = get_kernel("box-2d9p")
     batch = default_rng(5).random((5, 24, 26))
     outs = [
-        ConvStencil(kernel, backend=b).run_batch(batch, STEPS)
+        ConvStencil(kernel, backend=b).run_batch(batch, steps=STEPS)
         for b in ("reference", "serial", tiled)
     ]
     np.testing.assert_array_equal(outs[1], outs[0])
@@ -77,9 +77,9 @@ def test_batch_matches_per_grid(tiled):
     kernel = get_kernel("heat-2d")
     batch = default_rng(6).random((4, 20, 21))
     cs = ConvStencil(kernel, backend=tiled)
-    got = cs.run_batch(batch, 2)
+    got = cs.run_batch(batch, steps=2)
     for i in range(batch.shape[0]):
-        np.testing.assert_array_equal(got[i], cs.run(batch[i], 2))
+        np.testing.assert_array_equal(got[i], cs.run(batch[i], steps=2))
 
 
 class TestRegistry:
@@ -112,8 +112,8 @@ class TestRegistry:
         try:
             kernel = get_kernel("heat-1d")
             x = default_rng(0).random(50)
-            doubled = ConvStencil(kernel, backend="doubling").run(x, 1)
-            plain = ConvStencil(kernel, backend="serial").run(x, 1)
+            doubled = ConvStencil(kernel, backend="doubling").run(x, steps=1)
+            plain = ConvStencil(kernel, backend="serial").run(x, steps=1)
             np.testing.assert_array_equal(doubled, 2.0 * plain)
             assert "doubling" in list_backends()
         finally:

@@ -61,7 +61,7 @@ class TestCacheIntegration:
         cs = ConvStencil(get_kernel("heat-2d"))
         x = default_rng(0).random((32, 32))
         for _ in range(50):
-            x = cs.run(x, 1)
+            x = cs.run(x, steps=1)
         stats = fresh_cache.stats
         assert stats["misses"] == 1
         assert stats["hit_rate"] > 0.9
@@ -75,8 +75,8 @@ class TestCacheIntegration:
             before_h = reg.counter("runtime.plan_cache.hits").value
             cs = ConvStencil(get_kernel("heat-1d"))
             x = default_rng(0).random(64)
-            cs.run(x, 1)
-            cs.run(x, 1)
+            cs.run(x, steps=1)
+            cs.run(x, steps=1)
             assert reg.counter("runtime.plan_cache.misses").value == before_m + 1
             assert reg.counter("runtime.plan_cache.hits").value == before_h + 1
         finally:
@@ -86,21 +86,21 @@ class TestCacheIntegration:
     def test_distinct_problems_distinct_plans(self, fresh_cache):
         cs = ConvStencil(get_kernel("heat-2d"))
         rng = default_rng(0)
-        cs.run(rng.random((16, 16)), 1)
-        cs.run(rng.random((16, 17)), 1)
-        cs.run(rng.random((16, 16)), 1, boundary="periodic")
+        cs.run(rng.random((16, 16)), steps=1)
+        cs.run(rng.random((16, 17)), steps=1)
+        cs.run(rng.random((16, 16)), steps=1, boundary="periodic")
         assert fresh_cache.stats["misses"] == 3
 
     def test_eviction_keeps_results_correct(self, fresh_cache):
         """A plan rebuilt after eviction gives the same answer."""
         cs = ConvStencil(get_kernel("heat-1d"))
         x = default_rng(0).random(40)
-        first = cs.run(x, 1)
+        first = cs.run(x, steps=1)
         # Evict the plan by filling the (capacity-4) cache with new shapes.
         for extent in (41, 42, 43, 44, 45):
-            cs.run(default_rng(1).random(extent), 1)
+            cs.run(default_rng(1).random(extent), steps=1)
         assert fresh_cache.stats["evictions"] >= 1
-        np.testing.assert_array_equal(cs.run(x, 1), first)
+        np.testing.assert_array_equal(cs.run(x, steps=1), first)
 
 
 class TestCacheConcurrency:

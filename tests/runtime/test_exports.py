@@ -1,11 +1,6 @@
-"""Top-level exports and deprecation shims."""
-
-import warnings
-
-import pytest
+"""Top-level exports."""
 
 import repro
-from repro.utils.deprecation import reset_warned, warn_once
 
 
 class TestTopLevelExports:
@@ -31,55 +26,3 @@ class TestTopLevelExports:
 
         missing = [n for n in runtime.__all__ if not hasattr(runtime, n)]
         assert not missing
-
-
-class TestWarnOnce:
-    @pytest.fixture(autouse=True)
-    def _isolate(self):
-        reset_warned()
-        yield
-        reset_warned()
-
-    def test_fires_exactly_once_per_key(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert warn_once("k1", "gone soon") is True
-            assert warn_once("k1", "gone soon") is False
-            assert warn_once("k2", "also gone") is True
-        assert len(caught) == 2
-        assert all(issubclass(w.category, DeprecationWarning) for w in caught)
-
-    def test_reset_allows_rewarn(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            warn_once("k", "m")
-            reset_warned()
-            warn_once("k", "m")
-        assert len(caught) == 2
-
-
-class TestDistributedStencilShim:
-    @pytest.fixture(autouse=True)
-    def _isolate(self):
-        reset_warned()
-        yield
-        reset_warned()
-
-    def test_warns_once_and_stays_functional(self, rng):
-        import numpy as np
-
-        from repro import ConvStencil, get_kernel
-        from repro.distributed import DistributedStencil
-
-        kernel = get_kernel("heat-2d")
-        x = rng.random((24, 24))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            dist = DistributedStencil(kernel, ranks=2)
-            DistributedStencil(kernel, ranks=3)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-        assert 'backend="tiled"' in str(dep[0].message)
-        np.testing.assert_allclose(
-            dist.run(x, 2), ConvStencil(kernel).run(x, 2), rtol=1e-12
-        )

@@ -1,4 +1,4 @@
-"""Execution plans: keys, precomputed tables, tile decomposition."""
+"""Execution plans: keys and precomputed tables."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.core.stencil2row import stencil2row_offsets, stencil2row_shape
 from repro.core.weights import weight_blocks_2d, weight_matrices_1d
 from repro.errors import KernelError
-from repro.runtime import build_plan, plan_key, tile_bounds
+from repro.runtime import build_plan, plan_key
 from repro.stencils.catalog import get_kernel
 from repro.stencils.grid import BoundaryCondition
 
@@ -27,26 +27,6 @@ class TestPlanKey:
         assert base != plan_key(k1, (32, 32), "constant", 2)
 
 
-class TestTileBounds:
-    def test_covers_extent_exactly(self):
-        for extent, tiles in [(100, 4), (7, 3), (64, 64), (5, 1)]:
-            bounds = tile_bounds(extent, tiles)
-            assert bounds[0][0] == 0 and bounds[-1][1] == extent
-            for (_, hi), (lo, _) in zip(bounds[:-1], bounds[1:]):
-                assert hi == lo  # contiguous, no gaps or overlap
-
-    def test_alignment_of_interior_cuts(self):
-        bounds = tile_bounds(100, 4, align=6)
-        for lo, hi in bounds[1:]:
-            assert lo % 6 == 0
-
-    def test_degenerate_cases(self):
-        assert tile_bounds(10, 1) == ((0, 10),)
-        assert tile_bounds(3, 8) == ((0, 1), (1, 2), (2, 3))
-        # min_rows floors the tile count
-        assert tile_bounds(100, 16, min_rows=50) == ((0, 50), (50, 100))
-
-
 class TestBuildPlan:
     def test_1d_tables(self):
         kernel = get_kernel("1d5p")
@@ -60,7 +40,6 @@ class TestBuildPlan:
         wa, wb = weight_matrices_1d(kernel)
         np.testing.assert_array_equal(pp.weights[0], wa)
         np.testing.assert_array_equal(pp.weights[1], wb)
-        assert pp.tile_align == k + 1
 
     def test_2d_tables(self):
         kernel = get_kernel("box-2d9p")
@@ -106,11 +85,3 @@ class TestBuildPlan:
     def test_nbytes_positive(self):
         plan = build_plan(get_kernel("heat-2d"), (32, 32))
         assert plan.nbytes > 0
-
-    def test_retile_respects_alignment(self):
-        kernel = get_kernel("1d5p")
-        plan = build_plan(kernel, (1000,), tiles=1)
-        bounds = plan.fused_pass.retile(4)
-        assert len(bounds) > 1
-        for lo, _ in bounds[1:]:
-            assert lo % (kernel.edge + 1) == 0

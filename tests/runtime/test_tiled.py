@@ -1,11 +1,12 @@
-"""Tiled backend machinery: pools, degradation, tiling thresholds."""
+"""Tiled backend: thread-pool slabs, tiling thresholds, bit identity with serial."""
+
+import os
 
 import numpy as np
 import pytest
 
 from repro import ConvStencil
-from repro.runtime import SerialBackend, TiledBackend
-from repro.runtime.tiled import MIN_ROWS_ENV, WORKERS_ENV
+from repro.runtime import SerialBackend, TiledBackend, plan_for
 from repro.stencils.catalog import get_kernel
 from repro.utils.rng import default_rng
 
@@ -13,76 +14,42 @@ from repro.utils.rng import default_rng
 def _run_pair(backend, kernel_name="heat-2d", shape=(40, 41), steps=2):
     kernel = get_kernel(kernel_name)
     x = default_rng(9).random(shape)
-    tiled_out = ConvStencil(kernel, backend=backend).run(x, steps)
-    serial_out = ConvStencil(kernel, backend="serial").run(x, steps)
+    tiled_out = ConvStencil(kernel, backend=backend).run(x, steps=steps)
+    serial_out = ConvStencil(kernel, backend="serial").run(x, steps=steps)
     return tiled_out, serial_out
-
-
-class TestProcessPool:
-    def test_shared_memory_path_bit_identical(self):
-        backend = TiledBackend(workers=2, min_rows_per_tile=2, use_processes=True)
-        try:
-            got, want = _run_pair(backend)
-            np.testing.assert_array_equal(got, want)
-        finally:
-            backend.close()
-
-    def test_batch_shared_memory_path(self):
-        backend = TiledBackend(workers=2, min_rows_per_tile=2, use_processes=True)
-        try:
-            kernel = get_kernel("heat-2d")
-            batch = default_rng(9).random((4, 20, 20))
-            got = ConvStencil(kernel, backend=backend).run_batch(batch, 2)
-            want = ConvStencil(kernel, backend="serial").run_batch(batch, 2)
-            np.testing.assert_array_equal(got, want)
-        finally:
-            backend.close()
 
 
 class TestThreadPool:
     def test_thread_fallback_bit_identical(self):
-        backend = TiledBackend(workers=2, min_rows_per_tile=2, use_processes=False)
-        try:
-            for name, shape in [
-                ("1d5p", (600,)),
-                ("heat-2d", (40, 41)),
-                ("heat-3d", (12, 13, 14)),
-            ]:
-                got, want = _run_pair(backend, name, shape)
-                np.testing.assert_array_equal(got, want)
-        finally:
-            backend.close()
+        backend = TiledBackend(workers=2, min_rows_per_tile=2)
+        for name, shape in [
+            ("1d5p", (600,)),
+            ("heat-2d", (40, 41)),
+            ("heat-3d", (12, 13, 14)),
+        ]:
+            got, want = _run_pair(backend, name, shape)
+            np.testing.assert_array_equal(got, want)
 
     def test_thread_batch_paths(self):
-        backend = TiledBackend(workers=2, min_rows_per_tile=2, use_processes=False)
-        try:
-            for name, shape in [("heat-2d", (3, 20, 20)), ("heat-1d", (3, 80))]:
-                kernel = get_kernel(name)
-                batch = default_rng(9).random(shape)
-                got = ConvStencil(kernel, backend=backend).run_batch(batch, 2)
-                want = ConvStencil(kernel, backend="serial").run_batch(batch, 2)
-                np.testing.assert_array_equal(got, want)
-        finally:
-            backend.close()
+        backend = TiledBackend(workers=2, min_rows_per_tile=2)
+        for name, shape in [("heat-2d", (3, 20, 20)), ("heat-1d", (3, 80))]:
+            kernel = get_kernel(name)
+            batch = default_rng(9).random(shape)
+            got = ConvStencil(kernel, backend=backend).run_batch(batch, steps=2)
+            want = ConvStencil(kernel, backend="serial").run_batch(batch, steps=2)
+            np.testing.assert_array_equal(got, want)
 
 
 class TestTilingPolicy:
     def test_small_grid_runs_serially(self):
         """Below the per-tile row floor the serial path is used untiled."""
         backend = TiledBackend(workers=4, min_rows_per_tile=1000)
-        try:
-            got, want = _run_pair(backend, shape=(30, 30))
-            np.testing.assert_array_equal(got, want)
-        finally:
-            backend.close()
+        got, want = _run_pair(backend, shape=(30, 30))
+        np.testing.assert_array_equal(got, want)
 
     def test_single_worker_is_serial(self):
-        backend = TiledBackend(workers=1)
-        try:
-            got, want = _run_pair(backend)
-            np.testing.assert_array_equal(got, want)
-        finally:
-            backend.close()
+        got, want = _run_pair(TiledBackend(workers=1))
+        np.testing.assert_array_equal(got, want)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -90,93 +57,28 @@ class TestTilingPolicy:
         with pytest.raises(ValueError):
             TiledBackend(workers=2, min_rows_per_tile=0)
 
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        monkeypatch.setenv(MIN_ROWS_ENV, "7")
-        backend = TiledBackend()
-        try:
-            assert backend.workers == 3
-            assert backend.min_rows_per_tile == 7
-        finally:
-            backend.close()
+    def test_default_workers_are_the_usable_cpus(self):
+        assert TiledBackend().workers == len(os.sched_getaffinity(0))
 
     def test_is_a_serial_backend(self):
         """Tiled degrades to the plan-driven serial path, not a fourth engine."""
         assert issubclass(TiledBackend, SerialBackend)
 
     def test_close_idempotent(self):
-        backend = TiledBackend(workers=2, min_rows_per_tile=2, use_processes=False)
+        backend = TiledBackend(workers=2, min_rows_per_tile=2)
         _run_pair(backend)
         backend.close()
         backend.close()
-        # a closed backend lazily re-creates its pool on next use
         got, want = _run_pair(backend)
         np.testing.assert_array_equal(got, want)
-        backend.close()
 
-
-class TestWorkerTelemetryFold:
-    def _tile_spans(self, telemetry):
-        return [
-            sp
-            for sp in telemetry.get_tracer().spans()
-            if sp.name == "runtime.tiled.tile"
-        ]
-
-    def test_process_workers_fold_spans_into_parent(self):
-        from repro import telemetry
-
-        was_enabled = telemetry.enabled()
-        telemetry.get_tracer().clear()
-        telemetry.enable()
-        backend = TiledBackend(workers=2, min_rows_per_tile=2, use_processes=True)
-        try:
-            with telemetry.span("test.run"):
-                ConvStencil(get_kernel("heat-2d"), backend=backend).run(
-                    default_rng(3).random((24, 24)), 1
-                )
-            tiles = self._tile_spans(telemetry)
-            assert tiles, "tiled run recorded no tile spans"
-            # every tile is attributed: folded process tiles carry worker=,
-            # in-process (degraded) tiles carry their thread id instead.
-            degraded = telemetry.counter("runtime.tiled.degradations").value
-            if not degraded:
-                assert all("worker" in sp.attributes for sp in tiles)
-                assert all(sp.parent_id is not None for sp in tiles)
-                assert telemetry.counter("runtime.tiled.folded_spans").value > 0
-        finally:
-            backend.close()
-            telemetry.get_tracer().clear()
-            telemetry.get_registry().clear()
-            if was_enabled:
-                telemetry.enable()
-            else:
-                telemetry.disable()
-
-    def test_thread_tiles_traced_without_fold(self):
-        from repro import telemetry
-
-        was_enabled = telemetry.enabled()
-        telemetry.get_tracer().clear()
-        telemetry.enable()
-        backend = TiledBackend(workers=2, min_rows_per_tile=2, use_processes=False)
-        try:
-            folded_before = telemetry.counter("runtime.tiled.folded_spans").value
-            ConvStencil(get_kernel("heat-2d"), backend=backend).run(
-                    default_rng(3).random((24, 24)), 1
-                )
-            tiles = self._tile_spans(telemetry)
-            assert len(tiles) >= 2  # 24 rows / min 2 per tile across 2 workers
-            assert all("worker" not in sp.attributes for sp in tiles)
-            # thread tiles record directly: nothing crosses a process boundary
-            assert (
-                telemetry.counter("runtime.tiled.folded_spans").value == folded_before
-            )
-        finally:
-            backend.close()
-            telemetry.get_tracer().clear()
-            telemetry.get_registry().clear()
-            if was_enabled:
-                telemetry.enable()
-            else:
-                telemetry.disable()
+    @pytest.mark.parametrize("name, extent", [("heat-1d", 1000), ("heat-2d", 101)])
+    def test_slabs_cover_the_rows_on_group_boundaries(self, name, extent):
+        kernel = get_kernel(name)
+        pp = next(plan_for(kernel, (extent,) * kernel.ndim).passes_for(1))
+        bounds = TiledBackend(workers=3, min_rows_per_tile=2).bounds(pp, extent)
+        assert len(bounds) == 3
+        assert bounds[0][0] == 0 and bounds[-1][1] == extent
+        assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+        align = kernel.edge + 1 if kernel.ndim == 1 else 1
+        assert all(lo % align == 0 for lo, _ in bounds)

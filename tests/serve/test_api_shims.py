@@ -1,4 +1,4 @@
-"""Keyword-only API: legacy positional calls warn, keyword calls do not."""
+"""Keyword-only API: positional arguments past the input raise ``TypeError``."""
 
 import warnings
 
@@ -8,14 +8,6 @@ import pytest
 from repro import ConvStencil, get_kernel
 from repro.baselines.gemm_conv import GemmConvStencil
 from repro.solvers.heat import HeatSolver
-from repro.utils.deprecation import reset_warned
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warnings():
-    reset_warned()
-    yield
-    reset_warned()
 
 
 def _catch():
@@ -26,27 +18,15 @@ def _catch():
 
 
 class TestConvStencilShims:
-    def test_positional_steps_warns_and_still_works(self, rng):
+    def test_positional_steps_raises_type_error(self, rng):
         cs = ConvStencil(get_kernel("heat-2d"))
-        x = rng.random((8, 8))
-        ctx, caught = _catch()
-        try:
-            legacy = cs.run(x, 3)
-        finally:
-            ctx.__exit__(None, None, None)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        reset_warned()
-        np.testing.assert_array_equal(legacy, cs.run(x, steps=3))
+        with pytest.raises(TypeError, match="positional"):
+            cs.run(rng.random((8, 8)), 3)
 
-    def test_positional_boundary_and_fill_map_through(self, rng):
+    def test_positional_boundary_raises_type_error(self, rng):
         cs = ConvStencil(get_kernel("heat-2d"))
-        x = rng.random((8, 8))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = cs.run(x, 2, "periodic")
-        np.testing.assert_array_equal(
-            legacy, cs.run(x, steps=2, boundary="periodic")
-        )
+        with pytest.raises(TypeError, match="positional"):
+            cs.run(rng.random((8, 8)), 2, "periodic")
 
     def test_keyword_call_does_not_warn(self, rng):
         cs = ConvStencil(get_kernel("heat-2d"))
@@ -68,41 +48,25 @@ class TestConvStencilShims:
 
     def test_duplicate_steps_raises_type_error(self, rng):
         cs = ConvStencil(get_kernel("heat-2d"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="multiple values"):
-                cs.run(rng.random((8, 8)), 2, steps=3)
+        with pytest.raises(TypeError, match="positional"):
+            cs.run(rng.random((8, 8)), 2, steps=3)
 
     def test_too_many_positionals_raises_type_error(self, rng):
         cs = ConvStencil(get_kernel("heat-2d"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="positional"):
-                cs.run(rng.random((8, 8)), 2, "periodic", 0.0, "extra")
+        with pytest.raises(TypeError, match="positional"):
+            cs.run(rng.random((8, 8)), 2, "periodic", 0.0, "extra")
 
-    def test_run_batch_positional_warns_and_matches(self, rng):
+    def test_run_batch_positional_raises_type_error(self, rng):
         cs = ConvStencil(get_kernel("heat-2d"))
-        stack = rng.random((3, 8, 8))
-        ctx, caught = _catch()
-        try:
-            legacy = cs.run_batch(stack, 2)
-        finally:
-            ctx.__exit__(None, None, None)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        np.testing.assert_array_equal(legacy, cs.run_batch(stack, steps=2))
+        with pytest.raises(TypeError, match="positional"):
+            cs.run_batch(rng.random((3, 8, 8)), 2)
 
 
 class TestSolverAndBaselineShims:
-    def test_heat_solver_positional_warns(self, rng):
+    def test_heat_solver_positional_raises_type_error(self, rng):
         solver = HeatSolver(ndim=2, r=0.2)
-        field = rng.random((10, 10))
-        ctx, caught = _catch()
-        try:
-            legacy = solver.run(field, 5)
-        finally:
-            ctx.__exit__(None, None, None)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        np.testing.assert_array_equal(legacy, solver.run(field, steps=5))
+        with pytest.raises(TypeError, match="positional"):
+            solver.run(rng.random((10, 10)), 5)
 
     def test_heat_solver_keyword_does_not_warn(self, rng):
         solver = HeatSolver(ndim=2, r=0.2)
@@ -117,29 +81,18 @@ class TestSolverAndBaselineShims:
         with pytest.raises(TypeError, match="steps"):
             HeatSolver(ndim=2, r=0.2).run(rng.random((10, 10)))
 
-    def test_baseline_positional_warns_and_matches(self, rng):
+    def test_baseline_positional_raises_type_error(self, rng):
         engine = GemmConvStencil()
-        kernel = get_kernel("heat-2d")
-        x = rng.random((8, 8))
-        ctx, caught = _catch()
-        try:
-            legacy = engine.run(x, kernel, 3)
-        finally:
-            ctx.__exit__(None, None, None)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        np.testing.assert_array_equal(legacy, engine.run(x, kernel, steps=3))
+        with pytest.raises(TypeError, match="positional"):
+            engine.run(rng.random((8, 8)), get_kernel("heat-2d"), 3)
 
     def test_baseline_duplicate_steps_raises_type_error(self, rng):
         engine = GemmConvStencil()
         kernel = get_kernel("heat-2d")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            # steps=1 equals the default, but an explicit keyword must still
-            # conflict with the positional value, not silently lose to it.
-            with pytest.raises(TypeError, match="multiple values"):
-                engine.run(rng.random((8, 8)), kernel, 5, steps=1)
-            with pytest.raises(TypeError, match="multiple values"):
-                engine.run(rng.random((8, 8)), kernel, 5, steps=3)
+        with pytest.raises(TypeError, match="positional"):
+            engine.run(rng.random((8, 8)), kernel, 5, steps=1)
+        with pytest.raises(TypeError, match="positional"):
+            engine.run(rng.random((8, 8)), kernel, 5, steps=3)
 
     def test_baseline_default_steps_is_one(self, rng):
         engine = GemmConvStencil()

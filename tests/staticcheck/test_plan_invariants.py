@@ -26,7 +26,7 @@ def test_catalog_plans_all_pass(kernel_name):
     kernel = get_kernel(kernel_name)
     shapes = {1: (67,), 2: (16, 21), 3: (8, 9, 11)}
     for depth in (1, 2):
-        plan = build_plan(kernel, shapes[kernel.ndim], fusion=depth, tiles=3)
+        plan = build_plan(kernel, shapes[kernel.ndim], fusion=depth)
         assert check_plan(plan) == [], f"{kernel_name} depth={depth}"
 
 
@@ -47,7 +47,7 @@ def test_verify_harness_case_catalog_accepted():
 
 class TestMutationsRejected:
     def setup_method(self):
-        self.plan = build_plan(get_kernel("heat-2d"), (16, 21), tiles=2)
+        self.plan = build_plan(get_kernel("heat-2d"), (16, 21))
 
     def _rules(self, plan):
         return {f.rule_id for f in check_plan(plan)}
@@ -82,22 +82,6 @@ class TestMutationsRejected:
 
     def test_wrong_halo_caught(self):
         assert "RPR204" in self._rules(_mutate_base_pass(self.plan, halo=2))
-
-    def test_gapped_tiles_caught(self):
-        assert "RPR205" in self._rules(
-            _mutate_base_pass(self.plan, tiles=((0, 4), (6, 14)))
-        )
-
-    def test_misaligned_1d_tiles_caught(self):
-        plan = build_plan(get_kernel("heat-1d"), (67,), tiles=2)
-        align = plan.base_pass.tile_align
-        assert align > 1
-        bad = ((0, align + 1), (align + 1, 67))
-        rules = {
-            f.rule_id
-            for f in check_plan(_mutate_base_pass(plan, tiles=bad))
-        }
-        assert "RPR205" in rules
 
     def test_3d_plane_weights_mismatch_caught(self):
         plan = build_plan(get_kernel("heat-3d"), (8, 9, 11))

@@ -34,8 +34,8 @@ class TestRPR101SharedMemoryLifetime:
         assert findings_for(src, "RPR101") == []
 
     def test_helper_unlink_in_finally_clean(self):
-        # The tiled runtime's shape: creation inside try/except with a
-        # separate try/finally calling an unlink helper.
+        # Two segments: creation inside try/except with a separate
+        # try/finally calling an unlink helper.
         src = """
             from multiprocessing import shared_memory
 
@@ -165,8 +165,8 @@ def test_production_runtime_modules_are_clean():
     result = lint_paths(
         [
             str(pkg / "runtime" / "tiled.py"),
+            str(pkg / "runtime" / "backends.py"),
             str(pkg / "runtime" / "cache.py"),
-            str(pkg / "verify" / "faults.py"),
         ]
     )
     concurrency = [f for f in result.findings if f.rule_id.startswith("RPR1")]

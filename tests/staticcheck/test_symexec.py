@@ -27,7 +27,7 @@ from repro.stencils.catalog import get_kernel, list_kernels
 
 
 def _pass(kernel_name: str = "heat-2d", shape=(16, 21), fusion: int = 1):
-    return build_plan(get_kernel(kernel_name), shape, fusion=fusion, tiles=2).base_pass
+    return build_plan(get_kernel(kernel_name), shape, fusion=fusion).base_pass
 
 
 @pytest.fixture(scope="module")

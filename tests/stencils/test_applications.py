@@ -25,7 +25,7 @@ def test_every_kernel_runs_through_convstencil(name, rng):
     kernel = get_application_kernel(name)
     shape = {1: (64,), 2: (24, 26), 3: (10, 11, 12)}[kernel.ndim]
     x = rng.random(shape)
-    got = ConvStencil(kernel).run(x, 1)
+    got = ConvStencil(kernel).run(x, steps=1)
     ref = apply_stencil_reference(x, kernel)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-13)
 
@@ -89,7 +89,7 @@ class TestDifferentialExactness:
         kernel = get_application_kernel("advection-1d-upwind")
         x = np.zeros(60)
         x[20] = 1.0
-        out = ConvStencil(kernel).run(x, 25)
+        out = ConvStencil(kernel).run(x, steps=25)
         # centre of mass advects by nu * steps = 0.4 * 25 = 10 cells
         com = (np.arange(60) * out).sum() / out.sum()
         assert com == pytest.approx(30.0, abs=0.5)

@@ -19,7 +19,7 @@ class TestEngineSpans:
         x = default_rng(3).random((64, 64))
         steps = 4
         cs = ConvStencil(kernel)
-        cs.run(x, steps)
+        cs.run(x, steps=steps)
 
         spans = tele.get_tracer().spans()
         runs = [sp for sp in spans if sp.name == "convstencil.run"]
@@ -43,7 +43,7 @@ class TestEngineSpans:
     def test_disabled_run_is_untraced(self, tele):
         tele.disable()
         kernel = get_kernel("box-2d9p")
-        ConvStencil(kernel).run(default_rng(3).random((32, 32)), 2)
+        ConvStencil(kernel).run(default_rng(3).random((32, 32)), steps=2)
         assert len(tele.get_tracer()) == 0
 
 

@@ -156,31 +156,6 @@ class TestFooters:
         assert "Pass strategies: 2 direct, 1 gemm; 1 calibration(s) in" in text
         assert text.rstrip().endswith("chose 1 direct")
 
-    def test_tiled_process_trace_shows_per_worker_spans(self, tele, tmp_path):
-        """End-to-end fold: process-pool tiles appear per worker in the report."""
-        from repro.runtime.tiled import TiledBackend
-        from repro.stencils.catalog import get_kernel
-        from repro.utils.rng import default_rng
-
-        tele.enable()
-        backend = TiledBackend(workers=2, min_rows_per_tile=2, use_processes=True)
-        try:
-            from repro import ConvStencil
-
-            with tele.span("run"):
-                ConvStencil(get_kernel("heat-2d"), backend=backend).run(
-                    default_rng(0).random((24, 24)), 1
-                )
-        finally:
-            backend.close()
-        path = tele.get_tracer().export(tmp_path / "tiled.jsonl")
-        joined = "\n".join(cli.run(["telemetry-report", str(path)]))
-        assert "runtime.tiled.tile" in joined
-        assert "Tiled workers:" in joined
-        # spawn may degrade to threads on constrained machines; either way
-        # the tiles must be attributed to identifiable workers.
-        assert ("pid-" in joined) or ("thread-" in joined)
-
     def test_perfwatch_trace_shows_suite_footer(self, tele, tmp_path):
         from repro.perfwatch import run_suite
         from tests.perfwatch.conftest import TINY_SPEC, TINY_SUITE

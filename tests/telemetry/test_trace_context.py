@@ -1,4 +1,4 @@
-"""Trace-context propagation: scopes, span stamping, fold defaults."""
+"""Trace-context propagation: scopes and span stamping."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import asyncio
 import concurrent.futures
 import contextvars
 
-from repro.telemetry.fold import capture_delta, capture_mark, fold_capture
 from repro.telemetry.trace import TraceContext, trace_scope
 
 
@@ -101,69 +100,3 @@ class TestAsyncAndExecutorHops:
                 copied = pool.submit(ctx.run, tele.current_trace).result()
         assert bare is None  # the RPR305 hazard, demonstrated
         assert copied == TraceContext("t-exec", "r-exec")
-
-
-class TestFoldDefaults:
-    def test_capture_payload_carries_the_ambient_trace(self, tele):
-        tele.enable()
-        mark = capture_mark()
-        with trace_scope("t-cap", "r-cap"):
-            with tele.span("tile"):
-                pass
-            payload = capture_delta(mark)
-        assert payload["trace"] == ["t-cap", "r-cap"]
-
-    def test_capture_without_context_has_no_trace_tag(self, tele):
-        tele.enable()
-        mark = capture_mark()
-        with tele.span("tile"):
-            pass
-        assert "trace" not in capture_delta(mark)
-
-    def test_fold_applies_trace_defaults_to_foreign_spans(self, tele):
-        tele.enable()
-        mark = capture_mark()
-        with trace_scope("t-fold", "r-fold"):
-            with tele.span("tile", idx=3):
-                pass
-            payload = capture_delta(mark)
-        payload = dict(payload, pid=payload["pid"] + 1)  # fake a worker pid
-        # Strip the worker-side stamp so the fold's defaults must supply it.
-        for raw in payload["spans"]:
-            raw["attributes"].pop("trace_id", None)
-            raw["attributes"].pop("request_id", None)
-        tele.get_tracer().clear()
-        assert fold_capture(payload) == 1
-        (sp,) = tele.get_tracer().spans()
-        assert sp.attributes["trace_id"] == "t-fold"
-        assert sp.attributes["request_id"] == "r-fold"
-        assert sp.attributes["worker"].startswith("pid-")
-
-    def test_fold_defaults_never_override_worker_stamps(self, tele):
-        tele.enable()
-        mark = capture_mark()
-        with trace_scope("t-worker", "r-worker"):
-            with tele.span("tile"):
-                pass
-            payload = capture_delta(mark)
-        payload = dict(payload, pid=payload["pid"] + 1)
-        payload["trace"] = ["t-payload", "r-payload"]
-        tele.get_tracer().clear()
-        fold_capture(payload)
-        (sp,) = tele.get_tracer().spans()
-        # The span stamped its own identity inside the worker scope; the
-        # payload-level default must not clobber it.
-        assert sp.attributes["trace_id"] == "t-worker"
-
-    def test_ingest_defaults_are_setdefault_merged(self, tele):
-        tele.enable()
-        spans = [
-            {"name": "a", "start": 0.0, "end": 1.0, "span_id": 1,
-             "attributes": {"trace_id": "t-own"}},
-            {"name": "b", "start": 0.0, "end": 1.0, "span_id": 2,
-             "attributes": {}},
-        ]
-        tele.get_tracer().ingest(spans, defaults={"trace_id": "t-default"})
-        by_name = {s.name: s for s in tele.get_tracer().spans()}
-        assert by_name["a"].attributes["trace_id"] == "t-own"
-        assert by_name["b"].attributes["trace_id"] == "t-default"

@@ -92,15 +92,6 @@ class TestMain:
 
 
 class TestExtendedFlags:
-    def test_autotune_flag(self):
-        lines = run(["2d", "box2d1r", "1024", "1024", "16", "--autotune"])
-        assert any("Autotune" in ln for ln in lines)
-        assert any("GStencils/s" in ln for ln in lines)
-
-    def test_autotune_rejects_1d(self):
-        with pytest.raises(ReproError, match="2-D"):
-            run(["1d", "1d1r", "1024", "16", "--autotune"])
-
     def test_cuda_flag_writes_source(self, tmp_path):
         out = tmp_path / "kernel.cu"
         lines = run(["2d", "box2d1r", "512", "512", "8", "--cuda", str(out)])

@@ -143,7 +143,7 @@ class TestHeatSolver:
         solver = HeatSolver(ndim=2, r=0.2)
         field = np.zeros((24, 24))
         field[12, 12] = 1.0
-        out = solver.run(field, 30, boundary="periodic")
+        out = solver.run(field, steps=30, boundary="periodic")
         assert out.var() < field.var()
         assert np.isclose(out.sum(), 1.0)
 
@@ -153,7 +153,7 @@ class TestHeatSolver:
         solver = HeatSolver(ndim=1, r=0.25, fusion=1)
         x = np.random.default_rng(3).random(50)
         np.testing.assert_allclose(
-            solver.run(x, 4), run_reference(x, solver.kernel, 4), rtol=1e-12
+            solver.run(x, steps=4), run_reference(x, solver.kernel, 4), rtol=1e-12
         )
 
     def test_fusion_active(self):
@@ -161,4 +161,4 @@ class TestHeatSolver:
 
     def test_dim_check(self):
         with pytest.raises(ReproError):
-            HeatSolver(ndim=2).run(np.zeros(10), 1)
+            HeatSolver(ndim=2).run(np.zeros(10), steps=1)

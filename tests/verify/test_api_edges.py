@@ -25,7 +25,7 @@ def backend(request):
 class TestEmptyBatch:
     def test_shaped_empty_array_is_a_noop(self, backend):
         cs = ConvStencil(get_kernel("heat-2d"), backend=backend)
-        out = cs.run_batch(np.empty((0, 16, 16)), 3)
+        out = cs.run_batch(np.empty((0, 16, 16)), steps=3)
         assert out.shape == (0, 16, 16)
         assert out.dtype == np.float64
 
@@ -41,14 +41,14 @@ class TestEmptyBatch:
     def test_empty_list_raises_clearly(self, backend):
         cs = ConvStencil(get_kernel("heat-2d"), backend=backend)
         with pytest.raises(KernelError, match="empty list"):
-            cs.run_batch([], 3)
+            cs.run_batch([], steps=3)
         # The guidance names the fix.
         with pytest.raises(ReproError, match="np.empty"):
-            cs.run_batch([], 3)
+            cs.run_batch([], steps=3)
 
     def test_empty_batch_zero_steps(self, backend):
         cs = ConvStencil(get_kernel("heat-1d"), backend=backend)
-        out = cs.run_batch(np.empty((0, 64)), 0)
+        out = cs.run_batch(np.empty((0, 64)), steps=0)
         assert out.shape == (0, 64)
         assert out.dtype == np.float64
 
@@ -57,7 +57,7 @@ class TestZeroSteps:
     def test_run_returns_float64_copy(self, backend):
         x = default_rng(0).random((20, 20))
         cs = ConvStencil(get_kernel("heat-2d"), backend=backend)
-        out = cs.run(x, 0)
+        out = cs.run(x, steps=0)
         np.testing.assert_array_equal(out, x)
         assert out.dtype == np.float64
         assert out is not x
@@ -67,14 +67,14 @@ class TestZeroSteps:
     def test_run_integer_input_converts(self, backend):
         x = np.arange(12).reshape(3, 4)
         cs = ConvStencil(get_kernel("heat-2d"), backend=backend)
-        out = cs.run(x, 0)
+        out = cs.run(x, steps=0)
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, x.astype(np.float64))
 
     def test_run_batch_zero_steps_copies(self, backend):
         stack = default_rng(1).random((3, 18, 18))
         cs = ConvStencil(get_kernel("heat-2d"), backend=backend)
-        out = cs.run_batch(stack, 0)
+        out = cs.run_batch(stack, steps=0)
         np.testing.assert_array_equal(out, stack)
         assert out is not stack
         assert not np.shares_memory(out, stack)
@@ -82,7 +82,7 @@ class TestZeroSteps:
     def test_negative_steps_rejected(self, backend):
         cs = ConvStencil(get_kernel("heat-2d"), backend=backend)
         with pytest.raises(ValueError, match="non-negative"):
-            cs.run(np.zeros((8, 8)), -1)
+            cs.run(np.zeros((8, 8)), steps=-1)
 
 
 class TestMinimumLegalShapes:
@@ -91,21 +91,21 @@ class TestMinimumLegalShapes:
         kernel = get_kernel("heat-2d")
         x = default_rng(extent).random((extent, extent + 1))
         outs = [
-            ConvStencil(kernel, backend=b).run(x, 2) for b in BACKENDS
+            ConvStencil(kernel, backend=b).run(x, steps=2) for b in BACKENDS
         ]
         for other in outs[1:]:
             np.testing.assert_array_equal(outs[0], other)
 
     def test_single_cell_grid(self):
         kernel = get_kernel("heat-2d")
-        out = ConvStencil(kernel).run(np.array([[3.0]]), 4)
+        out = ConvStencil(kernel).run(np.array([[3.0]]), steps=4)
         assert out.shape == (1, 1)
 
     def test_batch_of_one(self, backend):
         kernel = get_kernel("heat-1d")
         stack = default_rng(5).random((1, 33))
-        single = ConvStencil(kernel, backend=backend).run(stack[0], 2)
-        batched = ConvStencil(kernel, backend=backend).run_batch(stack, 2)
+        single = ConvStencil(kernel, backend=backend).run(stack[0], steps=2)
+        batched = ConvStencil(kernel, backend=backend).run_batch(stack, steps=2)
         np.testing.assert_array_equal(batched[0], single)
 
 
@@ -116,7 +116,7 @@ class TestDefaultBackendFallback:
         monkeypatch.setenv("REPRO_BACKEND", "warp-drive")
         assert default_backend_name() == "serial"
         # A run through the public API works rather than exploding.
-        out = ConvStencil(get_kernel("heat-2d")).run(np.ones((8, 8)), 1)
+        out = ConvStencil(get_kernel("heat-2d")).run(np.ones((8, 8)), steps=1)
         assert out.shape == (8, 8)
 
     def test_explicit_unknown_backend_still_raises(self):

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.runtime import get_backend, list_backends
 from repro.stencils.catalog import get_kernel
 from repro.verify import (
     Case,
@@ -20,15 +21,12 @@ from repro.verify import (
     run_verification,
     shrink,
 )
-from repro.verify.differential import LAYOUTS, _resolve_backends
+from repro.verify.differential import LAYOUTS
 
 
 @pytest.fixture(scope="module")
 def backends():
-    resolved, owned = _resolve_backends(None, quick=True)
-    yield resolved
-    for b in owned:
-        b.close()
+    return {name: get_backend(name) for name in list_backends()}
 
 
 class TestMaxUlp:
@@ -249,7 +247,7 @@ class TestRunVerification:
         assert report.ok
         assert report.mutation_caught is True
         assert report.ulp_max <= 64.0
-        assert set(report.backends) >= {"serial", "reference", "tiled"}
+        assert set(report.backends) >= {"serial", "reference", "compiled", "tiled"}
 
     def test_report_roundtrips_to_json(self, tmp_path):
         report = run_verification(
@@ -303,14 +301,8 @@ class TestRunVerification:
             assert "minimal" in failure and "case" in failure and failure["errors"]
             # The minimal repro must still reproduce when replayed.
             minimal = Case.from_dict(failure["minimal"])
-            resolved, owned = _resolve_backends(
-                ["reference", "off-by-one"], quick=True
-            )
-            try:
-                assert not run_case(minimal, resolved).ok
-            finally:
-                for b in owned:
-                    b.close()
+            resolved = {b: get_backend(b) for b in ("reference", "off-by-one")}
+            assert not run_case(minimal, resolved).ok
         finally:
             # Remove the saboteur so later tests see a clean registry.
             from repro.runtime.backends import _factories, _instances, _registry_lock
