@@ -1278,7 +1278,7 @@ def run(argv: Sequence[str]) -> List[str]:
         x = default_rng(0).random(shape)
         steps = 2
         ref = run_reference(x, kernel, steps)
-        # Each strategy in turn, whatever the measured crossover would pick
+        # Each strategy in turn, whatever the strategy rule would pick
         # at this size, so the backend's GEMM path is always checked.
         err = max(
             float(

@@ -304,14 +304,14 @@ class ConvStencil:
 
 class PinnedStencil(ConvStencil):
     """A :class:`ConvStencil` whose plans run every pass by one pinned
-    execution strategy (``"gemm"`` or ``"direct"``) instead of the measured
-    crossover.
+    execution strategy (``"gemm"`` or ``"direct"``) instead of the one
+    :func:`~repro.runtime.plan.choose_strategy` picks.
 
     Internal, for harnesses that must reach a given path whatever the
-    crossover picks: ``repro verify`` runs every case under each strategy,
+    rule picks: ``repro verify`` runs every case under each strategy,
     and the backend benchmarks pin ``gemm`` to compare GEMM engines.
     Pinned plans go through the plan cache under their own key, so they
-    are shared across backends but never stand in for measured plans.
+    are shared across backends but never stand in for the rule's plans.
     """
 
     def __init__(

@@ -8,7 +8,8 @@ package is both ideas as architecture:
 * :class:`ExecutionPlan` — everything shape-invariant for a
   ``(kernel, grid_shape, boundary, fusion_depth)`` problem: stencil2row
   gather LUTs, triangular weight matrices, halo geometry, 3-D plane
-  decompositions, and a measured execution strategy per pass;
+  decompositions, and an execution strategy per pass (``gemm`` or
+  ``direct``), a pure function of the pass kernel and the grid size;
 * :class:`PlanCache` — a bounded, telemetry-instrumented LRU sharing
   plans across runs (``runtime.plan_cache.*`` metrics);
 * :class:`Backend` — the execution protocol, with four built-ins:

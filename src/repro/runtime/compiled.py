@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import telemetry
 from repro.codegen.compiled import get_compiled_pass
 from repro.runtime.backends import Backend, _empty_batch_result, register_backend
 
@@ -27,7 +28,8 @@ class CompiledBackend(Backend):
 
     def apply_pass(self, pp, padded: np.ndarray) -> np.ndarray:
         """Run one pass through the generated kernel for this plan."""
-        return get_compiled_pass(pp)(padded)
+        with _span(pp, padded):
+            return get_compiled_pass(pp)(padded)
 
     def apply_pass_batch(self, pp, padded: np.ndarray) -> np.ndarray:
         """Batched pass: a pinned batch-axis kernel in 2-D, the base-class
@@ -35,8 +37,15 @@ class CompiledBackend(Backend):
         if padded.shape[0] == 0:
             return _empty_batch_result(pp, padded)
         if pp.ndim == 2:
-            return get_compiled_pass(pp, batched=True)(padded)
+            with _span(pp, padded):
+                return get_compiled_pass(pp, batched=True)(padded)
         return super().apply_pass_batch(pp, padded)
+
+
+def _span(pp, padded: np.ndarray):
+    """The ``dual_tessellation`` span the ``serial`` engines emit, so a
+    trace names the same phase on both GEMM backends."""
+    return telemetry.span("dual_tessellation", kernel=pp.kernel.name, shape=padded.shape)
 
 
 register_backend("compiled", CompiledBackend)

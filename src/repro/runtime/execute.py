@@ -45,7 +45,7 @@ def plan_for(
     problem reuse one plan's LUTs and weight matrices.
     ``strategy`` pins every pass (see ``build_plan``); a pinned plan is
     cached under the key extended by the pin, so it never stands in for
-    the measured one.
+    the rule's.
     """
     if isinstance(fusion, FusionPlan):
         depth = fusion.depth

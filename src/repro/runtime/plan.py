@@ -11,7 +11,8 @@ and reuses them across every time iteration (§3.4, Table 5).  An
   per-plane blocks + plane decomposition),
 * an execution **strategy** per pass: ``"gemm"`` (dual tessellation,
   handed to the backend) or ``"direct"`` (shifted adds, run by the pass
-  sequencer), chosen by a measured crossover (:func:`choose_strategy`).
+  sequencer), chosen by a fixed rule over the kernel's weights and the
+  grid size (:func:`choose_strategy`).
 
 Plans are immutable and reusable: engines receive the precomputed tables
 explicitly, so a 50-step run builds every table exactly once (via the
@@ -20,17 +21,11 @@ explicitly, so a 50-step run builds every table exactly once (via the
 
 from __future__ import annotations
 
-import dataclasses
-import threading
-import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro import telemetry
-from repro.core.direct import direct_valid
 from repro.core.engine3d import plane_decomposition
 from repro.core.fusion import FusionPlan, plan_fusion
 from repro.core.stencil2row import stencil2row_offsets, stencil2row_shape
@@ -89,10 +84,11 @@ class PassPlan:
     planes: Optional[tuple] = None
     #: 3-D only: ``dz`` → 2-D weight blocks for the dense planes.
     weights_by_plane: Optional[Dict[int, tuple]] = None
-    #: How the pass runs: ``"gemm"`` hands it to the backend's
-    #: dual-tessellation engine; ``"direct"`` runs the shifted-add kernel
-    #: in the pass sequencer.  Both keep the tables above, so a ``direct``
-    #: pass can still be handed to a backend explicitly.
+    #: How the pass runs, set by :func:`choose_strategy` unless pinned:
+    #: ``"gemm"`` hands it to the backend's dual-tessellation engine;
+    #: ``"direct"`` runs the shifted-add kernel in the pass sequencer.
+    #: Both keep the tables above, so a ``direct`` pass can still be
+    #: handed to a backend explicitly.
     strategy: str = "gemm"
 
     @property
@@ -103,110 +99,32 @@ class PassPlan:
 #: The execution strategies a pass can carry.
 STRATEGIES = ("gemm", "direct")
 
-_strategy_lock = threading.Lock()
-_strategy_memo: "OrderedDict[tuple, str]" = OrderedDict()
-
-#: Memo capacity: one entry per (kernel content, size class) ever planned.
-_STRATEGY_CAPACITY = 1024
-
-#: Timed runs of each strategy per calibration (the best one counts).
-_CALIBRATION_REPEATS = 3
-
-#: Largest grid (in points) a calibration times.  A bigger grid is timed
-#: on its first rows only: the size class already stands for a range of
-#: grids, and a one-shot run on a large grid must not pay several full
-#: passes (and a full-size GEMM window) just to pick its strategy.
-_CALIBRATION_POINTS = 1 << 20
+#: (least weight score, largest grid in points) where a 2-D pass runs
+#: faster as a GEMM than as shifted adds; the score is defined in
+#: :func:`choose_strategy`.  Fitted to
+#: ``benchmarks/results/strategy_crossover.json``.
+_GEMM_MAX_POINTS = ((49, 1 << 15), (12, 1 << 11))
 
 
-def _strategy_key(pp: PassPlan) -> tuple:
-    """(kernel weight content, size class) a calibration stands for.
+def choose_strategy(kernel: StencilKernel, grid_shape: Tuple[int, ...]) -> str:
+    """The strategy a pass of ``kernel`` over ``grid_shape`` runs with.
 
-    Content — the weight array's shape (so its ndim) and bytes — not
-    identity: ``fusion="auto"`` composes a fresh fused kernel object per
-    :class:`~repro.core.api.ConvStencil`, and an identity key would
-    re-measure it on every construction.  The size class is the
-    ``bit_length`` of the grid's point count, so grids within a factor of
-    two share one measurement.
+    A pure function of the kernel's weights and the grid shape, so every
+    process picks the same plan.  A direct pass pays one shifted add per
+    nonzero weight; a GEMM pass multiplies the whole weight box, of which
+    only the nonzero share is useful.  The weight score is their product,
+    ``nonzero² / volume`` (box-2d49p 49, box-2d25p 25, heat-2d-x3 12.8,
+    star-2d13p 3.4).  Only a 2-D pass with a high score on a small grid
+    repays the stencil2row gather and window copy; every other pass is
+    ``direct``, the simpler path with the reference stencil's bits.
     """
-    w = pp.kernel.weights
-    points = int(np.prod(pp.grid_shape, dtype=np.int64))
-    return (w.shape, w.tobytes(), points.bit_length())
-
-
-def _calibration_pass(pp: PassPlan) -> PassPlan:
-    """``pp``, or — past :data:`_CALIBRATION_POINTS` — the same kernel's
-    pass over the grid's first rows (at least one), full width."""
-    row = int(np.prod(pp.grid_shape[1:], dtype=np.int64))
-    rows = max(1, _CALIBRATION_POINTS // row)
-    if rows >= pp.grid_shape[0]:
-        return pp
-    return _build_pass(pp.kernel, (rows,) + pp.grid_shape[1:], "gemm")
-
-
-def _calibrate(pp: PassPlan) -> str:
-    """Time one pass of each strategy on a seeded array of the pass's
-    padded shape (best of :data:`_CALIBRATION_REPEATS`, interleaved;
-    grids past :data:`_CALIBRATION_POINTS` are timed on their first rows).
-
-    The GEMM side is always the ``serial`` engine, whatever backend later
-    runs the plan, so the choice is a property of the plan alone.  A tie
-    goes to ``direct``: it is the simpler path and gives the same bits as
-    the reference stencil.
-    """
-    from repro.runtime.backends import SerialBackend
-
-    pp = _calibration_pass(pp)
-    padded = np.random.default_rng(0).random(pp.padded_shape)
-    runs = {
-        "gemm": lambda: SerialBackend().apply_pass(pp, padded),
-        "direct": lambda: direct_valid(padded, pp.kernel),
-    }
-    best = dict.fromkeys(runs, float("inf"))
-    with telemetry.span(
-        "runtime.plan.calibrate", kernel=pp.kernel.name, shape=pp.padded_shape
-    ) as sp:
-        # The clock reads are the measurement: they pick the strategy, and
-        # the memo then holds the choice fixed for the process.
-        for _ in range(_CALIBRATION_REPEATS):
-            for name, run in runs.items():
-                t0 = time.perf_counter()  # staticcheck: disable=RPR004
-                run()
-                elapsed = time.perf_counter() - t0  # staticcheck: disable=RPR004
-                best[name] = min(best[name], elapsed)
-        strategy = "gemm" if best["gemm"] < best["direct"] else "direct"
-        sp.set_attribute("strategy", strategy)
-        sp.set_attribute("gemm_ms", best["gemm"] * 1e3)
-        sp.set_attribute("direct_ms", best["direct"] * 1e3)
-    return strategy
-
-
-def choose_strategy(pp: PassPlan) -> str:
-    """The measured strategy for ``pp``, memoised per process.
-
-    Keyed by :func:`_strategy_key`; the memo is bounded, LRU and
-    lock-guarded, and unlike the plan cache it survives
-    ``PlanCache.clear()``, so a (kernel, size class) keeps its
-    strategy for the life of the process once measured.  Concurrent first
-    calls may both measure; the first result stored wins for everyone.
-    A grid with no points has no pass to time; it stays ``gemm``, so its
-    (zero-step) runs work and any pass raises in the engine as before.
-    """
-    if not all(pp.grid_shape):
-        return "gemm"
-    key = _strategy_key(pp)
-    with _strategy_lock:
-        cached = _strategy_memo.get(key)
-        if cached is not None:
-            _strategy_memo.move_to_end(key)
-            return cached
-    measured = _calibrate(pp)
-    with _strategy_lock:
-        won = _strategy_memo.setdefault(key, measured)
-        _strategy_memo.move_to_end(key)
-        while len(_strategy_memo) > _STRATEGY_CAPACITY:
-            _strategy_memo.popitem(last=False)
-    return won
+    if kernel.ndim == 2:
+        square = kernel.points**2
+        points = int(np.prod(grid_shape, dtype=np.int64))
+        for score, limit in _GEMM_MAX_POINTS:
+            if square >= score * kernel.volume:
+                return "gemm" if points <= limit else "direct"
+    return "direct"
 
 
 def _build_pass(
@@ -235,7 +153,7 @@ def _build_pass(
             for dz, kind, payload in planes
             if kind == "conv2d"
         }
-    pp = PassPlan(
+    return PassPlan(
         kernel=kernel,
         grid_shape=tuple(grid_shape),
         halo=halo,
@@ -244,9 +162,8 @@ def _build_pass(
         weights=weights,
         planes=planes,
         weights_by_plane=weights_by_plane,
+        strategy=strategy or choose_strategy(kernel, grid_shape),
     )
-    # Measured on the finished pass: the GEMM side needs its tables.
-    return dataclasses.replace(pp, strategy=strategy or choose_strategy(pp))
 
 
 @dataclass(frozen=True)
@@ -310,8 +227,8 @@ def build_plan(
     """Construct an :class:`ExecutionPlan` (uncached — see ``plan_for``).
 
     ``fusion`` accepts a depth, ``"auto"``, or an already-resolved
-    :class:`~repro.core.fusion.FusionPlan`.  Each pass's strategy is
-    measured (:func:`choose_strategy`) unless ``strategy`` pins both
+    :class:`~repro.core.fusion.FusionPlan`.  Each pass's strategy comes
+    from :func:`choose_strategy` unless ``strategy`` pins both
     passes — an internal hook for the verify harness and the static
     provers, which must cover each strategy.
     """

@@ -388,8 +388,8 @@ def check_plan_catalog() -> Tuple[List[Finding], int]:
 
     Builds (uncached) plans at fixed awkward shapes and fusion depths 1
     and 2 — the same kernel population the verify harness draws cases
-    from — pinned to the ``gemm`` strategy, so the sweep is static (no
-    calibration timing) and covers the tables the GEMM engines read.
+    from — pinned to the ``gemm`` strategy, so the sweep covers the
+    tables the GEMM engines read.
     Returns ``(findings, plans_checked)``.
     """
     from repro.runtime.plan import build_plan

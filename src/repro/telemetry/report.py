@@ -200,30 +200,16 @@ def staticcheck_summary(spans: List[Dict[str, Any]]) -> Dict[str, int]:
     return totals
 
 
-def strategy_summary(spans: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """How passes ran and what choosing cost.
-
-    Counts ``convstencil.pass`` spans per ``strategy=`` attribute, and
-    ``runtime.plan.calibrate`` spans with their total seconds and the
-    strategy each chose.  Empty counts for traces without runtime passes.
-    """
+def strategy_summary(spans: List[Dict[str, Any]]) -> Dict[str, Dict[str, int]]:
+    """How passes ran: ``convstencil.pass`` spans counted per
+    ``strategy=`` attribute.  Empty counts for traces without runtime
+    passes."""
     passes: Counter = Counter()
-    chosen: Counter = Counter()
-    calibrate_s = 0.0
     for sp in spans:
-        name = str(sp.get("name", ""))
-        attrs = sp.get("attributes", {}) or {}
-        if name == "convstencil.pass":
+        if str(sp.get("name", "")) == "convstencil.pass":
+            attrs = sp.get("attributes", {}) or {}
             passes[str(attrs.get("strategy", "gemm"))] += 1
-        elif name == "runtime.plan.calibrate":
-            chosen[str(attrs.get("strategy", "?"))] += 1
-            calibrate_s += float(sp.get("duration", 0.0))
-    return {
-        "passes": dict(passes),
-        "calibrations": sum(chosen.values()),
-        "calibrate_s": calibrate_s,
-        "chosen": dict(chosen),
-    }
+    return {"passes": dict(passes)}
 
 
 def _counts(counts: Dict[str, int]) -> str:
@@ -287,14 +273,9 @@ def render_phase_report(trace_path: "str | Path", top: int = 0) -> str:
             f"\nStatic checks: {sc['runs']} run(s), {sc['files']} files, "
             f"{sc['plans_checked']} plans checked, {sc['findings']} findings"
         )
-    st = strategy_summary(spans)
-    if st["passes"] or st["calibrations"]:
-        table += f"\nPass strategies: {_counts(st['passes']) or 'no passes'}"
-        if st["calibrations"]:
-            table += (
-                f"; {st['calibrations']} calibration(s) in "
-                f"{st['calibrate_s'] * 1e3:.3f} ms chose {_counts(st['chosen'])}"
-            )
+    passes = strategy_summary(spans)["passes"]
+    if passes:
+        table += f"\nPass strategies: {_counts(passes)}"
     pw = perfwatch_summary(spans)
     if pw["suites"]:
         table += (

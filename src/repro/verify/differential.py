@@ -10,8 +10,8 @@ random cases across the whole configuration space
 including randomized star/box weights, degenerate and non-group-aligned
 extents, and minimum-legal sizes, then runs every case through all
 registered backends — once per plan-level execution strategy (dual
-tessellation ``gemm`` and shifted-add ``direct``, pinned instead of
-measured so the GEMM engines stay covered whatever the crossover picks)
+tessellation ``gemm`` and shifted-add ``direct``, pinned so the GEMM
+engines stay covered whatever the strategy rule picks)
 — and two independent oracles:
 
 * the **mirror oracle** — :func:`apply_stencil_reference` (shifted-view

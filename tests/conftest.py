@@ -7,7 +7,7 @@ import functools
 import numpy as np
 import pytest
 
-from repro.runtime.plan import choose_strategy as _MEASURED_CHOOSER
+from repro.runtime.plan import choose_strategy as _STRATEGY_RULE
 from repro.stencils.catalog import list_kernels
 from repro.utils.rng import default_rng
 
@@ -21,13 +21,13 @@ def rng() -> np.random.Generator:
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "measured_strategy: build plans with the measured gemm/direct "
-        "crossover instead of the suite-wide gemm pin",
+        "strategy_rule: build plans with the gemm/direct strategy rule "
+        "instead of the suite-wide gemm pin",
     )
 
 
-@functools.wraps(_MEASURED_CHOOSER)  # introspection still sees the real one
-def _pinned_gemm(pp) -> str:
+@functools.wraps(_STRATEGY_RULE)  # introspection still sees the real one
+def _pinned_gemm(kernel, grid_shape) -> str:
     return "gemm"
 
 
@@ -35,13 +35,13 @@ def _pinned_gemm(pp) -> str:
 def _gemm_strategy_by_default():
     """Pin every plan the suite builds to the ``gemm`` strategy.
 
-    The measured crossover sends most small test grids to the ``direct``
-    kernel, which never reaches a backend: tests that compare backends,
+    The strategy rule sends most test grids to the ``direct`` kernel,
+    which never reaches a backend: tests that compare backends,
     or assert what happens inside one (tile spans, worker folds, engine
     phases, custom backends), would silently stop exercising the GEMM
     engines, and so would the ``REPRO_BACKEND`` CI legs.  Session-scoped
     so plans built by wider-scoped fixtures are pinned too.  Tests about
-    the crossover itself opt out with ``@pytest.mark.measured_strategy``;
+    the rule itself opt out with ``@pytest.mark.strategy_rule``;
     the direct kernel is covered by pinning ``direct`` explicitly.
     """
     from repro.runtime import plan as plan_mod
@@ -54,18 +54,18 @@ def _gemm_strategy_by_default():
 
 
 @pytest.fixture(autouse=True)
-def _measured_strategy(request):
-    """Restore the measured crossover for ``measured_strategy`` tests,
-    clearing the plan cache on both sides so no measured plan is shared
-    with a pinned test."""
-    if request.node.get_closest_marker("measured_strategy") is None:
+def _strategy_rule(request):
+    """Restore the strategy rule for ``strategy_rule`` tests, clearing the
+    plan cache on both sides so no rule-built plan is shared with a
+    pinned test."""
+    if request.node.get_closest_marker("strategy_rule") is None:
         yield
         return
     from repro.runtime import plan as plan_mod
     from repro.runtime.cache import get_plan_cache
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(plan_mod, "choose_strategy", _MEASURED_CHOOSER)
+        mp.setattr(plan_mod, "choose_strategy", _STRATEGY_RULE)
         get_plan_cache().clear()
         try:
             yield

@@ -1,19 +1,27 @@
 """Plan-level strategy dispatch: ``gemm`` vs ``direct`` passes.
 
-The strategy is a plan field, measured once per (kernel content, size
-class) and memoised; the pass sequencer runs ``direct`` passes itself and
-hands only ``gemm`` passes to backends.  These tests pin the contracts
-that make that safe: the direct kernel's bits, batched/per-grid identity
-under each strategy, the memo's lifetime, and what a backend sees.
+The strategy is a plan field, set by a fixed rule over the pass kernel's
+weights and the grid size; the pass sequencer runs ``direct`` passes
+itself and hands only ``gemm`` passes to backends.  These tests pin the
+contracts that make that safe: the direct kernel's bits, batched/per-grid
+identity under each strategy, the rule against its committed timings,
+the same bits in every process, and what a backend sees.
 """
 
 from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import ConvStencil
 from repro.core.api import PinnedStencil
 from repro.core.direct import direct_valid
@@ -37,8 +45,8 @@ from repro.stencils.reference import apply_stencil_reference
 from repro.utils.rng import default_rng
 
 # The suite pins ``gemm`` by default (tests/conftest.py); these tests are
-# about the measured crossover itself.
-pytestmark = pytest.mark.measured_strategy
+# about the strategy rule itself.
+pytestmark = pytest.mark.strategy_rule
 
 
 def _random_kernel(kind: str, ndim: int, radius: int, seed: int) -> StencilKernel:
@@ -126,129 +134,129 @@ def test_unknown_strategy_rejected():
         build_plan(get_kernel("heat-2d"), (8, 8), strategy="sparse")
 
 
-class TestMemo:
-    @pytest.fixture
-    def calibrations(self, monkeypatch):
-        """Record every measurement; each one picks the *other* strategy
-        than the one before, so a re-measurement would show."""
-        calls = []
-
-        def fake(pp):
-            calls.append(pp)
-            return STRATEGIES[len(calls) % 2]
-
-        monkeypatch.setattr(plan_mod, "_calibrate", fake)
-        monkeypatch.setattr(plan_mod, "_strategy_memo", type(plan_mod._strategy_memo)())
-        get_plan_cache().clear()
-        yield calls
-        get_plan_cache().clear()
-
-    def test_strategy_survives_plan_cache_clear(self, calibrations):
-        kernel = get_kernel("box-2d25p")
-        first = plan_for(kernel, (24, 24)).fused_pass.strategy
-        get_plan_cache().clear()
-        again = plan_for(kernel, (24, 24)).fused_pass.strategy
-        assert again == first
-        assert len(calibrations) == 1
-
-    def test_key_is_weight_content_not_identity(self, calibrations):
-        # fusion="auto" composes a fresh fused kernel per ConvStencil.
-        x = default_rng(0).random((20, 20))
-        ConvStencil(get_kernel("box-2d9p"), fusion="auto").run(x, steps=3)
-        measured = len(calibrations)
-        get_plan_cache().clear()
-        ConvStencil(get_kernel("box-2d9p"), fusion="auto").run(x, steps=3)
-        assert len(calibrations) == measured
-
-    def test_size_class_is_point_count_bit_length(self, calibrations):
-        kernel = get_kernel("heat-2d")
-        plan_for(kernel, (16, 16))  # 256 points: bit_length 9
-        plan_for(kernel, (16, 31))  # 496 points: bit_length 9
-        assert len(calibrations) == 1
-        plan_for(kernel, (16, 32))  # 512 points: bit_length 10
-        assert len(calibrations) == 2
-
-    def test_memo_is_bounded(self, calibrations, monkeypatch):
-        monkeypatch.setattr(plan_mod, "_STRATEGY_CAPACITY", 2)
-        kernel = get_kernel("heat-1d")
-        for n in (4, 8, 16, 32):
-            build_plan(kernel, (n,))
-        assert len(plan_mod._strategy_memo) == 2
+@pytest.mark.parametrize(
+    "name, fusion, shape, want",
+    [
+        # 1-D and 3-D passes never repay the gather.
+        ("heat-1d", 1, (512,), "direct"),
+        ("heat-1d", "auto", (512,), "direct"),
+        ("heat-3d", 1, (8, 8, 8), "direct"),
+        ("box-3d27p", 1, (8, 8, 8), "direct"),
+        # 2-D kernels with a low weight score: direct at any size.
+        ("heat-2d", 1, (16, 16), "direct"),
+        ("heat-2d", 2, (16, 16), "direct"),
+        ("box-2d9p", 1, (16, 16), "direct"),
+        ("star-2d9p", 1, (16, 16), "direct"),
+        ("star-2d13p", 1, (16, 16), "direct"),
+        # Score 12-48 (heat-2d-x3: 25 of 49 weights; dense 5x5: box-2d25p,
+        # box-2d9p-x2): up to 2^11 points.
+        ("heat-2d", "auto", (32, 64), "gemm"),
+        ("heat-2d", "auto", (33, 64), "direct"),
+        ("box-2d25p", 1, (32, 64), "gemm"),
+        ("box-2d25p", 1, (33, 64), "direct"),
+        ("box-2d9p", 2, (32, 64), "gemm"),
+        # Score 49 (dense 7x7: box-2d49p, box-2d9p-x3): up to 2^15 points.
+        ("box-2d49p", 1, (128, 256), "gemm"),
+        ("box-2d49p", 1, (129, 256), "direct"),
+        ("box-2d9p", "auto", (128, 256), "gemm"),
+        ("box-2d9p", "auto", (192, 192), "direct"),
+    ],
+)
+def test_rule_table(name, fusion, shape, want):
+    kernel = plan_fusion(get_kernel(name), fusion).fused
+    assert plan_mod.choose_strategy(kernel, shape) == want
+    assert build_plan(kernel, shape).fused_pass.strategy == want
 
 
-def test_concurrent_first_builds_agree(monkeypatch):
-    """Threads racing to measure one fresh key all get the stored winner,
-    even when their own measurements disagree."""
-    import sys
-    import threading
-    from collections import OrderedDict
-    from itertools import count
-
-    ticket = count()
-    monkeypatch.setattr(plan_mod, "_strategy_memo", OrderedDict())
-    monkeypatch.setattr(plan_mod, "_calibrate", lambda pp: STRATEGIES[next(ticket) % 2])
-    pp = build_plan(get_kernel("heat-2d"), (12, 12), strategy="gemm").fused_pass
-    results = []
-    start = threading.Barrier(16)
-
-    def worker():
-        start.wait(timeout=10)
-        results.append(plan_mod.choose_strategy(pp))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(16)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(results) == 16
-    assert len(set(results)) == 1
-    assert list(plan_mod._strategy_memo.values()) == results[:1]
+def test_rule_scores_the_useful_share_of_the_weight_box():
+    """25 weights spread over a 13x13 box score 3.7: direct."""
+    sparse = StencilKernel.star(2, 6, weights=np.ones(25))
+    assert sparse.points == 25
+    assert plan_mod.choose_strategy(sparse, (8, 8)) == "direct"
 
 
-def test_tie_goes_to_direct(monkeypatch):
-    """Equal best times pick ``direct``: GEMM must be strictly faster."""
+class TestCrossoverTable:
+    """The rule against the committed timings it was fitted to
+    (``benchmarks/bench_strategy_crossover.py``)."""
 
-    class Clock:
-        t = 0.0
+    @pytest.fixture(scope="class")
+    def rows(self):
+        path = Path(__file__).parents[2] / "benchmarks/results/strategy_crossover.json"
+        return json.loads(path.read_text())["rows"]
 
-        def perf_counter(self):
-            self.t += 1.0
-            return self.t
+    def _agree(self, rows, workload):
+        mine = [r for r in rows if r["workload"] == workload]
+        agree = sum(
+            plan_mod.choose_strategy(
+                plan_fusion(get_kernel(r["kernel"]), r["fusion"]).fused, tuple(r["shape"])
+            )
+            == ("gemm" if r["gemm_ms"] < r["direct_ms"] else "direct")
+            for r in mine
+        )
+        return agree, len(mine)
 
-    monkeypatch.setattr(plan_mod, "time", Clock())
-    pp = build_plan(get_kernel("heat-2d"), (8, 8), strategy="gemm").fused_pass
-    assert plan_mod._calibrate(pp) == "direct"
+    def test_solve_cells(self, rows):
+        agree, total = self._agree(rows, "solve")
+        assert total == 6
+        assert agree >= 5
+
+    def test_churn_pairs(self, rows):
+        churn = [r for r in rows if r["workload"] == "churn"]
+        assert len({(r["kernel"], r["fusion"]) for r in churn}) == 16
+        agree, total = self._agree(rows, "churn")
+        assert agree >= 0.9 * total
 
 
-def test_calibration_uses_serial_engine_for_gemm(monkeypatch):
-    seen = []
-    real = SerialBackend.apply_pass
+_RUN_CATALOG = """
+import hashlib, json, sys
+import numpy as np
+from repro import ConvStencil
+from repro.runtime import plan_for
+from repro.stencils.catalog import get_kernel, list_kernels
 
-    def spy(self, pp, padded):
-        seen.append(pp.padded_shape)
-        return real(self, pp, padded)
+shapes = {
+    1: [(2048,), (40000,)],
+    2: [(32, 64), (33, 64), (128, 256), (129, 256)],
+    3: [(10, 12, 14)],
+}
+result = {}
+for name in list_kernels():
+    kernel = get_kernel(name)
+    for fusion in (1, "auto"):
+        for shape in shapes[kernel.ndim]:
+            x = np.random.default_rng(len(result)).random(shape)
+            cs = ConvStencil(kernel, fusion=fusion)
+            out = cs.run(x, steps=4)
+            plan = plan_for(kernel, shape, fusion=fusion)
+            result[f"{name}/{fusion}/{shape}"] = [
+                plan.fused_pass.strategy,
+                plan.base_pass.strategy,
+                hashlib.sha256(out.tobytes()).hexdigest(),
+            ]
+json.dump(result, sys.stdout)
+"""
 
-    monkeypatch.setattr(SerialBackend, "apply_pass", spy)
-    pp = build_plan(get_kernel("heat-2d"), (9, 10), strategy="gemm").fused_pass
-    assert plan_mod._calibrate(pp) in STRATEGIES
-    assert seen == [(11, 12)] * plan_mod._CALIBRATION_REPEATS
+
+def test_catalog_bits_identical_across_processes():
+    """Every catalog kernel, fused and not, on both sides of the rule's
+    thresholds: two fresh interpreters give the same plans and bits."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _RUN_CATALOG],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        ).stdout
+        for _ in range(2)
+    ]
+    first, second = (json.loads(r) for r in runs)
+    assert first == second
+    picked = {s for fused, base, _ in first.values() for s in (fused, base)}
+    assert picked == set(STRATEGIES)
 
 
-def test_custom_backend_sees_only_gemm_passes(monkeypatch):
-    """Mixed plan: fused passes ``gemm``, the unfused remainder ``direct``."""
-    fused_weights = plan_fusion(get_kernel("heat-2d"), 2).fused.weights
-    monkeypatch.setattr(
-        plan_mod,
-        "choose_strategy",
-        lambda pp: "gemm" if pp.kernel.weights.shape == fused_weights.shape else "direct",
-    )
-    get_plan_cache().clear()
+def test_custom_backend_sees_only_gemm_passes():
+    """Mixed plan: the rule runs heat-2d's 3-step fused passes as
+    ``gemm`` and the unfused remainder as ``direct``."""
     seen = []
 
     class Recording(SerialBackend):
@@ -264,15 +272,15 @@ def test_custom_backend_sees_only_gemm_passes(monkeypatch):
 
     register_backend("recording", Recording)
     try:
-        cs = ConvStencil(get_kernel("heat-2d"), fusion=2, backend="recording")
+        cs = ConvStencil(get_kernel("heat-2d"), fusion=3, backend="recording")
         x = default_rng(1).random((12, 12))
-        out = cs.run(x, steps=5)  # 2 fused (gemm) + 1 remainder (direct)
+        out = cs.run(x, steps=7)  # 2 fused (gemm) + 1 remainder (direct)
         assert seen == ["gemm", "gemm"]
-        batch = cs.run_batch(np.stack([x, x]), steps=5)
+        batch = cs.run_batch(np.stack([x, x]), steps=7)
         assert seen == ["gemm"] * 4
         assert np.array_equal(batch[0], out)
         # Same plan on another backend: same bits.
-        assert np.array_equal(ConvStencil(get_kernel("heat-2d"), fusion=2).run(x, steps=5), out)
+        assert np.array_equal(ConvStencil(get_kernel("heat-2d"), fusion=3).run(x, steps=7), out)
     finally:
         from repro.runtime import backends as backends_mod
 
@@ -282,74 +290,31 @@ def test_custom_backend_sees_only_gemm_passes(monkeypatch):
         get_plan_cache().clear()
 
 
-def test_apply_valid_follows_the_plan_strategy(monkeypatch):
-    monkeypatch.setattr(plan_mod, "choose_strategy", lambda pp: "direct")
-    get_plan_cache().clear()
-    try:
-        kernel = get_kernel("box-2d9p")
-        padded = default_rng(4).random((14, 15))
-        got = ConvStencil(kernel, backend=get_backend("serial")).apply_valid(padded)
-        assert np.array_equal(got, direct_valid(padded, kernel))
-    finally:
-        get_plan_cache().clear()
+def test_apply_valid_follows_the_plan_strategy():
+    kernel = get_kernel("box-2d9p")
+    padded = default_rng(4).random((14, 15))
+    got = ConvStencil(kernel, backend=get_backend("serial")).apply_valid(padded)
+    assert np.array_equal(got, direct_valid(padded, kernel))
 
 
 def test_empty_grid_is_not_measured():
-    """No points, no pass to time: the plan still builds, stays ``gemm``,
-    and a zero-step run returns the empty grid."""
+    """A grid with no points plans by the rule like any other, and a
+    zero-step run returns the empty grid."""
     plan = build_plan(get_kernel("heat-2d"), (0, 5))
-    assert plan.fused_pass.strategy == "gemm"
+    assert plan.fused_pass.strategy == "direct"
     out = ConvStencil(get_kernel("heat-2d")).run(np.zeros((0, 5)), steps=0)
     assert out.shape == (0, 5)
 
 
-class TestCalibrationSize:
-    def test_small_grid_is_timed_whole(self):
-        pp = build_plan(get_kernel("heat-2d"), (9, 10), strategy="gemm").fused_pass
-        assert plan_mod._calibration_pass(pp) is pp
-
-    @pytest.mark.parametrize(
-        "name, shape, want",
-        [
-            ("heat-1d", (1000,), (64,)),
-            ("heat-2d", (40, 10), (6, 10)),
-            ("heat-3d", (9, 4, 4), (4, 4, 4)),
-            # A row wider than the cap still times one full-width row.
-            ("heat-2d", (5, 100), (1, 100)),
-        ],
-    )
-    def test_large_grid_is_timed_on_its_first_rows(self, monkeypatch, name, shape, want):
-        monkeypatch.setattr(plan_mod, "_CALIBRATION_POINTS", 64)
-        seen = []
-        real = SerialBackend.apply_pass
-
-        def spy(self, pp, padded):
-            seen.append(pp.grid_shape)
-            return real(self, pp, padded)
-
-        monkeypatch.setattr(SerialBackend, "apply_pass", spy)
-        pp = build_plan(get_kernel(name), shape, strategy="gemm").fused_pass
-        assert plan_mod._calibrate(pp) in STRATEGIES
-        assert set(seen) == {want}
-
-    def test_capped_grid_keeps_its_own_size_class(self, monkeypatch):
-        monkeypatch.setattr(plan_mod, "_CALIBRATION_POINTS", 64)
-        monkeypatch.setattr(plan_mod, "_strategy_memo", type(plan_mod._strategy_memo)())
-        build_plan(get_kernel("heat-2d"), (40, 10))
-        ((_, _, size_class),) = plan_mod._strategy_memo
-        assert size_class == (40 * 10).bit_length()
-
-
 class TestPinnedPlans:
-    def test_pinned_plan_is_cached_apart_from_the_measured_one(self, monkeypatch):
-        monkeypatch.setattr(plan_mod, "choose_strategy", lambda pp: "direct")
+    def test_pinned_plan_is_cached_apart_from_the_measured_one(self):
         kernel = get_kernel("heat-2d")
-        measured = plan_for(kernel, (12, 12))
+        ruled = plan_for(kernel, (12, 12))
         pinned = plan_for(kernel, (12, 12), strategy="gemm")
-        assert measured.fused_pass.strategy == "direct"
+        assert ruled.fused_pass.strategy == "direct"
         assert pinned.fused_pass.strategy == "gemm"
         assert plan_for(kernel, (12, 12), strategy="gemm") is pinned
-        assert plan_for(kernel, (12, 12)) is measured
+        assert plan_for(kernel, (12, 12)) is ruled
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_pinned_stencil_runs_its_strategy(self, strategy):
@@ -372,7 +337,7 @@ def test_served_results_match_direct_runs(monkeypatch, strategy):
 
     from repro.serve import Request, ServeConfig, StencilService
 
-    monkeypatch.setattr(plan_mod, "choose_strategy", lambda pp: strategy)
+    monkeypatch.setattr(plan_mod, "choose_strategy", lambda kernel, shape: strategy)
     kernel = get_kernel("heat-2d")
     grids = [default_rng(9 + i).random((16, 16)) for i in range(3)]
 

@@ -47,29 +47,19 @@ class TestEngineSpans:
         assert len(tele.get_tracer()) == 0
 
 
-@pytest.mark.measured_strategy
+@pytest.mark.strategy_rule
 class TestStrategySpans:
-    def test_calibration_and_pass_spans_name_the_strategy(self, tele, monkeypatch):
-        """A fresh (kernel, size class) is measured inside a
-        runtime.plan.calibrate span; every pass span says how it ran."""
-        from collections import OrderedDict
-
-        from repro.runtime import plan as plan_mod
-
-        monkeypatch.setattr(plan_mod, "_strategy_memo", OrderedDict())
+    def test_pass_spans_name_the_rule_strategy(self, tele):
+        """Every pass span says how it ran: the strategy the rule picks."""
         tele.enable()
-        ConvStencil(get_kernel("star-2d9p")).run(
-            default_rng(3).random((40, 40)), steps=2
-        )
-        spans = tele.get_tracer().spans()
-        (calibrate,) = [sp for sp in spans if sp.name == "runtime.plan.calibrate"]
-        chosen = calibrate.attributes["strategy"]
-        assert chosen in plan_mod.STRATEGIES
-        assert calibrate.attributes["gemm_ms"] > 0
-        assert calibrate.attributes["direct_ms"] > 0
-        passes = [sp for sp in spans if sp.name == "convstencil.pass"]
-        assert len(passes) == 2
-        assert {p.attributes["strategy"] for p in passes} == {chosen}
+        x = default_rng(3).random((40, 40))
+        for name, want in (("star-2d9p", "direct"), ("box-2d49p", "gemm")):
+            tele.get_tracer().clear()
+            ConvStencil(get_kernel(name)).run(x, steps=2)
+            spans = tele.get_tracer().spans()
+            passes = [sp for sp in spans if sp.name == "convstencil.pass"]
+            assert len(passes) == 2
+            assert {p.attributes["strategy"] for p in passes} == {want}
 
 
 class TestSimulatorMetrics:

@@ -155,12 +155,12 @@ class TestStrategies:
     def test_broken_backend_caught_when_the_crossover_picks_direct(
         self, backends, monkeypatch
     ):
-        """verify pins each strategy itself: a measured ``direct`` choice
+        """verify pins each strategy itself: a ``direct`` pick by the rule
         must not hide a broken GEMM backend."""
         from repro.runtime import Backend
         from repro.runtime import plan as plan_mod
 
-        monkeypatch.setattr(plan_mod, "choose_strategy", lambda pp: "direct")
+        monkeypatch.setattr(plan_mod, "choose_strategy", lambda kernel, shape: "direct")
 
         class Liar(Backend):
             name = "liar"
