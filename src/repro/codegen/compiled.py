@@ -745,6 +745,7 @@ def generate_pass(
     if pp.ndim == 1:
         flavor = "strided"  # 1-D bodies have no gather to elide
     use_lut = flavor == "lut"
+    pp = pp.ensure_tables()
     name, source, constants = _generate(pp, batched, use_lut)
     origin = (
         f"kernel={pp.kernel.name} grid={pp.grid_shape} flavor={flavor}"

@@ -29,9 +29,13 @@ executor, a remote pool)::
     register_backend("mine", MyBackend)
     ConvStencil(kernel, backend="mine")
 
-A backend only ever receives ``gemm`` passes: passes whose plan chose the
-``direct`` strategy run in the pass sequencer
-(:mod:`repro.runtime.execute`), whatever the backend.
+A run hands a backend only its ``gemm`` passes: passes whose plan chose
+the ``direct`` strategy run in the pass sequencer
+(:mod:`repro.runtime.execute`), whatever the backend.  A ``direct`` pass
+can still reach a backend when a caller hands it over explicitly, as the
+benchmark sweep does to time every engine on the same pass; such a pass
+carries no GEMM tables until :meth:`~repro.runtime.plan.PassPlan.ensure_tables`
+builds them, so a backend that reads the tables calls it first.
 """
 
 from __future__ import annotations
@@ -120,6 +124,7 @@ class SerialBackend(Backend):
     name = "serial"
 
     def apply_pass(self, pp: PassPlan, padded: np.ndarray) -> np.ndarray:
+        pp = pp.ensure_tables()
         if pp.ndim == 1:
             return convstencil_valid_1d(
                 padded, pp.kernel, offsets=pp.offsets, weights=pp.weights
@@ -141,6 +146,7 @@ class SerialBackend(Backend):
             return _empty_batch_result(pp, padded)
         if pp.ndim == 2:
             # Ensemble fast path: one stacked-GEMM sweep covers the whole batch.
+            pp = pp.ensure_tables()
             return convstencil_valid_2d_batched(
                 padded, pp.kernel, offsets=pp.offsets, weights=pp.weights
             )

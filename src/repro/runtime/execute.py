@@ -2,14 +2,25 @@
 
 This is the single code path every :class:`~repro.core.api.ConvStencil`
 entry point (``run``, ``run_batch``, ``apply_valid``) funnels through:
-fetch a cached plan, pad per pass with the plan's boundary semantics, and
-run each pass by the strategy its plan carries: ``gemm`` passes go to the
-selected :class:`~repro.runtime.backends.Backend`, ``direct`` passes to the
-shifted-add kernel (:func:`~repro.core.direct.direct_valid`), whatever the
-backend.  Keeping one sequencer guarantees every backend sees identical
-ghost-zone semantics — the property the differential test suite leans on —
-and that a plan gives the same bits on every backend, single-grid or
-batched, served or called directly.
+fetch a cached plan, keep the grid's halo with the plan's boundary
+semantics, and run each pass by the strategy its plan carries: ``gemm``
+passes go to the selected :class:`~repro.runtime.backends.Backend`,
+``direct`` passes to the shifted-add kernel
+(:func:`~repro.core.direct.direct_valid`), whatever the backend.  Keeping
+one sequencer guarantees every backend sees identical ghost-zone
+semantics — the property the differential test suite leans on — and that
+a plan gives the same bits on every backend, single-grid or batched,
+served or called directly.
+
+A run pads its input once, like the paper's padding that is reused as
+scratch (§3.4).  Its state lives in the interior of two halo buffers
+sized for the widest halo among its passes: before each later pass the
+halo of the current buffer is refreshed in place
+(:func:`~repro.stencils.grid.refresh_halo`, equal to a fresh pad bit for
+bit), and the pass writes the other buffer's interior.  A ``direct`` pass
+accumulates straight into it; a ``gemm`` pass gets a contiguous padded
+array, as it would from a fresh pad, and its result is copied in.  The
+last pass writes a fresh array, the run's result.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from repro.core.fusion import FusionPlan
 from repro.runtime.backends import Backend, get_backend
 from repro.runtime.cache import get_plan_cache
 from repro.runtime.plan import ExecutionPlan, PassPlan, build_plan, plan_key
-from repro.stencils.grid import BoundaryCondition, pad_halo, pad_halo_batch
+from repro.stencils.grid import BoundaryCondition, pad_halo, pad_halo_batch, refresh_halo
 from repro.stencils.kernel import StencilKernel
 
 __all__ = ["execute", "execute_batch", "execute_pass", "plan_for"]
@@ -62,13 +73,22 @@ def plan_for(
     )
 
 
-def _apply(pp: PassPlan, padded: np.ndarray, backend: Backend, batched: bool) -> np.ndarray:
-    """One pass by the plan's strategy; backends only ever see ``gemm``."""
+def _apply(
+    pp: PassPlan,
+    padded: np.ndarray,
+    backend: Backend,
+    batched: bool,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """One pass by the plan's strategy, into ``out`` when given; a run
+    hands backends only ``gemm`` passes."""
     if pp.strategy == "direct":
-        return direct_valid(padded, pp.kernel, batched=batched)
-    if batched:
-        return backend.apply_pass_batch(pp, padded)
-    return backend.apply_pass(pp, padded)
+        return direct_valid(padded, pp.kernel, batched=batched, out=out)
+    result = backend.apply_pass_batch(pp, padded) if batched else backend.apply_pass(pp, padded)
+    if out is None:
+        return result
+    out[...] = result
+    return out
 
 
 def execute_pass(
@@ -90,25 +110,43 @@ def _run_passes(
     backend: Backend,
     batched: bool,
 ) -> np.ndarray:
-    out = data
+    passes = list(plan.passes_for(steps))
+    if not passes:
+        # Zero passes (steps=0): a no-op run still returns a fresh float64
+        # array, never an alias of the caller's input.
+        return np.array(data, dtype=np.float64)
+    lead = (slice(None),) if batched else ()
+    halo = max(pp.halo for pp in passes)
     pad = pad_halo_batch if batched else pad_halo
-    for pp in plan.passes_for(steps):
+    current = pad(data, halo, plan.boundary, fill_value)
+    if current is data:  # a zero halo pads nothing; never reuse the caller's array
+        current = data.copy()
+    spare = np.empty_like(current) if len(passes) > 1 else None
+    interior = lead + tuple(slice(halo, halo + n) for n in data.shape[len(lead):])
+    last = len(passes) - 1
+    for i, pp in enumerate(passes):
         with telemetry.span(
             "convstencil.pass",
             kernel=pp.kernel.name,
             radius=pp.halo,
-            shape=out.shape,
+            shape=data.shape,
             backend=backend.name,
             strategy=pp.strategy,
             **({"batched": True} if batched else {}),
         ):
-            padded = pad(out, pp.halo, plan.boundary, fill_value)
-            out = _apply(pp, padded, backend, batched)
-    if out is data:
-        # Zero passes (steps=0): a no-op run still returns a fresh float64
-        # array, never an alias of the caller's input.
-        out = np.array(data, dtype=np.float64)
-    return out
+            if i:
+                refresh_halo(current, halo, plan.boundary, fill_value, batched=batched)
+            trim = halo - pp.halo
+            padded = current[lead + (slice(trim, -trim or None),) * pp.ndim]
+            if pp.strategy == "gemm":
+                # The contiguous array a fresh pad would have given the backend.
+                padded = np.ascontiguousarray(padded)
+            if i == last:
+                result = _apply(pp, padded, backend, batched)
+            else:
+                _apply(pp, padded, backend, batched, out=spare[interior])
+                current, spare = spare, current
+    return np.ascontiguousarray(result)
 
 
 def execute(

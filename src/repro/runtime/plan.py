@@ -6,21 +6,28 @@ and reuses them across every time iteration (§3.4, Table 5).  An
 ``(kernel, grid_shape, boundary, fusion_depth)`` key it captures
 
 * the fused/base **pass kernels** and their halo geometry,
-* the stencil2row **gather-offset LUTs** per pass,
-* the triangular **weight matrices** (1-D pairs, 2-D blocks, 3-D
-  per-plane blocks + plane decomposition),
 * an execution **strategy** per pass: ``"gemm"`` (dual tessellation,
   handed to the backend) or ``"direct"`` (shifted adds, run by the pass
   sequencer), chosen by a fixed rule over the kernel's weights and the
-  grid size (:func:`choose_strategy`).
+  grid size (:func:`choose_strategy`),
+* for a ``gemm`` pass, the **GEMM tables** its engine reads: the
+  stencil2row gather-offset LUT and the triangular weight matrices (1-D
+  pairs, 2-D blocks, 3-D per-plane blocks + plane decomposition).
 
-Plans are immutable and reusable: engines receive the precomputed tables
-explicitly, so a 50-step run builds every table exactly once (via the
+Tables are built only where they are read.  A ``direct`` pass reads
+none, so its plan carries none; if such a pass is handed to a backend
+explicitly (a benchmark sweep timing every engine on one pass), the
+backend's :meth:`PassPlan.ensure_tables` builds them on that first use
+and keeps them on the pass.
+
+Plans are reusable: engines receive the precomputed tables explicitly,
+so a 50-step run builds every table exactly once (via the
 :class:`~repro.runtime.cache.PlanCache`) instead of once per pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -61,7 +68,7 @@ def plan_key(
 
 @dataclass(frozen=True)
 class PassPlan:
-    """Precomputed state for one dual-tessellation pass of one kernel.
+    """Precomputed state for one pass of one kernel.
 
     Everything here depends only on the kernel and the grid shape — never
     on the grid values — so it is computed once per plan and shared by all
@@ -74,9 +81,10 @@ class PassPlan:
     halo: int
     #: Shape of the halo-padded input the engines consume.
     padded_shape: Tuple[int, ...]
+    #: The GEMM tables, set for a ``gemm`` pass and ``None`` on a
+    #: ``direct`` pass until :meth:`ensure_tables` builds them.
     #: Stencil2row gather LUT (1-D/2-D: for the pass kernel; 3-D: for the
-    #: 2-D planes).  ``None`` only when the pass needs no gather (pure-axpy
-    #: 3-D planes).
+    #: 2-D planes).
     offsets: Optional[np.ndarray] = None
     #: Triangular weight matrices: 1-D ``(WA, WB)``; 2-D ``(WA3, WB3)``.
     weights: Optional[tuple] = None
@@ -87,13 +95,26 @@ class PassPlan:
     #: How the pass runs, set by :func:`choose_strategy` unless pinned:
     #: ``"gemm"`` hands it to the backend's dual-tessellation engine;
     #: ``"direct"`` runs the shifted-add kernel in the pass sequencer.
-    #: Both keep the tables above, so a ``direct`` pass can still be
-    #: handed to a backend explicitly.
     strategy: str = "gemm"
 
     @property
     def ndim(self) -> int:
         return self.kernel.ndim
+
+    def ensure_tables(self) -> "PassPlan":
+        """This pass, with its GEMM tables built if it has none yet.
+
+        Backends that read the tables call this first, so a ``direct``
+        pass handed to one explicitly builds them once, on first use, and
+        keeps them.  The tables are a pure function of the pass, so two
+        threads racing here store equal values; ``offsets`` is stored
+        last, so a reader that sees it sees the rest.
+        """
+        if self.offsets is None:
+            tables = _gemm_tables(self.kernel, self.padded_shape)
+            for name in ("weights", "planes", "weights_by_plane", "offsets"):
+                object.__setattr__(self, name, tables[name])
+        return self
 
 
 #: The execution strategies a pass can carry.
@@ -120,20 +141,15 @@ def choose_strategy(kernel: StencilKernel, grid_shape: Tuple[int, ...]) -> str:
     """
     if kernel.ndim == 2:
         square = kernel.points**2
-        points = int(np.prod(grid_shape, dtype=np.int64))
+        points = math.prod(grid_shape)
         for score, limit in _GEMM_MAX_POINTS:
             if square >= score * kernel.volume:
                 return "gemm" if points <= limit else "direct"
     return "direct"
 
 
-def _build_pass(
-    kernel: StencilKernel,
-    grid_shape: Tuple[int, ...],
-    strategy: Optional[str] = None,
-) -> PassPlan:
-    halo = kernel.radius
-    padded_shape = tuple(s + 2 * halo for s in grid_shape)
+def _gemm_tables(kernel: StencilKernel, padded_shape: Tuple[int, ...]) -> dict:
+    """The tables a dual-tessellation engine reads for one pass."""
     k = kernel.edge
     offsets = weights = planes = weights_by_plane = None
     if kernel.ndim == 1:
@@ -153,16 +169,30 @@ def _build_pass(
             for dz, kind, payload in planes
             if kind == "conv2d"
         }
+    return {
+        "offsets": offsets,
+        "weights": weights,
+        "planes": planes,
+        "weights_by_plane": weights_by_plane,
+    }
+
+
+def _build_pass(
+    kernel: StencilKernel,
+    grid_shape: Tuple[int, ...],
+    strategy: Optional[str] = None,
+) -> PassPlan:
+    halo = kernel.radius
+    padded_shape = tuple(s + 2 * halo for s in grid_shape)
+    strategy = strategy or choose_strategy(kernel, grid_shape)
+    tables = _gemm_tables(kernel, padded_shape) if strategy == "gemm" else {}
     return PassPlan(
         kernel=kernel,
         grid_shape=tuple(grid_shape),
         halo=halo,
         padded_shape=padded_shape,
-        offsets=offsets,
-        weights=weights,
-        planes=planes,
-        weights_by_plane=weights_by_plane,
-        strategy=strategy or choose_strategy(kernel, grid_shape),
+        strategy=strategy,
+        **tables,
     )
 
 
@@ -200,7 +230,8 @@ class ExecutionPlan:
 
     @property
     def nbytes(self) -> int:
-        """Approximate footprint of the precomputed tables (cache telemetry)."""
+        """Approximate footprint of the tables built so far (cache
+        telemetry); ``0`` for a plan of ``direct`` passes."""
         total = 0
         passes = (
             (self.fused_pass,)

@@ -28,6 +28,8 @@ RPR206    3-D plane decomposition inconsistent: bad plane offsets, or
           ``weights_by_plane`` disagreeing with the dense-plane set.
 RPR207    execution strategy is neither ``"gemm"`` nor ``"direct"``, or a
           ``gemm`` pass lacks the LUT and weight tables its engine reads.
+          (A ``direct`` pass carries none until a backend is handed it;
+          tables it does carry are checked like a ``gemm`` pass's.)
 ========  ==================================================================
 
 ``check_plan(plan)`` returns the violations as :class:`Finding`\\ s
@@ -237,7 +239,9 @@ def _check_halo(pp, name: str, label: str, findings: List[Finding]) -> None:
 
 def _check_planes(pp, name: str, label: str, findings: List[Finding]) -> None:
     """RPR206: 3-D plane decomposition / per-plane weight consistency."""
-    if pp.ndim != 3:
+    if pp.ndim != 3 or (pp.offsets is None and pp.planes is None):
+        # No tables to check: a direct pass builds them only when handed
+        # to a backend (RPR207 flags a gemm pass without them).
         return
     k = pp.kernel.edge
     if not pp.planes:

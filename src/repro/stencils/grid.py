@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import GridError
 
-__all__ = ["BoundaryCondition", "Grid", "pad_halo", "pad_halo_batch"]
+__all__ = ["BoundaryCondition", "Grid", "pad_halo", "pad_halo_batch", "refresh_halo"]
 
 
 class BoundaryCondition(enum.Enum):
@@ -93,6 +95,73 @@ def pad_halo_batch(
                 "shrink the halo or enlarge the grid"
             )
     return np.pad(batch, widths, mode=mode)
+
+
+@lru_cache(maxsize=64)
+def _reflect_sources(extent: int, halo: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Padded-array indices the left and right halo cells copy from under
+    ``symmetric`` padding wider than the extent.
+
+    The halo cell at ``p`` (interior coordinates) holds the interior
+    mirrored with period ``2 * extent``, which is what :func:`numpy.pad`
+    gives when it reflects again and again.
+    """
+    p = np.concatenate([np.arange(-halo, 0), np.arange(extent, extent + halo)])
+    m = p % (2 * extent)
+    src = np.where(m < extent, m, 2 * extent - 1 - m) + halo
+    src.setflags(write=False)
+    return src[:halo], src[halo:]
+
+
+def refresh_halo(
+    padded: np.ndarray,
+    halo: int,
+    boundary: BoundaryCondition = BoundaryCondition.CONSTANT,
+    fill_value: float = 0.0,
+    *,
+    batched: bool = False,
+) -> np.ndarray:
+    """Rewrite the halo of a padded array in place from its interior.
+
+    Afterwards ``padded`` equals :func:`pad_halo` (with ``batched``,
+    :func:`pad_halo_batch`) of its interior bit for bit, whatever its
+    halo held before, so a buffer padded once can be reused pass after
+    pass.  Axes are filled in order, each over the whole of the axes
+    before it and the interior of the axes after it, which is the order
+    :func:`numpy.pad` fills corners in.  Returns ``padded``.
+    """
+    if halo < 0:
+        raise GridError(f"halo width must be non-negative, got {halo}")
+    if halo == 0:
+        return padded
+    boundary = BoundaryCondition(boundary)
+    lead = 1 if batched else 0
+    extents = tuple(s - 2 * halo for s in padded.shape[lead:])
+    if boundary is BoundaryCondition.PERIODIC and any(halo > s for s in extents):
+        raise GridError(
+            f"periodic halo {halo} exceeds grid extent {extents}; "
+            "shrink the halo or enlarge the grid"
+        )
+    ndim = len(extents)
+    for axis, extent in enumerate(extents):
+        before = (slice(None),) * (lead + axis)
+        after = (slice(halo, -halo),) * (ndim - axis - 1)
+        left = before + (slice(0, halo),) + after
+        right = before + (slice(halo + extent, None),) + after
+        if boundary is BoundaryCondition.CONSTANT:
+            padded[left] = fill_value
+            padded[right] = fill_value
+            continue
+        if boundary is BoundaryCondition.PERIODIC:
+            src_left, src_right = slice(extent, extent + halo), slice(halo, 2 * halo)
+        elif halo <= extent:
+            src_left = slice(2 * halo - 1, halo - 1, -1)
+            src_right = slice(halo + extent - 1, extent - 1, -1)
+        else:
+            src_left, src_right = _reflect_sources(extent, halo)
+        padded[left] = padded[before + (src_left,) + after]
+        padded[right] = padded[before + (src_right,) + after]
+    return padded
 
 
 @dataclass

@@ -15,7 +15,8 @@ paper's im2row footprint accounting (Table 3) uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from scipy.signal import convolve as _full_convolve
@@ -93,15 +94,31 @@ class StencilKernel:
         """Stencil radius (the paper's *order*): ``(edge - 1) // 2``."""
         return (self.edge - 1) // 2
 
-    @property
+    # The weights are read-only, so everything derived from them is
+    # computed once per instance.
+
+    @cached_property
     def points(self) -> int:
         """Number of nonzero weights — the stencil's point count."""
         return int(np.count_nonzero(self.weights))
 
-    @property
+    @cached_property
     def volume(self) -> int:
         """Total entries of the bounding box, ``edge ** ndim``."""
         return int(np.prod(self.weights.shape))
+
+    @cached_property
+    def terms(self) -> Tuple[Tuple[Tuple[int, ...], np.float64], ...]:
+        """The nonzero ``(offset, weight)`` pairs in ``np.ndindex`` order —
+        the terms of a shifted-add step, in the order it sums them."""
+        w = self.weights
+        return tuple(
+            (offset, w[offset]) for offset in np.ndindex(*w.shape) if w[offset] != 0.0
+        )
+
+    @cached_property
+    def _fused(self) -> Dict[int, "StencilKernel"]:
+        return {1: self}
 
     # -- derived kernels ---------------------------------------------------
 
@@ -132,18 +149,23 @@ class StencilKernel:
         ``steps=1`` returns ``self``.  The fused kernel has radius
         ``steps * radius``; its application advances the simulation by
         ``steps`` time steps in one pass (exact in the interior / under
-        periodic halos).
+        periodic halos).  Memoised per depth: every caller fusing this
+        kernel gets the same fused instance.
         """
         if steps < 1:
             raise KernelError(f"fusion depth must be >= 1, got {steps}")
-        fused = self
-        for _ in range(steps - 1):
-            fused = fused.compose(self)
-        if steps > 1:
-            fused = StencilKernel(
-                name=f"{self.name}-x{steps}",
-                weights=fused.weights,
-                shape_kind=fused.shape_kind,
+        fused = self._fused.get(steps)
+        if fused is None:
+            fused = self
+            for _ in range(steps - 1):
+                fused = fused.compose(self)
+            fused = self._fused.setdefault(
+                steps,
+                StencilKernel(
+                    name=f"{self.name}-x{steps}",
+                    weights=fused.weights,
+                    shape_kind=fused.shape_kind,
+                ),
             )
         return fused
 

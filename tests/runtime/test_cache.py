@@ -19,6 +19,14 @@ def fresh_cache():
     set_plan_cache(previous)
 
 
+@pytest.fixture
+def stand_in_plans(monkeypatch):
+    """Tests of the LRU mechanics cache strings, not plans: keep the
+    ``REPRO_STATICCHECK`` insert check, which reads real plans, off."""
+    monkeypatch.delenv("REPRO_STATICCHECK", raising=False)
+
+
+@pytest.mark.usefixtures("stand_in_plans")
 class TestPlanCache:
     def test_get_or_build_builds_once(self, fresh_cache):
         calls = []
@@ -103,6 +111,7 @@ class TestCacheIntegration:
         np.testing.assert_array_equal(cs.run(x, steps=1), first)
 
 
+@pytest.mark.usefixtures("stand_in_plans")
 class TestCacheConcurrency:
     """The per-key build-lock rewrite: builds run outside the global lock."""
 

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro import ConvStencil
+from repro.core import direct as direct_mod
 from repro.core.api import PinnedStencil
 from repro.core.direct import direct_valid
 from repro.core.fusion import plan_fusion
@@ -90,6 +91,27 @@ class TestDirectKernel:
         got = direct_valid(stack, kernel, batched=True)
         assert np.array_equal(got[0], want)
         assert np.array_equal(got[1], direct_valid(stack[1], kernel))
+
+    @pytest.mark.parametrize("block_bytes", [8, 200, 1 << 20])
+    @pytest.mark.parametrize(
+        "name, shape", [("heat-1d", (301,)), ("box-2d25p", (23, 19)), ("heat-3d", (9, 8, 7))]
+    )
+    def test_blocks_and_out_keep_the_bits(self, monkeypatch, block_bytes, name, shape):
+        """Any block size (one row, a few rows, whole grids of a batch) and
+        a strided ``out`` give the reference step's bits, and ``out``'s
+        surroundings are left alone."""
+        monkeypatch.setattr(direct_mod, "BLOCK_BYTES", block_bytes)
+        kernel = get_kernel(name)
+        x = default_rng(11).random((2,) + shape) - 0.5
+        padded = np.stack([pad_halo(g, kernel.radius) for g in x])
+        want = np.stack([apply_stencil_reference(g, kernel) for g in x])
+        assert direct_valid(padded[0], kernel).tobytes() == want[0].tobytes()
+        assert direct_valid(padded, kernel, batched=True).tobytes() == want.tobytes()
+        buf = np.full((2,) + tuple(s + 4 for s in shape), np.nan)
+        interior = buf[(slice(None),) + (slice(2, -2),) * kernel.ndim]
+        assert direct_valid(padded, kernel, batched=True, out=interior) is interior
+        assert interior.tobytes() == want.tobytes()
+        assert np.isnan(buf).sum() == buf.size - want.size
 
     def test_rejects_wrong_rank_and_too_small_input(self):
         kernel = get_kernel("heat-2d")

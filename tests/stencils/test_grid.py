@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GridError
-from repro.stencils.grid import BoundaryCondition, Grid, pad_halo
+from repro.stencils.grid import (
+    BoundaryCondition,
+    Grid,
+    pad_halo,
+    pad_halo_batch,
+    refresh_halo,
+)
 
 
 class TestPadHalo:
@@ -79,3 +87,42 @@ class TestGrid:
     def test_data_cast_to_float64(self):
         g = Grid(np.ones((3, 3), dtype=np.float32))
         assert g.data.dtype == np.float64
+
+
+class TestRefreshHalo:
+    """An in-place halo refresh must equal a fresh pad bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ndim=st.integers(1, 3),
+        halo=st.integers(1, 3),
+        boundary=st.sampled_from(list(BoundaryCondition)),
+        batched=st.booleans(),
+        data=st.data(),
+    )
+    def test_equals_pad_halo(self, ndim, halo, boundary, batched, data):
+        # Periodic halos must fit the extent; reflect may exceed it.
+        low = halo if boundary is BoundaryCondition.PERIODIC else 1
+        shape = tuple(data.draw(st.lists(st.integers(low, 6), min_size=ndim, max_size=ndim)))
+        if batched:
+            shape = (data.draw(st.integers(1, 3)),) + shape
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.standard_normal(shape)
+        pad = pad_halo_batch if batched else pad_halo
+        want = pad(x, halo, boundary, 0.75)
+        # The halo holds junk from an earlier pass; the interior holds x.
+        buf = rng.standard_normal(want.shape)
+        lead = (slice(None),) if batched else ()
+        buf[lead + (slice(halo, -halo),) * ndim] = x
+        assert refresh_halo(buf, halo, boundary, 0.75, batched=batched) is buf
+        assert buf.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_periodic_halo_wider_than_extent_raises(self, batched):
+        buf = np.zeros((2, 7, 12) if batched else (7, 12))
+        with pytest.raises(GridError, match="periodic halo 3 exceeds"):
+            refresh_halo(buf, 3, BoundaryCondition.PERIODIC, batched=batched)
+
+    def test_rejects_negative_halo(self):
+        with pytest.raises(GridError):
+            refresh_halo(np.zeros(4), -1)
