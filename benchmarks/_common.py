@@ -77,8 +77,8 @@ def emit_json(name: str, rows, **metadata) -> None:
 def emit_obs(name: str) -> None:
     """Persist the live-observability snapshot as results/<name>.obs.json.
 
-    No-op unless the obs layer is enabled (``REPRO_OBS=1`` or an explicit
-    ``obs.enable()``); when active, the snapshot — per-plan latency
+    No-op below the ``metrics`` observability level (``REPRO_OBS`` or
+    ``obs.set_level``); when active, the snapshot — per-plan latency
     quantiles, achieved-vs-model throughput, worker state — lands next to
     the bench's tables so numbers and runtime health travel together.
     """

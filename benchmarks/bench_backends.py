@@ -33,7 +33,7 @@ from typing import List, Tuple
 import numpy as np
 
 from _common import emit, emit_json, emit_obs
-from repro import ConvStencil, get_kernel, telemetry
+from repro import ConvStencil, get_kernel, obs, telemetry
 from repro.core.api import PinnedStencil
 from repro.runtime import PlanCache, get_plan_cache, list_backends, set_plan_cache
 from repro.utils.rng import default_rng
@@ -121,8 +121,9 @@ def measure_cache_hit_rate(steps: int = 50) -> dict:
 
 
 def run_suite(quick: bool = False) -> List[str]:
-    was_enabled = telemetry.enabled()
-    telemetry.enable()
+    level = obs.get_level()
+    if not telemetry.enabled():
+        obs.set_level("trace")
     try:
         rows = compare_backends(
             QUICK_CASES if quick else CASES,
@@ -160,8 +161,7 @@ def run_suite(quick: bool = False) -> List[str]:
         emit_obs("backend_comparison")
         return [table, cache_line]
     finally:
-        if not was_enabled:
-            telemetry.disable()
+        obs.set_level(level)
 
 
 # -- pytest-benchmark entry points ----------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from _common import emit, emit_telemetry
-from repro import telemetry
+from repro import obs, telemetry
 from repro.core.api import ConvStencil
 from repro.stencils.catalog import BENCHMARKS, get_kernel
 from repro.stencils.reference import apply_stencil_reference
@@ -44,8 +44,9 @@ def test_bench_emit_throughput_summary(benchmark, backend):
     *same* measurement and cannot drift apart.
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    was_enabled = telemetry.enabled()
-    telemetry.enable()
+    level = obs.get_level()
+    if not telemetry.enabled():
+        obs.set_level("trace")
     tracer = telemetry.get_tracer()
     rows = []
     try:
@@ -72,5 +73,4 @@ def test_bench_emit_throughput_summary(benchmark, backend):
         )
         emit_telemetry("library_throughput")
     finally:
-        if not was_enabled:
-            telemetry.disable()
+        obs.set_level(level)

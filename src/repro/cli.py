@@ -209,7 +209,7 @@ def _run_telemetry_report(argv: List[str]) -> List[str]:
         metavar="ID",
         help=(
             "render one request's serve-stage waterfall instead of the "
-            "phase table (accepts flight dumps and span JSONL)"
+            "phase table (span JSONL: a tracer export or a black-box dump)"
         ),
     )
     args = parser.parse_args(argv)
@@ -312,7 +312,7 @@ def _run_lint(argv: List[str]) -> List[str]:
         description=(
             "Static determinism & safety checks: the AST linter "
             "(RPR001-006), the plan/LUT verifier over the kernel catalog "
-            "(RPR201-207), the concurrency discipline rules (RPR101-103), "
+            "(RPR201-207), the concurrency discipline rules (RPR102-103), "
             "the generated-kernel prover (RPR400-406), and the asyncio "
             "serve-layer rules (RPR301-304)"
         ),
@@ -468,7 +468,8 @@ def _run_obs_snapshot(argv: List[str]) -> List[str]:
         run_demo_workload(runs=args.demo_runs)
     if not obs.enabled():
         raise ReproError(
-            "obs layer is disabled; set REPRO_OBS=1 (or pass --demo, which enables it)"
+            "obs layer is disabled; set REPRO_OBS=metrics or higher "
+            "(or pass --demo, which raises it to metrics)"
         )
     snap = obs.snapshot()
     lines: List[str] = []
@@ -629,33 +630,35 @@ def _run_loadgen(argv: List[str]) -> List[str]:
         metavar="FILE.jsonl",
         default=None,
         help=(
-            "enable the flight recorder for the replay and export the "
-            "whole trace ring to FILE.jsonl (replayable via repro flight)"
+            "trace the replay (raising REPRO_OBS to trace) and export its "
+            "spans to FILE.jsonl (replayable via repro flight)"
         ),
     )
     args = parser.parse_args(argv)
 
+    from repro import obs
     from repro.serve import TraceSpec, run_loadgen
+    from repro.telemetry.trace import write_spans_jsonl
 
-    recorder = None
-    if args.flight_dump:
-        from repro import flight
-        from repro.flight.recorder import FlightRecorder
-
-        # Ring sized to hold the full trace so the post-replay
-        # completeness gate never loses early requests to eviction.
-        recorder = FlightRecorder(capacity=max(2 * args.requests, 256))
-        flight.enable(recorder)
-
+    tracer = telemetry.get_tracer()
+    mark = tracer.total_recorded
+    level = obs.get_level()
+    raised = bool(args.flight_dump) and not telemetry.enabled()
+    if raised:
+        obs.set_level("trace")
     spec = TraceSpec(seed=args.seed, requests=args.requests, tenants=args.tenants)
-    report = run_loadgen(
-        spec=spec,
-        config=_serve_config_from_args(args),
-        waves=args.waves,
-        check_identity=not args.no_identity,
-    )
-    if recorder is not None:
-        recorder.export_jsonl(args.flight_dump)
+    try:
+        report = run_loadgen(
+            spec=spec,
+            config=_serve_config_from_args(args),
+            waves=args.waves,
+            check_identity=not args.no_identity,
+        )
+    finally:
+        if raised:
+            obs.set_level(level)
+    if args.flight_dump:
+        write_spans_jsonl(args.flight_dump, tracer.spans_since(mark))
     if report["identity_checked"] and not report["identity_ok"]:
         raise ReproError(
             f"served results diverged from direct ConvStencil.run for "
@@ -686,7 +689,7 @@ def _run_loadgen(argv: List[str]) -> List[str]:
             f"multi-request (coalesced) trace(s)"
         )
         if args.flight_dump:
-            lines.append(f"FLIGHT: ring exported to {args.flight_dump}")
+            lines.append(f"FLIGHT: spans exported to {args.flight_dump}")
     return lines
 
 
@@ -695,34 +698,34 @@ def _flight_self_test(dump_dir: "str | None") -> List[str]:
 
     Deterministically drives one alert through ok → pending → firing →
     ok against synthetic traffic counters (one sample per scripted
-    minute), with the flight-recorder alert hook attached so every
-    transition snapshots a black-box dump.  Ends by replaying the victim
-    request's waterfall out of the dump it just wrote — the whole
-    observe→alert→dump→replay loop in one command, no service needed.
+    minute), with the black-box alert hook attached so every transition
+    dumps a private span ring of synthetic requests.  Ends by replaying
+    the victim request's waterfall out of the dump it just wrote — the
+    whole observe→alert→dump→replay loop in one command, no service
+    needed.
     """
     import tempfile
 
-    from repro.flight.recorder import FlightRecorder
     from repro import flight
     from repro.obs.alerts import AlertEngine, AlertPolicy
+    from repro.telemetry.trace import Tracer
 
     target = Path(dump_dir) if dump_dir else Path(tempfile.mkdtemp(prefix="flight-"))
-    recorder = FlightRecorder(capacity=32, dump_dir=target, max_dumps=8)
+    tracer = Tracer(max_spans=256)
 
-    # A handful of synthetic ok traces so dumps have batch context.
+    # A handful of synthetic served requests so dumps have batch context.
     members = [f"selftest-{i:02d}" for i in range(4)]
     for i, rid in enumerate(members):
-        trace = recorder.begin(rid, tenant="selftest")
         base = 0.010 * i
-        trace.stage("admit", base, base + 0.0002, outcome="admitted")
-        trace.stage("queue_wait", base + 0.0002, base + 0.0012)
-        trace.stage("coalesce", base + 0.0012, base + 0.0015, batch_id="b-self")
-        trace.stage(
-            "execute", base + 0.0015, base + 0.0085,
-            batch_id="b-self", links=list(members),
-        )
-        trace.stage("split", base + 0.0085, base + 0.0090)
-        trace.finish("ok")
+        stamp = {"trace_id": f"tselftest-{i:02d}", "request_id": rid, "tenant": "selftest"}
+        for name, start, end, attrs in (
+            ("admit", 0.0, 0.0002, {"outcome": "admitted"}),
+            ("queue_wait", 0.0002, 0.0012, {}),
+            ("coalesce", 0.0012, 0.0015, {"batch_id": "b-self"}),
+            ("execute", 0.0015, 0.0085, {"batch_id": "b-self", "links": list(members)}),
+            ("split", 0.0085, 0.0090, {"status": "ok", "reason": "", "slo_breached": False}),
+        ):
+            tracer.record_span(f"serve.{name}", base + start, base + end, dict(stamp, **attrs))
 
     # Scripted minute-by-minute counters: an hour of clean traffic, an
     # 8-minute half-breach burst (fast window trips first, then slow),
@@ -734,7 +737,7 @@ def _flight_self_test(dump_dir: "str | None") -> List[str]:
         policies=[AlertPolicy()],
         clock=lambda: clock_now[0],
     )
-    flight.attach_alert_hook(engine, recorder)
+    flight.attach_alert_hook(engine, tracer=tracer, dump_dir=target, max_dumps=8)
     states: List[str] = []
 
     def _minute(breached_per_minute: int) -> None:
@@ -777,20 +780,20 @@ def _flight_self_test(dump_dir: "str | None") -> List[str]:
 
 
 def _run_flight(argv: List[str]) -> List[str]:
-    """The ``flight`` subcommand: replay and inspect black-box dumps."""
+    """The ``flight`` subcommand: replay requests from span JSONL."""
     parser = argparse.ArgumentParser(
         prog="convstencil flight",
         description=(
-            "Inspect flight-recorder black-box dumps: list recorded "
-            "requests, replay one request's stage waterfall, or run the "
-            "scripted-clock alert self-test"
+            "Inspect span JSONL (black-box dumps or tracer exports): list "
+            "recorded requests, replay one request's stage waterfall, or "
+            "run the scripted-clock alert self-test"
         ),
     )
     parser.add_argument(
         "--dump",
         metavar="FILE.jsonl",
         default=None,
-        help="flight dump (or telemetry span JSONL) to inspect",
+        help="span JSONL to inspect (a black-box dump or a tracer export)",
     )
     parser.add_argument(
         "--request-id",
@@ -832,34 +835,7 @@ def _run_flight(argv: List[str]) -> List[str]:
 
     if args.request_id:
         return flight.render_request_report(args.dump, args.request_id)
-
-    traces, problems = flight.load_flight_dump(args.dump)
-    if not traces:
-        lines = [f"FLIGHT: no traces in {args.dump}"]
-        lines.extend(f"  note: {p}" for p in problems)
-        return lines
-    lines = [f"FLIGHT: {len(traces)} trace(s) in {args.dump}"]
-    for record in traces:
-        stages = record.get("stages") or []
-        total = 0.0
-        if stages:
-            total = max(float(s.get("end", 0.0)) for s in stages) - min(
-                float(s.get("start", 0.0)) for s in stages
-            )
-        flags = ""
-        if record.get("slo_breached"):
-            flags += "  [SLO BREACH]"
-        if record.get("reason"):
-            flags += f"  reason={record['reason']}"
-        lines.append(
-            f"  {record.get('request_id', '?'):>12}  "
-            f"tenant={record.get('tenant') or '-':<10} "
-            f"status={record.get('status', '?'):<8} "
-            f"{len(stages)} stage(s)  {total * 1e3:8.2f}ms{flags}"
-        )
-    lines.extend(f"  note: {p}" for p in problems)
-    lines.append("FLIGHT: replay one with --request-id <id>")
-    return lines
+    return flight.render_request_list(args.dump)
 
 
 def _run_serve(argv: List[str]) -> List[str]:
@@ -899,11 +875,12 @@ def _run_serve(argv: List[str]) -> List[str]:
     from repro.serve import TraceSpec
     from repro.serve.loadgen import run_server
 
-    obs.enable()
-    # Burn-rate alerting over the collector's SLO counters; when the
-    # flight ring is on (REPRO_FLIGHT) every transition dumps the ring.
+    if not obs.enabled():
+        obs.set_level("metrics")
+    # Burn-rate alerting over the collector's SLO counters; while spans
+    # are recorded (REPRO_OBS=trace) every transition dumps the ring.
     engine = obs.configure_alerts()
-    if flight.enabled():
+    if telemetry.enabled():
         flight.attach_alert_hook(engine)
     server = None
     lines: List[str] = []
@@ -1237,8 +1214,10 @@ def run(argv: Sequence[str]) -> List[str]:
     if argv and argv[0] == "flight":
         return _run_flight(argv[1:])
     args = build_parser().parse_args(argv)
-    if args.trace or args.metrics:
-        telemetry.enable()
+    if (args.trace or args.metrics) and not telemetry.enabled():
+        from repro import obs
+
+        obs.set_level("trace")
     ndim = _DIM_NAMES[args.dim]
     if len(args.sizes) != ndim + 1:
         raise ReproError(
@@ -1332,12 +1311,7 @@ def run(argv: Sequence[str]) -> List[str]:
             f"Metrics (simulated pass on {'x'.join(map(str, shape))} grid):"
         )
         for name, summary in telemetry.get_registry().snapshot().items():
-            if summary["type"] == "histogram":
-                lines.append(
-                    f"  {name} = count {summary['count']}, sum {summary['sum']:.6g}"
-                )
-            else:
-                lines.append(f"  {name} = {summary['value']:.6g}")
+            lines.append(f"  {name} = {summary['value']:.6g}")
 
     if args.trace:
         x = default_rng(0).random(tuple(extents))

@@ -1,170 +1,142 @@
-"""repro.flight — request-scoped tracing and the serve-path black box.
+"""repro.flight — the serve path's black box, read off the tracer ring.
 
 The serve layer amortises many small stencil requests into one GEMM
 pass (PAPER.md §3.3, Eq. 13); this package answers the operator-side
 question that amortisation raises: *which requests rode which coalesced
-batch, and where did this p99 outlier spend its time?*  Every request
-admitted by :class:`repro.serve.StencilService` gets a
-:class:`~repro.flight.recorder.RequestTrace` — one timed record per
-pipeline stage (``admit → queue_wait → coalesce → execute → split``),
-the ``execute`` stage linking all members of its coalesced batch — and
-completed traces land in a bounded :class:`~repro.flight.recorder.FlightRecorder`
-ring.  On failure, SLO breach, or a burn-rate alert transition
-(:mod:`repro.obs.alerts`), the ring snapshots the offending trace plus
-its neighbors to a JSONL black-box dump, replayable via
-``repro flight --request-id``.
+batch, and where did this p99 outlier spend its time?*  From the
+``trace`` observability level up, every request admitted by
+:class:`repro.serve.StencilService` leaves one ``serve.<stage>`` span per
+pipeline stage (``admit → queue_wait → coalesce → execute → split``) in
+the ordinary :mod:`repro.telemetry` ring, the ``execute`` span linking
+every member of its coalesced batch.  There is no second record.
 
-Enablement mirrors the telemetry/obs layers: the ``REPRO_FLIGHT``
-environment variable or :func:`enable`.  While the flight ring is off
-but telemetry is on, stage records still mirror into the tracer as
-``serve.<stage>`` spans (so JSONL traces remain replayable); with both
-off, :func:`begin_request` returns one shared no-op object after a
-single attribute check — the serve hot path pays one branch per request.
+On an error, an SLO breach or a burn-rate alert transition
+(:func:`attach_alert_hook`), :func:`dump` scans that ring and writes the
+offending ``trace_id``'s spans plus those of its ring neighbours to
+``$REPRO_FLIGHT_DIR`` as span JSONL, at most ``$REPRO_FLIGHT_MAX_DUMPS``
+(default 8) files per directory — a runaway failure must not fill the
+disk.  ``repro flight --request-id`` replays a request's waterfall from
+any span JSONL (:mod:`repro.flight.waterfall`).
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Optional, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional
 
-from repro import telemetry as _telemetry
-from repro.flight.recorder import STAGES, FlightRecorder, RequestTrace
+from repro.errors import ReproError
 from repro.flight.waterfall import (
-    find_trace,
-    load_flight_dump,
+    load_requests,
+    missing_stages,
+    render_request_list,
     render_request_report,
     render_waterfall,
+    spans_to_trace,
+    traces_by_request,
 )
+from repro.telemetry.log import get_logger
+from repro.telemetry.trace import Span, Tracer, get_tracer, write_spans_jsonl
 
 __all__ = [
-    "ENV_VAR",
-    "STAGES",
-    "FlightRecorder",
-    "RequestTrace",
+    "DIR_ENV",
+    "MAX_DUMPS_ENV",
     "attach_alert_hook",
-    "begin_request",
-    "disable",
-    "enable",
-    "enabled",
-    "find_trace",
-    "get_recorder",
-    "load_flight_dump",
+    "dump",
+    "load_requests",
+    "missing_stages",
+    "neighborhood",
+    "render_request_list",
     "render_request_report",
     "render_waterfall",
+    "spans_to_trace",
+    "traces_by_request",
 ]
 
-#: Environment variable that switches the flight ring on at import time.
-ENV_VAR = "REPRO_FLIGHT"
+_log = get_logger("flight")
 
-_FALSY = {"", "0", "false", "no", "off"}
+#: Dump directory (no directory, no dumps) and per-directory dump budget.
+DIR_ENV = "REPRO_FLIGHT_DIR"
+MAX_DUMPS_ENV = "REPRO_FLIGHT_MAX_DUMPS"
+DEFAULT_MAX_DUMPS = 8
 
-
-def _env_enabled(value: "str | None") -> bool:
-    return value is not None and value.strip().lower() not in _FALSY
-
-
-class _NoopFlight:
-    """Shared inert request handle while flight *and* telemetry are off."""
-
-    __slots__ = ()
-
-    trace_id = ""
-    tenant = ""
-    request_id = ""
-    status = "ok"
-    slo_breached = False
-    missing_stages: Tuple[str, ...] = ()
-    complete = True
-
-    def stage(self, name: str, start: float, end: float, **attributes: Any) -> None:
-        return None
-
-    def annotate(self, **fields: Any) -> None:
-        return None
-
-    def finish(self, status: str, reason: str = "", slo_breached: bool = False) -> None:
-        return None
+_lock = threading.Lock()
+#: Dumps written per directory this process; also the file sequence.
+_written: Dict[Path, int] = {}
 
 
-_NOOP_FLIGHT = _NoopFlight()
+def _max_dumps() -> int:
+    raw = os.environ.get(MAX_DUMPS_ENV, "").strip()
+    try:
+        value = int(raw)
+    except ValueError:
+        return DEFAULT_MAX_DUMPS
+    return value if value > 0 else DEFAULT_MAX_DUMPS
 
 
-class _State:
-    __slots__ = ("enabled", "recorder", "lock")
-
-    def __init__(self) -> None:
-        self.enabled = _env_enabled(os.environ.get(ENV_VAR))
-        self.recorder: Optional[FlightRecorder] = None
-        self.lock = threading.Lock()
-
-
-_state = _State()
-
-
-def enabled() -> bool:
-    """Whether the flight ring is currently recording."""
-    return _state.enabled
+def neighborhood(spans: List[Span], trace_id: str = "", neighbors: int = 8) -> List[Span]:
+    """The spans of ``trace_id`` and of the ``neighbors`` traces either side
+    of it in ring order (first appearance); the newest ``2*neighbors+1``
+    traces when ``trace_id`` is empty or already evicted."""
+    order = list(
+        dict.fromkeys(sp.attributes.get("trace_id") for sp in spans if sp.attributes.get("trace_id"))
+    )
+    if trace_id in order:
+        at = order.index(trace_id)
+        keep = set(order[max(0, at - neighbors) : at + neighbors + 1])
+    else:
+        keep = set(order[-(2 * neighbors + 1) :])
+    return [sp for sp in spans if sp.attributes.get("trace_id") in keep]
 
 
-def enable(recorder: Optional[FlightRecorder] = None) -> FlightRecorder:
-    """Turn the flight ring on (equivalent to ``REPRO_FLIGHT=1``).
+def dump(
+    reason: str,
+    trace_id: str = "",
+    *,
+    tracer: Optional[Tracer] = None,
+    dump_dir: "str | Path | None" = None,
+    max_dumps: Optional[int] = None,
+) -> Optional[Path]:
+    """Write :func:`neighborhood` of ``trace_id`` as span JSONL.
 
-    Passing a ``recorder`` swaps it in (tests use this to point the dump
-    directory at a tmp path).
+    ``tracer``, ``dump_dir`` and ``max_dumps`` default to the process
+    tracer, ``$REPRO_FLIGHT_DIR`` and ``$REPRO_FLIGHT_MAX_DUMPS``.
+    Returns the file written, or ``None`` when no directory is set, the
+    directory's budget is spent, or the write fails.
     """
-    with _state.lock:
-        if recorder is not None:
-            _state.recorder = recorder
-        elif _state.recorder is None:
-            _state.recorder = FlightRecorder()
-        _state.enabled = True
-        return _state.recorder
+    directory = dump_dir or os.environ.get(DIR_ENV)
+    if not directory:
+        return None
+    directory = Path(directory)
+    budget = max_dumps if max_dumps is not None else _max_dumps()
+    with _lock:
+        seq = _written.get(directory, 0) + 1
+        if seq > budget:
+            return None
+        _written[directory] = seq
+    ring = (tracer if tracer is not None else get_tracer()).spans()
+    safe = "".join(ch if ch.isalnum() or ch in "-_" else "-" for ch in reason) or "dump"
+    path = directory / f"flight-{seq:04d}-{safe}.jsonl"
+    try:
+        write_spans_jsonl(path, neighborhood(ring, trace_id))
+    except ReproError as exc:
+        _log.warning("flight: cannot write dump %s (%s)", path, exc)
+        return None
+    _log.info("flight: wrote black-box dump %s (%s)", path, reason)
+    return path
 
 
-def disable() -> None:
-    """Turn the flight ring off (recorded traces are kept)."""
-    _state.enabled = False
-
-
-def get_recorder(create: bool = True) -> Optional[FlightRecorder]:
-    """The process-wide recorder, building it lazily by default."""
-    with _state.lock:
-        if _state.recorder is None and create:
-            _state.recorder = FlightRecorder()
-        return _state.recorder
-
-
-def _reset_for_tests(recorder: Optional[FlightRecorder] = None) -> None:
-    with _state.lock:
-        _state.recorder = recorder
-        _state.enabled = _env_enabled(os.environ.get(ENV_VAR))
-
-
-def begin_request(request_id: str, tenant: str = ""):
-    """The serve layer's per-request hook (near-free while all off).
-
-    Returns, in order of preference: a ring-backed
-    :class:`RequestTrace` (flight enabled), a recorder-less trace that
-    only mirrors telemetry spans (tracing enabled), or the shared no-op.
-    """
-    if _state.enabled:
-        return get_recorder().begin(request_id, tenant)
-    if _telemetry.enabled():
-        return RequestTrace(request_id, tenant)
-    return _NOOP_FLIGHT
-
-
-def attach_alert_hook(engine, recorder: Optional[FlightRecorder] = None) -> None:
-    """Dump the flight ring whenever a burn-rate alert transitions.
+def attach_alert_hook(engine, **dump_options) -> None:
+    """Dump the ring whenever a burn-rate alert transitions.
 
     The listener runs synchronously inside
     :meth:`repro.obs.alerts.BurnRateAlert.evaluate`, so the dump is
     written before the next sample can move the state again.
+    ``dump_options`` are passed to :func:`dump`.
     """
-    target = recorder if recorder is not None else get_recorder()
 
     def _on_transition(alert, old: str, new: str, now: float) -> None:
-        target.snapshot_dump(f"alert-{alert.policy.name}-{old}-{new}")
+        dump(f"alert-{alert.policy.name}-{old}-{new}", **dump_options)
 
     engine.add_listener(_on_transition)

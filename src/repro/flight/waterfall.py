@@ -1,137 +1,102 @@
-"""Stage-waterfall rendering for flight dumps and telemetry traces.
+"""Stage waterfalls rebuilt from span JSONL.
 
-Two on-disk formats answer "where did request X spend its time?":
+The serve path records each request's pipeline as ``serve.<stage>``
+spans stamped with ``request_id``/``trace_id``/``tenant``; the terminal
+span (``split`` when served, ``admit`` when rejected, ``execute`` on
+error) also carries ``status``, ``reason`` and ``slo_breached``.  Tracer
+exports and black-box dumps are both plain span JSONL, read here through
+one loader (:func:`repro.telemetry.report.load_trace_details`).
 
-* **flight dumps** — JSONL written by
-  :meth:`repro.flight.recorder.FlightRecorder.snapshot_dump` /
-  ``export_jsonl``: a ``{"kind": "meta"}`` header line followed by one
-  ``{"kind": "trace"}`` line per request, stages inline;
-* **telemetry traces** — JSONL written by
-  :meth:`repro.telemetry.trace.Tracer.export_jsonl`: one span per line,
-  the serve path's stage spans named ``serve.<stage>`` and stamped with
-  ``request_id``/``trace_id`` attributes.
-
-:func:`render_request_report` accepts either (sniffing the first
-parseable line), reconstructs the request's stage sequence, and renders
-a proportional waterfall — queue wait vs execute vs split — plus the
-coalesced-batch membership the ``execute`` stage links.
+:func:`traces_by_request` folds spans into per-request trace dicts,
+:func:`render_waterfall` draws one as a proportional bar chart — queue
+wait vs execute vs split — plus the coalesced-batch membership the
+``execute`` stage links.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.telemetry.log import get_logger
+from repro.serve.request import STAGES
+from repro.telemetry.report import load_trace_details
 
 __all__ = [
-    "find_trace",
-    "load_flight_dump",
+    "load_requests",
+    "missing_stages",
+    "render_request_list",
     "render_request_report",
     "render_waterfall",
     "spans_to_trace",
+    "traces_by_request",
 ]
-
-_log = get_logger("flight.waterfall")
-
-#: Pipeline order used to sort reconstructed stages (mirrors
-#: :data:`repro.flight.recorder.STAGES` without importing the recorder).
-_STAGE_ORDER = ("admit", "queue_wait", "coalesce", "execute", "split")
 
 _BAR_WIDTH = 40
 
+#: Attributes lifted from the stage spans onto the trace itself.
+_IDENTITY = ("request_id", "trace_id", "tenant")
+_OUTCOME = ("status", "reason", "slo_breached")
 
-def load_flight_dump(path: "str | Path") -> Tuple[List[Dict[str, Any]], List[str]]:
-    """Parse a flight JSONL dump tolerantly.
 
-    Returns ``(trace_dicts, problems)`` — malformed lines are skipped
-    and reported, never fatal, because black-box dumps may be truncated
-    by the very failure they were recording.
+def traces_by_request(spans: Iterable[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
+    """Per-request trace dicts from span dicts, in admission order.
+
+    A trace's ``status`` comes from its terminal span; a request with no
+    terminal span yet reads ``open``.  When a request id is admitted
+    again (``repro serve`` replays its ids every cycle), the newest
+    admission wins.
     """
-    traces: List[Dict[str, Any]] = []
-    problems: List[str] = []
-    p = Path(path)
-    if not p.exists():
-        raise ReproError(f"flight dump not found: {p}")
-    with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                problems.append(f"line {lineno}: not valid JSON (truncated dump?)")
-                continue
-            if not isinstance(record, dict):
-                problems.append(f"line {lineno}: not a JSON object")
-                continue
-            if record.get("kind") == "meta":
-                continue
-            if record.get("kind") == "trace" or "stages" in record:
-                traces.append(record)
-    return traces, problems
-
-
-def find_trace(
-    traces: Sequence[Dict[str, Any]], request_id: str
-) -> Optional[Dict[str, Any]]:
-    """The newest trace dict for ``request_id`` (dumps append oldest-first)."""
-    for record in reversed(list(traces)):
-        if record.get("request_id") == request_id:
-            return record
-    return None
-
-
-def spans_to_trace(
-    spans: Sequence[Dict[str, Any]], request_id: str
-) -> Optional[Dict[str, Any]]:
-    """Rebuild a flight-style trace dict from telemetry span dicts.
-
-    Collects ``serve.<stage>`` spans whose ``request_id`` attribute
-    matches; returns ``None`` when the request never appears.
-    """
-    stages: List[Dict[str, Any]] = []
-    tenant = ""
-    trace_id = ""
+    traces: Dict[str, Dict[str, Any]] = {}
     for span in spans:
         name = str(span.get("name", ""))
-        if not name.startswith("serve."):
+        stage = name[len("serve."):]
+        if not name.startswith("serve.") or stage not in STAGES:
             continue
         attrs = span.get("attributes") or {}
-        if str(attrs.get("request_id", "")) != request_id:
+        rid = str(attrs.get("request_id", ""))
+        if not rid:
             continue
-        stage_name = name[len("serve.") :]
-        if stage_name not in _STAGE_ORDER:
-            continue
-        tenant = tenant or str(attrs.get("tenant", ""))
-        trace_id = trace_id or str(attrs.get("trace_id", ""))
-        extra = {
-            k: v
-            for k, v in attrs.items()
-            if k not in ("request_id", "trace_id", "tenant")
-        }
-        stages.append(
+        if stage == "admit":
+            traces.pop(rid, None)  # a reused request id: the newest wins
+        trace = traces.setdefault(
+            rid,
             {
-                "name": stage_name,
+                "request_id": rid,
+                "tenant": str(attrs.get("tenant", "")),
+                "trace_id": str(attrs.get("trace_id", "")),
+                "status": "open",
+                "stages": [],
+            },
+        )
+        for key in _OUTCOME:
+            if key in attrs:
+                trace[key] = attrs[key]
+        extra = {k: v for k, v in attrs.items() if k not in _IDENTITY + _OUTCOME}
+        trace["stages"].append(
+            {
+                "name": stage,
                 "start": float(span.get("start", 0.0)),
                 "end": float(span.get("end", 0.0)),
                 "attributes": extra,
             }
         )
-    if not stages:
-        return None
-    stages.sort(key=lambda s: (s["start"], _STAGE_ORDER.index(s["name"])))
-    return {
-        "kind": "trace",
-        "request_id": request_id,
-        "tenant": tenant,
-        "trace_id": trace_id,
-        "status": "ok",
-        "stages": stages,
-    }
+    for trace in traces.values():
+        trace["stages"].sort(key=lambda s: (s["start"], STAGES.index(s["name"])))
+    return traces
+
+
+def spans_to_trace(
+    spans: Iterable[Dict[str, Any]], request_id: str
+) -> Optional[Dict[str, Any]]:
+    """The trace dict of one request, or ``None`` when it never appears."""
+    return traces_by_request(spans).get(request_id)
+
+
+def missing_stages(trace: Dict[str, Any]) -> Tuple[str, ...]:
+    """Pipeline stages the trace never recorded."""
+    seen = {s["name"] for s in trace.get("stages") or []}
+    return tuple(name for name in STAGES if name not in seen)
 
 
 def _fmt_duration(seconds: float) -> str:
@@ -140,6 +105,13 @@ def _fmt_duration(seconds: float) -> str:
     if seconds >= 1e-3:
         return f"{seconds * 1e3:.2f}ms"
     return f"{seconds * 1e6:.0f}µs"
+
+
+def _extent(stages: List[Dict[str, Any]]) -> Tuple[float, float]:
+    return (
+        min(float(s.get("start", 0.0)) for s in stages),
+        max(float(s.get("end", 0.0)) for s in stages),
+    )
 
 
 def render_waterfall(trace: Dict[str, Any]) -> List[str]:
@@ -161,8 +133,7 @@ def render_waterfall(trace: Dict[str, Any]) -> List[str]:
         lines.append("  (no stages recorded)")
         return lines
 
-    t0 = min(float(s.get("start", 0.0)) for s in stages)
-    t1 = max(float(s.get("end", 0.0)) for s in stages)
+    t0, t1 = _extent(stages)
     span = max(t1 - t0, 1e-12)
     total = t1 - t0
     name_w = max(len(str(s.get("name", ""))) for s in stages)
@@ -194,8 +165,7 @@ def render_waterfall(trace: Dict[str, Any]) -> List[str]:
                 f"with {len(links)} member(s): {', '.join(str(x) for x in links)}"
             )
 
-    recorded = {str(s.get("name", "")) for s in stages}
-    missing = [name for name in _STAGE_ORDER if name not in recorded]
+    missing = missing_stages(trace)
     if missing and trace.get("status", "ok") == "ok":
         lines.append(
             f"  warning: trace truncated — missing stage(s): {', '.join(missing)}"
@@ -203,95 +173,60 @@ def render_waterfall(trace: Dict[str, Any]) -> List[str]:
     return lines
 
 
-def _load_any(path: "str | Path") -> Tuple[List[Dict[str, Any]], List[str], str]:
-    """Load a JSONL file as flight traces or telemetry spans.
+def load_requests(path: "str | Path") -> Tuple[Dict[str, Dict[str, Any]], List[str]]:
+    """Per-request traces of a span JSONL file, plus its skipped lines.
 
-    Returns ``(records, problems, kind)`` where ``kind`` is ``"flight"``
-    or ``"spans"`` (sniffed from the first parseable line).
+    Malformed lines are reported, never fatal: a black-box dump may be
+    truncated by the very failure it was recording.
     """
-    p = Path(path)
-    if not p.exists():
-        raise ReproError(f"trace file not found: {p}")
-    kind = ""
-    with p.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                if record.get("kind") in ("meta", "trace") or "stages" in record:
-                    kind = "flight"
-                elif "span_id" in record or "name" in record:
-                    kind = "spans"
-            break
-    if kind == "flight":
-        traces, problems = load_flight_dump(p)
-        return traces, problems, kind
-    # telemetry span JSONL (tolerant, mirroring telemetry.report)
-    spans: List[Dict[str, Any]] = []
-    problems: List[str] = []
-    with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                problems.append(f"line {lineno}: not valid JSON (truncated trace?)")
-                continue
-            if isinstance(record, dict):
-                spans.append(record)
-    return spans, problems, "spans"
-
-
-def _known_request_ids(records: List[Dict[str, Any]], kind: str) -> List[str]:
-    ids: List[str] = []
-    seen = set()
-    if kind == "flight":
-        for record in records:
-            rid = str(record.get("request_id", ""))
-            if rid and rid not in seen:
-                seen.add(rid)
-                ids.append(rid)
-    else:
-        for span in records:
-            attrs = span.get("attributes") or {}
-            rid = str(attrs.get("request_id", ""))
-            if rid and rid not in seen:
-                seen.add(rid)
-                ids.append(rid)
-    return ids
+    spans, skipped = load_trace_details(path)
+    return traces_by_request(spans), skipped
 
 
 def render_request_report(path: "str | Path", request_id: str) -> List[str]:
-    """Render the stage waterfall for one request from a JSONL file.
+    """Render the stage waterfall for one request from a span JSONL file.
 
-    Accepts both flight dumps and telemetry span exports.  Raises
-    :class:`~repro.errors.ReproError` with the known request ids when
-    ``request_id`` does not appear at all.
+    Raises :class:`~repro.errors.ReproError` with the known request ids
+    when ``request_id`` does not appear at all.
     """
-    records, problems, kind = _load_any(path)
-    if kind == "flight":
-        trace = find_trace(records, request_id)
-    else:
-        trace = spans_to_trace(records, request_id)
+    traces, skipped = load_requests(path)
+    trace = traces.get(request_id)
     if trace is None:
-        known = _known_request_ids(records, kind)
+        known = list(traces)
         hint = (
             f" — known request ids: {', '.join(known[:10])}"
             + ("..." if len(known) > 10 else "")
             if known
-            else " — the file contains no request-stamped records"
+            else " — the file contains no request-stamped spans"
         )
         raise ReproError(
             f"request id {request_id!r} not found in {path}{hint}"
         )
     lines = render_waterfall(trace)
-    for problem in problems:
-        lines.append(f"  note: {problem}")
+    lines.extend(f"  note: skipped {problem}" for problem in skipped)
+    return lines
+
+
+def render_request_list(path: "str | Path") -> List[str]:
+    """One line per request recorded in a span JSONL file."""
+    traces, skipped = load_requests(path)
+    if not traces:
+        lines = [f"FLIGHT: no request-stamped spans in {path}"]
+    else:
+        lines = [f"FLIGHT: {len(traces)} request(s) in {path}"]
+    for trace in traces.values():
+        stages = trace["stages"]
+        t0, t1 = _extent(stages)
+        flags = "  [SLO BREACH]" if trace.get("slo_breached") else ""
+        if trace.get("reason"):
+            flags += f"  reason={trace['reason']}"
+        lines.append(
+            f"  {trace['request_id']:>12}  "
+            f"tenant={trace['tenant'] or '-':<10} "
+            f"status={trace['status']:<8} "
+            f"{len(stages)} stage(s)  {(t1 - t0) * 1e3:8.2f}ms{flags}"
+        )
+    lines.extend(f"  note: skipped {problem}" for problem in skipped)
+    if traces:
+        lines.append("FLIGHT: replay one with --request-id <id>")
     return lines

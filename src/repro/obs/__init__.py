@@ -9,17 +9,18 @@ sampling profiler attributing time to the pipeline's phases — servable
 over HTTP (:mod:`repro.obs.exporter`), renderable in-terminal
 (``repro top``), and snapshottable one-shot (``repro obs-snapshot``).
 
-Enablement follows the telemetry layer's convention: the ``REPRO_OBS``
-environment variable (any value other than ``0/false/no/off``) or
-:func:`enable`.  While disabled the hot-path hook — :func:`record_run`
-in the executor — returns a shared no-op object after a single attribute
-check, so the cost of shipping this layer always-on is one branch per run.
+Everything here runs from the ``metrics`` observability level up
+(``REPRO_OBS=metrics``, see :mod:`repro.telemetry.level`), and the
+sampler from ``profile``; :func:`set_level` is the one programmatic
+switch for every layer.  Below ``metrics`` the hot-path hook —
+:func:`record_run` in the executor — returns a shared no-op object after
+a single attribute check, so the cost of shipping this layer always-on
+is one branch per run.
 
 Environment knobs::
 
-    REPRO_OBS=1                   # switch the layer on
+    REPRO_OBS=metrics             # off | metrics | trace | profile
     REPRO_OBS_SLO_MS=250          # per-run latency budget (breach counter)
-    REPRO_OBS_PROFILE=0           # keep histograms but skip the sampler
     REPRO_OBS_PROFILE_INTERVAL_MS=5   # sampling period
     REPRO_OBS_PORT=9109           # exporter default port
 """
@@ -34,46 +35,31 @@ from typing import Any, Callable, Dict, Optional
 from repro.obs.alerts import AlertEngine, AlertPolicy
 from repro.obs.collector import ObsCollector
 from repro.obs.profiler import DEFAULT_INTERVAL, SamplingProfiler
+from repro.telemetry.level import LEVELS, METRICS, PROFILE
+from repro.telemetry.level import rank as _rank
+from repro.telemetry.level import state as _level
 
 __all__ = [
-    "ENV_VAR",
     "bench_summary",
     "configure_alerts",
-    "disable",
-    "enable",
     "enabled",
     "get_alert_engine",
     "get_collector",
+    "get_level",
     "get_profiler",
     "record_request",
     "record_run",
     "record_serve_batch",
+    "set_level",
     "snapshot",
 ]
 
-#: Environment variable that switches the obs layer on at import time.
-ENV_VAR = "REPRO_OBS"
-
-#: Sampler opt-out / interval knobs (profile defaults to on when obs is on).
-PROFILE_ENV = "REPRO_OBS_PROFILE"
+#: Sampling-interval knob.
 PROFILE_INTERVAL_ENV = "REPRO_OBS_PROFILE_INTERVAL_MS"
-
-_FALSY = {"", "0", "false", "no", "off"}
 
 #: Audited clock reference (keeps raw ``time.*`` reads out of hot paths;
 #: see the staticcheck RPR004 rationale in :mod:`repro.obs.collector`).
 _CLOCK: Callable[[], float] = time.perf_counter
-
-
-def _env_enabled(value: "str | None") -> bool:
-    return value is not None and value.strip().lower() not in _FALSY
-
-
-def _env_profile_wanted() -> bool:
-    raw = os.environ.get(PROFILE_ENV)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in _FALSY
 
 
 def _env_profile_interval() -> float:
@@ -88,13 +74,11 @@ def _env_profile_interval() -> float:
 
 
 class _State:
-    """Module-global switch + collector/profiler pair."""
+    """Module-global collector/profiler/alert-engine trio."""
 
-    __slots__ = ("enabled", "profile_wanted", "collector", "profiler", "alerts", "lock")
+    __slots__ = ("collector", "profiler", "alerts", "lock")
 
     def __init__(self) -> None:
-        self.enabled = _env_enabled(os.environ.get(ENV_VAR))
-        self.profile_wanted = _env_profile_wanted()
         self.collector = ObsCollector()
         self.profiler: Optional[SamplingProfiler] = None
         self.alerts: Optional[AlertEngine] = None
@@ -104,30 +88,30 @@ class _State:
 _state = _State()
 
 
-def enabled() -> bool:
-    """Whether the obs layer is currently recording."""
-    return _state.enabled
+def get_level() -> str:
+    """The current observability level name (see :data:`~repro.telemetry.level.LEVELS`)."""
+    return LEVELS[_level.rank]
 
 
-def enable(profile: Optional[bool] = None) -> None:
-    """Turn the obs layer on (equivalent to ``REPRO_OBS=1``).
+def set_level(level: str) -> None:
+    """Set the observability level for every layer (``REPRO_OBS`` at runtime).
 
-    ``profile`` overrides the sampler opt-in: ``False`` keeps histograms
-    and gauges but never starts the sampling thread (what ``repro bench``
-    uses so the sampler cannot perturb gated timings).
+    ``off`` < ``metrics`` (this collector) < ``trace`` (spans) <
+    ``profile`` (the sampler).  Dropping below ``profile`` stops the
+    sampler; recorded data is kept at every level.
     """
-    if profile is not None:
-        _state.profile_wanted = bool(profile)
-    _state.enabled = True
+    rank = _rank(level)
+    _level.set(rank)
+    if rank < PROFILE:
+        with _state.lock:
+            profiler = _state.profiler
+        if profiler is not None:
+            profiler.stop()
 
 
-def disable() -> None:
-    """Turn the obs layer off and stop the sampler (data is kept)."""
-    _state.enabled = False
-    with _state.lock:
-        profiler = _state.profiler
-    if profiler is not None:
-        profiler.stop()
+def enabled() -> bool:
+    """Whether the collector is recording (level ``metrics`` or up)."""
+    return _level.rank >= METRICS
 
 
 def get_collector() -> ObsCollector:
@@ -142,7 +126,7 @@ def get_profiler() -> Optional[SamplingProfiler]:
 
 def _ensure_profiler() -> Optional[SamplingProfiler]:
     """Create/start the sampler on first use (never at import time)."""
-    if not _state.profile_wanted:
+    if _level.rank < PROFILE:
         return _state.profiler
     with _state.lock:
         if _state.profiler is None:
@@ -247,7 +231,7 @@ def record_run(plan, backend: str, steps: int, batch: int = 0):
 
     The near-free off path: one attribute check, return the shared no-op.
     """
-    if not _state.enabled:
+    if _level.rank < METRICS:
         return _NOOP
     return _RunTimer(plan, backend, steps, batch)
 
@@ -269,7 +253,7 @@ def record_request(
     ``rejected_queue``.  A non-empty ``trace_id`` attaches the request's
     identity as the latency bucket's exemplar candidate.
     """
-    if not _state.enabled:
+    if _level.rank < METRICS:
         return
     _state.collector.record_request(
         tenant, elapsed, outcome, slo_breached,
@@ -279,7 +263,7 @@ def record_request(
 
 def record_serve_batch(size: int, queue_depth: int, affinity_hit: bool) -> None:
     """Account one coalesced serving batch (no-op while disabled)."""
-    if not _state.enabled:
+    if _level.rank < METRICS:
         return
     _state.collector.observe_serve_batch(size, queue_depth, affinity_hit)
 

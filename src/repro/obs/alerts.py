@@ -20,8 +20,9 @@ ok         neither exceeds
 
 Everything is deterministic under an injectable clock: :class:`BurnRateAlert`
 never reads time itself unless constructed without one, and the engine's
-transition listeners (the flight recorder hooks in here) fire synchronously
-inside :meth:`BurnRateAlert.evaluate`.  Totals are sampled cumulatively —
+transition listeners (the black box hooks in here, see
+:func:`repro.flight.attach_alert_hook`) fire synchronously inside
+:meth:`BurnRateAlert.evaluate`.  Totals are sampled cumulatively —
 ``observe(total, breached)`` with monotonic counters — so the window
 fraction is an exact difference of two samples, not a decayed estimate.
 """

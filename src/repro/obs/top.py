@@ -238,7 +238,8 @@ def run_demo_workload(runs: int = 1) -> None:
     from repro.stencils.catalog import get_kernel
     from repro.utils.rng import default_rng
 
-    obs.enable()
+    if not obs.enabled():
+        obs.set_level("metrics")
     kernel = get_kernel("heat-2d")
     batch = default_rng(0).random((2, 48, 48))
     plan = plan_for(kernel, (48, 48), strategy="gemm")

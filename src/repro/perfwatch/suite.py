@@ -204,14 +204,15 @@ def _obs_summary_pass(suite: List[Workload]) -> Dict:
     in a separate pass with collector-only obs — never during the gated
     measurements, where even the collector's few microseconds per hook
     would bias millisecond-scale cells, and never with the sampler
-    thread.  If the obs layer is already on (``REPRO_OBS=1``), the timed
-    cells included it anyway and this pass just adds one more run each.
+    thread.  If the obs layer is already on (``REPRO_OBS=metrics`` or
+    higher), the timed cells included it anyway and this pass just adds
+    one more run each.
     """
     from repro import obs
 
     was_enabled = obs.enabled()
     if not was_enabled:
-        obs.enable(profile=False)
+        obs.set_level("metrics")
     try:
         with telemetry.span("perfwatch.obs_summary", workloads=len(suite)):
             for w in suite:
@@ -226,7 +227,7 @@ def _obs_summary_pass(suite: List[Workload]) -> Dict:
         return obs.bench_summary()
     finally:
         if not was_enabled:
-            obs.disable()
+            obs.set_level("off")
 
 
 def run_check(

@@ -27,9 +27,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import flight
+from repro import telemetry
 from repro.core.api import ConvStencil
 from repro.errors import ServeError
+from repro.flight import missing_stages, traces_by_request
 from repro.obs.hist import LatencyHistogram
 from repro.serve.config import ServeConfig
 from repro.serve.request import Request, Response
@@ -150,6 +151,7 @@ async def replay(
     """
     if waves < 1:
         raise ServeError(f"waves must be >= 1, got {waves}")
+    mark = telemetry.get_tracer().total_recorded
     responses: List[Optional[Response]] = [None] * len(trace)
     per_wave = max(1, (len(trace) + waves - 1) // waves)
     for start in range(0, len(trace), per_wave):
@@ -172,25 +174,27 @@ async def replay(
     report = summarize(
         trace, responses, service, mismatches, checked=check_identity
     )
-    report["flight"] = _flight_report(trace, responses)
+    report["flight"] = _flight_report(trace, responses, mark)
     return report
 
 
 def _flight_report(
-    trace: Sequence[Request], responses: Sequence[Optional[Response]]
+    trace: Sequence[Request], responses: Sequence[Optional[Response]], mark: int
 ) -> Dict[str, Any]:
-    """Assert the flight ring holds a *complete* trace per accepted request.
+    """Assert the span ring holds a *complete* trace per accepted request.
 
-    The serving observability gate: with the flight recorder enabled,
-    every request the replay completed must have all five pipeline
-    stages, its ``execute`` stage must link every member of its
-    coalesced batch, and at least some traces must be multi-request
-    (coalescing actually exercised).  Raises :class:`ServeError` on any
-    incomplete trace — a replay that loses traces is a bug, not noise.
+    The serving observability gate: with tracing on, every request the
+    replay completed must have all five pipeline stage spans since
+    ``mark`` (a ``Tracer.total_recorded`` value), end ``ok``, and link
+    every member of its coalesced batch from its ``execute`` span; the
+    report counts multi-request traces (coalescing actually exercised).
+    Raises :class:`ServeError` on any incomplete trace — a replay that
+    loses traces is a bug, not noise.
     """
-    if not flight.enabled():
+    if not telemetry.enabled():
         return {"enabled": False}
-    recorder = flight.get_recorder()
+    spans = telemetry.get_tracer().spans_since(mark)
+    traces = traces_by_request(sp.to_dict() for sp in spans)
     incomplete: List[str] = []
     missing: List[str] = []
     multi_request = 0
@@ -199,17 +203,15 @@ def _flight_report(
         if response is None or not response.ok:
             continue
         checked += 1
-        rec_trace = recorder.get(request.request_id)
+        rec_trace = traces.get(request.request_id)
         if rec_trace is None:
             missing.append(request.request_id)
             continue
-        if not rec_trace.complete:
+        if rec_trace["status"] != "ok" or missing_stages(rec_trace):
             incomplete.append(request.request_id)
             continue
-        execute = next(
-            s for s in rec_trace.stages if s.name == "execute"
-        )
-        links = execute.attributes.get("links") or []
+        execute = next(s for s in rec_trace["stages"] if s["name"] == "execute")
+        links = execute["attributes"].get("links") or []
         if request.request_id not in links:
             incomplete.append(request.request_id)
         elif len(links) > 1:
@@ -217,7 +219,7 @@ def _flight_report(
     if missing or incomplete:
         detail = ", ".join((missing + incomplete)[:10])
         raise ServeError(
-            f"flight recorder lost {len(missing)} trace(s) and "
+            f"span ring lost {len(missing)} trace(s) and "
             f"{len(incomplete)} incomplete trace(s) out of {checked} "
             f"completed requests (e.g. {detail}) — every replayed request "
             "must yield a complete admit→queue_wait→coalesce→execute→split "
@@ -228,7 +230,7 @@ def _flight_report(
         "checked": checked,
         "complete": checked,
         "multi_request_traces": multi_request,
-        "recorder": recorder.stats(),
+        "spans": len(spans),
     }
 
 

@@ -29,15 +29,19 @@ from repro.errors import ServeError
 from repro.stencils.grid import BoundaryCondition
 from repro.stencils.kernel import StencilKernel
 
-__all__ = ["Request", "Response", "coalesce_key"]
+__all__ = ["STAGES", "Request", "Response", "coalesce_key"]
 
 #: Response status vocabulary (stringly-typed on purpose: JSON-able).
 STATUS_OK = "ok"
 STATUS_REJECTED = "rejected"
 
+#: The serve pipeline's stages, in order; each is a ``serve.<stage>``
+#: span.  A request is *complete* when it ended ``ok`` with every one.
+STAGES = ("admit", "queue_wait", "coalesce", "execute", "split")
+
 #: Fallback request-id sequence (clock-free, pid-qualified like
 #: :func:`repro.telemetry.new_trace_id`) for requests constructed without
-#: an explicit id — flight traces and span links need a non-empty identity.
+#: an explicit id — stage spans and batch links need a non-empty identity.
 _REQUEST_IDS = itertools.count(1)
 
 

@@ -28,6 +28,12 @@ Architecture (one event loop, N single-thread executor lanes)::
   (:mod:`repro.serve.quota`) and a bounded in-flight request count;
   refusals are HTTP-429-style :class:`~repro.serve.request.Response`
   objects carrying ``retry_after``.
+* **Stage spans** — from the ``trace`` observability level up, each
+  request records one ``serve.<stage>`` span per
+  :data:`~repro.serve.request.STAGES` entry; its terminal span carries
+  ``status``/``reason``/``slo_breached``, and an error or SLO breach
+  dumps the ring (:func:`repro.flight.dump`).  Below ``trace`` a request
+  costs one level check and no per-request object.
 
 Clock reads go through the module-level ``_CLOCK`` reference — the same
 audited-single-call-site discipline as :mod:`repro.obs.collector`.
@@ -144,9 +150,9 @@ class _PendingBatch:
     requests: List[Request] = field(default_factory=list)
     futures: List["asyncio.Future"] = field(default_factory=list)
     enqueued_at: List[float] = field(default_factory=list)
-    #: Per-request flight handles (RequestTrace or the shared no-op) and
-    #: the admit-stage end times their queue_wait stages start from.
-    flights: List[Any] = field(default_factory=list)
+    #: Per-request trace ids ("" while tracing is off) and the admit-stage
+    #: end times their queue_wait stages start from.
+    trace_ids: List[str] = field(default_factory=list)
     admitted_at: List[float] = field(default_factory=list)
     timer: Optional["asyncio.Task"] = None
     ready: bool = False
@@ -156,17 +162,43 @@ class _PendingBatch:
         request: Request,
         future: "asyncio.Future",
         now: float,
-        fl: Any,
+        trace_id: str,
         admitted: float,
     ) -> None:
         self.requests.append(request)
         self.futures.append(future)
         self.enqueued_at.append(now)
-        self.flights.append(fl)
+        self.trace_ids.append(trace_id)
         self.admitted_at.append(admitted)
 
     def __len__(self) -> int:
         return len(self.requests)
+
+
+def _trace_id() -> str:
+    """A new request's trace id: one level check, and ``""`` (no new
+    object) below the ``trace`` level."""
+    return telemetry.new_trace_id() if telemetry.enabled() else ""
+
+
+def _stage(
+    name: str, start: float, end: float, trace_id: str, request: Request, **attributes: Any
+) -> None:
+    """Record one ``serve.<name>`` stage span of a traced request."""
+    telemetry.record_span(
+        f"serve.{name}",
+        start,
+        end,
+        trace_id=trace_id,
+        request_id=request.request_id,
+        tenant=request.tenant,
+        **attributes,
+    )
+
+
+def _outcome(status: str, reason: str = "", slo_breached: bool = False) -> Dict[str, Any]:
+    """The attributes of a request's terminal stage span."""
+    return {"status": status, "reason": reason, "slo_breached": slo_breached}
 
 
 class StencilService:
@@ -331,7 +363,7 @@ class StencilService:
         loop = asyncio.get_running_loop()
         now = self._clock()
         telemetry.counter("serve.requests").inc()
-        fl = flight.begin_request(request.request_id, request.tenant)
+        trace_id = _trace_id()
 
         # Queue depth is checked before the token bucket so a request the
         # service cannot even enqueue does not burn quota — tenants must
@@ -345,8 +377,11 @@ class StencilService:
                 _MIN_RETRY_AFTER_S,
             )
             self._account_reject(request.tenant, "queue")
-            fl.stage("admit", now, self._clock(), outcome="rejected_queue")
-            fl.finish("rejected", reason="queue")
+            if trace_id:
+                _stage(
+                    "admit", now, self._clock(), trace_id, request,
+                    outcome="rejected_queue", **_outcome("rejected", "queue"),
+                )
             response = Response(
                 request_id=request.request_id,
                 tenant=request.tenant,
@@ -364,8 +399,11 @@ class StencilService:
         admitted, retry_after = self._quota.try_acquire(request.tenant, now)
         if not admitted:
             self._account_reject(request.tenant, "quota")
-            fl.stage("admit", now, self._clock(), outcome="rejected_quota")
-            fl.finish("rejected", reason="quota")
+            if trace_id:
+                _stage(
+                    "admit", now, self._clock(), trace_id, request,
+                    outcome="rejected_quota", **_outcome("rejected", "quota"),
+                )
             response = Response(
                 request_id=request.request_id,
                 tenant=request.tenant,
@@ -385,7 +423,11 @@ class StencilService:
         key = coalesce_key(request, kernel, fusion.depth)
         future: "asyncio.Future" = loop.create_future()
         admit_end = self._clock()
-        fl.stage("admit", now, admit_end, outcome="admitted", kernel=key.kernel_name)
+        if trace_id:
+            _stage(
+                "admit", now, admit_end, trace_id, request,
+                outcome="admitted", kernel=key.kernel_name,
+            )
 
         batch = self._pending.get(key)
         if batch is None:
@@ -393,7 +435,7 @@ class StencilService:
                 key=key, kernel=kernel, fusion=fusion
             )
             batch.timer = self._spawn(self._ready_after_window(batch))
-        batch.add(request, future, now, fl, admit_end)
+        batch.add(request, future, now, trace_id, admit_end)
         self._queued += 1
         self._queue_peak = max(self._queue_peak, self._queued)
         if len(batch) >= self.config.max_batch:
@@ -525,10 +567,16 @@ class StencilService:
         members = tuple(request.request_id for request in batch.requests)
         # The batch executes under the lead (first-admitted) request's
         # trace; the execute stage on every member links all of them.
-        batch_trace = next((h.trace_id for h in batch.flights if h.trace_id), "")
+        batch_trace = next((t for t in batch.trace_ids if t), "")
         lead_request = members[0] if members else ""
-        for fl, admitted in zip(batch.flights, batch.admitted_at):
-            fl.stage("queue_wait", admitted, dispatched, batch_id=batch_id)
+        for request, trace_id, admitted in zip(
+            batch.requests, batch.trace_ids, batch.admitted_at
+        ):
+            if trace_id:
+                _stage(
+                    "queue_wait", admitted, dispatched, trace_id, request,
+                    batch_id=batch_id,
+                )
         exec_start = self._clock()
         try:
             # staticcheck: trace-context-propagated — run_in_executor does
@@ -573,28 +621,32 @@ class StencilService:
                 "lane": lane.index,
                 "affinity_hit": affinity_hit,
             }
-            settled: List[Tuple[Any, bool]] = []
-            for position, (request, future, t0, fl) in enumerate(
-                zip(batch.requests, batch.futures, batch.enqueued_at, batch.flights)
+            settled: List[Tuple[Request, str, bool]] = []
+            for position, (request, future, t0, trace_id) in enumerate(
+                zip(batch.requests, batch.futures, batch.enqueued_at, batch.trace_ids)
             ):
                 self._queued -= 1
-                fl.stage("coalesce", dispatched, exec_start, **stage_attrs)
-                fl.stage(
-                    "execute", exec_start, end, links=list(members), **stage_attrs
-                )
+                # The execute span ends a request that never reaches split.
+                ended: Dict[str, Any] = {}
                 if future.done():
-                    fl.finish("cancelled", reason="future already settled")
-                    continue
-                if error is not None:
-                    fl.finish(
-                        "error", reason=f"{type(error).__name__}: {error}"
-                    )
+                    ended = _outcome("cancelled", "future already settled")
+                elif error is not None:
+                    ended = _outcome("error", f"{type(error).__name__}: {error}")
                     future.set_exception(error)
+                if trace_id:
+                    _stage("coalesce", dispatched, exec_start, trace_id, request, **stage_attrs)
+                    _stage(
+                        "execute", exec_start, end, trace_id, request,
+                        links=list(members), **stage_attrs, **ended,
+                    )
+                    if ended.get("status") == "error":
+                        flight.dump(f"error-{request.request_id}", trace_id)
+                if ended:
                     continue
                 latency = end - t0
                 breached = self._account_ok(
                     request.tenant, latency,
-                    trace_id=fl.trace_id, plan_label=plan_label,
+                    trace_id=trace_id, plan_label=plan_label,
                 )
                 future.set_result(
                     Response(
@@ -608,11 +660,17 @@ class StencilService:
                         latency_s=latency,
                     )
                 )
-                settled.append((fl, breached))
+                settled.append((request, trace_id, breached))
             split_end = self._clock()
-            for fl, breached in settled:
-                fl.stage("split", end, split_end, batch_id=batch_id)
-                fl.finish("ok", slo_breached=breached)
+            for request, trace_id, breached in settled:
+                if not trace_id:
+                    continue
+                _stage(
+                    "split", end, split_end, trace_id, request,
+                    batch_id=batch_id, **_outcome("ok", slo_breached=breached),
+                )
+                if breached:
+                    flight.dump(f"slo-breach-{request.request_id}", trace_id)
             self._batches += 1
             self._batched_requests += n
             self._max_batch = max(self._max_batch, n)

@@ -12,8 +12,8 @@ Five layers behind one finding model and one reporter (see DESIGN.md
    every :class:`~repro.runtime.cache.PlanCache` insert under
    ``REPRO_STATICCHECK=1``.
 3. **Concurrency discipline checker** (:mod:`.rules_concurrency`,
-   RPR101–103) — shared-memory lifetime, `with`-only ordered locking,
-   and no blocking under the PlanCache global lock.
+   RPR102–103) — `with`-only ordered locking and no blocking under the
+   PlanCache global lock.
 4. **Generated-kernel prover** (:mod:`.symexec`, RPR400–406) — abstract
    interpretation of the ``compiled`` backend's generated source against
    its plan: strided-view bounds, gather-LUT bounds, Eq.-13 chunk

@@ -11,7 +11,7 @@ raising — exactly the failure mode static rules exist for:
 RPR301    ``await`` while holding a *sync* lock: the coroutine parks with
           the lock held, and the next waiter blocks the entire event
           loop's thread — cross-task deadlock, not slowdown.
-RPR302    blocking call (``time.sleep``, ``SharedMemory``, ``open``,
+RPR302    blocking call (``time.sleep``, ``open``,
           ``subprocess``, ``urlopen``, ``os.system``) inside ``async
           def``: freezes every coroutine sharing the loop for the call's
           full duration.
@@ -30,7 +30,7 @@ RPR305    task/executor hand-off in ``repro.serve`` that drops the
 ========  ==================================================================
 
 RPR301–304 scan every checked file; RPR305 applies only to the serve
-tree, where the flight layer's per-request tracing makes propagation a
+tree, where the per-request stage spans make propagation a
 correctness property (a dropped context orphans the request's
 ``execute``/worker spans).  All are tuned to the idioms the serve layer
 actually uses (``with self._intern_lock`` in sync helpers is fine,
@@ -68,7 +68,6 @@ ASYNC_BLOCKING_CALLS: Set[Tuple[str, str]] = {
     ("subprocess", "check_call"),
     ("subprocess", "check_output"),
     ("subprocess", "Popen"),
-    ("", "SharedMemory"),
     ("", "open"),
     ("", "urlopen"),
 }
@@ -161,7 +160,7 @@ def check_await_under_sync_lock(module: ModuleSource) -> Iterator[Finding]:
     "blocking call inside an async function",
 )
 def check_blocking_in_async(module: ModuleSource) -> Iterator[Finding]:
-    """Flag ``time.sleep``/``SharedMemory``/file/subprocess calls whose
+    """Flag ``time.sleep``/file/subprocess calls whose
     nearest enclosing function is ``async def`` — they freeze every
     coroutine sharing the loop."""
     for node in ast.walk(module.tree):
@@ -296,7 +295,7 @@ def check_trace_context_handoff(module: ModuleSource) -> Iterator[Finding]:
     neither calls ``contextvars.copy_context`` nor carries the
     :data:`TRACE_CONTEXT_MARK` annotation.
 
-    The flight layer's request spans ride a contextvar
+    The serve layer's request spans ride a contextvar
     (:func:`repro.telemetry.current_trace`); ``create_task`` copies the
     context natively but ``run_in_executor``/``submit`` do not, and
     either way the propagation decision must be *visible* at the

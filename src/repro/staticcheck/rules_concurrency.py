@@ -1,16 +1,12 @@
-"""Layer 3 — concurrency discipline rules (RPR101–RPR103).
+"""Layer 3 — concurrency discipline rules (RPR102–RPR103).
 
-Code that creates POSIX shared-memory segments owns real OS resources,
-and the runtime holds a small family of locks (backend registry,
+The runtime holds a small family of locks (backend registry,
 plan-cache global lock, per-key build locks).  PR 3's cache fix — moving
 plan builds *outside* the global cache lock — is exactly the regression
 class RPR103 pins down statically.  These rules scan every checked file, so a fixture
 dropped anywhere under a checked path is caught too:
 
 ========  ==================================================================
-RPR101    every ``SharedMemory(create=True)`` must be dominated by a
-          ``finally``-path (or ``with``-managed) ``unlink`` in the same
-          function — a leaked segment outlives the process.
 RPR102    locks are acquired via ``with`` only (never ``.acquire()``),
           and nested acquisitions follow the declared order in
           :data:`LOCK_ORDER`.
@@ -19,12 +15,15 @@ RPR103    no blocking call (``.result()``, ``.join()``, ``.wait()``,
           caller-supplied callable) while holding the PlanCache global
           lock.
 ========  ==================================================================
+
+RPR101 (``SharedMemory`` unlink on every exit path) retired with the
+process-pool backend, the last code that created segments.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
 from repro.staticcheck.engine import ModuleSource, rule
 from repro.staticcheck.finding import Finding
@@ -44,7 +43,6 @@ LOCK_ORDER: Tuple[str, ...] = (
     "_global_lock",
     "build_lock",
     "_lock",
-    "_pool_lock",
 )
 
 #: Attribute calls treated as blocking while a lock is held.
@@ -74,78 +72,6 @@ def _lock_name(item: ast.withitem) -> str:
 # Public aliases for cross-layer reuse (see __all__).
 terminal_name = _terminal_name
 lock_name = _lock_name
-
-
-def _is_shared_memory_create(node: ast.AST) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    if _terminal_name(node.func) != "SharedMemory":
-        return False
-    for kw in node.keywords:
-        if kw.arg == "create":
-            return isinstance(kw.value, ast.Constant) and kw.value.value is True
-    if len(node.args) >= 2:
-        arg = node.args[1]
-        return isinstance(arg, ast.Constant) and arg.value is True
-    return False
-
-
-def _calls_unlink(stmts: List[ast.stmt]) -> bool:
-    """True when any call in ``stmts`` unlinks (``seg.unlink()`` or a
-    helper whose name mentions unlink, e.g. ``_unlink_all``)."""
-    for stmt in stmts:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call) and "unlink" in _terminal_name(
-                node.func
-            ).lower():
-                return True
-    return False
-
-
-def _scope_body(module: ModuleSource, node: ast.AST) -> List[ast.stmt]:
-    fn = module.enclosing_function(node)
-    return fn.body if fn is not None else module.tree.body
-
-
-# ---------------------------------------------------------------------------
-# RPR101 — shared-memory lifetime
-
-
-@rule(
-    "RPR101",
-    "error",
-    "SharedMemory(create=True) without a finally/with-managed unlink",
-)
-def check_shared_memory_unlink(module: ModuleSource) -> Iterator[Finding]:
-    """Flag creator-owned segments not dominated by an unlink on every
-    exit path of their function."""
-    for node in ast.walk(module.tree):
-        if not _is_shared_memory_create(node):
-            continue
-        # A `with SharedMemory(...)` context manager closes (though it does
-        # not unlink) — still require an unlink in scope, so fall through.
-        body = _scope_body(module, node)
-        covered = False
-        for stmt in body:
-            for sub in ast.walk(stmt):
-                if isinstance(sub, ast.Try) and _calls_unlink(sub.finalbody):
-                    covered = True
-                    break
-            if covered:
-                break
-        if not covered:
-            yield module.finding(
-                "RPR101",
-                "error",
-                node,
-                "SharedMemory(create=True) is not dominated by a "
-                "finally-path unlink — a failure here leaks the segment "
-                "past process exit",
-                fix_hint=(
-                    "wrap the segment's lifetime in try/finally calling "
-                    ".unlink() or a helper that unlinks every segment"
-                ),
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,16 @@ kernel breakdowns (Fig. 6), bank-conflict rates and fragment utilisation
 (Table 5) — so this package gives the reproduction the same powers over
 its own execution:
 
+* :mod:`repro.telemetry.level` — the one observability switch,
+  ``REPRO_OBS`` ∈ ``off`` < ``metrics`` < ``trace`` < ``profile``, read
+  once at import; :func:`repro.obs.set_level` is its programmatic setter.
 * :mod:`repro.telemetry.trace` — nested wall-time **spans** with
-  attributes, a thread-safe buffer, and JSONL / Chrome ``trace_event``
-  exporters.  Off by default; enable with ``REPRO_TELEMETRY=1`` or
-  :func:`enable`, at near-zero cost while off.
-* :mod:`repro.telemetry.metrics` — a **registry** of counters, gauges,
-  and fixed-bucket histograms, plus adapters folding the GPU simulator's
+  attributes and a bounded ring buffer (the only event record: the serve
+  stages and the :mod:`repro.flight` black box are spans in it too), with
+  JSONL / Chrome ``trace_event`` exporters.  Recorded from level
+  ``trace`` up, at near-zero cost below it.
+* :mod:`repro.telemetry.metrics` — a **registry** of counters and
+  gauges, plus adapters folding the GPU simulator's
   :class:`~repro.gpu.counters.PerfCounters` in (and back out, bit-exactly).
 * :mod:`repro.telemetry.log` — library-style ``logging`` wiring
   (``NullHandler`` by default, :func:`configure_logging` to opt in).
@@ -19,9 +23,9 @@ its own execution:
 
 Typical use::
 
-    from repro import telemetry
+    from repro import obs, telemetry
 
-    telemetry.enable()
+    obs.set_level("trace")                       # or REPRO_OBS=trace
     cs.run(grid, steps=12)                       # hot paths emit spans
     telemetry.get_tracer().export("run.json")    # Chrome trace_event
     print(telemetry.get_registry().snapshot())   # folded sim counters
@@ -31,13 +35,11 @@ from repro.telemetry.log import LOGGER_NAME, configure_logging, get_logger
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     counter,
     fold_perf_counters,
     gauge,
     get_registry,
-    histogram,
     perf_counters_from_registry,
 )
 from repro.telemetry.report import (
@@ -54,8 +56,6 @@ from repro.telemetry.trace import (
     TraceContext,
     Tracer,
     current_trace,
-    disable,
-    enable,
     enabled,
     get_tracer,
     new_trace_id,
@@ -69,7 +69,6 @@ from repro.telemetry.trace import (
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "LOGGER_NAME",
     "MetricsRegistry",
     "PhaseStat",
@@ -80,15 +79,12 @@ __all__ = [
     "configure_logging",
     "counter",
     "current_trace",
-    "disable",
-    "enable",
     "enabled",
     "fold_perf_counters",
     "gauge",
     "get_logger",
     "get_registry",
     "get_tracer",
-    "histogram",
     "load_trace",
     "new_trace_id",
     "perf_counters_from_registry",

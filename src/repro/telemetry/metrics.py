@@ -1,15 +1,14 @@
-"""Metrics registry: counters, gauges, and fixed-bucket histograms.
+"""Metrics registry: counters and gauges.
 
 Spans answer *where the time went*; metrics answer *how much of what
 happened* — MMA instructions issued, bank conflicts replayed, residuals at
 each solver iteration.  The registry is a process-wide, lock-guarded
-name → instrument map with three instrument kinds:
+name → instrument map with two instrument kinds:
 
 * :class:`Counter` — monotonically increasing integer/float tally;
-* :class:`Gauge` — last-write-wins scalar (residuals, utilisation);
-* :class:`Histogram` — fixed upper-bound buckets plus count/sum, in the
-  Prometheus style (one overflow bucket catches everything beyond the
-  largest bound).
+* :class:`Gauge` — last-write-wins scalar (residuals, utilisation).
+
+Latency distributions live in :class:`repro.obs.hist.LatencyHistogram`.
 
 :func:`fold_perf_counters` adapts the GPU simulator's
 :class:`~repro.gpu.counters.PerfCounters` into the registry so simulated
@@ -21,30 +20,21 @@ the round-trip the telemetry integration tests assert.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
 from dataclasses import fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.gpu.counters import PerfCounters
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "counter",
     "fold_perf_counters",
     "gauge",
     "get_registry",
-    "histogram",
     "perf_counters_from_registry",
 ]
-
-#: Default histogram bucket upper bounds — wall-time oriented (seconds),
-#: log-spaced from 1 µs to 10 s.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0,
-)
 
 
 class Counter:
@@ -98,57 +88,6 @@ class Gauge:
             return self._value
 
 
-class Histogram:
-    """Fixed-bucket histogram (upper-bound buckets + overflow + count/sum)."""
-
-    __slots__ = ("name", "bounds", "_lock", "_counts", "_count", "_sum")
-
-    def __init__(self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError(f"histogram {name!r} needs >= 1 bucket bound")
-        if len(set(bounds)) != len(bounds):
-            raise ValueError(f"histogram {name!r} has duplicate bucket bounds")
-        self.name = name
-        self.bounds = bounds
-        self._lock = threading.Lock()
-        self._counts = [0] * (len(bounds) + 1)  # +1 overflow
-        self._count = 0
-        self._sum = 0.0
-
-    def observe(self, value: "int | float") -> None:
-        """Record one observation into its bucket (``value <= bound``)."""
-        idx = bisect_left(self.bounds, value)
-        with self._lock:
-            self._counts[idx] += 1
-            self._count += 1
-            self._sum += value
-
-    @property
-    def count(self) -> int:
-        """Total observations."""
-        with self._lock:
-            return self._count
-
-    @property
-    def sum(self) -> float:
-        """Sum of all observations."""
-        with self._lock:
-            return self._sum
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of observations (0.0 when empty)."""
-        with self._lock:
-            return self._sum / self._count if self._count else 0.0
-
-    def buckets(self) -> List[Tuple[float, int]]:
-        """``(upper_bound, count)`` pairs; the final bound is ``inf``."""
-        with self._lock:
-            counts = list(self._counts)
-        return list(zip(list(self.bounds) + [float("inf")], counts))
-
-
 class MetricsRegistry:
     """Get-or-create registry of named instruments.
 
@@ -161,40 +100,29 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._metrics: Dict[str, Any] = {}
 
-    def _get_or_create(self, name: str, kind: type, factory):
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if not isinstance(existing, kind):
-                    raise TypeError(
-                        f"metric {name!r} already registered as "
-                        f"{type(existing).__name__}, requested {kind.__name__}"
-                    )
-                return existing
-            # The factories are the lambdas below — allocation-only
-            # instrument constructors, never user code, so running one
-            # under the registry lock cannot block other lookups.
-            metric = factory()  # staticcheck: disable=RPR103
-            self._metrics[name] = metric
-            return metric
+    def _get_or_create(self, name: str, kind: type):
+        # Hit path without the lock: a dict read is atomic, and an
+        # instrument is never replaced once registered (only clear()
+        # drops them), so a hit is always a live instrument.
+        existing = self._metrics.get(name)
+        if existing is None:
+            candidate = kind(name)
+            with self._lock:  # two first creations race: one wins
+                existing = self._metrics.setdefault(name, candidate)
+        if not isinstance(existing, kind):
+            raise TypeError(
+                f"metric {name!r} already registered as "
+                f"{type(existing).__name__}, requested {kind.__name__}"
+            )
+        return existing
 
     def counter(self, name: str) -> Counter:
         """Get or create the :class:`Counter` named ``name``."""
-        return self._get_or_create(name, Counter, lambda: Counter(name))
+        return self._get_or_create(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
         """Get or create the :class:`Gauge` named ``name``."""
-        return self._get_or_create(name, Gauge, lambda: Gauge(name))
-
-    def histogram(
-        self, name: str, buckets: Optional[Sequence[float]] = None
-    ) -> Histogram:
-        """Get or create the :class:`Histogram` named ``name``."""
-        return self._get_or_create(
-            name,
-            Histogram,
-            lambda: Histogram(name, buckets if buckets is not None else DEFAULT_BUCKETS),
-        )
+        return self._get_or_create(name, Gauge)
 
     def get(self, name: str) -> Optional[Any]:
         """The instrument registered under ``name``, or ``None``."""
@@ -217,20 +145,8 @@ class MetricsRegistry:
         with self._lock:
             items = list(self._metrics.items())
         for name, metric in sorted(items):
-            if isinstance(metric, Counter):
-                out[name] = {"type": "counter", "value": metric.value}
-            elif isinstance(metric, Gauge):
-                out[name] = {"type": "gauge", "value": metric.value}
-            else:
-                out[name] = {
-                    "type": "histogram",
-                    "count": metric.count,
-                    "sum": metric.sum,
-                    "buckets": [
-                        [b if b != float("inf") else None, c]
-                        for b, c in metric.buckets()
-                    ],
-                }
+            kind = "counter" if isinstance(metric, Counter) else "gauge"
+            out[name] = {"type": kind, "value": metric.value}
         return out
 
 
@@ -250,11 +166,6 @@ def counter(name: str) -> Counter:
 def gauge(name: str) -> Gauge:
     """Get or create ``name`` as a gauge in the default registry."""
     return _registry.gauge(name)
-
-
-def histogram(name: str, buckets: Optional[Sequence[float]] = None) -> Histogram:
-    """Get or create ``name`` as a histogram in the default registry."""
-    return _registry.histogram(name, buckets)
 
 
 #: Registry prefix under which simulator counters are folded.

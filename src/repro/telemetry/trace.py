@@ -15,15 +15,15 @@ The buffer exports two formats:
 
 Tracing is **off by default** and designed to cost near nothing while off:
 :func:`span` performs one attribute lookup and allocates one tiny slotted
-object whose ``__enter__`` immediately short-circuits.  Enable it with the
-``REPRO_TELEMETRY`` environment variable (any value other than
-``0/false/no/off``) or programmatically via :func:`enable`.
+object whose ``__enter__`` immediately short-circuits.  Spans are
+recorded from the ``trace`` observability level up (``REPRO_OBS=trace``
+or ``obs.set_level("trace")``; see :mod:`repro.telemetry.level`).
 
 Usage::
 
-    from repro import telemetry
+    from repro import obs, telemetry
 
-    telemetry.enable()
+    obs.set_level("trace")
     with telemetry.span("stencil2row", kernel="box-2d9p"):
         ...
     telemetry.get_tracer().export("trace.json")   # Chrome trace_event
@@ -47,6 +47,7 @@ from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional
 
 from repro.errors import ReproError
+from repro.telemetry.level import state as _level
 
 __all__ = [
     "DEFAULT_MAX_SPANS",
@@ -55,8 +56,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "current_trace",
-    "disable",
-    "enable",
     "enabled",
     "get_tracer",
     "new_trace_id",
@@ -65,10 +64,8 @@ __all__ = [
     "set_trace",
     "span",
     "trace_scope",
+    "write_spans_jsonl",
 ]
-
-#: Environment variable that switches tracing on at import time.
-ENV_VAR = "REPRO_TELEMETRY"
 
 #: Environment override for the span ring-buffer capacity (``<= 0`` means
 #: unbounded — the pre-ring behaviour).
@@ -78,14 +75,6 @@ MAX_SPANS_ENV = "REPRO_TELEMETRY_MAX_SPANS"
 #: that a long-lived live session (``repro top``, the obs exporter) cannot
 #: grow without limit.
 DEFAULT_MAX_SPANS = 65536
-
-_FALSY = {"", "0", "false", "no", "off"}
-
-
-def _env_enabled(value: "str | None") -> bool:
-    """Whether an ``REPRO_TELEMETRY`` value means *enabled*."""
-    return value is not None and value.strip().lower() not in _FALSY
-
 
 def _env_max_spans() -> Optional[int]:
     """Ring capacity from ``REPRO_TELEMETRY_MAX_SPANS`` (``None`` = default).
@@ -268,6 +257,14 @@ def _write_text(path: Path, text: str) -> None:
         raise ReproError(f"cannot write trace file {path}: {exc}")
 
 
+def write_spans_jsonl(path: "str | Path", spans: List[Span]) -> Path:
+    """Write ``spans`` to ``path`` as span JSONL, one object per line."""
+    path = Path(path)
+    lines = [json.dumps(sp.to_dict(), sort_keys=True) for sp in spans]
+    _write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    return path
+
+
 class Tracer:
     """Thread-safe ring buffer of finished spans plus the active-span stack.
 
@@ -423,10 +420,7 @@ class Tracer:
 
     def export_jsonl(self, path: "str | Path") -> Path:
         """Write one JSON object per span to ``path`` (JSONL)."""
-        path = Path(path)
-        lines = [json.dumps(sp.to_dict(), sort_keys=True) for sp in self.spans()]
-        _write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-        return path
+        return write_spans_jsonl(path, self.spans())
 
     def export_chrome_trace(self, path: "str | Path") -> Path:
         """Write a Chrome ``trace_event`` document (complete "X" events)."""
@@ -460,37 +454,17 @@ class Tracer:
         return self.export_chrome_trace(path)
 
 
-class _State:
-    """Module-global switch + tracer (kept tiny for the disabled fast path)."""
-
-    __slots__ = ("enabled", "tracer")
-
-    def __init__(self) -> None:
-        self.enabled = _env_enabled(os.environ.get(ENV_VAR))
-        self.tracer = Tracer()
-
-
-_state = _State()
+_tracer = Tracer()
 
 
 def enabled() -> bool:
-    """Whether span recording is currently on."""
-    return _state.enabled
-
-
-def enable() -> None:
-    """Turn span recording on (equivalent to setting ``REPRO_TELEMETRY=1``)."""
-    _state.enabled = True
-
-
-def disable() -> None:
-    """Turn span recording off (buffered spans are kept until ``clear()``)."""
-    _state.enabled = False
+    """Whether span recording is on (observability level ``trace`` or up)."""
+    return _level.tracing
 
 
 def get_tracer() -> Tracer:
     """The process-wide tracer instance."""
-    return _state.tracer
+    return _tracer
 
 
 class SpanContext:
@@ -499,7 +473,7 @@ class SpanContext:
     As a context manager it yields the live :class:`Span` (or a no-op
     stand-in while tracing is disabled).  As a decorator it wraps the
     function in a fresh span per call, checking enablement *at call time*
-    so decorating at import keeps working after :func:`enable`.
+    so decorating at import keeps working after the level is raised.
     """
 
     __slots__ = ("name", "attributes", "_span", "_token")
@@ -511,16 +485,16 @@ class SpanContext:
         self._token = None
 
     def __enter__(self):
-        if not _state.enabled:
+        if not _level.tracing:
             return _NOOP_SPAN
-        self._span, self._token = _state.tracer.begin(self.name, self.attributes)
+        self._span, self._token = _tracer.begin(self.name, self.attributes)
         return self._span
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if self._span is not None:
             if exc_type is not None:
                 self._span.attributes.setdefault("error", exc_type.__name__)
-            _state.tracer.finish(self._span, self._token)
+            _tracer.finish(self._span, self._token)
             self._span = None
             self._token = None
         return False
@@ -530,7 +504,7 @@ class SpanContext:
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            if not _state.enabled:
+            if not _level.tracing:
                 return fn(*args, **kwargs)
             with SpanContext(name, dict(attributes)):
                 return fn(*args, **kwargs)
@@ -542,9 +516,9 @@ def record_span(
     name: str, start: float, end: float, **attributes: Any
 ) -> Optional[Span]:
     """Buffer one externally timed span; ``None`` (near-free) while off."""
-    if not _state.enabled:
+    if not _level.tracing:
         return None
-    return _state.tracer.record_span(name, start, end, attributes)
+    return _tracer.record_span(name, start, end, attributes)
 
 
 def span(name: str, **attributes: Any) -> SpanContext:

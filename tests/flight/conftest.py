@@ -1,27 +1,31 @@
-"""Flight-test fixtures: an isolated ring with a tmp dump directory."""
+"""Flight-test fixtures: a traced process with a tmp black-box directory."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro import flight
-from repro.flight.recorder import FlightRecorder
+from repro import obs, telemetry
 
 
 @pytest.fixture
-def flight_ring(tmp_path):
-    """Flight enabled on a fresh recorder dumping into ``tmp_path``."""
-    recorder = FlightRecorder(capacity=16, dump_dir=tmp_path, max_dumps=4)
-    flight._reset_for_tests(recorder)
-    flight.enable(recorder)
-    yield recorder
-    flight._reset_for_tests()
+def flight_ring(tmp_path, monkeypatch):
+    """Level ``trace`` with a clean span ring dumping into ``tmp_path``;
+    yields the process tracer."""
+    monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_FLIGHT_MAX_DUMPS", raising=False)
+    level = obs.get_level()
+    obs.set_level("trace")
+    telemetry.get_tracer().clear()
+    yield telemetry.get_tracer()
+    telemetry.get_tracer().clear()
+    obs.set_level(level)
 
 
 @pytest.fixture
 def flight_off():
-    """Flight explicitly disabled with no recorder (hot-path tests)."""
-    flight._reset_for_tests()
-    flight.disable()
-    yield flight
-    flight._reset_for_tests()
+    """Observability level ``off`` (hot-path tests); restored on exit."""
+    level = obs.get_level()
+    obs.set_level("off")
+    telemetry.get_tracer().clear()
+    yield telemetry.get_tracer()
+    obs.set_level(level)

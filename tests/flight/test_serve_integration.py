@@ -1,102 +1,62 @@
-"""Flight ↔ serve integration: complete traces, N:1 links, hot-path cost."""
+"""Serve stage spans: complete traces, N:1 links, and the untraced hot path."""
 
 from __future__ import annotations
 
 import asyncio
 import time
 
-import pytest
-
-from repro import flight, get_kernel, telemetry
-from repro.flight import _NOOP_FLIGHT
-from repro.flight.recorder import STAGES, RequestTrace
+from repro import get_kernel, obs, telemetry
+from repro.flight import traces_by_request
 from repro.serve import Request, ServeConfig, StencilService
-from repro.utils.rng import default_rng
+from repro.serve.request import STAGES
+from repro.serve.service import _trace_id
+from tests.flight.helpers import requests, serve
 
 
-def run_async(coro):
-    return asyncio.run(coro)
-
-
-def _requests(rng, n, tenant="acme"):
-    kernel = get_kernel("heat-2d")
-    return [
-        Request(
-            tenant,
-            kernel=kernel,
-            data=rng.random((12, 12)),
-            steps=2,
-            request_id=f"fl{i:03d}",
-        )
-        for i in range(n)
-    ]
+def _traces(tracer):
+    return traces_by_request(sp.to_dict() for sp in tracer.spans())
 
 
 class TestServeTraces:
     def test_every_request_gets_a_complete_trace(self, flight_ring, rng):
-        requests = _requests(rng, 4)
-
-        async def scenario():
-            async with StencilService(
-                ServeConfig(lanes=1, coalesce_window_ms=20.0)
-            ) as service:
-                return await asyncio.gather(
-                    *(service.submit(r) for r in requests)
-                )
-
-        responses = run_async(scenario())
+        batch = requests(rng, 4)
+        responses = serve(batch)
         assert all(r.ok for r in responses)
-        for request in requests:
-            trace = flight_ring.get(request.request_id)
-            assert trace is not None, request.request_id
-            assert trace.complete
-            assert trace.stage_names == STAGES
+        traces = _traces(flight_ring)
+        for request in batch:
+            trace = traces[request.request_id]
+            assert trace["status"] == "ok"
+            assert tuple(s["name"] for s in trace["stages"]) == STAGES
 
     def test_coalesced_batch_links_all_members(self, flight_ring, rng):
-        requests = _requests(rng, 4)
-
-        async def scenario():
-            async with StencilService(
-                ServeConfig(lanes=1, coalesce_window_ms=50.0)
-            ) as service:
-                return await asyncio.gather(
-                    *(service.submit(r) for r in requests)
-                )
-
-        responses = run_async(scenario())
+        batch = requests(rng, 4)
+        responses = serve(batch, config=ServeConfig(lanes=1, coalesce_window_ms=50.0))
         assert {r.batch_size for r in responses} == {4}
-        member_ids = sorted(r.request_id for r in requests)
+        member_ids = sorted(r.request_id for r in batch)
+        traces = _traces(flight_ring)
         batch_ids = set()
-        for request in requests:
-            trace = flight_ring.get(request.request_id)
-            execute = next(s for s in trace.stages if s.name == "execute")
-            assert sorted(execute.attributes["links"]) == member_ids
-            batch_ids.add(execute.attributes["batch_id"])
+        for request in batch:
+            stages = traces[request.request_id]["stages"]
+            execute = next(s for s in stages if s["name"] == "execute")
+            assert sorted(execute["attributes"]["links"]) == member_ids
+            batch_ids.add(execute["attributes"]["batch_id"])
         assert len(batch_ids) == 1  # one execute, N members — the N:1 shape
 
     def test_queue_wait_covers_the_coalesce_window(self, flight_ring, rng):
-        requests = _requests(rng, 2)
-
-        async def scenario():
-            async with StencilService(
-                ServeConfig(lanes=1, coalesce_window_ms=20.0)
-            ) as service:
-                return await asyncio.gather(
-                    *(service.submit(r) for r in requests)
-                )
-
-        run_async(scenario())
-        trace = flight_ring.get(requests[0].request_id)
-        stages = {s.name: s for s in trace.stages}
-        assert stages["admit"].end <= stages["queue_wait"].end
-        assert stages["execute"].start >= stages["queue_wait"].start
-        assert stages["split"].end >= stages["execute"].end
+        batch = requests(rng, 2)
+        serve(batch)
+        stages = {
+            s["name"]: s for s in _traces(flight_ring)[batch[0].request_id]["stages"]
+        }
+        assert stages["admit"]["end"] <= stages["queue_wait"]["end"]
+        assert stages["execute"]["start"] >= stages["queue_wait"]["start"]
+        assert stages["split"]["end"] >= stages["execute"]["end"]
 
     def test_rejected_request_gets_admit_stage_and_reason(self, flight_ring, rng):
         from tests.serve.test_service import ManualSleep
 
         kernel = get_kernel("heat-2d")
-        requests = [
+        batch = [
             Request(
                 "acme",
                 kernel=kernel,
@@ -111,53 +71,53 @@ class TestServeTraces:
             config = ServeConfig(lanes=1, coalesce_window_ms=200.0, max_queue_depth=1)
             async with StencilService(config, sleep=sleep) as service:
                 tasks = [
-                    asyncio.create_task(service.submit(r)) for r in requests
+                    asyncio.create_task(service.submit(r)) for r in batch
                 ]
                 for _ in range(3):
                     await asyncio.sleep(0)  # let every task run admission
                 sleep.release()
                 return await asyncio.gather(*tasks)
 
-        responses = run_async(scenario())
+        responses = asyncio.run(scenario())
         rejected = [r for r in responses if r.rejected]
         assert rejected, "queue never saturated"
+        traces = _traces(flight_ring)
         for response in rejected:
-            trace = flight_ring.get(response.request_id)
-            assert trace.status == "rejected"
-            assert trace.stage_names == ("admit",)
-            assert trace.stages[0].attributes["outcome"] == "rejected_queue"
-            assert not trace.complete
+            trace = traces[response.request_id]
+            assert (trace["status"], trace["reason"]) == ("rejected", "queue")
+            assert [s["name"] for s in trace["stages"]] == ["admit"]
+            assert trace["stages"][0]["attributes"]["outcome"] == "rejected_queue"
 
 
 class TestHotPath:
-    def test_noop_handle_is_shared_identity(self, flight_off):
-        telemetry.disable()
-        a = flight.begin_request("r1", "acme")
-        b = flight.begin_request("r2", "acme")
-        assert a is b is _NOOP_FLIGHT
-        a.stage("admit", 0.0, 1.0)
-        a.finish("ok")  # all no-ops, nothing retained anywhere
+    def test_noop_handle_is_shared_identity(self, flight_off, rng):
+        """Below ``trace`` a request carries the shared empty trace id and
+        records nothing anywhere."""
+        responses = serve(requests(rng, 3))
+        assert all(r.ok for r in responses)
+        assert len(flight_off) == 0
 
-    def test_telemetry_only_mirrors_spans_without_ring(self, flight_off, tele):
-        tele.enable()
-        handle = flight.begin_request("r1", "acme")
-        assert isinstance(handle, RequestTrace)
-        handle.stage("admit", 0.0, 0.5)
-        handle.finish("ok")
-        spans = [s for s in tele.get_tracer().spans() if s.name == "serve.admit"]
-        assert len(spans) == 1
-        assert spans[0].attributes["request_id"] == "r1"
-        assert flight.get_recorder(create=False) is None
+    def test_telemetry_only_mirrors_spans_without_ring(self, flight_off, rng):
+        """``metrics`` feeds the collector but keeps no stage spans."""
+        obs.set_level("metrics")
+        serve(requests(rng, 2))
+        assert not [sp for sp in flight_off.spans() if sp.name.startswith("serve.")]
+        obs.set_level("trace")
+        serve(requests(rng, 2, prefix="tr"))
+        spans = [sp for sp in flight_off.spans() if sp.name == "serve.admit"]
+        assert sorted(sp.attributes["request_id"] for sp in spans) == ["tr000", "tr001"]
 
     def test_disabled_begin_request_is_near_free(self, flight_off):
-        telemetry.disable()
+        """The untraced serve path's per-request hook — one level check,
+        the shared empty trace id — against a bare attribute check."""
+        assert _trace_id() == ""
 
         def spin(n=20000):
             for i in range(n):
-                flight.begin_request("r", "t")
+                _trace_id()
 
         def baseline(n=20000):
-            probe = flight.enabled
+            probe = telemetry.enabled
             for i in range(n):
                 probe()
 
@@ -173,15 +133,3 @@ class TestHotPath:
         # that the disabled hook stays within one order of magnitude of a
         # bare attribute check — i.e. no allocation, no lock, no ring.
         assert best_of(spin) < 10.0 * best_of(baseline) + 0.01
-
-
-@pytest.fixture
-def tele():
-    was_enabled = telemetry.enabled()
-    telemetry.get_tracer().clear()
-    yield telemetry
-    telemetry.get_tracer().clear()
-    if was_enabled:
-        telemetry.enable()
-    else:
-        telemetry.disable()

@@ -1,4 +1,4 @@
-"""Waterfall rendering: dump parsing, span reconstruction, error paths."""
+"""Waterfall rendering: span JSONL parsing, trace reconstruction, error paths."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.flight.waterfall import (
-    find_trace,
-    load_flight_dump,
+    load_requests,
     render_request_report,
     render_waterfall,
     spans_to_trace,
@@ -18,7 +17,6 @@ from repro.flight.waterfall import (
 
 def _trace_dict(rid, stages=None, **extra):
     base = {
-        "kind": "trace",
         "request_id": rid,
         "tenant": "acme",
         "trace_id": f"t-{rid}",
@@ -42,68 +40,79 @@ def _trace_dict(rid, stages=None, **extra):
     return base
 
 
-def _write_dump(path, traces):
-    with path.open("w") as fh:
-        fh.write(json.dumps({"kind": "meta", "reason": "test"}) + "\n")
-        for t in traces:
-            fh.write(json.dumps(t) + "\n")
+def _span(name, rid, start, end, **attrs):
+    attrs.setdefault("trace_id", f"t-{rid}")
+    attrs.setdefault("tenant", "acme")
+    return {
+        "name": name,
+        "span_id": 1,
+        "start": start,
+        "end": end,
+        "attributes": dict(attrs, request_id=rid),
+    }
+
+
+def _request_spans(rid, status="ok", **outcome):
+    """The span dicts of one served request (terminal outcome on split)."""
+    trace = _trace_dict(rid)
+    spans = [
+        _span(f"serve.{s['name']}", rid, s["start"], s["end"], **s.get("attributes", {}))
+        for s in trace["stages"]
+    ]
+    spans[-1]["attributes"].update({"status": status, "reason": "", "slo_breached": False})
+    spans[-1]["attributes"].update(outcome)
+    return spans
+
+
+def _write_spans(path, spans):
+    path.write_text("".join(json.dumps(s) + "\n" for s in spans))
 
 
 class TestLoadDump:
     def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(ReproError, match="not found"):
-            load_flight_dump(tmp_path / "absent.jsonl")
+        with pytest.raises(ReproError, match="cannot read"):
+            load_requests(tmp_path / "absent.jsonl")
 
     def test_meta_skipped_traces_kept(self, tmp_path):
         p = tmp_path / "d.jsonl"
-        _write_dump(p, [_trace_dict("r1"), _trace_dict("r2")])
-        traces, problems = load_flight_dump(p)
-        assert [t["request_id"] for t in traces] == ["r1", "r2"]
+        engine = {"name": "convstencil.pass", "span_id": 9, "start": 0.0, "end": 1.0}
+        _write_spans(p, [engine] + _request_spans("r1") + _request_spans("r2"))
+        traces, problems = load_requests(p)
+        assert list(traces) == ["r1", "r2"]  # non-request spans are skipped
         assert problems == []
 
     def test_truncated_lines_reported_not_fatal(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_text(
-            json.dumps(_trace_dict("r1"))
-            + "\n"
-            + '{"kind": "trace", "request_id": "r2", "sta'  # mid-write cut
+            "".join(json.dumps(s) + "\n" for s in _request_spans("r1"))
+            + '{"name": "serve.admit", "sta'  # mid-write cut
         )
-        traces, problems = load_flight_dump(p)
-        assert [t["request_id"] for t in traces] == ["r1"]
-        assert len(problems) == 1 and "line 2" in problems[0]
+        traces, problems = load_requests(p)
+        assert list(traces) == ["r1"]
+        assert len(problems) == 1 and ":6:" in problems[0]
 
     def test_find_trace_newest_wins(self):
-        traces = [_trace_dict("dup", status="error"), _trace_dict("dup")]
-        assert find_trace(traces, "dup")["status"] == "ok"
-        assert find_trace(traces, "nope") is None
+        spans = _request_spans("dup", status="error") + _request_spans("dup")
+        assert spans_to_trace(spans, "dup")["status"] == "ok"
+        assert spans_to_trace(spans, "nope") is None
 
 
 class TestSpansToTrace:
-    def _span(self, name, rid, start, end, **attrs):
-        attrs.setdefault("trace_id", "t-abc")
-        attrs.setdefault("tenant", "acme")
-        return {
-            "name": name,
-            "start": start,
-            "end": end,
-            "attributes": dict(attrs, request_id=rid),
-        }
-
     def test_rebuilds_matching_request_only(self):
         spans = [
-            self._span("serve.admit", "r1", 0.0, 0.001),
-            self._span("serve.execute", "r1", 0.002, 0.010, links=["r1"]),
-            self._span("serve.admit", "r2", 0.0, 0.001),
+            _span("serve.admit", "r1", 0.0, 0.001),
+            _span("serve.execute", "r1", 0.002, 0.010, links=["r1"]),
+            _span("serve.admit", "r2", 0.0, 0.001),
             {"name": "gemm", "start": 0.0, "end": 1.0},  # non-serve span
         ]
         trace = spans_to_trace(spans, "r1")
         assert [s["name"] for s in trace["stages"]] == ["admit", "execute"]
         assert trace["tenant"] == "acme"
-        assert trace["trace_id"] == "t-abc"
+        assert trace["trace_id"] == "t-r1"
         assert trace["stages"][1]["attributes"]["links"] == ["r1"]
 
     def test_unknown_request_returns_none(self):
-        assert spans_to_trace([self._span("serve.admit", "r1", 0, 1)], "r9") is None
+        assert spans_to_trace([_span("serve.admit", "r1", 0, 1)], "r9") is None
 
 
 class TestRenderWaterfall:
@@ -141,9 +150,15 @@ class TestRenderWaterfall:
 
 class TestRenderRequestReport:
     def test_renders_from_flight_dump(self, tmp_path):
-        p = tmp_path / "d.jsonl"
-        _write_dump(p, [_trace_dict("r1")])
-        assert "request r1" in render_request_report(p, "r1")[0]
+        from repro import flight
+        from repro.telemetry.trace import Tracer
+
+        tracer = Tracer()
+        for span in _request_spans("r1", slo_breached=True):
+            tracer.record_span(span["name"], span["start"], span["end"], span["attributes"])
+        dump = flight.dump("slo-breach-r1", "t-r1", tracer=tracer, dump_dir=tmp_path)
+        lines = render_request_report(dump, "r1")
+        assert "request r1" in lines[0] and "[SLO BREACH]" in lines[0]
 
     def test_renders_from_span_jsonl(self, tmp_path):
         p = tmp_path / "spans.jsonl"
@@ -159,12 +174,15 @@ class TestRenderRequestReport:
 
     def test_absent_id_lists_known_ids(self, tmp_path):
         p = tmp_path / "d.jsonl"
-        _write_dump(p, [_trace_dict("r1"), _trace_dict("r2")])
+        _write_spans(p, _request_spans("r1") + _request_spans("r2"))
         with pytest.raises(ReproError, match=r"known request ids: r1, r2"):
             render_request_report(p, "missing")
 
     def test_empty_file_explains_itself(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_text("")
-        with pytest.raises(ReproError, match="no request-stamped records"):
+        with pytest.raises(ReproError, match="is empty"):
+            render_request_report(p, "r1")
+        _write_spans(p, [{"name": "gemm", "start": 0.0, "end": 1.0}])
+        with pytest.raises(ReproError, match="no request-stamped spans"):
             render_request_report(p, "r1")

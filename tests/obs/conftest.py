@@ -1,4 +1,4 @@
-"""Obs-test fixtures: isolated enable/disable with a fresh collector."""
+"""Obs-test fixtures: an isolated observability level with a fresh collector."""
 
 from __future__ import annotations
 
@@ -9,21 +9,18 @@ from repro import obs
 
 @pytest.fixture
 def obs_on():
-    """Obs layer enabled (collector only) with fresh state; restored on exit."""
-    was_enabled = obs.enabled()
+    """Level ``metrics`` (collector, no sampler) with fresh state; the
+    previous level is restored on exit."""
+    level = obs.get_level()
     obs._reset_for_tests()
-    obs.enable(profile=False)
+    obs.set_level("metrics")
     yield obs
     obs._reset_for_tests()
-    obs._state.profile_wanted = obs._env_profile_wanted()
-    if was_enabled:
-        obs.enable()
-    else:
-        obs.disable()
+    obs.set_level(level)
 
 
 @pytest.fixture
 def obs_profiled(obs_on):
-    """Obs layer enabled *with* the sampling profiler wanted."""
-    obs_on.enable(profile=True)
+    """Level ``profile``: the collector plus the sampling profiler."""
+    obs_on.set_level("profile")
     yield obs_on

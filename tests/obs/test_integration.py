@@ -57,7 +57,7 @@ class TestRunBatch:
 
     def test_results_identical_with_obs_on_and_off(self, obs_on):
         with_obs = _serial_batch(obs_on)
-        obs_on.disable()
+        obs_on.set_level("off")
         without_obs = _serial_batch(obs_on)
         assert np.array_equal(with_obs, without_obs)
 
@@ -68,8 +68,8 @@ class TestBenchEmbedding:
         from repro.perfwatch.suite import Workload, run_suite
         from repro.perfwatch.timer import TimingSpec
 
-        was_enabled = obs.enabled()
-        obs.disable()
+        level = obs.get_level()
+        obs.set_level("off")
         obs._reset_for_tests()
         try:
             body = run_suite(
@@ -85,10 +85,10 @@ class TestBenchEmbedding:
                 ],
                 spec=TimingSpec(warmup=0, batches=1, batch_size=1),
             )
+            restored = obs.get_level()
         finally:
             obs._reset_for_tests()
-            if was_enabled:
-                obs.enable()
+            obs.set_level(level)
         summary = body["obs"]
         assert summary["profiler_samples"] == 0  # collector-only: no sampler
         (label,) = summary["runs"]
@@ -97,7 +97,7 @@ class TestBenchEmbedding:
         assert entry["runs"] >= 1
         assert entry["p50_s"] > 0
         assert "model_attainment" in entry
-        assert not obs.enabled()  # run_suite restored the disabled state
+        assert restored == "off"  # run_suite restored the disabled state
 
     def test_emit_obs_writes_snapshot_next_to_results(self, obs_on, tmp_path, monkeypatch):
         import json

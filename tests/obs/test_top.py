@@ -89,14 +89,13 @@ class TestCLI:
     def test_obs_snapshot_requires_enabled_layer(self):
         from repro import obs
 
-        was_enabled = obs.enabled()
-        obs.disable()
+        level = obs.get_level()
+        obs.set_level("off")
         try:
             with pytest.raises(ReproError, match="REPRO_OBS"):
                 cli.run(["obs-snapshot"])
         finally:
-            if was_enabled:
-                obs.enable()
+            obs.set_level(level)
 
     def test_obs_snapshot_json_and_prom(self, obs_on, tmp_path):
         cli.run(["top", "--once", "--demo", "--no-color"])  # populate

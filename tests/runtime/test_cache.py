@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import ConvStencil, telemetry
+from repro import ConvStencil, obs, telemetry
 from repro.runtime import PlanCache, get_plan_cache, set_plan_cache
 from repro.stencils.catalog import get_kernel
 from repro.utils.rng import default_rng
@@ -75,8 +75,8 @@ class TestCacheIntegration:
         assert stats["hit_rate"] > 0.9
 
     def test_telemetry_counters_update(self, fresh_cache):
-        was_enabled = telemetry.enabled()
-        telemetry.enable()
+        level = obs.get_level()
+        obs.set_level("trace")
         try:
             reg = telemetry.get_registry()
             before_m = reg.counter("runtime.plan_cache.misses").value
@@ -88,8 +88,7 @@ class TestCacheIntegration:
             assert reg.counter("runtime.plan_cache.misses").value == before_m + 1
             assert reg.counter("runtime.plan_cache.hits").value == before_h + 1
         finally:
-            if not was_enabled:
-                telemetry.disable()
+            obs.set_level(level)
 
     def test_distinct_problems_distinct_plans(self, fresh_cache):
         cs = ConvStencil(get_kernel("heat-2d"))

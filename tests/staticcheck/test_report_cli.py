@@ -23,21 +23,21 @@ from repro.staticcheck import (
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.json"
 
-#: Fixed snippet behind the golden report: one RPR001 and one RPR101 hit.
+#: Fixed snippet behind the golden report: one RPR001 and one RPR102 hit.
 GOLDEN_SNIPPET = '''\
 """Seeded fixture for the golden report test."""
 
 import numpy as np
-from multiprocessing import shared_memory
+import threading
 
 
 def contract(a, b):
     return np.einsum("ij,jk->ik", a, b, optimize=True)
 
 
-def leak(n):
-    seg = shared_memory.SharedMemory(create=True, size=n)
-    return seg.name
+def hold(build_lock: threading.Lock):
+    build_lock.acquire()
+    return build_lock
 '''
 
 
@@ -55,7 +55,7 @@ class TestReporter:
         assert payload == GOLDEN.read_text().rstrip("\n")
         doc = json.loads(payload)
         assert doc["ok"] is False
-        assert {f["rule_id"] for f in doc["findings"]} == {"RPR001", "RPR101"}
+        assert {f["rule_id"] for f in doc["findings"]} == {"RPR001", "RPR102"}
 
     def test_text_report_shape(self):
         lines = render_text(_golden_result())
@@ -161,8 +161,8 @@ class TestSarif:
         rule_ids = {r["id"] for r in run_["tool"]["driver"]["rules"]}
         # Registered AST/concurrency/async rules are always listed;
         # plan/symexec-layer rules appear ad hoc when findings carry them.
-        assert {"RPR001", "RPR101", "RPR301", "RPR304"} <= rule_ids
-        assert {r["ruleId"] for r in run_["results"]} == {"RPR001", "RPR101"}
+        assert {"RPR001", "RPR102", "RPR301", "RPR304"} <= rule_ids
+        assert {r["ruleId"] for r in run_["results"]} == {"RPR001", "RPR102"}
         for res in run_["results"]:
             loc = res["locations"][0]["physicalLocation"]
             assert loc["artifactLocation"]["uriBaseId"] == "%SRCROOT%"
@@ -303,14 +303,15 @@ class TestVerifyExitCodes:
 
 
 def test_staticcheck_spans_surface_in_telemetry_report(tmp_path):
-    from repro import telemetry
+    from repro import obs, telemetry
 
-    telemetry.enable()
+    level = obs.get_level()
+    obs.set_level("trace")
     try:
         run_lint(include_plans=True)
         trace = telemetry.get_tracer().export(str(tmp_path / "t.jsonl"))
     finally:
-        telemetry.disable()
+        obs.set_level(level)
         telemetry.get_tracer().clear()
     report = telemetry.render_phase_report(trace)
     assert "Static checks:" in report

@@ -81,19 +81,19 @@ class TestBlockingInAsync:
         assert len(findings) == 1
         assert "time.sleep()" in findings[0].message
 
-    def test_flags_open_and_shared_memory(self):
+    def test_flags_open_and_urlopen(self):
         findings = findings_for(
             """
             async def load(path):
                 with open(path) as fh:
-                    seg = SharedMemory(name=fh.read())
-                return seg
+                    body = urlopen(fh.read())
+                return body
             """,
             "RPR302",
         )
         assert {f.message.split()[1] for f in findings} == {
             "open()",
-            "SharedMemory()",
+            "urlopen()",
         }
 
     def test_sync_function_is_clean(self):

@@ -1,67 +1,8 @@
-"""Layer-3 concurrency rules: RPR101–103 fixtures and clean twins."""
+"""Layer-3 concurrency rules: RPR102–103 fixtures and clean twins."""
 
 from __future__ import annotations
 
 from tests.staticcheck.helpers import findings_for
-
-
-class TestRPR101SharedMemoryLifetime:
-    def test_unmatched_create_flagged(self):
-        src = """
-            from multiprocessing import shared_memory
-
-            def leak(n):
-                seg = shared_memory.SharedMemory(create=True, size=n)
-                return seg.name
-        """
-        (finding,) = findings_for(src, "RPR101")
-        assert finding.severity == "error"
-        assert "unlink" in finding.message
-
-    def test_finally_unlink_clean(self):
-        src = """
-            from multiprocessing import shared_memory
-
-            def ok(n):
-                seg = None
-                try:
-                    seg = shared_memory.SharedMemory(create=True, size=n)
-                    return seg.name
-                finally:
-                    if seg is not None:
-                        seg.unlink()
-        """
-        assert findings_for(src, "RPR101") == []
-
-    def test_helper_unlink_in_finally_clean(self):
-        # Two segments: creation inside try/except with a separate
-        # try/finally calling an unlink helper.
-        src = """
-            from multiprocessing import shared_memory
-
-            def ok(n, _unlink_segments):
-                seg_in = seg_out = None
-                try:
-                    seg_in = shared_memory.SharedMemory(create=True, size=n)
-                    seg_out = shared_memory.SharedMemory(create=True, size=n)
-                except OSError:
-                    _unlink_segments(seg_in, seg_out)
-                    raise
-                try:
-                    return seg_in.name, seg_out.name
-                finally:
-                    _unlink_segments(seg_in, seg_out)
-        """
-        assert findings_for(src, "RPR101") == []
-
-    def test_attach_not_flagged(self):
-        src = """
-            from multiprocessing import shared_memory
-
-            def attach(name):
-                return shared_memory.SharedMemory(name=name, create=False)
-        """
-        assert findings_for(src, "RPR101") == []
 
 
 class TestRPR102LockDiscipline:
@@ -103,7 +44,7 @@ class TestRPR102LockDiscipline:
     def test_with_only_single_lock_clean(self):
         src = """
             def f(self):
-                with self._pool_lock:
+                with self._intern_lock:
                     work()
         """
         assert findings_for(src, "RPR102") == []

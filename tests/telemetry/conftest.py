@@ -1,22 +1,19 @@
-"""Shared telemetry-test fixtures: isolated enable/disable + clean buffers."""
+"""Shared telemetry-test fixtures: isolated level + clean buffers."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro import telemetry
+from repro import obs, telemetry
 
 
 @pytest.fixture
 def tele():
-    """Telemetry module with clean tracer/registry; state restored on exit."""
-    was_enabled = telemetry.enabled()
+    """Telemetry module with clean tracer/registry; level restored on exit."""
+    level = obs.get_level()
     telemetry.get_tracer().clear()
     telemetry.get_registry().clear()
     yield telemetry
     telemetry.get_tracer().clear()
     telemetry.get_registry().clear()
-    if was_enabled:
-        telemetry.enable()
-    else:
-        telemetry.disable()
+    obs.set_level(level)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.core.api import ConvStencil
 from repro.core.simulated import run_simulated_2d
 from repro.stencils.catalog import get_kernel
@@ -14,7 +15,7 @@ class TestEngineSpans:
     def test_run_produces_bounded_pass_spans(self, tele):
         """ConvStencil.run over box-2d9p: pass spans nest under the run span
         and their summed wall time never exceeds the run's wall time."""
-        tele.enable()
+        obs.set_level("trace")
         kernel = get_kernel("box-2d9p")
         x = default_rng(3).random((64, 64))
         steps = 4
@@ -41,7 +42,7 @@ class TestEngineSpans:
         assert all(run.start <= sp.start and sp.end <= run.end for sp in tess)
 
     def test_disabled_run_is_untraced(self, tele):
-        tele.disable()
+        obs.set_level("off")
         kernel = get_kernel("box-2d9p")
         ConvStencil(kernel).run(default_rng(3).random((32, 32)), steps=2)
         assert len(tele.get_tracer()) == 0
@@ -51,7 +52,7 @@ class TestEngineSpans:
 class TestStrategySpans:
     def test_pass_spans_name_the_rule_strategy(self, tele):
         """Every pass span says how it ran: the strategy the rule picks."""
-        tele.enable()
+        obs.set_level("trace")
         x = default_rng(3).random((40, 40))
         for name, want in (("star-2d9p", "direct"), ("box-2d49p", "gemm")):
             tele.get_tracer().clear()
@@ -66,7 +67,7 @@ class TestSimulatorMetrics:
     def test_counters_fold_matches_run_exactly(self, tele):
         """run_simulated_2d folds its PerfCounters into the registry; the
         registry must reconstruct them bit-for-bit."""
-        tele.enable()
+        obs.set_level("trace")
         kernel = get_kernel("box-2d9p")
         x = default_rng(4).random((48, 48))
         run = run_simulated_2d(x, kernel)
@@ -75,7 +76,7 @@ class TestSimulatorMetrics:
         assert run.counters.mma_fp64 > 0
 
     def test_two_runs_accumulate(self, tele):
-        tele.enable()
+        obs.set_level("trace")
         kernel = get_kernel("box-2d9p")
         x = default_rng(4).random((48, 48))
         first = run_simulated_2d(x, kernel)
@@ -84,6 +85,6 @@ class TestSimulatorMetrics:
         assert tele.perf_counters_from_registry() == expected
 
     def test_disabled_run_folds_nothing(self, tele):
-        tele.disable()
+        obs.set_level("off")
         run_simulated_2d(default_rng(4).random((48, 48)), get_kernel("box-2d9p"))
         assert tele.get_registry().names() == []

@@ -1,4 +1,4 @@
-"""Metrics registry: instruments, bucketing, PerfCounters fold round-trip."""
+"""Metrics registry: instruments, lookups, PerfCounters fold round-trip."""
 
 from __future__ import annotations
 
@@ -47,48 +47,46 @@ class TestGauge:
         assert g.value == 1.5
 
 
-class TestHistogram:
-    def test_bucketing(self, tele):
-        h = tele.histogram("t.h", buckets=[1.0, 10.0, 100.0])
-        for v in (0.5, 1.0, 5.0, 50.0, 500.0):
-            h.observe(v)
-        # upper-bound semantics: value <= bound lands in that bucket
-        assert h.buckets() == [
-            (1.0, 2),            # 0.5 and the boundary value 1.0
-            (10.0, 1),           # 5.0
-            (100.0, 1),          # 50.0
-            (float("inf"), 1),   # 500.0 overflows
-        ]
-        assert h.count == 5
-        assert h.sum == pytest.approx(556.5)
-        assert h.mean == pytest.approx(556.5 / 5)
-
-    def test_duplicate_bounds_rejected(self, tele):
-        with pytest.raises(ValueError, match="duplicate"):
-            tele.histogram("t.dup", buckets=[1.0, 1.0])
-
-    def test_empty_bounds_rejected(self, tele):
-        with pytest.raises(ValueError, match="bucket"):
-            tele.histogram("t.empty", buckets=[])
-
-
 class TestRegistry:
     def test_kind_conflict_raises(self, tele):
         tele.counter("t.conflict")
         with pytest.raises(TypeError, match="already registered"):
             tele.gauge("t.conflict")
+        # The lock-free hit path checks the kind too, every time, both ways.
+        tele.gauge("t.gauge-first")
+        tele.gauge("t.gauge-first")
+        with pytest.raises(TypeError, match="registered as Gauge, requested Counter"):
+            tele.counter("t.gauge-first")
+        with pytest.raises(TypeError, match="registered as Counter, requested Gauge"):
+            tele.gauge("t.conflict")
+
+    def test_concurrent_first_creation_yields_one_instrument(self):
+        reg = MetricsRegistry()
+        threads = 8
+        start = threading.Barrier(threads)
+        got = []
+
+        def create():
+            start.wait()
+            got.append(reg.counter("t.race"))
+
+        workers = [threading.Thread(target=create) for _ in range(threads)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join()
+        assert len(got) == threads
+        assert all(c is got[0] for c in got)
+        assert reg.names() == ["t.race"]
 
     def test_snapshot_shapes(self, tele):
         tele.counter("t.c").inc(3)
         tele.gauge("t.g").set(0.5)
-        tele.histogram("t.h", buckets=[1.0]).observe(2.0)
         snap = tele.get_registry().snapshot()
-        assert snap["t.c"] == {"type": "counter", "value": 3}
-        assert snap["t.g"] == {"type": "gauge", "value": 0.5}
-        assert snap["t.h"]["type"] == "histogram"
-        assert snap["t.h"]["count"] == 1
-        # overflow bucket serialises its bound as null (JSON has no inf)
-        assert snap["t.h"]["buckets"] == [[1.0, 0], [None, 1]]
+        assert snap == {
+            "t.c": {"type": "counter", "value": 3},
+            "t.g": {"type": "gauge", "value": 0.5},
+        }
 
     def test_clear(self, tele):
         tele.counter("t.c").inc()

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro import cli
+from repro import cli, obs
 from repro.errors import ReproError
 from repro.telemetry.report import (
     load_trace,
@@ -18,7 +18,7 @@ from repro.telemetry.report import (
 
 
 def _make_trace(tele, tmp_path, suffix):
-    tele.enable()
+    obs.set_level("trace")
     with tele.span("run", kernel="box-2d9p"):
         for _ in range(3):
             with tele.span("pass"):
@@ -143,7 +143,7 @@ class TestCli:
 
 class TestFooters:
     def test_strategy_footer_counts_passes(self, tele, tmp_path):
-        tele.enable()
+        obs.set_level("trace")
         with tele.span("run"):
             for strategy in ("direct", "direct", "gemm"):
                 with tele.span("convstencil.pass", strategy=strategy):
@@ -157,7 +157,7 @@ class TestFooters:
         from repro.perfwatch import run_suite
         from tests.perfwatch.conftest import TINY_SPEC, TINY_SUITE
 
-        tele.enable()
+        obs.set_level("trace")
         run_suite(workloads=list(TINY_SUITE), spec=TINY_SPEC)
         path = tele.get_tracer().export(tmp_path / "pw.jsonl")
         joined = "\n".join(cli.run(["telemetry-report", str(path)]))

@@ -6,17 +6,14 @@ import json
 import threading
 import time
 
-from repro.telemetry.trace import (
-    DEFAULT_MAX_SPANS,
-    MAX_SPANS_ENV,
-    Tracer,
-    _env_enabled,
-)
+from repro import obs
+from repro.telemetry import level as levels
+from repro.telemetry.trace import DEFAULT_MAX_SPANS, MAX_SPANS_ENV, Tracer
 
 
 class TestNesting:
     def test_parent_child_links(self, tele):
-        tele.enable()
+        obs.set_level("trace")
         with tele.span("outer", kernel="box-2d9p"):
             with tele.span("inner"):
                 pass
@@ -33,7 +30,7 @@ class TestNesting:
             assert inner.duration <= outer.duration
 
     def test_children_sum_bounded_by_parent(self, tele):
-        tele.enable()
+        obs.set_level("trace")
         with tele.span("run"):
             for _ in range(5):
                 with tele.span("pass"):
@@ -45,14 +42,14 @@ class TestNesting:
         assert sum(sp.duration for sp in passes) <= run.duration
 
     def test_attributes_and_set_attribute(self, tele):
-        tele.enable()
+        obs.set_level("trace")
         with tele.span("s", kernel="heat-2d", depth=3) as sp:
             sp.set_attribute("extra", 42)
         (rec,) = tele.get_tracer().spans()
         assert rec.attributes == {"kernel": "heat-2d", "depth": 3, "extra": 42}
 
     def test_exception_recorded_and_span_closed(self, tele):
-        tele.enable()
+        obs.set_level("trace")
         try:
             with tele.span("failing"):
                 raise ValueError("boom")
@@ -64,7 +61,7 @@ class TestNesting:
         assert tele.get_tracer().current() is None
 
     def test_thread_spans_do_not_interleave(self, tele):
-        tele.enable()
+        obs.set_level("trace")
 
         def work(i):
             with tele.span("thread-root", idx=i):
@@ -87,7 +84,7 @@ class TestNesting:
 
 class TestDecorator:
     def test_decorator_records_span(self, tele):
-        tele.enable()
+        obs.set_level("trace")
 
         @tele.span("decorated", tag="x")
         def f(a, b):
@@ -99,27 +96,29 @@ class TestDecorator:
         assert rec.attributes == {"tag": "x"}
 
     def test_decorator_is_late_binding(self, tele):
-        # decorated while disabled, must still trace after enable()
+        # decorated while disabled, must still trace once the level rises
+        obs.set_level("off")
+
         @tele.span("late")
         def f():
             return 1
 
         f()
         assert len(tele.get_tracer()) == 0
-        tele.enable()
+        obs.set_level("trace")
         f()
         assert [sp.name for sp in tele.get_tracer().spans()] == ["late"]
 
 
 class TestDisabled:
     def test_disabled_records_nothing(self, tele):
-        tele.disable()
+        obs.set_level("off")
         with tele.span("invisible") as sp:
             sp.set_attribute("k", "v")  # must be accepted and dropped
         assert len(tele.get_tracer()) == 0
 
     def test_disabled_span_is_cheap(self, tele):
-        tele.disable()
+        obs.set_level("off")
         n = 10_000
         t0 = time.perf_counter()
         for _ in range(n):
@@ -131,22 +130,26 @@ class TestDisabled:
         assert per_call < 50e-6
 
     def test_enable_disable_roundtrip(self, tele):
-        tele.enable()
+        obs.set_level("trace")
         assert tele.enabled()
-        tele.disable()
+        obs.set_level("metrics")
+        assert not tele.enabled()
+        obs.set_level("profile")
+        assert tele.enabled()
+        obs.set_level("off")
         assert not tele.enabled()
 
     def test_env_var_parsing(self):
-        assert not _env_enabled(None)
-        for off in ("", "0", "false", "no", "off", "  FALSE "):
-            assert not _env_enabled(off)
-        for on in ("1", "true", "yes", "on", "anything"):
-            assert _env_enabled(on)
+        assert levels._from_env({}) == levels.OFF
+        for off in ("", "  ", "off", " OFF "):
+            assert levels._from_env({"REPRO_OBS": off}) == levels.OFF
+        for rank, name in enumerate(levels.LEVELS):
+            assert levels._from_env({"REPRO_OBS": f" {name.upper()} "}) == rank
 
 
 class TestExport:
     def test_jsonl_roundtrip(self, tele, tmp_path):
-        tele.enable()
+        obs.set_level("trace")
         with tele.span("a", kernel="k"):
             with tele.span("b"):
                 pass
@@ -159,7 +162,7 @@ class TestExport:
         assert all(ln["duration"] >= 0 for ln in lines)
 
     def test_chrome_trace_structure(self, tele, tmp_path):
-        tele.enable()
+        obs.set_level("trace")
         with tele.span("phase", kernel="box-2d9p"):
             pass
         path = tele.get_tracer().export_chrome_trace(tmp_path / "t.json")
@@ -171,7 +174,7 @@ class TestExport:
         assert event["args"]["kernel"] == "box-2d9p"
 
     def test_export_dispatches_on_extension(self, tele, tmp_path):
-        tele.enable()
+        obs.set_level("trace")
         with tele.span("x"):
             pass
         jsonl = tele.get_tracer().export(tmp_path / "t.jsonl")
@@ -180,7 +183,7 @@ class TestExport:
         assert "traceEvents" in json.loads(chrome.read_text())
 
     def test_clear_empties_buffer(self, tele):
-        tele.enable()
+        obs.set_level("trace")
         with tele.span("x"):
             pass
         assert len(tele.get_tracer()) == 1

@@ -6,6 +6,7 @@ import asyncio
 import concurrent.futures
 import contextvars
 
+from repro import obs
 from repro.telemetry.trace import TraceContext, trace_scope
 
 
@@ -50,7 +51,7 @@ class TestScope:
 
 class TestStamping:
     def test_spans_inherit_ambient_trace(self, tele):
-        tele.enable()
+        obs.set_level("trace")
         with trace_scope("t-1", "r-1"):
             with tele.span("work"):
                 pass
@@ -59,7 +60,7 @@ class TestStamping:
         assert sp.attributes["request_id"] == "r-1"
 
     def test_explicit_attributes_beat_the_ambient_context(self, tele):
-        tele.enable()
+        obs.set_level("trace")
         with trace_scope("t-ambient", "r-ambient"):
             tele.record_span("serve.admit", 0.0, 1.0, trace_id="t-own")
         (sp,) = tele.get_tracer().spans()
@@ -67,11 +68,11 @@ class TestStamping:
         assert sp.attributes["request_id"] == "r-ambient"
 
     def test_record_span_is_none_while_disabled(self, tele):
-        tele.disable()
+        obs.set_level("off")
         assert tele.record_span("serve.admit", 0.0, 1.0) is None
 
     def test_unbound_context_leaves_spans_unstamped(self, tele):
-        tele.enable()
+        obs.set_level("trace")
         with tele.span("work"):
             pass
         (sp,) = tele.get_tracer().spans()
@@ -80,7 +81,7 @@ class TestStamping:
 
 class TestAsyncAndExecutorHops:
     def test_create_task_inherits_the_spawning_context(self, tele):
-        tele.enable()
+        obs.set_level("trace")
 
         async def main():
             with trace_scope("t-task", "r-task"):

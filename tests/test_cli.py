@@ -195,22 +195,20 @@ class TestFlightSubcommand:
         assert len(list(tmp_path.glob("flight-*.jsonl"))) >= 3
 
     def test_loadgen_flight_dump_then_replay(self, tmp_path):
-        from repro import flight
+        from repro import obs
 
         dump = tmp_path / "ring.jsonl"
-        flight._reset_for_tests()
-        try:
-            lines = run([
-                "loadgen", "--requests", "8", "--waves", "1",
-                "--no-identity", "--flight-dump", str(dump),
-            ])
-        finally:
-            flight._reset_for_tests()
-        assert any("complete traces" in ln for ln in lines)
+        level = obs.get_level()
+        lines = run([
+            "loadgen", "--requests", "8", "--waves", "1",
+            "--no-identity", "--flight-dump", str(dump),
+        ])
+        assert obs.get_level() == level  # raised to trace for the replay only
+        assert any("8/8 complete traces" in ln for ln in lines)
         assert dump.exists()
 
         listing = run(["flight", "--dump", str(dump), "--list"])
-        assert "8 trace(s)" in listing[0]
+        assert "8 request(s)" in listing[0]
         rid = listing[1].split()[0]
         waterfall = run(["flight", "--dump", str(dump), "--request-id", rid])
         assert f"request {rid}" in waterfall[0]
@@ -220,17 +218,11 @@ class TestFlightSubcommand:
         assert f"request {rid}" in report[0]
 
     def test_absent_request_id_names_known_ids(self, tmp_path):
-        from repro import flight
-
         dump = tmp_path / "ring.jsonl"
-        flight._reset_for_tests()
-        try:
-            run([
-                "loadgen", "--requests", "4", "--waves", "1",
-                "--no-identity", "--flight-dump", str(dump),
-            ])
-        finally:
-            flight._reset_for_tests()
+        run([
+            "loadgen", "--requests", "4", "--waves", "1",
+            "--no-identity", "--flight-dump", str(dump),
+        ])
         with pytest.raises(ReproError, match="known request ids"):
             run(["flight", "--dump", str(dump), "--request-id", "nope"])
 
