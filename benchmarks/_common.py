@@ -20,7 +20,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from repro import telemetry
+from repro import obs, telemetry
 from repro.utils.io import dump_json, experiment_record
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -48,12 +48,12 @@ def _results_dir() -> Path:
 def emit(name: str, text: str) -> None:
     """Print a result table uncaptured and persist it under results/.
 
-    Routed through telemetry (a ``bench.emit`` span + counter) so a traced
+    Routed through telemetry (a ``bench.emit`` span + obs counter) so a traced
     benchmark run records *which* tables it produced and when.
     """
     with telemetry.span("bench.emit", bench=name, kind="text"):
         (_results_dir() / f"{name}.txt").write_text(text + "\n")
-    telemetry.counter("bench.emit").inc()
+    obs.count("bench.emit")
     sys.__stdout__.write("\n" + text + "\n")
     sys.__stdout__.flush()
 
@@ -71,7 +71,7 @@ def emit_json(name: str, rows, **metadata) -> None:
             experiment_record(name, rows, **metadata),
             fsync=True,
         )
-    telemetry.counter("bench.emit").inc()
+    obs.count("bench.emit")
 
 
 def emit_obs(name: str) -> None:
@@ -82,13 +82,11 @@ def emit_obs(name: str) -> None:
     quantiles, achieved-vs-model throughput, worker state — lands next to
     the bench's tables so numbers and runtime health travel together.
     """
-    from repro import obs
-
     if not obs.enabled():
         return
     with telemetry.span("bench.emit", bench=name, kind="obs"):
         dump_json(_results_dir() / f"{name}.obs.json", obs.snapshot(), fsync=True)
-    telemetry.counter("bench.emit").inc()
+    obs.count("bench.emit")
 
 
 def emit_telemetry(name: str) -> None:
@@ -103,4 +101,8 @@ def emit_telemetry(name: str) -> None:
         return
     out = _results_dir()
     tracer.export_chrome_trace(out / f"{name}.trace.json")
-    dump_json(out / f"{name}.metrics.json", telemetry.get_registry().snapshot())
+    snap = obs.get_collector().snapshot()
+    dump_json(
+        out / f"{name}.metrics.json",
+        {"counters": snap["counters"], "gauges": snap["gauges"]},
+    )

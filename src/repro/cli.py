@@ -27,7 +27,7 @@ Observability (see :mod:`repro.telemetry`): ``--trace FILE`` enables
 telemetry, executes the requested run *functionally* at the given extents
 (so keep them laptop-scale), and writes the span trace to ``FILE``;
 ``--metrics`` folds a scaled-down simulated pass's hardware counters into
-the metrics registry and prints the snapshot; and the separate
+the obs collector and prints its counters and gauges; and the separate
 ``telemetry-report TRACE`` subcommand renders a Fig.-6-style phase
 breakdown from a previously saved trace.
 
@@ -60,7 +60,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro import telemetry
+from repro import obs, telemetry
 from repro.analysis.breakdown import run_breakdown
 from repro.core.api import ConvStencil, PinnedStencil
 from repro.errors import ReproError, StaticCheckError
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "enable telemetry, fold a scaled-down simulated pass's hardware "
-            "counters into the metrics registry, and print the snapshot"
+            "counters into the obs collector, and print the snapshot"
         ),
     )
     return parser
@@ -460,7 +460,6 @@ def _run_obs_snapshot(argv: List[str]) -> List[str]:
     import json
     import time as _time
 
-    from repro import obs
     from repro.obs.exporter import render_prometheus, start_exporter
     from repro.obs.top import run_demo_workload
 
@@ -513,7 +512,6 @@ def _serve_config_from_args(args) -> "ServeConfig":
     )
     return ServeConfig(
         lanes=args.lanes,
-        coalesce_window_ms=args.window_ms,
         max_batch=args.max_batch,
         max_queue_depth=args.queue_depth,
         quota=quota,
@@ -524,8 +522,6 @@ def _serve_config_from_args(args) -> "ServeConfig":
 
 def _serve_args(parser: argparse.ArgumentParser) -> None:
     """Knobs shared by ``repro serve`` and ``repro loadgen``."""
-    from repro.serve import ServeConfig
-
     parser.add_argument("--seed", type=int, default=0, help="trace seed (default 0)")
     parser.add_argument(
         "--requests", type=int, default=96, help="requests per trace (default 96)"
@@ -538,16 +534,6 @@ def _serve_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--lanes", type=int, default=2, help="executor lanes (default 2)"
-    )
-    parser.add_argument(
-        "--window-ms",
-        type=float,
-        default=ServeConfig.coalesce_window_ms,
-        help=(
-            "minimum hold in milliseconds before a new batch may take a free "
-            "lane; batches always coalesce while every lane is busy "
-            f"(default {ServeConfig.coalesce_window_ms:g})"
-        ),
     )
     parser.add_argument(
         "--max-batch", type=int, default=32, help="flush-at batch size (default 32)"
@@ -636,7 +622,6 @@ def _run_loadgen(argv: List[str]) -> List[str]:
     )
     args = parser.parse_args(argv)
 
-    from repro import obs
     from repro.serve import TraceSpec, run_loadgen
     from repro.telemetry.trace import write_spans_jsonl
 
@@ -667,8 +652,8 @@ def _run_loadgen(argv: List[str]) -> List[str]:
         )
     if args.expect_coalescing and report["max_batch"] <= 1:
         raise ReproError(
-            "no coalesced batches observed (max batch size 1); widen "
-            "--window-ms or raise --requests"
+            "no coalesced batches observed (max batch size 1); raise "
+            "--requests or lower --waves"
         )
     if args.json:
         import json
@@ -871,7 +856,7 @@ def _run_serve(argv: List[str]) -> List[str]:
     )
     args = parser.parse_args(argv)
 
-    from repro import flight, obs
+    from repro import flight
     from repro.serve import TraceSpec
     from repro.serve.loadgen import run_server
 
@@ -964,8 +949,6 @@ def _run_top(argv: List[str]) -> List[str]:
         if args.url:
             snap = obs_top.fetch_snapshot(args.url)
         else:
-            from repro import obs
-
             snap = obs.snapshot()
         return obs_top.render_top(snap, color=color)
     frames = obs_top.run_live(
@@ -1074,9 +1057,9 @@ def _run_bench(argv: List[str]) -> List[str]:
         )
         threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
         result, _ = run_check(baseline, threshold=threshold, quick=quick)
-        telemetry.counter("perfwatch.checks").inc()
+        obs.count("perfwatch.checks")
         for _ in result.regressions:
-            telemetry.counter("perfwatch.regressions").inc()
+            obs.count("perfwatch.regressions")
         if args.json:
             lines = json.dumps(result.to_dict(), indent=2, sort_keys=True).splitlines()
         else:
@@ -1215,8 +1198,6 @@ def run(argv: Sequence[str]) -> List[str]:
         return _run_flight(argv[1:])
     args = build_parser().parse_args(argv)
     if (args.trace or args.metrics) and not telemetry.enabled():
-        from repro import obs
-
         obs.set_level("trace")
     ndim = _DIM_NAMES[args.dim]
     if len(args.sizes) != ndim + 1:
@@ -1310,8 +1291,10 @@ def run(argv: Sequence[str]) -> List[str]:
         lines.append(
             f"Metrics (simulated pass on {'x'.join(map(str, shape))} grid):"
         )
-        for name, summary in telemetry.get_registry().snapshot().items():
-            lines.append(f"  {name} = {summary['value']:.6g}")
+        snap = obs.get_collector().snapshot()
+        named = {**snap["counters"], **snap["gauges"]}
+        for name in sorted(named):
+            lines.append(f"  {name} = {named[name]:.6g}")
 
     if args.trace:
         x = default_rng(0).random(tuple(extents))

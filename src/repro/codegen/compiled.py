@@ -51,7 +51,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import telemetry
+from repro import obs, telemetry
 from repro.codegen.specs import GemmSpec, gemm_spec_from_pass
 from repro.core.engine2d import _CHUNK
 from repro.errors import StaticCheckError, TessellationError
@@ -801,7 +801,7 @@ def _compile(pp, batched: bool) -> CompiledPass:
         namespace["stencil2row_gather_batched"] = gather3
     namespace.update(gen.constants)
     exec(compile(gen.source, f"<{gen.name}>", "exec"), namespace)
-    telemetry.counter("codegen.compiled.builds").inc()
+    obs.count("codegen.compiled.builds")
     _log.debug(
         "compiled %s (%d lines, gather=%s)",
         gen.name, len(gen.source.splitlines()), status,
@@ -842,7 +842,7 @@ def compiled_entry(pp, batched: bool = False) -> CompiledPass:
         if entry is not None:
             _compiled_cache.move_to_end(key)
     if entry is not None:
-        telemetry.counter("codegen.compiled.cache_hits").inc()
+        obs.count("codegen.compiled.cache_hits")
         return entry
     entry = _compile(pp, batched)
     with _compile_lock:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import telemetry
+from repro import obs
 from repro.core.chunks import chunk_plan
 from repro.core.lookup import ColumnLookup, build_column_lookup
 from repro.core.padding import PaddingPlan, plan_padding
@@ -134,14 +134,14 @@ def _transform_row(
 
 
 def _fold_counters(owns_sim: bool, sim: DeviceSim) -> None:
-    """Fold a run's counters into the telemetry registry.
+    """Fold a run's counters into the obs collector (``sim.*``).
 
     Only the call that *created* the simulator folds, so nested simulated
     passes sharing a ``DeviceSim`` (3-D planes, blocked launches) are
     counted exactly once.
     """
-    if owns_sim and telemetry.enabled():
-        telemetry.fold_perf_counters(sim.counters)
+    if owns_sim and obs.enabled():
+        obs.fold_perf_counters(sim.counters)
 
 
 def _charge_divmod(sim: DeviceSim, config: ExecutionConfig, elements: int) -> None:

@@ -1,21 +1,23 @@
 """repro.obs — live runtime introspection (env-gated, near-free when off).
 
-PRs 1 and 5 made the pipeline observable *after the fact*: traces you
-export, counters a bench run folds.  This layer makes the same signals
+Traces (:mod:`repro.telemetry`) say *where the time went* after the fact;
+this layer is the process's one metrics store and keeps the same signals
 **live**: while a workload runs it maintains per-plan-key latency
 histograms with SLO accounting, serving-layer gauges, achieved
-MMA/s and GStencil/s against the calibrated model ceiling, and a
-sampling profiler attributing time to the pipeline's phases — servable
-over HTTP (:mod:`repro.obs.exporter`), renderable in-terminal
-(``repro top``), and snapshottable one-shot (``repro obs-snapshot``).
+MMA/s and GStencil/s against the calibrated model ceiling, named
+counters and gauges (:func:`count`, :func:`set_gauge`, and the
+simulator's ``sim.*`` fold), and a sampling profiler attributing time to
+the pipeline's phases — servable over HTTP (:mod:`repro.obs.exporter`),
+renderable in-terminal (``repro top``), and snapshottable one-shot
+(``repro obs-snapshot``).
 
 Everything here runs from the ``metrics`` observability level up
 (``REPRO_OBS=metrics``, see :mod:`repro.telemetry.level`), and the
 sampler from ``profile``; :func:`set_level` is the one programmatic
-switch for every layer.  Below ``metrics`` the hot-path hook —
-:func:`record_run` in the executor — returns a shared no-op object after
-a single attribute check, so the cost of shipping this layer always-on
-is one branch per run.
+switch for every layer.  Below ``metrics`` every hook —
+:func:`record_run` in the executor, :func:`count`, :func:`set_gauge`,
+the serve hooks — returns after a single attribute check, so the cost
+of shipping this layer always-on is one branch per event.
 
 Environment knobs::
 
@@ -33,7 +35,11 @@ import time
 from typing import Any, Callable, Dict, Optional
 
 from repro.obs.alerts import AlertEngine, AlertPolicy
-from repro.obs.collector import ObsCollector
+from repro.obs.collector import (
+    ObsCollector,
+    fold_perf_counters,
+    perf_counters_from_registry,
+)
 from repro.obs.profiler import DEFAULT_INTERVAL, SamplingProfiler
 from repro.telemetry.level import LEVELS, METRICS, PROFILE
 from repro.telemetry.level import rank as _rank
@@ -42,14 +48,18 @@ from repro.telemetry.level import state as _level
 __all__ = [
     "bench_summary",
     "configure_alerts",
+    "count",
     "enabled",
+    "fold_perf_counters",
     "get_alert_engine",
     "get_collector",
     "get_level",
     "get_profiler",
+    "perf_counters_from_registry",
     "record_request",
     "record_run",
     "record_serve_batch",
+    "set_gauge",
     "set_level",
     "snapshot",
 ]
@@ -266,6 +276,23 @@ def record_serve_batch(size: int, queue_depth: int, affinity_hit: bool) -> None:
     if _level.rank < METRICS:
         return
     _state.collector.observe_serve_batch(size, queue_depth, affinity_hit)
+
+
+# -- named counters and gauges ---------------------------------------------
+
+
+def count(name: str, amount: "int | float" = 1) -> None:
+    """Add ``amount`` (>= 0) to the counter ``name`` (no-op while disabled)."""
+    if _level.rank < METRICS:
+        return
+    _state.collector.count(name, amount)
+
+
+def set_gauge(name: str, value: "int | float") -> None:
+    """Overwrite the gauge ``name`` (no-op while disabled)."""
+    if _level.rank < METRICS:
+        return
+    _state.collector.set_gauge(name, value)
 
 
 # -- snapshots -------------------------------------------------------------

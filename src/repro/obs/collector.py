@@ -10,7 +10,13 @@ is enabled:
   the calibrated model ceiling via
   :func:`repro.model.convstencil_model.convstencil_throughput`);
 * per tenant and per service — the serving layer's request outcomes,
-  batch sizes, affinity hits and queue depth.
+  batch sizes, affinity hits and queue depth;
+* named counters and gauges (``solver.*``, ``staticcheck.*``,
+  ``verify.*``, …) written through :func:`repro.obs.count` and
+  :func:`repro.obs.set_gauge`, and the GPU simulator's
+  :class:`~repro.gpu.counters.PerfCounters` folded in as ``sim.*``
+  (:func:`fold_perf_counters`, reversed bit-exactly by
+  :func:`perf_counters_from_registry`).
 
 ``snapshot()`` renders everything — plus the live plan-cache stats and
 profiler aggregates — into one JSON-able dict that the exporter, the
@@ -26,12 +32,21 @@ from __future__ import annotations
 import os
 import threading
 import time
+from dataclasses import fields
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.gpu.counters import PerfCounters
 from repro.obs.hist import LatencyHistogram
 from repro.telemetry.log import get_logger
 
-__all__ = ["ObsCollector", "RunStats", "TenantStats", "run_label"]
+__all__ = [
+    "ObsCollector",
+    "RunStats",
+    "TenantStats",
+    "fold_perf_counters",
+    "perf_counters_from_registry",
+    "run_label",
+]
 
 _log = get_logger("obs.collector")
 
@@ -184,6 +199,9 @@ class ObsCollector:
             "queue_depth": 0,
             "queue_peak": 0,
         }
+        # One namespace: a name is a counter or a gauge, never both.
+        self._counters: Dict[str, float] = {}
+        self._gauges: Dict[str, float] = {}
         self._started_at = _CLOCK()
         # (kernel_name, n_grid, steps, depth) -> Eq.-13 MMA total;
         # (kernel_name, shape, depth) -> (model GStencil/s, bound).
@@ -311,6 +329,29 @@ class ObsCollector:
             else:
                 serve["affinity_misses"] += 1
 
+    def count(self, name: str, amount: "int | float" = 1) -> None:
+        """Add ``amount`` (>= 0) to the counter ``name``."""
+        if amount < 0:
+            raise ValueError(f"counter {name!r} cannot decrease (got {amount})")
+        with self._lock:
+            if name in self._gauges:
+                raise TypeError(f"metric {name!r} is a gauge, not a counter")
+            self._counters[name] = self._counters.get(name, 0) + amount
+
+    def set_gauge(self, name: str, value: "int | float") -> None:
+        """Overwrite the gauge ``name``."""
+        with self._lock:
+            if name in self._counters:
+                raise TypeError(f"metric {name!r} is a counter, not a gauge")
+            self._gauges[name] = value
+
+    def value(self, name: str, default: Any = 0) -> Any:
+        """Current value of the counter or gauge ``name``, else ``default``."""
+        with self._lock:
+            if name in self._counters:
+                return self._counters[name]
+            return self._gauges.get(name, default)
+
     # -- snapshot ----------------------------------------------------------
 
     def _plan_cache_stats(self) -> Dict[str, Any]:
@@ -330,6 +371,8 @@ class ObsCollector:
                 for name, stats in sorted(self._tenants.items())
             }
             serve = dict(self._serve)
+            counters = dict(sorted(self._counters.items()))
+            gauges = dict(sorted(self._gauges.items()))
         serve["mean_batch"] = (
             serve["batched_requests"] / serve["batches"] if serve["batches"] else 0.0
         )
@@ -341,6 +384,8 @@ class ObsCollector:
             "runs": runs,
             "tenants": tenants,
             "serve": serve,
+            "counters": counters,
+            "gauges": gauges,
         }
         if profiler is not None:
             snap["profile"] = {
@@ -356,3 +401,54 @@ class ObsCollector:
                 ],
             }
         return snap
+
+
+#: Name prefix under which simulator counters are folded.
+SIM_PREFIX = "sim"
+
+#: Derived :class:`PerfCounters` properties folded as gauges (Table 5).
+_DERIVED = (
+    "bank_conflicts_per_request",
+    "uncoalesced_fraction",
+    "tensor_core_utilisation",
+)
+
+
+def _default_collector() -> ObsCollector:
+    from repro.obs import get_collector
+
+    return get_collector()
+
+
+def fold_perf_counters(
+    counters: PerfCounters,
+    collector: Optional[ObsCollector] = None,
+    prefix: str = SIM_PREFIX,
+) -> None:
+    """Accumulate a simulator :class:`PerfCounters` into ``collector``.
+
+    Every raw field becomes the counter ``<prefix>.<field>`` (added to, so
+    repeated folds accumulate exactly like ``PerfCounters.merge``); the
+    Table-5 derived ratios become gauges reflecting the latest fold.
+    Unlike :func:`repro.obs.count`, this writes at every level: callers
+    decide whether to fold.
+    """
+    target = collector if collector is not None else _default_collector()
+    for f in fields(counters):
+        target.count(f"{prefix}.{f.name}", getattr(counters, f.name))
+    for name in _DERIVED:
+        target.set_gauge(f"{prefix}.{name}", getattr(counters, name))
+
+
+def perf_counters_from_registry(
+    collector: Optional[ObsCollector] = None, prefix: str = SIM_PREFIX
+) -> PerfCounters:
+    """Reconstruct a :class:`PerfCounters` from previously folded counters.
+
+    Unfolded fields read as 0; a single fold into a fresh collector
+    round-trips bit-exactly (``reconstructed == original``).
+    """
+    source = collector if collector is not None else _default_collector()
+    return PerfCounters(
+        **{f.name: int(source.value(f"{prefix}.{f.name}")) for f in fields(PerfCounters)}
+    )

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro import telemetry
+from repro import obs, telemetry
 from repro.core.api import PinnedStencil
 from repro.errors import ReproError
 from repro.perfwatch.counters import efficiency_counters, plan_cache_delta
@@ -155,7 +155,7 @@ def _measure_workload(
         batch=w.batch,
     )
     counters.update(plan_cache_delta(cache_before, cache_after))
-    telemetry.counter("perfwatch.workloads").inc()
+    obs.count("perfwatch.workloads")
     return {
         "workload": w.to_dict(),
         "key": w.key,
@@ -188,7 +188,7 @@ def run_suite(
     ):
         for w in suite:
             entries.append(_measure_workload(w, resolved_spec, clock))
-    telemetry.counter("perfwatch.suites").inc()
+    obs.count("perfwatch.suites")
     return {
         "suite": "quick" if quick else "full",
         "entries": entries,
@@ -208,8 +208,6 @@ def _obs_summary_pass(suite: List[Workload]) -> Dict:
     higher), the timed cells included it anyway and this pass just adds
     one more run each.
     """
-    from repro import obs
-
     was_enabled = obs.enabled()
     if not was_enabled:
         obs.set_level("metrics")
@@ -267,7 +265,7 @@ def run_check(
         suspects = [w for w in suite if w.key in suspect_keys]
         if not suspects:
             break  # regressed cells are not in this run's suite definition
-        telemetry.counter("perfwatch.recheck").inc()
+        obs.count("perfwatch.recheck")
         retry = run_suite(quick=quick, workloads=suspects, spec=spec, clock=clock)
         fastest = {e["key"]: e for e in retry["entries"]}
         merged = []

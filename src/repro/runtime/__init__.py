@@ -10,8 +10,9 @@ package is both ideas as architecture:
   gather LUTs, triangular weight matrices, halo geometry, 3-D plane
   decompositions, and an execution strategy per pass (``gemm`` or
   ``direct``), a pure function of the pass kernel and the grid size;
-* :class:`PlanCache` — a bounded, telemetry-instrumented LRU sharing
-  plans across runs (``runtime.plan_cache.*`` metrics);
+* :class:`PlanCache` — a bounded LRU sharing plans across runs, whose
+  own hit/miss/eviction counts (``PlanCache.stats``) are what the obs
+  snapshot and exporter report;
 * :class:`Backend` — the execution protocol, with four built-ins:
   ``serial`` (plan-driven vectorised engines, the default), ``compiled``
   (shape-pinned generated kernels, :mod:`repro.codegen.compiled`),

@@ -1,15 +1,15 @@
-"""Bounded, telemetry-instrumented cache of :class:`ExecutionPlan`\\ s.
+"""Bounded cache of :class:`ExecutionPlan`\\ s.
 
 The paper amortises its host-side precomputation (LUTs, weight matrices)
 across all time iterations (§3.4); :class:`PlanCache` extends that reuse
 across *runs*: any :class:`~repro.core.api.ConvStencil` hitting the same
 ``(kernel, grid_shape, boundary, fusion_depth)`` key reuses the same plan.
 
-The cache is a thread-safe LRU bounded by entry count.  Every hit, miss,
-and eviction is mirrored into the process-wide telemetry metrics registry
-(``runtime.plan_cache.hits`` / ``.misses`` / ``.evictions`` plus a
-``.size`` gauge), so benchmarks report hit rates from the same counters
-production monitoring would scrape.
+The cache is a thread-safe LRU bounded by entry count.  It counts its
+own hits, misses and evictions (:attr:`PlanCache.stats`); the obs
+snapshot and the Prometheus ``repro_plan_cache_*`` families read those
+counts, so there is one tally per event and no metrics write on the
+lookup path.
 
 Plan builds run **outside** the global cache lock, serialised per key: a
 slow build for one ``(kernel, shape, boundary, depth)`` problem never
@@ -30,7 +30,7 @@ import threading
 from collections import OrderedDict
 from typing import Callable, Dict, Optional
 
-from repro import telemetry
+from repro import obs
 from repro.errors import StaticCheckError
 from repro.runtime.plan import ExecutionPlan
 
@@ -52,7 +52,7 @@ def _staticcheck_plan(plan: ExecutionPlan) -> None:
     from repro.staticcheck.plan_invariants import check_plan
 
     findings = check_plan(plan)
-    telemetry.counter("staticcheck.findings").inc(len(findings))
+    obs.count("staticcheck.findings", len(findings))
     errors = [f for f in findings if f.severity == "error"]
     if errors:
         detail = "; ".join(f"{f.rule_id} {f.message}" for f in errors[:3])
@@ -90,7 +90,6 @@ class PlanCache:
         """Touch ``key`` (caller holds ``self._lock``, entry exists)."""
         self._plans.move_to_end(key)
         self._hits += 1
-        telemetry.counter("runtime.plan_cache.hits").inc()
         return self._plans[key]
 
     def get_or_build(
@@ -116,7 +115,6 @@ class PlanCache:
                     # Another thread finished this key while we waited.
                     return self._record_hit(key)
                 self._misses += 1
-                telemetry.counter("runtime.plan_cache.misses").inc()
             try:
                 plan = builder()
                 # Outside the global lock, like the build itself: the
@@ -128,8 +126,6 @@ class PlanCache:
                     while len(self._plans) > self.capacity:
                         self._plans.popitem(last=False)
                         self._evictions += 1
-                        telemetry.counter("runtime.plan_cache.evictions").inc()
-                    telemetry.gauge("runtime.plan_cache.size").set(len(self._plans))
             finally:
                 with self._lock:
                     self._building.pop(key, None)
@@ -140,7 +136,6 @@ class PlanCache:
         with self._lock:
             self._plans.clear()
             self._hits = self._misses = self._evictions = 0
-            telemetry.gauge("runtime.plan_cache.size").set(0)
 
     def __len__(self) -> int:
         with self._lock:

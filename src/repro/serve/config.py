@@ -1,4 +1,4 @@
-"""Serving-layer configuration: quotas, coalescing, lanes, backpressure.
+"""Serving-layer configuration: quotas, batch size, lanes, backpressure.
 
 :class:`ServeConfig` is the single knob surface of
 :class:`~repro.serve.service.StencilService`.  Every field has a default,
@@ -52,16 +52,12 @@ class ServeConfig:
         Executor lanes (single-thread executors).  Requests sharing a plan
         key route to the lane that already holds the warm
         :class:`~repro.runtime.plan.ExecutionPlan` (affinity routing).
-    coalesce_window_ms:
-        Minimum hold of a new batch before it may be dispatched.  A batch
-        is dispatched when a lane is free and coalesces while lanes are
-        busy: past this window it goes to the first free lane, and until
-        one frees up it keeps taking same-key companions.  The default
-        ``0`` never holds a request while a lane is idle; requests
-        admitted in the same event-loop tick still share a batch.
     max_batch:
         Coalesced batch size at which a batch takes no more companions
-        and is dispatched as soon as a lane is free, whatever the window.
+        and is dispatched as soon as a lane is free.  Any batch goes to
+        the first free lane, so no request waits while a lane is idle;
+        requests admitted in the same event-loop tick share a batch, and
+        while every lane is busy a batch keeps taking same-key companions.
     max_queue_depth:
         Bound on requests admitted but not yet completed; beyond it the
         service rejects with HTTP-429-style backpressure.
@@ -88,7 +84,6 @@ class ServeConfig:
     """
 
     lanes: int = 2
-    coalesce_window_ms: float = 0.0
     max_batch: int = 32
     max_queue_depth: int = 256
     quota: Union[TenantQuota, Dict[str, TenantQuota]] = field(
@@ -103,10 +98,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.lanes < 1:
             raise ServeError(f"lanes must be >= 1, got {self.lanes}")
-        if self.coalesce_window_ms < 0.0:
-            raise ServeError(
-                f"coalesce_window_ms must be >= 0, got {self.coalesce_window_ms}"
-            )
         if self.max_batch < 1:
             raise ServeError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_queue_depth < 1:
@@ -129,10 +120,6 @@ class ServeConfig:
         if isinstance(self.quota, TenantQuota):
             return self.quota
         return self.quota.get(tenant, self.default_quota)
-
-    @property
-    def coalesce_window_s(self) -> float:
-        return self.coalesce_window_ms / 1e3
 
     @property
     def slo_seconds(self) -> Optional[float]:

@@ -6,13 +6,14 @@ Architecture (one event loop, N single-thread executor lanes)::
         free lane (affinity-routed) ──execute_batch (one stacked pass)──▶
         split per request ──▶ Response futures
 
-* **Work-conserving dispatch** — a pending batch becomes *ready* once
-  its ``coalesce_window_ms`` has elapsed (at once under the default
-  ``0``) or it reaches ``max_batch``.  A ready batch is dispatched as
-  soon as a lane is free; while every lane is busy it stays pending and
-  keeps taking same-key companions, and each lane that finishes a batch
-  takes the oldest ready one.  So no request waits while a lane is idle,
-  and batches form behind busy lanes, where there is work to amortise.
+* **Work-conserving dispatch** — a new pending batch becomes *ready*
+  on the next event-loop iteration (``loop.call_soon``), so requests
+  admitted in the same tick share it, or as soon as it reaches
+  ``max_batch``.  A ready batch is dispatched as soon as a lane is free;
+  while every lane is busy it stays pending and keeps taking same-key
+  companions, and each lane that finishes a batch takes the oldest ready
+  one.  So no request waits while a lane is idle, and batches form
+  behind busy lanes, where there is work to amortise.
 * **Batch coalescing** — requests sharing a coalesce key (plan key +
   ``steps`` + ``fill_value``) that are pending together are stacked
   into one :func:`~repro.runtime.execute.execute_batch` pass and split
@@ -75,13 +76,8 @@ _log = get_logger("serve.service")
 #: Audited clock reference (admission timestamps, latency accounting).
 _CLOCK = time.monotonic
 
-#: Audited async-sleep reference (coalescing-window timers).  Injectable
-#: per service instance, so timing-sensitive tests script the window
-#: instead of racing the wall clock.
-_SLEEP = asyncio.sleep
-
 #: Floor of the ``retry_after`` hint on queue rejections, for when no
-#: batch has finished yet and no coalescing window is configured.
+#: batch has finished yet.
 _MIN_RETRY_AFTER_S = 1e-3
 
 
@@ -140,8 +136,7 @@ class _PendingBatch:
 
     Holds its own reference to the interned kernel so an in-flight batch
     survives the kernel being LRU-evicted from the interning map.
-    ``ready`` is set once its window has elapsed or it is full; ``timer``
-    is the window task until then.
+    ``ready`` is set one loop iteration after it opens, or once it is full.
     """
 
     key: Any
@@ -154,7 +149,6 @@ class _PendingBatch:
     #: end times their queue_wait stages start from.
     trace_ids: List[str] = field(default_factory=list)
     admitted_at: List[float] = field(default_factory=list)
-    timer: Optional["asyncio.Task"] = None
     ready: bool = False
 
     def add(
@@ -210,10 +204,9 @@ class StencilService:
             resp = await svc.submit(Request("acme", kernel=k, data=x, steps=4))
             assert resp.ok and resp.batch_size >= 1
 
-    ``clock`` and ``sleep`` are injectable for deterministic quota/
-    latency/coalescing tests (the same pattern as ``repro.perfwatch``);
-    they default to the audited monotonic and ``asyncio.sleep``
-    references.
+    ``clock`` is injectable for deterministic quota/latency tests (the
+    same pattern as ``repro.perfwatch``); it defaults to the audited
+    monotonic reference.
     """
 
     def __init__(
@@ -221,11 +214,9 @@ class StencilService:
         config: Optional[ServeConfig] = None,
         *,
         clock=None,
-        sleep=None,
     ) -> None:
         self.config = config if config is not None else ServeConfig()
         self._clock = clock if clock is not None else _CLOCK
-        self._sleep = sleep if sleep is not None else _SLEEP
         self._lanes = [_Lane(i) for i in range(self.config.lanes)]
         self._quota = QuotaLedger(self.config.quota_for)
         # Open batches by coalesce key (taking companions), and the ready
@@ -346,7 +337,6 @@ class StencilService:
             stats.rejected_quota += 1
         else:
             stats.rejected_queue += 1
-        telemetry.counter("serve.rejections").inc()
         obs.record_request(tenant, 0.0, f"rejected_{reason}")
 
     # -- submission --------------------------------------------------------
@@ -362,7 +352,6 @@ class StencilService:
             raise ServeError("submit() on a stopped StencilService")
         loop = asyncio.get_running_loop()
         now = self._clock()
-        telemetry.counter("serve.requests").inc()
         trace_id = _trace_id()
 
         # Queue depth is checked before the token bucket so a request the
@@ -371,11 +360,7 @@ class StencilService:
         if self._queued >= self.config.max_queue_depth:
             # The queue drains a batch per lane at a time, so the last
             # batch's execute time is what waiting for a slot costs.
-            retry_after = max(
-                self._last_execute_s,
-                self.config.coalesce_window_s,
-                _MIN_RETRY_AFTER_S,
-            )
+            retry_after = max(self._last_execute_s, _MIN_RETRY_AFTER_S)
             self._account_reject(request.tenant, "queue")
             if trace_id:
                 _stage(
@@ -434,7 +419,10 @@ class StencilService:
             batch = self._pending[key] = _PendingBatch(
                 key=key, kernel=kernel, fusion=fusion
             )
-            batch.timer = self._spawn(self._ready_after_window(batch))
+            # Ready on the next loop iteration, so requests admitted in
+            # this tick coalesce; a batch that fills first is already
+            # ready by then, and _make_ready is idempotent.
+            loop.call_soon(self._make_ready, batch)
         batch.add(request, future, now, trace_id, admit_end)
         self._queued += 1
         self._queue_peak = max(self._queue_peak, self._queued)
@@ -443,10 +431,7 @@ class StencilService:
             del self._pending[key]
             self._make_ready(batch)
 
-        response = await future
-        if strict and response.rejected:  # pragma: no cover - defensive
-            raise ServeError(f"request rejected mid-flight: {response.reason}")
-        return response
+        return await future
 
     # -- coalescing & flush ------------------------------------------------
 
@@ -459,20 +444,8 @@ class StencilService:
         task.add_done_callback(self._tasks.discard)
         return task
 
-    async def _ready_after_window(self, batch: _PendingBatch) -> None:
-        # With no window this still runs one loop iteration after the
-        # first request, so requests admitted in the same tick coalesce.
-        window = self.config.coalesce_window_s
-        if window > 0.0:
-            await self._sleep(window)
-        batch.timer = None
-        self._make_ready(batch)
-
     def _make_ready(self, batch: _PendingBatch) -> None:
-        """Mark ``batch`` ready (cancelling its window) and dispatch."""
-        if batch.timer is not None:
-            batch.timer.cancel()
-            batch.timer = None
+        """Mark ``batch`` ready (idempotent) and dispatch."""
         if not batch.ready:
             batch.ready = True
             self._ready.append(batch)
@@ -674,7 +647,6 @@ class StencilService:
             self._batches += 1
             self._batched_requests += n
             self._max_batch = max(self._max_batch, n)
-            telemetry.counter("serve.batches").inc()
             obs.record_serve_batch(n, queued_at_flush, affinity_hit)
 
     # -- lifecycle ---------------------------------------------------------

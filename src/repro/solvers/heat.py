@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import telemetry
+from repro import obs, telemetry
 from repro.core.api import ConvStencil
 from repro.errors import ReproError
 from repro.stencils.grid import BoundaryCondition
@@ -68,7 +68,7 @@ class HeatSolver:
             out = self._engine.run(
                 field, steps=steps, boundary=boundary, fill_value=fill_value
             )
-        if telemetry.enabled():
-            telemetry.counter("solver.heat.steps").inc(steps)
-            telemetry.gauge("solver.heat.mean_temperature").set(float(out.mean()))
+        obs.count("solver.heat.steps", steps)
+        if obs.enabled():  # the mean is a full pass over the field
+            obs.set_gauge("solver.heat.mean_temperature", float(out.mean()))
         return out

@@ -17,7 +17,7 @@ from typing import List
 
 import numpy as np
 
-from repro import telemetry
+from repro import obs, telemetry
 from repro.core.api import ConvStencil
 from repro.errors import ReproError
 from repro.stencils.kernel import StencilKernel
@@ -100,9 +100,8 @@ class JacobiPoisson:
                 if it % record_every == 0 or it == self.max_iterations:
                     res = self.residual(u, f)
                     history.append(res)
-                    if telemetry.enabled():
-                        telemetry.gauge("solver.jacobi.residual").set(res)
-                        telemetry.gauge("solver.jacobi.iterations").set(it)
+                    obs.set_gauge("solver.jacobi.residual", res)
+                    obs.set_gauge("solver.jacobi.iterations", it)
                     if res < self.tol:
                         solve_span.set_attribute("iterations", it)
                         solve_span.set_attribute("converged", True)

@@ -22,7 +22,7 @@ from typing import List
 
 import numpy as np
 
-from repro import telemetry
+from repro import obs, telemetry
 from repro.core.api import ConvStencil
 from repro.errors import ReproError
 from repro.stencils.kernel import StencilKernel
@@ -173,9 +173,8 @@ class MultigridPoisson:
                     u = self.v_cycle(u, f)
                 res = float(np.abs(self.residual_field(u, f)).max())
                 history.append(res)
-                if telemetry.enabled():
-                    telemetry.gauge("solver.multigrid.residual").set(res)
-                    telemetry.gauge("solver.multigrid.cycles").set(cycle)
+                obs.set_gauge("solver.multigrid.residual", res)
+                obs.set_gauge("solver.multigrid.cycles", cycle)
                 if res < self.tol:
                     solve_span.set_attribute("cycles", cycle)
                     solve_span.set_attribute("converged", True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import telemetry
+from repro import obs, telemetry
 from repro.core.api import ConvStencil
 from repro.errors import ReproError
 from repro.stencils.applications import get_application_kernel
@@ -80,8 +80,7 @@ class LeapfrogWave:
                 lap = self._laplacian.run(self.curr, steps=1)
                 nxt = 2.0 * self.curr - self.prev + c2 * lap
                 self.prev, self.curr = self.curr, nxt
-        if telemetry.enabled():
-            telemetry.counter("solver.wave.steps").inc(n)
+        obs.count("solver.wave.steps", n)
         return self.curr
 
     def energy(self) -> float:
@@ -92,6 +91,5 @@ class LeapfrogWave:
         gx = np.diff(self.curr, axis=0)
         gy = np.diff(self.curr, axis=1)
         e = float((ut**2).sum() + self.courant**2 * ((gx**2).sum() + (gy**2).sum()))
-        if telemetry.enabled():
-            telemetry.gauge("solver.wave.energy").set(e)
+        obs.set_gauge("solver.wave.energy", e)
         return e

@@ -17,9 +17,9 @@ The engine owns everything rule implementations should not re-implement:
   layer (:mod:`repro.staticcheck.plan_invariants`) run over the kernel
   catalog.
 
-Telemetry: every run increments ``staticcheck.files`` /
-``staticcheck.findings`` and (via the plan layer)
-``staticcheck.plans_checked``, inside a ``staticcheck.lint`` span whose
+Telemetry: from the ``metrics`` level up every run adds to the obs
+counters ``staticcheck.files`` / ``staticcheck.findings`` and (via the
+plan layer) ``staticcheck.plans_checked``, inside a ``staticcheck.lint`` span whose
 attributes mirror the counters — ``repro telemetry-report`` surfaces them.
 """
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
-from repro import telemetry
+from repro import obs, telemetry
 from repro.staticcheck.finding import Finding, sort_findings, source_snippet
 
 __all__ = [
@@ -394,8 +394,8 @@ def run_lint(
             result.baseline_suppressed = len(result.findings) - len(kept)
             result.findings = kept
         result.findings = sort_findings(result.findings)
-        telemetry.counter("staticcheck.files").inc(result.files_scanned)
-        telemetry.counter("staticcheck.findings").inc(len(result.findings))
+        obs.count("staticcheck.files", result.files_scanned)
+        obs.count("staticcheck.findings", len(result.findings))
         sp.set_attribute("files", result.files_scanned)
         sp.set_attribute("plans_checked", result.plans_checked)
         sp.set_attribute("kernels_checked", result.kernels_checked)

@@ -43,7 +43,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro import telemetry
+from repro import obs
 from repro.staticcheck.finding import Finding
 from repro.utils.arrays import ceil_div
 
@@ -373,7 +373,7 @@ def check_plan(plan) -> List[Finding]:
                     f"{expected_halo}",
                 )
             )
-    telemetry.counter("staticcheck.plans_checked").inc()
+    obs.count("staticcheck.plans_checked")
     return findings
 
 

@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import telemetry
+from repro import obs
 from repro.staticcheck.finding import Finding, sort_findings, source_snippet
 
 __all__ = [
@@ -1406,7 +1406,7 @@ def check_generated(gen, pp) -> List[Finding]:
         findings.extend(interp.findings)
         findings.extend(_scan_determinism(tree, file))
     findings.extend(check_gemm_spec(gen.gemm, label=pp.kernel.name))
-    telemetry.counter("staticcheck.kernels_checked").inc()
+    obs.count("staticcheck.kernels_checked")
     out = []
     for f in findings:
         snippet = source_snippet(gen.source, f.line) if f.line > 0 else ""

@@ -12,10 +12,8 @@ its own execution:
   attributes and a bounded ring buffer (the only event record: the serve
   stages and the :mod:`repro.flight` black box are spans in it too), with
   JSONL / Chrome ``trace_event`` exporters.  Recorded from level
-  ``trace`` up, at near-zero cost below it.
-* :mod:`repro.telemetry.metrics` — a **registry** of counters and
-  gauges, plus adapters folding the GPU simulator's
-  :class:`~repro.gpu.counters.PerfCounters` in (and back out, bit-exactly).
+  ``trace`` up, at near-zero cost below it.  Counters, gauges and
+  histograms live in one store, the :mod:`repro.obs` collector.
 * :mod:`repro.telemetry.log` — library-style ``logging`` wiring
   (``NullHandler`` by default, :func:`configure_logging` to opt in).
 * :mod:`repro.telemetry.report` — Fig.-6-style phase-breakdown tables
@@ -28,20 +26,10 @@ Typical use::
     obs.set_level("trace")                       # or REPRO_OBS=trace
     cs.run(grid, steps=12)                       # hot paths emit spans
     telemetry.get_tracer().export("run.json")    # Chrome trace_event
-    print(telemetry.get_registry().snapshot())   # folded sim counters
+    print(obs.snapshot()["counters"])            # named counters
 """
 
 from repro.telemetry.log import LOGGER_NAME, configure_logging, get_logger
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    counter,
-    fold_perf_counters,
-    gauge,
-    get_registry,
-    perf_counters_from_registry,
-)
 from repro.telemetry.report import (
     PhaseStat,
     load_trace,
@@ -67,27 +55,19 @@ from repro.telemetry.trace import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "LOGGER_NAME",
-    "MetricsRegistry",
     "PhaseStat",
     "Span",
     "SpanContext",
     "TraceContext",
     "Tracer",
     "configure_logging",
-    "counter",
     "current_trace",
     "enabled",
-    "fold_perf_counters",
-    "gauge",
     "get_logger",
-    "get_registry",
     "get_tracer",
     "load_trace",
     "new_trace_id",
-    "perf_counters_from_registry",
     "perfwatch_summary",
     "phase_breakdown",
     "record_span",

@@ -33,8 +33,9 @@ for regression pinning.  A mutation smoke-check plants an off-by-one in a
 copy of a stencil2row gather LUT and asserts the harness flags it — the
 harness is itself under test.
 
-Telemetry: ``verify.cases`` / ``verify.failures`` counters and a
-``verify.ulp_max`` gauge mirror every run into the metrics registry.
+Telemetry: from the ``metrics`` level up, ``verify.cases`` /
+``verify.failures`` counters and a ``verify.ulp_max`` gauge record every
+run in the obs collector.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import telemetry
+from repro import obs, telemetry
 from repro.core.api import PinnedStencil
 from repro.core.fusion import plan_fusion
 from repro.runtime.plan import STRATEGIES, build_plan
@@ -706,7 +707,7 @@ def run_verification(
         "verify.run", seed=seed, cases=cases, backends=tuple(sorted(resolved))
     ):
         for case in generate_cases(seed, cases, quick=quick):
-            telemetry.counter("verify.cases").inc()
+            obs.count("verify.cases")
             result = run_case(case, resolved, tight, loose)
             report.ulp_max = max(report.ulp_max, result.ulp_mirror)
             for strategy, ulp in result.ulp_by_strategy.items():
@@ -719,7 +720,7 @@ def run_verification(
                 )
             if result.ok:
                 continue
-            telemetry.counter("verify.failures").inc()
+            obs.count("verify.failures")
             minimal = case
             if shrink_failures:
                 minimal = shrink(
@@ -736,6 +737,6 @@ def run_verification(
         if mutation:
             report.mutation_caught = mutation_check(tight_ulp=tight)
             if not report.mutation_caught:
-                telemetry.counter("verify.failures").inc()
-        telemetry.gauge("verify.ulp_max").set(report.ulp_max)
+                obs.count("verify.failures")
+        obs.set_gauge("verify.ulp_max", report.ulp_max)
     return report

@@ -18,6 +18,20 @@ def rng() -> np.random.Generator:
     return default_rng(1234)
 
 
+@pytest.fixture
+def obs_on():
+    """Level ``metrics`` (collector, no sampler) with a fresh collector; the
+    previous level is restored on exit."""
+    from repro import obs
+
+    level = obs.get_level()
+    obs._reset_for_tests()
+    obs.set_level("metrics")
+    yield obs
+    obs._reset_for_tests()
+    obs.set_level(level)
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",

@@ -44,9 +44,7 @@ def serve(batch, config=None, execute=None):
     """Submit ``batch`` in one tick; ``execute`` replaces the lane body."""
 
     async def scenario():
-        async with StencilService(
-            config or ServeConfig(lanes=1, coalesce_window_ms=20.0)
-        ) as service:
+        async with StencilService(config or ServeConfig(lanes=1)) as service:
             if execute is not None:
                 service._execute = execute
             return await asyncio.gather(

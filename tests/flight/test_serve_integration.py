@@ -30,7 +30,7 @@ class TestServeTraces:
 
     def test_coalesced_batch_links_all_members(self, flight_ring, rng):
         batch = requests(rng, 4)
-        responses = serve(batch, config=ServeConfig(lanes=1, coalesce_window_ms=50.0))
+        responses = serve(batch, config=ServeConfig(lanes=1))
         assert {r.batch_size for r in responses} == {4}
         member_ids = sorted(r.request_id for r in batch)
         traces = _traces(flight_ring)
@@ -42,7 +42,7 @@ class TestServeTraces:
             batch_ids.add(execute["attributes"]["batch_id"])
         assert len(batch_ids) == 1  # one execute, N members — the N:1 shape
 
-    def test_queue_wait_covers_the_coalesce_window(self, flight_ring, rng):
+    def test_queue_wait_runs_from_admit_to_dispatch(self, flight_ring, rng):
         batch = requests(rng, 2)
         serve(batch)
         stages = {
@@ -53,7 +53,7 @@ class TestServeTraces:
         assert stages["split"]["end"] >= stages["execute"]["end"]
 
     def test_rejected_request_gets_admit_stage_and_reason(self, flight_ring, rng):
-        from tests.serve.test_service import ManualSleep
+        from tests.serve.test_service import LaneGate
 
         kernel = get_kernel("heat-2d")
         batch = [
@@ -67,15 +67,15 @@ class TestServeTraces:
         ]
 
         async def scenario():
-            sleep = ManualSleep()
-            config = ServeConfig(lanes=1, coalesce_window_ms=200.0, max_queue_depth=1)
-            async with StencilService(config, sleep=sleep) as service:
+            config = ServeConfig(lanes=1, max_queue_depth=1)
+            async with StencilService(config) as service:
+                gate = LaneGate(service)
                 tasks = [
                     asyncio.create_task(service.submit(r)) for r in batch
                 ]
                 for _ in range(3):
                     await asyncio.sleep(0)  # let every task run admission
-                sleep.release()
+                gate.release()
                 return await asyncio.gather(*tasks)
 
         responses = asyncio.run(scenario())

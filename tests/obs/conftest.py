@@ -1,22 +1,8 @@
-"""Obs-test fixtures: an isolated observability level with a fresh collector."""
+"""Obs-test fixtures: ``obs_on`` (in ``tests/conftest.py``) plus the sampler."""
 
 from __future__ import annotations
 
 import pytest
-
-from repro import obs
-
-
-@pytest.fixture
-def obs_on():
-    """Level ``metrics`` (collector, no sampler) with fresh state; the
-    previous level is restored on exit."""
-    level = obs.get_level()
-    obs._reset_for_tests()
-    obs.set_level("metrics")
-    yield obs
-    obs._reset_for_tests()
-    obs.set_level(level)
 
 
 @pytest.fixture

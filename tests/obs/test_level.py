@@ -60,6 +60,29 @@ def test_each_level_includes_the_ones_below(level, restore_level):
     assert sampling == (rank >= levels.PROFILE)
 
 
+def test_off_leaves_the_collector_empty(restore_level):
+    """At ``off`` no hook writes the collector: a run, a plan-cache miss
+    and hit, and a served request leave no counter, gauge or histogram."""
+    from repro.runtime import PlanCache, get_plan_cache, set_plan_cache
+
+    obs.set_level("off")
+    previous = get_plan_cache()
+    cache = set_plan_cache(PlanCache())
+    try:
+        cs = ConvStencil(get_kernel("heat-2d"))
+        x = default_rng(1).random((32, 32))
+        cs.run(x, steps=2)  # plan-cache miss
+        cs.run(x, steps=2)  # plan-cache hit
+        _serve_one()
+    finally:
+        set_plan_cache(previous)
+    assert cache.stats["misses"] >= 1 and cache.stats["hits"] >= 1
+    snap = obs.get_collector().snapshot()
+    assert snap["counters"] == {} and snap["gauges"] == {}
+    assert snap["runs"] == {} and snap["tenants"] == {}  # the histograms
+    assert snap["serve"]["batches"] == 0
+
+
 @pytest.mark.parametrize(
     "env",
     [{name: "1"} for name in levels.RETIRED_ENV] + [{"REPRO_OBS": "1"}, {"REPRO_OBS": "verbose"}],

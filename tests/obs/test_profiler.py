@@ -209,7 +209,16 @@ class TestOverhead:
                 with obs.record_run(None, "serial", 1):
                     pass
             per_call = (time.perf_counter() - t0) / n
+            t0 = time.perf_counter()
+            for _ in range(n):
+                obs.count("t.near_free")
+            per_count = (time.perf_counter() - t0) / n
+            obs.set_gauge("t.near_free_gauge", 1.0)
             assert obs.record_run(None, "serial", 1) is obs._NOOP
+            snap = obs.get_collector().snapshot()
+            assert "t.near_free" not in snap["counters"]
+            assert "t.near_free_gauge" not in snap["gauges"]
         finally:
             obs.set_level(level)
         assert per_call < 5e-6  # a few hundred ns in practice
+        assert per_count < 5e-6

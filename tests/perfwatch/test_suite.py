@@ -109,7 +109,7 @@ class TestRunCheck:
             )
         )
 
-    def test_transient_spike_cleared_by_retry(self, tiny_suite, tele):
+    def test_transient_spike_cleared_by_retry(self, tiny_suite, obs_on):
         baseline = self._baseline(tiny_suite)
         # TINY_SPEC times 3 batches -> 6 clock ticks per suite run; the
         # first (full) run sees the spike, the retry runs at baseline speed.
@@ -121,6 +121,7 @@ class TestRunCheck:
         )
         assert result.ok
         assert report["entries"][0]["timing"]["point"] == 1.0
+        assert obs_on.get_collector().value("perfwatch.recheck") == 1
 
     def test_persistent_slowdown_still_gates(self, tiny_suite, tele):
         baseline = self._baseline(tiny_suite)
@@ -133,9 +134,10 @@ class TestRunCheck:
         assert not result.ok
         assert result.regressions[0].slowdown == pytest.approx(1.0)
 
-    def test_matching_speed_passes_without_retry(self, tiny_suite, tele):
+    def test_matching_speed_passes_without_retry(self, tiny_suite, obs_on):
         baseline = self._baseline(tiny_suite)
-        recheck = tele.counter("perfwatch.recheck").value
+        collector = obs_on.get_collector()
+        recheck = collector.value("perfwatch.recheck")
         result, _ = run_check(
             baseline,
             workloads=tiny_suite,
@@ -143,4 +145,4 @@ class TestRunCheck:
             clock=make_scripted_clock(step=1.0),
         )
         assert result.ok
-        assert tele.counter("perfwatch.recheck").value == recheck
+        assert collector.value("perfwatch.recheck") == recheck

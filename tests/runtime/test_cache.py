@@ -1,9 +1,9 @@
-"""PlanCache: LRU eviction, telemetry counters, hit rates."""
+"""PlanCache: LRU eviction, hit/miss/eviction stats, hit rates."""
 
 import numpy as np
 import pytest
 
-from repro import ConvStencil, obs, telemetry
+from repro import ConvStencil
 from repro.runtime import PlanCache, get_plan_cache, set_plan_cache
 from repro.stencils.catalog import get_kernel
 from repro.utils.rng import default_rng
@@ -74,21 +74,20 @@ class TestCacheIntegration:
         assert stats["misses"] == 1
         assert stats["hit_rate"] > 0.9
 
-    def test_telemetry_counters_update(self, fresh_cache):
-        level = obs.get_level()
-        obs.set_level("trace")
-        try:
-            reg = telemetry.get_registry()
-            before_m = reg.counter("runtime.plan_cache.misses").value
-            before_h = reg.counter("runtime.plan_cache.hits").value
-            cs = ConvStencil(get_kernel("heat-1d"))
-            x = default_rng(0).random(64)
-            cs.run(x, steps=1)
-            cs.run(x, steps=1)
-            assert reg.counter("runtime.plan_cache.misses").value == before_m + 1
-            assert reg.counter("runtime.plan_cache.hits").value == before_h + 1
-        finally:
-            obs.set_level(level)
+    def test_telemetry_counters_update(self, fresh_cache, obs_on):
+        """The cache's own stats are the one tally: the obs snapshot reads
+        them, and no duplicate named counter is written."""
+        before = fresh_cache.stats
+        cs = ConvStencil(get_kernel("heat-1d"))
+        x = default_rng(0).random(64)
+        cs.run(x, steps=1)
+        cs.run(x, steps=1)
+        after = fresh_cache.stats
+        assert after["misses"] == before["misses"] + 1
+        assert after["hits"] == before["hits"] + 1
+        snap = obs_on.snapshot()
+        assert snap["plan_cache"] == after
+        assert not any(name.startswith("runtime.") for name in snap["counters"])
 
     def test_distinct_problems_distinct_plans(self, fresh_cache):
         cs = ConvStencil(get_kernel("heat-2d"))

@@ -364,7 +364,7 @@ def test_served_results_match_direct_runs(monkeypatch, strategy):
     grids = [default_rng(9 + i).random((16, 16)) for i in range(3)]
 
     async def scenario():
-        async with StencilService(ServeConfig(lanes=1, coalesce_window_ms=20.0)) as svc:
+        async with StencilService(ServeConfig(lanes=1)) as svc:
             return await asyncio.gather(
                 *(svc.submit(Request("t", kernel=kernel, data=g, steps=4, fusion=2)) for g in grids)
             )

@@ -24,30 +24,6 @@ def run_async(coro):
     return asyncio.run(coro)
 
 
-class ManualSleep:
-    """Scripted replacement for the service's coalescing-window sleep.
-
-    Awaiters park on an event instead of the wall clock; the test decides
-    when the window "elapses" by calling :meth:`release` (after which all
-    current and future sleeps return immediately).
-    """
-
-    def __init__(self):
-        self._released = None
-        self.calls = []
-
-    async def __call__(self, delay):
-        if self._released is None:
-            self._released = asyncio.Event()
-        self.calls.append(delay)
-        await self._released.wait()
-
-    def release(self):
-        if self._released is None:
-            self._released = asyncio.Event()
-        self._released.set()
-
-
 class LaneGate:
     """Holds lane passes on a ``threading.Event`` until :meth:`release`.
 
@@ -83,13 +59,6 @@ async def settle(ticks=5):
         await asyncio.sleep(0)
 
 
-def elapsed_sleep():
-    """A window sleep that returns at once: only a busy lane can hold."""
-    sleep = ManualSleep()
-    sleep.release()
-    return sleep
-
-
 class TestRequestValidation:
     def test_requires_kernel_and_data(self):
         with pytest.raises(ServeError):
@@ -118,9 +87,7 @@ class TestCoalescing:
         kernel = get_kernel("heat-2d")
 
         async def scenario():
-            async with StencilService(
-                ServeConfig(lanes=1, coalesce_window_ms=20.0)
-            ) as service:
+            async with StencilService(ServeConfig(lanes=1)) as service:
                 requests = [
                     Request("t", kernel=kernel, data=rng.random((8, 8)), steps=2)
                     for _ in range(5)
@@ -150,13 +117,13 @@ class TestCoalescing:
         kernel = get_kernel("heat-2d")
 
         async def scenario():
-            # Never-elapsing window: only the max_batch=3 trigger can flush.
-            sleep = ManualSleep()
-            config = ServeConfig(lanes=1, coalesce_window_ms=5000.0, max_batch=3)
-            async with StencilService(config, sleep=sleep) as service:
+            # Five same-tick requests: the batch closes at max_batch=3 and
+            # the remaining two open the next one.
+            config = ServeConfig(lanes=1, max_batch=3)
+            async with StencilService(config) as service:
                 requests = [
                     Request("t", kernel=kernel, data=rng.random((8, 8)), steps=1)
-                    for _ in range(3)
+                    for _ in range(5)
                 ]
                 return await asyncio.wait_for(
                     asyncio.gather(*(service.submit(r) for r in requests)),
@@ -164,15 +131,13 @@ class TestCoalescing:
                 )
 
         responses = run_async(scenario())
-        assert [r.batch_size for r in responses] == [3, 3, 3]
+        assert [r.batch_size for r in responses] == [3, 3, 3, 2, 2]
 
     def test_equal_kernels_interned_to_one_plan(self, rng):
         # get_kernel returns a fresh object per call; the service must
         # fingerprint-intern them or nothing would ever coalesce.
         async def scenario():
-            async with StencilService(
-                ServeConfig(lanes=1, coalesce_window_ms=20.0)
-            ) as service:
+            async with StencilService(ServeConfig(lanes=1)) as service:
                 requests = [
                     Request(
                         "t",
@@ -196,9 +161,7 @@ class TestBitIdentity:
         grids = [rng.random((12, 12)) for _ in range(6)]
 
         async def scenario():
-            async with StencilService(
-                ServeConfig(lanes=2, coalesce_window_ms=20.0)
-            ) as service:
+            async with StencilService(ServeConfig(lanes=2)) as service:
                 requests = [
                     Request(
                         "t", kernel=kernel, data=g, steps=3, boundary="periodic"
@@ -229,9 +192,7 @@ class TestBitIdentity:
         grids = [rng.random((16, 16)) for _ in range(4)]
 
         async def scenario():
-            async with StencilService(
-                ServeConfig(lanes=1, coalesce_window_ms=20.0)
-            ) as service:
+            async with StencilService(ServeConfig(lanes=1)) as service:
                 requests = [
                     Request(
                         "t",
@@ -328,14 +289,12 @@ class TestBackpressure:
         kernel = get_kernel("heat-2d")
 
         async def scenario():
-            # Scripted window: admitted requests stay queued until the test
-            # releases the sleep, so the over-limit submissions always see
+            # A held lane: admitted requests stay queued until the test
+            # releases the gate, so the over-limit submissions always see
             # a full queue — no wall-clock race.
-            sleep = ManualSleep()
-            config = ServeConfig(
-                lanes=1, coalesce_window_ms=200.0, max_queue_depth=3
-            )
-            async with StencilService(config, sleep=sleep) as service:
+            config = ServeConfig(lanes=1, max_queue_depth=3)
+            async with StencilService(config) as service:
+                gate = LaneGate(service, hold=None)
                 tasks = [
                     asyncio.create_task(
                         service.submit(
@@ -351,7 +310,7 @@ class TestBackpressure:
                 ]
                 for _ in range(3):
                     await asyncio.sleep(0)  # let every task run admission
-                sleep.release()
+                gate.release()
                 return await asyncio.gather(*tasks)
 
         responses = run_async(scenario())
@@ -363,8 +322,8 @@ class TestBackpressure:
             assert r.retry_after is not None and r.retry_after > 0.0
 
     def test_default_config_retry_after_is_positive(self, rng):
-        # With no coalescing window the hint must still tell clients to
-        # back off, not to retry at once.
+        # Before any batch has finished the hint must still tell clients
+        # to back off, not to retry at once.
         kernel = get_kernel("heat-2d")
 
         async def scenario():
@@ -401,16 +360,13 @@ class TestBackpressure:
             # burst=2 with a frozen clock: exactly two requests may ever be
             # admitted on quota.  The queue rejection in between must not
             # spend the second token.
-            sleep = ManualSleep()
             config = ServeConfig(
                 lanes=1,
-                coalesce_window_ms=200.0,
                 max_queue_depth=1,
                 quota=TenantQuota(rate=1.0, burst=2.0),
             )
-            async with StencilService(
-                config, clock=lambda: 0.0, sleep=sleep
-            ) as service:
+            async with StencilService(config, clock=lambda: 0.0) as service:
+                gate = LaneGate(service)
                 first = asyncio.create_task(
                     service.submit(
                         Request("t", kernel=kernel, data=rng.random((8, 8)))
@@ -420,7 +376,7 @@ class TestBackpressure:
                 queue_rejected = await service.submit(
                     Request("t", kernel=kernel, data=rng.random((8, 8)))
                 )
-                sleep.release()  # "window elapsed": flush the first batch
+                gate.release()  # let the first batch finish
                 r1 = await first
                 after = await service.submit(
                     Request("t", kernel=kernel, data=rng.random((8, 8)))
@@ -440,11 +396,9 @@ class TestBackpressure:
         kernel = get_kernel("heat-2d")
 
         async def scenario():
-            sleep = ManualSleep()
-            config = ServeConfig(
-                lanes=1, coalesce_window_ms=200.0, max_queue_depth=1
-            )
-            async with StencilService(config, sleep=sleep) as service:
+            config = ServeConfig(lanes=1, max_queue_depth=1)
+            async with StencilService(config) as service:
+                gate = LaneGate(service)
                 first = asyncio.create_task(
                     service.submit(
                         Request("t", kernel=kernel, data=rng.random((8, 8)))
@@ -456,7 +410,7 @@ class TestBackpressure:
                         Request("t", kernel=kernel, data=rng.random((8, 8))),
                         strict=True,
                     )
-                sleep.release()
+                gate.release()
                 return await first
 
         assert run_async(scenario()).ok
@@ -467,9 +421,7 @@ class TestExecuteFailure:
         kernel = get_kernel("heat-2d")
 
         async def scenario():
-            async with StencilService(
-                ServeConfig(lanes=1, coalesce_window_ms=20.0)
-            ) as service:
+            async with StencilService(ServeConfig(lanes=1)) as service:
                 def boom(key, kernel, fusion, arrays, batch_meta=None):
                     raise TessellationError("injected plan failure")
 
@@ -559,30 +511,33 @@ class TestExecuteFailure:
 
 class TestWorkConservingDispatch:
     def test_lone_request_on_idle_lane_never_sleeps(self, rng):
+        """Readiness is a loop callback, not a sleeping task: a lone
+        request on an idle default service spawns only its flush task."""
         kernel = get_kernel("heat-2d")
 
         async def scenario():
-            sleep = ManualSleep()
-            async with StencilService(ServeConfig(), sleep=sleep) as service:
+            async with StencilService(ServeConfig()) as service:
+                spawned = []
+                spawn = service._spawn
+                service._spawn = lambda coro: spawned.append(spawn(coro)) or spawned[-1]
                 response = await asyncio.wait_for(
                     service.submit(
                         Request("t", kernel=kernel, data=rng.random((8, 8)))
                     ),
                     timeout=30.0,
                 )
-            return response, sleep.calls
+            return response, spawned
 
-        response, calls = run_async(scenario())
+        response, spawned = run_async(scenario())
         assert response.ok and response.batch_size == 1
-        assert calls == []
+        assert len(spawned) == 1
 
     def test_requests_behind_a_busy_lane_coalesce(self, rng):
         kernel = get_kernel("box-2d9p")
         grids = [rng.random((12, 12)) for _ in range(5)]
 
         async def scenario():
-            sleep = elapsed_sleep()
-            async with StencilService(ServeConfig(lanes=1), sleep=sleep) as service:
+            async with StencilService(ServeConfig(lanes=1)) as service:
                 gate = LaneGate(service)
                 try:
                     blocker = asyncio.create_task(
@@ -603,13 +558,11 @@ class TestWorkConservingDispatch:
                         await settle()  # arrivals spread over many ticks
                 finally:
                     gate.release()
-                responses = await asyncio.wait_for(
+                return await asyncio.wait_for(
                     asyncio.gather(blocker, *held), timeout=30.0
                 )
-                return responses, sleep.calls
 
-        (blocker, *responses), calls = run_async(scenario())
-        assert calls == []
+        blocker, *responses = run_async(scenario())
         assert blocker.batch_size == 1
         assert [r.batch_size for r in responses] == [len(grids)] * len(grids)
         direct = ConvStencil(kernel)
@@ -623,8 +576,7 @@ class TestWorkConservingDispatch:
             return Request("t", kernel=kernel, data=rng.random((8, 8)), steps=steps)
 
         async def scenario():
-            sleep = elapsed_sleep()
-            async with StencilService(ServeConfig(lanes=1), sleep=sleep) as service:
+            async with StencilService(ServeConfig(lanes=1)) as service:
                 gate = LaneGate(service)
                 tasks = []
                 try:
@@ -674,9 +626,7 @@ class TestBoundedCaches:
         names = ["heat-2d", "box-2d9p", "star-2d9p", "box-2d25p"]
 
         async def scenario():
-            config = ServeConfig(
-                lanes=1, coalesce_window_ms=0.0, max_interned_kernels=2
-            )
+            config = ServeConfig(lanes=1, max_interned_kernels=2)
             async with StencilService(config) as service:
                 for name in names:
                     response = await service.submit(
@@ -716,9 +666,7 @@ class TestBoundedCaches:
         kernel = get_kernel("heat-2d")
 
         async def scenario():
-            config = ServeConfig(
-                lanes=1, coalesce_window_ms=0.0, max_tenant_stats=2
-            )
+            config = ServeConfig(lanes=1, max_tenant_stats=2)
             async with StencilService(config) as service:
                 for tenant in ("a", "b", "c"):
                     await service.submit(
@@ -800,9 +748,7 @@ class TestLifecycleAndStats:
         kernel = get_kernel("heat-2d")
 
         async def scenario():
-            async with StencilService(
-                ServeConfig(lanes=1, coalesce_window_ms=20.0)
-            ) as service:
+            async with StencilService(ServeConfig(lanes=1)) as service:
                 await asyncio.gather(
                     *(
                         service.submit(
@@ -854,7 +800,7 @@ class TestLoadgen:
         cycles_seen = []
         report = run_server(
             spec=TraceSpec(seed=3, requests=4),
-            config=ServeConfig(lanes=1, coalesce_window_ms=0.0),
+            config=ServeConfig(lanes=1),
             duration_s=10.0,
             waves=1,
             on_cycle=lambda n, _report: cycles_seen.append(n),

@@ -318,13 +318,12 @@ def test_staticcheck_spans_surface_in_telemetry_report(tmp_path):
     assert "plans checked" in report
 
 
-def test_staticcheck_counters_registered():
-    from repro import telemetry
-
-    before = telemetry.counter("staticcheck.plans_checked").value
+def test_staticcheck_counters_registered(obs_on):
     from repro.staticcheck import check_plan
     from repro.runtime.plan import build_plan
     from repro.stencils.catalog import get_kernel
 
+    collector = obs_on.get_collector()
+    before = collector.value("staticcheck.plans_checked")
     check_plan(build_plan(get_kernel("heat-1d"), (67,)))
-    assert telemetry.counter("staticcheck.plans_checked").value == before + 1
+    assert collector.value("staticcheck.plans_checked") == before + 1

@@ -9,11 +9,12 @@ from repro import obs, telemetry
 
 @pytest.fixture
 def tele():
-    """Telemetry module with clean tracer/registry; level restored on exit."""
+    """Telemetry module with a clean tracer and a fresh obs collector;
+    level restored on exit."""
     level = obs.get_level()
     telemetry.get_tracer().clear()
-    telemetry.get_registry().clear()
+    obs._reset_for_tests()
     yield telemetry
     telemetry.get_tracer().clear()
-    telemetry.get_registry().clear()
+    obs._reset_for_tests()
     obs.set_level(level)

@@ -65,13 +65,13 @@ class TestStrategySpans:
 
 class TestSimulatorMetrics:
     def test_counters_fold_matches_run_exactly(self, tele):
-        """run_simulated_2d folds its PerfCounters into the registry; the
-        registry must reconstruct them bit-for-bit."""
+        """run_simulated_2d folds its PerfCounters into the obs collector;
+        the collector must reconstruct them bit-for-bit."""
         obs.set_level("trace")
         kernel = get_kernel("box-2d9p")
         x = default_rng(4).random((48, 48))
         run = run_simulated_2d(x, kernel)
-        assert tele.perf_counters_from_registry() == run.counters
+        assert obs.perf_counters_from_registry() == run.counters
         # the run did real tensor-core work, so this is not a 0 == 0 check
         assert run.counters.mma_fp64 > 0
 
@@ -82,9 +82,10 @@ class TestSimulatorMetrics:
         first = run_simulated_2d(x, kernel)
         second = run_simulated_2d(x, kernel)
         expected = first.counters.copy().merge(second.counters)
-        assert tele.perf_counters_from_registry() == expected
+        assert obs.perf_counters_from_registry() == expected
 
     def test_disabled_run_folds_nothing(self, tele):
         obs.set_level("off")
         run_simulated_2d(default_rng(4).random((48, 48)), get_kernel("box-2d9p"))
-        assert tele.get_registry().names() == []
+        snap = obs.get_collector().snapshot()
+        assert snap["counters"] == {} and snap["gauges"] == {}

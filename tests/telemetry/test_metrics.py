@@ -1,4 +1,4 @@
-"""Metrics registry: instruments, lookups, PerfCounters fold round-trip."""
+"""Named counters and gauges in the obs collector, and the PerfCounters fold."""
 
 from __future__ import annotations
 
@@ -7,95 +7,85 @@ import threading
 import pytest
 
 from repro.gpu.counters import PerfCounters
-from repro.telemetry.metrics import MetricsRegistry
+from repro.obs.collector import ObsCollector
 
 
 class TestCounter:
-    def test_inc_accumulates(self, tele):
-        c = tele.counter("t.c")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
+    def test_inc_accumulates(self, obs_on):
+        obs_on.count("t.c")
+        obs_on.count("t.c", 4)
+        assert obs_on.get_collector().value("t.c") == 5
 
-    def test_negative_increment_rejected(self, tele):
+    def test_negative_increment_rejected(self, obs_on):
         with pytest.raises(ValueError, match="cannot decrease"):
-            tele.counter("t.c").inc(-1)
+            obs_on.count("t.c", -1)
 
-    def test_get_or_create_returns_same_instrument(self, tele):
-        assert tele.counter("t.same") is tele.counter("t.same")
-
-    def test_concurrent_increments_are_not_lost(self, tele):
-        c = tele.counter("t.conc")
-
+    def test_concurrent_increments_are_not_lost(self, obs_on):
         def work():
             for _ in range(1000):
-                c.inc()
+                obs_on.count("t.conc")
 
         threads = [threading.Thread(target=work) for _ in range(4)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert c.value == 4000
+        assert obs_on.get_collector().value("t.conc") == 4000
 
 
 class TestGauge:
-    def test_set_and_add(self, tele):
-        g = tele.gauge("t.g")
-        g.set(2.5)
-        g.add(-1.0)
-        assert g.value == 1.5
+    def test_set_is_last_write_wins(self, obs_on):
+        obs_on.set_gauge("t.g", 2.5)
+        obs_on.set_gauge("t.g", 1.5)
+        assert obs_on.get_collector().value("t.g") == 1.5
 
 
 class TestRegistry:
-    def test_kind_conflict_raises(self, tele):
-        tele.counter("t.conflict")
-        with pytest.raises(TypeError, match="already registered"):
-            tele.gauge("t.conflict")
-        # The lock-free hit path checks the kind too, every time, both ways.
-        tele.gauge("t.gauge-first")
-        tele.gauge("t.gauge-first")
-        with pytest.raises(TypeError, match="registered as Gauge, requested Counter"):
-            tele.counter("t.gauge-first")
-        with pytest.raises(TypeError, match="registered as Counter, requested Gauge"):
-            tele.gauge("t.conflict")
+    def test_kind_conflict_raises(self, obs_on):
+        obs_on.count("t.conflict")
+        with pytest.raises(TypeError, match="is a counter, not a gauge"):
+            obs_on.set_gauge("t.conflict", 1.0)
+        obs_on.set_gauge("t.gauge-first", 1.0)
+        with pytest.raises(TypeError, match="is a gauge, not a counter"):
+            obs_on.count("t.gauge-first")
+        # A rejected write changes neither entry.
+        assert obs_on.get_collector().value("t.conflict") == 1
+        assert obs_on.get_collector().value("t.gauge-first") == 1.0
 
     def test_concurrent_first_creation_yields_one_instrument(self):
-        reg = MetricsRegistry()
+        """Racing first writes to a new name create one entry, no lost count."""
+        collector = ObsCollector()
         threads = 8
         start = threading.Barrier(threads)
-        got = []
 
-        def create():
+        def first_write():
             start.wait()
-            got.append(reg.counter("t.race"))
+            collector.count("t.race")
 
-        workers = [threading.Thread(target=create) for _ in range(threads)]
+        workers = [threading.Thread(target=first_write) for _ in range(threads)]
         for t in workers:
             t.start()
         for t in workers:
             t.join()
-        assert len(got) == threads
-        assert all(c is got[0] for c in got)
-        assert reg.names() == ["t.race"]
+        assert collector.snapshot()["counters"] == {"t.race": threads}
 
-    def test_snapshot_shapes(self, tele):
-        tele.counter("t.c").inc(3)
-        tele.gauge("t.g").set(0.5)
-        snap = tele.get_registry().snapshot()
-        assert snap == {
-            "t.c": {"type": "counter", "value": 3},
-            "t.g": {"type": "gauge", "value": 0.5},
-        }
+    def test_snapshot_shapes(self, obs_on):
+        obs_on.count("t.c", 3)
+        obs_on.set_gauge("t.g", 0.5)
+        snap = obs_on.snapshot()
+        assert snap["counters"] == {"t.c": 3}
+        assert snap["gauges"] == {"t.g": 0.5}
 
-    def test_clear(self, tele):
-        tele.counter("t.c").inc()
-        tele.get_registry().clear()
-        assert tele.get_registry().names() == []
+    def test_clear(self, obs_on):
+        obs_on.count("t.c")
+        obs_on.set_gauge("t.g", 1.0)
+        obs_on._reset_for_tests()
+        snap = obs_on.snapshot()
+        assert snap["counters"] == {} and snap["gauges"] == {}
 
 
 class TestPerfCountersFold:
-    def test_round_trip_bit_exact(self, tele):
+    def test_round_trip_bit_exact(self, obs_on):
         counters = PerfCounters(
             mma_fp64=12345,
             fma_fp64=7,
@@ -109,36 +99,39 @@ class TestPerfCountersFold:
             fragment_columns_total=4096,
             fragment_columns_useful=3584,
         )
-        tele.fold_perf_counters(counters)
-        assert tele.perf_counters_from_registry() == counters
+        obs_on.fold_perf_counters(counters)
+        assert obs_on.perf_counters_from_registry() == counters
 
-    def test_derived_gauges_present(self, tele):
+    def test_derived_gauges_present(self, obs_on):
         counters = PerfCounters(
             shared_load_requests=10,
             shared_load_conflicts=5,
             fragment_columns_total=8,
             fragment_columns_useful=7,
         )
-        tele.fold_perf_counters(counters)
-        reg = tele.get_registry()
-        assert reg.get("sim.bank_conflicts_per_request").value == pytest.approx(0.5)
-        assert reg.get("sim.tensor_core_utilisation").value == pytest.approx(7 / 8)
+        obs_on.fold_perf_counters(counters)
+        gauges = obs_on.snapshot()["gauges"]
+        assert gauges["sim.bank_conflicts_per_request"] == pytest.approx(0.5)
+        assert gauges["sim.tensor_core_utilisation"] == pytest.approx(7 / 8)
 
-    def test_repeated_folds_accumulate_like_merge(self, tele):
+    def test_repeated_folds_accumulate_like_merge(self, obs_on):
         a = PerfCounters(mma_fp64=3, shared_load_requests=10)
         b = PerfCounters(mma_fp64=4, shared_load_requests=2)
-        tele.fold_perf_counters(a)
-        tele.fold_perf_counters(b)
+        obs_on.fold_perf_counters(a)
+        obs_on.fold_perf_counters(b)
         merged = a.copy().merge(b)
-        assert tele.perf_counters_from_registry() == merged
+        assert obs_on.perf_counters_from_registry() == merged
 
-    def test_custom_registry_and_prefix(self, tele):
-        reg = MetricsRegistry()
+    def test_custom_registry_and_prefix(self, obs_on):
+        collector = ObsCollector()
         counters = PerfCounters(mma_fp16=9)
-        tele.fold_perf_counters(counters, registry=reg, prefix="dev0")
-        assert tele.perf_counters_from_registry(registry=reg, prefix="dev0") == counters
-        # default registry untouched
-        assert tele.get_registry().get("dev0.mma_fp16") is None
+        obs_on.fold_perf_counters(counters, collector=collector, prefix="dev0")
+        assert (
+            obs_on.perf_counters_from_registry(collector=collector, prefix="dev0")
+            == counters
+        )
+        # the process-wide collector is untouched
+        assert obs_on.get_collector().value("dev0.mma_fp16", None) is None
 
-    def test_unfolded_registry_reads_as_zero(self, tele):
-        assert tele.perf_counters_from_registry() == PerfCounters()
+    def test_unfolded_registry_reads_as_zero(self, obs_on):
+        assert obs_on.perf_counters_from_registry() == PerfCounters()

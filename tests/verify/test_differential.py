@@ -261,14 +261,13 @@ class TestRunVerification:
         assert loaded["cases"] == 4
         assert loaded["backends"] == ["reference", "serial"]
 
-    def test_telemetry_counters_advance(self):
-        from repro import telemetry
-
-        before = telemetry.counter("verify.cases").value
+    def test_telemetry_counters_advance(self, obs_on):
+        collector = obs_on.get_collector()
+        before = collector.value("verify.cases")
         run_verification(
             seed=2, cases=3, quick=True, backends=["serial"], mutation=False
         )
-        assert telemetry.counter("verify.cases").value == before + 3
+        assert collector.value("verify.cases") == before + 3
 
     def test_failures_carry_minimal_repros(self, monkeypatch):
         # Sabotage the serial engine path via a poisoned plan cache entry?
