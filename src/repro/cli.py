@@ -27,9 +27,12 @@ Observability (see :mod:`repro.telemetry`): ``--trace FILE`` enables
 telemetry, executes the requested run *functionally* at the given extents
 (so keep them laptop-scale), and writes the span trace to ``FILE``;
 ``--metrics`` folds a scaled-down simulated pass's hardware counters into
-the obs collector and prints its counters and gauges; and the separate
-``telemetry-report TRACE`` subcommand renders a Fig.-6-style phase
-breakdown from a previously saved trace.
+the obs collector and prints its counters and gauges.  The ``report``
+subcommand is the one report surface: ``report TRACE`` renders a
+Fig.-6-style phase breakdown from a saved trace, ``--requests`` and
+``--request-id ID`` list and replay served requests from span JSONL,
+``--live [URL]`` renders the obs snapshot (``--format text|json|prom``),
+and ``--self-test`` runs the scripted-clock alert drill.
 
 Conformance (see :mod:`repro.verify`): the ``verify`` subcommand runs the
 seeded differential harness — random cases across every registered
@@ -191,33 +194,6 @@ def _resolve_kernel(args: argparse.Namespace, ndim: int) -> StencilKernel:
 
 def _fusion(arg: str):
     return arg if arg == "auto" else int(arg)
-
-
-def _run_telemetry_report(argv: List[str]) -> List[str]:
-    """The ``telemetry-report`` subcommand: phase table from a saved trace."""
-    parser = argparse.ArgumentParser(
-        prog="convstencil telemetry-report",
-        description="Render a Fig.-6-style phase breakdown from a saved trace",
-    )
-    parser.add_argument("trace", help="trace file (JSONL or Chrome trace_event)")
-    parser.add_argument(
-        "--top", type=int, default=0, help="show only the N largest phases"
-    )
-    parser.add_argument(
-        "--request-id",
-        default=None,
-        metavar="ID",
-        help=(
-            "render one request's serve-stage waterfall instead of the "
-            "phase table (span JSONL: a tracer export or a black-box dump)"
-        ),
-    )
-    args = parser.parse_args(argv)
-    if args.request_id:
-        from repro import flight
-
-        return flight.render_request_report(args.trace, args.request_id)
-    return telemetry.render_phase_report(args.trace, top=args.top).splitlines()
 
 
 def _run_verify(argv: List[str]) -> List[str]:
@@ -398,110 +374,6 @@ def _run_lint(argv: List[str]) -> List[str]:
     return lines
 
 
-def _run_obs_snapshot(argv: List[str]) -> List[str]:
-    """The ``obs-snapshot`` subcommand: one-shot live-observability dump.
-
-    Prints the collector's health snapshot as JSON (default) or
-    Prometheus exposition text; ``--demo`` first runs a small serial
-    workload so the snapshot is populated, ``--serve`` additionally
-    serves ``/metrics`` + ``/health`` for a bounded window (what the CI
-    smoke scrapes), and ``--profile-out`` exports the sampler's flame
-    data (``.json`` → Chrome trace, else collapsed stacks).
-    """
-    parser = argparse.ArgumentParser(
-        prog="convstencil obs-snapshot",
-        description="One-shot snapshot of the live observability layer",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("json", "prom"),
-        default="json",
-        help="output format (default json; prom = Prometheus text)",
-    )
-    parser.add_argument(
-        "--demo",
-        action="store_true",
-        help="run a small serial demo workload first so gauges are non-empty",
-    )
-    parser.add_argument(
-        "--demo-runs",
-        type=int,
-        default=3,
-        metavar="N",
-        help="demo workload repetitions (default 3)",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        default=None,
-        help="also write the snapshot JSON to FILE",
-    )
-    parser.add_argument(
-        "--profile-out",
-        metavar="FILE",
-        default=None,
-        help="export profiler flame data (.json Chrome trace, else collapsed)",
-    )
-    parser.add_argument(
-        "--serve",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="serve /metrics and /health for this many seconds before exiting",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="exporter port for --serve (default $REPRO_OBS_PORT or 9109; 0 = ephemeral)",
-    )
-    args = parser.parse_args(argv)
-
-    import json
-    import time as _time
-
-    from repro.obs.exporter import render_prometheus, start_exporter
-    from repro.obs.top import run_demo_workload
-
-    if args.demo:
-        run_demo_workload(runs=args.demo_runs)
-    if not obs.enabled():
-        raise ReproError(
-            "obs layer is disabled; set REPRO_OBS=metrics or higher "
-            "(or pass --demo, which raises it to metrics)"
-        )
-    snap = obs.snapshot()
-    lines: List[str] = []
-    if args.format == "prom":
-        lines.extend(render_prometheus(snap).splitlines())
-    else:
-        lines.extend(json.dumps(snap, indent=2, sort_keys=True).splitlines())
-    if args.output:
-        from repro.utils.io import dump_json
-
-        dump_json(args.output, snap)
-        lines.append(f"OBS: wrote {args.output}")
-    if args.profile_out:
-        profiler = obs.get_profiler()
-        if profiler is None:
-            lines.append("OBS: no profiler data (sampler never started)")
-        else:
-            profiler.export(args.profile_out)
-            lines.append(
-                f"OBS: wrote {args.profile_out} ({profiler.samples} samples)"
-            )
-    if args.serve is not None:
-        server = start_exporter(port=args.port)
-        lines.append(f"OBS: serving {server.url}/metrics for {args.serve:.1f}s")
-        for line in lines:
-            print(line)
-        lines = []
-        _time.sleep(max(0.0, args.serve))
-        server.stop()
-        lines.append("OBS: exporter stopped")
-    return lines
-
-
 def _serve_config_from_args(args) -> "ServeConfig":
     from repro.serve import ServeConfig, TenantQuota
 
@@ -617,7 +489,7 @@ def _run_loadgen(argv: List[str]) -> List[str]:
         default=None,
         help=(
             "trace the replay (raising REPRO_OBS to trace) and export its "
-            "spans to FILE.jsonl (replayable via repro flight)"
+            "spans to FILE.jsonl (replayable via repro report FILE --request-id)"
         ),
     )
     args = parser.parse_args(argv)
@@ -678,8 +550,208 @@ def _run_loadgen(argv: List[str]) -> List[str]:
     return lines
 
 
+def _status(message: str) -> None:
+    """A status line: stderr, so stdout carries only the report."""
+    print(message, file=sys.stderr)
+
+
+#: ``report`` options that belong to one source; the rest are rejected.
+_FILE_OPTIONS = ("top", "requests", "request_id")
+_LIVE_OPTIONS = ("format", "demo", "interval", "profile_out", "serve", "port")
+
+
+def _run_report(argv: List[str]) -> List[str]:
+    """The ``report`` subcommand: every observability view from one verb.
+
+    Exactly one source picks the view.  A span ``FILE`` (a tracer export
+    or a black-box dump) renders the Fig.-6 phase table, the recorded
+    request list (``--requests``) or one request's stage waterfall
+    (``--request-id``, which takes a request id or a trace id).
+    ``--live [URL]`` renders the obs snapshot of this process, or of the
+    exporter at ``URL``, as the ``top`` frame, JSON or Prometheus text.
+    ``--self-test [DIR]`` runs the scripted-clock alert drill.
+    """
+    parser = argparse.ArgumentParser(
+        prog="convstencil report",
+        description=(
+            "Where did the time go: phase tables and request waterfalls "
+            "from span files, the live obs snapshot, or the alert drill"
+        ),
+    )
+    parser.add_argument(
+        "file",
+        nargs="?",
+        metavar="FILE",
+        help="span file (JSONL or Chrome trace_event): the phase table",
+    )
+    parser.add_argument(
+        "--top", type=int, default=None, metavar="N", help="show only the N largest phases"
+    )
+    pick = parser.add_mutually_exclusive_group()
+    pick.add_argument(
+        "--requests", action="store_true", help="list the requests recorded in FILE"
+    )
+    pick.add_argument(
+        "--request-id",
+        default=None,
+        metavar="ID",
+        help="render one request's stage waterfall (a request id or a trace id)",
+    )
+    parser.add_argument(
+        "--live",
+        nargs="?",
+        const="",
+        default=None,
+        metavar="URL",
+        help="render the obs snapshot of this process, or of the exporter at URL",
+    )
+    parser.add_argument(
+        "--format",
+        choices=("text", "json", "prom"),
+        default=None,
+        help="live output: text (the top frame, default), json or prom",
+    )
+    parser.add_argument(
+        "--demo",
+        type=int,
+        default=None,
+        metavar="N",
+        help="run a small serial workload N times first so the snapshot has data",
+    )
+    parser.add_argument(
+        "--interval",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="re-render the text view every SECONDS until interrupted",
+    )
+    parser.add_argument(
+        "--profile-out",
+        metavar="FILE",
+        default=None,
+        help="export profiler flame data (.json Chrome trace, else collapsed)",
+    )
+    parser.add_argument(
+        "--serve",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="serve /metrics and /health for this many seconds before exiting",
+    )
+    parser.add_argument(
+        "--port",
+        type=int,
+        default=None,
+        help="exporter port for --serve (default $REPRO_OBS_PORT or 9109; 0 = ephemeral)",
+    )
+    parser.add_argument(
+        "--self-test",
+        nargs="?",
+        const="",
+        default=None,
+        metavar="DIR",
+        help=(
+            "drive the burn-rate alert through ok/pending/firing/ok under a "
+            "scripted clock, dumping into DIR (default: a fresh temp dir)"
+        ),
+    )
+    args = parser.parse_args(argv)
+
+    sources = {"FILE": args.file, "--live": args.live, "--self-test": args.self_test}
+    chosen = [name for name, value in sources.items() if value is not None]
+    if len(chosen) != 1:
+        raise ReproError(
+            "repro report needs one source: a span FILE, --live [URL] or "
+            "--self-test [DIR]" + (f" (got {' and '.join(chosen)})" if chosen else "")
+        )
+    own = {"FILE": _FILE_OPTIONS, "--live": _LIVE_OPTIONS}.get(chosen[0], ())
+    stray = [
+        "--" + name.replace("_", "-")
+        for name in _FILE_OPTIONS + _LIVE_OPTIONS
+        if name not in own and getattr(args, name) not in (None, False)
+    ]
+    if stray:
+        raise ReproError(f"{', '.join(stray)} does not apply to {chosen[0]}")
+
+    if args.self_test is not None:
+        return _flight_self_test(args.self_test or None)
+    if args.live is not None:
+        return _report_live(args)
+
+    from repro import flight
+
+    if args.request_id:
+        return flight.render_request_report(args.file, args.request_id)
+    if args.requests:
+        return flight.render_request_list(args.file)
+    return telemetry.render_phase_report(args.file, top=args.top or 0).splitlines()
+
+
+def _report_live(args: argparse.Namespace) -> List[str]:
+    """``report --live``: one frame of the obs snapshot, or a refreshing view.
+
+    Colour is on only when stdout is a terminal.  ``--serve`` prints the
+    frame first, then holds the exporter open for the CI scrape.
+    """
+    import json
+    import time as _time
+
+    from repro.obs import top as obs_top
+    from repro.obs.exporter import render_prometheus, start_exporter
+
+    fmt = args.format or "text"
+    color = fmt == "text" and sys.stdout.isatty()
+    lines: List[str] = []
+    if args.interval is not None:
+        if fmt != "text" or args.serve is not None:
+            raise ReproError(
+                "--interval re-renders the text view until interrupted; "
+                "it takes no --format or --serve"
+            )
+        frames = obs_top.run_live(
+            interval=args.interval, url=args.live or None, demo=args.demo or 0, color=color
+        )
+        _status(f"OBS: rendered {frames} frame(s)")
+    else:
+        if args.demo:
+            obs_top.run_demo_workload(runs=args.demo)
+        if args.live:
+            snap = obs_top.fetch_snapshot(args.live)
+        elif not obs.enabled():
+            raise ReproError(
+                "obs layer is disabled; set REPRO_OBS=metrics or higher "
+                "(or pass --demo N, which raises it to metrics)"
+            )
+        else:
+            snap = obs.snapshot()
+        if fmt == "prom":
+            lines = render_prometheus(snap).splitlines()
+        elif fmt == "json":
+            lines = json.dumps(snap, indent=2, sort_keys=True).splitlines()
+        else:
+            lines = obs_top.render_top(snap, color=color)
+    if args.profile_out:
+        profiler = obs.get_profiler()
+        if profiler is None:
+            _status("OBS: no profiler data (sampler never started)")
+        else:
+            profiler.export(args.profile_out)
+            _status(f"OBS: wrote {args.profile_out} ({profiler.samples} samples)")
+    if args.serve is not None:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+        lines = []
+        server = start_exporter(port=args.port)
+        _status(f"OBS: serving {server.url}/metrics for {args.serve:.1f}s")
+        _time.sleep(max(0.0, args.serve))
+        server.stop()
+        _status("OBS: exporter stopped")
+    return lines
+
+
 def _flight_self_test(dump_dir: "str | None") -> List[str]:
-    """The ``flight --self-test`` drill: a scripted-clock burn-rate episode.
+    """The ``report --self-test`` drill: a scripted-clock burn-rate episode.
 
     Deterministically drives one alert through ok → pending → firing →
     ok against synthetic traffic counters (one sample per scripted
@@ -764,65 +836,6 @@ def _flight_self_test(dump_dir: "str | None") -> List[str]:
     return lines
 
 
-def _run_flight(argv: List[str]) -> List[str]:
-    """The ``flight`` subcommand: replay requests from span JSONL."""
-    parser = argparse.ArgumentParser(
-        prog="convstencil flight",
-        description=(
-            "Inspect span JSONL (black-box dumps or tracer exports): list "
-            "recorded requests, replay one request's stage waterfall, or "
-            "run the scripted-clock alert self-test"
-        ),
-    )
-    parser.add_argument(
-        "--dump",
-        metavar="FILE.jsonl",
-        default=None,
-        help="span JSONL to inspect (a black-box dump or a tracer export)",
-    )
-    parser.add_argument(
-        "--request-id",
-        metavar="ID",
-        default=None,
-        help="render this request's stage waterfall from --dump",
-    )
-    parser.add_argument(
-        "--list",
-        action="store_true",
-        dest="list_ids",
-        help="list the requests recorded in --dump (the default action)",
-    )
-    parser.add_argument(
-        "--self-test",
-        action="store_true",
-        help=(
-            "drive the burn-rate alert through ok/pending/firing/ok under "
-            "a scripted clock and replay the dump it writes"
-        ),
-    )
-    parser.add_argument(
-        "--dir",
-        metavar="DIR",
-        default=None,
-        help="self-test dump directory (default: a fresh temp dir)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.self_test:
-        return _flight_self_test(args.dir)
-    if not args.dump:
-        raise ReproError(
-            "repro flight needs --dump FILE.jsonl (with --request-id or "
-            "--list) or --self-test"
-        )
-
-    from repro import flight
-
-    if args.request_id:
-        return flight.render_request_report(args.dump, args.request_id)
-    return flight.render_request_list(args.dump)
-
-
 def _run_serve(argv: List[str]) -> List[str]:
     """The ``serve`` subcommand: run the service under load with obs export.
 
@@ -892,73 +905,6 @@ def _run_serve(argv: List[str]) -> List[str]:
     if server is not None:
         lines.append("SERVE: exporter stopped")
     return lines
-
-
-def _run_top(argv: List[str]) -> List[str]:
-    """The ``top`` subcommand: ANSI live view of the obs snapshot."""
-    parser = argparse.ArgumentParser(
-        prog="convstencil top",
-        description=(
-            "Live terminal view: per-plan-key latency histograms, SLO "
-            "breaches, efficiency gauges, worker state, profiler phases"
-        ),
-    )
-    parser.add_argument(
-        "--once",
-        action="store_true",
-        help="render a single frame and exit (deterministic; used by CI)",
-    )
-    parser.add_argument(
-        "--frames",
-        type=int,
-        default=None,
-        metavar="N",
-        help="render N frames then exit (default: until interrupted)",
-    )
-    parser.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="refresh period (default 2.0)",
-    )
-    parser.add_argument(
-        "--url",
-        default=None,
-        metavar="URL",
-        help="poll a running exporter's /health instead of the local collector",
-    )
-    parser.add_argument(
-        "--demo",
-        action="store_true",
-        help="run a small serial demo workload before each frame",
-    )
-    parser.add_argument(
-        "--no-color",
-        action="store_true",
-        help="plain text: no ANSI colour or screen clearing",
-    )
-    args = parser.parse_args(argv)
-
-    from repro.obs import top as obs_top
-
-    color = not args.no_color
-    if args.once:
-        if args.demo:
-            obs_top.run_demo_workload(runs=1)
-        if args.url:
-            snap = obs_top.fetch_snapshot(args.url)
-        else:
-            snap = obs.snapshot()
-        return obs_top.render_top(snap, color=color)
-    frames = obs_top.run_live(
-        interval=args.interval,
-        frames=args.frames,
-        url=args.url,
-        demo=args.demo,
-        color=color,
-    )
-    return [f"TOP: rendered {frames} frame(s)"]
 
 
 def _run_bench(argv: List[str]) -> List[str]:
@@ -1173,29 +1119,23 @@ def _run_codegen(argv: List[str]) -> List[str]:
     return source.splitlines() + [summary]
 
 
+#: The subcommands; anything else is the artifact-style model driver.
+_SUBCOMMANDS = {
+    "bench": _run_bench,
+    "codegen": _run_codegen,
+    "lint": _run_lint,
+    "loadgen": _run_loadgen,
+    "report": _run_report,
+    "serve": _run_serve,
+    "verify": _run_verify,
+}
+
+
 def run(argv: Sequence[str]) -> List[str]:
     """Execute the CLI and return the output lines (also printed by main)."""
     argv = list(argv)
-    if argv and argv[0] == "telemetry-report":
-        return _run_telemetry_report(argv[1:])
-    if argv and argv[0] == "codegen":
-        return _run_codegen(argv[1:])
-    if argv and argv[0] == "verify":
-        return _run_verify(argv[1:])
-    if argv and argv[0] == "lint":
-        return _run_lint(argv[1:])
-    if argv and argv[0] == "bench":
-        return _run_bench(argv[1:])
-    if argv and argv[0] == "obs-snapshot":
-        return _run_obs_snapshot(argv[1:])
-    if argv and argv[0] == "top":
-        return _run_top(argv[1:])
-    if argv and argv[0] == "serve":
-        return _run_serve(argv[1:])
-    if argv and argv[0] == "loadgen":
-        return _run_loadgen(argv[1:])
-    if argv and argv[0] == "flight":
-        return _run_flight(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]](argv[1:])
     args = build_parser().parse_args(argv)
     if (args.trace or args.metrics) and not telemetry.enabled():
         obs.set_level("trace")

@@ -25,7 +25,6 @@ from repro.core.stencil2row import (
     stencil2row_shape,
     stencil2row_views_2d,
 )
-from repro.core.tiles import TILE_ROWS, TilePlan, tile_base_address
 from repro.core.weights import (
     weight_blocks_2d,
     weight_matrices_1d,
@@ -38,8 +37,6 @@ __all__ = [
     "ConvStencil",
     "FusionPlan",
     "Stencil2RowLayout",
-    "TILE_ROWS",
-    "TilePlan",
     "chunk_plan",
     "convstencil_valid",
     "convstencil_valid_1d",
@@ -63,7 +60,6 @@ __all__ = [
     "stencil2row_matrices_2d",
     "stencil2row_shape",
     "stencil2row_views_2d",
-    "tile_base_address",
     "weight_blocks_2d",
     "weight_matrices_1d",
     "weight_matrices_2d",

@@ -137,8 +137,7 @@ def _fold_counters(owns_sim: bool, sim: DeviceSim) -> None:
     """Fold a run's counters into the obs collector (``sim.*``).
 
     Only the call that *created* the simulator folds, so nested simulated
-    passes sharing a ``DeviceSim`` (3-D planes, blocked launches) are
-    counted exactly once.
+    passes sharing a ``DeviceSim`` (3-D planes) are counted exactly once.
     """
     if owns_sim and obs.enabled():
         obs.fold_perf_counters(sim.counters)

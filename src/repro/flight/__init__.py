@@ -15,8 +15,10 @@ On an error, an SLO breach or a burn-rate alert transition
 offending ``trace_id``'s spans plus those of its ring neighbours to
 ``$REPRO_FLIGHT_DIR`` as span JSONL, at most ``$REPRO_FLIGHT_MAX_DUMPS``
 (default 8) files per directory — a runaway failure must not fill the
-disk.  ``repro flight --request-id`` replays a request's waterfall from
-any span JSONL (:mod:`repro.flight.waterfall`).
+disk.  ``repro report FILE --request-id ID`` replays a request's
+waterfall from any span JSONL (:mod:`repro.flight.waterfall`); ``ID`` is
+a request id or the ``trace_id`` an exemplar or the live view's
+``slowest`` column names.
 """
 
 from __future__ import annotations

@@ -89,7 +89,19 @@ def traces_by_request(spans: Iterable[Dict[str, Any]]) -> Dict[str, Dict[str, An
 def spans_to_trace(
     spans: Iterable[Dict[str, Any]], request_id: str
 ) -> Optional[Dict[str, Any]]:
-    """The trace dict of one request, or ``None`` when it never appears."""
+    """The trace dict of one request, or ``None`` when it never appears.
+
+    ``request_id`` may also be a ``trace_id`` (what an exemplar and the
+    live view's ``slowest`` column name).  A trace id names one
+    admission, so it is matched before the newest-wins fold: a
+    re-admitted request id still finds its older trace.
+    """
+    spans = list(spans)
+    admission = traces_by_request(
+        sp for sp in spans if (sp.get("attributes") or {}).get("trace_id") == request_id
+    )
+    if admission:
+        return next(iter(admission.values()))
     return traces_by_request(spans).get(request_id)
 
 
@@ -186,13 +198,14 @@ def load_requests(path: "str | Path") -> Tuple[Dict[str, Dict[str, Any]], List[s
 def render_request_report(path: "str | Path", request_id: str) -> List[str]:
     """Render the stage waterfall for one request from a span JSONL file.
 
-    Raises :class:`~repro.errors.ReproError` with the known request ids
-    when ``request_id`` does not appear at all.
+    ``request_id`` may be a request id or a trace id
+    (:func:`spans_to_trace`).  Raises :class:`~repro.errors.ReproError`
+    with the known request ids when it does not appear at all.
     """
-    traces, skipped = load_requests(path)
-    trace = traces.get(request_id)
+    spans, skipped = load_trace_details(path)
+    trace = spans_to_trace(spans, request_id)
     if trace is None:
-        known = list(traces)
+        known = list(traces_by_request(spans))
         hint = (
             f" — known request ids: {', '.join(known[:10])}"
             + ("..." if len(known) > 10 else "")
@@ -200,7 +213,7 @@ def render_request_report(path: "str | Path", request_id: str) -> List[str]:
             else " — the file contains no request-stamped spans"
         )
         raise ReproError(
-            f"request id {request_id!r} not found in {path}{hint}"
+            f"request or trace id {request_id!r} not found in {path}{hint}"
         )
     lines = render_waterfall(trace)
     lines.extend(f"  note: skipped {problem}" for problem in skipped)

@@ -7,9 +7,9 @@ histograms with SLO accounting, serving-layer gauges, achieved
 MMA/s and GStencil/s against the calibrated model ceiling, named
 counters and gauges (:func:`count`, :func:`set_gauge`, and the
 simulator's ``sim.*`` fold), and a sampling profiler attributing time to
-the pipeline's phases — servable over HTTP (:mod:`repro.obs.exporter`),
-renderable in-terminal (``repro top``), and snapshottable one-shot
-(``repro obs-snapshot``).
+the pipeline's phases — servable over HTTP (:mod:`repro.obs.exporter`)
+and rendered by ``repro report --live`` (the :mod:`repro.obs.top` frame,
+JSON or Prometheus text).
 
 Everything here runs from the ``metrics`` observability level up
 (``REPRO_OBS=metrics``, see :mod:`repro.telemetry.level`), and the

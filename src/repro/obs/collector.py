@@ -19,8 +19,8 @@ is enabled:
   :func:`perf_counters_from_registry`).
 
 ``snapshot()`` renders everything — plus the live plan-cache stats and
-profiler aggregates — into one JSON-able dict that the exporter, the
-``repro top`` view, and ``repro obs-snapshot`` all consume.
+profiler aggregates — into one JSON-able dict that both the exporter
+and the ``repro report --live`` view consume.
 
 The collector touches the wall clock through a module-level reference so
 sampling stays cheap and the staticcheck RPR004 rule (raw clock reads in

@@ -8,7 +8,7 @@ stdlib ``http.server`` daemon thread:
 
 * ``GET /metrics`` — Prometheus text;
 * ``GET /health`` (and ``/``) — the raw JSON snapshot, which is also
-  what ``repro top --url`` polls.
+  what ``repro report --live URL`` polls.
 
 The server binds loopback by default and is started explicitly
 (:func:`start_exporter` or the CLI) — never as an import side effect.

@@ -10,10 +10,12 @@ A daemon thread periodically snapshots every interpreter thread via
 * **phase attribution** — each sample is classified, innermost frame
   first, into the ConvStencil pipeline stages the paper's Fig.-6
   breakdown argues from: ``stencil2row`` (layout transform),
-  ``gemm`` (the stacked-matmul engines), ``fixup`` (dirty-zone /
-  padding steering), ``halo`` (pack/unpack), ``plan`` (plan build and
-  cache), ``other`` (repro code outside those stages) and ``idle``
-  (no repro frame on the stack at all — pool plumbing, waiting).
+  ``gemm`` (the stacked-matmul engines), ``direct`` (the shifted-add
+  passes of :mod:`repro.core.direct`, the default strategy's compute),
+  ``fixup`` (dirty-zone / padding steering), ``halo`` (pad, refresh and
+  unpack), ``plan`` (plan build and cache), ``other`` (repro code
+  outside those stages) and ``idle`` (no repro frame on the stack at
+  all — pool plumbing, waiting).
 
 Sampling costs one ``sys._current_frames()`` walk per interval (default
 5 ms) regardless of workload size; when the profiler is not started the
@@ -33,7 +35,7 @@ __all__ = ["PHASES", "SamplingProfiler", "classify_stack"]
 _log = get_logger("obs.profiler")
 
 #: Phase labels in render order.
-PHASES = ("stencil2row", "gemm", "fixup", "halo", "plan", "other", "idle")
+PHASES = ("stencil2row", "gemm", "direct", "fixup", "halo", "plan", "other", "idle")
 
 #: Default wall-clock seconds between interpreter snapshots.
 DEFAULT_INTERVAL = 0.005
@@ -47,7 +49,7 @@ _TRUNCATED_STACK = ("(truncated)",)
 _GEMM_MODULES = {"engine1d", "engine2d", "engine3d", "im2row", "simulated"}
 
 #: Module basenames for plan construction / caching.
-_PLAN_MODULES = {"plan", "cache", "fusion", "blocking", "tiles", "weights", "lookup"}
+_PLAN_MODULES = {"plan", "cache", "fusion", "blocking", "weights", "lookup"}
 
 #: Innermost-frame modules that mean the thread is parked, not computing —
 #: a dispatcher blocked in ``future.result()`` should read as idle even
@@ -75,10 +77,12 @@ def classify_frame(module: str, func: str) -> Optional[str]:
         if func == "_extend_columns":
             return "fixup"
         return "stencil2row"
-    if func.startswith("pad_halo") or func.startswith("unpad"):
+    if func.startswith(("pad_halo", "refresh_halo", "unpad")):
         return "halo"
     if base == "padding" or "dirty" in func:
         return "fixup"
+    if base == "direct":
+        return "direct"
     if base in _GEMM_MODULES or base.startswith("compiled_engine"):
         # exec-compiled kernels live under repro.codegen.generated.*; the
         # whole straight-line body is the stacked-GEMM stage (its gather

@@ -1,4 +1,4 @@
-"""``repro top`` — curses-free ANSI live view of the obs snapshot.
+"""``repro report --live`` — curses-free ANSI view of the obs snapshot.
 
 Renders, entirely from the collector's JSON snapshot (local or fetched
 from a running exporter's ``/health`` endpoint):
@@ -10,10 +10,10 @@ from a running exporter's ``/health`` endpoint):
 * the profiler's phase attribution as proportional bars.
 
 Rendering is a pure function of the snapshot (deterministic given the
-data — what the CI smoke's ``repro top --once`` leans on); the live loop
-just clears the screen and re-renders every interval.  Only ANSI escape
-sequences are used — no curses — so output degrades gracefully when
-piped (``--no-color`` drops the escapes entirely).
+data — what the CI smoke's one-frame ``repro report --live`` leans on);
+the ``--interval`` loop just clears the screen and re-renders.  Only
+ANSI escape sequences are used — no curses — and the CLI turns them on
+only when stdout is a terminal, so piped output is plain text.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def render_top(snap: Dict[str, Any], color: bool = True) -> List[str]:
     lines: List[str] = []
     slo = snap.get("slo_seconds")
     header = (
-        f"repro top — pid {snap.get('pid', '?')}, "
+        f"repro report --live — pid {snap.get('pid', '?')}, "
         f"uptime {snap.get('uptime_s', 0.0):.1f}s"
     )
     if slo:
@@ -228,10 +228,10 @@ def fetch_snapshot(url: str, timeout: float = 2.0) -> Dict[str, Any]:
 def run_demo_workload(runs: int = 1) -> None:
     """A small ``serial`` ``run_batch`` workload that exercises the run gauges.
 
-    Used by ``repro top --demo`` and ``repro obs-snapshot --demo`` so the
-    view has data without a separately running workload.  The plan is
-    pinned to the ``gemm`` strategy, so the profiler sees the
-    stencil2row and GEMM phases a measured ``direct`` choice would skip.
+    Used by ``repro report --live --demo N`` so the view has data without
+    a separately running workload.  The plan is pinned to the ``gemm``
+    strategy, so the profiler sees the stencil2row and GEMM phases the
+    strategy rule's ``direct`` choice would skip.
     """
     from repro import obs
     from repro.runtime.execute import execute_batch, plan_for
@@ -251,19 +251,20 @@ def run_live(
     interval: float = 2.0,
     frames: Optional[int] = None,
     url: Optional[str] = None,
-    demo: bool = False,
+    demo: int = 0,
     color: bool = True,
     print_fn: Callable[[str], None] = print,
 ) -> int:
     """The live loop: snapshot → clear screen → render, every interval.
 
+    ``demo`` runs the demo workload that many times before each frame.
     ``frames=None`` runs until interrupted; returns frames rendered.
     """
     rendered = 0
     try:
         while frames is None or rendered < frames:
             if demo:
-                run_demo_workload(runs=1)
+                run_demo_workload(runs=demo)
             if url:
                 snap = fetch_snapshot(url)
             else:

@@ -20,7 +20,7 @@ The engine owns everything rule implementations should not re-implement:
 Telemetry: from the ``metrics`` level up every run adds to the obs
 counters ``staticcheck.files`` / ``staticcheck.findings`` and (via the
 plan layer) ``staticcheck.plans_checked``, inside a ``staticcheck.lint`` span whose
-attributes mirror the counters — ``repro telemetry-report`` surfaces them.
+attributes mirror the counters — ``repro report TRACE`` surfaces them.
 """
 
 from __future__ import annotations

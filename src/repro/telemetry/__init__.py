@@ -17,7 +17,7 @@ its own execution:
 * :mod:`repro.telemetry.log` — library-style ``logging`` wiring
   (``NullHandler`` by default, :func:`configure_logging` to opt in).
 * :mod:`repro.telemetry.report` — Fig.-6-style phase-breakdown tables
-  rebuilt from a saved trace (``python -m repro telemetry-report``).
+  rebuilt from a saved trace (``python -m repro report TRACE``).
 
 Typical use::
 

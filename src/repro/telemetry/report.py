@@ -10,8 +10,8 @@ aggregate wall time by span name, and render an aligned table of
 
 where the percentage is taken against the root spans' total (spans with
 no parent), i.e. against end-to-end run time rather than the sum of
-leaves.  Exposed on the command line as ``python -m repro
-telemetry-report TRACE``.
+leaves.  Exposed on the command line as ``python -m repro report
+TRACE``, the verb that also replays requests and renders the live view.
 """
 
 from __future__ import annotations

@@ -72,8 +72,8 @@ __all__ = [
 MAX_SPANS_ENV = "REPRO_TELEMETRY_MAX_SPANS"
 
 #: Default ring capacity: plenty for any bench/test run, bounded enough
-#: that a long-lived live session (``repro top``, the obs exporter) cannot
-#: grow without limit.
+#: that a long-lived live session (``repro report --live --interval``, the
+#: obs exporter) cannot grow without limit.
 DEFAULT_MAX_SPANS = 65536
 
 def _env_max_spans() -> Optional[int]:

@@ -114,6 +114,15 @@ class TestSpansToTrace:
     def test_unknown_request_returns_none(self):
         assert spans_to_trace([_span("serve.admit", "r1", 0, 1)], "r9") is None
 
+    def test_trace_id_finds_its_admission_of_a_reused_request_id(self):
+        spans = _request_spans("dup", status="error") + _request_spans("dup")
+        for span, trace_id in zip(spans, ["t-old"] * 5 + ["t-new"] * 5):
+            span["attributes"]["trace_id"] = trace_id
+        assert spans_to_trace(spans, "dup")["trace_id"] == "t-new"
+        by_trace = spans_to_trace(spans, "t-old")
+        assert by_trace["trace_id"] == "t-old" and by_trace["status"] == "error"
+        assert len(by_trace["stages"]) == 5
+
 
 class TestRenderWaterfall:
     def test_bars_totals_and_batch_membership(self):
@@ -171,6 +180,11 @@ class TestRenderRequestReport:
         }
         p.write_text(json.dumps(span) + "\n")
         assert "request r7" in render_request_report(p, "r7")[0]
+
+    def test_trace_id_renders_the_request_waterfall(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        _write_spans(p, _request_spans("r1") + _request_spans("r2"))
+        assert render_request_report(p, "t-r2") == render_request_report(p, "r2")
 
     def test_absent_id_lists_known_ids(self, tmp_path):
         p = tmp_path / "d.jsonl"

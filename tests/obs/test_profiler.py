@@ -28,6 +28,10 @@ class TestClassifyFrame:
             ("repro.gpu.im2row", "im2row_matrix", "gemm"),
             ("repro.stencils.grid", "pad_halo_batch", "halo"),
             ("repro.stencils.grid", "unpad", "halo"),
+            ("repro.stencils.grid", "refresh_halo", "halo"),
+            ("repro.core.direct", "direct_valid", "direct"),
+            ("repro.core.direct", "_blocked", "direct"),
+            ("repro.baselines.direct_cuda", "anything", None),
             ("repro.stencils.padding", "anything", "fixup"),
             ("repro.runtime.tiled", "apply_dirty_fix", "fixup"),
             ("repro.runtime.plan", "passes_for", "plan"),
@@ -70,6 +74,16 @@ class TestClassifyStack:
             ("threading", "wait"),
         ]
         assert classify_stack(stack) == "idle"
+
+    def test_default_path_stacks_have_their_own_phases(self):
+        run = [("repro.core.api", "run"), ("repro.runtime.execute", "_run_passes")]
+        direct = run + [("repro.core.direct", "direct_valid"), ("repro.core.direct", "_blocked")]
+        assert classify_stack(direct) == "direct"
+        halo = run + [
+            ("repro.stencils.grid", "refresh_halo"),
+            ("repro.stencils.grid", "_reflect_sources"),
+        ]
+        assert classify_stack(halo) == "halo"
 
     def test_unclassified_repro_stack_is_other(self):
         assert classify_stack([("repro.utils.tables", "format_table")]) == "other"

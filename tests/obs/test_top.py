@@ -1,4 +1,4 @@
-"""``repro top`` rendering + the obs CLI subcommands."""
+"""The live-view renderer and ``repro report --live``."""
 
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ class TestRenderTop:
 
     def test_plain_render_has_every_section(self):
         text = "\n".join(render_top(SNAP, color=False))
-        assert "repro top — pid 4242" in text
+        assert "repro report --live — pid 4242" in text
         assert "SLO 250.0ms" in text
         assert "plan cache: 9 hit / 1 miss (rate 90.0%)" in text
         assert "heat-2d|96x96|serial|f1" in text
@@ -78,11 +78,12 @@ class TestRenderTop:
 
 class TestCLI:
     def test_top_once_renders_local_snapshot(self, obs_on):
-        lines = cli.run(["top", "--once", "--no-color"])
-        assert any("repro top" in line for line in lines)
+        lines = cli.run(["report", "--live"])
+        assert any("repro report --live" in line for line in lines)
+        assert "\x1b[" not in "\n".join(lines)  # stdout is not a terminal
 
     def test_top_once_demo_populates_runs(self, obs_on):
-        lines = cli.run(["top", "--once", "--demo", "--no-color"])
+        lines = cli.run(["report", "--live", "--demo", "1"])
         text = "\n".join(lines)
         assert "heat-2d|48x48|serial|f1" in text
 
@@ -93,23 +94,36 @@ class TestCLI:
         obs.set_level("off")
         try:
             with pytest.raises(ReproError, match="REPRO_OBS"):
-                cli.run(["obs-snapshot"])
+                cli.run(["report", "--live", "--format", "json"])
         finally:
             obs.set_level(level)
 
-    def test_obs_snapshot_json_and_prom(self, obs_on, tmp_path):
-        cli.run(["top", "--once", "--demo", "--no-color"])  # populate
-        out = tmp_path / "snap.json"
-        lines = cli.run(["obs-snapshot", "--output", str(out)])
-        payload = json.loads("\n".join(ln for ln in lines if not ln.startswith("OBS:")))
+    def test_obs_snapshot_json_and_prom(self, obs_on, capsys):
+        cli.run(["report", "--live", "--demo", "1"])  # populate
+        assert cli.main(["report", "--live", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)  # stdout is the snapshot and nothing else
         assert "heat-2d|48x48|serial|f1" in payload["runs"]
-        assert json.loads(out.read_text())["runs"] == payload["runs"]
-        prom = cli.run(["obs-snapshot", "--format", "prom"])
+        prom = cli.run(["report", "--live", "--format", "prom"])
         assert any(ln.startswith("# HELP repro_run_total") for ln in prom)
 
-    def test_obs_snapshot_profile_out(self, obs_profiled, tmp_path):
-        cli.run(["top", "--once", "--demo", "--no-color"])  # populate
+    def test_obs_snapshot_profile_out(self, obs_profiled, tmp_path, capsys):
+        cli.run(["report", "--live", "--demo", "1"])  # populate
         flame = tmp_path / "flame.txt"
-        lines = cli.run(["obs-snapshot", "--profile-out", str(flame)])
-        assert any("OBS: wrote" in ln and "flame.txt" in ln for ln in lines)
+        lines = cli.run(["report", "--live", "--profile-out", str(flame)])
+        err = capsys.readouterr().err
+        assert "OBS: wrote" in err and "flame.txt" in err
+        assert not any(ln.startswith("OBS:") for ln in lines)
         assert flame.exists()
+
+    def test_json_stdout_is_one_document_while_serving(self, obs_on, capsys):
+        cli.run(["report", "--live", "--demo", "1"])  # populate
+        argv = ["report", "--live", "--format", "json", "--serve", "0", "--port", "0"]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert "heat-2d|48x48|serial|f1" in json.loads(captured.out)["runs"]
+        assert "OBS: serving" in captured.err and "OBS: exporter stopped" in captured.err
+
+    def test_interval_rejects_a_machine_format(self, obs_on):
+        with pytest.raises(ReproError, match="--interval"):
+            cli.run(["report", "--live", "--interval", "1", "--format", "json"])

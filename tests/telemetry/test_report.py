@@ -82,7 +82,7 @@ class TestLoadTrace:
         path = _make_trace(tele, tmp_path, ".jsonl")
         with open(path, "a") as fh:
             fh.write("truncated garbag")
-        lines = cli.run(["telemetry-report", str(path)])
+        lines = cli.run(["report", str(path)])
         assert any("Skipped 1 malformed trace line" in ln for ln in lines)
 
 
@@ -116,15 +116,15 @@ class TestBreakdown:
 class TestCli:
     def test_telemetry_report_subcommand(self, tele, tmp_path):
         path = _make_trace(tele, tmp_path, ".jsonl")
-        lines = cli.run(["telemetry-report", str(path)])
+        lines = cli.run(["report", str(path)])
         joined = "\n".join(lines)
         assert "Phase breakdown" in joined
         assert "run" in joined and "pass" in joined
 
     def test_telemetry_report_top_limits_rows(self, tele, tmp_path):
         path = _make_trace(tele, tmp_path, ".jsonl")
-        all_lines = cli.run(["telemetry-report", str(path)])
-        top_lines = cli.run(["telemetry-report", str(path), "--top", "1"])
+        all_lines = cli.run(["report", str(path)])
+        top_lines = cli.run(["report", str(path), "--top", "1"])
         assert len(top_lines) < len(all_lines)
 
     def test_trace_flag_writes_parseable_chrome_trace(self, tele, tmp_path):
@@ -160,6 +160,6 @@ class TestFooters:
         obs.set_level("trace")
         run_suite(workloads=list(TINY_SUITE), spec=TINY_SPEC)
         path = tele.get_tracer().export(tmp_path / "pw.jsonl")
-        joined = "\n".join(cli.run(["telemetry-report", str(path)]))
+        joined = "\n".join(cli.run(["report", str(path)]))
         assert "perfwatch.workload" in joined
         assert "Perf watch: 1 suite run(s), 1 workload(s), 3 timing sample(s)" in joined

@@ -187,8 +187,10 @@ class TestCodegenSubcommand:
 
 
 class TestFlightSubcommand:
+    """Span-file replay and the alert drill, through ``repro report``."""
+
     def test_self_test_runs_the_full_drill(self, tmp_path):
-        lines = run(["flight", "--self-test", "--dir", str(tmp_path)])
+        lines = run(["report", "--self-test", str(tmp_path)])
         text = "\n".join(lines)
         assert "ok -> pending -> firing -> ok" in text
         assert "FLIGHT self-test: OK" in lines[-1]
@@ -207,15 +209,15 @@ class TestFlightSubcommand:
         assert any("8/8 complete traces" in ln for ln in lines)
         assert dump.exists()
 
-        listing = run(["flight", "--dump", str(dump), "--list"])
+        listing = run(["report", str(dump), "--requests"])
         assert "8 request(s)" in listing[0]
         rid = listing[1].split()[0]
-        waterfall = run(["flight", "--dump", str(dump), "--request-id", rid])
+        waterfall = run(["report", str(dump), "--request-id", rid])
         assert f"request {rid}" in waterfall[0]
         assert any("execute" in ln for ln in waterfall)
-        # Satellite 2: the same dump replays through telemetry-report.
-        report = run(["telemetry-report", str(dump), "--request-id", rid])
-        assert f"request {rid}" in report[0]
+        # The same dump also renders as a phase table.
+        table = "\n".join(run(["report", str(dump)]))
+        assert "serve.execute" in table
 
     def test_absent_request_id_names_known_ids(self, tmp_path):
         dump = tmp_path / "ring.jsonl"
@@ -224,8 +226,43 @@ class TestFlightSubcommand:
             "--no-identity", "--flight-dump", str(dump),
         ])
         with pytest.raises(ReproError, match="known request ids"):
-            run(["flight", "--dump", str(dump), "--request-id", "nope"])
+            run(["report", str(dump), "--request-id", "nope"])
 
     def test_flight_without_dump_or_selftest_errors(self):
-        with pytest.raises(ReproError, match="--dump"):
-            run(["flight"])
+        with pytest.raises(ReproError, match="needs one source"):
+            run(["report"])
+
+    def test_trace_id_replays_the_same_waterfall(self, tmp_path):
+        """The trace id an exemplar or the live view names replays directly."""
+        dump = tmp_path / "ring.jsonl"
+        run([
+            "loadgen", "--requests", "4", "--waves", "1",
+            "--no-identity", "--flight-dump", str(dump),
+        ])
+        rid = run(["report", str(dump), "--requests"])[1].split()[0]
+        by_request = run(["report", str(dump), "--request-id", rid])
+        trace_id = by_request[0].split("trace=")[1].split()[0]
+        assert trace_id.startswith("t")
+        assert run(["report", str(dump), "--request-id", trace_id]) == by_request
+
+    def test_options_of_another_source_are_rejected(self, tmp_path):
+        with pytest.raises(ReproError, match="--format does not apply to FILE"):
+            run(["report", str(tmp_path / "t.jsonl"), "--format", "json"])
+        with pytest.raises(ReproError, match="got FILE and --live"):
+            run(["report", str(tmp_path / "t.jsonl"), "--live"])
+
+
+class TestSubcommands:
+    def test_retired_report_verbs_no_longer_dispatch(self, capsys):
+        from repro import cli
+
+        assert sorted(cli._SUBCOMMANDS) == [
+            "bench", "codegen", "lint", "loadgen", "report", "serve", "verify",
+        ]
+        # The four verbs ``report`` replaced fall through to the model
+        # driver, whose first argument must be a dimensionality.
+        retired = ["top", "flight", "telemetry" + "-report", "obs" + "-snapshot"]
+        for verb in retired:
+            with pytest.raises(SystemExit):
+                run([verb])
+            assert "invalid choice" in capsys.readouterr().err
