@@ -74,21 +74,6 @@ def emit_json(name: str, rows, **metadata) -> None:
     obs.count("bench.emit")
 
 
-def emit_obs(name: str) -> None:
-    """Persist the live-observability snapshot as results/<name>.obs.json.
-
-    No-op below the ``metrics`` observability level (``REPRO_OBS`` or
-    ``obs.set_level``); when active, the snapshot — per-plan latency
-    quantiles, achieved-vs-model throughput, worker state — lands next to
-    the bench's tables so numbers and runtime health travel together.
-    """
-    if not obs.enabled():
-        return
-    with telemetry.span("bench.emit", bench=name, kind="obs"):
-        dump_json(_results_dir() / f"{name}.obs.json", obs.snapshot(), fsync=True)
-    obs.count("bench.emit")
-
-
 def emit_telemetry(name: str) -> None:
     """Persist the current trace + metrics snapshot next to the results.
 

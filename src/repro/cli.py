@@ -44,13 +44,6 @@ Static analysis (see :mod:`repro.staticcheck`): the ``lint`` subcommand
 runs the determinism/safety linter and the plan-invariant verifier as a
 gate — e.g. ``python -m repro lint --format json`` — exiting nonzero on
 error-severity findings while keeping stdout machine-parseable.
-
-Performance watch (see :mod:`repro.perfwatch`): the ``bench`` subcommand
-measures the pinned workload suite with bootstrap confidence intervals
-and paper-derived efficiency counters, writing a schema-versioned
-``BENCH_PR<N>.json`` — ``python -m repro bench --quick``; ``bench
---check BASELINE`` re-measures and gates noise-aware (exit 2 on a real
-regression), and ``bench --report`` renders the cross-PR trajectory.
 """
 
 from __future__ import annotations
@@ -907,137 +900,6 @@ def _run_serve(argv: List[str]) -> List[str]:
     return lines
 
 
-def _run_bench(argv: List[str]) -> List[str]:
-    """The ``bench`` subcommand: the perfwatch suite, gate, and dashboard.
-
-    Three modes share the flag surface: the default *measure* mode runs
-    the pinned suite and writes ``BENCH_PR<N>.json``; ``--check BASELINE``
-    re-measures and applies the noise-aware gate (verdicts are printed
-    before the nonzero-exit :class:`~repro.errors.ReproError` on a real
-    regression, so ``--json`` stdout stays machine-parseable); and
-    ``--report`` renders the cross-PR trajectory without measuring.
-    """
-    parser = argparse.ArgumentParser(
-        prog="convstencil bench",
-        description=(
-            "Statistically gated performance watch: pinned workloads x "
-            "backends timed with bootstrap CIs and paper-derived "
-            "efficiency counters (Eq. 13 / Table 3)"
-        ),
-    )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--check",
-        metavar="BASELINE",
-        help=(
-            "re-measure and gate against this baseline: exit 2 iff a "
-            "workload's CIs are disjoint AND the slowdown exceeds the "
-            "threshold (or a baseline cell went missing)"
-        ),
-    )
-    mode.add_argument(
-        "--report",
-        action="store_true",
-        help="render the trajectory across committed BENCH_PR<N>.json files",
-    )
-    flavour = parser.add_mutually_exclusive_group()
-    flavour.add_argument(
-        "--quick",
-        action="store_true",
-        help="the small CI-smoke suite (default; --check follows its baseline)",
-    )
-    flavour.add_argument(
-        "--full",
-        action="store_true",
-        help="the full suite: bigger grids, more batches, process-pool tiling",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        default=None,
-        help="baseline path to write (default ./BENCH_PR<N>.json; measure mode)",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="regression threshold as a fraction (default 0.20)",
-    )
-    parser.add_argument(
-        "--dir",
-        default=None,
-        metavar="DIR",
-        help="directory to discover baselines in for --report (default cwd)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit one JSON document on stdout instead of tables",
-    )
-    args = parser.parse_args(argv)
-
-    import json
-
-    from repro.perfwatch import (
-        default_baseline_path,
-        load_baseline,
-        make_report,
-        render_run,
-        render_trajectory,
-        run_check,
-        run_suite,
-        write_baseline,
-    )
-    from repro.perfwatch.baseline import DEFAULT_THRESHOLD
-
-    if args.report:
-        return render_trajectory(args.dir).splitlines()
-
-    if args.check:
-        baseline = load_baseline(args.check)
-        # Gate against the baseline's own suite flavour unless overridden,
-        # so `--check BENCH_PR5.json` always measures comparable cells.
-        quick = not args.full if (args.quick or args.full) else (
-            baseline.get("suite") != "full"
-        )
-        threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-        result, _ = run_check(baseline, threshold=threshold, quick=quick)
-        obs.count("perfwatch.checks")
-        for _ in result.regressions:
-            obs.count("perfwatch.regressions")
-        if args.json:
-            lines = json.dumps(result.to_dict(), indent=2, sort_keys=True).splitlines()
-        else:
-            lines = [v.describe() for v in result.verdicts]
-            lines.append(
-                f"GATE: {'ok' if result.ok else 'FAIL'} — "
-                f"{len(result.regressions)} regression(s), "
-                f"{len(result.missing)} missing, threshold {threshold:.0%}"
-            )
-        if not result.ok:
-            for line in lines:
-                print(line)
-            raise ReproError(
-                f"performance gate failed against {args.check}: "
-                f"{len(result.regressions)} regression(s), "
-                f"{len(result.missing)} missing workload(s)"
-            )
-        return lines
-
-    quick = not args.full
-    report = make_report(run_suite(quick=quick))
-    path = write_baseline(
-        args.output if args.output else default_baseline_path(), report
-    )
-    note = f"BENCH: wrote {path} ({len(report['entries'])} entries)"
-    if args.json:
-        # stdout carries exactly one JSON document; the note goes to stderr.
-        print(note, file=sys.stderr)
-        return json.dumps(report, indent=2, sort_keys=True).splitlines()
-    return render_run(report).splitlines() + [note]
-
-
 def _run_codegen(argv: List[str]) -> List[str]:
     """The ``codegen`` subcommand: emit a kernel's generated source.
 
@@ -1121,7 +983,6 @@ def _run_codegen(argv: List[str]) -> List[str]:
 
 #: The subcommands; anything else is the artifact-style model driver.
 _SUBCOMMANDS = {
-    "bench": _run_bench,
     "codegen": _run_codegen,
     "lint": _run_lint,
     "loadgen": _run_loadgen,

@@ -46,7 +46,6 @@ from repro.telemetry.level import rank as _rank
 from repro.telemetry.level import state as _level
 
 __all__ = [
-    "bench_summary",
     "configure_alerts",
     "count",
     "enabled",
@@ -310,31 +309,3 @@ def snapshot() -> Dict[str, Any]:
         engine.tick()
         snap["alerts"] = engine.snapshot()
     return snap
-
-
-def bench_summary() -> Dict[str, Any]:
-    """Compact obs block for embedding in perfwatch baselines.
-
-    Histogram summaries + efficiency gauges per plan key, plus the
-    plan-cache stats — small enough to live inside ``BENCH_PR<N>.json``.
-    """
-    snap = snapshot()
-    runs = {}
-    for label, stats in sorted(snap.get("runs", {}).items()):
-        runs[label] = {
-            "runs": stats["runs"],
-            "p50_s": stats["p50_s"],
-            "p95_s": stats["p95_s"],
-            "p99_s": stats["p99_s"],
-            "achieved_mma_per_s": stats["achieved_mma_per_s"],
-            "achieved_gstencils_per_s": stats["achieved_gstencils_per_s"],
-            "model_attainment": stats["model_attainment"],
-            "slo_breaches": stats["slo_breaches"],
-        }
-    profile = snap.get("profile") or {}
-    return {
-        "enabled": enabled(),
-        "plan_cache": snap.get("plan_cache", {}),
-        "profiler_samples": int(profile.get("samples", 0)),
-        "runs": runs,
-    }

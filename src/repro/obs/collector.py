@@ -6,9 +6,8 @@ is enabled:
 * per plan key — ``kernel|shape|backend|fusion`` — run counts, latency
   histograms (:class:`~repro.obs.hist.LatencyHistogram`), SLO breach
   counters, and the paper-model quantities needed to price each run
-  (Eq.-13 MMA totals via :func:`repro.perfwatch.counters.pass_mma_total`,
-  the calibrated model ceiling via
-  :func:`repro.model.convstencil_model.convstencil_throughput`);
+  (Eq.-13 MMA totals and the calibrated model ceiling, from
+  :mod:`repro.model.convstencil_model`);
 * per tenant and per service — the serving layer's request outcomes,
   batch sizes, affinity hits and queue depth;
 * named counters and gauges (``solver.*``, ``staticcheck.*``,
@@ -214,7 +213,7 @@ class ObsCollector:
         key = (plan.kernel.name, n_grid, steps, plan.fusion_depth)
         cached = self._mma_cache.get(key)
         if cached is None:
-            from repro.perfwatch.counters import pass_mma_total
+            from repro.model.convstencil_model import pass_mma_total
 
             cached = pass_mma_total(plan.kernel, n_grid, steps, plan.fusion_depth)
             self._mma_cache[key] = cached

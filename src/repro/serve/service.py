@@ -204,9 +204,8 @@ class StencilService:
             resp = await svc.submit(Request("acme", kernel=k, data=x, steps=4))
             assert resp.ok and resp.batch_size >= 1
 
-    ``clock`` is injectable for deterministic quota/latency tests (the
-    same pattern as ``repro.perfwatch``); it defaults to the audited
-    monotonic reference.
+    ``clock`` is injectable for deterministic quota/latency tests; it
+    defaults to the audited monotonic reference.
     """
 
     def __init__(

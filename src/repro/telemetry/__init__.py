@@ -33,7 +33,6 @@ from repro.telemetry.log import LOGGER_NAME, configure_logging, get_logger
 from repro.telemetry.report import (
     PhaseStat,
     load_trace,
-    perfwatch_summary,
     phase_breakdown,
     render_phase_report,
     staticcheck_summary,
@@ -68,7 +67,6 @@ __all__ = [
     "get_tracer",
     "load_trace",
     "new_trace_id",
-    "perfwatch_summary",
     "phase_breakdown",
     "record_span",
     "render_phase_report",

@@ -29,7 +29,6 @@ __all__ = [
     "PhaseStat",
     "load_trace",
     "load_trace_details",
-    "perfwatch_summary",
     "phase_breakdown",
     "render_phase_report",
     "staticcheck_summary",
@@ -216,31 +215,6 @@ def _counts(counts: Dict[str, int]) -> str:
     return ", ".join(f"{n} {key}" for key, n in sorted(counts.items()))
 
 
-def perfwatch_summary(spans: List[Dict[str, Any]]) -> Dict[str, int]:
-    """Aggregate ``perfwatch.*`` span attributes from a trace.
-
-    Mirrors :func:`staticcheck_summary` for the performance-watch layer:
-    suite runs, workloads timed, and timing samples collected.  Zeroed
-    when the trace holds no perfwatch spans.
-    """
-    totals = {"suites": 0, "workloads": 0, "samples": 0}
-    for sp in spans:
-        name = str(sp.get("name", ""))
-        attrs = sp.get("attributes", {}) or {}
-        if name == "perfwatch.suite":
-            totals["suites"] += 1
-            try:
-                totals["workloads"] += int(attrs.get("workloads", 0))
-            except (TypeError, ValueError):
-                pass
-        elif name == "perfwatch.workload":
-            try:
-                totals["samples"] += int(attrs.get("samples", 0))
-            except (TypeError, ValueError):
-                pass
-    return totals
-
-
 def render_phase_report(trace_path: "str | Path", top: int = 0) -> str:
     """Render the Fig.-6-style phase table for a saved trace file.
 
@@ -276,12 +250,6 @@ def render_phase_report(trace_path: "str | Path", top: int = 0) -> str:
     passes = strategy_summary(spans)["passes"]
     if passes:
         table += f"\nPass strategies: {_counts(passes)}"
-    pw = perfwatch_summary(spans)
-    if pw["suites"]:
-        table += (
-            f"\nPerf watch: {pw['suites']} suite run(s), "
-            f"{pw['workloads']} workload(s), {pw['samples']} timing sample(s)"
-        )
     if skipped:
         table += (
             f"\nSkipped {len(skipped)} malformed trace line(s) "

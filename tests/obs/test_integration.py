@@ -60,56 +60,3 @@ class TestRunBatch:
         obs_on.set_level("off")
         without_obs = _serial_batch(obs_on)
         assert np.array_equal(with_obs, without_obs)
-
-
-class TestBenchEmbedding:
-    def test_run_suite_embeds_obs_summary(self):
-        from repro import obs
-        from repro.perfwatch.suite import Workload, run_suite
-        from repro.perfwatch.timer import TimingSpec
-
-        level = obs.get_level()
-        obs.set_level("off")
-        obs._reset_for_tests()
-        try:
-            body = run_suite(
-                quick=True,
-                workloads=[
-                    Workload(
-                        name="obs-embed",
-                        kernel="heat-2d",
-                        shape=(32, 32),
-                        steps=1,
-                        backend="serial",
-                    )
-                ],
-                spec=TimingSpec(warmup=0, batches=1, batch_size=1),
-            )
-            restored = obs.get_level()
-        finally:
-            obs._reset_for_tests()
-            obs.set_level(level)
-        summary = body["obs"]
-        assert summary["profiler_samples"] == 0  # collector-only: no sampler
-        (label,) = summary["runs"]
-        assert label.startswith("heat-2d|32x32|serial")
-        entry = summary["runs"][label]
-        assert entry["runs"] >= 1
-        assert entry["p50_s"] > 0
-        assert "model_attainment" in entry
-        assert restored == "off"  # run_suite restored the disabled state
-
-    def test_emit_obs_writes_snapshot_next_to_results(self, obs_on, tmp_path, monkeypatch):
-        import json
-        import sys
-        from pathlib import Path
-
-        bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
-        monkeypatch.syspath_prepend(str(bench_dir))
-        _common = __import__("_common")
-        monkeypatch.setattr(_common, "RESULTS_DIR", tmp_path)
-        _serial_batch(obs_on)
-        _common.emit_obs("obs_smoke")
-        payload = json.loads((tmp_path / "obs_smoke.obs.json").read_text())
-        assert any(k.startswith("heat-2d|128x128|serial") for k in payload["runs"])
-        sys.modules.pop("_common", None)

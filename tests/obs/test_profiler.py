@@ -176,7 +176,8 @@ class TestExport:
 
 
 class TestOverhead:
-    """Satellite 3: the sampler must be cheap on a perfwatch quick cell."""
+    """The sampler must be cheap on a warm serial heat-2d run, and the
+    disabled hooks must cost one level check."""
 
     def _best_of(self, fn, repeats: int = 5) -> float:
         best = float("inf")

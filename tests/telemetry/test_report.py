@@ -152,14 +152,3 @@ class TestFooters:
         assert strategy_summary(load_trace(path))["passes"] == {"direct": 2, "gemm": 1}
         text = render_phase_report(path)
         assert text.rstrip().endswith("Pass strategies: 2 direct, 1 gemm")
-
-    def test_perfwatch_trace_shows_suite_footer(self, tele, tmp_path):
-        from repro.perfwatch import run_suite
-        from tests.perfwatch.conftest import TINY_SPEC, TINY_SUITE
-
-        obs.set_level("trace")
-        run_suite(workloads=list(TINY_SUITE), spec=TINY_SPEC)
-        path = tele.get_tracer().export(tmp_path / "pw.jsonl")
-        joined = "\n".join(cli.run(["report", str(path)]))
-        assert "perfwatch.workload" in joined
-        assert "Perf watch: 1 suite run(s), 1 workload(s), 3 timing sample(s)" in joined

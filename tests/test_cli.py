@@ -257,11 +257,14 @@ class TestSubcommands:
         from repro import cli
 
         assert sorted(cli._SUBCOMMANDS) == [
-            "bench", "codegen", "lint", "loadgen", "report", "serve", "verify",
+            "codegen", "lint", "loadgen", "report", "serve", "verify",
         ]
-        # The four verbs ``report`` replaced fall through to the model
-        # driver, whose first argument must be a dimensionality.
-        retired = ["top", "flight", "telemetry" + "-report", "obs" + "-snapshot"]
+        # The four verbs ``report`` replaced, and ``bench`` (whose harness
+        # perfbench replaced), fall through to the model driver, whose
+        # first argument must be a dimensionality.
+        retired = [
+            "top", "flight", "telemetry" + "-report", "obs" + "-snapshot", "bench",
+        ]
         for verb in retired:
             with pytest.raises(SystemExit):
                 run([verb])
