@@ -381,7 +381,6 @@ def _serve_config_from_args(args) -> "ServeConfig":
         max_queue_depth=args.queue_depth,
         quota=quota,
         backend=args.backend,
-        slo_ms=args.slo_ms,
     )
 
 
@@ -423,12 +422,6 @@ def _serve_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend", default=None, help="runtime backend (default process default)"
-    )
-    parser.add_argument(
-        "--slo-ms",
-        type=float,
-        default=None,
-        help="per-request SLO budget in ms (default $REPRO_OBS_SLO_MS)",
     )
 
 

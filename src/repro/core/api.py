@@ -309,7 +309,8 @@ class PinnedStencil(ConvStencil):
 
     Internal, for harnesses that must reach a given path whatever the
     rule picks: ``repro verify`` runs every case under each strategy,
-    and the backend benchmarks pin ``gemm`` to compare GEMM engines.
+    and the CLI's ``--verify`` checks each strategy against the
+    reference.
     Pinned plans go through the plan cache under their own key, so they
     are shared across backends but never stand in for the rule's plans.
     """

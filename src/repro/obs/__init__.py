@@ -2,8 +2,8 @@
 
 Traces (:mod:`repro.telemetry`) say *where the time went* after the fact;
 this layer is the process's one metrics store and keeps the same signals
-**live**: while a workload runs it maintains per-plan-key latency
-histograms with SLO accounting, serving-layer gauges, achieved
+**live**: while a workload runs it maintains per-plan-key and
+per-tenant latency histograms with SLO accounting, achieved
 MMA/s and GStencil/s against the calibrated model ceiling, named
 counters and gauges (:func:`count`, :func:`set_gauge`, and the
 simulator's ``sim.*`` fold), and a sampling profiler attributing time to
@@ -22,7 +22,7 @@ of shipping this layer always-on is one branch per event.
 Environment knobs::
 
     REPRO_OBS=metrics             # off | metrics | trace | profile
-    REPRO_OBS_SLO_MS=250          # per-run latency budget (breach counter)
+    REPRO_OBS_SLO_MS=250          # per-run and per-request latency budget
     REPRO_OBS_PROFILE_INTERVAL_MS=5   # sampling period
     REPRO_OBS_PORT=9109           # exporter default port
 """
@@ -57,7 +57,6 @@ __all__ = [
     "perf_counters_from_registry",
     "record_request",
     "record_run",
-    "record_serve_batch",
     "set_gauge",
     "set_level",
     "snapshot",
@@ -252,29 +251,21 @@ def record_request(
     tenant: str,
     elapsed: float,
     outcome: str = "ok",
-    slo_breached: bool = False,
     trace_id: str = "",
     plan_label: str = "",
-) -> None:
-    """Account one serving-layer request (no-op while disabled).
+) -> bool:
+    """Account one serving-layer request; whether it breached the SLO.
 
     ``outcome`` is the serve vocabulary: ``ok``, ``rejected_quota``,
     ``rejected_queue``.  A non-empty ``trace_id`` attaches the request's
-    identity as the latency bucket's exemplar candidate.
+    identity as the latency bucket's exemplar candidate.  While disabled
+    this is one level check and returns ``False``.
     """
     if _level.rank < METRICS:
-        return
-    _state.collector.record_request(
-        tenant, elapsed, outcome, slo_breached,
-        trace_id=trace_id, plan_label=plan_label,
+        return False
+    return _state.collector.record_request(
+        tenant, elapsed, outcome, trace_id=trace_id, plan_label=plan_label
     )
-
-
-def record_serve_batch(size: int, queue_depth: int, affinity_hit: bool) -> None:
-    """Account one coalesced serving batch (no-op while disabled)."""
-    if _level.rank < METRICS:
-        return
-    _state.collector.observe_serve_batch(size, queue_depth, affinity_hit)
 
 
 # -- named counters and gauges ---------------------------------------------

@@ -8,8 +8,8 @@ is enabled:
   counters, and the paper-model quantities needed to price each run
   (Eq.-13 MMA totals and the calibrated model ceiling, from
   :mod:`repro.model.convstencil_model`);
-* per tenant and per service — the serving layer's request outcomes,
-  batch sizes, affinity hits and queue depth;
+* per tenant — the serving layer's request outcomes, latency
+  histograms and SLO breaches (LRU-bounded at :data:`MAX_TENANTS`);
 * named counters and gauges (``solver.*``, ``staticcheck.*``,
   ``verify.*``, …) written through :func:`repro.obs.count` and
   :func:`repro.obs.set_gauge`, and the GPU simulator's
@@ -17,9 +17,11 @@ is enabled:
   (:func:`fold_perf_counters`, reversed bit-exactly by
   :func:`perf_counters_from_registry`).
 
-``snapshot()`` renders everything — plus the live plan-cache stats and
-profiler aggregates — into one JSON-able dict that both the exporter
-and the ``repro report --live`` view consume.
+``snapshot()`` renders everything — plus what other owners count, read
+at snapshot time: the plan cache's ``PlanCache.stats``, the running
+services' batch, routing and queue counters, and the profiler's
+aggregates — into one JSON-able dict that both the exporter and the
+``repro report --live`` view consume.
 
 The collector touches the wall clock through a module-level reference so
 sampling stays cheap and the staticcheck RPR004 rule (raw clock reads in
@@ -31,6 +33,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import fields
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -52,8 +55,18 @@ _log = get_logger("obs.collector")
 #: Audited clock reference (see module docstring).
 _CLOCK: Callable[[], float] = time.perf_counter
 
-#: SLO threshold knob: per-run latency budget in milliseconds.
+#: SLO threshold knob: per-run and per-request latency budget in
+#: milliseconds (the only one; the serving layer reads it from here).
 SLO_ENV = "REPRO_OBS_SLO_MS"
+
+#: LRU bound on per-tenant entries, so a long-lived multi-tenant service
+#: stays bounded; :meth:`ObsCollector.slo_totals` survives evictions.
+MAX_TENANTS = 4096
+
+#: The snapshot's ``serve`` block: counters summed over the running
+#: services, and peaks that take their maximum.
+_SERVE_SUMS = ("batches", "batched_requests", "affinity_hits", "affinity_misses")
+_SERVE_PEAKS = ("max_batch", "queue_peak")
 
 
 def _env_slo_seconds() -> Optional[float]:
@@ -188,16 +201,11 @@ class ObsCollector:
         self.slo_seconds = slo_seconds if slo_seconds is not None else _env_slo_seconds()
         self._lock = threading.Lock()
         self._runs: Dict[str, RunStats] = {}
-        self._tenants: Dict[str, TenantStats] = {}
-        self._serve: Dict[str, float] = {
-            "batches": 0,
-            "batched_requests": 0,
-            "max_batch": 0,
-            "affinity_hits": 0,
-            "affinity_misses": 0,
-            "queue_depth": 0,
-            "queue_peak": 0,
-        }
+        self._tenants: "OrderedDict[str, TenantStats]" = OrderedDict()
+        # Completed requests and SLO breaches over every tenant, evicted
+        # ones included, so the burn-rate supplier stays monotonic.
+        self._slo_ok = 0
+        self._slo_breaches = 0
         # One namespace: a name is a counter or a gauge, never both.
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
@@ -273,60 +281,49 @@ class ObsCollector:
         tenant: str,
         elapsed: float,
         outcome: str = "ok",
-        slo_breached: bool = False,
         trace_id: str = "",
         plan_label: str = "",
-    ) -> None:
+    ) -> bool:
         """Account one serving-layer request for ``tenant``.
 
         ``outcome`` follows the serve vocabulary (``ok`` /
-        ``rejected_quota`` / ``rejected_queue``); latency is recorded
-        only for completed requests.  A non-empty ``trace_id`` lets the
-        sample compete for its latency bucket's exemplar slot, so p99
-        outliers in the exporter link back to a concrete request.
+        ``rejected_quota`` / ``rejected_queue``); latency and the SLO
+        check apply only to completed requests.  A non-empty
+        ``trace_id`` lets the sample compete for its latency bucket's
+        exemplar slot, so p99 outliers in the exporter link back to a
+        concrete request.  Returns whether the request breached the SLO.
         """
+        ok = outcome == "ok"
+        breached = ok and self.slo_seconds is not None and elapsed > self.slo_seconds
         with self._lock:
             stats = self._tenants.get(tenant)
             if stats is None:
                 stats = self._tenants[tenant] = TenantStats()
+                while len(self._tenants) > MAX_TENANTS:
+                    self._tenants.popitem(last=False)
+            else:
+                self._tenants.move_to_end(tenant)
             stats.requests += 1
             stats.outcomes[outcome] = stats.outcomes.get(outcome, 0) + 1
-            if outcome == "ok":
+            if ok:
                 stats.hist.observe(
                     elapsed, trace_id=trace_id, tenant=tenant, label=plan_label
                 )
-            if slo_breached:
+                self._slo_ok += 1
+            if breached:
                 stats.slo_breaches += 1
+                self._slo_breaches += 1
+        return breached
 
     def slo_totals(self) -> Tuple[int, int]:
-        """``(completed_requests, slo_breaches)`` summed over all tenants.
+        """``(completed_requests, slo_breaches)`` over every tenant seen.
 
         The ratio feeds the burn-rate alert engine
-        (:mod:`repro.obs.alerts`); both totals are monotonic.
+        (:mod:`repro.obs.alerts`); both totals are monotonic, and an
+        evicted tenant's requests stay counted.
         """
         with self._lock:
-            total = 0
-            breaches = 0
-            for stats in self._tenants.values():
-                total += stats.outcomes.get("ok", 0)
-                breaches += stats.slo_breaches
-            return total, breaches
-
-    def observe_serve_batch(
-        self, size: int, queue_depth: int, affinity_hit: bool
-    ) -> None:
-        """Account one coalesced serving batch flushed to a lane."""
-        with self._lock:
-            serve = self._serve
-            serve["batches"] += 1
-            serve["batched_requests"] += size
-            serve["max_batch"] = max(serve["max_batch"], size)
-            serve["queue_depth"] = queue_depth
-            serve["queue_peak"] = max(serve["queue_peak"], queue_depth)
-            if affinity_hit:
-                serve["affinity_hits"] += 1
-            else:
-                serve["affinity_misses"] += 1
+            return self._slo_ok, self._slo_breaches
 
     def count(self, name: str, amount: "int | float" = 1) -> None:
         """Add ``amount`` (>= 0) to the counter ``name``."""
@@ -359,6 +356,24 @@ class ObsCollector:
         stats = dict(get_plan_cache().stats)
         return stats
 
+    def _serve_stats(self) -> Dict[str, Any]:
+        from repro.serve.service import live_services
+
+        serve: Dict[str, Any] = dict.fromkeys(
+            _SERVE_SUMS + _SERVE_PEAKS + ("queue_depth",), 0
+        )
+        for service in live_services():
+            stats = service.stats()
+            for key in _SERVE_SUMS:
+                serve[key] += stats[key]
+            for key in _SERVE_PEAKS:
+                serve[key] = max(serve[key], stats[key])
+            serve["queue_depth"] += stats["queued"]
+        serve["mean_batch"] = (
+            serve["batched_requests"] / serve["batches"] if serve["batches"] else 0.0
+        )
+        return serve
+
     def snapshot(self, profiler=None) -> Dict[str, Any]:
         """One JSON-able health snapshot of everything collected so far."""
         now = _CLOCK()
@@ -369,12 +384,8 @@ class ObsCollector:
                 name: stats.to_dict()
                 for name, stats in sorted(self._tenants.items())
             }
-            serve = dict(self._serve)
             counters = dict(sorted(self._counters.items()))
             gauges = dict(sorted(self._gauges.items()))
-        serve["mean_batch"] = (
-            serve["batched_requests"] / serve["batches"] if serve["batches"] else 0.0
-        )
         snap: Dict[str, Any] = {
             "pid": self.pid,
             "uptime_s": uptime,
@@ -382,7 +393,7 @@ class ObsCollector:
             "plan_cache": self._plan_cache_stats(),
             "runs": runs,
             "tenants": tenants,
-            "serve": serve,
+            "serve": self._serve_stats(),
             "counters": counters,
             "gauges": gauges,
         }

@@ -70,17 +70,9 @@ class ServeConfig:
     backend:
         Runtime backend name/instance every lane executes on (``None`` =
         process default).
-    slo_ms:
-        Per-request latency budget for SLO breach accounting; ``None``
-        falls back to the obs layer's ``REPRO_OBS_SLO_MS``.
-    max_interned_kernels:
-        LRU bound on distinct kernels the service interns (fingerprints
-        keyed by full weight bytes).  Evicting a kernel also drops its
-        fusion-plan cache entries and lane plan-affinity marks, so a
-        long-lived service seeing many distinct kernels stays bounded.
-    max_tenant_stats:
-        LRU bound on per-tenant latency/SLO accounting entries; the
-        least-recently-active tenant's stats are dropped past the bound.
+
+    The per-request SLO budget is not a field: it is the obs layer's
+    ``REPRO_OBS_SLO_MS``.
     """
 
     lanes: int = 2
@@ -91,9 +83,6 @@ class ServeConfig:
     )
     default_quota: TenantQuota = field(default_factory=TenantQuota)
     backend: Optional[object] = None
-    slo_ms: Optional[float] = None
-    max_interned_kernels: int = 256
-    max_tenant_stats: int = 4096
 
     def __post_init__(self) -> None:
         if self.lanes < 1:
@@ -104,23 +93,9 @@ class ServeConfig:
             raise ServeError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
             )
-        if self.slo_ms is not None and self.slo_ms <= 0.0:
-            raise ServeError(f"slo_ms must be positive, got {self.slo_ms}")
-        if self.max_interned_kernels < 1:
-            raise ServeError(
-                f"max_interned_kernels must be >= 1, got {self.max_interned_kernels}"
-            )
-        if self.max_tenant_stats < 1:
-            raise ServeError(
-                f"max_tenant_stats must be >= 1, got {self.max_tenant_stats}"
-            )
 
     def quota_for(self, tenant: str) -> TenantQuota:
         """The token bucket configuration governing ``tenant``."""
         if isinstance(self.quota, TenantQuota):
             return self.quota
         return self.quota.get(tenant, self.default_quota)
-
-    @property
-    def slo_seconds(self) -> Optional[float]:
-        return None if self.slo_ms is None else self.slo_ms / 1e3

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -320,9 +320,9 @@ def run_server(
 
     This is the body of ``repro serve``: each cycle replays the trace
     (seed offset by cycle index, so data varies while the key population
-    stays fixed) and folds per-tenant accounting into the long-lived
-    service — whose stats the obs exporter serves concurrently.  Returns
-    the final cycle's report augmented with cycle count.
+    stays fixed) through one long-lived service, whose counters and the
+    collector's per-tenant stats the obs exporter serves concurrently.
+    Returns the final cycle's report augmented with cycle count.
 
     ``clock`` is injectable (tests script the deadline instead of
     sleeping through real seconds); it defaults to the audited monotonic
@@ -338,19 +338,9 @@ def run_server(
         cycles = 0
         async with StencilService(config) as service:
             while True:
-                cycle_spec = TraceSpec(
-                    seed=spec.seed + cycles,
-                    requests=spec.requests,
-                    tenants=spec.tenants,
-                    kernels=spec.kernels,
-                    shapes=spec.shapes,
-                    steps_choices=spec.steps_choices,
-                    boundaries=spec.boundaries,
-                    fusion=spec.fusion,
-                )
                 report = await replay(
                     service,
-                    generate_trace(cycle_spec),
+                    generate_trace(replace(spec, seed=spec.seed + cycles)),
                     waves=waves,
                     check_identity=False,
                 )

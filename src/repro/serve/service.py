@@ -29,6 +29,12 @@ Architecture (one event loop, N single-thread executor lanes)::
   (:mod:`repro.serve.quota`) and a bounded in-flight request count;
   refusals are HTTP-429-style :class:`~repro.serve.request.Response`
   objects carrying ``retry_after``.
+* **One owner per number** — the service counts its batches, routing
+  and queue (:meth:`StencilService.stats`, at every level; the obs
+  snapshot's ``serve`` block sums the running services').  Per-tenant
+  outcomes, latency and SLO breaches belong to the obs collector
+  (:func:`repro.obs.record_request`, from the ``metrics`` level up),
+  whose ``REPRO_OBS_SLO_MS`` is the one SLO budget.
 * **Stage spans** — from the ``trace`` observability level up, each
   request records one ``serve.<stage>`` span per
   :data:`~repro.serve.request.STAGES` entry; its terminal span carries
@@ -46,6 +52,7 @@ import asyncio
 import itertools
 import time
 import threading
+import weakref
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -56,7 +63,7 @@ import numpy as np
 from repro import flight, obs, telemetry
 from repro.core.fusion import FusionPlan, plan_fusion
 from repro.errors import QueueSaturated, QuotaExceeded, ServeError
-from repro.obs.hist import LatencyHistogram
+from repro.runtime import get_backend
 from repro.serve.config import ServeConfig
 from repro.serve.quota import QuotaLedger
 from repro.serve.request import (
@@ -69,7 +76,7 @@ from repro.serve.request import (
 from repro.stencils.kernel import StencilKernel
 from repro.telemetry.log import get_logger
 
-__all__ = ["StencilService"]
+__all__ = ["StencilService", "live_services"]
 
 _log = get_logger("serve.service")
 
@@ -79,6 +86,22 @@ _CLOCK = time.monotonic
 #: Floor of the ``retry_after`` hint on queue rejections, for when no
 #: batch has finished yet.
 _MIN_RETRY_AFTER_S = 1e-3
+
+#: LRU bound on the distinct kernels a service interns (fingerprints keyed
+#: by full weight bytes).  Evicting a kernel also drops its fusion-plan
+#: entries and lane plan-affinity marks, so a long-lived service seeing
+#: many distinct kernels stays bounded.
+MAX_INTERNED_KERNELS = 256
+
+#: Services built and not yet stopped; the obs snapshot reads their stats.
+_LIVE: "weakref.WeakSet[StencilService]" = weakref.WeakSet()
+_LIVE_LOCK = threading.Lock()
+
+
+def live_services() -> List["StencilService"]:
+    """The services built and not yet stopped in this process."""
+    with _LIVE_LOCK:
+        return list(_LIVE)
 
 
 class _Lane:
@@ -98,36 +121,6 @@ class _Lane:
         self.plans: Set[tuple] = set()
         self.inflight = 0
         self.batches = 0
-
-
-class _TenantStats:
-    """Service-local per-tenant accounting (always on, obs or not)."""
-
-    __slots__ = (
-        "requests", "ok", "rejected_quota", "rejected_queue",
-        "slo_breaches", "hist",
-    )
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self.ok = 0
-        self.rejected_quota = 0
-        self.rejected_queue = 0
-        self.slo_breaches = 0
-        self.hist = LatencyHistogram()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "ok": self.ok,
-            "rejected_quota": self.rejected_quota,
-            "rejected_queue": self.rejected_queue,
-            "slo_breaches": self.slo_breaches,
-            "p50_s": self.hist.p50,
-            "p95_s": self.hist.p95,
-            "p99_s": self.hist.p99,
-            "latency": self.hist.to_dict(),
-        }
 
 
 @dataclass
@@ -216,6 +209,7 @@ class StencilService:
     ) -> None:
         self.config = config if config is not None else ServeConfig()
         self._clock = clock if clock is not None else _CLOCK
+        self._backend_name = get_backend(self.config.backend).name
         self._lanes = [_Lane(i) for i in range(self.config.lanes)]
         self._quota = QuotaLedger(self.config.quota_for)
         # Open batches by coalesce key (taking companions), and the ready
@@ -224,13 +218,12 @@ class StencilService:
         self._pending: Dict[tuple, _PendingBatch] = {}
         self._ready: Deque[_PendingBatch] = deque()
         self._tasks: Set["asyncio.Task"] = set()
-        # LRU-bounded service-lifetime maps (config.max_interned_kernels /
-        # max_tenant_stats): a long-lived multi-tenant service must not
-        # accumulate unbounded kernels, fusion plans, or tenant stats.
+        # LRU-bounded service-lifetime maps (MAX_INTERNED_KERNELS): a
+        # long-lived service must not accumulate unbounded kernels or
+        # fusion plans.
         self._kernels: "OrderedDict[tuple, StencilKernel]" = OrderedDict()
         self._fusion_cache: "OrderedDict[tuple, FusionPlan]" = OrderedDict()
         self._intern_lock = threading.Lock()
-        self._tenants: "OrderedDict[str, _TenantStats]" = OrderedDict()
         self._queued = 0
         self._queue_peak = 0
         self._batches = 0
@@ -241,6 +234,8 @@ class StencilService:
         self._batch_seq = itertools.count(1)
         self._last_execute_s = 0.0
         self._closed = False
+        with _LIVE_LOCK:
+            _LIVE.add(self)
 
     # -- kernel interning --------------------------------------------------
 
@@ -265,7 +260,7 @@ class StencilService:
             interned = self._kernels.get(fingerprint)
             if interned is None:
                 interned = self._kernels[fingerprint] = kernel
-                while len(self._kernels) > self.config.max_interned_kernels:
+                while len(self._kernels) > MAX_INTERNED_KERNELS:
                     _, evicted = self._kernels.popitem(last=False)
                     self._forget_kernel(evicted)
             else:
@@ -289,54 +284,11 @@ class StencilService:
             plan = self._fusion_cache[key] = plan_fusion(kernel, fusion)
             # Belt over the eviction braces: a handful of fusion specs per
             # live interned kernel is the expected ceiling.
-            while len(self._fusion_cache) > 8 * self.config.max_interned_kernels:
+            while len(self._fusion_cache) > 8 * MAX_INTERNED_KERNELS:
                 self._fusion_cache.popitem(last=False)
         else:
             self._fusion_cache.move_to_end(key)
         return plan
-
-    # -- accounting --------------------------------------------------------
-
-    def _tenant(self, tenant: str) -> _TenantStats:
-        stats = self._tenants.get(tenant)
-        if stats is None:
-            stats = self._tenants[tenant] = _TenantStats()
-            while len(self._tenants) > self.config.max_tenant_stats:
-                self._tenants.popitem(last=False)
-        else:
-            self._tenants.move_to_end(tenant)
-        return stats
-
-    def _slo_seconds(self) -> Optional[float]:
-        if self.config.slo_seconds is not None:
-            return self.config.slo_seconds
-        return obs.get_collector().slo_seconds
-
-    def _account_ok(
-        self, tenant: str, latency: float, trace_id: str = "", plan_label: str = ""
-    ) -> bool:
-        slo = self._slo_seconds()
-        breached = slo is not None and latency > slo
-        stats = self._tenant(tenant)
-        stats.requests += 1
-        stats.ok += 1
-        stats.hist.observe(latency, trace_id=trace_id, tenant=tenant, label=plan_label)
-        if breached:
-            stats.slo_breaches += 1
-        obs.record_request(
-            tenant, latency, "ok", slo_breached=breached,
-            trace_id=trace_id, plan_label=plan_label,
-        )
-        return breached
-
-    def _account_reject(self, tenant: str, reason: str) -> None:
-        stats = self._tenant(tenant)
-        stats.requests += 1
-        if reason == "quota":
-            stats.rejected_quota += 1
-        else:
-            stats.rejected_queue += 1
-        obs.record_request(tenant, 0.0, f"rejected_{reason}")
 
     # -- submission --------------------------------------------------------
 
@@ -360,7 +312,7 @@ class StencilService:
             # The queue drains a batch per lane at a time, so the last
             # batch's execute time is what waiting for a slot costs.
             retry_after = max(self._last_execute_s, _MIN_RETRY_AFTER_S)
-            self._account_reject(request.tenant, "queue")
+            obs.record_request(request.tenant, 0.0, "rejected_queue")
             if trace_id:
                 _stage(
                     "admit", now, self._clock(), trace_id, request,
@@ -382,7 +334,7 @@ class StencilService:
 
         admitted, retry_after = self._quota.try_acquire(request.tenant, now)
         if not admitted:
-            self._account_reject(request.tenant, "quota")
+            obs.record_request(request.tenant, 0.0, "rejected_quota")
             if trace_id:
                 _stage(
                     "admit", now, self._clock(), trace_id, request,
@@ -498,6 +450,8 @@ class StencilService:
         ``serve.batch`` span links all N coalesced members (the N:1
         structure of the paper's GEMM amortisation, Eq. 13).
         """
+        # Looked up per call, so a timing harness that rebinds these
+        # module attributes sees the served batches too.
         from repro.runtime import execute_batch, plan_for
 
         trace_id, lead_request, batch_id, members = batch_meta
@@ -580,13 +534,12 @@ class StencilService:
             end = self._clock()
             self._last_execute_s = end - exec_start
             self._dispatch()
-            queued_at_flush = self._queued
             if error is None and len(outputs) != n:
                 error = ServeError(
                     f"batched pass for {key.kernel_name} produced "
                     f"{len(outputs)} result(s) for {n} request(s)"
                 )
-            plan_label = f"{key.kernel_name}@{self.config.backend}"
+            plan_label = f"{key.kernel_name}@{self._backend_name}"
             stage_attrs = {
                 "batch_id": batch_id,
                 "batch_size": n,
@@ -616,9 +569,8 @@ class StencilService:
                 if ended:
                     continue
                 latency = end - t0
-                breached = self._account_ok(
-                    request.tenant, latency,
-                    trace_id=trace_id, plan_label=plan_label,
+                breached = obs.record_request(
+                    request.tenant, latency, trace_id=trace_id, plan_label=plan_label
                 )
                 future.set_result(
                     Response(
@@ -646,7 +598,6 @@ class StencilService:
             self._batches += 1
             self._batched_requests += n
             self._max_batch = max(self._max_batch, n)
-            obs.record_serve_batch(n, queued_at_flush, affinity_hit)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -662,11 +613,14 @@ class StencilService:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
 
     async def stop(self) -> None:
-        """Drain, then release the lanes (idempotent)."""
+        """Drain, then release the lanes (idempotent).  A stopped
+        service's counters leave the obs snapshot."""
         if self._closed:
             return
         await self.drain()
         self._closed = True
+        with _LIVE_LOCK:
+            _LIVE.discard(self)
         for lane in self._lanes:
             lane.pool.shutdown(wait=True)
 
@@ -679,7 +633,10 @@ class StencilService:
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        """JSON-able service statistics (tenants, coalescing, routing)."""
+        """JSON-able service statistics (queue, coalescing, routing).
+
+        Per-tenant statistics are the obs collector's
+        (``obs.snapshot()["tenants"]``)."""
         total = self._affinity_hits + self._affinity_misses
         return {
             "queued": self._queued,
@@ -701,8 +658,4 @@ class StencilService:
                 }
                 for lane in self._lanes
             ],
-            "tenants": {
-                tenant: stats.to_dict()
-                for tenant, stats in sorted(self._tenants.items())
-            },
         }

@@ -42,6 +42,19 @@ class TestServeTraces:
             batch_ids.add(execute["attributes"]["batch_id"])
         assert len(batch_ids) == 1  # one execute, N members — the N:1 shape
 
+    def test_exemplar_label_names_the_resolved_backend(self, flight_ring, rng):
+        from repro.runtime import get_backend
+
+        (request,) = requests(rng, 1)
+        obs._reset_for_tests()
+        try:
+            serve([request])
+            latency = obs.snapshot()["tenants"][request.tenant]["latency"]
+        finally:
+            obs._reset_for_tests()
+        ((_, trace_id, _, label),) = latency["exemplars"].values()
+        assert trace_id and label == "heat-2d@" + get_backend().name
+
     def test_queue_wait_runs_from_admit_to_dispatch(self, flight_ring, rng):
         batch = requests(rng, 2)
         serve(batch)

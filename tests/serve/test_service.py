@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import ConvStencil, get_kernel
+from repro import ConvStencil, get_kernel, obs
 from repro.errors import QueueSaturated, QuotaExceeded, ServeError, TessellationError
 from repro.serve import (
     Request,
@@ -622,12 +622,12 @@ class TestWorkConservingDispatch:
 
 
 class TestBoundedCaches:
-    def test_interned_kernels_are_lru_bounded_and_lanes_pruned(self, rng):
+    def test_interned_kernels_are_lru_bounded_and_lanes_pruned(self, rng, monkeypatch):
         names = ["heat-2d", "box-2d9p", "star-2d9p", "box-2d25p"]
+        monkeypatch.setattr("repro.serve.service.MAX_INTERNED_KERNELS", 2)
 
         async def scenario():
-            config = ServeConfig(lanes=1, max_interned_kernels=2)
-            async with StencilService(config) as service:
+            async with StencilService(ServeConfig(lanes=1)) as service:
                 for name in names:
                     response = await service.submit(
                         Request(
@@ -662,22 +662,23 @@ class TestBoundedCaches:
         assert fusion_ids <= live_ids  # ...and from the fusion cache
         assert revived.ok
 
-    def test_tenant_stats_are_lru_bounded(self, rng):
+    def test_tenant_stats_are_lru_bounded(self, rng, obs_on, monkeypatch):
+        """The collector owns per-tenant stats and their bound."""
         kernel = get_kernel("heat-2d")
+        monkeypatch.setattr("repro.obs.collector.MAX_TENANTS", 2)
 
         async def scenario():
-            config = ServeConfig(lanes=1, max_tenant_stats=2)
-            async with StencilService(config) as service:
+            async with StencilService(ServeConfig(lanes=1)) as service:
                 for tenant in ("a", "b", "c"):
                     await service.submit(
                         Request(
                             tenant, kernel=kernel, data=rng.random((8, 8)), steps=1
                         )
                     )
-                return service.stats()
 
-        stats = run_async(scenario())
-        assert set(stats["tenants"]) == {"b", "c"}
+        run_async(scenario())
+        assert set(obs.snapshot()["tenants"]) == {"b", "c"}
+        assert obs.get_collector().slo_totals()[0] == 3  # "a" still counted
 
 
 class TestAffinityRouting:
@@ -744,7 +745,12 @@ class TestLifecycleAndStats:
 
         run_async(scenario())
 
-    def test_stats_account_tenants_and_batches(self, rng):
+    def test_stats_account_tenants_and_batches(self, rng, obs_on):
+        """Each serving number has one owner: the service counts batches
+        and the queue, the collector counts tenants, and the snapshot's
+        ``serve`` block reads the running service."""
+        from repro.obs.exporter import render_prometheus
+
         kernel = get_kernel("heat-2d")
 
         async def scenario():
@@ -762,16 +768,54 @@ class TestLifecycleAndStats:
                         for tenant in ("a", "a", "b")
                     )
                 )
-                return service.stats()
+                return service.stats(), obs.snapshot()
 
-        stats = run_async(scenario())
+        stats, snap = run_async(scenario())
         assert stats["batches"] == 1
         assert stats["batched_requests"] == 3
         assert stats["max_batch"] == 3
         assert stats["queued"] == 0
-        assert stats["tenants"]["a"]["ok"] == 2
-        assert stats["tenants"]["b"]["ok"] == 1
-        assert stats["tenants"]["a"]["p99_s"] > 0.0
+        assert "tenants" not in stats
+        tenants = snap["tenants"]
+        assert tenants["a"]["outcomes"] == {"ok": 2}
+        assert tenants["b"]["outcomes"] == {"ok": 1}
+        assert tenants["a"]["p99_s"] > 0.0
+        serve = snap["serve"]
+        for key in ("batches", "batched_requests", "max_batch"):
+            assert serve[key] == stats[key], key
+        assert serve["queue_depth"] == 0
+        assert "repro_serve_queue_depth 0.0" in render_prometheus(snap).splitlines()
+        # A stopped service's counters leave the snapshot.
+        assert obs.snapshot()["serve"]["batches"] == 0
+
+    def test_live_registry_survives_concurrent_builds_and_snapshots(self):
+        """Services register and unregister on other threads while the
+        snapshot reads the registry, as the exporter thread does."""
+        import sys
+
+        errors = []
+
+        def churn():
+            try:
+                for _ in range(50):
+                    asyncio.run(StencilService(ServeConfig(lanes=1)).stop())
+            except Exception as exc:  # re-raised below via the assert
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=churn) for _ in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            while any(thread.is_alive() for thread in threads):
+                obs.get_collector().snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+            for thread in threads:
+                thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
 
 
 class TestLoadgen:
