@@ -269,21 +269,21 @@ def _run_verify(argv: List[str]) -> List[str]:
 def _run_lint(argv: List[str]) -> List[str]:
     """The ``lint`` subcommand: every staticcheck layer as a gate.
 
-    Report lines (text, one JSON document, or one SARIF 2.1.0 document)
-    go to stdout only; on error-severity findings the report is still
-    printed before the nonzero-exit
-    :class:`~repro.errors.StaticCheckError` is raised, whose message
-    ``main`` routes to stderr — so ``--format json``/``sarif`` stdout
-    stays machine-parseable either way.
+    Report lines (text, or one JSON document) go to stdout only; on
+    error-severity findings the report is still printed before the
+    nonzero-exit :class:`~repro.errors.StaticCheckError` is raised, whose
+    message ``main`` routes to stderr — so ``--format json`` stdout stays
+    machine-parseable either way.
     """
     parser = argparse.ArgumentParser(
         prog="convstencil lint",
         description=(
-            "Static determinism & safety checks: the AST linter "
-            "(RPR001-006), the plan/LUT verifier over the kernel catalog "
-            "(RPR201-207), the concurrency discipline rules (RPR102-103), "
-            "the generated-kernel prover (RPR400-406), and the asyncio "
-            "serve-layer rules (RPR301-304)"
+            "Static determinism & safety checks: the AST rules "
+            "(RPR002, RPR004, RPR006), the plan/LUT verifier over the "
+            "kernel catalog (RPR201-204, RPR206, RPR207), the concurrency "
+            "discipline rules (RPR102-103), the generated-kernel prover "
+            "(RPR400-406), and the asyncio serve-layer rules (RPR301-305); "
+            "RPR000 marks a module that does not parse"
         ),
     )
     parser.add_argument(
@@ -293,27 +293,9 @@ def _run_lint(argv: List[str]) -> List[str]:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
-        help="report format (default text; json/sarif emit one document)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="baseline file of known findings to suppress "
-        "(default .staticcheck-baseline.json if present)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record the current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="drop baseline entries that no longer match any finding, "
-        "then exit 0",
+        help="report format (default text; json emits one document)",
     )
     parser.add_argument(
         "--no-plans",
@@ -323,39 +305,11 @@ def _run_lint(argv: List[str]) -> List[str]:
     )
     args = parser.parse_args(argv)
 
-    from repro.staticcheck import (
-        load_baseline,
-        prune_baseline,
-        render_json,
-        render_sarif,
-        render_text,
-        run_lint,
-        write_baseline,
-    )
-    from repro.staticcheck.report import DEFAULT_BASELINE
+    from repro.staticcheck import render_json, render_text, run_lint
 
-    baseline_path = args.baseline if args.baseline else DEFAULT_BASELINE
-    subtract = not (args.write_baseline or args.prune_baseline)
-    baseline = load_baseline(baseline_path) if subtract else []
-    result = run_lint(
-        paths=args.paths or None,
-        include_plans=not args.no_plans,
-        baseline=baseline,
-    )
-    if args.write_baseline:
-        n = write_baseline(baseline_path, result)
-        return [f"staticcheck: wrote baseline {baseline_path} ({n} findings)"]
-    if args.prune_baseline:
-        kept, pruned = prune_baseline(baseline_path, result)
-        return [
-            f"staticcheck: pruned {pruned} stale baseline entr"
-            + ("y" if pruned == 1 else "ies")
-            + f" from {baseline_path} ({kept} kept)"
-        ]
+    result = run_lint(paths=args.paths or None, include_plans=not args.no_plans)
     if args.format == "json":
         lines = render_json(result).splitlines()
-    elif args.format == "sarif":
-        lines = render_sarif(result).splitlines()
     else:
         lines = render_text(result)
     if not result.ok:

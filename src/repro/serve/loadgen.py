@@ -147,11 +147,13 @@ async def replay(
     Each wave is submitted concurrently (maximal coalescing pressure)
     and awaited before the next begins.  With ``check_identity`` every
     accepted response is compared bitwise against a direct
-    ``ConvStencil.run`` of the same request.
+    ``ConvStencil.run`` of the same request.  Batch and routing numbers
+    cover this replay only, even on a long-lived service.
     """
     if waves < 1:
         raise ServeError(f"waves must be >= 1, got {waves}")
     mark = telemetry.get_tracer().total_recorded
+    before = service.stats()
     responses: List[Optional[Response]] = [None] * len(trace)
     per_wave = max(1, (len(trace) + waves - 1) // waves)
     for start in range(0, len(trace), per_wave):
@@ -172,7 +174,7 @@ async def replay(
             ):
                 mismatches.append(request.request_id)
     report = summarize(
-        trace, responses, service, mismatches, checked=check_identity
+        trace, responses, service, mismatches, checked=check_identity, since=before
     )
     report["flight"] = _flight_report(trace, responses, mark)
     return report
@@ -241,9 +243,23 @@ def summarize(
     mismatches: Sequence[str],
     *,
     checked: bool,
+    since: Dict[str, Any],
 ) -> Dict[str, Any]:
-    """Fold a replay into the JSON-able report the CLI prints."""
+    """Fold a replay into the JSON-able report the CLI prints.
+
+    ``batches``, ``mean_batch`` and ``affinity_hit_rate`` are deltas of
+    ``service.stats()`` from ``since`` (the stats taken before the
+    replay), and ``max_batch`` is the largest batch among ``responses``,
+    so every count in the report covers the same requests.  ``service``
+    keeps the whole-run stats.
+    """
     stats = service.stats()
+
+    def delta(key: str) -> int:
+        return stats[key] - since[key]
+
+    batches = delta("batches")
+    routed = delta("affinity_hits") + delta("affinity_misses")
     ok = sum(1 for r in responses if r is not None and r.ok)
     rejected = sum(1 for r in responses if r is not None and r.rejected)
     coalesced = sum(
@@ -272,10 +288,12 @@ def summarize(
         "ok": ok,
         "rejected": rejected,
         "coalesced": coalesced,
-        "mean_batch": stats["mean_batch"],
-        "max_batch": stats["max_batch"],
-        "batches": stats["batches"],
-        "affinity_hit_rate": stats["affinity_hit_rate"],
+        "mean_batch": delta("batched_requests") / batches if batches else 0.0,
+        "max_batch": max(
+            (r.batch_size for r in responses if r is not None), default=0
+        ),
+        "batches": batches,
+        "affinity_hit_rate": delta("affinity_hits") / routed if routed else 0.0,
         "identity_checked": checked,
         "identity_ok": not mismatches,
         "mismatches": list(mismatches),

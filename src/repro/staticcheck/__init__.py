@@ -1,16 +1,17 @@
 """repro.staticcheck — the determinism & safety static analyzer.
 
 Five layers behind one finding model and one reporter (see DESIGN.md
-"Static checks"):
+"Static analysis"):
 
-1. **AST determinism/numerics linter** (:mod:`.rules_ast`, RPR001–006) —
-   the bit-stability hazard classes the PR 3 differential harness caught
-   dynamically, flagged in source text before anything runs.
-2. **Plan/LUT static verifier** (:mod:`.plan_invariants`, RPR201–207) —
-   proves the paper's stencil2row/dirty-zone/triangular-weights
-   invariants on built (never executed) execution plans; auto-runs on
-   every :class:`~repro.runtime.cache.PlanCache` insert under
-   ``REPRO_STATICCHECK=1``.
+1. **AST determinism rules** (:mod:`.rules_ast`, RPR002, RPR004,
+   RPR006) — unpinned GEMMs in engine hot paths, unseeded or global
+   RNG and clock reads, and swallowed exceptions, flagged in source text
+   before anything runs.
+2. **Plan/LUT static verifier** (:mod:`.plan_invariants`, RPR201–204,
+   RPR206, RPR207) — proves the paper's stencil2row/dirty-zone/
+   triangular-weights invariants on built (never executed) execution
+   plans; auto-runs on every :class:`~repro.runtime.cache.PlanCache`
+   insert under ``REPRO_STATICCHECK=1``.
 3. **Concurrency discipline checker** (:mod:`.rules_concurrency`,
    RPR102–103) — `with`-only ordered locking and no blocking under the
    PlanCache global lock.
@@ -20,15 +21,16 @@ Five layers behind one finding model and one reporter (see DESIGN.md
    tiling, GEMM conformance, float64 end-to-end, deterministic op
    order.  Gates the compiled-kernel cache under ``REPRO_STATICCHECK=1``
    exactly as layer 2 gates plan inserts.
-5. **Asyncio concurrency rules** (:mod:`.rules_async`, RPR301–304) —
+5. **Asyncio concurrency rules** (:mod:`.rules_async`, RPR301–305) —
    the serve/obs hazard shapes: await under a sync lock, blocking calls
    in coroutines, fire-and-forget tasks, executor dispatch under the
-   service lock.
+   service lock, and serve hand-offs that drop the trace context.
 
-Entry points: ``repro lint`` on the command line (``--format
-text|json|sarif``, ``--prune-baseline``), :func:`run_lint` /
-:func:`check_plan` / :func:`check_generated` from tests.  Suppress
-intentionally exempt lines with ``# staticcheck: disable=RPR00x``.
+A module that does not parse is itself a finding, RPR000.  Entry points:
+``repro lint`` on the command line (``--format text|json``,
+``--no-plans``), :func:`run_lint` / :func:`check_plan` /
+:func:`check_generated` from tests.  Suppress an intentionally exempt
+line with a trailing ``# staticcheck: disable=RPRxxx``.
 """
 
 from repro.staticcheck.engine import (
@@ -54,15 +56,7 @@ from repro.staticcheck.plan_invariants import (
     check_plan_catalog,
     eq13_mma_count,
 )
-from repro.staticcheck.report import (
-    DEFAULT_BASELINE,
-    load_baseline,
-    prune_baseline,
-    render_json,
-    render_sarif,
-    render_text,
-    write_baseline,
-)
+from repro.staticcheck.report import render_json, render_text
 from repro.staticcheck.symexec import (
     check_gemm_spec,
     check_generated,
@@ -70,7 +64,6 @@ from repro.staticcheck.symexec import (
 )
 
 __all__ = [
-    "DEFAULT_BASELINE",
     "Finding",
     "GEMM_PINNED_MARK",
     "LintResult",
@@ -87,14 +80,10 @@ __all__ = [
     "eq13_mma_count",
     "lint_paths",
     "lint_sources",
-    "load_baseline",
-    "prune_baseline",
     "render_json",
-    "render_sarif",
     "render_text",
     "run_lint",
     "sort_findings",
     "source_snippet",
     "staticcheck_enabled",
-    "write_baseline",
 ]

@@ -2,20 +2,18 @@
 
 The engine owns everything rule implementations should not re-implement:
 
-* locating and parsing the Python files under the checked paths (a file
-  that fails to parse is itself a finding, ``RPR000``);
+* locating and parsing the Python files under the checked paths, or the
+  in-memory sources of generated kernels, through one per-module loop (a
+  module that fails to parse is itself a finding, ``RPR000``);
 * the inline suppression syntax — a trailing ``# staticcheck:
-  disable=RPR001`` silences listed rules on that line, and a standalone
-  ``# staticcheck: disable-file=RPR004`` anywhere in the file silences
-  them file-wide (``disable=all`` works in both forms);
+  disable=RPR004`` silences the listed rules on that line only;
 * the rule registry (:func:`rule`, :func:`all_rules`) that
-  :mod:`repro.staticcheck.rules_ast` and
-  :mod:`repro.staticcheck.rules_concurrency` populate;
-* baseline subtraction, so a legacy tree can adopt the gate green and
-  burn findings down incrementally;
+  :mod:`repro.staticcheck.rules_ast`,
+  :mod:`repro.staticcheck.rules_concurrency` and
+  :mod:`repro.staticcheck.rules_async` populate;
 * aggregation into a :class:`LintResult`, including the plan-invariant
-  layer (:mod:`repro.staticcheck.plan_invariants`) run over the kernel
-  catalog.
+  layer (:mod:`repro.staticcheck.plan_invariants`) and the generated-kernel
+  prover (:mod:`repro.staticcheck.symexec`) run over the kernel catalog.
 
 Telemetry: from the ``metrics`` level up every run adds to the obs
 counters ``staticcheck.files`` / ``staticcheck.findings`` and (via the
@@ -30,7 +28,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
 
 from repro import obs, telemetry
 from repro.staticcheck.finding import Finding, sort_findings, source_snippet
@@ -68,9 +66,7 @@ def staticcheck_enabled(env: Optional[Dict[str, str]] = None) -> bool:
         "on",
     )
 
-_SUPPRESS_RE = re.compile(
-    r"#\s*staticcheck:\s*disable(?P<scope>-file)?\s*=\s*(?P<rules>[A-Za-z0-9_,\s]+)"
-)
+_SUPPRESS_RE = re.compile(r"#\s*staticcheck:\s*disable\s*=\s*(?P<rules>[A-Za-z0-9_,\s]+)")
 
 #: Marker acknowledging that a GEMM's operand shapes are pinned (RPR002).
 GEMM_PINNED_MARK = "staticcheck: gemm-shape-pinned"
@@ -135,7 +131,6 @@ class ModuleSource:
         self.lines = text.splitlines()
         self.tree = tree
         self._line_suppressed: Dict[int, Set[str]] = {}
-        self._file_suppressed: Set[str] = set()
         self._scan_suppressions()
         for node in ast.walk(tree):
             for child in ast.iter_child_nodes(node):
@@ -144,32 +139,23 @@ class ModuleSource:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def parse(cls, path: str, text: Optional[str] = None) -> "ModuleSource":
-        """Parse ``path`` (or the given ``text``) into a ModuleSource."""
-        if text is None:
-            text = Path(path).read_text()
-        tree = ast.parse(text, filename=path)
-        return cls(path, text, tree)
+    def parse(cls, path: str, text: str) -> "ModuleSource":
+        """Parse ``text`` into a ModuleSource displayed as ``path``."""
+        return cls(path, text, ast.parse(text, filename=path))
 
     def _scan_suppressions(self) -> None:
         for lineno, line in enumerate(self.lines, 1):
             m = _SUPPRESS_RE.search(line)
-            if not m:
-                continue
-            ids = {r.strip() for r in m.group("rules").split(",") if r.strip()}
-            if m.group("scope"):
-                self._file_suppressed |= ids
-            else:
-                self._line_suppressed.setdefault(lineno, set()).update(ids)
+            if m:
+                self._line_suppressed[lineno] = {
+                    r.strip() for r in m.group("rules").split(",") if r.strip()
+                }
 
     # -- queries -----------------------------------------------------------
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
-        """True when ``rule_id`` is silenced on ``line`` or file-wide."""
-        for scope in (self._file_suppressed, self._line_suppressed.get(line, set())):
-            if rule_id in scope or "all" in scope:
-                return True
-        return False
+        """True when ``rule_id`` is silenced on ``line``."""
+        return rule_id in self._line_suppressed.get(line, ())
 
     def has_marker(self, marker: str, node: ast.AST) -> bool:
         """True when ``marker`` appears inside the function enclosing ``node``
@@ -211,14 +197,12 @@ class ModuleSource:
 
 @dataclass
 class LintResult:
-    """Aggregated outcome of one lint run across all three layers."""
+    """Aggregated outcome of one lint run across every layer."""
 
     findings: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
     plans_checked: int = 0
-    baseline_suppressed: int = 0
     kernels_checked: int = 0
-    baseline_stale: int = 0
 
     @property
     def errors(self) -> List[Finding]:
@@ -227,7 +211,7 @@ class LintResult:
 
     @property
     def ok(self) -> bool:
-        """True when no error-severity finding survived the baseline."""
+        """True when no finding has ``error`` severity."""
         return not self.errors
 
     def counts(self) -> Dict[str, int]:
@@ -244,8 +228,6 @@ class LintResult:
             "files_scanned": self.files_scanned,
             "plans_checked": self.plans_checked,
             "kernels_checked": self.kernels_checked,
-            "baseline_suppressed": self.baseline_suppressed,
-            "baseline_stale": self.baseline_stale,
             "counts": self.counts(),
             "findings": [f.to_dict() for f in sort_findings(self.findings)],
         }
@@ -261,7 +243,7 @@ def _iter_py_files(paths: Sequence[str]) -> Iterator[Path]:
 
 
 def _display_path(p: Path) -> str:
-    """Repo/cwd-relative posix path when possible (stable baseline keys)."""
+    """Cwd-relative posix path when possible, else the path as given."""
     try:
         rel = p.resolve().relative_to(Path.cwd().resolve())
         return rel.as_posix()
@@ -276,45 +258,64 @@ def default_paths() -> List[str]:
     return [str(Path(repro.__file__).parent)]
 
 
+def _lint_module(
+    result: LintResult,
+    rules: Sequence[Rule],
+    name: str,
+    read: Callable[[], str],
+    origin: Optional[str] = None,
+) -> None:
+    """Parse → ``RPR000`` → every rule → line suppression, for one module.
+
+    ``read`` returns the source (a file read may fail like a parse does).
+    An ``origin`` marks detached generated source: its findings carry
+    that provenance and a numbered snippet around the hit.
+    """
+    result.files_scanned += 1
+    try:
+        source = read()
+        module = ModuleSource.parse(name, source)
+    except (SyntaxError, UnicodeDecodeError, OSError) as exc:
+        result.findings.append(
+            Finding(
+                rule_id="RPR000",
+                severity="error",
+                file=name,
+                line=int(getattr(exc, "lineno", 0) or 0),
+                message=f"does not parse: {type(exc).__name__}: "
+                f"{getattr(exc, 'msg', exc)}",
+                fix_hint="fix the syntax error; unparsed sources cannot be checked",
+                origin=origin or "",
+            )
+        )
+        return
+    for entry in rules:
+        for f in entry.check(module):
+            if module.is_suppressed(f.rule_id, f.line):
+                continue
+            if origin is not None:
+                f = f.with_context(origin, source_snippet(source, f.line))
+            result.findings.append(f)
+
+
 def lint_paths(paths: Sequence[str]) -> LintResult:
-    """Run layers 1 and 3 (all registered AST rules) over ``paths``."""
+    """Run every registered AST rule over the Python files under ``paths``."""
     rules = list(all_rules().values())
     result = LintResult()
     for path in _iter_py_files(paths):
-        result.files_scanned += 1
-        display = _display_path(path)
-        try:
-            module = ModuleSource.parse(str(path))
-        except (SyntaxError, UnicodeDecodeError, OSError) as exc:
-            line = getattr(exc, "lineno", 0) or 0
-            result.findings.append(
-                Finding(
-                    rule_id="RPR000",
-                    severity="error",
-                    file=display,
-                    line=int(line),
-                    message=f"file does not parse: {type(exc).__name__}: {exc}",
-                    fix_hint="fix the syntax error; unparsed files cannot be checked",
-                )
-            )
-            continue
-        module.path = display
-        for entry in rules:
-            for f in entry.check(module):
-                if not module.is_suppressed(f.rule_id, f.line):
-                    result.findings.append(f)
+        _lint_module(result, rules, _display_path(path), path.read_text)
+    result.findings = sort_findings(result.findings)
     return result
 
 
 def lint_sources(sources, origins: Optional[Dict[str, str]] = None) -> LintResult:
-    """Run all registered AST rules over in-memory ``{name: source}`` text.
+    """Run every registered AST rule over in-memory ``{name: source}`` text.
 
     The generated-code hook: :mod:`repro.codegen.compiled` emits kernels
-    that never touch disk, and this applies the same rule set (with the
-    same inline-suppression semantics) to their source strings.  ``sources``
-    is a mapping of display name → source text, or an iterable of
-    ``(name, text)`` pairs.  Unparseable text is an ``RPR000`` finding,
-    mirroring :func:`lint_paths`.
+    that never touch disk, and this applies the same per-module loop as
+    :func:`lint_paths` to their source strings.  ``sources`` is a mapping
+    of display name → source text, or an iterable of ``(name, text)``
+    pairs.
 
     Because the linted text is detached (no editor can open the finding's
     pseudo-path), every finding carries a numbered source snippet around
@@ -326,74 +327,33 @@ def lint_sources(sources, origins: Optional[Dict[str, str]] = None) -> LintResul
     origins = origins or {}
     result = LintResult()
     for name, text in pairs:
-        result.files_scanned += 1
-        origin = origins.get(str(name), "")
-        try:
-            module = ModuleSource.parse(str(name), text=text)
-        except SyntaxError as exc:
-            result.findings.append(
-                Finding(
-                    rule_id="RPR000",
-                    severity="error",
-                    file=str(name),
-                    line=int(getattr(exc, "lineno", 0) or 0),
-                    message=f"source does not parse: {type(exc).__name__}: {exc}",
-                    fix_hint="fix the generator; unparsed sources cannot be checked",
-                    origin=origin,
-                )
-            )
-            continue
-        for entry in rules:
-            for f in entry.check(module):
-                if module.is_suppressed(f.rule_id, f.line):
-                    continue
-                result.findings.append(
-                    f.with_context(origin, source_snippet(text, f.line))
-                )
+        name = str(name)
+        _lint_module(result, rules, name, lambda t=text: t, origins.get(name, ""))
     result.findings = sort_findings(result.findings)
     return result
 
 
 def run_lint(
-    paths: Optional[Sequence[str]] = None,
-    include_plans: bool = True,
-    baseline: Optional[Iterable[Finding]] = None,
-    include_generated: Optional[bool] = None,
+    paths: Optional[Sequence[str]] = None, include_plans: bool = True
 ) -> LintResult:
-    """Run all staticcheck layers and fold in the baseline.
+    """Run every staticcheck layer.
 
-    ``paths`` defaults to the installed ``repro`` package; ``baseline``
-    findings (matched by :attr:`Finding.baseline_key`) are subtracted and
-    counted rather than reported — entries matching nothing are counted
-    in :attr:`LintResult.baseline_stale` so a dead suppression cannot
-    silently mask a future regression.  ``include_generated`` adds the
-    layer-4 sweep (symbolic execution of every catalogued kernel's
-    generated code); it defaults to following ``include_plans``.
+    ``paths`` defaults to the installed ``repro`` package.
+    ``include_plans`` adds the plan-invariant layer over the kernel
+    catalog and the generated-kernel prover (symbolic execution of every
+    catalogued kernel's generated code).
     """
-    if include_generated is None:
-        include_generated = include_plans
     with telemetry.span("staticcheck.lint") as sp:
         result = lint_paths(paths if paths else default_paths())
         if include_plans:
             from repro.staticcheck.plan_invariants import check_plan_catalog
-
-            plan_findings, plans = check_plan_catalog()
-            result.findings.extend(plan_findings)
-            result.plans_checked = plans
-        if include_generated:
             from repro.staticcheck.symexec import check_generated_catalog
 
-            kernel_findings, kernels = check_generated_catalog()
-            result.findings.extend(kernel_findings)
-            result.kernels_checked = kernels
-        if baseline:
-            known = {f.baseline_key for f in baseline}
-            current = {f.baseline_key for f in result.findings}
-            result.baseline_stale = len(known - current)
-            kept = [f for f in result.findings if f.baseline_key not in known]
-            result.baseline_suppressed = len(result.findings) - len(kept)
-            result.findings = kept
-        result.findings = sort_findings(result.findings)
+            plan_findings, result.plans_checked = check_plan_catalog()
+            kernel_findings, result.kernels_checked = check_generated_catalog()
+            result.findings = sort_findings(
+                result.findings + plan_findings + kernel_findings
+            )
         obs.count("staticcheck.files", result.files_scanned)
         obs.count("staticcheck.findings", len(result.findings))
         sp.set_attribute("files", result.files_scanned)

@@ -1,18 +1,18 @@
 """The unified finding model every staticcheck layer emits.
 
 A :class:`Finding` is one diagnosed hazard: which rule fired
-(``rule_id``, e.g. ``RPR001``), how bad it is (``severity``), where it
+(``rule_id``, e.g. ``RPR004``), how bad it is (``severity``), where it
 lives (``file``/``line`` — plan-level findings use a ``plan:<kernel>``
 pseudo-path and line 0), what is wrong (``message``), and what to do
-about it (``fix_hint``).  All three layers — the AST determinism linter,
-the plan/LUT verifier, and the concurrency discipline checker — emit this
-one shape, so the reporter, the baseline file, and the JSON gate never
+about it (``fix_hint``).  Every layer — the AST rules, the plan/LUT
+verifier, the concurrency and asyncio rules, and the generated-kernel
+prover — emits this one shape, so the reporter and the JSON gate never
 special-case a layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Tuple
 
 __all__ = [
@@ -40,15 +40,12 @@ def severity_rank(severity: str) -> int:
 class Finding:
     """One static-analysis finding (JSON-serialisable).
 
-    ``baseline_key`` deliberately omits the line number: baselines must
-    survive unrelated edits shifting code up or down a file.
-
     ``origin`` and ``snippet`` exist for findings in *generated* code,
     whose ``file`` is a detached pseudo-path no editor can open: ``origin``
     names what produced the source (plan key, kernel digest), ``snippet``
     is a numbered source excerpt around the hit so the finding is
     actionable without re-generating the kernel.  Both are empty for
-    findings in on-disk files and excluded from ``baseline_key``.
+    findings in on-disk files.
     """
 
     rule_id: str
@@ -67,10 +64,10 @@ class Finding:
             )
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form used by the JSON reporter and the baseline file.
+        """Plain-dict form used by the JSON reporter.
 
         The generated-code fields are included only when set, so reports
-        and baselines for on-disk findings keep their historical shape.
+        for on-disk findings keep their historical shape.
         """
         d = asdict(self)
         if not self.origin:
@@ -78,25 +75,6 @@ class Finding:
         if not self.snippet:
             del d["snippet"]
         return d
-
-    @staticmethod
-    def from_dict(d: Dict[str, object]) -> "Finding":
-        """Inverse of :meth:`to_dict` (ignores unknown keys)."""
-        return Finding(
-            rule_id=str(d["rule_id"]),
-            severity=str(d["severity"]),
-            file=str(d["file"]),
-            line=int(d.get("line", 0)),
-            message=str(d["message"]),
-            fix_hint=str(d.get("fix_hint", "")),
-            origin=str(d.get("origin", "")),
-            snippet=str(d.get("snippet", "")),
-        )
-
-    @property
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Identity used by the baseline file: ``(rule_id, file, message)``."""
-        return (self.rule_id, self.file, self.message)
 
     def format(self) -> str:
         """One-line human rendering: ``file:line: severity RPRxxx message``."""

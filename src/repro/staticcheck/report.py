@@ -1,60 +1,26 @@
-"""Rendering and baseline persistence for staticcheck results.
+"""Rendering for staticcheck results.
 
 One reporter serves all staticcheck layers: the text form for humans (one
-``file:line: severity RPRxxx message`` line per finding plus a summary),
-the JSON form for the CI gate (``repro lint --format json`` — a single
-machine-parseable document on stdout, never interleaved with logs), the
-SARIF 2.1.0 form (``--format sarif``) GitHub code scanning ingests as
-inline annotations, and the baseline file that lets a tree adopt the gate
-green and burn existing findings down incrementally (matched by
-:attr:`Finding.baseline_key`, so line-number drift does not resurrect
-them).  Baseline entries that stopped matching anything are *stale*:
-:func:`render_text` warns about them and :func:`prune_baseline` (``repro
-lint --prune-baseline``) rewrites the file without them, so a dead
-suppression cannot silently mask the same finding coming back later.
+``file:line: severity RPRxxx message`` line per finding plus a summary)
+and the JSON form for the CI gate (``repro lint --format json`` — a
+single machine-parseable document on stdout, never interleaved with
+logs).
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import List, Tuple
+from typing import List
 
-from repro.staticcheck.engine import LintResult, all_rules
-from repro.staticcheck.finding import Finding, sort_findings
+from repro.staticcheck.engine import LintResult
+from repro.staticcheck.finding import sort_findings
 
-__all__ = [
-    "DEFAULT_BASELINE",
-    "load_baseline",
-    "prune_baseline",
-    "render_json",
-    "render_sarif",
-    "render_text",
-    "write_baseline",
-]
-
-#: Baseline file ``repro lint`` reads when none is given explicitly.
-DEFAULT_BASELINE = ".staticcheck-baseline.json"
-
-#: SARIF 2.1.0 schema/version pinned by the GitHub code-scanning ingester.
-_SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
-_SARIF_VERSION = "2.1.0"
-
-#: Finding severity → SARIF result level.
-_SARIF_LEVELS = {"error": "error", "warning": "warning", "info": "note"}
+__all__ = ["render_json", "render_text"]
 
 
 def render_text(result: LintResult) -> List[str]:
     """Human-readable report lines: findings first, then the summary."""
     lines = [f.format() for f in sort_findings(result.findings)]
-    if result.baseline_stale:
-        lines.append(
-            f"warning: {result.baseline_stale} stale baseline "
-            "entr" + ("y" if result.baseline_stale == 1 else "ies")
-            + " no longer match any finding — run `repro lint "
-            "--prune-baseline` so dead suppressions cannot mask "
-            "regressions"
-        )
     counts = result.counts()
     summary = (
         f"staticcheck: {result.files_scanned} files, "
@@ -63,8 +29,6 @@ def render_text(result: LintResult) -> List[str]:
     )
     if result.kernels_checked:
         summary += f", {result.kernels_checked} kernels"
-    if result.baseline_suppressed:
-        summary += f" ({result.baseline_suppressed} baselined)"
     lines.append(summary)
     lines.append("OK" if result.ok else "FAIL")
     return lines
@@ -73,133 +37,3 @@ def render_text(result: LintResult) -> List[str]:
 def render_json(result: LintResult) -> str:
     """The machine-readable report: one JSON document, stable key order."""
     return json.dumps(result.to_dict(), indent=2, sort_keys=True)
-
-
-def _sarif_uri(file: str) -> str:
-    """A SARIF artifact URI for a finding's file.
-
-    Findings in places no checkout contains — ``plan:<kernel>`` pseudo-
-    paths and generated-kernel names — keep a stable, slash-free URI so
-    ingesters accept the document without resolving it to a real file.
-    """
-    if ":" in file.split("/")[-1] or file.startswith("plan:"):
-        return file.replace(":", "/")
-    return file
-
-
-def render_sarif(result: LintResult) -> str:
-    """The SARIF 2.1.0 report GitHub code scanning ingests.
-
-    One run, one driver (``repro-staticcheck``); every registered rule is
-    listed under the driver (plus ad-hoc ids for layer rules that emit
-    without registry entries, e.g. the plan and symexec layers), and each
-    finding becomes one ``result`` with a physical location.  Region
-    lines are clamped to ≥1 (plan- and spec-level findings anchor at
-    line 0, which SARIF does not allow).
-    """
-    rules = {}
-    for rule_id, entry in sorted(all_rules().items()):
-        rules[rule_id] = {
-            "id": rule_id,
-            "shortDescription": {"text": entry.summary},
-            "defaultConfiguration": {
-                "level": _SARIF_LEVELS.get(entry.severity, "warning")
-            },
-        }
-    results = []
-    for f in sort_findings(result.findings):
-        if f.rule_id not in rules:
-            rules[f.rule_id] = {
-                "id": f.rule_id,
-                "shortDescription": {"text": f.rule_id},
-                "defaultConfiguration": {
-                    "level": _SARIF_LEVELS.get(f.severity, "warning")
-                },
-            }
-        message = f.message
-        if f.fix_hint:
-            message += f" [{f.fix_hint}]"
-        if f.origin:
-            message += f" ({f.origin})"
-        results.append(
-            {
-                "ruleId": f.rule_id,
-                "level": _SARIF_LEVELS.get(f.severity, "warning"),
-                "message": {"text": message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {
-                                "uri": _sarif_uri(f.file),
-                                "uriBaseId": "%SRCROOT%",
-                            },
-                            "region": {"startLine": max(1, f.line)},
-                        }
-                    }
-                ],
-            }
-        )
-    document = {
-        "$schema": _SARIF_SCHEMA,
-        "version": _SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-staticcheck",
-                        "rules": [rules[k] for k in sorted(rules)],
-                    }
-                },
-                "results": results,
-                "properties": {
-                    "filesScanned": result.files_scanned,
-                    "plansChecked": result.plans_checked,
-                    "kernelsChecked": result.kernels_checked,
-                    "baselineSuppressed": result.baseline_suppressed,
-                },
-            }
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)
-
-
-def load_baseline(path: str = DEFAULT_BASELINE) -> List[Finding]:
-    """Findings recorded in the baseline file (missing file → empty)."""
-    p = Path(path)
-    if not p.exists():
-        return []
-    payload = json.loads(p.read_text())
-    return [Finding.from_dict(d) for d in payload.get("findings", [])]
-
-
-def prune_baseline(path: str, result: LintResult) -> Tuple[int, int]:
-    """Drop baseline entries matching none of ``result``'s findings.
-
-    ``result`` must be an *unsubtracted* run (no baseline folded in), so
-    live entries still match.  Rewrites ``path`` in place and returns
-    ``(kept, pruned)``; a missing baseline is a no-op ``(0, 0)``.
-    """
-    entries = load_baseline(path)
-    if not entries:
-        return (0, 0)
-    current = {f.baseline_key for f in result.findings}
-    kept = [f for f in entries if f.baseline_key in current]
-    pruned = len(entries) - len(kept)
-    if pruned:
-        write_baseline(path, LintResult(findings=kept))
-    return (len(kept), pruned)
-
-
-def write_baseline(path: str, result: LintResult) -> int:
-    """Record ``result``'s findings as the new baseline; returns the count."""
-    findings = sort_findings(result.findings)
-    payload = {
-        "comment": (
-            "staticcheck baseline: findings listed here are suppressed by "
-            "`repro lint` (matched by rule_id+file+message). Burn them "
-            "down; do not add to them."
-        ),
-        "findings": [f.to_dict() for f in findings],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return len(findings)

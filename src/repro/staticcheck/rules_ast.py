@@ -1,29 +1,17 @@
-"""Layer 1 — AST determinism & numerics rules (RPR001–RPR006).
+"""Layer 1 — AST determinism & robustness rules (RPR002, RPR004, RPR006).
 
 Every rule here flags a *bit-stability or robustness hazard that is fully
-visible in the source text* — the lesson of the PR 3 incident, where
-``np.einsum(..., optimize=True)`` silently chose size-dependent
-contraction paths and broke bit-identity between the serial and tiled
-backends only at run time, under a differential harness.  Catching the
-same hazard class at lint time moves that gate before execution:
+visible in the source text*, so the hazard class is rejected at lint time
+instead of under a differential harness at run time:
 
 ========  ==================================================================
-RPR001    ``np.einsum`` with ``optimize=`` anything but the literal
-          ``False`` — contraction order (and therefore FP64 bits) becomes
-          a function of operand *size*.
 RPR002    GEMMs (``@`` / ``np.dot`` / ``np.matmul``) in engine hot paths
           whose enclosing function manipulates batch/tile/chunk extents,
           without the ``# staticcheck: gemm-shape-pinned`` marker
           acknowledging the GEMM's shape is invariant under those knobs.
-RPR003    Float accumulation strategy mixing: ``sum()`` seeded with a
-          float start value, or ``math.fsum`` and builtin ``sum`` used in
-          the same function — two different summation orders for the same
-          quantity.
 RPR004    Nondeterminism sources: unseeded ``np.random.default_rng()``,
           the legacy ``np.random.*`` global-state API, the ``random``
           module, and wall-clock ``time.*`` reads in library code.
-RPR005    Numeric reductions over *unordered* set expressions — iteration
-          order, and therefore FP64 accumulation order, is unspecified.
 RPR006    Bare ``except:`` (and broad ``except Exception: pass``) —
           swallowed failures in runtime workers turn crashes into silent
           wrong answers.
@@ -36,7 +24,7 @@ disable=RPR00x`` (see :mod:`repro.staticcheck.engine`).
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set
+from typing import Iterator, Set
 
 from repro.staticcheck.engine import GEMM_PINNED_MARK, ModuleSource, rule
 from repro.staticcheck.finding import Finding
@@ -90,46 +78,6 @@ def _imports_module(module: ModuleSource, name: str) -> bool:
             if any(alias.name == name for alias in node.names):
                 return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# RPR001 — einsum optimize
-
-
-@rule(
-    "RPR001",
-    "error",
-    "np.einsum with a non-False optimize= picks size-dependent contraction paths",
-)
-def check_einsum_optimize(module: ModuleSource) -> Iterator[Finding]:
-    """Flag ``einsum(..., optimize=X)`` unless ``X`` is the literal ``False``."""
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _dotted(node.func)
-        if not (name == "einsum" or name.endswith(".einsum")):
-            continue
-        for kw in node.keywords:
-            if kw.arg != "optimize":
-                continue
-            if isinstance(kw.value, ast.Constant) and kw.value.value is False:
-                continue
-            what = (
-                "a variable"
-                if not isinstance(kw.value, ast.Constant)
-                else repr(kw.value.value)
-            )
-            yield module.finding(
-                "RPR001",
-                "error",
-                node,
-                f"einsum with optimize={what}: the contraction path (and "
-                "the FP64 bits) become a function of operand size",
-                fix_hint=(
-                    "drop optimize= (the default path is deterministic) or "
-                    "rewrite as an explicit stacked matmul with pinned shapes"
-                ),
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -215,70 +163,6 @@ def check_unpinned_gemm(module: ModuleSource) -> Iterator[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# RPR003 — float accumulation mixing
-
-
-@rule(
-    "RPR003",
-    "warning",
-    "mixed float-accumulation strategies (sum() vs math.fsum, float start)",
-)
-def check_sum_mixing(module: ModuleSource) -> Iterator[Finding]:
-    """Flag ``sum(..., <float>)`` starts and functions mixing ``fsum`` with
-    builtin ``sum`` — two different summation orders for the same data."""
-    fsum_names = {"fsum"} | {
-        n for n in _imports_from(module, "math") if n == "fsum"
-    }
-
-    def is_builtin_sum(call: ast.Call) -> bool:
-        return isinstance(call.func, ast.Name) and call.func.id == "sum"
-
-    def is_fsum(call: ast.Call) -> bool:
-        name = _dotted(call.func)
-        return name in ("math.fsum",) or name in fsum_names
-
-    for node in ast.walk(module.tree):
-        if not (isinstance(node, ast.Call) and is_builtin_sum(node)):
-            continue
-        start = None
-        if len(node.args) >= 2:
-            start = node.args[1]
-        for kw in node.keywords:
-            if kw.arg == "start":
-                start = kw.value
-        if (
-            start is not None
-            and isinstance(start, ast.Constant)
-            and isinstance(start.value, float)
-        ):
-            yield module.finding(
-                "RPR003",
-                "warning",
-                node,
-                "builtin sum() with a float start accumulates left-to-right "
-                "in arbitrary element order",
-                fix_hint="use math.fsum or np.sum with an explicit, ordered operand",
-            )
-            continue
-        fn = module.enclosing_function(node)
-        if fn is None:
-            continue
-        mixes = any(
-            isinstance(other, ast.Call) and is_fsum(other)
-            for other in ast.walk(fn)
-        )
-        if mixes:
-            yield module.finding(
-                "RPR003",
-                "warning",
-                node,
-                f"{fn.name}() mixes builtin sum() with math.fsum — the same "
-                "quantity accumulated under two different orderings",
-                fix_hint="pick one summation primitive per quantity",
-            )
-
-
-# ---------------------------------------------------------------------------
 # RPR004 — nondeterminism sources
 
 
@@ -350,70 +234,6 @@ def check_nondeterminism(module: ModuleSource) -> Iterator[Finding]:
                     "suppress intentional uses inline"
                 ),
             )
-
-
-# ---------------------------------------------------------------------------
-# RPR005 — reductions over unordered sets
-
-
-def _is_set_expr(node: ast.AST) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        name = _dotted(node.func)
-        return name in ("set", "frozenset")
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.Sub, ast.BitAnd, ast.BitOr, ast.BitXor)
-    ):
-        return _is_set_expr(node.left) or _is_set_expr(node.right)
-    return False
-
-
-@rule(
-    "RPR005",
-    "warning",
-    "numeric reduction over an unordered set expression",
-)
-def check_unordered_reduction(module: ModuleSource) -> Iterator[Finding]:
-    """Flag ``sum()`` over set expressions and ``for``-over-set loops that
-    accumulate with ``+=`` — iteration order is unspecified, so float
-    accumulation order is too."""
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Call):
-            if not (isinstance(node.func, ast.Name) and node.func.id == "sum"):
-                continue
-            if not node.args:
-                continue
-            arg = node.args[0]
-            iters = []
-            if isinstance(arg, (ast.GeneratorExp, ast.ListComp)):
-                iters = [gen.iter for gen in arg.generators[:1]]
-            else:
-                iters = [arg]
-            if any(_is_set_expr(it) for it in iters):
-                yield module.finding(
-                    "RPR005",
-                    "warning",
-                    node,
-                    "sum() over a set expression — accumulation order follows "
-                    "unspecified hash iteration order",
-                    fix_hint="sort first: sum(sorted(...)) or iterate a list",
-                )
-        elif isinstance(node, ast.For) and _is_set_expr(node.iter):
-            accumulates = any(
-                isinstance(sub, ast.AugAssign)
-                and isinstance(sub.op, (ast.Add, ast.Sub, ast.Mult))
-                for sub in ast.walk(node)
-            )
-            if accumulates:
-                yield module.finding(
-                    "RPR005",
-                    "warning",
-                    node,
-                    "loop over a set expression accumulates with augmented "
-                    "assignment — order-dependent result over unordered input",
-                    fix_hint="iterate sorted(...) to pin the accumulation order",
-                )
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,6 @@ RPR103    no blocking call (``.result()``, ``.join()``, ``.wait()``,
           caller-supplied callable) while holding the PlanCache global
           lock.
 ========  ==================================================================
-
-RPR101 (``SharedMemory`` unlink on every exit path) retired with the
-process-pool backend, the last code that created segments.
 """
 
 from __future__ import annotations

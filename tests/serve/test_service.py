@@ -853,6 +853,43 @@ class TestLoadgen:
         assert report["cycles"] == 1
         assert cycles_seen == [1]
 
+    def test_one_replay_reports_the_whole_service_stats(self):
+        from repro.serve.loadgen import run_loadgen
+
+        report = run_loadgen(
+            spec=TraceSpec(seed=2, requests=12), config=ServeConfig(lanes=1)
+        )
+        service = report["service"]
+        for key in ("batches", "mean_batch", "max_batch", "affinity_hit_rate"):
+            assert report[key] == service[key], key
+
+    def test_run_server_report_covers_the_last_cycle_only(self):
+        from repro.serve.loadgen import run_server
+
+        # Deadline at 10; the clock passes it on the third post-cycle read.
+        ticks = iter([0.0, 1.0, 2.0, 100.0])
+        whole_run = []
+        report = run_server(
+            spec=TraceSpec(seed=5, requests=6),
+            config=ServeConfig(lanes=1),
+            duration_s=10.0,
+            waves=2,
+            on_cycle=lambda n, r: whole_run.append(dict(r["service"])),
+            clock=lambda: next(ticks),
+        )
+        assert report["cycles"] == 3
+        last, previous = whole_run[-1], whole_run[-2]
+        assert report["requests"] == 6 and report["ok"] == 6
+        assert 0 < report["batches"] <= report["requests"]
+        assert report["batches"] == last["batches"] - previous["batches"]
+        assert report["mean_batch"] == pytest.approx(
+            (last["batched_requests"] - previous["batched_requests"])
+            / report["batches"]
+        )
+        assert 1 <= report["max_batch"] <= report["requests"]
+        # The whole-run totals stay available, and span all three cycles.
+        assert report["service"]["batches"] > report["batches"]
+
 
 async def _replay_with(spec, config):
     async with StencilService(config) as service:

@@ -1,6 +1,8 @@
 """The in-memory lint hook used for generated kernels (``lint_sources``)."""
 
-from repro.staticcheck import lint_sources
+import pytest
+
+from repro.staticcheck import lint_paths, lint_sources
 
 
 CLEAN = '''\
@@ -64,3 +66,47 @@ class TestLintSources:
     def test_accepts_pairs_iterable(self):
         result = lint_sources([("a.py", CLEAN), ("b.py", CLEAN)])
         assert result.files_scanned == 2 and result.ok
+
+
+RNG_HIT = '''\
+"""Module with an unseeded generator."""
+import numpy as np
+
+def noise():
+    return np.random.default_rng().random(3)
+'''
+
+
+class TestOneLoopForFilesAndSources:
+    """``lint_paths`` and ``lint_sources`` share one per-module loop."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (RNG_HIT, ["RPR004"]),
+            (
+                RNG_HIT.replace(
+                    ".random(3)", ".random(3)  # staticcheck: disable=RPR004"
+                ),
+                [],
+            ),
+            ("def broken(:\n", ["RPR000"]),
+        ],
+        ids=["hit", "line-suppressed", "unparseable"],
+    )
+    def test_same_findings_on_disk_and_in_memory(self, tmp_path, text, expected):
+        path = tmp_path / "module.py"
+        path.write_text(text)
+        on_disk = lint_paths([str(path)])
+        in_memory = lint_sources({"module.py": text})
+
+        def triples(result):
+            return [(f.rule_id, f.line, f.message) for f in result.findings]
+
+        assert [rule_id for rule_id, _, _ in triples(on_disk)] == expected
+        assert triples(on_disk) == triples(in_memory)
+        assert on_disk.files_scanned == in_memory.files_scanned == 1
+        # Only the detached in-memory source carries a snippet.
+        assert all(not f.snippet for f in on_disk.findings)
+        hits = [f for f in in_memory.findings if f.rule_id != "RPR000"]
+        assert all(f.snippet for f in hits)

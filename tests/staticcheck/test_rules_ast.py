@@ -2,82 +2,9 @@
 
 from __future__ import annotations
 
+import pytest
+
 from tests.staticcheck.helpers import findings_for
-
-
-class TestRPR001Einsum:
-    def test_optimize_true_flagged(self):
-        src = """
-            import numpy as np
-
-            def f(a, b):
-                return np.einsum("ij,jk->ik", a, b, optimize=True)
-        """
-        (finding,) = findings_for(src, "RPR001")
-        assert finding.severity == "error"
-        assert "optimize=True" in finding.message
-
-    def test_optimize_variable_flagged(self):
-        src = """
-            import numpy as np
-
-            def f(a, b, opt):
-                return np.einsum("ij,jk->ik", a, b, optimize=opt)
-        """
-        (finding,) = findings_for(src, "RPR001")
-        assert "a variable" in finding.message
-
-    def test_optimize_string_flagged(self):
-        src = """
-            import numpy as np
-
-            def f(a, b):
-                return np.einsum("ij,jk->ik", a, b, optimize="greedy")
-        """
-        assert len(findings_for(src, "RPR001")) == 1
-
-    def test_clean_twins(self):
-        src = """
-            import numpy as np
-
-            def f(a, b):
-                no_kw = np.einsum("ij,jk->ik", a, b)
-                pinned = np.einsum("ij,jk->ik", a, b, optimize=False)
-                return no_kw + pinned
-        """
-        assert findings_for(src, "RPR001") == []
-
-    def test_inline_suppression(self):
-        one_line = """
-            import numpy as np
-
-            def f(a, b):
-                return np.einsum("ij,jk->ik", a, b, optimize=True)  # staticcheck: disable=RPR001
-        """
-        assert findings_for(one_line, "RPR001") == []
-
-    def test_suppression_must_sit_on_the_anchor_line(self):
-        # Findings anchor on the call line; a comment on the closing
-        # paren of a multi-line call does not suppress.
-        src = """
-            import numpy as np
-
-            def f(a, b):
-                return np.einsum(
-                    "ij,jk->ik", a, b, optimize=True
-                )  # staticcheck: disable=RPR001
-        """
-        assert len(findings_for(src, "RPR001")) == 1
-
-    def test_file_level_suppression(self):
-        src = """
-            # staticcheck: disable-file=RPR001
-            import numpy as np
-
-            def f(a, b):
-                return np.einsum("ij,jk->ik", a, b, optimize=True)
-        """
-        assert findings_for(src, "RPR001") == []
 
 
 class TestRPR002UnpinnedGemm:
@@ -116,38 +43,6 @@ class TestRPR002UnpinnedGemm:
                 return a @ w
         """
         assert findings_for(src, "RPR002", path="core/engine_x.py") == []
-
-
-class TestRPR003SumMixing:
-    def test_float_start_flagged(self):
-        src = """
-            def f(xs):
-                return sum(xs, 0.0)
-        """
-        (finding,) = findings_for(src, "RPR003")
-        assert "float start" in finding.message
-
-    def test_fsum_mixing_flagged(self):
-        src = """
-            import math
-
-            def f(xs, ys):
-                return math.fsum(xs) + sum(ys)
-        """
-        (finding,) = findings_for(src, "RPR003")
-        assert "fsum" in finding.message
-
-    def test_clean_twins(self):
-        src = """
-            import math
-
-            def ints(xs):
-                return sum(xs)
-
-            def compensated(xs):
-                return math.fsum(xs)
-        """
-        assert findings_for(src, "RPR003") == []
 
 
 class TestRPR004Nondeterminism:
@@ -209,44 +104,52 @@ class TestRPR004Nondeterminism:
         assert findings_for(src, "RPR004") == []
 
 
-class TestRPR005UnorderedReduction:
-    def test_sum_over_set_literal_flagged(self):
+class TestLineSuppression:
+    HIT = """
+        import time
+
+        def f():
+            return time.perf_counter()
+    """
+
+    def test_inline_suppression(self):
+        src = self.HIT.replace(
+            "time.perf_counter()",
+            "time.perf_counter()  # staticcheck: disable=RPR004",
+        )
+        assert findings_for(src, "RPR004") == []
+
+    def test_suppression_names_the_rule(self):
+        src = self.HIT.replace(
+            "time.perf_counter()",
+            "time.perf_counter()  # staticcheck: disable=RPR006",
+        )
+        assert len(findings_for(src, "RPR004")) == 1
+
+    def test_suppression_must_sit_on_the_anchor_line(self):
+        # Findings anchor on the call line; a comment on the closing
+        # paren of a multi-line call does not suppress.
         src = """
+            import time
+
             def f():
-                return sum({0.1, 0.2, 0.3})
+                return time.perf_counter(
+                )  # staticcheck: disable=RPR004
         """
-        (finding,) = findings_for(src, "RPR005")
-        assert "set" in finding.message
+        assert len(findings_for(src, "RPR004")) == 1
 
-    def test_sum_over_set_comprehension_flagged(self):
-        src = """
-            def f(xs):
-                return sum(x * x for x in {abs(x) for x in xs})
-        """
-        assert len(findings_for(src, "RPR005")) == 1
-
-    def test_accumulating_loop_over_set_flagged(self):
-        src = """
-            def f(xs):
-                acc = 0.0
-                for x in set(xs):
-                    acc += x
-                return acc
-        """
-        assert len(findings_for(src, "RPR005")) == 1
-
-    def test_clean_twins(self):
-        src = """
-            def f(xs):
-                total = sum(sorted(set(xs)))
-                for x in sorted({1, 2, 3}):
-                    total += x
-                names = {n for n in xs}
-                for n in names:
-                    print(n)  # no numeric accumulation
-                return total
-        """
-        assert findings_for(src, "RPR005") == []
+    @pytest.mark.parametrize(
+        "comment",
+        ["# staticcheck: disable-file=RPR004", "# staticcheck: disable=all"],
+    )
+    def test_no_file_wide_or_all_suppression(self, comment):
+        # Only a line-scoped, rule-named disable silences a finding.
+        src = self.HIT.replace("import time", f"{comment}\n        import time")
+        assert len(findings_for(src, "RPR004")) == 1
+        src = self.HIT.replace(
+            "time.perf_counter()", f"time.perf_counter()  {comment}"
+        )
+        assert len(findings_for(src, "RPR004")) == 1
 
 
 class TestRPR006SwallowedExceptions:

@@ -1,4 +1,4 @@
-"""Layer 5 — asyncio concurrency rules for the serve/obs stack (RPR301–304).
+"""Layer 5 — asyncio concurrency rules for the serve/obs stack (RPR301–305).
 
 Each rule gets a flagging snippet and a clean twin shaped like the idiom
 the serve layer actually uses, so the rules stay tuned to real code
