@@ -1,16 +1,18 @@
-"""Strategy crossover — the timings the ``gemm``/``direct`` rule is fitted to.
+"""Strategy crossover — the timings the ``direct``/``toeplitz`` rule is fitted to.
 
 Not a paper figure: the evidence behind
 :func:`repro.runtime.plan.choose_strategy`.  For every ``perfbench``
 ``solve`` cell and every (kernel, fusion, size class) of the ``churn``
 catalog, one pass of each strategy is timed on a seeded array of the
-pass's padded shape — the ``serial`` dual-tessellation engine against
-:func:`repro.core.direct.direct_valid`, best of 5, interleaved — and the
-faster one is set beside the rule's pick.  A ``churn`` size class is the ``bit_length`` of the grid's point count;
+pass's padded shape — the ``serial`` dual-tessellation engine,
+:func:`repro.core.direct.direct_valid` and
+:func:`repro.core.toeplitz.toeplitz_valid`, best of :data:`REPEATS`,
+interleaved — and the fastest one is set beside the rule's pick.  A
+``churn`` size class is the ``bit_length`` of the grid's point count;
 each is timed on the catalog shape of median point count within it.
 
 The runtime reads no clock to choose a strategy; refit the rule's
-thresholds from this table when an engine changes, then rerun::
+threshold from this table when a pass changes, then rerun::
 
     PYTHONPATH=src python benchmarks/bench_strategy_crossover.py
 
@@ -35,22 +37,27 @@ from _common import emit, emit_json
 from repro import get_kernel
 from repro.core.direct import direct_valid
 from repro.core.fusion import plan_fusion
+from repro.core.toeplitz import band_matrices, toeplitz_valid
 from repro.runtime.backends import SerialBackend
 from repro.runtime.plan import build_plan, choose_strategy
 from repro.utils.tables import format_table
 from workloads import CHURN_FUSIONS, CHURN_KERNELS, SOLVE_CELLS, churn_pool
 
-#: Timed runs of each strategy per row; the best one counts.
-REPEATS = 5
+#: Timed runs of each strategy per row; the best one counts.  Sparse
+#: kernels on small grids are near-ties between ``direct`` and
+#: ``toeplitz``, so more runs than a two-way table needed.
+REPEATS = 15
 
 
 def time_pass(kernel, shape: Tuple[int, ...]) -> Dict[str, float]:
     """Best-of-:data:`REPEATS` seconds of one pass of each strategy."""
     pp = build_plan(kernel, shape, strategy="gemm").fused_pass
     padded = np.random.default_rng(0).random(pp.padded_shape)
+    bands = band_matrices(pp.kernel)
     runs = {
         "gemm": lambda: SerialBackend().apply_pass(pp, padded),
         "direct": lambda: direct_valid(padded, pp.kernel),
+        "toeplitz": lambda: toeplitz_valid(padded, pp.kernel, bands=bands),
     }
     best = dict.fromkeys(runs, float("inf"))
     for _ in range(REPEATS):
@@ -90,7 +97,7 @@ def sweep() -> List[dict]:
         if key not in timed:
             timed[key] = time_pass(kernel, shape)
         best = timed[key]
-        faster = "gemm" if best["gemm"] < best["direct"] else "direct"
+        fastest = min(best, key=best.get)
         rule = choose_strategy(kernel, shape)
         rows.append(
             {
@@ -104,9 +111,10 @@ def sweep() -> List[dict]:
                 "points": int(np.prod(shape)),
                 "gemm_ms": best["gemm"] * 1e3,
                 "direct_ms": best["direct"] * 1e3,
-                "faster": faster,
+                "toeplitz_ms": best["toeplitz"] * 1e3,
+                "fastest": fastest,
                 "rule": rule,
-                "agree": rule == faster,
+                "agree": rule == fastest,
             }
         )
     return rows
@@ -115,18 +123,18 @@ def sweep() -> List[dict]:
 def render(rows: List[dict], host: dict) -> str:
     table = format_table(
         ["workload", "kernel", "fusion", "pass", "shape", "points",
-         "gemm [ms]", "direct [ms]", "faster", "rule", ""],
+         "gemm [ms]", "direct [ms]", "toeplitz [ms]", "fastest", "rule", ""],
         [
             (
                 r["workload"], r["kernel"], r["fusion"], r["pass_kernel"],
                 "x".join(map(str, r["shape"])), r["points"],
-                f"{r['gemm_ms']:.3f}", f"{r['direct_ms']:.3f}",
-                r["faster"], r["rule"], "" if r["agree"] else "MISS",
+                f"{r['gemm_ms']:.3f}", f"{r['direct_ms']:.3f}", f"{r['toeplitz_ms']:.3f}",
+                r["fastest"], r["rule"], "" if r["agree"] else "MISS",
             )
             for r in rows
         ],
         title=(
-            f"Strategy crossover: one serial GEMM pass vs direct, best of {REPEATS} "
+            f"Strategy crossover: one pass of each strategy, best of {REPEATS} "
             f"({host['machine']}, {host['cpus']} CPUs, numpy {host['numpy']})"
         ),
     )

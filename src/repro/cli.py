@@ -16,8 +16,8 @@ and prints the artifact's output format (§A.5)::
 
 ``Time`` and ``GStencil/s`` come from the calibrated A100 performance model
 (there is no GPU here); ``--verify`` additionally executes a scaled-down
-grid functionally under each execution strategy (``gemm`` and ``direct``)
-and checks it against the reference, and ``--custom``
+grid functionally under each execution strategy (``gemm``, ``direct`` and
+``toeplitz``) and checks it against the reference, and ``--custom``
 accepts user weights exactly like the artifact's ``--custom`` option.
 Functional runs (``--verify``/``--trace``) execute on a
 :mod:`repro.runtime` backend selected by ``--backend`` (or the
@@ -914,7 +914,8 @@ def _run_codegen(argv: List[str]) -> List[str]:
         from repro.codegen import compiled_entry
         from repro.runtime import plan_for
 
-        plan = plan_for(kernel, shape, fusion=fusion)
+        # Generated kernels are dual tessellation: pin it, whatever the rule picks.
+        plan = plan_for(kernel, shape, fusion=fusion, strategy="gemm")
         entry = compiled_entry(plan.fused_pass, batched=args.batched)
         source = entry.source
         summary = (
@@ -1003,7 +1004,7 @@ def run(argv: Sequence[str]) -> List[str]:
         lines.append("")
         lines.append(
             f"VERIFY: {steps} steps on {'x'.join(map(str, shape))} grid "
-            f"({' and '.join(STRATEGIES)}), "
+            f"({', '.join(STRATEGIES)}), "
             f"max |err| = {err:.3e} -> {'OK' if err < 1e-10 else 'FAIL'}"
         )
         if err >= 1e-10:

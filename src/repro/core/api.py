@@ -218,10 +218,14 @@ class ConvStencil:
         agree across a list); explicit keywords alongside Grids raise
         ``ValueError``.
 
-        For 2-D kernels the whole batch shares each pass's tessellation
-        sweep (one einsum over the stacked slices — the ensemble-simulation
-        fast path) and padding is a single vectorised call; other
-        dimensionalities loop per grid inside the backend.
+        The whole batch is padded in one vectorised call and each pass
+        runs once over the stacked grids: the shifted adds and the banded
+        GEMMs cover every grid per call, and a 2-D dual-tessellation pass
+        runs one stacked matmul per shift chunk over all slices (the
+        ensemble-simulation fast path); other dimensionalities of that
+        pass loop per grid inside the backend.  Every per-grid GEMM has
+        the shape it has in :meth:`run`, so each grid gets the bits
+        :meth:`run` gives it.
 
         A shaped empty array (``np.empty((0, *grid))``) is a well-defined
         no-op returning an empty float64 result of the same shape; an empty
@@ -304,11 +308,12 @@ class ConvStencil:
 
 class PinnedStencil(ConvStencil):
     """A :class:`ConvStencil` whose plans run every pass by one pinned
-    execution strategy (``"gemm"`` or ``"direct"``) instead of the one
-    :func:`~repro.runtime.plan.choose_strategy` picks.
+    execution strategy (``"gemm"``, ``"direct"`` or ``"toeplitz"``)
+    instead of the one :func:`~repro.runtime.plan.choose_strategy` picks.
 
     Internal, for harnesses that must reach a given path whatever the
-    rule picks: ``repro verify`` runs every case under each strategy,
+    rule picks — the rule never picks ``gemm``, the paper's dual
+    tessellation: ``repro verify`` runs every case under each strategy,
     and the CLI's ``--verify`` checks each strategy against the
     reference.
     Pinned plans go through the plan cache under their own key, so they

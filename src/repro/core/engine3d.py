@@ -93,8 +93,8 @@ def convstencil_valid_3d(
             ):
                 out += w * plane_stack[:, dx : dx + px, dy : dy + py]
         else:
-            # batched dual tessellation: one einsum sweep covers this
-            # kernel plane's contribution to every output plane
+            # batched dual tessellation: one stacked-matmul sweep covers
+            # this kernel plane's contribution to every output plane
             w2 = weights_by_plane.get(dz) if weights_by_plane else None
             out += convstencil_valid_2d_batched(
                 plane_stack, payload, offsets=offsets, weights=w2

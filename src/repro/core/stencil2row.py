@@ -203,8 +203,8 @@ def stencil2row_views_2d(
     """Grouped gathers ``(A3, B3)`` of shape ``(m, rows, edge)``.
 
     ``A3[x, r, i] = padded[x, r*(edge+1) + i]`` — the same data as the paper
-    layout, shaped for the vectorised dual-tessellation einsum.  ``offsets``
-    may supply a precomputed :func:`stencil2row_offsets` LUT.
+    layout, shaped for the vectorised dual-tessellation stacked matmul.
+    ``offsets`` may supply a precomputed :func:`stencil2row_offsets` LUT.
     """
     padded = np.asarray(padded, dtype=np.float64)
     if padded.ndim != 2:

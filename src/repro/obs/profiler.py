@@ -10,8 +10,9 @@ A daemon thread periodically snapshots every interpreter thread via
 * **phase attribution** — each sample is classified, innermost frame
   first, into the ConvStencil pipeline stages the paper's Fig.-6
   breakdown argues from: ``stencil2row`` (layout transform),
-  ``gemm`` (the stacked-matmul engines), ``direct`` (the shifted-add
-  passes of :mod:`repro.core.direct`, the default strategy's compute),
+  ``gemm`` (the stacked-matmul engines and the banded GEMMs of
+  :mod:`repro.core.toeplitz`), ``direct`` (the shifted-add passes of
+  :mod:`repro.core.direct`),
   ``fixup`` (dirty-zone / padding steering), ``halo`` (pad, refresh and
   unpack), ``plan`` (plan build and cache), ``other`` (repro code
   outside those stages) and ``idle`` (no repro frame on the stack at
@@ -46,7 +47,7 @@ MAX_DISTINCT_STACKS = 4096
 _TRUNCATED_STACK = ("(truncated)",)
 
 #: Module basenames whose frames mark the GEMM stage (stacked matmuls).
-_GEMM_MODULES = {"engine1d", "engine2d", "engine3d", "im2row", "simulated"}
+_GEMM_MODULES = {"engine1d", "engine2d", "engine3d", "im2row", "simulated", "toeplitz"}
 
 #: Module basenames for plan construction / caching.
 _PLAN_MODULES = {"plan", "cache", "fusion", "blocking", "weights", "lookup"}
@@ -83,6 +84,8 @@ def classify_frame(module: str, func: str) -> Optional[str]:
         return "fixup"
     if base == "direct":
         return "direct"
+    if func == "band_matrices":  # the Toeplitz pass's table build
+        return "plan"
     if base in _GEMM_MODULES or base.startswith("compiled_engine"):
         # exec-compiled kernels live under repro.codegen.generated.*; the
         # whole straight-line body is the stacked-GEMM stage (its gather

@@ -8,8 +8,9 @@ package is both ideas as architecture:
 * :class:`ExecutionPlan` — everything shape-invariant for a
   ``(kernel, grid_shape, boundary, fusion_depth)`` problem: stencil2row
   gather LUTs, triangular weight matrices, halo geometry, 3-D plane
-  decompositions, and an execution strategy per pass (``gemm`` or
-  ``direct``), a pure function of the pass kernel and the grid size;
+  decompositions, Toeplitz bands, and an execution strategy per pass
+  (``gemm``, ``direct`` or ``toeplitz``), a pure function of the pass
+  kernel unless pinned;
 * :class:`PlanCache` — a bounded LRU sharing plans across runs, whose
   own hit/miss/eviction counts (``PlanCache.stats``) are what the obs
   snapshot and exporter report;

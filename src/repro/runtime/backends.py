@@ -29,13 +29,15 @@ executor, a remote pool)::
     register_backend("mine", MyBackend)
     ConvStencil(kernel, backend="mine")
 
-A run hands a backend only its ``gemm`` passes: passes whose plan chose
-the ``direct`` strategy run in the pass sequencer
-(:mod:`repro.runtime.execute`), whatever the backend.  A ``direct`` pass
-can still reach a backend when a caller hands it over explicitly, as the
-benchmark sweep does to time every engine on the same pass; such a pass
-carries no GEMM tables until :meth:`~repro.runtime.plan.PassPlan.ensure_tables`
-builds them, so a backend that reads the tables calls it first.
+A run hands a backend only its ``gemm`` passes (dual tessellation,
+reached only when a plan pins it): passes whose plan carries the
+``direct`` or ``toeplitz`` strategy — all the strategy rule picks — run
+in the pass sequencer (:mod:`repro.runtime.execute`), whatever the
+backend.  Such a pass can still reach a backend when a caller hands it
+over explicitly, as the benchmark sweep does to time every engine on the
+same pass; it carries no GEMM tables until
+:meth:`~repro.runtime.plan.PassPlan.ensure_tables` builds them, so a
+backend that reads the tables calls it first.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ This is the single code path every :class:`~repro.core.api.ConvStencil`
 entry point (``run``, ``run_batch``, ``apply_valid``) funnels through:
 fetch a cached plan, keep the grid's halo with the plan's boundary
 semantics, and run each pass by the strategy its plan carries: ``gemm``
-passes go to the selected :class:`~repro.runtime.backends.Backend`,
-``direct`` passes to the shifted-add kernel
-(:func:`~repro.core.direct.direct_valid`), whatever the backend.  Keeping
+passes go to the selected :class:`~repro.runtime.backends.Backend`;
+``direct`` passes go to the shifted-add kernel
+(:func:`~repro.core.direct.direct_valid`) and ``toeplitz`` passes to the
+banded GEMMs (:func:`~repro.core.toeplitz.toeplitz_valid`), whatever the
+backend.  Keeping
 one sequencer guarantees every backend sees identical ghost-zone
 semantics — the property the differential test suite leans on — and that
 a plan gives the same bits on every backend, single-grid or batched,
@@ -17,9 +19,10 @@ scratch (§3.4).  Its state lives in the interior of two halo buffers
 sized for the widest halo among its passes: before each later pass the
 halo of the current buffer is refreshed in place
 (:func:`~repro.stencils.grid.refresh_halo`, equal to a fresh pad bit for
-bit), and the pass writes the other buffer's interior.  A ``direct`` pass
-accumulates straight into it; a ``gemm`` pass gets a contiguous padded
-array, as it would from a fresh pad, and its result is copied in.  The
+bit), and the pass writes the other buffer's interior.  A ``direct`` or
+``toeplitz`` pass reads the buffer in place and writes straight into
+that interior; a ``gemm`` pass gets a contiguous padded array, as it
+would from a fresh pad, and its result is copied in.  The
 last pass writes a fresh array, the run's result.
 """
 
@@ -32,6 +35,7 @@ import numpy as np
 from repro import obs, telemetry
 from repro.core.direct import direct_valid
 from repro.core.fusion import FusionPlan
+from repro.core.toeplitz import toeplitz_valid
 from repro.runtime.backends import Backend, get_backend
 from repro.runtime.cache import get_plan_cache
 from repro.runtime.plan import ExecutionPlan, PassPlan, build_plan, plan_key
@@ -84,6 +88,8 @@ def _apply(
     hands backends only ``gemm`` passes."""
     if pp.strategy == "direct":
         return direct_valid(padded, pp.kernel, batched=batched, out=out)
+    if pp.strategy == "toeplitz":
+        return toeplitz_valid(padded, pp.kernel, bands=pp.bands, batched=batched, out=out)
     result = backend.apply_pass_batch(pp, padded) if batched else backend.apply_pass(pp, padded)
     if out is None:
         return result

@@ -7,18 +7,22 @@ and reuses them across every time iteration (§3.4, Table 5).  An
 
 * the fused/base **pass kernels** and their halo geometry,
 * an execution **strategy** per pass: ``"gemm"`` (dual tessellation,
-  handed to the backend) or ``"direct"`` (shifted adds, run by the pass
-  sequencer), chosen by a fixed rule over the kernel's weights and the
-  grid size (:func:`choose_strategy`),
+  handed to the backend), ``"direct"`` (shifted adds) or ``"toeplitz"``
+  (banded Toeplitz GEMMs over strided views), the last two run by the
+  pass sequencer.  A fixed rule over the kernel's weights picks
+  ``direct`` or ``toeplitz`` (:func:`choose_strategy`); ``gemm`` is
+  reached only by pinning,
 * for a ``gemm`` pass, the **GEMM tables** its engine reads: the
   stencil2row gather-offset LUT and the triangular weight matrices (1-D
-  pairs, 2-D blocks, 3-D per-plane blocks + plane decomposition).
+  pairs, 2-D blocks, 3-D per-plane blocks + plane decomposition),
+* for a ``toeplitz`` pass, the **band table**: one banded Toeplitz
+  matrix per nonzero kernel row (:func:`~repro.core.toeplitz.band_matrices`).
 
 Tables are built only where they are read.  A ``direct`` pass reads
-none, so its plan carries none; if such a pass is handed to a backend
-explicitly (a benchmark sweep timing every engine on one pass), the
-backend's :meth:`PassPlan.ensure_tables` builds them on that first use
-and keeps them on the pass.
+none, so its plan carries none; if a ``direct`` or ``toeplitz`` pass is
+handed to a backend explicitly (a benchmark sweep timing every engine
+on one pass), the backend's :meth:`PassPlan.ensure_tables` builds the
+GEMM tables on that first use and keeps them on the pass.
 
 Plans are reusable: engines receive the precomputed tables explicitly,
 so a 50-step run builds every table exactly once (via the
@@ -27,7 +31,6 @@ so a 50-step run builds every table exactly once (via the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -36,6 +39,7 @@ import numpy as np
 from repro.core.engine3d import plane_decomposition
 from repro.core.fusion import FusionPlan, plan_fusion
 from repro.core.stencil2row import stencil2row_offsets, stencil2row_shape
+from repro.core.toeplitz import band_matrices
 from repro.core.weights import weight_blocks_2d, weight_matrices_1d
 from repro.errors import KernelError
 from repro.stencils.grid import BoundaryCondition
@@ -92,9 +96,13 @@ class PassPlan:
     planes: Optional[tuple] = None
     #: 3-D only: ``dz`` → 2-D weight blocks for the dense planes.
     weights_by_plane: Optional[Dict[int, tuple]] = None
+    #: ``toeplitz`` only: leading kernel offset → banded Toeplitz matrix
+    #: of that kernel row, for the nonzero rows.
+    bands: Optional[Dict[Tuple[int, ...], np.ndarray]] = None
     #: How the pass runs, set by :func:`choose_strategy` unless pinned:
     #: ``"gemm"`` hands it to the backend's dual-tessellation engine;
-    #: ``"direct"`` runs the shifted-add kernel in the pass sequencer.
+    #: ``"direct"`` and ``"toeplitz"`` run the shifted-add kernel and the
+    #: banded GEMMs in the pass sequencer.
     strategy: str = "gemm"
 
     @property
@@ -118,33 +126,33 @@ class PassPlan:
 
 
 #: The execution strategies a pass can carry.
-STRATEGIES = ("gemm", "direct")
+STRATEGIES = ("gemm", "direct", "toeplitz")
 
-#: (least weight score, largest grid in points) where a 2-D pass runs
-#: faster as a GEMM than as shifted adds; the score is defined in
-#: :func:`choose_strategy`.  Fitted to
-#: ``benchmarks/results/strategy_crossover.json``.
-_GEMM_MAX_POINTS = ((49, 1 << 15), (12, 1 << 11))
+#: Least weight score (defined in :func:`choose_strategy`) at which a
+#: 2-D or 3-D pass runs faster as banded GEMMs than as shifted adds.
+#: Fitted to ``benchmarks/results/strategy_crossover.json``.
+_TOEPLITZ_MIN_SCORE = 8
 
 
 def choose_strategy(kernel: StencilKernel, grid_shape: Tuple[int, ...]) -> str:
     """The strategy a pass of ``kernel`` over ``grid_shape`` runs with.
 
-    A pure function of the kernel's weights and the grid shape, so every
-    process picks the same plan.  A direct pass pays one shifted add per
-    nonzero weight; a GEMM pass multiplies the whole weight box, of which
-    only the nonzero share is useful.  The weight score is their product,
-    ``nonzero² / volume`` (box-2d49p 49, box-2d25p 25, heat-2d-x3 12.8,
-    star-2d13p 3.4).  Only a 2-D pass with a high score on a small grid
-    repays the stencil2row gather and window copy; every other pass is
-    ``direct``, the simpler path with the reference stencil's bits.
+    A pure function of the kernel's weights, so every process picks the
+    same plan (``grid_shape`` is part of the signature; no fitted
+    threshold depends on it).  A direct pass pays one shifted add per
+    nonzero weight; a banded pass multiplies the whole weight box, of
+    which only the nonzero share is useful.  The weight score is their
+    product, ``nonzero² / volume`` (box-2d49p and box-2d9p-x3 49,
+    box-3d27p 27, box-2d25p 25, heat-2d-x3 12.8, box-2d9p 9, heat-2d 2.8,
+    star-2d13p 3.4).  A 2-D or 3-D pass at or above
+    :data:`_TOEPLITZ_MIN_SCORE` runs ``toeplitz``; every other pass,
+    1-D included (its blocks overlap in memory, which BLAS cannot read in
+    place), runs ``direct``, the simpler path with the reference
+    stencil's bits.  Dual tessellation (``gemm``) is never chosen: on a
+    CPU its gather and window copy lose to both.
     """
-    if kernel.ndim == 2:
-        square = kernel.points**2
-        points = math.prod(grid_shape)
-        for score, limit in _GEMM_MAX_POINTS:
-            if square >= score * kernel.volume:
-                return "gemm" if points <= limit else "direct"
+    if kernel.ndim > 1 and kernel.points**2 >= _TOEPLITZ_MIN_SCORE * kernel.volume:
+        return "toeplitz"
     return "direct"
 
 
@@ -185,7 +193,12 @@ def _build_pass(
     halo = kernel.radius
     padded_shape = tuple(s + 2 * halo for s in grid_shape)
     strategy = strategy or choose_strategy(kernel, grid_shape)
-    tables = _gemm_tables(kernel, padded_shape) if strategy == "gemm" else {}
+    if strategy == "gemm":
+        tables = _gemm_tables(kernel, padded_shape)
+    elif strategy == "toeplitz":
+        tables = {"bands": band_matrices(kernel)}
+    else:
+        tables = {}
     return PassPlan(
         kernel=kernel,
         grid_shape=tuple(grid_shape),
@@ -231,7 +244,8 @@ class ExecutionPlan:
     @property
     def nbytes(self) -> int:
         """Approximate footprint of the tables built so far (cache
-        telemetry); ``0`` for a plan of ``direct`` passes."""
+        telemetry): GEMM tables and bands; ``0`` for a plan of ``direct``
+        passes."""
         total = 0
         passes = (
             (self.fused_pass,)
@@ -244,6 +258,7 @@ class ExecutionPlan:
                     total += arr.nbytes
             for pair in (pp.weights_by_plane or {}).values():
                 total += sum(w.nbytes for w in pair)
+            total += sum(band.nbytes for band in (pp.bands or {}).values())
         return total
 
 

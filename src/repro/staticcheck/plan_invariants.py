@@ -21,15 +21,18 @@ RPR202    dirty-zone coverage: some padded input column is gathered by
           *interior* column is data loss).
 RPR203    weight matrices are not the triangular Figure-3 stacks, or
           their shape disagrees with the Eq. 13 MMA count
-          ``2·⌈k²/4⌉·⌈(k+1)/8⌉``.
+          ``2·⌈k²/4⌉·⌈(k+1)/8⌉``; or a ``toeplitz`` pass's bands are not
+          the banded Toeplitz matrices of its nonzero kernel rows.
 RPR204    halo geometry inconsistent with kernel radius (pass halo,
           padded shape, fused-pass radius vs fusion depth).
 RPR206    3-D plane decomposition inconsistent: bad plane offsets, or
           ``weights_by_plane`` disagreeing with the dense-plane set.
-RPR207    execution strategy is neither ``"gemm"`` nor ``"direct"``, or a
-          ``gemm`` pass lacks the LUT and weight tables its engine reads.
-          (A ``direct`` pass carries none until a backend is handed it;
-          tables it does carry are checked like a ``gemm`` pass's.)
+RPR207    execution strategy is not ``"gemm"``, ``"direct"`` or
+          ``"toeplitz"``, a ``gemm`` pass lacks the LUT and weight tables
+          its engine reads, or a ``toeplitz`` pass lacks its bands.  (A
+          ``direct`` or ``toeplitz`` pass carries no GEMM tables until a
+          backend is handed it; tables it does carry are checked like a
+          ``gemm`` pass's.)
 ========  ==================================================================
 
 ``check_plan(plan)`` returns the violations as :class:`Finding`\\ s
@@ -84,6 +87,58 @@ def _expected_blocks(row_weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             if i < j:
                 block_b[i, j] = row_weights[k - j + i]
     return block_a, block_b
+
+
+def _expected_band(row_weights: np.ndarray, width: int) -> np.ndarray:
+    """Independent reconstruction of one row's banded Toeplitz matrix,
+    ``T[c, b] = w[c - b]`` inside the band, re-derived here for the same
+    reason as :func:`_expected_blocks`."""
+    k = row_weights.shape[0]
+    band = np.zeros((width + k - 1, width), dtype=np.float64)
+    for b in range(width):
+        for i in range(k):
+            band[b + i, b] = row_weights[i]
+    return band
+
+
+def _check_bands(pp, name: str, label: str, findings: List[Finding]) -> None:
+    """RPR203: a toeplitz pass's bands, re-derived from the kernel weights."""
+    bands = getattr(pp, "bands", None)
+    if bands is None:
+        return
+    k = pp.kernel.edge
+    weights = np.asarray(pp.kernel.weights, dtype=np.float64)
+    rows = weights.reshape(-1, k)
+    lead = weights.shape[:-1]
+    live = [tuple(int(i) for i in np.unravel_index(r, lead))
+            for r in range(rows.shape[0]) if rows[r].any()]
+    if list(bands) != live:
+        findings.append(
+            _finding(
+                name,
+                "RPR203",
+                f"{label}: bands cover kernel rows {list(bands)}, expected the "
+                f"nonzero rows {live} in row-major order",
+                fix_hint="rebuild the plan; bands must come from band_matrices",
+            )
+        )
+        return
+    width = next(iter(bands.values())).shape[-1]
+    for offset, band in bands.items():
+        if width < 1 or band.shape != (width + k - 1, width) or not (
+            np.array_equal(band, _expected_band(weights[offset], width))
+        ):
+            findings.append(
+                _finding(
+                    name,
+                    "RPR203",
+                    f"{label}: band of kernel row {offset} is not the banded "
+                    "Toeplitz matrix of that row (T[c, b] = w[c - b], one "
+                    "block width for every row)",
+                    fix_hint="rebuild via band_matrices",
+                )
+            )
+            return
 
 
 def _check_lut(pp, name: str, label: str, findings: List[Finding]) -> None:
@@ -304,11 +359,12 @@ def _check_planes(pp, name: str, label: str, findings: List[Finding]) -> None:
 
 #: The strategies a pass may carry — restated here rather than imported
 #: from :mod:`repro.runtime.plan`, like the weight blocks above.
-_STRATEGIES = ("gemm", "direct")
+_STRATEGIES = ("gemm", "direct", "toeplitz")
 
 
 def _check_strategy(pp, name: str, label: str, findings: List[Finding]) -> None:
-    """RPR207: a known strategy; a ``gemm`` pass carries its tables."""
+    """RPR207: a known strategy; a ``gemm`` pass carries its tables and a
+    ``toeplitz`` pass its bands."""
     strategy = getattr(pp, "strategy", None)
     if strategy not in _STRATEGIES:
         findings.append(
@@ -320,6 +376,15 @@ def _check_strategy(pp, name: str, label: str, findings: List[Finding]) -> None:
             )
         )
         return
+    if strategy == "toeplitz" and getattr(pp, "bands", None) is None:
+        findings.append(
+            _finding(
+                name,
+                "RPR207",
+                f"{label}: toeplitz pass has no bands — the sequencer would "
+                "rebuild them on every pass",
+            )
+        )
     if strategy != "gemm":
         return
     if pp.ndim == 3:
@@ -345,6 +410,7 @@ def _check_pass(pp, name: str, label: str) -> List[Finding]:
     _check_halo(pp, name, label, findings)
     _check_lut(pp, name, label, findings)
     _check_weights(pp, name, label, findings)
+    _check_bands(pp, name, label, findings)
     _check_planes(pp, name, label, findings)
     return findings
 
@@ -392,8 +458,8 @@ def check_plan_catalog() -> Tuple[List[Finding], int]:
 
     Builds (uncached) plans at fixed awkward shapes and fusion depths 1
     and 2 — the same kernel population the verify harness draws cases
-    from — pinned to the ``gemm`` strategy, so the sweep covers the
-    tables the GEMM engines read.
+    from — pinned to the ``gemm`` and to the ``toeplitz`` strategy, so the
+    sweep covers the tables the GEMM engines read and the bands.
     Returns ``(findings, plans_checked)``.
     """
     from repro.runtime.plan import build_plan
@@ -404,12 +470,13 @@ def check_plan_catalog() -> Tuple[List[Finding], int]:
     for kernel_name in list_kernels():
         kernel = get_kernel(kernel_name)
         for depth in (1, 2):
-            plan = build_plan(
-                kernel,
-                _CATALOG_SHAPES[kernel.ndim],
-                fusion=depth,
-                strategy="gemm",
-            )
-            findings.extend(check_plan(plan))
-            checked += 1
+            for strategy in ("gemm", "toeplitz"):
+                plan = build_plan(
+                    kernel,
+                    _CATALOG_SHAPES[kernel.ndim],
+                    fusion=depth,
+                    strategy=strategy,
+                )
+                findings.extend(check_plan(plan))
+                checked += 1
     return findings, checked

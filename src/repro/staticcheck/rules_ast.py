@@ -31,8 +31,9 @@ from repro.staticcheck.finding import Finding
 
 __all__ = ["HOT_PATH_TOKENS"]
 
-#: File-stem tokens marking engine hot-path modules for RPR002.
-HOT_PATH_TOKENS = ("engine", "simulated", "im2row")
+#: File-stem tokens marking engine hot-path modules for RPR002 (the
+#: dual-tessellation engines and simulator, im2row, the banded-Toeplitz pass).
+HOT_PATH_TOKENS = ("engine", "simulated", "im2row", "toeplitz")
 
 #: ``time`` module calls that read wall/CPU clocks.
 _CLOCK_CALLS = {

@@ -49,6 +49,21 @@ def sliding_windows(arr: np.ndarray, window: int, axis: int = 0) -> np.ndarray:
     return as_strided(arr, shape=new_shape, strides=new_strides, writeable=False)
 
 
+def strided_view(base: np.ndarray, shape: tuple, strides: tuple, col: int = 0) -> np.ndarray:
+    """Zero-copy view of ``base`` from element ``col`` of its last axis on,
+    with ``shape`` and byte ``strides``.
+
+    A C-contiguous ``base`` is wrapped as a buffer, which costs a fraction
+    of :func:`~numpy.lib.stride_tricks.as_strided` and bounds the view by
+    the buffer's size; any other layout goes through ``as_strided``.  The
+    view is writeable when ``base`` is.
+    """
+    if base.flags.c_contiguous:
+        return np.ndarray(shape, base.dtype, buffer=base, offset=col * base.itemsize,
+                          strides=strides)
+    return as_strided(base[..., col:], shape=shape, strides=strides)
+
+
 def as_chunks(seq: Sequence, size: int) -> Iterator[Sequence]:
     """Yield successive chunks of ``seq`` of at most ``size`` elements."""
     if size <= 0:

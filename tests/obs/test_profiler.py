@@ -31,6 +31,8 @@ class TestClassifyFrame:
             ("repro.stencils.grid", "refresh_halo", "halo"),
             ("repro.core.direct", "direct_valid", "direct"),
             ("repro.core.direct", "_blocked", "direct"),
+            ("repro.core.toeplitz", "toeplitz_valid", "gemm"),
+            ("repro.core.toeplitz", "band_matrices", "plan"),
             ("repro.baselines.direct_cuda", "anything", None),
             ("repro.stencils.padding", "anything", "fixup"),
             ("repro.runtime.tiled", "apply_dirty_fix", "fixup"),
@@ -84,6 +86,21 @@ class TestClassifyStack:
             ("repro.stencils.grid", "_reflect_sources"),
         ]
         assert classify_stack(halo) == "halo"
+
+    def test_toeplitz_pass_is_gemm_time(self):
+        """A sequencer-run Toeplitz pass shows as GEMM time, also while a
+        view helper from ``repro.utils`` is the innermost frame; building
+        its bands is plan time."""
+        run = [("repro.core.api", "run"), ("repro.runtime.execute", "_run_passes")]
+        toeplitz = run + [("repro.core.toeplitz", "toeplitz_valid")]
+        assert classify_stack(toeplitz) == "gemm"
+        assert classify_stack(toeplitz + [("repro.utils.arrays", "strided_view")]) == "gemm"
+        build = [
+            ("repro.runtime.cache", "get_or_build"),
+            ("repro.runtime.plan", "_build_pass"),
+            ("repro.core.toeplitz", "band_matrices"),
+        ]
+        assert classify_stack(build) == "plan"
 
     def test_unclassified_repro_stack_is_other(self):
         assert classify_stack([("repro.utils.tables", "format_table")]) == "other"

@@ -24,10 +24,10 @@ from repro.verify.differential import mutation_check
 # These tests are about the plans the strategy rule builds.
 pytestmark = pytest.mark.strategy_rule
 
-#: box-2d9p with ``fusion="auto"`` fuses 3 steps into a dense 7×7 pass,
-#: which the rule runs as ``gemm`` on this grid; the unfused remainder is
+#: heat-2d with ``fusion="auto"`` fuses 3 steps into a 7×7 pass with 25
+#: weights, which the rule runs as ``toeplitz``; the unfused remainder is
 #: ``direct``.  Four steps run one pass of each, with different halos.
-KERNEL, SHAPE, STEPS = "box-2d9p", (24, 26), 4
+KERNEL, SHAPE, STEPS = "heat-2d", (24, 26), 4
 
 BOUNDARIES = [
     (BoundaryCondition.CONSTANT, 0.5),
@@ -46,7 +46,7 @@ def _per_pass_loop(plan, x, fill, backend):
 
 def test_the_mixed_plan_is_mixed():
     plan = plan_for(get_kernel(KERNEL), SHAPE, fusion="auto")
-    assert [pp.strategy for pp in plan.passes_for(STEPS)] == ["gemm", "direct"]
+    assert [pp.strategy for pp in plan.passes_for(STEPS)] == ["toeplitz", "direct"]
     assert plan.fused_pass.halo > plan.base_pass.halo
 
 
@@ -118,7 +118,7 @@ class TestLazyTables:
         assert pp.strategy == "direct"
 
     def test_handed_direct_pass_matches_the_gemm_pass_batched(self):
-        kernel = get_kernel("box-2d9p")
+        kernel = get_kernel("heat-2d")
         pp = plan_for(kernel, (20, 22)).fused_pass
         batch = np.stack([pad_halo(g, 1) for g in default_rng(8).random((2, 20, 22))])
         gemm_pp = plan_for(kernel, (20, 22), strategy="gemm").fused_pass

@@ -1,11 +1,12 @@
-"""Plan-level strategy dispatch: ``gemm`` vs ``direct`` passes.
+"""Plan-level strategy dispatch: ``gemm``, ``direct`` and ``toeplitz`` passes.
 
 The strategy is a plan field, set by a fixed rule over the pass kernel's
-weights and the grid size; the pass sequencer runs ``direct`` passes
-itself and hands only ``gemm`` passes to backends.  These tests pin the
-contracts that make that safe: the direct kernel's bits, batched/per-grid
-identity under each strategy, the rule against its committed timings,
-the same bits in every process, and what a backend sees.
+weights (``direct`` or ``toeplitz``; ``gemm`` only when pinned); the pass
+sequencer runs ``direct`` and ``toeplitz`` passes itself and hands only
+``gemm`` passes to backends.  These tests pin the contracts that make
+that safe: the direct kernel's bits, batched/per-grid identity under
+each strategy, the rule against its committed timings, the same bits in
+every process, and what a backend sees.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.core import direct as direct_mod
 from repro.core.api import PinnedStencil
 from repro.core.direct import direct_valid
 from repro.core.fusion import plan_fusion
+from repro.core.toeplitz import toeplitz_valid
 from repro.errors import TessellationError
 from repro.runtime import (
     execute,
@@ -159,35 +161,45 @@ def test_unknown_strategy_rejected():
 @pytest.mark.parametrize(
     "name, fusion, shape, want",
     [
-        # 1-D and 3-D passes never repay the gather.
+        # 1-D passes and low-scoring kernels: direct at any size.
         ("heat-1d", 1, (512,), "direct"),
         ("heat-1d", "auto", (512,), "direct"),
         ("heat-3d", 1, (8, 8, 8), "direct"),
-        ("box-3d27p", 1, (8, 8, 8), "direct"),
-        # 2-D kernels with a low weight score: direct at any size.
+        # Dense 3-D (score 27): toeplitz.
+        ("box-3d27p", 1, (8, 8, 8), "toeplitz"),
         ("heat-2d", 1, (16, 16), "direct"),
         ("heat-2d", 2, (16, 16), "direct"),
-        ("box-2d9p", 1, (16, 16), "direct"),
+        # Dense 3x3 (score 9): toeplitz.
+        ("box-2d9p", 1, (16, 16), "toeplitz"),
         ("star-2d9p", 1, (16, 16), "direct"),
         ("star-2d13p", 1, (16, 16), "direct"),
-        # Score 12-48 (heat-2d-x3: 25 of 49 weights; dense 5x5: box-2d25p,
-        # box-2d9p-x2): up to 2^11 points.
-        ("heat-2d", "auto", (32, 64), "gemm"),
-        ("heat-2d", "auto", (33, 64), "direct"),
-        ("box-2d25p", 1, (32, 64), "gemm"),
-        ("box-2d25p", 1, (33, 64), "direct"),
-        ("box-2d9p", 2, (32, 64), "gemm"),
-        # Score 49 (dense 7x7: box-2d49p, box-2d9p-x3): up to 2^15 points.
-        ("box-2d49p", 1, (128, 256), "gemm"),
-        ("box-2d49p", 1, (129, 256), "direct"),
-        ("box-2d9p", "auto", (128, 256), "gemm"),
-        ("box-2d9p", "auto", (192, 192), "direct"),
+        # Score 12.8 (heat-2d-x3: 25 of 49 weights) and up: toeplitz,
+        # whatever the grid size.
+        ("heat-2d", "auto", (32, 64), "toeplitz"),
+        ("heat-2d", "auto", (33, 64), "toeplitz"),
+        ("box-2d25p", 1, (32, 64), "toeplitz"),
+        ("box-2d25p", 1, (33, 64), "toeplitz"),
+        ("box-2d9p", 2, (32, 64), "toeplitz"),
+        ("box-2d49p", 1, (128, 256), "toeplitz"),
+        ("box-2d49p", 1, (129, 256), "toeplitz"),
+        ("box-2d9p", "auto", (128, 256), "toeplitz"),
+        ("box-2d9p", "auto", (192, 192), "toeplitz"),
+        # A dense 1-D kernel scores 13 but stays direct.
+        ("1d5p", "auto", (512,), "direct"),
+        # Fused star kernels fill their box: toeplitz.
+        ("star-2d9p", 2, (16, 16), "toeplitz"),
+        ("heat-3d", 2, (8, 8, 8), "direct"),
+        ("box-2d49p", 1, (1, 1), "toeplitz"),
     ],
 )
 def test_rule_table(name, fusion, shape, want):
     kernel = plan_fusion(get_kernel(name), fusion).fused
     assert plan_mod.choose_strategy(kernel, shape) == want
-    assert build_plan(kernel, shape).fused_pass.strategy == want
+    pp = build_plan(kernel, shape).fused_pass
+    assert pp.strategy == want
+    # Bands only on a toeplitz pass, GEMM tables on none.
+    assert (pp.bands is not None) == (want == "toeplitz")
+    assert pp.offsets is None
 
 
 def test_rule_scores_the_useful_share_of_the_weight_box():
@@ -195,6 +207,17 @@ def test_rule_scores_the_useful_share_of_the_weight_box():
     sparse = StencilKernel.star(2, 6, weights=np.ones(25))
     assert sparse.points == 25
     assert plan_mod.choose_strategy(sparse, (8, 8)) == "direct"
+
+
+def test_rule_never_picks_gemm():
+    """Dual tessellation is reached only by pinning."""
+    picks = {
+        plan_mod.choose_strategy(plan_fusion(get_kernel(name), fusion).fused, shape)
+        for name in ("heat-1d", "heat-2d", "box-2d9p", "box-2d49p", "heat-3d", "box-3d27p")
+        for fusion in (1, 2, "auto")
+        for shape in ((4, 4, 4)[: get_kernel(name).ndim], (64, 64, 64)[: get_kernel(name).ndim])
+    }
+    assert picks == {"direct", "toeplitz"}
 
 
 class TestCrossoverTable:
@@ -207,12 +230,13 @@ class TestCrossoverTable:
         return json.loads(path.read_text())["rows"]
 
     def _agree(self, rows, workload):
+        """Rows where the rule picks the fastest of the three strategies."""
         mine = [r for r in rows if r["workload"] == workload]
         agree = sum(
             plan_mod.choose_strategy(
                 plan_fusion(get_kernel(r["kernel"]), r["fusion"]).fused, tuple(r["shape"])
             )
-            == ("gemm" if r["gemm_ms"] < r["direct_ms"] else "direct")
+            == min(STRATEGIES, key=lambda s: r[f"{s}_ms"])
             for r in mine
         )
         return agree, len(mine)
@@ -261,24 +285,26 @@ json.dump(result, sys.stdout)
 
 def test_catalog_bits_identical_across_processes():
     """Every catalog kernel, fused and not, on both sides of the rule's
-    thresholds: two fresh interpreters give the same plans and bits."""
+    threshold: two fresh interpreters, one of them held to one BLAS
+    thread, give the same plans and bits."""
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
     runs = [
         subprocess.run(
             [sys.executable, "-c", _RUN_CATALOG],
-            env=env, capture_output=True, text=True, check=True, timeout=300,
+            env=dict(env, **extra), capture_output=True, text=True, check=True,
+            timeout=300,
         ).stdout
-        for _ in range(2)
+        for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"})
     ]
     first, second = (json.loads(r) for r in runs)
     assert first == second
     picked = {s for fused, base, _ in first.values() for s in (fused, base)}
-    assert picked == set(STRATEGIES)
+    assert picked == {"direct", "toeplitz"}
 
 
 def test_custom_backend_sees_only_gemm_passes():
-    """Mixed plan: the rule runs heat-2d's 3-step fused passes as
-    ``gemm`` and the unfused remainder as ``direct``."""
+    """A plan pinned to ``gemm`` hands the backend every pass; the rule's
+    plan (``toeplitz`` fused passes, a ``direct`` remainder) hands it none."""
     seen = []
 
     class Recording(SerialBackend):
@@ -294,15 +320,20 @@ def test_custom_backend_sees_only_gemm_passes():
 
     register_backend("recording", Recording)
     try:
-        cs = ConvStencil(get_kernel("heat-2d"), fusion=3, backend="recording")
+        kernel = get_kernel("heat-2d")
+        cs = PinnedStencil(kernel, "gemm", fusion=3, backend="recording")
         x = default_rng(1).random((12, 12))
-        out = cs.run(x, steps=7)  # 2 fused (gemm) + 1 remainder (direct)
-        assert seen == ["gemm", "gemm"]
+        out = cs.run(x, steps=7)  # 2 fused + 1 remainder, all gemm
+        assert seen == ["gemm"] * 3
         batch = cs.run_batch(np.stack([x, x]), steps=7)
-        assert seen == ["gemm"] * 4
+        assert seen == ["gemm"] * 6
         assert np.array_equal(batch[0], out)
         # Same plan on another backend: same bits.
-        assert np.array_equal(ConvStencil(get_kernel("heat-2d"), fusion=3).run(x, steps=7), out)
+        assert np.array_equal(PinnedStencil(kernel, "gemm", fusion=3).run(x, steps=7), out)
+        plan = plan_for(kernel, x.shape, fusion=3)
+        assert (plan.fused_pass.strategy, plan.base_pass.strategy) == ("toeplitz", "direct")
+        ConvStencil(kernel, fusion=3, backend="recording").run(x, steps=7)
+        assert seen == ["gemm"] * 6
     finally:
         from repro.runtime import backends as backends_mod
 
@@ -313,10 +344,11 @@ def test_custom_backend_sees_only_gemm_passes():
 
 
 def test_apply_valid_follows_the_plan_strategy():
-    kernel = get_kernel("box-2d9p")
     padded = default_rng(4).random((14, 15))
-    got = ConvStencil(kernel, backend=get_backend("serial")).apply_valid(padded)
-    assert np.array_equal(got, direct_valid(padded, kernel))
+    for name, run in (("box-2d9p", toeplitz_valid), ("heat-2d", direct_valid)):
+        kernel = get_kernel(name)
+        got = ConvStencil(kernel, backend=get_backend("serial")).apply_valid(padded)
+        assert np.array_equal(got, run(padded, kernel))
 
 
 def test_empty_grid_is_not_measured():

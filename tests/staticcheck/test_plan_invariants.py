@@ -102,7 +102,7 @@ class TestStrategyInvariant:
     def _rules(self, plan):
         return {f.rule_id for f in check_plan(plan)}
 
-    @pytest.mark.parametrize("strategy", ["gemm", "direct"])
+    @pytest.mark.parametrize("strategy", ["gemm", "direct", "toeplitz"])
     def test_both_strategies_accepted(self, strategy):
         for name, shape in (("heat-1d", (67,)), ("heat-2d", (16, 21)), ("heat-3d", (8, 9, 11))):
             plan = build_plan(get_kernel(name), shape, fusion=2, strategy=strategy)
@@ -122,6 +122,54 @@ class TestStrategyInvariant:
         plan = build_plan(get_kernel("heat-2d"), (16, 21), strategy="direct")
         stripped = _mutate_base_pass(plan, offsets=None, weights=None)
         assert "RPR207" not in self._rules(stripped)
+
+    def test_toeplitz_pass_without_bands_caught(self):
+        plan = build_plan(get_kernel("heat-2d"), (16, 21), strategy="toeplitz")
+        assert plan.base_pass.bands is not None
+        assert "RPR207" in self._rules(_mutate_base_pass(plan, bands=None))
+
+
+class TestBands:
+    """RPR203 re-derives every band of a ``toeplitz`` pass from the
+    kernel weights."""
+
+    @pytest.mark.parametrize(
+        "name, shape", [("heat-1d", (67,)), ("box-2d25p", (16, 21)), ("heat-3d", (8, 9, 11))]
+    )
+    def test_honest_bands_pass(self, name, shape):
+        for depth in (1, 2):
+            plan = build_plan(get_kernel(name), shape, fusion=depth, strategy="toeplitz")
+            assert check_plan(plan) == []
+
+    def _with_bands(self, plan, bands):
+        return {f.rule_id for f in check_plan(_mutate_base_pass(plan, bands=bands))}
+
+    @pytest.mark.parametrize("name, shape", [("box-2d25p", (16, 21)), ("heat-3d", (8, 9, 11))])
+    def test_one_mutated_entry_caught(self, name, shape):
+        plan = build_plan(get_kernel(name), shape, strategy="toeplitz")
+        bands = dict(plan.base_pass.bands)
+        offset = list(bands)[-1]
+        band = np.array(bands[offset])
+        band[band.shape[0] // 2, band.shape[1] // 2] += 2.0**-40
+        bands[offset] = band
+        assert "RPR203" in self._with_bands(plan, bands)
+
+    def test_missing_or_extra_row_caught(self):
+        plan = build_plan(get_kernel("heat-3d"), (8, 9, 11), strategy="toeplitz")
+        bands = dict(plan.base_pass.bands)
+        first = next(iter(bands))
+        missing = {o: b for o, b in bands.items() if o != first}
+        assert "RPR203" in self._with_bands(plan, missing)
+        # (0, 0) is an all-zero row of heat-3d: it must not carry a band.
+        extra = {(0, 0): np.zeros_like(bands[first]), **bands}
+        assert "RPR203" in self._with_bands(plan, extra)
+
+    def test_ragged_widths_caught(self):
+        plan = build_plan(get_kernel("box-2d9p"), (16, 21), strategy="toeplitz")
+        bands = dict(plan.base_pass.bands)
+        last = list(bands)[-1]
+        bands[last] = np.ascontiguousarray(bands[last][:-1, :-1])
+        assert "RPR203" in self._with_bands(plan, bands)
 
 
 def test_eq13_count_matches_paper_values():

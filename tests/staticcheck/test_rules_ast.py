@@ -35,6 +35,20 @@ class TestRPR002UnpinnedGemm:
         """
         assert findings_for(src, "RPR002", path="core/engine_x.py") == []
 
+    def test_toeplitz_pass_is_in_scope(self):
+        """The banded-Toeplitz pass is a hot path: its matmul passes on
+        the marker, and the same function without it fires."""
+        from pathlib import Path
+
+        import repro.core.toeplitz as toeplitz
+
+        source = Path(toeplitz.__file__).read_text()
+        assert findings_for(source, "RPR002", path="core/toeplitz.py") == []
+        unmarked = source.replace("staticcheck: gemm-shape-pinned", "gemm shapes")
+        assert unmarked != source
+        (finding,) = findings_for(unmarked, "RPR002", path="core/toeplitz.py")
+        assert "toeplitz_valid" in finding.message
+
     def test_gemm_without_batch_vars_not_flagged(self):
         src = """
             import numpy as np

@@ -54,7 +54,7 @@ class TestStrategySpans:
         """Every pass span says how it ran: the strategy the rule picks."""
         obs.set_level("trace")
         x = default_rng(3).random((40, 40))
-        for name, want in (("star-2d9p", "direct"), ("box-2d49p", "gemm")):
+        for name, want in (("star-2d9p", "direct"), ("box-2d49p", "toeplitz")):
             tele.get_tracer().clear()
             ConvStencil(get_kernel(name)).run(x, steps=2)
             spans = tele.get_tracer().spans()
