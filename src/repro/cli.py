@@ -282,7 +282,7 @@ def _run_lint(argv: List[str]) -> List[str]:
             "(RPR002, RPR004, RPR006), the plan/LUT verifier over the "
             "kernel catalog (RPR201-204, RPR206, RPR207), the concurrency "
             "discipline rules (RPR102-103), the generated-kernel prover "
-            "(RPR400-406), and the asyncio serve-layer rules (RPR301-305); "
+            "(RPR400-401, RPR403-406), and the asyncio serve-layer rules (RPR301-305); "
             "RPR000 marks a module that does not parse"
         ),
     )
@@ -919,7 +919,7 @@ def _run_codegen(argv: List[str]) -> List[str]:
         entry = compiled_entry(plan.fused_pass, batched=args.batched)
         source = entry.source
         summary = (
-            f"codegen: python {entry.name} gather={entry.gather} "
+            f"codegen: python {entry.name} "
             f"chunks={entry.gemm.chunks} lines={len(source.splitlines())}"
         )
     if args.output:

@@ -22,7 +22,6 @@ from repro.codegen.compiled import (
     compiled_entry,
     compiled_source,
     get_compiled_pass,
-    numba_status,
 )
 from repro.codegen.cuda import CudaKernelSpec, generate_cuda_1d, generate_cuda_2d
 from repro.codegen.specs import GemmSpec, gemm_spec, gemm_spec_from_pass, weight_fragments
@@ -39,6 +38,5 @@ __all__ = [
     "generate_cuda_1d",
     "generate_cuda_2d",
     "get_compiled_pass",
-    "numba_status",
     "weight_fragments",
 ]

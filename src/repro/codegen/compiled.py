@@ -25,14 +25,6 @@ sliding-window view collapses into a single ``as_strided`` view over
 values* into the *same layout*, so the GEMM operands are byte-identical
 to the engine's while the two gather copies per pass disappear.
 
-An optional Numba ``njit`` fast path replaces that per-chunk strided copy
-with a fused gather loop driven by generation-time row/column LUTs
-(``flat_a[i, r, j] = ext[t0 + i + j // k, offsets[r, j % k]]`` — pure
-element copies, so bits cannot change); the GEMMs always stay in BLAS.
-Numba is resolved lazily: absent, disabled via
-``REPRO_COMPILED_NUMBA=0``, or failing its bit-identity self-check, the
-strided-view NumPy path is used — silently correct either way.
-
 Generated sources satisfy the staticcheck AST rules (they carry the
 ``gemm-shape-pinned`` markers RPR002 wants) and are linted through
 :func:`repro.staticcheck.lint_sources` at build time when
@@ -43,22 +35,20 @@ invariants use.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from repro import obs, telemetry
+from repro import obs
 from repro.codegen.specs import GemmSpec, gemm_spec_from_pass
 from repro.core.engine2d import _CHUNK
 from repro.errors import StaticCheckError, TessellationError
 from repro.telemetry.log import get_logger
 
 __all__ = [
-    "NUMBA_ENV",
     "CompiledPass",
     "GeneratedPass",
     "clear_compiled_cache",
@@ -66,17 +56,9 @@ __all__ = [
     "compiled_source",
     "generate_pass",
     "get_compiled_pass",
-    "numba_status",
-    "stencil2row_gather",
-    "stencil2row_gather_batched",
 ]
 
 _log = get_logger("codegen.compiled")
-
-#: Environment variable gating the optional Numba gather path
-#: (``0``/``false``/``off`` disables it; default is to use Numba iff
-#: importable and bit-identical on the self-check probe).
-NUMBA_ENV = "REPRO_COMPILED_NUMBA"
 
 #: Chunk bodies are fully unrolled up to this many; beyond it the
 #: generator emits one pinned-bounds loop instead (the source would
@@ -85,120 +67,6 @@ _MAX_UNROLL = 64
 
 #: Compiled-kernel LRU capacity (kernels × shapes × batched variants).
 _CACHE_CAPACITY = 128
-
-
-def stencil2row_gather(ext: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Fused stencil2row + window gather: ``out[i, r, j] = ext[rows[i, j], cols[r, j]]``.
-
-    One broadcast fancy-index replaces the engine's gather →
-    sliding-window → transpose-copy pipeline; the result is the identical
-    C-contiguous ``(c, R, k²)`` array (pure element copies, bit-exact).
-    """
-    return ext[rows[:, None, :], cols[None, :, :]]
-
-
-def stencil2row_gather_batched(
-    ext: np.ndarray, rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    """Batch-axis variant of :func:`stencil2row_gather`:
-    ``out[b, i, r, j] = ext[b, rows[i, j], cols[r, j]]``."""
-    return ext[:, rows[:, None, :], cols[None, :, :]]
-
-
-# ---------------------------------------------------------------------------
-# optional Numba gather path (bit-identical element copies, self-checked)
-# ---------------------------------------------------------------------------
-
-_numba_lock = threading.Lock()
-_numba_state: Dict[str, object] = {"status": None, "g2": None, "g3": None}
-
-
-def _build_numba_gathers():
-    """Compile the njit gather pair; raises if Numba is absent/broken."""
-    import numba  # deferred: the container may not ship it
-
-    @numba.njit(cache=False, fastmath=False)
-    def gather2(ext, rows, cols):  # pragma: no cover - numba-compiled
-        c, k2 = rows.shape
-        r_groups = cols.shape[0]
-        out = np.empty((c, r_groups, k2), dtype=np.float64)
-        for i in range(c):
-            for r in range(r_groups):
-                for j in range(k2):
-                    out[i, r, j] = ext[rows[i, j], cols[r, j]]
-        return out
-
-    @numba.njit(cache=False, fastmath=False)
-    def gather3(ext, rows, cols):  # pragma: no cover - numba-compiled
-        batch = ext.shape[0]
-        c, k2 = rows.shape
-        r_groups = cols.shape[0]
-        out = np.empty((batch, c, r_groups, k2), dtype=np.float64)
-        for b in range(batch):
-            for i in range(c):
-                for r in range(r_groups):
-                    for j in range(k2):
-                        out[b, i, r, j] = ext[b, rows[i, j], cols[r, j]]
-        return out
-
-    return gather2, gather3
-
-
-def _selfcheck_numba(g2, g3) -> bool:
-    """Seedless deterministic probe: njit gathers must match plain bits."""
-    ext2 = (np.arange(7 * 13, dtype=np.float64).reshape(7, 13) - 31.0) / 17.0
-    rows = (np.arange(3)[:, None] + np.arange(4)[None, :] // 2).astype(np.int64)
-    cols = (np.arange(2)[:, None] * 3 + np.arange(4)[None, :] % 3).astype(np.int64)
-    if not np.array_equal(g2(ext2, rows, cols), stencil2row_gather(ext2, rows, cols)):
-        return False
-    ext3 = np.stack([ext2, ext2[::-1].copy()])
-    return np.array_equal(
-        g3(ext3, rows, cols), stencil2row_gather_batched(ext3, rows, cols)
-    )
-
-
-def _resolve_gathers() -> Tuple[Callable, Callable, str]:
-    """The gather pair generated kernels should call, resolved once.
-
-    Returns ``(gather2, gather3, status)`` where ``status`` is one of
-    ``"plain"`` (Numba disabled), ``"absent"`` (not importable),
-    ``"fallback"`` (import/compile/self-check failure), ``"njit"``.
-    """
-    with _numba_lock:
-        if _numba_state["status"] is not None:
-            pass
-        elif os.environ.get(NUMBA_ENV, "").strip().lower() in ("0", "false", "off"):
-            _numba_state["status"] = "plain"
-        else:
-            try:
-                g2, g3 = _build_numba_gathers()
-                ok = _selfcheck_numba(g2, g3)
-            except ImportError:
-                _numba_state["status"] = "absent"
-            except Exception as exc:  # numba compile errors are myriad
-                _numba_state["status"] = "fallback"
-                _log.warning(
-                    "numba gather path failed to build (%s); "
-                    "falling back to the plain NumPy gather", exc,
-                )
-            else:
-                if ok:
-                    _numba_state.update(status="njit", g2=g2, g3=g3)
-                else:
-                    _numba_state["status"] = "fallback"
-                    _log.warning(
-                        "numba gather self-check diverged from the plain "
-                        "gather; falling back (bits win over speed)"
-                    )
-        status = str(_numba_state["status"])
-        if status == "njit":
-            return _numba_state["g2"], _numba_state["g3"], status
-        return stencil2row_gather, stencil2row_gather_batched, status
-
-
-def numba_status() -> str:
-    """Resolved Numba state: ``njit``, ``plain``, ``absent``, or ``fallback``."""
-    return _resolve_gathers()[2]
 
 
 # ---------------------------------------------------------------------------
@@ -212,25 +80,22 @@ class GeneratedPass:
 
     Carries everything :func:`repro.staticcheck.symexec.check_generated`
     needs to prove the kernel safe against its plan: the source, the
-    constant namespace (weights and gather LUTs), which flavour was
-    emitted, and an ``origin`` string naming what produced the source so
-    findings in detached generated code stay actionable.
+    constant namespace (the weights), and an ``origin`` string naming what
+    produced the source so findings in detached generated code stay
+    actionable.
     """
 
     #: Generated module name (stem contains ``engine`` so RPR002 applies).
     name: str
     #: Generated Python source (what ``lint_sources`` and symexec see).
     source: str
-    #: Generation-time constants the source closes over (weights, LUTs).
+    #: Generation-time constants the source closes over (the weights).
     constants: Dict[str, object]
-    #: Body flavour: ``"strided"`` (as_strided views) or ``"lut"`` (njit
-    #: fused gather driven by row/col LUT constants).
-    flavor: str
     #: Whether the kernel takes a leading batch axis.
     batched: bool
     #: The GEMM geometry the source was specialized against.
     gemm: GemmSpec
-    #: Provenance carried into findings: kernel, grid, flavour, digest.
+    #: Provenance carried into findings: kernel, grid, digest.
     origin: str
 
 
@@ -244,15 +109,13 @@ class CompiledPass:
     source: str
     #: The exec-compiled entry point.
     fn: Callable[[np.ndarray], np.ndarray]
-    #: Gather implementation backing the kernel (``njit`` or plain).
-    gather: str
     #: The GEMM geometry the source was specialized against.
     gemm: GemmSpec
     #: Generation-time constants the kernel was exec'd against.
     constants: Dict[str, object]
 
 
-def _digest(pp, batched: bool, use_lut: bool) -> str:
+def _digest(pp, batched: bool) -> str:
     h = hashlib.sha1()
     h.update(
         repr(
@@ -262,7 +125,6 @@ def _digest(pp, batched: bool, use_lut: bool) -> str:
                 pp.grid_shape,
                 pp.padded_shape,
                 batched,
-                "lut" if use_lut else "strided",
             )
         ).encode()
     )
@@ -292,25 +154,6 @@ def _flat_weights(weights: tuple, k: int, g: int) -> Tuple[np.ndarray, np.ndarra
     wa.setflags(write=False)
     wb.setflags(write=False)
     return wa, wb
-
-
-def _row_lut(x_valid: int, k: int) -> np.ndarray:
-    """Row LUT ``rows[i, j] = i + j // k`` of shape ``(x_valid, k²)``."""
-    rows = np.arange(x_valid, dtype=np.int64)[:, None] + (
-        np.arange(k * k, dtype=np.int64)[None, :] // k
-    )
-    rows.setflags(write=False)
-    return rows
-
-
-def _col_luts(offsets: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Column LUTs ``cols[r, j] = offsets[r, j % k]`` for A, ``+ edge`` for B."""
-    j = np.arange(k * k, dtype=np.int64) % k
-    cols_a = np.ascontiguousarray(np.asarray(offsets, dtype=np.int64)[:, j])
-    cols_b = cols_a + k
-    cols_a.setflags(write=False)
-    cols_b.setflags(write=False)
-    return cols_a, cols_b
 
 
 def _emit_strided_views(
@@ -352,7 +195,6 @@ def _emit_chunks_2d(
     indent: str,
     *,
     batched: bool,
-    use_lut: bool,
     out_name: str,
     wa: str,
     wb: str,
@@ -363,19 +205,14 @@ def _emit_chunks_2d(
 ) -> None:
     """Append the straight-line (or pinned-loop) chunk bodies.
 
-    Strided mode (``use_lut=False``) copies each chunk out of the ``sa``/
-    ``sb`` window views with the engine's exact ``transpose`` + contiguous
-    copy; LUT mode routes the copy through the njit fused gather instead.
-    Both produce byte-identical ``(c, R, k²)`` GEMM operands.
+    Each chunk is copied out of the ``sa``/``sb`` window views with the
+    engine's exact ``transpose`` + contiguous copy, so the ``(c, R, k²)``
+    GEMM operands are byte-identical to the engine's.
     """
     k2 = k * k
     lhs = f"{out_name}[:, {{t0}}:{{t1}}]" if batched else f"{out_name}[{{t0}}:{{t1}}]"
     shape = (f"{batch_expr}, {{c}}, {rg}") if batched else (f"{{c}}, {rg}")
-    if use_lut:
-        gather = "stencil2row_gather_batched" if batched else "stencil2row_gather"
-        flat_a = f"{gather}(ext, _ROWS[{{t0}}:{{t1}}], _COLS_A)"
-        flat_b = f"{gather}(ext, _ROWS[{{t0}}:{{t1}}], _COLS_B)"
-    elif batched:
+    if batched:
         win = "sa[:, {t0}:{t1}].transpose(0, 1, 3, 2, 4)"
         flat_shape = f"{batch_expr}, {{c}}, {r_groups}, {k2}"
         flat_a = f"np.ascontiguousarray({win}).reshape({flat_shape})"
@@ -419,8 +256,8 @@ def _emit_chunks_2d(
         )
 
 
-def _header(pp, batched: bool, what: str, strided: bool = True) -> List[str]:
-    lines = [
+def _header(pp, batched: bool, what: str) -> List[str]:
+    return [
         f'"""{what} — shape-pinned ConvStencil pass (generated, do not edit).',
         "",
         f"kernel {pp.kernel.name} (edge {pp.kernel.edge}), grid {pp.grid_shape},",
@@ -432,15 +269,11 @@ def _header(pp, batched: bool, what: str, strided: bool = True) -> List[str]:
         '"""',
         "",
         "import numpy as np",
-    ]
-    if strided:
-        lines.append("from numpy.lib.stride_tricks import as_strided")
-    lines += [
+        "from numpy.lib.stride_tricks import as_strided",
         "",
         "from repro.errors import TessellationError",
         "",
     ]
-    return lines
 
 
 def _source_1d(pp) -> Tuple[List[str], Dict[str, object]]:
@@ -490,7 +323,7 @@ def _source_1d(pp) -> Tuple[List[str], Dict[str, object]]:
     return lines, ns
 
 
-def _source_2d(pp, batched: bool, use_lut: bool) -> Tuple[List[str], Dict[str, object]]:
+def _source_2d(pp, batched: bool) -> Tuple[List[str], Dict[str, object]]:
     k = pp.kernel.edge
     g = k + 1
     m, n = pp.padded_shape
@@ -504,14 +337,9 @@ def _source_2d(pp, batched: bool, use_lut: bool) -> Tuple[List[str], Dict[str, o
         "_WA_FLAT": wa_flat,
         "_WB_FLAT": wb_flat,
     }
-    if use_lut:
-        cols_a, cols_b = _col_luts(pp.offsets, k)
-        ns["_ROWS"] = _row_lut(x_valid, k)
-        ns["_COLS_A"] = cols_a
-        ns["_COLS_B"] = cols_b
     ranges = _chunk_ranges(x_valid)
     what = "2-D dual tessellation" + (" (batched)" if batched else "")
-    lines = _header(pp, batched, what, strided=not use_lut)
+    lines = _header(pp, batched, what)
     if batched:
         lines += [
             "def compiled_pass(stack):",
@@ -530,8 +358,6 @@ def _source_2d(pp, batched: bool, use_lut: bool) -> Tuple[List[str], Dict[str, o
                 f"    ext = np.pad(stack, ((0, 0), (0, 0), (0, {needed - n})), "
                 'mode="constant")'
             )
-        elif use_lut:
-            lines.append("    ext = stack")
         else:
             lines += [
                 "    if not stack.flags.c_contiguous:",
@@ -557,8 +383,6 @@ def _source_2d(pp, batched: bool, use_lut: bool) -> Tuple[List[str], Dict[str, o
                 f"    ext = np.pad(padded, ((0, 0), (0, {needed - n})), "
                 'mode="constant")'
             )
-        elif use_lut:
-            lines.append("    ext = padded")
         else:
             lines += [
                 "    if not padded.flags.c_contiguous:",
@@ -566,19 +390,18 @@ def _source_2d(pp, batched: bool, use_lut: bool) -> Tuple[List[str], Dict[str, o
                 "    ext = padded",
             ]
         lines.append(f"    out = np.empty(({x_valid}, {rg}), dtype=np.float64)")
-    if not use_lut:
-        _emit_strided_views(
-            lines,
-            "    ",
-            batched=batched,
-            ext="ext",
-            k=k,
-            r_groups=r_groups,
-            x_valid=x_valid,
-            row_stride=8 * n_ext,
-            batch_stride=8 * m * n_ext,
-            batch_expr="batch",
-        )
+    _emit_strided_views(
+        lines,
+        "    ",
+        batched=batched,
+        ext="ext",
+        k=k,
+        r_groups=r_groups,
+        x_valid=x_valid,
+        row_stride=8 * n_ext,
+        batch_stride=8 * m * n_ext,
+        batch_expr="batch",
+    )
     lines += [
         "    # staticcheck: gemm-shape-pinned — every GEMM below is a stacked",
         f"    # ({r_groups}, {k * k}) @ ({k * k}, {g}) contraction; both shapes",
@@ -589,7 +412,6 @@ def _source_2d(pp, batched: bool, use_lut: bool) -> Tuple[List[str], Dict[str, o
         ranges,
         "    ",
         batched=batched,
-        use_lut=use_lut,
         out_name="out",
         wa="_WA_FLAT",
         wb="_WB_FLAT",
@@ -606,7 +428,7 @@ def _source_2d(pp, batched: bool, use_lut: bool) -> Tuple[List[str], Dict[str, o
     return lines, ns
 
 
-def _source_3d(pp, use_lut: bool) -> Tuple[List[str], Dict[str, object]]:
+def _source_3d(pp) -> Tuple[List[str], Dict[str, object]]:
     k = pp.kernel.edge
     g = k + 1
     pz_pad, px_pad, py_pad = pp.padded_shape
@@ -617,13 +439,8 @@ def _source_3d(pp, use_lut: bool) -> Tuple[List[str], Dict[str, object]]:
     x_valid, y_valid = px_pad - k + 1, py_pad - k + 1
     rg = r_groups * g
     ns: Dict[str, object] = {}
-    if use_lut:
-        cols_a, cols_b = _col_luts(pp.offsets, k)
-        ns["_ROWS"] = _row_lut(x_valid, k)
-        ns["_COLS_A"] = cols_a
-        ns["_COLS_B"] = cols_b
     ranges = _chunk_ranges(x_valid)
-    lines = _header(pp, False, "3-D plane decomposition (§4.2)", strided=not use_lut)
+    lines = _header(pp, False, "3-D plane decomposition (§4.2)")
     lines += [
         "def compiled_pass(padded):",
         f'    """Pinned 3-D pass: {pp.padded_shape} -> ({pz}, {px}, {py})."""',
@@ -634,13 +451,8 @@ def _source_3d(pp, use_lut: bool) -> Tuple[List[str], Dict[str, object]]:
         f'({pz_pad}, {px_pad}, {py_pad}); "',
         '            "got %r" % (padded.shape,)',
         "        )",
-    ]
-    if not use_lut:
-        lines += [
-            "    if not padded.flags.c_contiguous:",
-            "        padded = np.ascontiguousarray(padded)",
-        ]
-    lines += [
+        "    if not padded.flags.c_contiguous:",
+        "        padded = np.ascontiguousarray(padded)",
         f"    out = np.zeros(({pz}, {px}, {py}), dtype=np.float64)",
         "    # staticcheck: gemm-shape-pinned — the dense planes below run",
         f"    # stacked ({r_groups}, {k * k}) @ ({k * k}, {g}) GEMMs with",
@@ -669,26 +481,24 @@ def _source_3d(pp, use_lut: bool) -> Tuple[List[str], Dict[str, object]]:
             )
         else:
             lines.append("    ext = stack")
-        if not use_lut:
-            _emit_strided_views(
-                lines,
-                "    ",
-                batched=True,
-                ext="ext",
-                k=k,
-                r_groups=r_groups,
-                x_valid=x_valid,
-                row_stride=8 * n_ext,
-                batch_stride=8 * px_pad * n_ext,
-                batch_expr=str(pz),
-            )
+        _emit_strided_views(
+            lines,
+            "    ",
+            batched=True,
+            ext="ext",
+            k=k,
+            r_groups=r_groups,
+            x_valid=x_valid,
+            row_stride=8 * n_ext,
+            batch_stride=8 * px_pad * n_ext,
+            batch_expr=str(pz),
+        )
         lines.append(f"    acc = np.empty(({pz}, {x_valid}, {rg}), dtype=np.float64)")
         _emit_chunks_2d(
             lines,
             ranges,
             "    ",
             batched=True,
-            use_lut=use_lut,
             out_name="acc",
             wa=f"_WA_FLAT_{dz}",
             wb=f"_WB_FLAT_{dz}",
@@ -703,15 +513,8 @@ def _source_3d(pp, use_lut: bool) -> Tuple[List[str], Dict[str, object]]:
     return lines, ns
 
 
-def _generate(
-    pp, batched: bool, use_lut: bool = False
-) -> Tuple[str, str, Dict[str, object]]:
-    """Lower one pass plan to ``(module_name, source, constant_namespace)``.
-
-    ``use_lut`` selects the njit fused-gather body (only emitted when the
-    Numba gathers resolved and self-checked); the default strided-view
-    body is pure NumPy and standalone.
-    """
+def _generate(pp, batched: bool) -> Tuple[str, str, Dict[str, object]]:
+    """Lower one pass plan to ``(module_name, source, constant_namespace)``."""
     if batched and pp.ndim != 2:
         raise TessellationError(
             f"batched compilation supports 2-D passes, got {pp.ndim}-D"
@@ -719,36 +522,20 @@ def _generate(
     if pp.ndim == 1:
         lines, ns = _source_1d(pp)
     elif pp.ndim == 2:
-        lines, ns = _source_2d(pp, batched, use_lut)
+        lines, ns = _source_2d(pp, batched)
     else:
-        lines, ns = _source_3d(pp, use_lut)
+        lines, ns = _source_3d(pp)
     suffix = "_batched" if batched else ""
-    name = f"compiled_engine_{pp.ndim}d{suffix}_{_digest(pp, batched, use_lut)}"
+    name = f"compiled_engine_{pp.ndim}d{suffix}_{_digest(pp, batched)}"
     return name, "\n".join(lines), ns
 
 
-def generate_pass(
-    pp, batched: bool = False, flavor: Optional[str] = None
-) -> GeneratedPass:
-    """Lower one pass plan to a :class:`GeneratedPass` without executing it.
-
-    ``flavor`` selects the body explicitly (``"strided"`` or ``"lut"``);
-    the default resolves from the Numba state like :func:`compiled_entry`
-    does.  LUT sources can be *generated* (and therefore proven by the
-    staticcheck layer-4 prover) even where Numba is absent and they could
-    never run — the catalog sweep relies on exactly that.
-    """
-    if flavor is None:
-        flavor = "lut" if _resolve_gathers()[2] == "njit" else "strided"
-    if flavor not in ("strided", "lut"):
-        raise TessellationError(f"unknown kernel flavor {flavor!r}")
-    if pp.ndim == 1:
-        flavor = "strided"  # 1-D bodies have no gather to elide
-    use_lut = flavor == "lut"
+def generate_pass(pp, batched: bool = False) -> GeneratedPass:
+    """Lower one pass plan to a :class:`GeneratedPass` without executing it."""
     pp = pp.ensure_tables()
-    name, source, constants = _generate(pp, batched, use_lut)
+    name, source, constants = _generate(pp, batched)
     origin = (
-        f"kernel={pp.kernel.name} grid={pp.grid_shape} flavor={flavor}"
+        f"kernel={pp.kernel.name} grid={pp.grid_shape}"
         + (" batched" if batched else "")
         + f" digest={name.rsplit('_', 1)[-1]}"
     )
@@ -756,7 +543,6 @@ def generate_pass(
         name=name,
         source=source,
         constants=constants,
-        flavor=flavor,
         batched=batched,
         gemm=gemm_spec_from_pass(pp),
         origin=origin,
@@ -789,28 +575,19 @@ def _staticcheck_generated(gen: GeneratedPass, pp) -> None:
 
 
 def _compile(pp, batched: bool) -> CompiledPass:
-    gather2, gather3, status = _resolve_gathers()
-    use_lut = status == "njit"
-    gen = generate_pass(pp, batched=batched, flavor="lut" if use_lut else "strided")
+    gen = generate_pass(pp, batched=batched)
     _staticcheck_generated(gen, pp)
     namespace: Dict[str, object] = {
         "__name__": f"repro.codegen.generated.{gen.name}",
     }
-    if use_lut:
-        namespace["stencil2row_gather"] = gather2
-        namespace["stencil2row_gather_batched"] = gather3
     namespace.update(gen.constants)
     exec(compile(gen.source, f"<{gen.name}>", "exec"), namespace)
     obs.count("codegen.compiled.builds")
-    _log.debug(
-        "compiled %s (%d lines, gather=%s)",
-        gen.name, len(gen.source.splitlines()), status,
-    )
+    _log.debug("compiled %s (%d lines)", gen.name, len(gen.source.splitlines()))
     return CompiledPass(
         name=gen.name,
         source=gen.source,
         fn=namespace["compiled_pass"],
-        gather=status,
         gemm=gen.gemm,
         constants=gen.constants,
     )

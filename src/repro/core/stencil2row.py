@@ -193,10 +193,6 @@ def stencil2row_offsets(rows: int, edge: int) -> np.ndarray:
     return cols
 
 
-#: Backwards-compatible private alias (pre-runtime name).
-_gather_columns = stencil2row_offsets
-
-
 def stencil2row_views_2d(
     padded: np.ndarray, edge: int, offsets: np.ndarray | None = None
 ) -> tuple:

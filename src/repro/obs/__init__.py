@@ -50,7 +50,6 @@ __all__ = [
     "count",
     "enabled",
     "fold_perf_counters",
-    "get_alert_engine",
     "get_collector",
     "get_level",
     "get_profiler",
@@ -161,17 +160,6 @@ def configure_alerts(
     with _state.lock:
         _state.alerts = engine
     return engine
-
-
-def get_alert_engine(create: bool = True) -> Optional[AlertEngine]:
-    """The process-wide alert engine (default policy), building it lazily.
-
-    ``create=False`` peeks without instantiating — the exporter uses
-    that so scraping never changes state behind the operator's back.
-    """
-    if _state.alerts is None and create:
-        return configure_alerts()
-    return _state.alerts
 
 
 def _reset_for_tests(

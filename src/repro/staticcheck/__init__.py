@@ -15,9 +15,9 @@ Five layers behind one finding model and one reporter (see DESIGN.md
 3. **Concurrency discipline checker** (:mod:`.rules_concurrency`,
    RPR102–103) — `with`-only ordered locking and no blocking under the
    PlanCache global lock.
-4. **Generated-kernel prover** (:mod:`.symexec`, RPR400–406) — abstract
-   interpretation of the ``compiled`` backend's generated source against
-   its plan: strided-view bounds, gather-LUT bounds, Eq.-13 chunk
+4. **Generated-kernel prover** (:mod:`.symexec`, RPR400–401,
+   RPR403–406) — abstract interpretation of the ``compiled`` backend's
+   generated source against its plan: strided-view bounds, Eq.-13 chunk
    tiling, GEMM conformance, float64 end-to-end, deterministic op
    order.  Gates the compiled-kernel cache under ``REPRO_STATICCHECK=1``
    exactly as layer 2 gates plan inserts.

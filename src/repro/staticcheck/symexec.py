@@ -1,4 +1,4 @@
-"""Layer 4 — symbolic execution of generated kernels (RPR400–RPR406).
+"""Layer 4 — symbolic execution of generated kernels (RPR400–401, RPR403–406).
 
 The ``compiled`` backend ``exec``-compiles shape-pinned kernels whose
 ``as_strided`` views carry generation-time literal strides — the exact
@@ -6,8 +6,8 @@ construct where a single wrong literal silently reads out-of-bounds
 memory, and which no on-disk AST rule can see because the code does not
 exist until plan time.  This layer is an abstract interpreter over the
 generated source: it symbolically executes every statement the generator
-can emit (allocations, pads, strided views, LUT gathers, stacked GEMMs,
-chunked stores, plane AXPYs) against the :class:`PassPlan` the source was
+can emit (allocations, pads, strided views, stacked GEMMs, chunked
+stores, plane AXPYs) against the :class:`PassPlan` the source was
 generated from, and proves the paper's safety story:
 
 ========  ==================================================================
@@ -17,9 +17,8 @@ RPR401    an ``as_strided(ext, shape, strides)`` view escapes ``ext``'s
           allocation, or its shape/strides/base deviate from the plan's
           dual-tessellation geometry (Eq. 5 runs over the §3.4
           zero-extended tile).
-RPR402    a stencil2row gather LUT deviates from Eq. 5/6
-          (``rows[i,j] = i + j//k``, ``cols[r,j] = offsets[r, j%k]``,
-          B = A + k) or indexes outside the extended grid.
+RPR402    retired (it proved the gather LUTs of a kernel body that is
+          no longer generated); the number is not reused.
 RPR403    chunk stores fail to tile the shift axis ``[0, x_valid)``
           disjointly and completely (Eq. 13 decomposition), or an
           ``np.empty`` buffer is read before every row was written.
@@ -28,7 +27,7 @@ RPR404    GEMM operands do not conform, the weight constants are not the
           disagrees with the plan's MMA accounting, or a pinned shape
           (guard / reshape / return) breaks.
 RPR405    dtype is not float64 end-to-end (wrong ``dtype=`` literal,
-          non-float64 weight constant, non-int64 LUT, promotion).
+          non-float64 weight constant, promotion).
 RPR406    accumulation is fed by dict/set iteration — nondeterministic
           op order breaks the bit-identity contract.
 ========  ==================================================================
@@ -63,7 +62,6 @@ __all__ = [
 _MAX_ITERATIONS = 4096
 
 _FLOAT64 = "float64"
-_INT64 = "int64"
 
 
 class _Unsupported(Exception):
@@ -235,7 +233,7 @@ class Arr:
 
 def _fresh(shape, dtype, role, label, **kw) -> Arr:
     shape_syms = tuple(Sym.of(d) for d in shape)
-    itemsize = 8  # float64 and int64 — the only dtypes the prover admits
+    itemsize = 8  # float64 — the only dtype the prover admits
     alloc = Alloc(_prod(shape_syms) * Sym(itemsize), label)
     arr = Arr(shape_syms, dtype, alloc=alloc, contig=True, role=role, **kw)
     arr.strides = arr.contiguous_strides(itemsize)
@@ -260,12 +258,11 @@ def _merge_intervals(ivals: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
 class _Expect:
     """Everything the plan says the generated kernel *must* look like."""
 
-    def __init__(self, pp, batched: bool, flavor: str) -> None:
+    def __init__(self, pp, batched: bool) -> None:
         k = pp.kernel.edge
         g = k + 1
         self.k, self.g = k, g
         self.batched = batched
-        self.flavor = flavor
         self.ndim = pp.ndim
         self.r_groups = int(pp.offsets.shape[0]) if pp.offsets is not None else 0
         r = self.r_groups
@@ -289,7 +286,6 @@ class _Expect:
             m, n = pp.padded_shape
             self.n_ext = max(n, needed)
             x_valid, y_valid = m - k + 1, n - k + 1
-            self.x_valid = x_valid
             self.guard_shape = tuple(pp.padded_shape)
             if batched:
                 self.return_shape = (batch, Sym(x_valid), Sym(y_valid))
@@ -302,14 +298,12 @@ class _Expect:
                 strides = (8 * self.n_ext, 8 * self.n_ext, 8 * g, 8)
             self.weights["_WA_FLAT"] = self._flat(pp.weights[0], k, g)
             self.weights["_WB_FLAT"] = self._flat(pp.weights[1], k, g)
-            if flavor == "strided":
-                self.views = [(shape, strides, 0), (shape, strides, 8 * k)]
+            self.views = [(shape, strides, 0), (shape, strides, 8 * k)]
         else:
             pz_pad, px_pad, py_pad = pp.padded_shape
             pz = pz_pad - k + 1
             x_valid = px_pad - k + 1
             self.n_ext = max(py_pad, needed)
-            self.x_valid = x_valid
             self.guard_shape = tuple(pp.padded_shape)
             self.return_shape = (Sym(pz), Sym(x_valid), Sym(py_pad - k + 1))
             shape = (Sym(pz), Sym(x_valid), Sym(k), Sym(r), Sym(k))
@@ -322,25 +316,8 @@ class _Expect:
                     wa, wb = pp.weights_by_plane[dz]
                     self.weights[f"_WA_FLAT_{dz}"] = self._flat(wa, k, g)
                     self.weights[f"_WB_FLAT_{dz}"] = self._flat(wb, k, g)
-                    if flavor == "strided":
-                        self.views.append((shape, strides, 0))
-                        self.views.append((shape, strides, 8 * k))
-
-        # Eq. 5/6 LUT expectations (the generator's row/col gather tables).
-        if flavor == "lut" and pp.ndim >= 2:
-            x_valid = self.x_valid
-            j = np.arange(k * k, dtype=np.int64)
-            rows = (
-                np.arange(x_valid, dtype=np.int64)[:, None] + j[None, :] // k
-            )
-            cols_a = np.asarray(pp.offsets, dtype=np.int64)[:, j % k]
-            self.luts = {
-                "_ROWS": rows,
-                "_COLS_A": cols_a,
-                "_COLS_B": cols_a + k,
-            }
-        else:
-            self.luts = {}
+                    self.views.append((shape, strides, 0))
+                    self.views.append((shape, strides, 8 * k))
 
     @staticmethod
     def _flat(w, k: int, g: int) -> np.ndarray:
@@ -352,7 +329,7 @@ class _Expect:
 # ---------------------------------------------------------------------------
 
 _ROLE_RULE = {"view": "RPR401", "ext": "RPR401", "input": "RPR401",
-              "lut": "RPR402", "out": "RPR403"}
+              "out": "RPR403"}
 
 
 class _Interp:
@@ -367,7 +344,6 @@ class _Interp:
         self.env: Dict[str, object] = {}
         self.findings: List[Finding] = []
         self.returned = False
-        self._luts_checked = False
         self._view_idx = 0
         self._axpy_idx = 0
 
@@ -732,9 +708,7 @@ class _Interp:
             arr = self._wrap_constant(name, node)
             self.env[name] = arr
             return arr
-        if name in ("np", "as_strided", "TessellationError",
-                    "stencil2row_gather", "stencil2row_gather_batched",
-                    "range"):
+        if name in ("np", "as_strided", "TessellationError", "range"):
             return f"<{name}>"
         raise _Unsupported(f"unknown name {name!r}")
 
@@ -742,17 +716,13 @@ class _Interp:
         value = self.constants[name]
         if not isinstance(value, np.ndarray):
             raise _Unsupported(f"non-array constant {name!r}")
-        is_lut = name in ("_ROWS", "_COLS_A", "_COLS_B")
-        role = "lut" if is_lut else "weight"
-        want = _INT64 if is_lut else _FLOAT64
-        if value.dtype != np.dtype(want):
+        if value.dtype != np.dtype(_FLOAT64):
             self._f(
                 "RPR405", node,
-                f"constant {name} has dtype {value.dtype}, expected {want}",
+                f"constant {name} has dtype {value.dtype}, expected {_FLOAT64}",
             )
-        arr = Arr(value.shape, str(value.dtype), contig=True, role=role,
-                  data=value)
-        return arr
+        return Arr(value.shape, str(value.dtype), contig=True, role="weight",
+                   data=value)
 
     def _attribute(self, node: ast.Attribute):
         value = self._eval(node.value)
@@ -922,8 +892,6 @@ class _Interp:
         if isinstance(func, ast.Name):
             if func.id == "as_strided":
                 return self._as_strided(node)
-            if func.id in ("stencil2row_gather", "stencil2row_gather_batched"):
-                return self._gather(node, batched="batched" in func.id)
             raise _Unsupported(f"call to {func.id!r}")
         raise _Unsupported("indirect call")
 
@@ -1058,7 +1026,7 @@ class _Interp:
             return Arr(flat, arr.dtype, contig=True, role="tmp")
         raise _Unsupported(f"method .{attr}")
 
-    # -- the two proved primitives ----------------------------------------
+    # -- the proved primitive ---------------------------------------------
 
     def _as_strided(self, node: ast.Call) -> Arr:
         if len(node.args) != 3:
@@ -1147,81 +1115,6 @@ class _Interp:
         return Arr(shape_s, base.dtype, alloc=base.alloc,
                    base_off=base.base_off, strides=strides_i,
                    contig=False, role="view")
-
-    def _check_luts(self, node) -> None:
-        """RPR402 structural proof: LUT constants == Eq. 5/6 re-derivation."""
-        if self._luts_checked:
-            return
-        self._luts_checked = True
-        for name, want in self.exp.luts.items():
-            have = self.constants.get(name)
-            if not isinstance(have, np.ndarray):
-                self._f(
-                    "RPR402", node,
-                    f"gather LUT {name} missing from the kernel constants",
-                )
-                continue
-            if have.shape != want.shape or not np.array_equal(have, want):
-                self._f(
-                    "RPR402", node,
-                    f"gather LUT {name} deviates from Eq. 5/6 "
-                    f"(rows[i,j]=i+j//k, cols[r,j]=offsets[r,j%k], B=A+k)",
-                    fix_hint="rebuild the kernel; LUTs must be derived from "
-                    "the plan's stencil2row offsets",
-                )
-
-    def _gather(self, node: ast.Call, batched: bool) -> Arr:
-        if len(node.args) != 3:
-            raise _Unsupported("gather call without (ext, rows, cols)")
-        ext = self._read(self._eval(node.args[0]), node)
-        rows = self._eval(node.args[1])
-        cols = self._eval(node.args[2])
-        if not all(isinstance(a, Arr) for a in (ext, rows, cols)):
-            raise _Unsupported("gather over unknown operands")
-        self._check_luts(node)
-        if rows.data is None or cols.data is None:
-            self._f(
-                "RPR402", node,
-                "gather driven by non-constant LUTs — indices cannot be "
-                "proven in-bounds",
-            )
-            row_data = col_data = None
-        else:
-            row_data, col_data = rows.data, cols.data
-        want_ndim = 3 if batched else 2
-        if ext.ndim != want_ndim:
-            self._f(
-                "RPR402", node,
-                f"gather expects a {want_ndim}-D extended grid, got "
-                f"{_shp(ext.shape)}",
-            )
-        row_extent = ext.shape[-2].literal()
-        col_extent = ext.shape[-1].literal()
-        if row_data is not None and row_data.size:
-            if int(row_data.min()) < 0 or int(row_data.max()) >= row_extent:
-                self._f(
-                    "RPR402", node,
-                    f"row LUT spans [{int(row_data.min())}, "
-                    f"{int(row_data.max())}] outside the grid's "
-                    f"{row_extent} rows",
-                )
-        if col_data is not None and col_data.size:
-            if int(col_data.min()) < 0 or int(col_data.max()) >= col_extent:
-                self._f(
-                    "RPR402", node,
-                    f"column LUT spans [{int(col_data.min())}, "
-                    f"{int(col_data.max())}] outside the extended row of "
-                    f"{col_extent} columns (§3.4 dirty zone)",
-                )
-        if ext.dtype != _FLOAT64:
-            self._f("RPR405", node, f"gather over dtype {ext.dtype}")
-        c = rows.shape[0]
-        r_groups = cols.shape[0]
-        k2 = rows.shape[1]
-        shape: Tuple[Sym, ...] = (c, r_groups, k2)
-        if batched:
-            shape = (ext.shape[0],) + shape
-        return Arr(shape, ext.dtype, contig=True, role="tmp")
 
 
 # ---------------------------------------------------------------------------
@@ -1360,7 +1253,7 @@ def check_generated(gen, pp) -> List[Finding]:
     """Symbolically execute one generated kernel against its pass plan.
 
     ``gen`` is a :class:`repro.codegen.compiled.GeneratedPass` (name,
-    source, constants, flavor, batched, gemm, origin); ``pp`` the
+    source, constants, batched, gemm, origin); ``pp`` the
     :class:`~repro.runtime.plan.PassPlan` it was generated from.  Returns
     every violated safety property as an error :class:`Finding` (empty
     list == proven safe); an uninterpretable kernel yields RPR400 — the
@@ -1378,7 +1271,7 @@ def check_generated(gen, pp) -> List[Finding]:
         )
         tree = None
     if tree is not None:
-        expect = _Expect(pp, gen.batched, gen.flavor)
+        expect = _Expect(pp, gen.batched)
         interp = _Interp(file, pp, expect, dict(gen.constants))
         try:
             interp.run(tree)
@@ -1399,10 +1292,6 @@ def check_generated(gen, pp) -> List[Finding]:
                     f"{type(exc).__name__}: {exc}",
                 )
             )
-        # LUT flavours whose gather was mutated away still get the
-        # structural LUT proof.
-        if gen.flavor == "lut" and not interp._luts_checked:
-            interp._check_luts(0)
         findings.extend(interp.findings)
         findings.extend(_scan_determinism(tree, file))
     findings.extend(check_gemm_spec(gen.gemm, label=pp.kernel.name))
@@ -1415,14 +1304,12 @@ def check_generated(gen, pp) -> List[Finding]:
 
 
 def check_generated_catalog() -> Tuple[List[Finding], int]:
-    """Prove every catalogued kernel's generated code, in every flavour.
+    """Prove every catalogued kernel's generated code.
 
     Sweeps the same kernel population as layer 2's
     :func:`~repro.staticcheck.plan_invariants.check_plan_catalog` — every
     catalogued kernel at the awkward catalog shapes, fusion depths 1 and
-    2, base and fused passes — through both the strided and LUT source
-    flavours and (for 2-D) the batched variant.  Source generation needs
-    no Numba: the LUT flavour is *checked* even where it cannot *run*.
+    2, base and fused passes — and, for 2-D, the batched variant too.
     Returns ``(findings, kernels_checked)``.
     """
     from repro.codegen.compiled import generate_pass
@@ -1442,11 +1329,8 @@ def check_generated_catalog() -> Tuple[List[Finding], int]:
             if plan.fused_pass is not plan.base_pass:
                 passes.append(plan.fused_pass)
             for pp in passes:
-                flavors = ("strided",) if pp.ndim == 1 else ("strided", "lut")
-                for flavor in flavors:
-                    for batched in ((False, True) if pp.ndim == 2
-                                    else (False,)):
-                        gen = generate_pass(pp, batched=batched, flavor=flavor)
-                        findings.extend(check_generated(gen, pp))
-                        checked += 1
+                for batched in (False, True) if pp.ndim == 2 else (False,):
+                    gen = generate_pass(pp, batched=batched)
+                    findings.extend(check_generated(gen, pp))
+                    checked += 1
     return findings, checked

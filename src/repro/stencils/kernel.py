@@ -251,13 +251,6 @@ class StencilKernel:
             shape_kind="star",
         )
 
-    @staticmethod
-    def from_weights(
-        weights: np.ndarray, name: str = "custom", shape_kind: str = "custom"
-    ) -> "StencilKernel":
-        """Wrap an arbitrary dense weight array as a kernel."""
-        return StencilKernel(name=name, weights=np.asarray(weights), shape_kind=shape_kind)
-
 
 def _default_weights(n: int) -> np.ndarray:
     """Deterministic, distinct, sum-to-one weights.

@@ -8,7 +8,7 @@ import pytest
 
 from repro import ConvStencil, get_kernel
 from repro.codegen import compiled_entry, compiled_source, get_compiled_pass
-from repro.codegen.compiled import clear_compiled_cache, numba_status
+from repro.codegen.compiled import clear_compiled_cache
 from repro.errors import TessellationError
 from repro.runtime import get_backend, list_backends, plan_for
 from repro.staticcheck import GEMM_PINNED_MARK, lint_sources
@@ -164,18 +164,6 @@ class TestGeneratedSource:
         k = plan.fused_pass.kernel.edge
         assert entry.gemm.contraction_rows == k * k
         assert entry.gemm.mma_per_tile == 2 * entry.gemm.chunks
-
-    def test_numba_status_is_resolved(self):
-        # this container has no numba; any resolved state is legal, but it
-        # must be one of the documented ones and the backend must still work
-        assert numba_status() in ("njit", "plain", "absent", "fallback")
-
-    def test_numba_env_disable(self, monkeypatch):
-        from repro.codegen import compiled as mod
-
-        monkeypatch.setenv(mod.NUMBA_ENV, "0")
-        monkeypatch.setitem(mod._numba_state, "status", None)
-        assert mod.numba_status() == "plain"
 
 
 class TestRegistration:
