@@ -13,8 +13,6 @@ reading a ``fuse_steps·r`` ghost zone.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.baselines.base import StencilBaseline

@@ -34,7 +34,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, Optional
 
-from repro.obs.alerts import AlertEngine, AlertPolicy
+from repro.obs.alerts import AlertEngine
 from repro.obs.collector import (
     ObsCollector,
     fold_perf_counters,

@@ -65,7 +65,9 @@ MAX_TENANTS = 4096
 
 #: The snapshot's ``serve`` block: counters summed over the running
 #: services, and peaks that take their maximum.
-_SERVE_SUMS = ("batches", "batched_requests", "affinity_hits", "affinity_misses")
+_SERVE_SUMS = (
+    "batches", "inline_batches", "batched_requests", "affinity_hits", "affinity_misses"
+)
 _SERVE_PEAKS = ("max_batch", "queue_peak")
 
 

@@ -16,10 +16,13 @@ served or called directly.
 
 A run pads its input once, like the paper's padding that is reused as
 scratch (§3.4).  Its state lives in the interior of two halo buffers
-sized for the widest halo among its passes: before each later pass the
-halo of the current buffer is refreshed in place
-(:func:`~repro.stencils.grid.refresh_halo`, equal to a fresh pad bit for
-bit), and the pass writes the other buffer's interior.  A ``direct`` or
+sized for the widest halo among its passes.  The input is copied into
+the first buffer's interior and its halo filled in place
+(``pad_halo(..., out=buffer)``, which fills by
+:func:`~repro.stencils.grid.refresh_halo`, equal to :func:`numpy.pad`
+bit for bit and much cheaper on small grids); before each later pass
+the halo of the current buffer is refreshed the same way, and the pass
+writes the other buffer's interior.  A ``direct`` or
 ``toeplitz`` pass reads the buffer in place and writes straight into
 that interior; a ``gemm`` pass gets a contiguous padded array, as it
 would from a fresh pad, and its result is copied in.  The
@@ -123,12 +126,12 @@ def _run_passes(
         return np.array(data, dtype=np.float64)
     lead = (slice(None),) if batched else ()
     halo = max(pp.halo for pp in passes)
+    grid = data.shape[len(lead):]
+    buffer = np.empty(data.shape[: len(lead)] + tuple(n + 2 * halo for n in grid))
     pad = pad_halo_batch if batched else pad_halo
-    current = pad(data, halo, plan.boundary, fill_value)
-    if current is data:  # a zero halo pads nothing; never reuse the caller's array
-        current = data.copy()
+    current = pad(data, halo, plan.boundary, fill_value, out=buffer)
     spare = np.empty_like(current) if len(passes) > 1 else None
-    interior = lead + tuple(slice(halo, halo + n) for n in data.shape[len(lead):])
+    interior = lead + tuple(slice(halo, halo + n) for n in grid)
     last = len(passes) - 1
     for i, pp in enumerate(passes):
         with telemetry.span(

@@ -247,7 +247,8 @@ def summarize(
 ) -> Dict[str, Any]:
     """Fold a replay into the JSON-able report the CLI prints.
 
-    ``batches``, ``mean_batch`` and ``affinity_hit_rate`` are deltas of
+    ``batches``, ``inline_batches``, ``mean_batch`` and
+    ``affinity_hit_rate`` are deltas of
     ``service.stats()`` from ``since`` (the stats taken before the
     replay), and ``max_batch`` is the largest batch among ``responses``,
     so every count in the report covers the same requests.  ``service``
@@ -293,6 +294,7 @@ def summarize(
             (r.batch_size for r in responses if r is not None), default=0
         ),
         "batches": batches,
+        "inline_batches": delta("inline_batches"),
         "affinity_hit_rate": delta("affinity_hits") / routed if routed else 0.0,
         "identity_checked": checked,
         "identity_ok": not mismatches,

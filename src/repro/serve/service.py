@@ -6,14 +6,25 @@ Architecture (one event loop, N single-thread executor lanes)::
         free lane (affinity-routed) ──execute_batch (one stacked pass)──▶
         split per request ──▶ Response futures
 
-* **Work-conserving dispatch** — a new pending batch becomes *ready*
-  on the next event-loop iteration (``loop.call_soon``), so requests
-  admitted in the same tick share it, or as soon as it reaches
-  ``max_batch``.  A ready batch is dispatched as soon as a lane is free;
-  while every lane is busy it stays pending and keeps taking same-key
-  companions, and each lane that finishes a batch takes the oldest ready
-  one.  So no request waits while a lane is idle, and batches form
-  behind busy lanes, where there is work to amortise.
+* **Work-conserving dispatch** — the batches opened in one event-loop
+  tick become *ready* together on the next iteration (one
+  ``loop.call_soon``), so requests admitted in the same tick share a
+  batch; a batch stops taking companions once it reaches ``max_batch``.
+  A ready batch is dispatched as soon as a lane is free; while every
+  lane is busy it stays pending and keeps taking same-key companions,
+  and each lane that finishes a batch takes the oldest ready one.  So no
+  request waits while a lane is idle, and batches form behind busy
+  lanes, where there is work to amortise.
+* **Inline execution** — a dispatched batch whose work bound (grids x
+  grid points x steps x kernel nonzeros) is below
+  :data:`INLINE_WORK_BOUND`, with no ready batch behind it, runs its
+  pass synchronously on the loop thread, counted on the free lane it was
+  routed to: no flush task, no executor round trip.  The bound keeps the
+  pass no longer than the two thread hops it saves, since an inline pass
+  blocks the loop while it runs.  Every other batch runs on its lane
+  thread through ``run_in_executor``.  Both paths settle futures and
+  record stage spans the same way (:meth:`StencilService._settle`, once
+  per batch, also for a flush task cancelled before its first step).
 * **Batch coalescing** — requests sharing a coalesce key (plan key +
   ``steps`` + ``fill_value``) that are pending together are stacked
   into one :func:`~repro.runtime.execute.execute_batch` pass and split
@@ -29,9 +40,10 @@ Architecture (one event loop, N single-thread executor lanes)::
   (:mod:`repro.serve.quota`) and a bounded in-flight request count;
   refusals are HTTP-429-style :class:`~repro.serve.request.Response`
   objects carrying ``retry_after``.
-* **One owner per number** — the service counts its batches, routing
-  and queue (:meth:`StencilService.stats`, at every level; the obs
-  snapshot's ``serve`` block sums the running services').  Per-tenant
+* **One owner per number** — the service counts its batches (and how
+  many ran inline), routing and queue (:meth:`StencilService.stats`, at
+  every level; the obs snapshot's ``serve`` block sums the running
+  services').  Per-tenant
   outcomes, latency and SLO breaches belong to the obs collector
   (:func:`repro.obs.record_request`, from the ``metrics`` level up),
   whose ``REPRO_OBS_SLO_MS`` is the one SLO budget.
@@ -49,7 +61,9 @@ audited-single-call-site discipline as :mod:`repro.obs.collector`.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
+import math
 import time
 import threading
 import weakref
@@ -93,6 +107,16 @@ _MIN_RETRY_AFTER_S = 1e-3
 #: many distinct kernels stays bounded.
 MAX_INTERNED_KERNELS = 256
 
+#: A batch whose work bound (:func:`_work_bound`: grids x grid points x
+#: steps x kernel nonzeros) is below this may run inline on the event-loop
+#: thread, skipping the executor round trip (two thread hops) a lane batch
+#: pays.  An inline pass blocks the loop while it runs, so the constant is
+#: fitted by measurement to where the pass costs about what the hops save:
+#: on a 2-CPU x86_64 host every pass below 2**18 took at most 0.24 ms,
+#: against 0.30 ms for an executor round trip after 40 ms idle (CHANGES.md
+#: has the table).  Not a knob.
+INLINE_WORK_BOUND = 1 << 18
+
 #: Services built and not yet stopped; the obs snapshot reads their stats.
 _LIVE: "weakref.WeakSet[StencilService]" = weakref.WeakSet()
 _LIVE_LOCK = threading.Lock()
@@ -129,7 +153,8 @@ class _PendingBatch:
 
     Holds its own reference to the interned kernel so an in-flight batch
     survives the kernel being LRU-evicted from the interning map.
-    ``ready`` is set one loop iteration after it opens, or once it is full.
+    ``ready`` is set one loop iteration after it opens, together with
+    every batch opened in the same tick.
     """
 
     key: Any
@@ -143,6 +168,14 @@ class _PendingBatch:
     trace_ids: List[str] = field(default_factory=list)
     admitted_at: List[float] = field(default_factory=list)
     ready: bool = False
+    #: Set at dispatch: the lane it is counted on, whether that lane held
+    #: its plan key, and when.  ``batch_id`` is set when its pass opens,
+    #: and ``settled`` once its futures are (exactly once).
+    lane: Optional["_Lane"] = None
+    affinity_hit: bool = False
+    dispatched: float = 0.0
+    batch_id: str = ""
+    settled: bool = False
 
     def add(
         self,
@@ -160,6 +193,13 @@ class _PendingBatch:
 
     def __len__(self) -> int:
         return len(self.requests)
+
+
+def _work_bound(batch: _PendingBatch) -> int:
+    """Point updates times kernel nonzeros: grids x grid points x steps
+    x nonzero weights."""
+    key = batch.key
+    return len(batch) * math.prod(key.grid_shape) * key.steps * batch.kernel.points
 
 
 def _trace_id() -> str:
@@ -217,6 +257,8 @@ class StencilService:
         # open until it is dispatched or full.
         self._pending: Dict[tuple, _PendingBatch] = {}
         self._ready: Deque[_PendingBatch] = deque()
+        # Batches opened in this loop tick, made ready together next tick.
+        self._opened: List[_PendingBatch] = []
         self._tasks: Set["asyncio.Task"] = set()
         # LRU-bounded service-lifetime maps (MAX_INTERNED_KERNELS): a
         # long-lived service must not accumulate unbounded kernels or
@@ -227,6 +269,7 @@ class StencilService:
         self._queued = 0
         self._queue_peak = 0
         self._batches = 0
+        self._inline_batches = 0
         self._batched_requests = 0
         self._max_batch = 0
         self._affinity_hits = 0
@@ -371,16 +414,20 @@ class StencilService:
                 key=key, kernel=kernel, fusion=fusion
             )
             # Ready on the next loop iteration, so requests admitted in
-            # this tick coalesce; a batch that fills first is already
-            # ready by then, and _make_ready is idempotent.
-            loop.call_soon(self._make_ready, batch)
+            # this tick coalesce.  Every batch opened in this tick is made
+            # ready in that one callback, so the tick's batches are
+            # dispatched as one set and only the last can run inline.
+            if not self._opened:
+                loop.call_soon(self._ready_opened)
+            self._opened.append(batch)
         batch.add(request, future, now, trace_id, admit_end)
         self._queued += 1
         self._queue_peak = max(self._queue_peak, self._queued)
         if len(batch) >= self.config.max_batch:
-            # Full: no more companions; dispatch as soon as a lane is free.
+            # Full: no more companions.  A batch opened in this tick is
+            # dispatched with its tick's set; an older one is already
+            # ready, held behind busy lanes.
             del self._pending[key]
-            self._make_ready(batch)
 
         return await future
 
@@ -395,17 +442,25 @@ class StencilService:
         task.add_done_callback(self._tasks.discard)
         return task
 
-    def _make_ready(self, batch: _PendingBatch) -> None:
-        """Mark ``batch`` ready (idempotent) and dispatch."""
-        if not batch.ready:
-            batch.ready = True
-            self._ready.append(batch)
+    def _ready_opened(self) -> None:
+        """Make the batches opened in the last tick ready and dispatch."""
+        opened, self._opened = self._opened, []
+        self._make_ready(opened)
+
+    def _make_ready(self, batches: List[_PendingBatch]) -> None:
+        """Mark ``batches`` ready in order (idempotent) and dispatch."""
+        for batch in batches:
+            if not batch.ready:
+                batch.ready = True
+                self._ready.append(batch)
         self._dispatch()
 
     def _dispatch(self) -> None:
         """Send ready batches, oldest first, to free lanes until either
         runs out.  The lane is counted busy here, at dispatch, so two
-        batches made ready in the same tick never claim one lane."""
+        batches made ready in the same tick never claim one lane.  The
+        last ready batch runs inline, on this thread, when its work bound
+        is below :data:`INLINE_WORK_BOUND`."""
         while self._ready:
             batch = self._ready[0]
             routed = self._route(batch.key.plan_tuple)
@@ -414,9 +469,14 @@ class StencilService:
             self._ready.popleft()
             if self._pending.get(batch.key) is batch:
                 del self._pending[batch.key]
-            lane, affinity_hit = routed
-            lane.inflight += len(batch)
-            self._spawn(self._flush(batch, lane, affinity_hit, self._clock()))
+            batch.lane, batch.affinity_hit = routed
+            batch.lane.inflight += len(batch)
+            batch.dispatched = self._clock()
+            if not self._ready and _work_bound(batch) < INLINE_WORK_BOUND:
+                self._run_inline(batch)
+                continue
+            task = self._spawn(self._flush(batch))
+            task.add_done_callback(functools.partial(self._abandon, batch))
 
     def _route(self, plan_tuple: tuple) -> Optional[Tuple[_Lane, bool]]:
         """A free lane owning ``plan_tuple``, else the least-loaded free
@@ -441,12 +501,13 @@ class StencilService:
         arrays: List[np.ndarray],
         batch_meta: Tuple[str, str, str, Tuple[str, ...]] = ("", "", "", ()),
     ):
-        """Lane-thread body: one stacked pass over the coalesced batch.
+        """One stacked pass over the coalesced batch, on its lane thread
+        or, for an inline batch, on the loop thread.
 
         ``batch_meta`` is ``(trace_id, lead_request_id, batch_id,
-        member_request_ids)``: the lane thread re-enters the lead
-        request's trace scope so every span the pass emits lands under
-        that trace, and the single
+        member_request_ids)``: the pass re-enters the lead request's
+        trace scope so every span it emits lands under that trace, and
+        the single
         ``serve.batch`` span links all N coalesced members (the N:1
         structure of the paper's GEMM amortisation, Eq. 13).
         """
@@ -465,7 +526,8 @@ class StencilService:
             links=list(members),
         ):
             plan = plan_for(kernel, key.grid_shape, key.boundary, fusion)
-            stacked = np.stack(arrays)
+            # A batch of one is a view of its request's data, not a copy.
+            stacked = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
             out = execute_batch(
                 plan,
                 stacked,
@@ -475,21 +537,10 @@ class StencilService:
             )
         return [out[i] for i in range(out.shape[0])]
 
-    async def _flush(
-        self,
-        batch: _PendingBatch,
-        lane: _Lane,
-        affinity_hit: bool,
-        dispatched: float,
-    ) -> None:
-        """Run one dispatched batch on ``lane`` and settle its futures."""
-        key = batch.key
-        n = len(batch)
-        loop = asyncio.get_running_loop()
-        error: Optional[Exception] = None
-        outputs: List[np.ndarray] = []
-        arrays = [request.data for request in batch.requests]
-        batch_id = f"b{next(self._batch_seq):05d}"
+    def _open(self, batch: _PendingBatch) -> Tuple[List[np.ndarray], tuple]:
+        """Name a dispatched batch and record its members' queue_wait
+        stages; returns the pass's arrays and ``batch_meta``."""
+        batch.batch_id = f"b{next(self._batch_seq):05d}"
         members = tuple(request.request_id for request in batch.requests)
         # The batch executes under the lead (first-admitted) request's
         # trace; the execute stage on every member links all of them.
@@ -500,51 +551,103 @@ class StencilService:
         ):
             if trace_id:
                 _stage(
-                    "queue_wait", admitted, dispatched, trace_id, request,
-                    batch_id=batch_id,
+                    "queue_wait", admitted, batch.dispatched, trace_id, request,
+                    batch_id=batch.batch_id,
                 )
+        arrays = [request.data for request in batch.requests]
+        return arrays, (batch_trace, lead_request, batch.batch_id, members)
+
+    def _failed(self, batch: _PendingBatch, exc: Exception) -> Exception:
+        # Whatever the execute path raises (ReproError subclasses like
+        # TessellationError/LayoutError/KernelError/StaticCheckError
+        # included) becomes a per-request failure, never a stranded future.
+        _log.warning(
+            "serve: batched pass failed for %s (%s: %s)",
+            batch.key.kernel_name, type(exc).__name__, exc,
+        )
+        return exc
+
+    def _run_inline(self, batch: _PendingBatch) -> None:
+        """Run a small dispatched batch on the loop thread and settle it:
+        no flush task, no executor round trip, no extra loop iteration."""
+        self._inline_batches += 1
+        arrays, batch_meta = self._open(batch)
         exec_start = self._clock()
+        outputs: List[np.ndarray] = []
+        error: Optional[Exception] = None
+        try:
+            outputs = self._execute(
+                batch.key, batch.kernel, batch.fusion, arrays, batch_meta
+            )
+        except Exception as exc:  # settled per request below
+            error = self._failed(batch, exc)
+        finally:
+            self._settle(batch, exec_start, outputs, error)
+
+    async def _flush(self, batch: _PendingBatch) -> None:
+        """Run one dispatched batch on its lane and settle its futures."""
+        loop = asyncio.get_running_loop()
+        arrays, batch_meta = self._open(batch)
+        exec_start = self._clock()
+        outputs: List[np.ndarray] = []
+        error: Optional[Exception] = None
         try:
             # staticcheck: trace-context-propagated — run_in_executor does
             # NOT copy contextvars; _execute re-enters the batch trace
             # scope explicitly via batch_meta in the lane thread.
             outputs = await loop.run_in_executor(
-                lane.pool, self._execute, key, batch.kernel, batch.fusion, arrays,
-                (batch_trace, lead_request, batch_id, members),
+                batch.lane.pool, self._execute,
+                batch.key, batch.kernel, batch.fusion, arrays, batch_meta,
             )
-        except Exception as exc:
-            # Broad on purpose: whatever the execute path raises
-            # (ReproError subclasses like TessellationError/LayoutError/
-            # KernelError/StaticCheckError included) must become a
-            # per-request failure, never a stranded future.
-            error = exc
-            _log.warning(
-                "serve: batched pass failed for %s (%s: %s)",
-                key.kernel_name, type(exc).__name__, exc,
-            )
+        except Exception as exc:  # settled per request below
+            error = self._failed(batch, exc)
         finally:
-            # Free the lane and hand it the next ready batch first: held
-            # batches wait on exactly this, so nothing below may strand
-            # them.  Then settle every future and release queue depth no
-            # matter how the pass ended — even cancellation — or submit()
-            # awaits forever and _queued leaks until the service rejects
-            # all traffic with 'queue'.
-            lane.inflight -= n
-            lane.batches += 1
-            end = self._clock()
-            self._last_execute_s = end - exec_start
-            self._dispatch()
+            # Even on cancellation: settle every future and release the
+            # lane and queue depth, or submit() awaits forever and
+            # _queued leaks until the service rejects all traffic.
+            self._settle(batch, exec_start, outputs, error)
+
+    def _abandon(self, batch: _PendingBatch, _task: "asyncio.Task") -> None:
+        """Settle a lane batch whose flush task ended without settling it:
+        a task cancelled before its first step never runs its body."""
+        self._settle(
+            batch, batch.dispatched, [],
+            ServeError(f"batched pass for {batch.key.kernel_name} was cancelled"),
+        )
+
+    def _settle(
+        self,
+        batch: _PendingBatch,
+        exec_start: float,
+        outputs: List[np.ndarray],
+        error: Optional[Exception],
+    ) -> None:
+        """Free the batch's lane, settle each future and release queue
+        depth exactly once (later calls are no-ops), then hand free
+        lanes the ready batches."""
+        if batch.settled:
+            return
+        batch.settled = True
+        if not batch.batch_id:  # never opened: cancelled before its first step
+            self._open(batch)
+        key, lane, n = batch.key, batch.lane, len(batch)
+        lane.inflight -= n
+        lane.batches += 1
+        end = self._clock()
+        self._last_execute_s = end - exec_start
+        try:
             if error is None and len(outputs) != n:
                 error = ServeError(
                     f"batched pass for {key.kernel_name} produced "
                     f"{len(outputs)} result(s) for {n} request(s)"
                 )
             plan_label = f"{key.kernel_name}@{self._backend_name}"
+            members = [request.request_id for request in batch.requests]
             stage_attrs = {
-                "batch_id": batch_id,
+                "batch_id": batch.batch_id,
                 "batch_size": n,
                 "lane": lane.index,
-                "affinity_hit": affinity_hit,
+                "affinity_hit": batch.affinity_hit,
             }
             settled: List[Tuple[Request, str, bool]] = []
             for position, (request, future, t0, trace_id) in enumerate(
@@ -559,10 +662,13 @@ class StencilService:
                     ended = _outcome("error", f"{type(error).__name__}: {error}")
                     future.set_exception(error)
                 if trace_id:
-                    _stage("coalesce", dispatched, exec_start, trace_id, request, **stage_attrs)
+                    _stage(
+                        "coalesce", batch.dispatched, exec_start, trace_id, request,
+                        **stage_attrs,
+                    )
                     _stage(
                         "execute", exec_start, end, trace_id, request,
-                        links=list(members), **stage_attrs, **ended,
+                        links=members, **stage_attrs, **ended,
                     )
                     if ended.get("status") == "error":
                         flight.dump(f"error-{request.request_id}", trace_id)
@@ -580,7 +686,7 @@ class StencilService:
                         data=outputs[position],
                         batch_size=n,
                         lane=lane.index,
-                        affinity_hit=affinity_hit,
+                        affinity_hit=batch.affinity_hit,
                         latency_s=latency,
                     )
                 )
@@ -591,13 +697,17 @@ class StencilService:
                     continue
                 _stage(
                     "split", end, split_end, trace_id, request,
-                    batch_id=batch_id, **_outcome("ok", slo_breached=breached),
+                    batch_id=batch.batch_id, **_outcome("ok", slo_breached=breached),
                 )
                 if breached:
                     flight.dump(f"slo-breach-{request.request_id}", trace_id)
             self._batches += 1
             self._batched_requests += n
             self._max_batch = max(self._max_batch, n)
+        finally:
+            # Held batches wait on exactly this lane, so nothing above may
+            # strand them.
+            self._dispatch()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -607,8 +717,8 @@ class StencilService:
         Batches still held behind busy lanes are dispatched by the flush
         tasks this waits on, as their lanes finish.
         """
-        for batch in list(self._pending.values()):
-            self._make_ready(batch)
+        opened, self._opened = self._opened, []
+        self._make_ready(list(self._pending.values()) + opened)
         while self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
 
@@ -642,6 +752,7 @@ class StencilService:
             "queued": self._queued,
             "queue_peak": self._queue_peak,
             "batches": self._batches,
+            "inline_batches": self._inline_batches,
             "batched_requests": self._batched_requests,
             "mean_batch": (
                 self._batched_requests / self._batches if self._batches else 0.0

@@ -27,7 +27,7 @@ against polynomial exactness properties.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 

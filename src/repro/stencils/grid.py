@@ -8,9 +8,9 @@ condition so every engine (ConvStencil and all baselines) agrees on semantics.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -44,10 +44,20 @@ def pad_halo(
     halo: int,
     boundary: BoundaryCondition = BoundaryCondition.CONSTANT,
     fill_value: float = 0.0,
+    *,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Return ``data`` surrounded by a halo of width ``halo`` on every side."""
+    """Return ``data`` surrounded by a halo of width ``halo`` on every side.
+
+    With ``out``, a float64 array of the padded shape, ``data`` is copied
+    into its interior and the halo is filled in place by
+    :func:`refresh_halo`: the same bits as :func:`numpy.pad`, without its
+    per-call overhead.  ``out`` is returned, and never aliases ``data``.
+    """
     if halo < 0:
         raise GridError(f"halo width must be non-negative, got {halo}")
+    if out is not None:
+        return _pad_into(out, data, halo, boundary, fill_value, batched=False)
     if halo == 0:
         return np.asarray(data, dtype=np.float64)
     mode = _NUMPY_PAD_MODE[BoundaryCondition(boundary)]
@@ -67,13 +77,16 @@ def pad_halo_batch(
     halo: int,
     boundary: BoundaryCondition = BoundaryCondition.CONSTANT,
     fill_value: float = 0.0,
+    *,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Halo-pad every grid of a batch in one vectorised :func:`numpy.pad`.
 
     ``batch`` has a leading batch axis that is *not* padded; the remaining
     axes are padded exactly as :func:`pad_halo` pads a single grid.  This is
     the ensemble fast path: one call pads the whole stack instead of a
-    Python loop over grids.
+    Python loop over grids.  ``out`` fills a given buffer as in
+    :func:`pad_halo`.
     """
     if halo < 0:
         raise GridError(f"halo width must be non-negative, got {halo}")
@@ -82,6 +95,8 @@ def pad_halo_batch(
         raise GridError(
             f"batch padding needs a leading batch axis, got {batch.ndim}-D data"
         )
+    if out is not None:
+        return _pad_into(out, batch, halo, boundary, fill_value, batched=True)
     if halo == 0:
         return batch
     widths = [(0, 0)] + [(halo, halo)] * (batch.ndim - 1)
@@ -95,6 +110,23 @@ def pad_halo_batch(
                 "shrink the halo or enlarge the grid"
             )
     return np.pad(batch, widths, mode=mode)
+
+
+def _pad_into(
+    out: np.ndarray,
+    data: np.ndarray,
+    halo: int,
+    boundary: BoundaryCondition,
+    fill_value: float,
+    batched: bool,
+) -> np.ndarray:
+    """Copy ``data`` into the interior of ``out`` and fill its halo."""
+    lead = 1 if batched else 0
+    shape = data.shape[:lead] + tuple(n + 2 * halo for n in data.shape[lead:])
+    if out.shape != shape:
+        raise GridError(f"halo buffer has shape {out.shape}, expected {shape}")
+    out[(slice(None),) * lead + tuple(slice(halo, halo + n) for n in data.shape[lead:])] = data
+    return refresh_halo(out, halo, boundary, fill_value, batched=batched)
 
 
 @lru_cache(maxsize=64)

@@ -91,3 +91,11 @@ def pytest_generate_tests(metafunc):
     """Parametrise any test requesting ``kernel_name`` over the catalog."""
     if "kernel_name" in metafunc.fixturenames:
         metafunc.parametrize("kernel_name", list(list_kernels()))
+
+
+@pytest.fixture
+def lane_path(monkeypatch):
+    """Serve every batch through a lane thread, none inline on the event
+    loop: a test that holds the lane thread (``LaneGate`` in
+    ``tests/serve/test_service.py``) would otherwise block the loop."""
+    monkeypatch.setattr("repro.serve.service.INLINE_WORK_BOUND", 0)

@@ -65,7 +65,7 @@ class TestServeTraces:
         assert stages["execute"]["start"] >= stages["queue_wait"]["start"]
         assert stages["split"]["end"] >= stages["execute"]["end"]
 
-    def test_rejected_request_gets_admit_stage_and_reason(self, flight_ring, rng):
+    def test_rejected_request_gets_admit_stage_and_reason(self, flight_ring, rng, lane_path):
         from tests.serve.test_service import LaneGate
 
         kernel = get_kernel("heat-2d")

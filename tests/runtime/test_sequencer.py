@@ -9,6 +9,8 @@ GEMM tables unless a backend is handed its pass.
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -83,9 +85,46 @@ def test_result_is_a_fresh_contiguous_array(backend):
 
 def test_zero_steps_returns_a_copy():
     x = default_rng(5).random(SHAPE)
-    out = ConvStencil(get_kernel(KERNEL), fusion="auto").run(x, steps=0)
+    solver = ConvStencil(get_kernel(KERNEL), fusion="auto")
+    out = solver.run(x, steps=0)
     assert np.array_equal(out, x)
     assert not np.shares_memory(out, x)
+    batch = default_rng(5).random((2,) + SHAPE)
+    out = solver.run_batch(batch, steps=0)
+    assert np.array_equal(out, batch)
+    assert not np.shares_memory(out, batch)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_run_fills_its_halo_buffer_through_pad_halo(monkeypatch, batched):
+    """The run pads through the module's ``pad_halo``/``pad_halo_batch``
+    names (what per-layer timing wraps), handing them its halo buffer,
+    and gets the bits a ``numpy.pad`` copy gives."""
+    # The module, not the ``execute`` function ``repro.runtime`` re-exports.
+    execute_mod = importlib.import_module("repro.runtime.execute")
+    name = "pad_halo_batch" if batched else "pad_halo"
+    real = getattr(execute_mod, name)
+    buffers = []
+
+    def spy(data, halo, boundary, fill_value, *, out=None):
+        buffers.append(out)
+        return real(data, halo, boundary, fill_value, out=out)
+
+    def numpy_pad(data, halo, boundary, fill_value, *, out):
+        out[...] = real(data, halo, boundary, fill_value)
+        return out
+
+    x = default_rng(9).random(((2,) + SHAPE) if batched else SHAPE)
+    solver = ConvStencil(get_kernel(KERNEL), fusion="auto")
+    run = solver.run_batch if batched else solver.run
+    for boundary, fill in BOUNDARIES:
+        monkeypatch.setattr(execute_mod, name, spy)
+        filled = run(x, steps=STEPS, boundary=boundary, fill_value=fill)
+        monkeypatch.setattr(execute_mod, name, numpy_pad)
+        padded = run(x, steps=STEPS, boundary=boundary, fill_value=fill)
+        assert filled.tobytes() == padded.tobytes()
+    assert len(buffers) == len(BOUNDARIES)
+    assert all(isinstance(b, np.ndarray) and not np.shares_memory(b, x) for b in buffers)
 
 
 class TestLazyTables:

@@ -285,7 +285,7 @@ class TestQuotaRejection:
 
 
 class TestBackpressure:
-    def test_saturated_queue_rejects_with_retry_after(self, rng):
+    def test_saturated_queue_rejects_with_retry_after(self, rng, lane_path):
         kernel = get_kernel("heat-2d")
 
         async def scenario():
@@ -321,7 +321,7 @@ class TestBackpressure:
             assert r.reason == "queue"
             assert r.retry_after is not None and r.retry_after > 0.0
 
-    def test_default_config_retry_after_is_positive(self, rng):
+    def test_default_config_retry_after_is_positive(self, rng, lane_path):
         # Before any batch has finished the hint must still tell clients
         # to back off, not to retry at once.
         kernel = get_kernel("heat-2d")
@@ -353,7 +353,7 @@ class TestBackpressure:
         assert rejected.retry_after is not None and rejected.retry_after > 0.0
         assert all(r.ok for r in served)
 
-    def test_queue_rejection_does_not_burn_quota(self, rng):
+    def test_queue_rejection_does_not_burn_quota(self, rng, lane_path):
         kernel = get_kernel("heat-2d")
 
         async def scenario():
@@ -392,7 +392,7 @@ class TestBackpressure:
         assert after.ok  # the queue rejection left the second token intact
         assert overflow.rejected and overflow.reason == "quota"
 
-    def test_strict_mode_raises_queue_saturated(self, rng):
+    def test_strict_mode_raises_queue_saturated(self, rng, lane_path):
         kernel = get_kernel("heat-2d")
 
         async def scenario():
@@ -451,7 +451,7 @@ class TestExecuteFailure:
 
 
     @pytest.mark.parametrize("failure", ["raise", "cancel"])
-    def test_failed_lane_pass_strands_no_held_batch(self, rng, failure):
+    def test_failed_lane_pass_strands_no_held_batch(self, rng, failure, lane_path):
         heat = get_kernel("heat-2d")
 
         def request(steps):
@@ -508,9 +508,184 @@ class TestExecuteFailure:
         assert stats["batched_requests"] == 4
         assert not service._pending and not service._ready
 
+    def test_flush_cancelled_before_its_first_step_strands_nothing(self, rng, lane_path):
+        """A flush task cancelled before it ever ran never enters its body;
+        its batch is still settled once, and its lane and queue depth are
+        released for the batch held behind it."""
+        heat = get_kernel("heat-2d")
+
+        async def scenario():
+            service = StencilService(ServeConfig(lanes=1))
+            spawned = []
+            spawn = service._spawn
+
+            def spawn_and_cancel_first(coro):
+                task = spawn(coro)
+                if not spawned:
+                    task.cancel()
+                spawned.append(task)
+                return task
+
+            service._spawn = spawn_and_cancel_first
+            requests = [
+                Request("t", kernel=heat, data=rng.random((8, 8)), steps=s)
+                for s in (1, 2)
+            ]
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(
+                    *(service.submit(r) for r in requests), return_exceptions=True
+                ),
+                timeout=30.0,
+            )
+            stats = service.stats()
+            inflight = [lane.inflight for lane in service._lanes]
+            await service.stop()
+            return outcomes, stats, inflight, spawned
+
+        (cancelled, held), stats, inflight, spawned = run_async(scenario())
+        assert isinstance(cancelled, ServeError) and "cancelled" in str(cancelled)
+        assert held.ok and held.batch_size == 1
+        assert stats["queued"] == 0 and stats["batches"] == 2
+        assert inflight == [0]
+        assert spawned[0].cancelled() and len(spawned) == 2
+
+
+class TestInlineDispatch:
+    """A small batch on an idle lane, with nothing ready behind it, runs
+    on the event-loop thread: no flush task and no executor round trip."""
+
+    def test_lone_small_request_runs_inline(self, rng):
+        kernel = get_kernel("box-2d9p")
+        grid = rng.random((16, 16))
+
+        async def scenario():
+            async with StencilService(ServeConfig()) as service:
+                spawned = []
+                spawn = service._spawn
+                service._spawn = lambda coro: spawned.append(spawn(coro)) or spawned[-1]
+                response = await service.submit(
+                    Request("t", kernel=kernel, data=grid, steps=3)
+                )
+                return response, spawned, service.stats()
+
+        response, spawned, stats = run_async(scenario())
+        assert response.ok and response.batch_size == 1 and response.lane == 0
+        assert spawned == []
+        assert stats["inline_batches"] == stats["batches"] == 1
+        assert stats["queued"] == 0
+        np.testing.assert_array_equal(response.data, ConvStencil(kernel).run(grid, steps=3))
+
+    def test_work_bound_at_the_constant_goes_to_a_lane(self, rng, monkeypatch):
+        kernel = get_kernel("heat-2d")
+        # grids x points x steps x nonzeros of one 8x8 request at 2 steps.
+        bound = 1 * 64 * 2 * kernel.points
+        monkeypatch.setattr("repro.serve.service.INLINE_WORK_BOUND", bound)
+
+        async def scenario():
+            async with StencilService(ServeConfig(lanes=1)) as service:
+                small = await service.submit(
+                    Request("t", kernel=kernel, data=rng.random((8, 8)), steps=1)
+                )
+                at_bound = await service.submit(
+                    Request("t", kernel=kernel, data=rng.random((8, 8)), steps=2)
+                )
+                return small, at_bound, service.stats()
+
+        small, at_bound, stats = run_async(scenario())
+        assert small.ok and at_bound.ok
+        assert stats["batches"] == 2 and stats["inline_batches"] == 1
+
+    def test_a_batch_with_one_ready_behind_it_takes_a_lane(self, rng):
+        """Two keys ready in one tick: the first goes to a lane thread so
+        the second, last in line, can run inline at once."""
+
+        async def scenario():
+            async with StencilService(ServeConfig(lanes=2)) as service:
+                responses = await asyncio.gather(
+                    *(
+                        service.submit(
+                            Request("t", kernel=get_kernel(name), data=rng.random((8, 8)))
+                        )
+                        for name in ("heat-2d", "box-2d9p")
+                    )
+                )
+                return responses, service.stats()
+
+        responses, stats = run_async(scenario())
+        assert all(r.ok for r in responses)
+        assert {r.lane for r in responses} == {0, 1}
+        assert stats["batches"] == 2 and stats["inline_batches"] == 1
+
+    def test_batch_of_one_is_passed_as_a_view(self, rng, monkeypatch):
+        import repro.runtime
+
+        kernel = get_kernel("heat-2d")
+        grid = rng.random((8, 8))
+        seen = []
+        real = repro.runtime.execute_batch
+
+        def spy(plan, batch, **kwargs):
+            seen.append(np.shares_memory(batch, grid))
+            return real(plan, batch, **kwargs)
+
+        monkeypatch.setattr(repro.runtime, "execute_batch", spy)
+
+        async def scenario():
+            async with StencilService(ServeConfig()) as service:
+                return await service.submit(Request("t", kernel=kernel, data=grid))
+
+        response = run_async(scenario())
+        assert seen == [True]
+        assert not np.shares_memory(response.data, grid)
+        np.testing.assert_array_equal(response.data, ConvStencil(kernel).run(grid, steps=1))
+
+    def test_inline_failure_settles_every_future(self, rng):
+        kernel = get_kernel("heat-2d")
+
+        async def scenario():
+            async with StencilService(ServeConfig(lanes=1)) as service:
+                def boom(key, kernel, fusion, arrays, batch_meta=None):
+                    raise TessellationError("injected inline failure")
+
+                service._execute = boom
+                results = await asyncio.wait_for(
+                    asyncio.gather(
+                        *(
+                            service.submit(
+                                Request("t", kernel=kernel, data=rng.random((8, 8)))
+                            )
+                            for _ in range(3)
+                        ),
+                        return_exceptions=True,
+                    ),
+                    timeout=30.0,
+                )
+                return results, service.stats(), [l.inflight for l in service._lanes]
+
+        results, stats, inflight = run_async(scenario())
+        assert all(isinstance(r, TessellationError) for r in results)
+        assert stats["inline_batches"] == 1 and stats["queued"] == 0
+        assert inflight == [0]
+
+    def test_stats_count_inline_batches(self, rng, obs_on):
+        kernel = get_kernel("heat-2d")
+
+        async def scenario():
+            async with StencilService(ServeConfig(lanes=1)) as service:
+                for _ in range(3):
+                    await service.submit(
+                        Request("t", kernel=kernel, data=rng.random((8, 8)), steps=1)
+                    )
+                return service.stats(), obs.snapshot()["serve"]
+
+        stats, serve = run_async(scenario())
+        assert stats["batches"] == stats["inline_batches"] == 3
+        assert stats["lanes"][0]["batches"] == 3
+        assert serve["inline_batches"] == 3
+
 
 class TestWorkConservingDispatch:
-    def test_lone_request_on_idle_lane_never_sleeps(self, rng):
+    def test_lone_request_on_idle_lane_never_sleeps(self, rng, lane_path):
         """Readiness is a loop callback, not a sleeping task: a lone
         request on an idle default service spawns only its flush task."""
         kernel = get_kernel("heat-2d")
@@ -532,7 +707,7 @@ class TestWorkConservingDispatch:
         assert response.ok and response.batch_size == 1
         assert len(spawned) == 1
 
-    def test_requests_behind_a_busy_lane_coalesce(self, rng):
+    def test_requests_behind_a_busy_lane_coalesce(self, rng, lane_path):
         kernel = get_kernel("box-2d9p")
         grids = [rng.random((12, 12)) for _ in range(5)]
 
@@ -569,7 +744,7 @@ class TestWorkConservingDispatch:
         for grid, response in zip(grids, responses):
             np.testing.assert_array_equal(response.data, direct.run(grid, steps=3))
 
-    def test_held_keys_dispatch_oldest_first(self, rng):
+    def test_held_keys_dispatch_oldest_first(self, rng, lane_path):
         kernel = get_kernel("heat-2d")
 
         def request(steps):
@@ -592,7 +767,7 @@ class TestWorkConservingDispatch:
         # steps=2 request joins its still-pending batch.
         assert run_async(scenario()) == [(1, 1), (2, 2), (3, 1)]
 
-    def test_ready_batch_takes_the_idle_lane_when_its_lane_is_busy(self, rng):
+    def test_ready_batch_takes_the_idle_lane_when_its_lane_is_busy(self, rng, lane_path):
         kernel = get_kernel("heat-2d")
 
         def request():
@@ -745,7 +920,7 @@ class TestLifecycleAndStats:
 
         run_async(scenario())
 
-    def test_stats_account_tenants_and_batches(self, rng, obs_on):
+    def test_stats_account_tenants_and_batches(self, rng, obs_on, lane_path):
         """Each serving number has one owner: the service counts batches
         and the queue, the collector counts tenants, and the snapshot's
         ``serve`` block reads the running service."""

@@ -126,3 +126,49 @@ class TestRefreshHalo:
     def test_rejects_negative_halo(self):
         with pytest.raises(GridError):
             refresh_halo(np.zeros(4), -1)
+
+
+class TestPadIntoBuffer:
+    """``pad_halo``/``pad_halo_batch`` with ``out=``: the runtime's
+    halo-buffer fill must give the bits of the ``numpy.pad`` path."""
+
+    CASES = [
+        (BoundaryCondition.CONSTANT, 2, -3.25),  # nonzero fill
+        (BoundaryCondition.PERIODIC, 2, 0.0),
+        (BoundaryCondition.REFLECT, 2, 0.0),  # halo <= extent
+        (BoundaryCondition.REFLECT, 5, 0.0),  # halo > extent
+    ]
+
+    @pytest.mark.parametrize("boundary, halo, fill", CASES)
+    @pytest.mark.parametrize("shape", [(4,), (4, 3), (3, 4, 2)])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_equals_numpy_pad(self, boundary, halo, fill, shape, batched):
+        if boundary is BoundaryCondition.PERIODIC:
+            shape = tuple(max(n, halo) for n in shape)
+        if batched:
+            shape = (3,) + shape
+        x = np.random.default_rng(7).standard_normal(shape)
+        pad = pad_halo_batch if batched else pad_halo
+        want = pad(x, halo, boundary, fill)
+        out = np.full(want.shape, np.nan)
+        assert pad(x, halo, boundary, fill, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        assert not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_periodic_halo_wider_than_grid_raises(self, batched):
+        x = np.ones((2, 3, 3) if batched else (3, 3))
+        pad = pad_halo_batch if batched else pad_halo
+        out = np.empty(x.shape[:1] + (11, 11) if batched else (11, 11))
+        with pytest.raises(GridError, match="periodic halo 4 exceeds"):
+            pad(x, 4, BoundaryCondition.PERIODIC, out=out)
+
+    def test_zero_halo_copies_into_the_buffer(self):
+        x = np.arange(6.0).reshape(2, 3)
+        out = np.empty_like(x)
+        assert pad_halo(x, 0, out=out) is out
+        np.testing.assert_array_equal(out, x)
+
+    def test_wrong_buffer_shape_rejected(self):
+        with pytest.raises(GridError, match="halo buffer has shape"):
+            pad_halo(np.ones((3, 3)), 1, out=np.empty((4, 4)))
