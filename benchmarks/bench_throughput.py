@@ -1,6 +1,6 @@
 """Library throughput — this implementation's own wall-clock numbers.
 
-Not a paper figure: measures the vectorised dual-tessellation engines in
+Not a paper figure: measures `ConvStencil.run` (the strategy rule's plans) in
 MStencils/s on laptop-scale grids, the number a downstream user of this
 Python library actually experiences.
 """
@@ -20,10 +20,10 @@ SHAPES = {1: (262_144,), 2: (512, 512), 3: (48, 48, 48)}
 
 
 @pytest.mark.parametrize("kernel_name", list(BENCHMARKS))
-def test_bench_engine_throughput(benchmark, kernel_name, backend):
+def test_bench_engine_throughput(benchmark, kernel_name):
     kernel = get_kernel(kernel_name)
     x = default_rng(2).random(SHAPES[kernel.ndim])
-    cs = ConvStencil(kernel, backend=backend)
+    cs = ConvStencil(kernel)
     out = benchmark(cs.run, x, steps=1)
     assert out.shape == x.shape
 
@@ -36,7 +36,7 @@ def test_bench_reference_executor(benchmark, kernel_name):
     benchmark(apply_stencil_reference, x, kernel)
 
 
-def test_bench_emit_throughput_summary(benchmark, backend):
+def test_bench_emit_throughput_summary(benchmark):
     """One-shot MStencils/s summary across all catalogued benchmarks.
 
     Timing comes from telemetry spans rather than ad-hoc ``perf_counter``
@@ -53,7 +53,7 @@ def test_bench_emit_throughput_summary(benchmark, backend):
         for name in BENCHMARKS:
             kernel = get_kernel(name)
             x = default_rng(2).random(SHAPES[kernel.ndim])
-            cs = ConvStencil(kernel, backend=backend)
+            cs = ConvStencil(kernel)
             cs.run(x, steps=1)  # warm-up (traced too; the timed span is named apart)
             with telemetry.span("bench.throughput", kernel=name, size=x.size):
                 cs.run(x, steps=1)

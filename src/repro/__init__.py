@@ -16,10 +16,12 @@ Quickstart::
     cs = ConvStencil(get_kernel("box-2d9p"), fusion="auto")
     out = cs.run(grid, steps=12)
 
-Execution is routed through the pluggable :mod:`repro.runtime` — cached
-:class:`ExecutionPlan` objects plus a swappable :class:`Backend`
-(``"serial"``, ``"compiled"``, ``"reference"``, or anything registered via
-:func:`repro.runtime.register_backend`; see :func:`list_backends`).
+Execution is routed through :mod:`repro.runtime` — cached
+:class:`ExecutionPlan` objects whose strategy rule picks how each pass
+runs.  A :class:`Backend` (``"serial"``, ``"compiled"``, ``"reference"``,
+or anything registered via :func:`repro.runtime.register_backend`; see
+:func:`list_backends`) runs only a pass pinned to the paper's dual
+tessellation, and is chosen by the caller that pins it.
 
 Serving::
 
@@ -42,7 +44,8 @@ execution engine (:class:`ConvStencil`, :func:`plan_for`,
 :class:`Request`, :class:`Response`).  Stable entry points are
 keyword-only past their positional inputs (``cs.run(grid, steps=12)``)
 and follow one vocabulary: ``steps``, ``fusion``, ``boundary``,
-``fill_value``, ``backend``.  Submodules reachable only by import path
+``fill_value``, and ``backend`` where a pinned pass is run
+(:func:`repro.runtime.execute`).  Submodules reachable only by import path
 (:mod:`repro.core.engine2d`, :mod:`repro.runtime.plan`,
 :mod:`repro.obs.collector`, …) are internal: their contents may change
 between releases without a deprecation cycle.

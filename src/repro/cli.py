@@ -19,9 +19,10 @@ and prints the artifact's output format (§A.5)::
 grid functionally under each execution strategy (``gemm``, ``direct`` and
 ``toeplitz``) and checks it against the reference, and ``--custom``
 accepts user weights exactly like the artifact's ``--custom`` option.
-Functional runs (``--verify``/``--trace``) execute on a
-:mod:`repro.runtime` backend selected by ``--backend`` (or the
-``REPRO_BACKEND`` environment variable).
+Functional runs (``--verify``/``--trace``) take no backend: ``--trace``
+runs the strategy rule's plan, which hands no pass to a backend, and
+``--verify`` runs its pinned ``gemm`` pass on the default ``serial``
+engine (``repro verify --backend`` checks the others).
 
 Observability (see :mod:`repro.telemetry`): ``--trace FILE`` enables
 telemetry, executes the requested run *functionally* at the given extents
@@ -130,16 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--report",
         metavar="REPORT.md",
         help="regenerate every paper table/figure into a markdown report",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=list_backends(),
-        default=None,
-        help=(
-            "execution backend for functional runs (--verify/--trace): "
-            "serial (default), compiled, or reference; "
-            "defaults to $REPRO_BACKEND if set"
-        ),
     )
     parser.add_argument(
         "--trace",
@@ -334,7 +325,6 @@ def _serve_config_from_args(args) -> "ServeConfig":
         max_batch=args.max_batch,
         max_queue_depth=args.queue_depth,
         quota=quota,
-        backend=args.backend,
     )
 
 
@@ -373,9 +363,6 @@ def _serve_args(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=32.0,
         help="per-tenant token bucket capacity (default 32)",
-    )
-    parser.add_argument(
-        "--backend", default=None, help="runtime backend (default process default)"
     )
 
 
@@ -988,13 +975,12 @@ def run(argv: Sequence[str]) -> List[str]:
         steps = 2
         ref = run_reference(x, kernel, steps)
         # Each strategy in turn, whatever the strategy rule would pick
-        # at this size, so the backend's GEMM path is always checked.
+        # at this size, so the GEMM path is always checked.
         err = max(
             float(
                 np.abs(
                     PinnedStencil(
-                        kernel, strategy, fusion=_fusion(args.fusion),
-                        backend=args.backend,
+                        kernel, strategy, fusion=_fusion(args.fusion)
                     ).run(x, steps=steps)
                     - ref
                 ).max()
@@ -1050,9 +1036,9 @@ def run(argv: Sequence[str]) -> List[str]:
         with telemetry.span(
             "cli.run", shape=args.shape, device=args.device, iterations=iterations
         ):
-            ConvStencil(
-                kernel, fusion=_fusion(args.fusion), backend=args.backend
-            ).run(x, steps=iterations)
+            ConvStencil(kernel, fusion=_fusion(args.fusion)).run(
+                x, steps=iterations
+            )
         tracer = telemetry.get_tracer()
         path = tracer.export(args.trace)
         lines.append("")

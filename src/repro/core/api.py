@@ -1,11 +1,11 @@
 """Public ConvStencil API.
 
 :class:`ConvStencil` bundles a stencil kernel with an optional temporal
-fusion plan and executes time iterations through the pluggable
-:mod:`repro.runtime` — cached execution plans plus a swappable backend::
+fusion plan and executes time iterations through :mod:`repro.runtime` —
+cached execution plans whose strategy rule picks how each pass runs::
 
     from repro import ConvStencil, get_kernel
-    cs = ConvStencil(get_kernel("box-2d9p"), fusion="auto", backend="compiled")
+    cs = ConvStencil(get_kernel("box-2d9p"), fusion="auto")
     out = cs.run(grid, steps=12)
 
 Boundary semantics match the reference executors: each pass pads the grid by
@@ -101,24 +101,18 @@ class ConvStencil:
     fusion:
         ``1`` (default, no fusion), a positive integer depth, or ``"auto"``
         to densify Tensor-Core fragments per §3.3 (e.g. Box-2D9P → depth 3).
-    backend:
-        Execution backend: a registered name (``"serial"``, ``"compiled"``,
-        ``"reference"``, or anything added via
-        :func:`repro.runtime.register_backend`), a
-        :class:`~repro.runtime.Backend` instance, or ``None`` for the
-        process default (``REPRO_BACKEND`` environment variable, else
-        ``"serial"``).
+
+    There is no backend to choose: the strategy rule never picks ``gemm``,
+    so no pass of these plans reaches one.  :class:`PinnedStencil` pins a
+    strategy and takes the backend that runs it.
     """
 
-    def __init__(
-        self,
-        kernel: StencilKernel,
-        fusion: "int | str" = 1,
-        backend: "str | object | None" = None,
-    ) -> None:
+    #: Engine for ``gemm`` passes; only :class:`PinnedStencil` sets one.
+    backend = None
+
+    def __init__(self, kernel: StencilKernel, fusion: "int | str" = 1) -> None:
         self.kernel = kernel
         self.plan: FusionPlan = plan_fusion(kernel, fusion)
-        self.backend = backend
 
     @property
     def fused_kernel(self) -> StencilKernel:
@@ -130,13 +124,6 @@ class ConvStencil:
     def fusion_depth(self) -> int:
         """Time steps advanced per dual-tessellation pass."""
         return self.plan.depth
-
-    @property
-    def backend_name(self) -> str:
-        """Resolved name of the backend this instance executes on."""
-        from repro.runtime import get_backend
-
-        return get_backend(self.backend).name
 
     def _plan_for(self, grid_shape: Tuple[int, ...], boundary: BoundaryCondition):
         from repro.runtime import plan_for
@@ -315,7 +302,9 @@ class PinnedStencil(ConvStencil):
     rule picks — the rule never picks ``gemm``, the paper's dual
     tessellation: ``repro verify`` runs every case under each strategy,
     and the CLI's ``--verify`` checks each strategy against the
-    reference.
+    reference.  ``backend`` (a registered name, a
+    :class:`~repro.runtime.Backend` instance, or ``None`` for
+    ``serial``) is the engine that runs the ``gemm`` passes.
     Pinned plans go through the plan cache under their own key, so they
     are shared across backends but never stand in for the rule's plans.
     """
@@ -331,8 +320,9 @@ class PinnedStencil(ConvStencil):
 
         if strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-        super().__init__(kernel, fusion=fusion, backend=backend)
+        super().__init__(kernel, fusion=fusion)
         self.strategy = strategy
+        self.backend = backend
 
     def _plan_for(self, grid_shape: Tuple[int, ...], boundary: BoundaryCondition):
         from repro.runtime import plan_for

@@ -7,7 +7,8 @@ is enabled:
   histograms (:class:`~repro.obs.hist.LatencyHistogram`), SLO breach
   counters, and the paper-model quantities needed to price each run
   (Eq.-13 MMA totals and the calibrated model ceiling, from
-  :mod:`repro.model.convstencil_model`);
+  :mod:`repro.model.convstencil_model`), LRU-bounded at
+  :data:`MAX_PLAN_KEYS` because a served request picks its own shape;
 * per tenant — the serving layer's request outcomes, latency
   histograms and SLO breaches (LRU-bounded at :data:`MAX_TENANTS`);
 * named counters and gauges (``solver.*``, ``staticcheck.*``,
@@ -63,6 +64,11 @@ SLO_ENV = "REPRO_OBS_SLO_MS"
 #: stays bounded; :meth:`ObsCollector.slo_totals` survives evictions.
 MAX_TENANTS = 4096
 
+#: LRU bound on the per-plan-key run stats and on each pricing cache:
+#: requests choose their grid shapes, so a long-lived service would
+#: otherwise keep one histogram (and one exported series) per shape.
+MAX_PLAN_KEYS = 4096
+
 #: The snapshot's ``serve`` block: counters summed over the running
 #: services, and peaks that take their maximum.
 _SERVE_SUMS = (
@@ -81,6 +87,21 @@ def _env_slo_seconds() -> Optional[float]:
         _log.warning("%s=%r is not a number; SLO accounting disabled", SLO_ENV, raw)
         return None
     return ms / 1e3 if ms > 0 else None
+
+
+def _lru_entry(
+    table: "OrderedDict[Any, Any]", key: Any, make: Callable[[], Any], bound: int
+) -> Any:
+    """``table[key]``, made by ``make()`` on a miss, now the most recently
+    used entry; entries past ``bound`` are evicted oldest first."""
+    entry = table.get(key)
+    if entry is None:
+        entry = table[key] = make()
+        while len(table) > bound:
+            table.popitem(last=False)
+    else:
+        table.move_to_end(key)
+    return entry
 
 
 def run_label(
@@ -202,7 +223,7 @@ class ObsCollector:
         self.pid = os.getpid()
         self.slo_seconds = slo_seconds if slo_seconds is not None else _env_slo_seconds()
         self._lock = threading.Lock()
-        self._runs: Dict[str, RunStats] = {}
+        self._runs: "OrderedDict[str, RunStats]" = OrderedDict()
         self._tenants: "OrderedDict[str, TenantStats]" = OrderedDict()
         # Completed requests and SLO breaches over every tenant, evicted
         # ones included, so the burn-rate supplier stays monotonic.
@@ -214,33 +235,29 @@ class ObsCollector:
         self._started_at = _CLOCK()
         # (kernel_name, n_grid, steps, depth) -> Eq.-13 MMA total;
         # (kernel_name, shape, depth) -> (model GStencil/s, bound).
-        self._mma_cache: Dict[Tuple[str, int, int, int], float] = {}
-        self._model_cache: Dict[Tuple[str, Tuple[int, ...], int], Tuple[float, str]] = {}
+        self._mma_cache: "OrderedDict[tuple, float]" = OrderedDict()
+        self._model_cache: "OrderedDict[tuple, Tuple[float, str]]" = OrderedDict()
 
-    # -- pricing helpers ---------------------------------------------------
+    # -- pricing helpers (called under ``_lock``) --------------------------
 
     def _mma_for(self, plan, n_grid: int, steps: int) -> float:
-        key = (plan.kernel.name, n_grid, steps, plan.fusion_depth)
-        cached = self._mma_cache.get(key)
-        if cached is None:
-            from repro.model.convstencil_model import pass_mma_total
+        from repro.model.convstencil_model import pass_mma_total
 
-            cached = pass_mma_total(plan.kernel, n_grid, steps, plan.fusion_depth)
-            self._mma_cache[key] = cached
-        return cached
+        key = (plan.kernel.name, n_grid, steps, plan.fusion_depth)
+        return _lru_entry(
+            self._mma_cache, key, lambda: pass_mma_total(plan.kernel, *key[1:]), MAX_PLAN_KEYS
+        )
 
     def _model_for(self, plan) -> Tuple[float, str]:
-        key = (plan.kernel.name, tuple(plan.grid_shape), plan.fusion_depth)
-        cached = self._model_cache.get(key)
-        if cached is None:
-            from repro.model.convstencil_model import convstencil_throughput
+        from repro.model.convstencil_model import convstencil_throughput
 
-            est = convstencil_throughput(
-                plan.kernel, tuple(plan.grid_shape), fusion=plan.fusion_depth
-            )
-            cached = (est.gstencils_per_s, est.bound)
-            self._model_cache[key] = cached
-        return cached
+        key = (plan.kernel.name, tuple(plan.grid_shape), plan.fusion_depth)
+
+        def price() -> Tuple[float, str]:
+            est = convstencil_throughput(plan.kernel, key[1], fusion=plan.fusion_depth)
+            return est.gstencils_per_s, est.bound
+
+        return _lru_entry(self._model_cache, key, price, MAX_PLAN_KEYS)
 
     # -- recording ---------------------------------------------------------
 
@@ -254,20 +271,15 @@ class ObsCollector:
         for extent in grid_shape:
             n_grid *= int(extent)
         grids = max(1, batch)
-        mma = self._mma_for(plan, n_grid, steps) * grids
+
+        def new_stats() -> RunStats:
+            return RunStats(
+                plan.kernel.name, grid_shape, backend, plan.fusion_depth, *self._model_for(plan)
+            )
+
         with self._lock:
-            stats = self._runs.get(label)
-            if stats is None:
-                model_gst, model_bound = self._model_for(plan)
-                stats = RunStats(
-                    plan.kernel.name,
-                    grid_shape,
-                    backend,
-                    plan.fusion_depth,
-                    model_gst,
-                    model_bound,
-                )
-                self._runs[label] = stats
+            mma = self._mma_for(plan, n_grid, steps) * grids
+            stats = _lru_entry(self._runs, label, new_stats, MAX_PLAN_KEYS)
             stats.runs += 1
             stats.grids += grids
             stats.steps += steps
@@ -298,13 +310,7 @@ class ObsCollector:
         ok = outcome == "ok"
         breached = ok and self.slo_seconds is not None and elapsed > self.slo_seconds
         with self._lock:
-            stats = self._tenants.get(tenant)
-            if stats is None:
-                stats = self._tenants[tenant] = TenantStats()
-                while len(self._tenants) > MAX_TENANTS:
-                    self._tenants.popitem(last=False)
-            else:
-                self._tenants.move_to_end(tenant)
+            stats = _lru_entry(self._tenants, tenant, TenantStats, MAX_TENANTS)
             stats.requests += 1
             stats.outcomes[outcome] = stats.outcomes.get(outcome, 0) + 1
             if ok:

@@ -14,36 +14,37 @@ package is both ideas as architecture:
 * :class:`PlanCache` — a bounded LRU sharing plans across runs, whose
   own hit/miss/eviction counts (``PlanCache.stats``) are what the obs
   snapshot and exporter report;
-* :class:`Backend` — the execution protocol, with four built-ins:
-  ``serial`` (plan-driven vectorised engines, the default), ``compiled``
-  (shape-pinned generated kernels, :mod:`repro.codegen.compiled`),
-  ``reference`` (plan-free ground truth for differential testing), and
-  ``tiled`` (axis-0 slabs on a thread pool, :mod:`repro.runtime.tiled`);
+* :class:`Backend` — the engine that runs a pinned ``gemm`` pass, with
+  four built-ins: ``serial`` (plan-driven vectorised engines, the
+  default), ``compiled`` (shape-pinned generated kernels,
+  :mod:`repro.codegen.compiled`), ``reference`` (plan-free ground truth
+  for differential testing), and ``tiled`` (axis-0 slabs on a thread
+  pool, :mod:`repro.runtime.tiled`);
 * :func:`execute` / :func:`execute_batch` / :func:`execute_pass` — the
   single sequencing path every public API call funnels through.
 
 Typical use::
 
     from repro import ConvStencil, get_kernel
-    cs = ConvStencil(get_kernel("heat-2d"), backend="compiled")
+    cs = ConvStencil(get_kernel("heat-2d"))
     out = cs.run(grid, steps=50)        # plan built once, reused 50×
 
-or one level lower::
+or one level lower, pinning the paper's dual tessellation and choosing
+the engine that runs it::
 
     from repro.runtime import execute, plan_for
-    plan = plan_for(kernel, grid.shape, grid.boundary, fusion="auto")
+    plan = plan_for(kernel, grid.shape, grid.boundary, strategy="gemm")
     out = execute(plan, grid.data, steps=50, backend="compiled")
 
-The default backend is ``serial``; set ``REPRO_BACKEND=compiled`` (or pass
-``backend=``) to switch every run in the process.
+A backend only runs ``gemm`` passes, which the strategy rule never picks,
+so it is chosen by the caller that pins the pass; there is no
+process-wide backend switch.
 """
 
 from repro.runtime.backends import (
-    BACKEND_ENV,
     Backend,
     ReferenceBackend,
     SerialBackend,
-    default_backend_name,
     get_backend,
     list_backends,
     register_backend,
@@ -60,7 +61,6 @@ from repro.runtime.compiled import CompiledBackend
 from repro.runtime.tiled import TiledBackend
 
 __all__ = [
-    "BACKEND_ENV",
     "Backend",
     "CompiledBackend",
     "ExecutionPlan",
@@ -70,7 +70,6 @@ __all__ = [
     "SerialBackend",
     "TiledBackend",
     "build_plan",
-    "default_backend_name",
     "execute",
     "execute_batch",
     "execute_pass",

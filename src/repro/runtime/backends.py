@@ -1,9 +1,12 @@
 """Pluggable execution backends for the ConvStencil runtime.
 
-Related work ("Do We Need Tensor Cores for Stencil Computations?", SPIDER)
-shows the *execution substrate* — which engine evaluates the same stencil
-algebra — is the dominant performance knob.  This module makes that
-substrate swappable behind one stable surface:
+A backend is the engine that runs a *pinned* dual-tessellation (``gemm``)
+pass.  The execution strategy of each pass is chosen in the plan
+(:func:`~repro.runtime.plan.choose_strategy`), and the rule never picks
+``gemm``, so only the caller that pins a pass chooses its backend:
+:class:`~repro.core.api.PinnedStencil`, ``execute``/``execute_batch``/
+``execute_pass(backend=)``, ``repro verify --backend`` and the benchmark
+sweep.  There is no process-wide switch; ``None`` means ``serial``.
 
 * :class:`Backend` — the protocol: apply one plan-described pass to a
   halo-padded array (and, optionally, to a batch of them);
@@ -19,6 +22,7 @@ Custom backends register via :func:`register_backend`; anything accepting
 a plan-described pass can slot in (a GPU runtime, an out-of-core
 executor, a remote pool)::
 
+    from repro.core.api import PinnedStencil
     from repro.runtime import Backend, register_backend
 
     class MyBackend(Backend):
@@ -27,12 +31,11 @@ executor, a remote pool)::
             ...
 
     register_backend("mine", MyBackend)
-    ConvStencil(kernel, backend="mine")
+    PinnedStencil(kernel, "gemm", backend="mine").run(grid, steps=4)
 
-A run hands a backend only its ``gemm`` passes (dual tessellation,
-reached only when a plan pins it): passes whose plan carries the
-``direct`` or ``toeplitz`` strategy — all the strategy rule picks — run
-in the pass sequencer (:mod:`repro.runtime.execute`), whatever the
+A run hands a backend only its ``gemm`` passes: passes whose plan carries
+the ``direct`` or ``toeplitz`` strategy — all the strategy rule picks —
+run in the pass sequencer (:mod:`repro.runtime.execute`), whatever the
 backend.  Such a pass can still reach a backend when a caller hands it
 over explicitly, as the benchmark sweep does to time every engine on the
 same pass; it carries no GEMM tables until
@@ -43,7 +46,6 @@ backend that reads the tables calls it first.
 from __future__ import annotations
 
 import abc
-import os
 import threading
 from typing import Callable, Dict, List, Union
 
@@ -54,23 +56,15 @@ from repro.core.engine2d import convstencil_valid_2d, convstencil_valid_2d_batch
 from repro.core.engine3d import convstencil_valid_3d
 from repro.errors import ReproError
 from repro.runtime.plan import PassPlan
-from repro.telemetry.log import get_logger
 
 __all__ = [
     "Backend",
     "ReferenceBackend",
     "SerialBackend",
-    "default_backend_name",
     "get_backend",
     "list_backends",
     "register_backend",
 ]
-
-#: Environment variable selecting the default backend (CI runs the whole
-#: suite under each backend to enforce backend parity).
-BACKEND_ENV = "REPRO_BACKEND"
-
-_log = get_logger("runtime.backends")
 
 
 def _empty_batch_result(pp: PassPlan, padded: np.ndarray) -> np.ndarray:
@@ -210,12 +204,11 @@ def list_backends() -> List[str]:
 def get_backend(backend: Union[str, Backend, None] = None) -> Backend:
     """Resolve a backend name (or pass an instance through).
 
-    ``None`` resolves the default: the ``REPRO_BACKEND`` environment
-    variable if set, else ``"serial"``.
+    ``None`` resolves the default, ``"serial"``.
     """
     if isinstance(backend, Backend):
         return backend
-    name = backend if backend is not None else default_backend_name()
+    name = backend if backend is not None else "serial"
     with _registry_lock:
         instance = _instances.get(name)
         if instance is None:
@@ -225,34 +218,6 @@ def get_backend(backend: Union[str, Backend, None] = None) -> Backend:
                 raise ReproError(f"unknown backend {name!r} (registered: {known})")
             instance = _instances[name] = factory()
     return instance
-
-
-_warned_unknown_default: set = set()
-
-
-def default_backend_name() -> str:
-    """``REPRO_BACKEND`` if set and registered, else ``"serial"``.
-
-    An unregistered name in the environment variable logs a warning (once
-    per name) and falls back to ``"serial"`` instead of exploding deep
-    inside a run — an explicit ``backend=`` argument still raises.
-    """
-    name = os.environ.get(BACKEND_ENV, "").strip()
-    if not name:
-        return "serial"
-    with _registry_lock:
-        registered = name in _factories
-        known = ", ".join(sorted(_factories))
-    if not registered:
-        if name not in _warned_unknown_default:
-            _warned_unknown_default.add(name)
-            _log.warning(
-                "%s=%r is not a registered backend (registered: %s); "
-                "falling back to 'serial'",
-                BACKEND_ENV, name, known,
-            )
-        return "serial"
-    return name
 
 
 register_backend("serial", SerialBackend)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from repro.errors import ServeError
 
@@ -67,12 +67,10 @@ class ServeConfig:
         ``default_quota``).
     default_quota:
         Fallback bucket when ``quota`` is a mapping.
-    backend:
-        Runtime backend name/instance every lane executes on (``None`` =
-        process default).
 
     The per-request SLO budget is not a field: it is the obs layer's
-    ``REPRO_OBS_SLO_MS``.
+    ``REPRO_OBS_SLO_MS``.  Nor is a backend: the strategy rule's plans,
+    which every lane runs, never hand a pass to one.
     """
 
     lanes: int = 2
@@ -82,7 +80,6 @@ class ServeConfig:
         default_factory=TenantQuota
     )
     default_quota: TenantQuota = field(default_factory=TenantQuota)
-    backend: Optional[object] = None
 
     def __post_init__(self) -> None:
         if self.lanes < 1:

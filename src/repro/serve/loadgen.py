@@ -111,9 +111,7 @@ def generate_trace(spec: TraceSpec) -> List[Request]:
     return trace
 
 
-def _direct_results(
-    trace: Sequence[Request], backend=None
-) -> List[np.ndarray]:
+def _direct_results(trace: Sequence[Request]) -> List[np.ndarray]:
     """Reference results via per-request ``ConvStencil.run`` (no serving)."""
     engines: Dict[tuple, ConvStencil] = {}
     results: List[np.ndarray] = []
@@ -121,9 +119,7 @@ def _direct_results(
         key = (id(request.kernel), request.fusion)
         engine = engines.get(key)
         if engine is None:
-            engine = engines[key] = ConvStencil(
-                request.kernel, fusion=request.fusion, backend=backend
-            )
+            engine = engines[key] = ConvStencil(request.kernel, fusion=request.fusion)
         results.append(
             engine.run(
                 request.data,
@@ -165,7 +161,7 @@ async def replay(
             responses[i] = response
     mismatches: List[str] = []
     if check_identity:
-        expected = _direct_results(trace, backend=service.config.backend)
+        expected = _direct_results(trace)
         for request, response, reference in zip(trace, responses, expected):
             if response is None or response.rejected:
                 continue

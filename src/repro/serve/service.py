@@ -249,7 +249,7 @@ class StencilService:
     ) -> None:
         self.config = config if config is not None else ServeConfig()
         self._clock = clock if clock is not None else _CLOCK
-        self._backend_name = get_backend(self.config.backend).name
+        self._backend_name = get_backend().name
         self._lanes = [_Lane(i) for i in range(self.config.lanes)]
         self._quota = QuotaLedger(self.config.quota_for)
         # Open batches by coalesce key (taking companions), and the ready
@@ -264,6 +264,7 @@ class StencilService:
         # long-lived service must not accumulate unbounded kernels or
         # fusion plans.
         self._kernels: "OrderedDict[tuple, StencilKernel]" = OrderedDict()
+        self._interned: Set[int] = set()  # ids of the kernels in _kernels
         self._fusion_cache: "OrderedDict[tuple, FusionPlan]" = OrderedDict()
         self._intern_lock = threading.Lock()
         self._queued = 0
@@ -290,7 +291,8 @@ class StencilService:
         before they can share a plan (and a coalesced batch).  The map is
         LRU-bounded; evicting a kernel prunes its fusion-plan entries and
         lane plan-affinity marks (pending batches keep their own kernel
-        reference, so in-flight work is unaffected).
+        reference, so in-flight work is unaffected, and adopt no lane mark
+        when dispatched: nothing would prune it).
         """
         weights = np.ascontiguousarray(kernel.weights, dtype=np.float64)
         fingerprint = (
@@ -303,6 +305,7 @@ class StencilService:
             interned = self._kernels.get(fingerprint)
             if interned is None:
                 interned = self._kernels[fingerprint] = kernel
+                self._interned.add(id(kernel))
                 while len(self._kernels) > MAX_INTERNED_KERNELS:
                     _, evicted = self._kernels.popitem(last=False)
                     self._forget_kernel(evicted)
@@ -313,6 +316,7 @@ class StencilService:
     def _forget_kernel(self, kernel: StencilKernel) -> None:
         """Drop every serving-layer trace of an evicted interned kernel."""
         kernel_id = id(kernel)
+        self._interned.discard(kernel_id)
         for key in [k for k in self._fusion_cache if k[0] == kernel_id]:
             del self._fusion_cache[key]
         for lane in self._lanes:
@@ -480,7 +484,8 @@ class StencilService:
 
     def _route(self, plan_tuple: tuple) -> Optional[Tuple[_Lane, bool]]:
         """A free lane owning ``plan_tuple``, else the least-loaded free
-        lane (which adopts the key); ``None`` while every lane is busy."""
+        lane (which adopts the key while its kernel is still interned);
+        ``None`` while every lane is busy."""
         free = [lane for lane in self._lanes if not lane.inflight]
         if not free:
             return None
@@ -489,7 +494,8 @@ class StencilService:
                 self._affinity_hits += 1
                 return lane, True
         lane = min(free, key=lambda l: (len(l.plans), l.index))
-        lane.plans.add(plan_tuple)
+        if plan_tuple[0] in self._interned:
+            lane.plans.add(plan_tuple)
         self._affinity_misses += 1
         return lane, False
 
@@ -533,7 +539,6 @@ class StencilService:
                 stacked,
                 steps=key.steps,
                 fill_value=key.fill_value,
-                backend=self.config.backend,
             )
         return [out[i] for i in range(out.shape[0])]
 

@@ -6,12 +6,14 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro import ConvStencil, get_kernel
+from repro import get_kernel
 from repro.codegen import compiled_entry, compiled_source, get_compiled_pass
 from repro.codegen.compiled import clear_compiled_cache
+from repro.core.api import PinnedStencil
 from repro.errors import TessellationError
 from repro.runtime import get_backend, list_backends, plan_for
 from repro.staticcheck import GEMM_PINNED_MARK, lint_sources
+from repro.stencils.applications import application_kernels, get_application_kernel
 from repro.utils.rng import default_rng
 
 
@@ -34,11 +36,26 @@ CASES = [
     ("box-3d27p", (8, 8, 8), 1),
 ]
 
+#: The application library (zero weights, one-sided and higher-order
+#: operators), which the catalog-drawn ``repro verify`` never reaches.
+APPLICATION_SHAPES = {1: (97,), 2: (17, 19), 3: (9, 10, 11)}
+APPLICATION_CASES = [
+    (name, APPLICATION_SHAPES[get_application_kernel(name).ndim], fusion)
+    for name in application_kernels()
+    for fusion in (1, "auto")
+]
+
+
+def _kernel(name):
+    if name in application_kernels():
+        return get_application_kernel(name)
+    return get_kernel(name)
+
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("name,shape,fusion", CASES)
+    @pytest.mark.parametrize("name,shape,fusion", CASES + APPLICATION_CASES)
     def test_pass_matches_serial_bitwise(self, name, shape, fusion, rng):
-        plan = plan_for(get_kernel(name), shape, fusion=fusion)
+        plan = plan_for(_kernel(name), shape, fusion=fusion)
         serial, compiled = get_backend("serial"), get_backend("compiled")
         for pp in (plan.fused_pass, plan.base_pass):
             padded = rng.standard_normal(pp.padded_shape)
@@ -51,10 +68,10 @@ class TestBitIdentity:
     def test_run_matches_serial_across_boundaries(self, boundary, rng):
         kernel = get_kernel("heat-2d")
         x = rng.standard_normal((20, 24))
-        want = ConvStencil(kernel, fusion="auto", backend="serial").run(
+        want = PinnedStencil(kernel, "gemm", fusion="auto", backend="serial").run(
             x, steps=5, boundary=boundary
         )
-        got = ConvStencil(kernel, fusion="auto", backend="compiled").run(
+        got = PinnedStencil(kernel, "gemm", fusion="auto", backend="compiled").run(
             x, steps=5, boundary=boundary
         )
         np.testing.assert_array_equal(got, want)
@@ -78,10 +95,10 @@ class TestBitIdentity:
     def test_run_batch_matches_serial(self, rng):
         kernel = get_kernel("box-2d9p")
         batch = rng.standard_normal((4, 12, 12))
-        want = ConvStencil(kernel, fusion="auto", backend="serial").run_batch(
+        want = PinnedStencil(kernel, "gemm", fusion="auto", backend="serial").run_batch(
             batch, steps=3
         )
-        got = ConvStencil(kernel, fusion="auto", backend="compiled").run_batch(
+        got = PinnedStencil(kernel, "gemm", fusion="auto", backend="compiled").run_batch(
             batch, steps=3
         )
         np.testing.assert_array_equal(got, want)
@@ -170,17 +187,11 @@ class TestRegistration:
     def test_compiled_is_registered(self):
         assert "compiled" in list_backends()
 
-    def test_env_default_selects_compiled(self, monkeypatch):
-        from repro.runtime.backends import default_backend_name
-
-        monkeypatch.setenv("REPRO_BACKEND", "compiled")
-        assert default_backend_name() == "compiled"
-
     def test_convstencil_accepts_compiled_by_name(self, rng):
         kernel = get_kernel("heat-2d")
         x = rng.standard_normal((9, 9))
-        got = ConvStencil(kernel, backend="compiled").run(x, steps=2)
-        want = ConvStencil(kernel, backend="serial").run(x, steps=2)
+        got = PinnedStencil(kernel, "gemm", backend="compiled").run(x, steps=2)
+        want = PinnedStencil(kernel, "gemm", backend="serial").run(x, steps=2)
         np.testing.assert_array_equal(got, want)
 
 

@@ -49,12 +49,14 @@ def _pinned_gemm(kernel, grid_shape) -> str:
 def _gemm_strategy_by_default():
     """Pin every plan the suite builds to the ``gemm`` strategy.
 
-    The strategy rule sends most test grids to the ``direct`` kernel,
-    which never reaches a backend: tests that compare backends,
-    or assert what happens inside one (tile spans, worker folds, engine
-    phases, custom backends), would silently stop exercising the GEMM
-    engines, and so would the ``REPRO_BACKEND`` CI legs.  Session-scoped
-    so plans built by wider-scoped fixtures are pinned too.  Tests about
+    The strategy rule sends every test grid to the ``direct`` or
+    ``toeplitz`` kernel, neither of which reaches a backend: the
+    library's own GEMM paths (solvers, the serve layer's batched pass,
+    engine spans and phases) would silently stop being exercised.  Tests
+    that compare backends pin ``gemm`` themselves (``PinnedStencil`` or
+    ``plan_for(..., strategy="gemm")``), since only a pinned pass chooses
+    its backend.  Session-scoped so plans built by wider-scoped fixtures
+    are pinned too.  Tests about
     the rule itself opt out with ``@pytest.mark.strategy_rule``;
     the direct kernel is covered by pinning ``direct`` explicitly.
     """

@@ -50,6 +50,27 @@ class TestRunAccounting:
         col.record_run(plan, "compiled", steps=1, batch=0, elapsed=0.01)
         assert len(col.snapshot()["runs"]) == 2
 
+    def test_plan_keys_and_pricing_caches_are_lru_bounded(self, monkeypatch):
+        """Requests pick their shapes: past the bound, the run stats and both
+        pricing caches evict oldest first, and the snapshot still renders."""
+        from repro.obs.exporter import render_prometheus
+
+        monkeypatch.setattr("repro.obs.collector.MAX_PLAN_KEYS", 2)
+        kernel = get_kernel("heat-2d")
+        col = ObsCollector(slo_seconds=None)
+        first = plan_for(kernel, (4, 5))
+        col.record_run(first, "serial", steps=1, batch=0, elapsed=0.01)
+        for n in range(6, 10):
+            col.record_run(plan_for(kernel, (4, n)), "serial", steps=1, batch=0, elapsed=0.01)
+            col.record_run(first, "serial", steps=1, batch=0, elapsed=0.01)  # keep it recent
+            assert len(col._runs) == len(col._mma_cache) == len(col._model_cache) == 2
+        snap = col.snapshot()
+        assert set(snap["runs"]) == {"heat-2d|4x5|serial|f1", "heat-2d|4x9|serial|f1"}
+        assert snap["runs"]["heat-2d|4x5|serial|f1"]["runs"] == 5
+        text = render_prometheus(snap)
+        runs = [line for line in text.splitlines() if line.startswith("repro_run_total{")]
+        assert len(runs) == 2 and any("heat-2d|4x9|serial|f1" in line for line in runs)
+
 
 class TestSLO:
     def test_breaches_counted_against_budget(self, plan):

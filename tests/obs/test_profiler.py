@@ -209,7 +209,7 @@ class TestOverhead:
         from repro.stencils.catalog import get_kernel
         from repro.utils.rng import default_rng
 
-        cs = ConvStencil(get_kernel("heat-2d"), backend="serial")
+        cs = ConvStencil(get_kernel("heat-2d"))
         x = default_rng(0xBE7C).random((96, 96))
         run = lambda: cs.run(x, steps=4)  # noqa: E731 - the timed thunk
         run()  # warm the plan cache

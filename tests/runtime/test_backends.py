@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from repro import ConvStencil
+from repro.core.api import PinnedStencil
 from repro.errors import ReproError
 from repro.runtime import (
-    BACKEND_ENV,
     Backend,
     ReferenceBackend,
     SerialBackend,
     TiledBackend,
-    default_backend_name,
     get_backend,
     list_backends,
     register_backend,
@@ -39,7 +37,7 @@ def test_backends_bit_identical(kernel_name, boundary, fusion, tiled):
     kernel = get_kernel(kernel_name)
     x = default_rng(11).random(SHAPES[kernel.ndim])
     outs = {
-        name: ConvStencil(kernel, fusion=fusion, backend=backend).run(
+        name: PinnedStencil(kernel, "gemm", fusion=fusion, backend=backend).run(
             x, steps=STEPS, boundary=boundary
         )
         for name, backend in [
@@ -65,7 +63,7 @@ def test_batch_bit_identical_across_backends(tiled):
     kernel = get_kernel("box-2d9p")
     batch = default_rng(5).random((5, 24, 26))
     outs = [
-        ConvStencil(kernel, backend=b).run_batch(batch, steps=STEPS)
+        PinnedStencil(kernel, "gemm", backend=b).run_batch(batch, steps=STEPS)
         for b in ("reference", "serial", tiled)
     ]
     np.testing.assert_array_equal(outs[1], outs[0])
@@ -76,7 +74,7 @@ def test_batch_matches_per_grid(tiled):
     """The batched fast path equals running each grid alone."""
     kernel = get_kernel("heat-2d")
     batch = default_rng(6).random((4, 20, 21))
-    cs = ConvStencil(kernel, backend=tiled)
+    cs = PinnedStencil(kernel, "gemm", backend=tiled)
     got = cs.run_batch(batch, steps=2)
     for i in range(batch.shape[0]):
         np.testing.assert_array_equal(got[i], cs.run(batch[i], steps=2))
@@ -112,8 +110,8 @@ class TestRegistry:
         try:
             kernel = get_kernel("heat-1d")
             x = default_rng(0).random(50)
-            doubled = ConvStencil(kernel, backend="doubling").run(x, steps=1)
-            plain = ConvStencil(kernel, backend="serial").run(x, steps=1)
+            doubled = PinnedStencil(kernel, "gemm", backend="doubling").run(x, steps=1)
+            plain = PinnedStencil(kernel, "gemm", backend="serial").run(x, steps=1)
             np.testing.assert_array_equal(doubled, 2.0 * plain)
             assert "doubling" in list_backends()
         finally:
@@ -126,18 +124,6 @@ class TestRegistry:
     def test_register_rejects_bad_name(self):
         with pytest.raises(ReproError):
             register_backend("", SerialBackend)
-
-    def test_env_var_selects_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "reference")
-        assert default_backend_name() == "reference"
-        assert isinstance(get_backend(None), ReferenceBackend)
-        monkeypatch.delenv(BACKEND_ENV)
-        assert default_backend_name() == "serial"
-
-    def test_backend_name_property(self, tiled, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert ConvStencil(get_kernel("heat-2d")).backend_name == "serial"
-        assert ConvStencil(get_kernel("heat-2d"), backend=tiled).backend_name == "tiled"
 
     def test_abstract_backend_not_instantiable(self):
         with pytest.raises(TypeError):

@@ -15,7 +15,15 @@ import numpy as np
 import pytest
 
 from repro import ConvStencil
-from repro.runtime import execute_pass, get_backend, get_plan_cache, list_backends, plan_for
+from repro.runtime import (
+    execute,
+    execute_batch,
+    execute_pass,
+    get_backend,
+    get_plan_cache,
+    list_backends,
+    plan_for,
+)
 from repro.staticcheck.plan_invariants import check_plan
 from repro.stencils.catalog import get_kernel
 from repro.stencils.grid import BoundaryCondition, pad_halo
@@ -56,24 +64,23 @@ def test_the_mixed_plan_is_mixed():
 @pytest.mark.parametrize("boundary,fill", BOUNDARIES, ids=lambda b: getattr(b, "value", ""))
 def test_run_equals_per_pass_pad_loop(backend, boundary, fill):
     kernel = get_kernel(KERNEL)
-    cs = ConvStencil(kernel, fusion="auto", backend=backend)
     batch = default_rng(3).random((3,) + SHAPE)
     plan = plan_for(kernel, SHAPE, boundary, "auto")
     want = [_per_pass_loop(plan, x, fill, backend) for x in batch]
-    got = cs.run(batch[0], steps=STEPS, boundary=boundary, fill_value=fill)
+    got = execute(plan, batch[0], STEPS, fill, backend)
     assert got.tobytes() == want[0].tobytes()
-    got_batch = cs.run_batch(batch, steps=STEPS, boundary=boundary, fill_value=fill)
+    got_batch = execute_batch(plan, batch, STEPS, fill, backend)
     assert got_batch.tobytes() == np.stack(want).tobytes()
 
 
 @pytest.mark.parametrize("backend", list_backends())
 def test_result_is_a_fresh_contiguous_array(backend):
-    cs = ConvStencil(get_kernel(KERNEL), fusion="auto", backend=backend)
+    plan = plan_for(get_kernel(KERNEL), SHAPE, fusion="auto")
     x = default_rng(4).random(SHAPE)
     x_before = x.copy()
-    first = cs.run(x, steps=STEPS)
-    second = cs.run(x, steps=STEPS)
-    batch = cs.run_batch(np.stack([x, x]), steps=STEPS)
+    first = execute(plan, x, STEPS, backend=backend)
+    second = execute(plan, x, STEPS, backend=backend)
+    batch = execute_batch(plan, np.stack([x, x]), STEPS, backend=backend)
     for out in (first, second, batch):
         assert out.flags.c_contiguous
         assert not np.shares_memory(out, x)

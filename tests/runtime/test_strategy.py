@@ -33,7 +33,6 @@ from repro.errors import TessellationError
 from repro.runtime import (
     execute,
     execute_batch,
-    get_backend,
     get_plan_cache,
     plan_for,
     register_backend,
@@ -332,8 +331,10 @@ def test_custom_backend_sees_only_gemm_passes():
         assert np.array_equal(PinnedStencil(kernel, "gemm", fusion=3).run(x, steps=7), out)
         plan = plan_for(kernel, x.shape, fusion=3)
         assert (plan.fused_pass.strategy, plan.base_pass.strategy) == ("toeplitz", "direct")
-        ConvStencil(kernel, fusion=3, backend="recording").run(x, steps=7)
+        rule_out = execute(plan, x, 7, backend="recording")
+        execute_batch(plan, np.stack([x, x]), 7, backend="recording")
         assert seen == ["gemm"] * 6
+        assert np.array_equal(rule_out, ConvStencil(kernel, fusion=3).run(x, steps=7))
     finally:
         from repro.runtime import backends as backends_mod
 
@@ -347,7 +348,7 @@ def test_apply_valid_follows_the_plan_strategy():
     padded = default_rng(4).random((14, 15))
     for name, run in (("box-2d9p", toeplitz_valid), ("heat-2d", direct_valid)):
         kernel = get_kernel(name)
-        got = ConvStencil(kernel, backend=get_backend("serial")).apply_valid(padded)
+        got = ConvStencil(kernel).apply_valid(padded)
         assert np.array_equal(got, run(padded, kernel))
 
 

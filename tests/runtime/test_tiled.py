@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import ConvStencil
+from repro.core.api import PinnedStencil
 from repro.runtime import SerialBackend, TiledBackend, plan_for
 from repro.stencils.catalog import get_kernel
 from repro.utils.rng import default_rng
@@ -14,8 +14,8 @@ from repro.utils.rng import default_rng
 def _run_pair(backend, kernel_name="heat-2d", shape=(40, 41), steps=2):
     kernel = get_kernel(kernel_name)
     x = default_rng(9).random(shape)
-    tiled_out = ConvStencil(kernel, backend=backend).run(x, steps=steps)
-    serial_out = ConvStencil(kernel, backend="serial").run(x, steps=steps)
+    tiled_out = PinnedStencil(kernel, "gemm", backend=backend).run(x, steps=steps)
+    serial_out = PinnedStencil(kernel, "gemm", backend="serial").run(x, steps=steps)
     return tiled_out, serial_out
 
 
@@ -35,8 +35,8 @@ class TestThreadPool:
         for name, shape in [("heat-2d", (3, 20, 20)), ("heat-1d", (3, 80))]:
             kernel = get_kernel(name)
             batch = default_rng(9).random(shape)
-            got = ConvStencil(kernel, backend=backend).run_batch(batch, steps=2)
-            want = ConvStencil(kernel, backend="serial").run_batch(batch, steps=2)
+            got = PinnedStencil(kernel, "gemm", backend=backend).run_batch(batch, steps=2)
+            want = PinnedStencil(kernel, "gemm", backend="serial").run_batch(batch, steps=2)
             np.testing.assert_array_equal(got, want)
 
 
