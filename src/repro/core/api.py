@@ -205,14 +205,15 @@ class ConvStencil:
         agree across a list); explicit keywords alongside Grids raise
         ``ValueError``.
 
-        The whole batch is padded in one vectorised call and each pass
-        runs once over the stacked grids: the shifted adds and the banded
-        GEMMs cover every grid per call, and a 2-D dual-tessellation pass
-        runs one stacked matmul per shift chunk over all slices (the
-        ensemble-simulation fast path); other dimensionalities of that
-        pass loop per grid inside the backend.  Every per-grid GEMM has
-        the shape it has in :meth:`run`, so each grid gets the bits
-        :meth:`run` gives it.
+        This is the one pass sequence :meth:`run` also takes, with a
+        single grid as a batch of one.  The whole batch is padded in one
+        vectorised call and each pass runs once over the stacked grids:
+        the shifted adds and the banded GEMMs cover every grid per call,
+        and a 2-D dual-tessellation pass runs one stacked matmul per shift
+        chunk over all slices (the ensemble-simulation fast path); other
+        dimensionalities of that pass loop per grid inside the backend.
+        Every per-grid GEMM has the same shape whatever the batch extent,
+        so each grid gets the bits :meth:`run` gives it.
 
         A shaped empty array (``np.empty((0, *grid))``) is a well-defined
         no-op returning an empty float64 result of the same shape; an empty

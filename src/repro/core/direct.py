@@ -17,8 +17,9 @@ computed and dropped, and the valid points are copied out through a
 strided view.  Long 1-D runs cost NumPy far less than the same terms as
 short strided rows.
 
-The output is walked in blocks along its leading axis (rows of one grid,
-or whole grids of a batch whose grids are small), each at most
+A pass takes a stack of grids; one grid is a stack of one.  The output
+is walked in blocks along a leading axis (the rows of each grid, or
+whole grids of a stack of several small grids), each at most
 :data:`BLOCK_BYTES`, so a block's accumulator, its scratch and the input
 rows it reads stay in cache across all the kernel's terms instead of
 streaming the whole grid once per term.  A 1-D pass whose ``out`` is
@@ -30,7 +31,7 @@ The arithmetic is exactly that of
 element sums the same terms (:attr:`StencilKernel.terms`), in the same
 ``np.ndindex`` order, skipping the same zero weights, with the bits of
 a sum into a zeroed accumulator.  A pass therefore gives the same bits as the reference step
-on the same padded input, for a single grid or a batch (every operation
+on the same padded input, for every grid of any stack (every operation
 is elementwise, so neither the blocking, the batch axis nor the dropped
 positions change anything).
 """
@@ -57,36 +58,33 @@ BLOCK_BYTES = 256 * 1024
 def direct_valid(
     padded: np.ndarray,
     kernel: StencilKernel,
-    batched: bool = False,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Valid-region stencil of a halo-padded input by shifted adds.
+    """Valid-region stencil of a halo-padded stack of grids by shifted adds.
 
-    ``padded`` is one grid, or with ``batched`` a stack of grids along a
-    leading axis; each spatial extent shrinks by ``kernel.edge - 1``.
+    ``padded`` has a leading batch axis (one grid is the stack
+    ``grid[None]``); each spatial extent shrinks by ``kernel.edge - 1``.
     The result is written to ``out`` when given (any layout, the valid
     shape, not overlapping ``padded``) and returned.
     """
     padded = np.asarray(padded, dtype=np.float64)
-    lead = 1 if batched else 0
-    if padded.ndim != kernel.ndim + lead:
+    if padded.ndim != kernel.ndim + 1:
         raise TessellationError(
-            f"{kernel.ndim}-D kernel applied to {padded.ndim}-D "
-            f"{'batch' if batched else 'data'}"
+            f"{kernel.ndim}-D kernel applied to a stack of {padded.ndim - 1}-D grids"
         )
-    spatial = padded.shape[lead:]
+    spatial = padded.shape[1:]
     valid = tuple(s - kernel.edge + 1 for s in spatial)
     if any(v < 1 for v in valid):
         raise TessellationError(
             f"kernel edge {kernel.edge} does not fit input {spatial}"
         )
-    shape = padded.shape[:lead] + valid
+    shape = padded.shape[:1] + valid
     if out is None:
         out = np.empty(shape, dtype=np.float64)
     elif out.shape != shape:
         raise TessellationError(f"out has shape {out.shape}, the pass gives {shape}")
-    if batched and math.prod(valid) * 8 > BLOCK_BYTES:
-        # A grid is larger than a block: block each grid's rows instead.
+    if shape[0] == 1 or math.prod(valid) * 8 > BLOCK_BYTES:
+        # One grid, or grids larger than a block: block each grid's rows.
         for b in range(shape[0]):
             _blocked(padded[b], kernel, out[b])
     else:

@@ -22,8 +22,8 @@ folds the shift axis into GEMM rows depend on the tile height).  The
 differential harness in :mod:`repro.verify` flushed both out as
 bit-identity breaks between backends.  With the GEMM's shape a pure
 function of the grid *width*, results are invariant under axis-0
-slicing, batch splitting, and the chunk parameter, and batched/single-grid
-execution agree bit for bit.
+slicing, batch splitting, and the chunk parameter.  There is one engine
+body, over a stack of grids: a single grid is the stack of one.
 
 Memory is bounded by chunking the shift axis: each chunk materialises at
 most ``chunk × R × k²`` window elements.
@@ -34,6 +34,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import telemetry
+# The engine gathers through stencil2row_views_batched, looked up at call
+# time (below); perfbench/layers.py still times this name here.
 from repro.core.stencil2row import stencil2row_views_2d
 from repro.core.weights import weight_blocks_2d
 from repro.errors import TessellationError
@@ -58,60 +60,19 @@ def convstencil_valid_2d(
     """Valid-region stencil of a halo-padded 2-D input via dual tessellation.
 
     Returns an ``(m - k + 1, n - k + 1)`` array equal (to FP64 reassociation
-    error) to the direct stencil.  ``offsets`` (a stencil2row gather LUT)
-    and ``weights`` (the ``(WA3, WB3)`` blocks) may be supplied precomputed
-    by an :class:`~repro.runtime.ExecutionPlan`.
+    error) to the direct stencil: the batch of one of
+    :func:`convstencil_valid_2d_batched`.  ``offsets`` (a stencil2row
+    gather LUT) and ``weights`` (the ``(WA3, WB3)`` blocks) may be supplied
+    precomputed by an :class:`~repro.runtime.ExecutionPlan`.
     """
     if kernel.ndim != 2:
         raise TessellationError("convstencil_valid_2d requires a 2-D kernel")
     padded = np.asarray(padded, dtype=np.float64)
     if padded.ndim != 2:
         raise TessellationError(f"expected 2-D data, got {padded.ndim}-D")
-    k = kernel.edge
-    g = k + 1
-    m, n = padded.shape
-    if m < k or n < k:
-        raise TessellationError(f"kernel edge {k} does not fit input {padded.shape}")
-    x_valid = m - k + 1
-    y_valid = n - k + 1
-
-    a3, b3 = stencil2row_views_2d(padded, k, offsets)  # (m, R, k)
-    wa3, wb3 = weights if weights is not None else weight_blocks_2d(kernel)
-    r_groups = a3.shape[1]
-    # Weight blocks (x, i, j) flattened to the GEMM's (k², g) right operand;
-    # row-major flattening matches the (x-major, i-minor) patch axis below.
-    wa_flat = np.ascontiguousarray(wa3).reshape(k * k, g)
-    wb_flat = np.ascontiguousarray(wb3).reshape(k * k, g)
-
-    # Window over the x axis: SA[t, x', r, i] = A3[t + x', r, i].
-    sa = sliding_windows(a3, k, axis=0)  # (x_valid, k, R, k)
-    sb = sliding_windows(b3, k, axis=0)
-
-    out = np.empty((x_valid, r_groups * g), dtype=np.float64)
-    if chunk <= 0:
-        raise TessellationError(f"chunk must be positive, got {chunk}")
-    with telemetry.span(
-        "dual_tessellation", kernel=kernel.name, shape=(m, n), chunk=chunk
-    ):
-        for t0 in range(0, x_valid, chunk):
-            t1 = min(t0 + chunk, x_valid)
-            c = t1 - t0
-            # (c, x, R, i) -> (c, R, x, i) -> (c, R, k²): a stacked matmul
-            # runs one (R, k²) @ (k², g) GEMM per shift.  Keeping the shift
-            # axis *stacked* (not folded into GEMM rows) makes every GEMM's
-            # shape a pure function of the grid width, so bits are invariant
-            # under axis-0 tiling and the chunk parameter.
-            # staticcheck: gemm-shape-pinned
-            flat_a = np.ascontiguousarray(
-                sa[t0:t1].transpose(0, 2, 1, 3)
-            ).reshape(c, r_groups, k * k)
-            flat_b = np.ascontiguousarray(
-                sb[t0:t1].transpose(0, 2, 1, 3)
-            ).reshape(c, r_groups, k * k)
-            block = flat_a @ wa_flat
-            block += flat_b @ wb_flat
-            out[t0:t1] = block.reshape(c, r_groups * g)
-    return out[:, :y_valid]
+    return convstencil_valid_2d_batched(
+        padded[None], kernel, chunk, offsets=offsets, weights=weights
+    )[0]
 
 
 def convstencil_valid_2d_batched(
@@ -127,12 +88,13 @@ def convstencil_valid_2d_batched(
     ``stack`` has shape ``(batch, m, n)``; the return value is
     ``(batch, m - k + 1, n - k + 1)``.  One stacked GEMM per shift-chunk
     covers the whole batch — this is how the 3-D engine (§4.2) evaluates a
-    dense kernel plane across every output plane at once.  Each batch slice
-    is an identically-shaped ``(rows, k²) @ (k², g)`` GEMM, so per-grid
-    bits are invariant under batch splitting and equal to
-    :func:`convstencil_valid_2d` on the slice — the property the batched
-    serve path relies on.  ``offsets``/``weights`` accept
-    plan-precomputed tables exactly as in :func:`convstencil_valid_2d`.
+    dense kernel plane across every output plane at once, how a served
+    batch runs, and, as a batch of one, how a single grid runs.  Each
+    batch slice is an identically-shaped ``(R, k²) @ (k², g)`` GEMM per
+    shift, so per-grid bits are invariant under batch splitting.
+    ``offsets`` (a stencil2row gather LUT) and ``weights`` (the
+    ``(WA3, WB3)`` blocks) may be supplied precomputed by an
+    :class:`~repro.runtime.ExecutionPlan`.
     """
     if kernel.ndim != 2:
         raise TessellationError("convstencil_valid_2d_batched requires a 2-D kernel")
@@ -167,8 +129,10 @@ def convstencil_valid_2d_batched(
             c = t1 - t0
             # (b, c, x, R, i) -> (b, c, R, x, i) -> (b, c, R, k²): the
             # stacked matmul runs one (R, k²) @ (k², g) GEMM per (grid,
-            # shift) — exactly the single-grid engine's GEMM shape — so
-            # per-grid bits are independent of the batch extent.
+            # shift).  Keeping the grid and shift axes *stacked* (not
+            # folded into GEMM rows) makes every GEMM's shape a pure
+            # function of the grid width, so per-grid bits are invariant
+            # under the batch extent, axis-0 tiling and the chunk parameter.
             # staticcheck: gemm-shape-pinned
             flat_a = np.ascontiguousarray(
                 sa[:, t0:t1].transpose(0, 1, 3, 2, 4)

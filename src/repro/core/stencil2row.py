@@ -156,9 +156,10 @@ def stencil2row_views_batched(
 ) -> tuple:
     """Grouped gathers ``(A3, B3)`` of shape ``(batch, m, rows, edge)``.
 
-    The batch-axis generalisation of :func:`stencil2row_views_2d`: one
-    fancy-indexed gather covers every slice of a ``(batch, m, n)`` stack.
-    Living here (not inlined in the batched engine) keeps the layout
+    ``A3[b, x, r, i] = stack[b, x, r*(edge+1) + i]``: one fancy-indexed
+    gather covers every slice of a ``(batch, m, n)`` stack; it is the one
+    2-D gather (:func:`stencil2row_views_2d` is its batch of one).
+    Living here (not inlined in the engine) keeps the layout
     transform attributable to the stencil2row stage — spans *and* the
     obs sampling profiler's frame-based phase attribution see it.
     """
@@ -166,7 +167,7 @@ def stencil2row_views_batched(
     if stack.ndim != 3:
         raise LayoutError(f"expected (batch, m, n) input, got {stack.ndim}-D")
     with telemetry.span(
-        "stencil2row", stage="views-2d-batched", shape=stack.shape, edge=edge
+        "stencil2row", stage="views-2d", shape=stack.shape, edge=edge
     ):
         g = edge + 1
         rows, _ = stencil2row_shape(stack.shape[1:], edge)
@@ -199,23 +200,15 @@ def stencil2row_views_2d(
     """Grouped gathers ``(A3, B3)`` of shape ``(m, rows, edge)``.
 
     ``A3[x, r, i] = padded[x, r*(edge+1) + i]`` — the same data as the paper
-    layout, shaped for the vectorised dual-tessellation stacked matmul.
-    ``offsets`` may supply a precomputed :func:`stencil2row_offsets` LUT.
+    layout, shaped for the vectorised dual-tessellation stacked matmul: the
+    batch of one of :func:`stencil2row_views_batched`.  ``offsets`` may
+    supply a precomputed :func:`stencil2row_offsets` LUT.
     """
     padded = np.asarray(padded, dtype=np.float64)
     if padded.ndim != 2:
         raise LayoutError(f"expected 2-D input, got {padded.ndim}-D")
-    with telemetry.span(
-        "stencil2row", stage="views-2d", shape=padded.shape, edge=edge
-    ):
-        g = edge + 1
-        rows, _ = stencil2row_shape(padded.shape, edge)
-        ext = _extend_columns(padded, (rows - 1) * g + 2 * edge)
-        if offsets is None:
-            offsets = stencil2row_offsets(rows, edge)
-        a3 = ext[:, offsets]
-        b3 = ext[:, offsets + edge]
-        return a3, b3
+    a3, b3 = stencil2row_views_batched(padded[None], edge, offsets)
+    return a3[0], b3[0]
 
 
 def stencil2row_expansion_factor(edge: int) -> float:

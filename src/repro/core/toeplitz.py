@@ -75,13 +75,12 @@ def toeplitz_valid(
     kernel: StencilKernel,
     *,
     bands: Optional[Dict[Tuple[int, ...], np.ndarray]] = None,
-    batched: bool = False,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Valid-region stencil of a halo-padded input by banded GEMMs.
+    """Valid-region stencil of a halo-padded stack of grids by banded GEMMs.
 
-    ``padded`` is one grid, or with ``batched`` a stack of grids along a
-    leading axis (any strides, e.g. a halo buffer); each spatial extent
+    ``padded`` has a leading batch axis (one grid is the stack
+    ``grid[None]``; any strides, e.g. a halo buffer); each spatial extent
     shrinks by ``kernel.edge - 1``.  ``bands`` are the kernel's
     :func:`band_matrices`, precomputed by an
     :class:`~repro.runtime.ExecutionPlan`.  The result is written to
@@ -89,18 +88,16 @@ def toeplitz_valid(
     ``padded``) and returned.
     """
     padded = np.asarray(padded, dtype=np.float64)
-    outer = 1 if batched else 0
-    if padded.ndim != kernel.ndim + outer:
+    if padded.ndim != kernel.ndim + 1:
         raise TessellationError(
-            f"{kernel.ndim}-D kernel applied to {padded.ndim}-D "
-            f"{'batch' if batched else 'data'}"
+            f"{kernel.ndim}-D kernel applied to a stack of {padded.ndim - 1}-D grids"
         )
     k = kernel.edge
-    spatial = padded.shape[outer:]
+    spatial = padded.shape[1:]
     valid = tuple(s - k + 1 for s in spatial)
     if any(v < 1 for v in valid):
         raise TessellationError(f"kernel edge {k} does not fit input {spatial}")
-    shape = padded.shape[:outer] + valid
+    shape = padded.shape[:1] + valid
     if out is not None and out.shape != shape:
         raise TessellationError(f"out has shape {out.shape}, the pass gives {shape}")
     if bands is None:
@@ -110,7 +107,7 @@ def toeplitz_valid(
             out = np.empty(shape, dtype=np.float64)
         out[...] = 0.0
         return out
-    if kernel.ndim == 3 and padded.strides[outer] != spatial[1] * padded.strides[outer + 1]:
+    if kernel.ndim == 3 and padded.strides[1] != spatial[1] * padded.strides[2]:
         # The GEMM rows run through whole padded planes (below), which
         # needs a plane stride of exactly one padded plane.
         padded = np.ascontiguousarray(padded)
@@ -124,13 +121,13 @@ def toeplitz_valid(
         rows = (valid[0],)
     else:
         rows = ((valid[0] - 1) * spatial[1] + valid[1],)
-    grids = padded.shape[:outer]
+    batch = padded.shape[:1]  # the stack's extent, as a shape prefix
     n = valid[-1]
     nblocks, tail = divmod(n, BAND)
     # The accumulator has the rows-by-columns layout of the output, so
     # the rows add as contiguous arrays; each GEMM writes its blocks
     # straight into it through a strided view.
-    acc = np.empty(grids + rows + (n,), dtype=np.float64)
+    acc = np.empty(batch + rows + (n,), dtype=np.float64)
     tmp = np.empty_like(acc) if len(bands) > 1 else None
     ps, a = padded.strides, acc.strides
     gemms = []
@@ -142,11 +139,11 @@ def toeplitz_valid(
         # views[offset][grid, block, row, c] = padded[grid, offset + row, col + block·BAND + c].
         views = strided_view(
             padded,
-            (k,) * (kernel.ndim - 1) + grids + (count,) + rows + (width + k - 1,),
-            ps[outer:-1] + ps[:outer] + (BAND * ps[-1],) + ps[-1 - len(rows):],
+            (k,) * (kernel.ndim - 1) + batch + (count,) + rows + (width + k - 1,),
+            ps[1:-1] + ps[:1] + (BAND * ps[-1],) + ps[-1 - len(rows):],
             col,
         )
-        blocks = (grids + (count,) + rows + (width,), a[:outer] + (BAND * a[-1],) + a[outer:])
+        blocks = (batch + (count,) + rows + (width,), a[:1] + (BAND * a[-1],) + a[1:])
         gemms.append((
             views,
             (slice(0, width + k - 1), slice(0, width)),  # the block's band corner
@@ -158,15 +155,15 @@ def toeplitz_valid(
         for views, corner, acc_blocks, tmp_blocks in gemms:
             # staticcheck: gemm-shape-pinned — per (grid, block) one
             # (rows, width + k - 1) @ (width + k - 1, width) GEMM whatever
-            # the batch extent, so batched runs keep the per-grid bits.
+            # the batch extent, so every grid of a stack keeps its bits.
             np.matmul(views[offset], band[corner], out=acc_blocks if first else tmp_blocks)
         if not first:
             acc += tmp
         first = False
     result = acc
     if kernel.ndim == 3:
-        # The kept GEMM rows, as (*grids, plane, row, column).
-        result = strided_view(acc, shape, a[:outer] + (spatial[1] * a[-2],) + a[-2:])
+        # The kept GEMM rows, as (grid, plane, row, column).
+        result = strided_view(acc, shape, a[:1] + (spatial[1] * a[-2],) + a[-2:])
         if out is None:
             out = np.empty(shape, dtype=np.float64)
     if out is None:

@@ -23,13 +23,13 @@ Environment knobs::
 
     REPRO_OBS=metrics             # off | metrics | trace | profile
     REPRO_OBS_SLO_MS=250          # per-run and per-request latency budget
-    REPRO_OBS_PROFILE_INTERVAL_MS=5   # sampling period
     REPRO_OBS_PORT=9109           # exporter default port
+
+The sampler's period is :data:`PROFILE_INTERVAL`.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Any, Callable, Dict, Optional
@@ -61,23 +61,12 @@ __all__ = [
     "snapshot",
 ]
 
-#: Sampling-interval knob.
-PROFILE_INTERVAL_ENV = "REPRO_OBS_PROFILE_INTERVAL_MS"
+#: Sampling period of the process-wide profiler, in seconds.
+PROFILE_INTERVAL = DEFAULT_INTERVAL
 
 #: Audited clock reference (keeps raw ``time.*`` reads out of hot paths;
 #: see the staticcheck RPR004 rationale in :mod:`repro.obs.collector`).
 _CLOCK: Callable[[], float] = time.perf_counter
-
-
-def _env_profile_interval() -> float:
-    raw = os.environ.get(PROFILE_INTERVAL_ENV)
-    if raw is None or not raw.strip():
-        return DEFAULT_INTERVAL
-    try:
-        ms = float(raw)
-    except ValueError:
-        return DEFAULT_INTERVAL
-    return ms / 1e3 if ms > 0 else DEFAULT_INTERVAL
 
 
 class _State:
@@ -137,7 +126,7 @@ def _ensure_profiler() -> Optional[SamplingProfiler]:
         return _state.profiler
     with _state.lock:
         if _state.profiler is None:
-            _state.profiler = SamplingProfiler(interval=_env_profile_interval())
+            _state.profiler = SamplingProfiler(interval=PROFILE_INTERVAL)
         profiler = _state.profiler
     if not profiler.running:
         profiler.start()

@@ -33,12 +33,14 @@ executor, a remote pool)::
     register_backend("mine", MyBackend)
     PinnedStencil(kernel, "gemm", backend="mine").run(grid, steps=4)
 
-A run hands a backend only its ``gemm`` passes: passes whose plan carries
-the ``direct`` or ``toeplitz`` strategy — all the strategy rule picks —
-run in the pass sequencer (:mod:`repro.runtime.execute`), whatever the
-backend.  Such a pass can still reach a backend when a caller hands it
-over explicitly, as the benchmark sweep does to time every engine on the
-same pass; it carries no GEMM tables until
+A run hands a backend only its ``gemm`` passes, always as a stack
+through :meth:`Backend.apply_pass_batch` (a single grid is a stack of
+one); :meth:`Backend.apply_pass` takes one grid.  Passes whose plan
+carries the ``direct`` or ``toeplitz`` strategy — all the strategy rule
+picks — run in the pass sequencer (:mod:`repro.runtime.execute`),
+whatever the backend.  Such a pass can still reach a backend when a
+caller hands it over explicitly, as the benchmark sweep does to time
+every engine on the same pass; it carries no GEMM tables until
 :meth:`~repro.runtime.plan.PassPlan.ensure_tables` builds them, so a
 backend that reads the tables calls it first.
 """
@@ -92,11 +94,15 @@ class Backend(abc.ABC):
     def apply_pass_batch(self, pp: PassPlan, padded: np.ndarray) -> np.ndarray:
         """One pass over a batch of padded grids (leading batch axis).
 
-        The default loops :meth:`apply_pass` per grid; backends with a
-        faster ensemble path (one stacked GEMM across the stack) override
-        this.  An empty batch short-circuits to an empty result
-        rather than surfacing a raw ``np.stack`` error.
+        This is what a run calls for every ``gemm`` pass; a single grid
+        arrives as a batch of one.  The default loops :meth:`apply_pass`
+        per grid (one grid needs no stacking); backends with a faster
+        ensemble path (one stacked GEMM across the stack) override this.
+        An empty batch short-circuits to an empty result rather than
+        surfacing a raw ``np.stack`` error.
         """
+        if padded.shape[0] == 1:
+            return self.apply_pass(pp, padded[0])[None]
         if padded.shape[0] == 0:
             return _empty_batch_result(pp, padded)
         return np.stack([self.apply_pass(pp, grid) for grid in padded])

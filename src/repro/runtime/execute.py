@@ -11,14 +11,19 @@ banded GEMMs (:func:`~repro.core.toeplitz.toeplitz_valid`), whatever the
 backend.  Keeping
 one sequencer guarantees every backend sees identical ghost-zone
 semantics — the property the differential test suite leans on — and that
-a plan gives the same bits on every backend, single-grid or batched,
-served or called directly.
+a plan gives the same bits on every backend, served or called directly.
+
+There is one pass sequence, over a stack of grids with a leading batch
+axis: ``execute_batch`` hands it the caller's batch, ``execute`` and
+``execute_pass`` the single grid as a batch of one (``data[None]``),
+returning its only grid.  A ``gemm`` pass always reaches the backend
+through ``apply_pass_batch``.
 
 A run pads its input once, like the paper's padding that is reused as
 scratch (§3.4).  Its state lives in the interior of two halo buffers
 sized for the widest halo among its passes.  The input is copied into
 the first buffer's interior and its halo filled in place
-(``pad_halo(..., out=buffer)``, which fills by
+(``pad_halo_batch(..., out=buffer)``, which fills by
 :func:`~repro.stencils.grid.refresh_halo`, equal to :func:`numpy.pad`
 bit for bit and much cheaper on small grids); before each later pass
 the halo of the current buffer is refreshed the same way, and the pass
@@ -42,6 +47,8 @@ from repro.core.toeplitz import toeplitz_valid
 from repro.runtime.backends import Backend, get_backend
 from repro.runtime.cache import get_plan_cache
 from repro.runtime.plan import ExecutionPlan, PassPlan, build_plan, plan_key
+# A run pads only through pad_halo_batch; pad_halo stays importable here
+# because perfbench/layers.py times the halo pad under both names.
 from repro.stencils.grid import BoundaryCondition, pad_halo, pad_halo_batch, refresh_halo
 from repro.stencils.kernel import StencilKernel
 
@@ -84,16 +91,15 @@ def _apply(
     pp: PassPlan,
     padded: np.ndarray,
     backend: Backend,
-    batched: bool,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """One pass by the plan's strategy, into ``out`` when given; a run
-    hands backends only ``gemm`` passes."""
+    """One pass over a padded stack by the plan's strategy, into ``out``
+    when given; a run hands backends only ``gemm`` passes."""
     if pp.strategy == "direct":
-        return direct_valid(padded, pp.kernel, batched=batched, out=out)
+        return direct_valid(padded, pp.kernel, out=out)
     if pp.strategy == "toeplitz":
-        return toeplitz_valid(padded, pp.kernel, bands=pp.bands, batched=batched, out=out)
-    result = backend.apply_pass_batch(pp, padded) if batched else backend.apply_pass(pp, padded)
+        return toeplitz_valid(padded, pp.kernel, bands=pp.bands, out=out)
+    result = backend.apply_pass_batch(pp, padded)
     if out is None:
         return result
     out[...] = result
@@ -105,55 +111,51 @@ def execute_pass(
     padded: np.ndarray,
     backend: Union[str, Backend, None] = None,
 ) -> np.ndarray:
-    """One valid-region pass over an already-padded array."""
-    return _apply(
-        pp, np.asarray(padded, dtype=np.float64), get_backend(backend), batched=False
-    )
+    """One valid-region pass over an already-padded grid."""
+    padded = np.asarray(padded, dtype=np.float64)
+    return np.ascontiguousarray(_apply(pp, padded[None], get_backend(backend))[0])
 
 
 def _run_passes(
     plan: ExecutionPlan,
-    data: np.ndarray,
+    stack: np.ndarray,
     steps: int,
     fill_value: float,
     backend: Backend,
-    batched: bool,
 ) -> np.ndarray:
+    """The pass sequence over a stack of grids (leading batch axis)."""
     passes = list(plan.passes_for(steps))
     if not passes:
         # Zero passes (steps=0): a no-op run still returns a fresh float64
         # array, never an alias of the caller's input.
-        return np.array(data, dtype=np.float64)
-    lead = (slice(None),) if batched else ()
+        return np.array(stack, dtype=np.float64)
     halo = max(pp.halo for pp in passes)
-    grid = data.shape[len(lead):]
-    buffer = np.empty(data.shape[: len(lead)] + tuple(n + 2 * halo for n in grid))
-    pad = pad_halo_batch if batched else pad_halo
-    current = pad(data, halo, plan.boundary, fill_value, out=buffer)
+    grid = stack.shape[1:]
+    buffer = np.empty(stack.shape[:1] + tuple(n + 2 * halo for n in grid))
+    current = pad_halo_batch(stack, halo, plan.boundary, fill_value, out=buffer)
     spare = np.empty_like(current) if len(passes) > 1 else None
-    interior = lead + tuple(slice(halo, halo + n) for n in grid)
+    interior = (slice(None),) + tuple(slice(halo, halo + n) for n in grid)
     last = len(passes) - 1
     for i, pp in enumerate(passes):
         with telemetry.span(
             "convstencil.pass",
             kernel=pp.kernel.name,
             radius=pp.halo,
-            shape=data.shape,
+            shape=stack.shape,
             backend=backend.name,
             strategy=pp.strategy,
-            **({"batched": True} if batched else {}),
         ):
             if i:
-                refresh_halo(current, halo, plan.boundary, fill_value, batched=batched)
+                refresh_halo(current, halo, plan.boundary, fill_value)
             trim = halo - pp.halo
-            padded = current[lead + (slice(trim, -trim or None),) * pp.ndim]
+            padded = current[(slice(None),) + (slice(trim, -trim or None),) * pp.ndim]
             if pp.strategy == "gemm":
                 # The contiguous array a fresh pad would have given the backend.
                 padded = np.ascontiguousarray(padded)
             if i == last:
-                result = _apply(pp, padded, backend, batched)
+                result = _apply(pp, padded, backend)
             else:
-                _apply(pp, padded, backend, batched, out=spare[interior])
+                _apply(pp, padded, backend, out=spare[interior])
                 current, spare = spare, current
     return np.ascontiguousarray(result)
 
@@ -167,9 +169,9 @@ def execute(
 ) -> np.ndarray:
     """Advance one grid ``steps`` time steps under ``plan``.
 
-    The pass sequence (fused passes plus unfused remainder), padding, and
-    backend hand-off all live here; the result is the same-shape array
-    after exactly ``steps`` steps.
+    The grid runs as a batch of one through the pass sequence (fused
+    passes plus unfused remainder, padding, backend hand-off); the result
+    is a fresh same-shape array after exactly ``steps`` steps.
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
@@ -183,7 +185,7 @@ def execute(
         fusion_depth=plan.fusion_depth,
         backend=resolved.name,
     ), obs.record_run(plan, resolved.name, steps):
-        return _run_passes(plan, data, steps, fill_value, resolved, batched=False)
+        return _run_passes(plan, data[None], steps, fill_value, resolved)[0]
 
 
 def execute_batch(
@@ -214,4 +216,4 @@ def execute_batch(
         backend=resolved.name,
         batched=True,
     ), obs.record_run(plan, resolved.name, steps, batch=int(batch.shape[0])):
-        return _run_passes(plan, batch, steps, fill_value, resolved, batched=True)
+        return _run_passes(plan, batch, steps, fill_value, resolved)

@@ -3,7 +3,8 @@
 Each slab of output rows is computed by the plan-free engines on its own
 slice of the padded input (its rows plus a ``edge - 1`` halo), one slab
 per thread; BLAS releases the GIL, so the GEMMs of different slabs can
-overlap.  Batched passes run as on ``serial``.
+overlap.  A run hands over every pass as a stack: one grid is split into
+slabs, several run as on ``serial``.
 
 Nothing selects this backend by default.  The repository benchmark
 times one pass of it per spot cell (``runtime.backend.tiled.*.pass_ms``
@@ -99,6 +100,11 @@ class TiledBackend(SerialBackend):
             for future in [pool.submit(run_slab, lo, hi) for lo, hi in bounds]:
                 future.result()
         return out
+
+    def apply_pass_batch(self, pp: PassPlan, padded: np.ndarray) -> np.ndarray:
+        if padded.shape[0] == 1:
+            return self.apply_pass(pp, padded[0])[None]
+        return super().apply_pass_batch(pp, padded)
 
 
 register_backend("tiled", TiledBackend)

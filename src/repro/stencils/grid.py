@@ -3,6 +3,10 @@
 Stencil engines in this package compute *valid* outputs of a halo-padded
 input; :func:`pad_halo` centralises how halos are synthesised from a boundary
 condition so every engine (ConvStencil and all baselines) agrees on semantics.
+The runtime works on stacks of grids (one grid is a stack of one): it pads
+a stack once into a reused buffer with :func:`pad_halo_batch` and refreshes
+that buffer's halo between passes with :func:`refresh_halo`, both with the
+bits of :func:`pad_halo` per grid.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -44,20 +48,14 @@ def pad_halo(
     halo: int,
     boundary: BoundaryCondition = BoundaryCondition.CONSTANT,
     fill_value: float = 0.0,
-    *,
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Return ``data`` surrounded by a halo of width ``halo`` on every side.
 
-    With ``out``, a float64 array of the padded shape, ``data`` is copied
-    into its interior and the halo is filled in place by
-    :func:`refresh_halo`: the same bits as :func:`numpy.pad`, without its
-    per-call overhead.  ``out`` is returned, and never aliases ``data``.
+    A fresh :func:`numpy.pad` copy, for the reference step and the
+    baselines; a run fills its reused buffer by :func:`pad_halo_batch`.
     """
     if halo < 0:
         raise GridError(f"halo width must be non-negative, got {halo}")
-    if out is not None:
-        return _pad_into(out, data, halo, boundary, fill_value, batched=False)
     if halo == 0:
         return np.asarray(data, dtype=np.float64)
     mode = _NUMPY_PAD_MODE[BoundaryCondition(boundary)]
@@ -78,15 +76,16 @@ def pad_halo_batch(
     boundary: BoundaryCondition = BoundaryCondition.CONSTANT,
     fill_value: float = 0.0,
     *,
-    out: Optional[np.ndarray] = None,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Halo-pad every grid of a batch in one vectorised :func:`numpy.pad`.
+    """Halo-pad every grid of a batch into the buffer ``out``.
 
-    ``batch`` has a leading batch axis that is *not* padded; the remaining
-    axes are padded exactly as :func:`pad_halo` pads a single grid.  This is
-    the ensemble fast path: one call pads the whole stack instead of a
-    Python loop over grids.  ``out`` fills a given buffer as in
-    :func:`pad_halo`.
+    ``batch`` has a leading batch axis that is *not* padded (one grid is
+    the batch ``grid[None]``); ``out`` is a float64 array of the padded
+    shape.  ``batch`` is copied into the interior of ``out`` and the halo
+    is filled in place by :func:`refresh_halo`: per grid the bits of
+    :func:`pad_halo`, without the per-call overhead of :func:`numpy.pad`.
+    ``out`` is returned, and never aliases ``batch``.
     """
     if halo < 0:
         raise GridError(f"halo width must be non-negative, got {halo}")
@@ -95,38 +94,12 @@ def pad_halo_batch(
         raise GridError(
             f"batch padding needs a leading batch axis, got {batch.ndim}-D data"
         )
-    if out is not None:
-        return _pad_into(out, batch, halo, boundary, fill_value, batched=True)
-    if halo == 0:
-        return batch
-    widths = [(0, 0)] + [(halo, halo)] * (batch.ndim - 1)
-    mode = _NUMPY_PAD_MODE[BoundaryCondition(boundary)]
-    if mode == "constant":
-        return np.pad(batch, widths, mode=mode, constant_values=fill_value)
-    if boundary is BoundaryCondition.PERIODIC:
-        if any(halo > s for s in batch.shape[1:]):
-            raise GridError(
-                f"periodic halo {halo} exceeds grid extent {batch.shape[1:]}; "
-                "shrink the halo or enlarge the grid"
-            )
-    return np.pad(batch, widths, mode=mode)
-
-
-def _pad_into(
-    out: np.ndarray,
-    data: np.ndarray,
-    halo: int,
-    boundary: BoundaryCondition,
-    fill_value: float,
-    batched: bool,
-) -> np.ndarray:
-    """Copy ``data`` into the interior of ``out`` and fill its halo."""
-    lead = 1 if batched else 0
-    shape = data.shape[:lead] + tuple(n + 2 * halo for n in data.shape[lead:])
+    grid = batch.shape[1:]
+    shape = batch.shape[:1] + tuple(n + 2 * halo for n in grid)
     if out.shape != shape:
         raise GridError(f"halo buffer has shape {out.shape}, expected {shape}")
-    out[(slice(None),) * lead + tuple(slice(halo, halo + n) for n in data.shape[lead:])] = data
-    return refresh_halo(out, halo, boundary, fill_value, batched=batched)
+    out[(slice(None),) + tuple(slice(halo, halo + n) for n in grid)] = batch
+    return refresh_halo(out, halo, boundary, fill_value)
 
 
 @lru_cache(maxsize=64)
@@ -150,25 +123,25 @@ def refresh_halo(
     halo: int,
     boundary: BoundaryCondition = BoundaryCondition.CONSTANT,
     fill_value: float = 0.0,
-    *,
-    batched: bool = False,
 ) -> np.ndarray:
-    """Rewrite the halo of a padded array in place from its interior.
+    """Rewrite the halo of a padded stack in place from its interior.
 
-    Afterwards ``padded`` equals :func:`pad_halo` (with ``batched``,
-    :func:`pad_halo_batch`) of its interior bit for bit, whatever its
-    halo held before, so a buffer padded once can be reused pass after
-    pass.  Axes are filled in order, each over the whole of the axes
-    before it and the interior of the axes after it, which is the order
-    :func:`numpy.pad` fills corners in.  Returns ``padded``.
+    ``padded`` has a leading batch axis that carries no halo.  Afterwards
+    each of its grids equals :func:`pad_halo` of that grid's interior bit
+    for bit, whatever its halo held before, so a buffer padded once can
+    be reused pass after pass.  Axes are filled in order, each over the
+    whole of the axes before it and the interior of the axes after it,
+    which is the order :func:`numpy.pad` fills corners in.  Returns
+    ``padded``.
     """
     if halo < 0:
         raise GridError(f"halo width must be non-negative, got {halo}")
     if halo == 0:
         return padded
-    boundary = BoundaryCondition(boundary)
-    lead = 1 if batched else 0
-    extents = tuple(s - 2 * halo for s in padded.shape[lead:])
+    if not isinstance(boundary, BoundaryCondition):
+        # A run passes a member, once per pass; coercing one costs ~0.6 µs.
+        boundary = BoundaryCondition(boundary)
+    extents = tuple(s - 2 * halo for s in padded.shape[1:])
     if boundary is BoundaryCondition.PERIODIC and any(halo > s for s in extents):
         raise GridError(
             f"periodic halo {halo} exceeds grid extent {extents}; "
@@ -176,7 +149,7 @@ def refresh_halo(
         )
     ndim = len(extents)
     for axis, extent in enumerate(extents):
-        before = (slice(None),) * (lead + axis)
+        before = (slice(None),) * (1 + axis)
         after = (slice(halo, -halo),) * (ndim - axis - 1)
         left = before + (slice(0, halo),) + after
         right = before + (slice(halo + extent, None),) + after

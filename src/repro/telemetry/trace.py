@@ -67,36 +67,10 @@ __all__ = [
     "write_spans_jsonl",
 ]
 
-#: Environment override for the span ring-buffer capacity (``<= 0`` means
-#: unbounded — the pre-ring behaviour).
-MAX_SPANS_ENV = "REPRO_TELEMETRY_MAX_SPANS"
-
 #: Default ring capacity: plenty for any bench/test run, bounded enough
 #: that a long-lived live session (``repro report --live --interval``, the
 #: obs exporter) cannot grow without limit.
 DEFAULT_MAX_SPANS = 65536
-
-def _env_max_spans() -> Optional[int]:
-    """Ring capacity from ``REPRO_TELEMETRY_MAX_SPANS`` (``None`` = default).
-
-    Malformed values warn-and-default rather than abort — the tracer may be
-    constructed deep inside a run.
-    """
-    raw = os.environ.get(MAX_SPANS_ENV)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        import warnings
-
-        warnings.warn(
-            f"{MAX_SPANS_ENV}={raw!r} is not an integer; "
-            f"using the default capacity {DEFAULT_MAX_SPANS}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
 
 
 @dataclass
@@ -269,16 +243,13 @@ class Tracer:
     """Thread-safe ring buffer of finished spans plus the active-span stack.
 
     The buffer is bounded (``max_spans``, default
-    :data:`DEFAULT_MAX_SPANS`, override via ``REPRO_TELEMETRY_MAX_SPANS``;
-    ``<= 0`` means unbounded): once full, recording a new span evicts the
-    oldest.  ``total_recorded`` counts every span ever buffered — it never
-    decreases, so marks taken from it (:meth:`spans_since`) stay valid
-    even after eviction.
+    :data:`DEFAULT_MAX_SPANS`; ``<= 0`` means unbounded): once full,
+    recording a new span evicts the oldest.  ``total_recorded`` counts
+    every span ever buffered — it never decreases, so marks taken from it
+    (:meth:`spans_since`) stay valid even after eviction.
     """
 
     def __init__(self, max_spans: Optional[int] = None) -> None:
-        if max_spans is None:
-            max_spans = _env_max_spans()
         if max_spans is None:
             max_spans = DEFAULT_MAX_SPANS
         self._lock = threading.Lock()

@@ -52,7 +52,7 @@ class TestAccuracy:
     def test_one_pass_matches_the_reference_step(self, name, shape):
         kernel = get_kernel(name)
         x = _signed(shape, 2)
-        got = toeplitz_valid(pad_halo(x, kernel.radius), kernel)
+        got = toeplitz_valid(pad_halo(x, kernel.radius)[None], kernel)[0]
         assert got.shape == x.shape
         assert max_ulp(got, apply_stencil_reference(x, kernel)) <= DEFAULT_TIGHT_ULP
 
@@ -61,8 +61,8 @@ class TestAccuracy:
         assert len(band_matrices(heat)) == 5  # of 9 (dz, dx) rows
         zero = StencilKernel(name="zero", weights=np.zeros((3, 3)), shape_kind="custom")
         assert band_matrices(zero) == {}
-        out = toeplitz_valid(np.ones((6, 7)), zero)
-        assert out.shape == (4, 5) and not out.any()
+        out = toeplitz_valid(np.ones((1, 6, 7)), zero)
+        assert out.shape == (1, 4, 5) and not out.any()
 
 
 class TestColumnTails:
@@ -78,7 +78,7 @@ class TestColumnTails:
         width = blocks * BAND + tail
         shape = (5, 4, width)[3 - kernel.ndim:]
         x = _signed(shape, width)
-        got = toeplitz_valid(pad_halo(x, kernel.radius), kernel)
+        got = toeplitz_valid(pad_halo(x, kernel.radius)[None], kernel)[0]
         assert max_ulp(got, apply_stencil_reference(x, kernel)) <= DEFAULT_TIGHT_ULP
 
 
@@ -89,29 +89,29 @@ class TestLayouts:
         from a wider buffer, give the bits of fresh contiguous arrays;
         the buffer around ``out`` is left alone."""
         kernel = get_kernel(name)
-        padded = pad_halo(_signed(shape, 3), kernel.radius)
+        padded = pad_halo(_signed(shape, 3), kernel.radius)[None]
         want = toeplitz_valid(padded, kernel)
-        buf = np.full(tuple(s + 4 for s in shape), np.nan)
-        interior = buf[(slice(2, -2),) * kernel.ndim]
+        buf = np.full((1,) + tuple(s + 4 for s in shape), np.nan)
+        interior = buf[(slice(None),) + (slice(2, -2),) * kernel.ndim]
         assert toeplitz_valid(padded, kernel, out=interior) is interior
         assert interior.tobytes() == want.tobytes()
         assert np.isnan(buf).sum() == buf.size - want.size
-        wide = np.zeros(tuple(s + 6 for s in padded.shape))
-        inner = wide[(slice(3, -3),) * kernel.ndim]
+        wide = np.zeros((1,) + tuple(s + 6 for s in padded.shape[1:]))
+        inner = wide[(slice(None),) + (slice(3, -3),) * kernel.ndim]
         inner[...] = padded
         assert toeplitz_valid(inner, kernel).tobytes() == want.tobytes()
 
     def test_rejects_wrong_rank_size_and_out(self):
         kernel = get_kernel("box-2d9p")
         with pytest.raises(TessellationError):
-            toeplitz_valid(np.zeros(9), kernel)
+            toeplitz_valid(np.zeros((1, 9)), kernel)
         with pytest.raises(TessellationError):
-            toeplitz_valid(np.zeros((2, 9)), kernel)
+            toeplitz_valid(np.zeros((1, 2, 9)), kernel)
         with pytest.raises(TessellationError):
-            toeplitz_valid(np.zeros((6, 9)), kernel, out=np.zeros((4, 6)))
+            toeplitz_valid(np.zeros((1, 6, 9)), kernel, out=np.zeros((1, 4, 6)))
 
     def test_empty_batch(self):
-        out = toeplitz_valid(np.zeros((0, 6, 7)), get_kernel("box-2d9p"), batched=True)
+        out = toeplitz_valid(np.zeros((0, 6, 7)), get_kernel("box-2d9p"))
         assert out.shape == (0, 4, 5)
 
 
@@ -121,11 +121,12 @@ class TestBatchBits:
         kernel = get_kernel(name)
         bands = band_matrices(kernel)
         stack = np.stack([pad_halo(g, kernel.radius) for g in _signed((5,) + shape, 4)])
-        whole = toeplitz_valid(stack, kernel, bands=bands, batched=True)
-        for i, grid in enumerate(stack):
-            assert toeplitz_valid(grid, kernel, bands=bands).tobytes() == whole[i].tobytes()
+        whole = toeplitz_valid(stack, kernel, bands=bands)
+        for i in range(len(stack)):
+            one = toeplitz_valid(stack[i : i + 1], kernel, bands=bands)
+            assert one.tobytes() == whole[i].tobytes()
         for lo, hi in ((0, 1), (1, 3), (2, 5)):
-            part = toeplitz_valid(stack[lo:hi], kernel, bands=bands, batched=True)
+            part = toeplitz_valid(stack[lo:hi], kernel, bands=bands)
             assert part.tobytes() == whole[lo:hi].tobytes()
 
     @pytest.mark.parametrize("name, shape", CASES)

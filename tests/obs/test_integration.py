@@ -25,7 +25,7 @@ class TestRunBatch:
     def test_phase_attributed_profile_covers_stencil2row_and_gemm(
         self, obs_profiled, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_OBS_PROFILE_INTERVAL_MS", "1")
+        monkeypatch.setattr(obs_profiled, "PROFILE_INTERVAL", 0.001)
         # Sampling is statistical: repeat the workload until both compute
         # phases have been caught on the stack (bounded, normally 1-2 runs).
         for _ in range(30):

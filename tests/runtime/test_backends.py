@@ -12,6 +12,7 @@ from repro.runtime import (
     TiledBackend,
     get_backend,
     list_backends,
+    plan_for,
     register_backend,
 )
 from repro.stencils.catalog import get_kernel
@@ -78,6 +79,22 @@ def test_batch_matches_per_grid(tiled):
     got = cs.run_batch(batch, steps=2)
     for i in range(batch.shape[0]):
         np.testing.assert_array_equal(got[i], cs.run(batch[i], steps=2))
+
+
+@pytest.mark.parametrize("backend", list_backends())
+def test_apply_pass_matches_apply_pass_batch(kernel_name, backend):
+    """A run hands every ``gemm`` pass over through ``apply_pass_batch``;
+    ``apply_pass``, one grid, must give the bits of a batch of one and of
+    its grid in a stack of several (a backend's stacked path)."""
+    kernel = get_kernel(kernel_name)
+    pp = plan_for(kernel, SHAPES[kernel.ndim], fusion=1, strategy="gemm").fused_pass
+    stack = default_rng(12).standard_normal((2,) + pp.padded_shape)
+    engine = get_backend(backend)
+    got = engine.apply_pass(pp, stack[0])
+    one = engine.apply_pass_batch(pp, stack[:1])
+    both = engine.apply_pass_batch(pp, stack)
+    assert one.shape == (1,) + got.shape and both.shape == (2,) + got.shape
+    assert got.tobytes() == one[0].tobytes() == both[0].tobytes()
 
 
 class TestRegistry:

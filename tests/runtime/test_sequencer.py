@@ -2,7 +2,8 @@
 
 A run pads its input once and keeps its state in the interior of two
 reused halo buffers; these tests pin that it gives the bits of the
-plain loop (fresh pad, one pass, repeat) on every backend, that what it
+plain loop (fresh pad, one pass, repeat) on every backend's
+``apply_pass_batch`` and on the rule's mixed plan, that what it
 returns is the caller's own array, and that a ``direct`` plan carries no
 GEMM tables unless a backend is handed its pass.
 """
@@ -60,12 +61,8 @@ def test_the_mixed_plan_is_mixed():
     assert plan.fused_pass.halo > plan.base_pass.halo
 
 
-@pytest.mark.parametrize("backend", list_backends())
-@pytest.mark.parametrize("boundary,fill", BOUNDARIES, ids=lambda b: getattr(b, "value", ""))
-def test_run_equals_per_pass_pad_loop(backend, boundary, fill):
-    kernel = get_kernel(KERNEL)
+def _check_run_equals_per_pass_pad_loop(plan, fill, backend=None):
     batch = default_rng(3).random((3,) + SHAPE)
-    plan = plan_for(kernel, SHAPE, boundary, "auto")
     want = [_per_pass_loop(plan, x, fill, backend) for x in batch]
     got = execute(plan, batch[0], STEPS, fill, backend)
     assert got.tobytes() == want[0].tobytes()
@@ -74,8 +71,22 @@ def test_run_equals_per_pass_pad_loop(backend, boundary, fill):
 
 
 @pytest.mark.parametrize("backend", list_backends())
-def test_result_is_a_fresh_contiguous_array(backend):
-    plan = plan_for(get_kernel(KERNEL), SHAPE, fusion="auto")
+@pytest.mark.parametrize("boundary,fill", BOUNDARIES, ids=lambda b: getattr(b, "value", ""))
+def test_run_equals_per_pass_pad_loop(backend, boundary, fill):
+    """Pinned ``gemm``, so every pass reaches the backend's
+    ``apply_pass_batch`` (a single grid as a batch of one)."""
+    plan = plan_for(get_kernel(KERNEL), SHAPE, boundary, "auto", strategy="gemm")
+    _check_run_equals_per_pass_pad_loop(plan, fill, backend)
+
+
+def test_run_equals_per_pass_pad_loop_on_the_mixed_plan():
+    """The rule's plan: a ``toeplitz`` and a ``direct`` pass, no backend."""
+    for boundary, fill in BOUNDARIES:
+        plan = plan_for(get_kernel(KERNEL), SHAPE, boundary, "auto")
+        _check_run_equals_per_pass_pad_loop(plan, fill)
+
+
+def _check_result_is_a_fresh_contiguous_array(plan, backend=None):
     x = default_rng(4).random(SHAPE)
     x_before = x.copy()
     first = execute(plan, x, STEPS, backend=backend)
@@ -90,6 +101,16 @@ def test_result_is_a_fresh_contiguous_array(backend):
     assert np.array_equal(second, batch[0])
 
 
+@pytest.mark.parametrize("backend", list_backends())
+def test_result_is_a_fresh_contiguous_array(backend):
+    plan = plan_for(get_kernel(KERNEL), SHAPE, fusion="auto", strategy="gemm")
+    _check_result_is_a_fresh_contiguous_array(plan, backend)
+
+
+def test_result_is_a_fresh_contiguous_array_on_the_mixed_plan():
+    _check_result_is_a_fresh_contiguous_array(plan_for(get_kernel(KERNEL), SHAPE, fusion="auto"))
+
+
 def test_zero_steps_returns_a_copy():
     x = default_rng(5).random(SHAPE)
     solver = ConvStencil(get_kernel(KERNEL), fusion="auto")
@@ -102,36 +123,36 @@ def test_zero_steps_returns_a_copy():
     assert not np.shares_memory(out, batch)
 
 
-@pytest.mark.parametrize("batched", [False, True])
-def test_run_fills_its_halo_buffer_through_pad_halo(monkeypatch, batched):
-    """The run pads through the module's ``pad_halo``/``pad_halo_batch``
-    names (what per-layer timing wraps), handing them its halo buffer,
-    and gets the bits a ``numpy.pad`` copy gives."""
+@pytest.mark.parametrize("many", [False, True])
+def test_run_fills_its_halo_buffer_through_pad_halo(monkeypatch, many):
+    """A run pads through the module's ``pad_halo_batch`` name (what
+    per-layer timing wraps), a single grid as a batch of one, handing it
+    its halo buffer, and gets the bits a ``numpy.pad`` copy gives."""
     # The module, not the ``execute`` function ``repro.runtime`` re-exports.
     execute_mod = importlib.import_module("repro.runtime.execute")
-    name = "pad_halo_batch" if batched else "pad_halo"
-    real = getattr(execute_mod, name)
+    real = execute_mod.pad_halo_batch
     buffers = []
 
-    def spy(data, halo, boundary, fill_value, *, out=None):
+    def spy(data, halo, boundary, fill_value, *, out):
         buffers.append(out)
         return real(data, halo, boundary, fill_value, out=out)
 
     def numpy_pad(data, halo, boundary, fill_value, *, out):
-        out[...] = real(data, halo, boundary, fill_value)
+        out[...] = [pad_halo(g, halo, boundary, fill_value) for g in data]
         return out
 
-    x = default_rng(9).random(((2,) + SHAPE) if batched else SHAPE)
+    x = default_rng(9).random(((2,) + SHAPE) if many else SHAPE)
     solver = ConvStencil(get_kernel(KERNEL), fusion="auto")
-    run = solver.run_batch if batched else solver.run
+    run = solver.run_batch if many else solver.run
     for boundary, fill in BOUNDARIES:
-        monkeypatch.setattr(execute_mod, name, spy)
+        monkeypatch.setattr(execute_mod, "pad_halo_batch", spy)
         filled = run(x, steps=STEPS, boundary=boundary, fill_value=fill)
-        monkeypatch.setattr(execute_mod, name, numpy_pad)
+        monkeypatch.setattr(execute_mod, "pad_halo_batch", numpy_pad)
         padded = run(x, steps=STEPS, boundary=boundary, fill_value=fill)
         assert filled.tobytes() == padded.tobytes()
     assert len(buffers) == len(BOUNDARIES)
     assert all(isinstance(b, np.ndarray) and not np.shares_memory(b, x) for b in buffers)
+    assert all(len(b) == (2 if many else 1) for b in buffers)
 
 
 class TestLazyTables:

@@ -86,12 +86,12 @@ class TestDirectKernel:
         x = default_rng(seed + 1).random(shape) - 0.5
         padded = pad_halo(x, kernel.radius, bc, fill)
         want = apply_stencil_reference(x, kernel, bc, fill)
-        assert np.array_equal(direct_valid(padded, kernel), want)
-        # The batched form is the same elementwise arithmetic per grid.
+        assert np.array_equal(direct_valid(padded[None], kernel)[0], want)
+        # A stack of several is the same elementwise arithmetic per grid.
         stack = np.stack([padded, padded[::-1].copy()])
-        got = direct_valid(stack, kernel, batched=True)
+        got = direct_valid(stack, kernel)
         assert np.array_equal(got[0], want)
-        assert np.array_equal(got[1], direct_valid(stack[1], kernel))
+        assert np.array_equal(got[1], direct_valid(stack[1:], kernel)[0])
 
     @pytest.mark.parametrize("block_bytes", [8, 200, 1 << 20])
     @pytest.mark.parametrize(
@@ -106,24 +106,24 @@ class TestDirectKernel:
         x = default_rng(11).random((2,) + shape) - 0.5
         padded = np.stack([pad_halo(g, kernel.radius) for g in x])
         want = np.stack([apply_stencil_reference(g, kernel) for g in x])
-        assert direct_valid(padded[0], kernel).tobytes() == want[0].tobytes()
-        assert direct_valid(padded, kernel, batched=True).tobytes() == want.tobytes()
+        assert direct_valid(padded[:1], kernel).tobytes() == want[:1].tobytes()
+        assert direct_valid(padded, kernel).tobytes() == want.tobytes()
         buf = np.full((2,) + tuple(s + 4 for s in shape), np.nan)
         interior = buf[(slice(None),) + (slice(2, -2),) * kernel.ndim]
-        assert direct_valid(padded, kernel, batched=True, out=interior) is interior
+        assert direct_valid(padded, kernel, out=interior) is interior
         assert interior.tobytes() == want.tobytes()
         assert np.isnan(buf).sum() == buf.size - want.size
 
     def test_rejects_wrong_rank_and_too_small_input(self):
         kernel = get_kernel("heat-2d")
         with pytest.raises(TessellationError):
-            direct_valid(np.zeros(9), kernel)
+            direct_valid(np.zeros((1, 9)), kernel)
         with pytest.raises(TessellationError):
-            direct_valid(np.zeros((2, 9)), kernel)
+            direct_valid(np.zeros((1, 2, 9)), kernel)
 
     def test_empty_batch(self):
         kernel = get_kernel("heat-2d")
-        out = direct_valid(np.zeros((0, 6, 7)), kernel, batched=True)
+        out = direct_valid(np.zeros((0, 6, 7)), kernel)
         assert out.shape == (0, 4, 5)
 
 
@@ -349,7 +349,7 @@ def test_apply_valid_follows_the_plan_strategy():
     for name, run in (("box-2d9p", toeplitz_valid), ("heat-2d", direct_valid)):
         kernel = get_kernel(name)
         got = ConvStencil(kernel).apply_valid(padded)
-        assert np.array_equal(got, run(padded, kernel))
+        assert np.array_equal(got, run(padded[None], kernel)[0])
 
 
 def test_empty_grid_is_not_measured():

@@ -89,6 +89,11 @@ class TestGrid:
         assert g.data.dtype == np.float64
 
 
+def _per_grid_pad(stack, halo, boundary, fill=0.0):
+    """The ``numpy.pad`` bits, one grid at a time."""
+    return np.stack([pad_halo(g, halo, boundary, fill) for g in stack])
+
+
 class TestRefreshHalo:
     """An in-place halo refresh must equal a fresh pad bit for bit."""
 
@@ -97,40 +102,39 @@ class TestRefreshHalo:
         ndim=st.integers(1, 3),
         halo=st.integers(1, 3),
         boundary=st.sampled_from(list(BoundaryCondition)),
-        batched=st.booleans(),
+        many=st.booleans(),
         data=st.data(),
     )
-    def test_equals_pad_halo(self, ndim, halo, boundary, batched, data):
+    def test_equals_pad_halo(self, ndim, halo, boundary, many, data):
         # Periodic halos must fit the extent; reflect may exceed it.
         low = halo if boundary is BoundaryCondition.PERIODIC else 1
         shape = tuple(data.draw(st.lists(st.integers(low, 6), min_size=ndim, max_size=ndim)))
-        if batched:
-            shape = (data.draw(st.integers(1, 3)),) + shape
+        # One grid is a batch of one.
+        shape = (data.draw(st.integers(1, 3)) if many else 1,) + shape
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         x = rng.standard_normal(shape)
-        pad = pad_halo_batch if batched else pad_halo
-        want = pad(x, halo, boundary, 0.75)
+        want = _per_grid_pad(x, halo, boundary, 0.75)
         # The halo holds junk from an earlier pass; the interior holds x.
         buf = rng.standard_normal(want.shape)
-        lead = (slice(None),) if batched else ()
-        buf[lead + (slice(halo, -halo),) * ndim] = x
-        assert refresh_halo(buf, halo, boundary, 0.75, batched=batched) is buf
+        buf[(slice(None),) + (slice(halo, -halo),) * ndim] = x
+        assert refresh_halo(buf, halo, boundary, 0.75) is buf
         assert buf.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_periodic_halo_wider_than_extent_raises(self, batched):
-        buf = np.zeros((2, 7, 12) if batched else (7, 12))
+    @pytest.mark.parametrize("many", [False, True])
+    def test_periodic_halo_wider_than_extent_raises(self, many):
+        buf = np.zeros((2 if many else 1, 7, 12))
         with pytest.raises(GridError, match="periodic halo 3 exceeds"):
-            refresh_halo(buf, 3, BoundaryCondition.PERIODIC, batched=batched)
+            refresh_halo(buf, 3, BoundaryCondition.PERIODIC)
 
     def test_rejects_negative_halo(self):
         with pytest.raises(GridError):
-            refresh_halo(np.zeros(4), -1)
+            refresh_halo(np.zeros((1, 4)), -1)
 
 
 class TestPadIntoBuffer:
-    """``pad_halo``/``pad_halo_batch`` with ``out=``: the runtime's
-    halo-buffer fill must give the bits of the ``numpy.pad`` path."""
+    """``pad_halo_batch``, the runtime's halo-buffer fill, must give the
+    bits of ``numpy.pad`` per grid, for one grid (a batch of one) and
+    for several."""
 
     CASES = [
         (BoundaryCondition.CONSTANT, 2, -3.25),  # nonzero fill
@@ -141,34 +145,31 @@ class TestPadIntoBuffer:
 
     @pytest.mark.parametrize("boundary, halo, fill", CASES)
     @pytest.mark.parametrize("shape", [(4,), (4, 3), (3, 4, 2)])
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_equals_numpy_pad(self, boundary, halo, fill, shape, batched):
+    @pytest.mark.parametrize("many", [False, True])
+    def test_equals_numpy_pad(self, boundary, halo, fill, shape, many):
         if boundary is BoundaryCondition.PERIODIC:
             shape = tuple(max(n, halo) for n in shape)
-        if batched:
-            shape = (3,) + shape
+        shape = (3 if many else 1,) + shape
         x = np.random.default_rng(7).standard_normal(shape)
-        pad = pad_halo_batch if batched else pad_halo
-        want = pad(x, halo, boundary, fill)
+        want = _per_grid_pad(x, halo, boundary, fill)
         out = np.full(want.shape, np.nan)
-        assert pad(x, halo, boundary, fill, out=out) is out
+        assert pad_halo_batch(x, halo, boundary, fill, out=out) is out
         assert out.tobytes() == want.tobytes()
         assert not np.shares_memory(out, x)
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_periodic_halo_wider_than_grid_raises(self, batched):
-        x = np.ones((2, 3, 3) if batched else (3, 3))
-        pad = pad_halo_batch if batched else pad_halo
-        out = np.empty(x.shape[:1] + (11, 11) if batched else (11, 11))
+    @pytest.mark.parametrize("many", [False, True])
+    def test_periodic_halo_wider_than_grid_raises(self, many):
+        x = np.ones((2 if many else 1, 3, 3))
+        out = np.empty(x.shape[:1] + (11, 11))
         with pytest.raises(GridError, match="periodic halo 4 exceeds"):
-            pad(x, 4, BoundaryCondition.PERIODIC, out=out)
+            pad_halo_batch(x, 4, BoundaryCondition.PERIODIC, out=out)
 
     def test_zero_halo_copies_into_the_buffer(self):
-        x = np.arange(6.0).reshape(2, 3)
+        x = np.arange(6.0).reshape(1, 2, 3)
         out = np.empty_like(x)
-        assert pad_halo(x, 0, out=out) is out
+        assert pad_halo_batch(x, 0, out=out) is out
         np.testing.assert_array_equal(out, x)
 
     def test_wrong_buffer_shape_rejected(self):
         with pytest.raises(GridError, match="halo buffer has shape"):
-            pad_halo(np.ones((3, 3)), 1, out=np.empty((4, 4)))
+            pad_halo_batch(np.ones((1, 3, 3)), 1, out=np.empty((1, 4, 4)))

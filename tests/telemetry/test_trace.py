@@ -8,7 +8,7 @@ import time
 
 from repro import obs
 from repro.telemetry import level as levels
-from repro.telemetry.trace import DEFAULT_MAX_SPANS, MAX_SPANS_ENV, Tracer
+from repro.telemetry.trace import DEFAULT_MAX_SPANS, Tracer
 
 
 class TestNesting:
@@ -212,6 +212,7 @@ class TestRingBuffer:
             self._closed(tr, f"s{i}")
         assert len(tr) == 100
         assert tr.dropped == 0
+        assert Tracer().max_spans == DEFAULT_MAX_SPANS
 
     def test_spans_since_survives_eviction(self):
         tr = Tracer(max_spans=4)
@@ -233,19 +234,3 @@ class TestRingBuffer:
         mark = tr.total_recorded
         self._closed(tr, "b")
         assert [sp.name for sp in tr.spans_since(mark)] == ["b"]
-
-    def test_capacity_env_knob(self, monkeypatch):
-        monkeypatch.setenv(MAX_SPANS_ENV, "7")
-        assert Tracer().max_spans == 7
-        monkeypatch.delenv(MAX_SPANS_ENV)
-        assert Tracer().max_spans == DEFAULT_MAX_SPANS
-
-    def test_bad_capacity_env_warns_and_defaults(self, monkeypatch):
-        import warnings
-
-        monkeypatch.setenv(MAX_SPANS_ENV, "lots")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            tr = Tracer()
-        assert tr.max_spans == DEFAULT_MAX_SPANS
-        assert any("REPRO_TELEMETRY_MAX_SPANS" in str(w.message) for w in caught)
