@@ -32,8 +32,7 @@ the obs collector and prints its counters and gauges.  The ``report``
 subcommand is the one report surface: ``report TRACE`` renders a
 Fig.-6-style phase breakdown from a saved trace, ``--requests`` and
 ``--request-id ID`` list and replay served requests from span JSONL,
-``--live [URL]`` renders the obs snapshot (``--format text|json|prom``),
-and ``--self-test`` runs the scripted-clock alert drill.
+and ``--live [URL]`` renders the obs snapshot (``--format text|json|prom``).
 
 Conformance (see :mod:`repro.verify`): the ``verify`` subcommand runs the
 seeded differential harness — random cases across every registered
@@ -52,7 +51,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 from typing import List, Sequence
 
 import numpy as np
@@ -496,13 +494,12 @@ def _run_report(argv: List[str]) -> List[str]:
     (``--request-id``, which takes a request id or a trace id).
     ``--live [URL]`` renders the obs snapshot of this process, or of the
     exporter at ``URL``, as the ``top`` frame, JSON or Prometheus text.
-    ``--self-test [DIR]`` runs the scripted-clock alert drill.
     """
     parser = argparse.ArgumentParser(
         prog="convstencil report",
         description=(
             "Where did the time go: phase tables and request waterfalls "
-            "from span files, the live obs snapshot, or the alert drill"
+            "from span files or the live obs snapshot"
         ),
     )
     parser.add_argument(
@@ -571,27 +568,16 @@ def _run_report(argv: List[str]) -> List[str]:
         default=None,
         help="exporter port for --serve (default $REPRO_OBS_PORT or 9109; 0 = ephemeral)",
     )
-    parser.add_argument(
-        "--self-test",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="DIR",
-        help=(
-            "drive the burn-rate alert through ok/pending/firing/ok under a "
-            "scripted clock, dumping into DIR (default: a fresh temp dir)"
-        ),
-    )
     args = parser.parse_args(argv)
 
-    sources = {"FILE": args.file, "--live": args.live, "--self-test": args.self_test}
+    sources = {"FILE": args.file, "--live": args.live}
     chosen = [name for name, value in sources.items() if value is not None]
     if len(chosen) != 1:
         raise ReproError(
-            "repro report needs one source: a span FILE, --live [URL] or "
-            "--self-test [DIR]" + (f" (got {' and '.join(chosen)})" if chosen else "")
+            "repro report needs one source: a span FILE or --live [URL]"
+            + (f" (got {' and '.join(chosen)})" if chosen else "")
         )
-    own = {"FILE": _FILE_OPTIONS, "--live": _LIVE_OPTIONS}.get(chosen[0], ())
+    own = {"FILE": _FILE_OPTIONS, "--live": _LIVE_OPTIONS}[chosen[0]]
     stray = [
         "--" + name.replace("_", "-")
         for name in _FILE_OPTIONS + _LIVE_OPTIONS
@@ -600,8 +586,6 @@ def _run_report(argv: List[str]) -> List[str]:
     if stray:
         raise ReproError(f"{', '.join(stray)} does not apply to {chosen[0]}")
 
-    if args.self_test is not None:
-        return _flight_self_test(args.self_test or None)
     if args.live is not None:
         return _report_live(args)
 
@@ -677,92 +661,6 @@ def _report_live(args: argparse.Namespace) -> List[str]:
     return lines
 
 
-def _flight_self_test(dump_dir: "str | None") -> List[str]:
-    """The ``report --self-test`` drill: a scripted-clock burn-rate episode.
-
-    Deterministically drives one alert through ok → pending → firing →
-    ok against synthetic traffic counters (one sample per scripted
-    minute), with the black-box alert hook attached so every transition
-    dumps a private span ring of synthetic requests.  Ends by replaying
-    the victim request's waterfall out of the dump it just wrote — the
-    whole observe→alert→dump→replay loop in one command, no service
-    needed.
-    """
-    import tempfile
-
-    from repro import flight
-    from repro.obs.alerts import AlertEngine, AlertPolicy
-    from repro.telemetry.trace import Tracer
-
-    target = Path(dump_dir) if dump_dir else Path(tempfile.mkdtemp(prefix="flight-"))
-    tracer = Tracer(max_spans=256)
-
-    # A handful of synthetic served requests so dumps have batch context.
-    members = [f"selftest-{i:02d}" for i in range(4)]
-    for i, rid in enumerate(members):
-        base = 0.010 * i
-        stamp = {"trace_id": f"tselftest-{i:02d}", "request_id": rid, "tenant": "selftest"}
-        for name, start, end, attrs in (
-            ("admit", 0.0, 0.0002, {"outcome": "admitted"}),
-            ("queue_wait", 0.0002, 0.0012, {}),
-            ("coalesce", 0.0012, 0.0015, {"batch_id": "b-self"}),
-            ("execute", 0.0015, 0.0085, {"batch_id": "b-self", "links": list(members)}),
-            ("split", 0.0085, 0.0090, {"status": "ok", "reason": "", "slo_breached": False}),
-        ):
-            tracer.record_span(f"serve.{name}", base + start, base + end, dict(stamp, **attrs))
-
-    # Scripted minute-by-minute counters: an hour of clean traffic, an
-    # 8-minute half-breach burst (fast window trips first, then slow),
-    # then a clean recovery that clears the fast window.
-    clock_now = [0.0]
-    counters = {"total": 0, "breached": 0}
-    engine = AlertEngine(
-        supplier=lambda: (counters["total"], counters["breached"]),
-        policies=[AlertPolicy()],
-        clock=lambda: clock_now[0],
-    )
-    flight.attach_alert_hook(engine, tracer=tracer, dump_dir=target, max_dumps=8)
-    states: List[str] = []
-
-    def _minute(breached_per_minute: int) -> None:
-        clock_now[0] += 60.0
-        counters["total"] += 10
-        counters["breached"] += breached_per_minute
-        states.append(engine.tick()["slo-burn"])
-
-    for _ in range(60):
-        _minute(0)  # slow-window history: 600 requests, 0 breached
-    for _ in range(8):
-        _minute(5)  # burst: 50% breach rate
-    for _ in range(8):
-        _minute(0)  # recovery
-    observed = [s for s, prev in zip(states, [None] + states[:-1]) if s != prev]
-    expected = ["ok", "pending", "firing", "ok"]
-    if observed != expected:
-        raise ReproError(
-            f"flight self-test: state sequence {observed} != {expected} — "
-            "the burn-rate engine is not deterministic under a scripted clock"
-        )
-    dumps = sorted(target.glob("flight-*.jsonl"))
-    if len(dumps) < 3:  # pending, firing, and recovery transitions
-        raise ReproError(
-            f"flight self-test: expected >= 3 alert-transition dumps in "
-            f"{target}, found {len(dumps)}"
-        )
-
-    lines = [
-        "FLIGHT self-test: ok -> pending -> firing -> ok "
-        f"({engine.alerts[0].transitions} transitions over "
-        f"{len(states)} scripted minutes)",
-        f"FLIGHT self-test: {len(dumps)} black-box dump(s) in {target}:",
-    ]
-    lines.extend(f"  {p.name}" for p in dumps)
-    lines.append("")
-    lines.extend(flight.render_request_report(dumps[-1], members[-1]))
-    lines.append("FLIGHT self-test: OK")
-    return lines
-
-
 def _run_serve(argv: List[str]) -> List[str]:
     """The ``serve`` subcommand: run the service under load with obs export.
 
@@ -796,17 +694,11 @@ def _run_serve(argv: List[str]) -> List[str]:
     )
     args = parser.parse_args(argv)
 
-    from repro import flight
     from repro.serve import TraceSpec
     from repro.serve.loadgen import run_server
 
     if not obs.enabled():
         obs.set_level("metrics")
-    # Burn-rate alerting over the collector's SLO counters; while spans
-    # are recorded (REPRO_OBS=trace) every transition dumps the ring.
-    engine = obs.configure_alerts()
-    if telemetry.enabled():
-        flight.attach_alert_hook(engine)
     server = None
     lines: List[str] = []
     if not args.no_exporter:

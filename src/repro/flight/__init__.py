@@ -10,8 +10,7 @@ pipeline stage (``admit → queue_wait → coalesce → execute → split``) in
 the ordinary :mod:`repro.telemetry` ring, the ``execute`` span linking
 every member of its coalesced batch.  There is no second record.
 
-On an error, an SLO breach or a burn-rate alert transition
-(:func:`attach_alert_hook`), :func:`dump` scans that ring and writes the
+On an error or an SLO breach, :func:`dump` scans that ring and writes the
 offending ``trace_id``'s spans plus those of its ring neighbours to
 ``$REPRO_FLIGHT_DIR`` as span JSONL, at most ``$REPRO_FLIGHT_MAX_DUMPS``
 (default 8) files per directory — a runaway failure must not fill the
@@ -44,7 +43,6 @@ from repro.telemetry.trace import Span, Tracer, get_tracer, write_spans_jsonl
 __all__ = [
     "DIR_ENV",
     "MAX_DUMPS_ENV",
-    "attach_alert_hook",
     "dump",
     "load_requests",
     "missing_stages",
@@ -77,10 +75,10 @@ def _max_dumps() -> int:
     return value if value > 0 else DEFAULT_MAX_DUMPS
 
 
-def neighborhood(spans: List[Span], trace_id: str = "", neighbors: int = 8) -> List[Span]:
+def neighborhood(spans: List[Span], trace_id: str, neighbors: int = 8) -> List[Span]:
     """The spans of ``trace_id`` and of the ``neighbors`` traces either side
     of it in ring order (first appearance); the newest ``2*neighbors+1``
-    traces when ``trace_id`` is empty or already evicted."""
+    traces when ``trace_id`` is already evicted."""
     order = list(
         dict.fromkeys(sp.attributes.get("trace_id") for sp in spans if sp.attributes.get("trace_id"))
     )
@@ -94,7 +92,7 @@ def neighborhood(spans: List[Span], trace_id: str = "", neighbors: int = 8) -> L
 
 def dump(
     reason: str,
-    trace_id: str = "",
+    trace_id: str,
     *,
     tracer: Optional[Tracer] = None,
     dump_dir: "str | Path | None" = None,
@@ -127,18 +125,3 @@ def dump(
         return None
     _log.info("flight: wrote black-box dump %s (%s)", path, reason)
     return path
-
-
-def attach_alert_hook(engine, **dump_options) -> None:
-    """Dump the ring whenever a burn-rate alert transitions.
-
-    The listener runs synchronously inside
-    :meth:`repro.obs.alerts.BurnRateAlert.evaluate`, so the dump is
-    written before the next sample can move the state again.
-    ``dump_options`` are passed to :func:`dump`.
-    """
-
-    def _on_transition(alert, old: str, new: str, now: float) -> None:
-        dump(f"alert-{alert.policy.name}-{old}-{new}", **dump_options)
-
-    engine.add_listener(_on_transition)

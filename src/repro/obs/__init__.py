@@ -34,7 +34,6 @@ import threading
 import time
 from typing import Any, Callable, Dict, Optional
 
-from repro.obs.alerts import AlertEngine
 from repro.obs.collector import (
     ObsCollector,
     fold_perf_counters,
@@ -46,7 +45,6 @@ from repro.telemetry.level import rank as _rank
 from repro.telemetry.level import state as _level
 
 __all__ = [
-    "configure_alerts",
     "count",
     "enabled",
     "fold_perf_counters",
@@ -70,14 +68,13 @@ _CLOCK: Callable[[], float] = time.perf_counter
 
 
 class _State:
-    """Module-global collector/profiler/alert-engine trio."""
+    """Module-global collector/profiler pair."""
 
-    __slots__ = ("collector", "profiler", "alerts", "lock")
+    __slots__ = ("collector", "profiler", "lock")
 
     def __init__(self) -> None:
         self.collector = ObsCollector()
         self.profiler: Optional[SamplingProfiler] = None
-        self.alerts: Optional[AlertEngine] = None
         self.lock = threading.Lock()
 
 
@@ -133,24 +130,6 @@ def _ensure_profiler() -> Optional[SamplingProfiler]:
     return profiler
 
 
-def configure_alerts(
-    policies=None, clock=None, supplier=None
-) -> AlertEngine:
-    """(Re)build the burn-rate alert engine over the live collector.
-
-    ``supplier`` defaults to the current collector's
-    :meth:`~repro.obs.collector.ObsCollector.slo_totals`; an injectable
-    ``clock`` makes the state machine fully deterministic in tests.
-    """
-    if supplier is None:
-        collector = _state.collector
-        supplier = collector.slo_totals
-    engine = AlertEngine(supplier, policies=policies, clock=clock)
-    with _state.lock:
-        _state.alerts = engine
-    return engine
-
-
 def _reset_for_tests(
     collector: Optional[ObsCollector] = None,
 ) -> ObsCollector:
@@ -159,7 +138,6 @@ def _reset_for_tests(
     if old is not None:
         old.stop()
     _state.profiler = None
-    _state.alerts = None
     _state.collector = collector if collector is not None else ObsCollector()
     return _state.collector
 
@@ -266,14 +244,5 @@ def set_gauge(name: str, value: "int | float") -> None:
 
 
 def snapshot() -> Dict[str, Any]:
-    """The collector's JSON-able health snapshot (profiler included).
-
-    When an alert engine exists it is ticked (one supplier sample feeds
-    every alert) and its state rides the snapshot under ``"alerts"``.
-    """
-    snap = _state.collector.snapshot(profiler=_state.profiler)
-    engine = _state.alerts
-    if engine is not None:
-        engine.tick()
-        snap["alerts"] = engine.snapshot()
-    return snap
+    """The collector's JSON-able health snapshot (profiler included)."""
+    return _state.collector.snapshot(profiler=_state.profiler)

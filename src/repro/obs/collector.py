@@ -61,7 +61,7 @@ _CLOCK: Callable[[], float] = time.perf_counter
 SLO_ENV = "REPRO_OBS_SLO_MS"
 
 #: LRU bound on per-tenant entries, so a long-lived multi-tenant service
-#: stays bounded; :meth:`ObsCollector.slo_totals` survives evictions.
+#: stays bounded.
 MAX_TENANTS = 4096
 
 #: LRU bound on the per-plan-key run stats and on each pricing cache:
@@ -225,10 +225,6 @@ class ObsCollector:
         self._lock = threading.Lock()
         self._runs: "OrderedDict[str, RunStats]" = OrderedDict()
         self._tenants: "OrderedDict[str, TenantStats]" = OrderedDict()
-        # Completed requests and SLO breaches over every tenant, evicted
-        # ones included, so the burn-rate supplier stays monotonic.
-        self._slo_ok = 0
-        self._slo_breaches = 0
         # One namespace: a name is a counter or a gauge, never both.
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
@@ -317,21 +313,9 @@ class ObsCollector:
                 stats.hist.observe(
                     elapsed, trace_id=trace_id, tenant=tenant, label=plan_label
                 )
-                self._slo_ok += 1
             if breached:
                 stats.slo_breaches += 1
-                self._slo_breaches += 1
         return breached
-
-    def slo_totals(self) -> Tuple[int, int]:
-        """``(completed_requests, slo_breaches)`` over every tenant seen.
-
-        The ratio feeds the burn-rate alert engine
-        (:mod:`repro.obs.alerts`); both totals are monotonic, and an
-        evicted tenant's requests stay counted.
-        """
-        with self._lock:
-            return self._slo_ok, self._slo_breaches
 
     def count(self, name: str, amount: "int | float" = 1) -> None:
         """Add ``amount`` (>= 0) to the counter ``name``."""

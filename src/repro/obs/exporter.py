@@ -310,32 +310,6 @@ def render_prometheus(snap: Dict[str, Any]) -> str:
         )
         out.sample("repro_serve_queue_peak", None, float(serve.get("queue_peak", 0)))
 
-    for alert in snap.get("alerts") or []:
-        labels = {"alert": str(alert.get("name", ""))}
-        out.family(
-            "repro_alert_state",
-            "gauge",
-            "Burn-rate alert state (0=ok, 1=pending, 2=firing).",
-        )
-        out.sample("repro_alert_state", labels, float(alert.get("state_code", 0)))
-        out.family(
-            "repro_alert_transitions_total",
-            "counter",
-            "Burn-rate alert state transitions.",
-        )
-        out.sample(
-            "repro_alert_transitions_total", labels, float(alert.get("transitions", 0))
-        )
-        out.family(
-            "repro_alert_burn_rate",
-            "gauge",
-            "Observed SLO burn-rate multiple per alert window.",
-        )
-        for window, info in sorted((alert.get("windows") or {}).items()):
-            wl = dict(labels)
-            wl["window"] = window
-            out.sample("repro_alert_burn_rate", wl, float(info.get("burn_rate", 0.0)))
-
     profile = snap.get("profile") or {}
     out.family(
         "repro_profiler_samples_total",

@@ -77,9 +77,6 @@ def _slowest_exemplar(entry: Dict[str, Any]) -> str:
     return f"{trace_id or '?'}@{_fmt_latency(float(best[0]))}"
 
 
-_ALERT_CODES = {"ok": _GREEN, "pending": _YELLOW, "firing": _RED}
-
-
 def render_top(snap: Dict[str, Any], color: bool = True) -> List[str]:
     """Render one frame of the live view as a list of lines."""
     lines: List[str] = []
@@ -166,24 +163,6 @@ def render_top(snap: Dict[str, Any], color: bool = True) -> List[str]:
                 f"max {int(serve.get('max_batch', 0))} coalesced, "
                 f"affinity {rate:.1f}%, "
                 f"queue peak {int(serve.get('queue_peak', 0))}"
-            )
-        lines.append("")
-
-    alerts = snap.get("alerts") or []
-    if alerts:
-        lines.append(_paint("Alerts (SLO burn rate)", _BOLD, color))
-        for alert in alerts:
-            state = str(alert.get("state", "ok"))
-            windows = alert.get("windows") or {}
-            burns = ", ".join(
-                f"{name} {float(info.get('burn_rate', 0.0)):.2f}x"
-                f"/{float(info.get('threshold', 0.0)):.1f}x"
-                for name, info in sorted(windows.items())
-            )
-            lines.append(
-                f"  {alert.get('name', '?')}: "
-                f"{_paint(state.upper(), _ALERT_CODES.get(state, _RED), color)}"
-                f"  ({burns}; {int(alert.get('transitions', 0))} transition(s))"
             )
         lines.append("")
 

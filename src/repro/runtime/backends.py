@@ -144,10 +144,9 @@ class SerialBackend(Backend):
         )
 
     def apply_pass_batch(self, pp: PassPlan, padded: np.ndarray) -> np.ndarray:
-        if padded.shape[0] == 0:
-            return _empty_batch_result(pp, padded)
-        if pp.ndim == 2:
-            # Ensemble fast path: one stacked-GEMM sweep covers the whole batch.
+        if pp.ndim == 2 and len(padded) and type(self).apply_pass is SerialBackend.apply_pass:
+            # Ensemble fast path: one stacked-GEMM sweep covers the whole
+            # batch.  A subclass that overrides apply_pass gets it per grid.
             pp = pp.ensure_tables()
             return convstencil_valid_2d_batched(
                 padded, pp.kernel, offsets=pp.offsets, weights=pp.weights
@@ -175,9 +174,7 @@ class ReferenceBackend(Backend):
         return convstencil_valid_3d(padded, pp.kernel)
 
     def apply_pass_batch(self, pp: PassPlan, padded: np.ndarray) -> np.ndarray:
-        if padded.shape[0] == 0:
-            return _empty_batch_result(pp, padded)
-        if pp.ndim == 2:
+        if pp.ndim == 2 and len(padded) and type(self).apply_pass is ReferenceBackend.apply_pass:
             return convstencil_valid_2d_batched(padded, pp.kernel)
         return super().apply_pass_batch(pp, padded)
 

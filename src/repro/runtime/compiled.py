@@ -16,7 +16,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.codegen.compiled import get_compiled_pass
-from repro.runtime.backends import Backend, _empty_batch_result, register_backend
+from repro.runtime.backends import Backend, register_backend
 
 __all__ = ["CompiledBackend"]
 
@@ -33,10 +33,9 @@ class CompiledBackend(Backend):
 
     def apply_pass_batch(self, pp, padded: np.ndarray) -> np.ndarray:
         """Batched pass: a pinned batch-axis kernel in 2-D, the base-class
-        per-grid loop elsewhere (matching ``serial``'s dispatch)."""
-        if padded.shape[0] == 0:
-            return _empty_batch_result(pp, padded)
-        if pp.ndim == 2:
+        per-grid loop elsewhere or when a subclass overrides
+        :meth:`apply_pass` (matching ``serial``'s dispatch)."""
+        if pp.ndim == 2 and len(padded) and type(self).apply_pass is CompiledBackend.apply_pass:
             with _span(pp, padded):
                 return get_compiled_pass(pp, batched=True)(padded)
         return super().apply_pass_batch(pp, padded)

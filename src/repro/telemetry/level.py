@@ -5,7 +5,7 @@ below it:
 
 * ``off`` — nothing is recorded (the default);
 * ``metrics`` — the live collector (:mod:`repro.obs`) accounts runs and
-  serve requests, and burn-rate alerts can evaluate;
+  serve requests;
 * ``trace`` — also spans (:mod:`repro.telemetry.trace`): engine phases
   and the five serve stage spans, which the black box
   (:mod:`repro.flight`) dumps from;

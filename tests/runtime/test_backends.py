@@ -7,6 +7,7 @@ from repro.core.api import PinnedStencil
 from repro.errors import ReproError
 from repro.runtime import (
     Backend,
+    CompiledBackend,
     ReferenceBackend,
     SerialBackend,
     TiledBackend,
@@ -116,8 +117,14 @@ class TestRegistry:
         with pytest.raises(ReproError, match="unknown backend"):
             get_backend("warp-drive")
 
-    def test_register_custom_backend(self):
-        class Doubling(SerialBackend):
+    @pytest.mark.parametrize(
+        "base", [SerialBackend, ReferenceBackend, CompiledBackend], ids=lambda b: b.name
+    )
+    @pytest.mark.parametrize("name", ["heat-1d", "heat-2d", "heat-3d"])
+    def test_register_custom_backend(self, base, name):
+        """A subclass that overrides only ``apply_pass`` runs it on every pass."""
+
+        class Doubling(base):
             name = "doubling"
 
             def apply_pass(self, pp, padded):
@@ -125,10 +132,10 @@ class TestRegistry:
 
         register_backend("doubling", Doubling)
         try:
-            kernel = get_kernel("heat-1d")
-            x = default_rng(0).random(50)
+            kernel = get_kernel(name)
+            x = default_rng(0).random(SHAPES[kernel.ndim])
             doubled = PinnedStencil(kernel, "gemm", backend="doubling").run(x, steps=1)
-            plain = PinnedStencil(kernel, "gemm", backend="serial").run(x, steps=1)
+            plain = PinnedStencil(kernel, "gemm", backend=base.name).run(x, steps=1)
             np.testing.assert_array_equal(doubled, 2.0 * plain)
             assert "doubling" in list_backends()
         finally:

@@ -309,10 +309,6 @@ def test_custom_backend_sees_only_gemm_passes():
     class Recording(SerialBackend):
         name = "recording"
 
-        def apply_pass(self, pp, padded):
-            seen.append(pp.strategy)
-            return super().apply_pass(pp, padded)
-
         def apply_pass_batch(self, pp, padded):
             seen.append(pp.strategy)
             return super().apply_pass_batch(pp, padded)

@@ -187,14 +187,7 @@ class TestCodegenSubcommand:
 
 
 class TestFlightSubcommand:
-    """Span-file replay and the alert drill, through ``repro report``."""
-
-    def test_self_test_runs_the_full_drill(self, tmp_path):
-        lines = run(["report", "--self-test", str(tmp_path)])
-        text = "\n".join(lines)
-        assert "ok -> pending -> firing -> ok" in text
-        assert "FLIGHT self-test: OK" in lines[-1]
-        assert len(list(tmp_path.glob("flight-*.jsonl"))) >= 3
+    """Span-file replay through ``repro report``."""
 
     def test_loadgen_flight_dump_then_replay(self, tmp_path):
         from repro import obs
@@ -228,7 +221,7 @@ class TestFlightSubcommand:
         with pytest.raises(ReproError, match="known request ids"):
             run(["report", str(dump), "--request-id", "nope"])
 
-    def test_flight_without_dump_or_selftest_errors(self):
+    def test_report_without_a_source_errors(self):
         with pytest.raises(ReproError, match="needs one source"):
             run(["report"])
 
