@@ -730,8 +730,9 @@ def _run_codegen(argv: List[str]) -> List[str]:
     """The ``codegen`` subcommand: emit a kernel's generated source.
 
     Writes either the ``compiled`` backend's shape-pinned Python kernel
-    (``--target python``, requires a grid shape to pin) or the reference
-    CUDA text (``--target cuda``) to ``--output``/stdout.  CI's
+    (``--target python``, requires a grid shape to pin; a 2-D kernel takes
+    a stack of grids) or the reference CUDA text (``--target cuda``) to
+    ``--output``/stdout.  CI's
     codegen-smoke job generates a kernel, lints it with ``repro lint``,
     and runs the differential harness on the compiled backend.
     """
@@ -755,11 +756,6 @@ def _run_codegen(argv: List[str]) -> List[str]:
         "--fusion",
         default="auto",
         help='temporal fusion depth or "auto" (default auto)',
-    )
-    parser.add_argument(
-        "--batched",
-        action="store_true",
-        help="emit the batch-axis variant (python target, 2-D only)",
     )
     parser.add_argument(
         "-o",
@@ -795,7 +791,7 @@ def _run_codegen(argv: List[str]) -> List[str]:
 
         # Generated kernels are dual tessellation: pin it, whatever the rule picks.
         plan = plan_for(kernel, shape, fusion=fusion, strategy="gemm")
-        entry = compiled_entry(plan.fused_pass, batched=args.batched)
+        entry = compiled_entry(plan.fused_pass)
         source = entry.source
         summary = (
             f"codegen: python {entry.name} "

@@ -7,7 +7,11 @@ geometry, fusion depth).  This module lowers one
 kernel**: straight-line stacked-GEMM NumPy source with every branch —
 boundary, fusion depth, remainder chunks, tile geometry, 3-D plane
 decomposition — resolved at generation time, ``exec``-compiled once and
-cached per plan key.
+cached per plan key.  The 2-D kernel is the only one with a leading batch
+axis: like :func:`repro.core.engine2d.convstencil_valid_2d_batched` it
+runs one stacked GEMM sweep over a stack of padded grids, and a single
+grid runs as a stack of one, so each plan key has one 2-D kernel.  The
+3-D kernel reuses the same batch-axis body over its dense planes.
 
 Bit identity with ``serial``/``reference`` is the hard constraint, so the
 generated code performs the *same floating-point operations in the same
@@ -45,7 +49,7 @@ import numpy as np
 from repro import obs
 from repro.codegen.specs import GemmSpec, gemm_spec_from_pass
 from repro.core.engine2d import _CHUNK
-from repro.errors import StaticCheckError, TessellationError
+from repro.errors import StaticCheckError
 from repro.telemetry.log import get_logger
 
 __all__ = [
@@ -65,7 +69,7 @@ _log = get_logger("codegen.compiled")
 #: otherwise grow linearly with the grid height).
 _MAX_UNROLL = 64
 
-#: Compiled-kernel LRU capacity (kernels × shapes × batched variants).
+#: Compiled-kernel LRU capacity (kernels × shapes; one kernel per pass plan).
 _CACHE_CAPACITY = 128
 
 
@@ -91,8 +95,6 @@ class GeneratedPass:
     source: str
     #: Generation-time constants the source closes over (the weights).
     constants: Dict[str, object]
-    #: Whether the kernel takes a leading batch axis.
-    batched: bool
     #: The GEMM geometry the source was specialized against.
     gemm: GemmSpec
     #: Provenance carried into findings: kernel, grid, digest.
@@ -115,7 +117,7 @@ class CompiledPass:
     constants: Dict[str, object]
 
 
-def _digest(pp, batched: bool) -> str:
+def _digest(pp) -> str:
     h = hashlib.sha1()
     h.update(
         repr(
@@ -124,7 +126,6 @@ def _digest(pp, batched: bool) -> str:
                 pp.kernel.edge,
                 pp.grid_shape,
                 pp.padded_shape,
-                batched,
             )
         ).encode()
     )
@@ -160,31 +161,25 @@ def _emit_strided_views(
     lines: List[str],
     indent: str,
     *,
-    batched: bool,
     ext: str,
     k: int,
     r_groups: int,
     x_valid: int,
     row_stride: int,
-    batch_stride: int = 0,
-    batch_expr: str = "",
+    batch_stride: int,
+    batch_expr: str,
 ) -> None:
-    """Emit the ``sa``/``sb`` window views over ``ext`` (strides pinned).
+    """Emit the ``sa``/``sb`` window views over the stack ``ext`` (strides pinned).
 
-    ``sa[..., t, x', r, i] = ext[..., t + x', r*(k+1) + i]`` — the exact
+    ``sa[b, t, x', r, i] = ext[b, t + x', r*(k+1) + i]`` — the exact
     values of the engine's ``gather -> sliding_windows`` pipeline, but as
     one zero-copy view (the gather offsets are contiguous runs, so the
     copy the engine makes is pure layout, not selection).
     """
     g8 = 8 * (k + 1)
-    if batched:
-        shape = f"({batch_expr}, {x_valid}, {k}, {r_groups}, {k})"
-        strides = f"({batch_stride}, {row_stride}, {row_stride}, {g8}, 8)"
-        b_base = f"{ext}[:, :, {k}:]"
-    else:
-        shape = f"({x_valid}, {k}, {r_groups}, {k})"
-        strides = f"({row_stride}, {row_stride}, {g8}, 8)"
-        b_base = f"{ext}[:, {k}:]"
+    shape = f"({batch_expr}, {x_valid}, {k}, {r_groups}, {k})"
+    strides = f"({batch_stride}, {row_stride}, {row_stride}, {g8}, 8)"
+    b_base = f"{ext}[:, :, {k}:]"
     lines.append(f"{indent}sa = as_strided({ext}, {shape}, {strides})")
     lines.append(f"{indent}sb = as_strided({b_base}, {shape}, {strides})")
 
@@ -194,34 +189,27 @@ def _emit_chunks_2d(
     ranges: List[Tuple[int, int]],
     indent: str,
     *,
-    batched: bool,
     out_name: str,
     wa: str,
     wb: str,
     r_groups: int,
     k: int,
     rg: int,
-    batch_expr: str = "",
+    batch_expr: str,
 ) -> None:
     """Append the straight-line (or pinned-loop) chunk bodies.
 
     Each chunk is copied out of the ``sa``/``sb`` window views with the
-    engine's exact ``transpose`` + contiguous copy, so the ``(c, R, k²)``
-    GEMM operands are byte-identical to the engine's.
+    engine's exact ``transpose`` + contiguous copy, so the
+    ``(batch, c, R, k²)`` GEMM operands are byte-identical to the engine's.
     """
     k2 = k * k
-    lhs = f"{out_name}[:, {{t0}}:{{t1}}]" if batched else f"{out_name}[{{t0}}:{{t1}}]"
-    shape = (f"{batch_expr}, {{c}}, {rg}") if batched else (f"{{c}}, {rg}")
-    if batched:
-        win = "sa[:, {t0}:{t1}].transpose(0, 1, 3, 2, 4)"
-        flat_shape = f"{batch_expr}, {{c}}, {r_groups}, {k2}"
-        flat_a = f"np.ascontiguousarray({win}).reshape({flat_shape})"
-        flat_b = flat_a.replace("sa[", "sb[")
-    else:
-        win = "sa[{t0}:{t1}].transpose(0, 2, 1, 3)"
-        flat_shape = f"{{c}}, {r_groups}, {k2}"
-        flat_a = f"np.ascontiguousarray({win}).reshape({flat_shape})"
-        flat_b = flat_a.replace("sa[", "sb[")
+    lhs = f"{out_name}[:, {{t0}}:{{t1}}]"
+    shape = f"{batch_expr}, {{c}}, {rg}"
+    win = "sa[:, {t0}:{t1}].transpose(0, 1, 3, 2, 4)"
+    flat_shape = f"{batch_expr}, {{c}}, {r_groups}, {k2}"
+    flat_a = f"np.ascontiguousarray({win}).reshape({flat_shape})"
+    flat_b = flat_a.replace("sa[", "sb[")
     if len(ranges) <= _MAX_UNROLL:
         for t0, t1 in ranges:
             c = t1 - t0
@@ -256,12 +244,12 @@ def _emit_chunks_2d(
         )
 
 
-def _header(pp, batched: bool, what: str) -> List[str]:
+def _header(pp, what: str, note: str = "") -> List[str]:
     return [
         f'"""{what} — shape-pinned ConvStencil pass (generated, do not edit).',
         "",
         f"kernel {pp.kernel.name} (edge {pp.kernel.edge}), grid {pp.grid_shape},",
-        f"padded input {pp.padded_shape}{', leading batch axis' if batched else ''}.",
+        f"padded input {pp.padded_shape}{note}.",
         "Generated by repro.codegen.compiled from an ExecutionPlan pass; every",
         "branch (boundary, fusion, remainder chunks, tile geometry) was resolved",
         "at generation time.  Mirrors the repro.core engines operation-for-",
@@ -287,7 +275,7 @@ def _source_1d(pp) -> Tuple[List[str], Dict[str, object]]:
         "_WA": pp.weights[0],
         "_WB": pp.weights[1],
     }
-    lines = _header(pp, False, "1-D dual tessellation")
+    lines = _header(pp, "1-D dual tessellation")
     lines += [
         "def compiled_pass(padded):",
         f'    """Pinned 1-D pass: padded ({n},) -> valid ({n_valid},)."""',
@@ -323,7 +311,7 @@ def _source_1d(pp) -> Tuple[List[str], Dict[str, object]]:
     return lines, ns
 
 
-def _source_2d(pp, batched: bool) -> Tuple[List[str], Dict[str, object]]:
+def _source_2d(pp) -> Tuple[List[str], Dict[str, object]]:
     k = pp.kernel.edge
     g = k + 1
     m, n = pp.padded_shape
@@ -338,62 +326,34 @@ def _source_2d(pp, batched: bool) -> Tuple[List[str], Dict[str, object]]:
         "_WB_FLAT": wb_flat,
     }
     ranges = _chunk_ranges(x_valid)
-    what = "2-D dual tessellation" + (" (batched)" if batched else "")
-    lines = _header(pp, batched, what)
-    if batched:
-        lines += [
-            "def compiled_pass(stack):",
-            f'    """Pinned batched 2-D pass: (batch, {m}, {n}) -> '
-            f'(batch, {x_valid}, {y_valid})."""',
-            "    stack = np.asarray(stack, dtype=np.float64)",
-            f"    if stack.ndim != 3 or stack.shape[1:] != ({m}, {n}):",
-            "        raise TessellationError(",
-            f'            "compiled kernel pinned to (batch, {m}, {n}); "',
-            '            "got %r" % (stack.shape,)',
-            "        )",
-            "    batch = stack.shape[0]",
-        ]
-        if needed > n:
-            lines.append(
-                f"    ext = np.pad(stack, ((0, 0), (0, 0), (0, {needed - n})), "
-                'mode="constant")'
-            )
-        else:
-            lines += [
-                "    if not stack.flags.c_contiguous:",
-                "        stack = np.ascontiguousarray(stack)",
-                "    ext = stack",
-            ]
+    lines = _header(pp, "2-D dual tessellation", ", leading batch axis")
+    lines += [
+        "def compiled_pass(stack):",
+        f'    """Pinned batched 2-D pass: (batch, {m}, {n}) -> '
+        f'(batch, {x_valid}, {y_valid})."""',
+        "    stack = np.asarray(stack, dtype=np.float64)",
+        f"    if stack.ndim != 3 or stack.shape[1:] != ({m}, {n}):",
+        "        raise TessellationError(",
+        f'            "compiled kernel pinned to (batch, {m}, {n}); "',
+        '            "got %r" % (stack.shape,)',
+        "        )",
+        "    batch = stack.shape[0]",
+    ]
+    if needed > n:
         lines.append(
-            f"    out = np.empty((batch, {x_valid}, {rg}), dtype=np.float64)"
+            f"    ext = np.pad(stack, ((0, 0), (0, 0), (0, {needed - n})), "
+            'mode="constant")'
         )
     else:
         lines += [
-            "def compiled_pass(padded):",
-            f'    """Pinned 2-D pass: ({m}, {n}) -> ({x_valid}, {y_valid})."""',
-            "    padded = np.asarray(padded, dtype=np.float64)",
-            f"    if padded.shape != ({m}, {n}):",
-            "        raise TessellationError(",
-            f'            "compiled kernel pinned to padded shape ({m}, {n}); "',
-            '            "got %r" % (padded.shape,)',
-            "        )",
+            "    if not stack.flags.c_contiguous:",
+            "        stack = np.ascontiguousarray(stack)",
+            "    ext = stack",
         ]
-        if needed > n:
-            lines.append(
-                f"    ext = np.pad(padded, ((0, 0), (0, {needed - n})), "
-                'mode="constant")'
-            )
-        else:
-            lines += [
-                "    if not padded.flags.c_contiguous:",
-                "        padded = np.ascontiguousarray(padded)",
-                "    ext = padded",
-            ]
-        lines.append(f"    out = np.empty(({x_valid}, {rg}), dtype=np.float64)")
+    lines.append(f"    out = np.empty((batch, {x_valid}, {rg}), dtype=np.float64)")
     _emit_strided_views(
         lines,
         "    ",
-        batched=batched,
         ext="ext",
         k=k,
         r_groups=r_groups,
@@ -411,7 +371,6 @@ def _source_2d(pp, batched: bool) -> Tuple[List[str], Dict[str, object]]:
         lines,
         ranges,
         "    ",
-        batched=batched,
         out_name="out",
         wa="_WA_FLAT",
         wb="_WB_FLAT",
@@ -420,10 +379,7 @@ def _source_2d(pp, batched: bool) -> Tuple[List[str], Dict[str, object]]:
         rg=rg,
         batch_expr="batch",
     )
-    if batched:
-        lines.append(f"    return out[:, :, :{y_valid}]")
-    else:
-        lines.append(f"    return out[:, :{y_valid}]")
+    lines.append(f"    return out[:, :, :{y_valid}]")
     lines.append("")
     return lines, ns
 
@@ -440,7 +396,7 @@ def _source_3d(pp) -> Tuple[List[str], Dict[str, object]]:
     rg = r_groups * g
     ns: Dict[str, object] = {}
     ranges = _chunk_ranges(x_valid)
-    lines = _header(pp, False, "3-D plane decomposition (§4.2)")
+    lines = _header(pp, "3-D plane decomposition (§4.2)")
     lines += [
         "def compiled_pass(padded):",
         f'    """Pinned 3-D pass: {pp.padded_shape} -> ({pz}, {px}, {py})."""',
@@ -484,7 +440,6 @@ def _source_3d(pp) -> Tuple[List[str], Dict[str, object]]:
         _emit_strided_views(
             lines,
             "    ",
-            batched=True,
             ext="ext",
             k=k,
             r_groups=r_groups,
@@ -498,7 +453,6 @@ def _source_3d(pp) -> Tuple[List[str], Dict[str, object]]:
             lines,
             ranges,
             "    ",
-            batched=True,
             out_name="acc",
             wa=f"_WA_FLAT_{dz}",
             wb=f"_WB_FLAT_{dz}",
@@ -513,37 +467,27 @@ def _source_3d(pp) -> Tuple[List[str], Dict[str, object]]:
     return lines, ns
 
 
-def _generate(pp, batched: bool) -> Tuple[str, str, Dict[str, object]]:
+def _generate(pp) -> Tuple[str, str, Dict[str, object]]:
     """Lower one pass plan to ``(module_name, source, constant_namespace)``."""
-    if batched and pp.ndim != 2:
-        raise TessellationError(
-            f"batched compilation supports 2-D passes, got {pp.ndim}-D"
-        )
     if pp.ndim == 1:
         lines, ns = _source_1d(pp)
     elif pp.ndim == 2:
-        lines, ns = _source_2d(pp, batched)
+        lines, ns = _source_2d(pp)
     else:
         lines, ns = _source_3d(pp)
-    suffix = "_batched" if batched else ""
-    name = f"compiled_engine_{pp.ndim}d{suffix}_{_digest(pp, batched)}"
+    name = f"compiled_engine_{pp.ndim}d_{_digest(pp)}"
     return name, "\n".join(lines), ns
 
 
-def generate_pass(pp, batched: bool = False) -> GeneratedPass:
+def generate_pass(pp) -> GeneratedPass:
     """Lower one pass plan to a :class:`GeneratedPass` without executing it."""
     pp = pp.ensure_tables()
-    name, source, constants = _generate(pp, batched)
-    origin = (
-        f"kernel={pp.kernel.name} grid={pp.grid_shape}"
-        + (" batched" if batched else "")
-        + f" digest={name.rsplit('_', 1)[-1]}"
-    )
+    name, source, constants = _generate(pp)
+    origin = f"kernel={pp.kernel.name} grid={pp.grid_shape} digest={name.rsplit('_', 1)[-1]}"
     return GeneratedPass(
         name=name,
         source=source,
         constants=constants,
-        batched=batched,
         gemm=gemm_spec_from_pass(pp),
         origin=origin,
     )
@@ -574,8 +518,8 @@ def _staticcheck_generated(gen: GeneratedPass, pp) -> None:
         )
 
 
-def _compile(pp, batched: bool) -> CompiledPass:
-    gen = generate_pass(pp, batched=batched)
+def _compile(pp) -> CompiledPass:
+    gen = generate_pass(pp)
     _staticcheck_generated(gen, pp)
     namespace: Dict[str, object] = {
         "__name__": f"repro.codegen.generated.{gen.name}",
@@ -601,19 +545,19 @@ _compile_lock = threading.Lock()
 _compiled_cache: "OrderedDict[tuple, CompiledPass]" = OrderedDict()
 
 
-def _cache_key(pp, batched: bool) -> tuple:
+def _cache_key(pp) -> tuple:
     # kernels hash by identity (see plan_key); grid shape pins the rest
-    return (pp.kernel, pp.grid_shape, bool(batched))
+    return (pp.kernel, pp.grid_shape)
 
 
-def compiled_entry(pp, batched: bool = False) -> CompiledPass:
+def compiled_entry(pp) -> CompiledPass:
     """The cached :class:`CompiledPass` for one pass plan (building it on miss).
 
     Generation and ``exec`` happen outside the cache lock (the same
     no-heavy-work-under-the-lock discipline as the plan cache); a racing
     duplicate build is benign — last writer wins, both are correct.
     """
-    key = _cache_key(pp, batched)
+    key = _cache_key(pp)
     with _compile_lock:
         entry = _compiled_cache.get(key)
         if entry is not None:
@@ -621,7 +565,7 @@ def compiled_entry(pp, batched: bool = False) -> CompiledPass:
     if entry is not None:
         obs.count("codegen.compiled.cache_hits")
         return entry
-    entry = _compile(pp, batched)
+    entry = _compile(pp)
     with _compile_lock:
         _compiled_cache[key] = entry
         _compiled_cache.move_to_end(key)
@@ -630,14 +574,18 @@ def compiled_entry(pp, batched: bool = False) -> CompiledPass:
     return entry
 
 
-def get_compiled_pass(pp, batched: bool = False) -> Callable[[np.ndarray], np.ndarray]:
-    """The exec-compiled entry point for one pass plan (see :func:`compiled_entry`)."""
-    return compiled_entry(pp, batched).fn
+def get_compiled_pass(pp) -> Callable[[np.ndarray], np.ndarray]:
+    """The exec-compiled entry point for one pass plan (see :func:`compiled_entry`).
+
+    A 2-D kernel takes a stack of padded grids (leading batch axis); the
+    1-D and 3-D kernels take one padded grid.
+    """
+    return compiled_entry(pp).fn
 
 
-def compiled_source(pp, batched: bool = False) -> str:
+def compiled_source(pp) -> str:
     """The generated source text for one pass plan (tests, CLI, golden files)."""
-    return compiled_entry(pp, batched).source
+    return compiled_entry(pp).source
 
 
 def clear_compiled_cache() -> int:

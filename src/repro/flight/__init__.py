@@ -12,12 +12,12 @@ every member of its coalesced batch.  There is no second record.
 
 On an error or an SLO breach, :func:`dump` scans that ring and writes the
 offending ``trace_id``'s spans plus those of its ring neighbours to
-``$REPRO_FLIGHT_DIR`` as span JSONL, at most ``$REPRO_FLIGHT_MAX_DUMPS``
-(default 8) files per directory — a runaway failure must not fill the
-disk.  ``repro report FILE --request-id ID`` replays a request's
-waterfall from any span JSONL (:mod:`repro.flight.waterfall`); ``ID`` is
-a request id or the ``trace_id`` an exemplar or the live view's
-``slowest`` column names.
+``$REPRO_FLIGHT_DIR`` as span JSONL, at most :data:`MAX_DUMPS` (8) files
+per directory — a runaway failure must not fill the disk.  ``repro
+report FILE --request-id ID`` replays a request's waterfall from any
+span JSONL (:mod:`repro.flight.waterfall`); ``ID`` is a request id or
+the ``trace_id`` an exemplar or the live view's ``slowest`` column
+names.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.telemetry.trace import Span, Tracer, get_tracer, write_spans_jsonl
 
 __all__ = [
     "DIR_ENV",
-    "MAX_DUMPS_ENV",
+    "MAX_DUMPS",
     "dump",
     "load_requests",
     "missing_stages",
@@ -58,21 +58,11 @@ _log = get_logger("flight")
 
 #: Dump directory (no directory, no dumps) and per-directory dump budget.
 DIR_ENV = "REPRO_FLIGHT_DIR"
-MAX_DUMPS_ENV = "REPRO_FLIGHT_MAX_DUMPS"
-DEFAULT_MAX_DUMPS = 8
+MAX_DUMPS = 8
 
 _lock = threading.Lock()
 #: Dumps written per directory this process; also the file sequence.
 _written: Dict[Path, int] = {}
-
-
-def _max_dumps() -> int:
-    raw = os.environ.get(MAX_DUMPS_ENV, "").strip()
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_MAX_DUMPS
-    return value if value > 0 else DEFAULT_MAX_DUMPS
 
 
 def neighborhood(spans: List[Span], trace_id: str, neighbors: int = 8) -> List[Span]:
@@ -96,23 +86,21 @@ def dump(
     *,
     tracer: Optional[Tracer] = None,
     dump_dir: "str | Path | None" = None,
-    max_dumps: Optional[int] = None,
 ) -> Optional[Path]:
     """Write :func:`neighborhood` of ``trace_id`` as span JSONL.
 
-    ``tracer``, ``dump_dir`` and ``max_dumps`` default to the process
-    tracer, ``$REPRO_FLIGHT_DIR`` and ``$REPRO_FLIGHT_MAX_DUMPS``.
-    Returns the file written, or ``None`` when no directory is set, the
-    directory's budget is spent, or the write fails.
+    ``tracer`` and ``dump_dir`` default to the process tracer and
+    ``$REPRO_FLIGHT_DIR``.  Returns the file written, or ``None`` when no
+    directory is set, the directory's :data:`MAX_DUMPS` budget is spent,
+    or the write fails.
     """
     directory = dump_dir or os.environ.get(DIR_ENV)
     if not directory:
         return None
     directory = Path(directory)
-    budget = max_dumps if max_dumps is not None else _max_dumps()
     with _lock:
         seq = _written.get(directory, 0) + 1
-        if seq > budget:
+        if seq > MAX_DUMPS:
             return None
         _written[directory] = seq
     ring = (tracer if tracer is not None else get_tracer()).spans()

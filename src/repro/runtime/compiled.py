@@ -7,7 +7,9 @@ Where :class:`~repro.runtime.backends.SerialBackend` interprets each
 stacked-GEMM NumPy source (every branch resolved at generation time),
 ``exec``-compiles it, and caches the kernel per plan key.  Results are
 bit-identical to ``serial``/``reference`` — the generated code performs
-the same floating-point operations in the same order.
+the same floating-point operations in the same order.  The 2-D kernel
+takes a stack of grids, so a single 2-D grid runs as a stack of one and
+both entry points share one kernel per plan key.
 """
 
 from __future__ import annotations
@@ -27,17 +29,20 @@ class CompiledBackend(Backend):
     name = "compiled"
 
     def apply_pass(self, pp, padded: np.ndarray) -> np.ndarray:
-        """Run one pass through the generated kernel for this plan."""
+        """Run one pass through the generated kernel for this plan (a 2-D
+        grid as a stack of one)."""
         with _span(pp, padded):
+            if pp.ndim == 2:
+                return get_compiled_pass(pp)(padded[None])[0]
             return get_compiled_pass(pp)(padded)
 
     def apply_pass_batch(self, pp, padded: np.ndarray) -> np.ndarray:
-        """Batched pass: a pinned batch-axis kernel in 2-D, the base-class
+        """Batched pass: the pinned batch-axis kernel in 2-D, the base-class
         per-grid loop elsewhere or when a subclass overrides
         :meth:`apply_pass` (matching ``serial``'s dispatch)."""
         if pp.ndim == 2 and len(padded) and type(self).apply_pass is CompiledBackend.apply_pass:
             with _span(pp, padded):
-                return get_compiled_pass(pp, batched=True)(padded)
+                return get_compiled_pass(pp)(padded)
         return super().apply_pass_batch(pp, padded)
 
 

@@ -258,11 +258,10 @@ def _merge_intervals(ivals: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
 class _Expect:
     """Everything the plan says the generated kernel *must* look like."""
 
-    def __init__(self, pp, batched: bool) -> None:
+    def __init__(self, pp) -> None:
         k = pp.kernel.edge
         g = k + 1
         self.k, self.g = k, g
-        self.batched = batched
         self.ndim = pp.ndim
         self.r_groups = int(pp.offsets.shape[0]) if pp.offsets is not None else 0
         r = self.r_groups
@@ -286,16 +285,12 @@ class _Expect:
             m, n = pp.padded_shape
             self.n_ext = max(n, needed)
             x_valid, y_valid = m - k + 1, n - k + 1
+            # the 2-D kernel takes a stack of padded grids (leading batch axis)
             self.guard_shape = tuple(pp.padded_shape)
-            if batched:
-                self.return_shape = (batch, Sym(x_valid), Sym(y_valid))
-                shape = (batch, Sym(x_valid), Sym(k), Sym(r), Sym(k))
-                strides = (8 * m * self.n_ext, 8 * self.n_ext, 8 * self.n_ext,
-                           8 * g, 8)
-            else:
-                self.return_shape = (Sym(x_valid), Sym(y_valid))
-                shape = (Sym(x_valid), Sym(k), Sym(r), Sym(k))
-                strides = (8 * self.n_ext, 8 * self.n_ext, 8 * g, 8)
+            self.return_shape = (batch, Sym(x_valid), Sym(y_valid))
+            shape = (batch, Sym(x_valid), Sym(k), Sym(r), Sym(k))
+            strides = (8 * m * self.n_ext, 8 * self.n_ext, 8 * self.n_ext,
+                       8 * g, 8)
             self.weights["_WA_FLAT"] = self._flat(pp.weights[0], k, g)
             self.weights["_WB_FLAT"] = self._flat(pp.weights[1], k, g)
             self.views = [(shape, strides, 0), (shape, strides, 8 * k)]
@@ -402,10 +397,9 @@ class _Interp:
             )
 
     def _input_arr(self) -> Arr:
-        if self.exp.batched:
-            shape: Tuple = (Sym(0, 1),) + tuple(self.pp.padded_shape)
-        else:
-            shape = tuple(self.pp.padded_shape)
+        shape = tuple(self.pp.padded_shape)
+        if self.exp.ndim == 2:
+            shape = (Sym(0, 1),) + shape
         arr = _fresh(shape, "unknown", "input", "input")
         arr.contig = False  # callers may pass any layout
         return arr
@@ -1253,7 +1247,7 @@ def check_generated(gen, pp) -> List[Finding]:
     """Symbolically execute one generated kernel against its pass plan.
 
     ``gen`` is a :class:`repro.codegen.compiled.GeneratedPass` (name,
-    source, constants, batched, gemm, origin); ``pp`` the
+    source, constants, gemm, origin); ``pp`` the
     :class:`~repro.runtime.plan.PassPlan` it was generated from.  Returns
     every violated safety property as an error :class:`Finding` (empty
     list == proven safe); an uninterpretable kernel yields RPR400 — the
@@ -1271,7 +1265,7 @@ def check_generated(gen, pp) -> List[Finding]:
         )
         tree = None
     if tree is not None:
-        expect = _Expect(pp, gen.batched)
+        expect = _Expect(pp)
         interp = _Interp(file, pp, expect, dict(gen.constants))
         try:
             interp.run(tree)
@@ -1309,8 +1303,8 @@ def check_generated_catalog() -> Tuple[List[Finding], int]:
     Sweeps the same kernel population as layer 2's
     :func:`~repro.staticcheck.plan_invariants.check_plan_catalog` — every
     catalogued kernel at the awkward catalog shapes, fusion depths 1 and
-    2, base and fused passes — and, for 2-D, the batched variant too.
-    Returns ``(findings, kernels_checked)``.
+    2, base and fused passes — one generated kernel per pass (the 2-D
+    one takes a leading batch axis).  Returns ``(findings, kernels_checked)``.
     """
     from repro.codegen.compiled import generate_pass
     from repro.runtime.plan import build_plan
@@ -1329,8 +1323,6 @@ def check_generated_catalog() -> Tuple[List[Finding], int]:
             if plan.fused_pass is not plan.base_pass:
                 passes.append(plan.fused_pass)
             for pp in passes:
-                for batched in (False, True) if pp.ndim == 2 else (False,):
-                    gen = generate_pass(pp, batched=batched)
-                    findings.extend(check_generated(gen, pp))
-                    checked += 1
+                findings.extend(check_generated(generate_pass(pp), pp))
+                checked += 1
     return findings, checked

@@ -13,9 +13,8 @@ below it:
 
 The variable is read here, once, at import.  :func:`repro.obs.set_level`
 is the one programmatic setter; the hot paths read :data:`state`
-(``telemetry.enabled()`` is ``state.tracing``).  The switches this one
-replaced are named in :data:`RETIRED_ENV`: setting one warns and is
-otherwise ignored.
+(``telemetry.enabled()`` is ``state.tracing``).  A value that names no
+level warns and leaves the level ``off``.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import os
 import warnings
 from typing import Mapping
 
-__all__ = ["ENV_VAR", "LEVELS", "METRICS", "OFF", "PROFILE", "RETIRED_ENV", "TRACE", "rank"]
+__all__ = ["ENV_VAR", "LEVELS", "METRICS", "OFF", "PROFILE", "TRACE", "rank"]
 
 #: Environment variable holding the level name.
 ENV_VAR = "REPRO_OBS"
@@ -32,9 +31,6 @@ ENV_VAR = "REPRO_OBS"
 #: Level names, lowest first; a level's rank is its index.
 LEVELS = ("off", "metrics", "trace", "profile")
 OFF, METRICS, TRACE, PROFILE = range(len(LEVELS))
-
-#: Enable switches and knobs folded into ``REPRO_OBS``.
-RETIRED_ENV = ("REPRO_TELEMETRY", "REPRO_FLIGHT", "REPRO_OBS_PROFILE", "REPRO_FLIGHT_RING")
 
 _CHOICES = ", ".join(LEVELS)
 
@@ -48,14 +44,7 @@ def rank(level: str) -> int:
 
 
 def _from_env(environ: Mapping[str, str]) -> int:
-    """The rank ``environ`` asks for; warns once per retired or bad value."""
-    for name in RETIRED_ENV:
-        if name in environ:
-            warnings.warn(
-                f"{name} is retired and ignored; set {ENV_VAR} to one of {_CHOICES}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+    """The rank ``environ`` asks for; warns once for a bad value."""
     raw = environ.get(ENV_VAR, "").strip().lower()
     if not raw:
         return OFF
@@ -86,5 +75,5 @@ state = _State()
 
 
 def _reset_for_tests() -> None:
-    """Re-read ``REPRO_OBS`` (and warn about retired switches) as at import."""
+    """Re-read ``REPRO_OBS`` (and warn about a bad value) as at import."""
     state.set(_from_env(os.environ))

@@ -123,11 +123,15 @@ class TestCompileCache:
         b = get_compiled_pass(plan.fused_pass)
         assert a is b
 
-    def test_batched_variant_is_distinct(self):
-        plan = plan_for(get_kernel("heat-2d"), (10, 10), fusion=1)
-        assert get_compiled_pass(plan.fused_pass) is not get_compiled_pass(
-            plan.fused_pass, batched=True
-        )
+    def test_single_grid_and_stack_share_one_kernel(self, rng):
+        # A 2-D grid runs the batch-axis kernel as a stack of one, so both
+        # entry points build the same, single cache entry.
+        pp = plan_for(get_kernel("heat-2d"), (10, 10), fusion=1).fused_pass
+        compiled = get_backend("compiled")
+        clear_compiled_cache()
+        compiled.apply_pass(pp, rng.standard_normal(pp.padded_shape))
+        compiled.apply_pass_batch(pp, rng.standard_normal((2,) + pp.padded_shape))
+        assert clear_compiled_cache() == 1
 
     def test_clear_drops_entries(self):
         plan = plan_for(get_kernel("heat-2d"), (11, 11), fusion=1)
@@ -140,27 +144,17 @@ class TestCompileCache:
         plan = plan_for(get_kernel("heat-2d"), (10, 10), fusion=1)
         fn = get_compiled_pass(plan.fused_pass)
         with pytest.raises(TessellationError):
-            fn(rng.standard_normal((9, 9)))
-
-    def test_batched_only_supported_in_2d(self):
-        plan = plan_for(get_kernel("heat-1d"), (32,), fusion=1)
-        with pytest.raises(TessellationError):
-            get_compiled_pass(plan.fused_pass, batched=True)
+            fn(rng.standard_normal((1, 9, 9)))
 
 
 class TestGeneratedSource:
     @pytest.mark.parametrize(
-        "name,shape,batched",
-        [
-            ("heat-1d", (64,), False),
-            ("heat-2d", (24, 24), False),
-            ("heat-2d", (24, 24), True),
-            ("heat-3d", (10, 10, 10), False),
-        ],
+        "name,shape",
+        [("heat-1d", (64,)), ("heat-2d", (24, 24)), ("heat-3d", (10, 10, 10))],
     )
-    def test_lints_clean_and_carries_pinned_marker(self, name, shape, batched):
+    def test_lints_clean_and_carries_pinned_marker(self, name, shape):
         plan = plan_for(get_kernel(name), shape, fusion="auto")
-        entry = compiled_entry(plan.fused_pass, batched=batched)
+        entry = compiled_entry(plan.fused_pass)
         assert entry.name.startswith("compiled_engine_")
         assert GEMM_PINNED_MARK in entry.source
         result = lint_sources({f"{entry.name}.py": entry.source})

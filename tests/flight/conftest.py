@@ -12,7 +12,6 @@ def flight_ring(tmp_path, monkeypatch):
     """Level ``trace`` with a clean span ring dumping into ``tmp_path``;
     yields the process tracer."""
     monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_FLIGHT_MAX_DUMPS", raising=False)
     level = obs.get_level()
     obs.set_level("trace")
     telemetry.get_tracer().clear()

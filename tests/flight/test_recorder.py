@@ -145,11 +145,12 @@ class TestDumps:
         trace = flight.load_requests(dump)[0]["slow-000"]
         assert trace["slo_breached"] is True and trace["status"] == "ok"
 
-    def test_dump_budget_is_bounded(self, tmp_path):
+    def test_dump_budget_is_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(flight, "MAX_DUMPS", 2)
         tracer = Tracer()
         record_request(tracer, "bad-0", status="error")
         written = [
-            flight.dump(f"error-{i}", "t-bad-0", tracer=tracer, dump_dir=tmp_path, max_dumps=2)
+            flight.dump(f"error-{i}", "t-bad-0", tracer=tracer, dump_dir=tmp_path)
             for i in range(5)
         ]
         assert [p is not None for p in written] == [True, True, False, False, False]

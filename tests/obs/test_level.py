@@ -85,12 +85,10 @@ def test_off_leaves_the_collector_empty(restore_level):
 
 @pytest.mark.parametrize(
     "env",
-    [{name: "1"} for name in levels.RETIRED_ENV] + [{"REPRO_OBS": "1"}, {"REPRO_OBS": "verbose"}],
+    [{"REPRO_OBS": "1"}, {"REPRO_OBS": "verbose"}],
     ids=lambda env: "=".join(next(iter(env.items()))),
 )
 def test_retired_switches_and_unknown_levels_warn_and_stay_off(env, monkeypatch, restore_level):
-    for name in levels.RETIRED_ENV + (levels.ENV_VAR,):
-        monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     with warnings.catch_warnings(record=True) as caught:

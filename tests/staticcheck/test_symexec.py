@@ -1,7 +1,8 @@
 """Layer 4 — the generated-kernel prover (RPR400–401, RPR403–406).
 
 Two halves mirror the prover's contract: the *acceptance* half proves
-every kernel the catalog can generate (batched and single), and the *mutation corpus* seeds one targeted corruption per
+every kernel the catalog can generate (one per pass; the 2-D one takes a
+leading batch axis), and the *mutation corpus* seeds one targeted corruption per
 safety property and asserts the matching rule — and only a real rule,
 never a silent pass — rejects it.
 """
@@ -36,7 +37,7 @@ def pp2d():
 
 @pytest.fixture(scope="module")
 def gen2d(pp2d):
-    return generate_pass(pp2d, batched=False)
+    return generate_pass(pp2d)
 
 
 def _rules(findings):
@@ -47,14 +48,12 @@ class TestCatalogAcceptance:
     def test_every_catalog_kernel_proves_clean(self):
         findings, checked = check_generated_catalog()
         assert findings == [], [f.format() for f in findings[:5]]
-        # Every catalog kernel at depths 1 and 2, base and fused passes,
-        # 2-D ones single and batched.
-        assert checked == 48
+        # Every catalog kernel at depths 1 and 2, base and fused passes:
+        # 6 1-D, 18 2-D and 6 3-D passes, one kernel each.
+        assert checked == 30
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_2d_single_and_batched(self, pp2d, batched):
-        gen = generate_pass(pp2d, batched=batched)
-        assert check_generated(gen, pp2d) == []
+    def test_2d_batch_axis_body(self, pp2d, gen2d):
+        assert check_generated(gen2d, pp2d) == []
 
     def test_1d_and_3d_spot_checks(self):
         for name, shape in (("heat-1d", (67,)), ("heat-3d", (8, 9, 11))):
@@ -67,16 +66,16 @@ class TestMutationCorpus:
     """One seeded corruption per safety property, each caught by its rule."""
 
     def test_stride_literal_corruption_is_rpr401(self, pp2d, gen2d):
-        m = re.search(r"as_strided\(ext, \([^)]*\), \((\d+)", gen2d.source)
-        bumped = m.group(0).replace(m.group(1), str(int(m.group(1)) + 8))
-        mutant = dataclasses.replace(
-            gen2d, source=gen2d.source.replace(m.group(0), bumped, 1)
-        )
+        # the row stride, the literal after the batch stride
+        m = re.search(r"as_strided\(ext, \([^)]*\), \(\d+, (\d+)", gen2d.source)
+        src = gen2d.source
+        bumped = src[: m.start(1)] + str(int(m.group(1)) + 8) + src[m.end(1) :]
+        mutant = dataclasses.replace(gen2d, source=bumped)
         assert _rules(check_generated(mutant, pp2d)) == ["RPR401"]
 
     def test_chunk_bound_corruption_is_rpr403(self, pp2d, gen2d):
-        m = re.search(r"out\[(\d+):(\d+)\] = ", gen2d.source)
-        shrunk = "out[%s:%d] = " % (m.group(1), int(m.group(2)) - 1)
+        m = re.search(r"out\[:, (\d+):(\d+)\] = ", gen2d.source)
+        shrunk = "out[:, %s:%d] = " % (m.group(1), int(m.group(2)) - 1)
         mutant = dataclasses.replace(
             gen2d, source=gen2d.source.replace(m.group(0), shrunk, 1)
         )
@@ -96,14 +95,13 @@ class TestMutationCorpus:
         )
         assert _rules(check_generated(mutant, pp2d)) == ["RPR405"]
 
-    def test_batched_stride_corruption_is_rpr401(self, pp2d):
-        gen = generate_pass(pp2d, batched=True)
-        m = re.search(r"as_strided\(ext, \([^)]*\), \((\d+)", gen.source)
+    def test_batched_stride_corruption_is_rpr401(self, pp2d, gen2d):
+        m = re.search(r"as_strided\(ext, \([^)]*\), \((\d+)", gen2d.source)
         bumped = m.group(0).replace(m.group(1), str(int(m.group(1)) + 8))
         mutant = dataclasses.replace(
-            gen, source=gen.source.replace(m.group(0), bumped, 1)
+            gen2d, source=gen2d.source.replace(m.group(0), bumped, 1)
         )
-        assert "RPR401" in _rules(check_generated(mutant, pp2d))
+        assert _rules(check_generated(mutant, pp2d)) == ["RPR401"]
 
 
 class TestFailClosed:
@@ -113,7 +111,7 @@ class TestFailClosed:
 
     def test_uninterpretable_call_is_rpr400(self, pp2d, gen2d):
         hacked = gen2d.source.replace(
-            "return out[:, :21]", "out = mystery(out)\n    return out[:, :21]"
+            "return out[:, :, :21]", "out = mystery(out)\n    return out[:, :, :21]"
         )
         assert hacked != gen2d.source
         mutant = dataclasses.replace(gen2d, source=hacked)
@@ -121,8 +119,8 @@ class TestFailClosed:
 
     def test_unordered_iteration_is_rpr406(self, pp2d, gen2d):
         hacked = gen2d.source.replace(
-            "return out[:, :21]",
-            "for _k in {1: 2}:\n        pass\n    return out[:, :21]",
+            "return out[:, :, :21]",
+            "for _k in {1: 2}:\n        pass\n    return out[:, :, :21]",
         )
         assert hacked != gen2d.source
         mutant = dataclasses.replace(gen2d, source=hacked)
@@ -217,8 +215,8 @@ class TestCompiledCacheGate:
         monkeypatch.setenv("REPRO_STATICCHECK", "1")
         real = compiled.generate_pass
 
-        def corrupting(pp, batched=False):
-            gen = real(pp, batched=batched)
+        def corrupting(pp):
+            gen = real(pp)
             return dataclasses.replace(
                 gen, source=gen.source.replace("np.float64", "np.float32", 1)
             )
@@ -226,7 +224,7 @@ class TestCompiledCacheGate:
         monkeypatch.setattr(compiled, "generate_pass", corrupting)
         with pytest.raises(StaticCheckError, match="RPR405"):
             compiled.compiled_entry(pp2d)
-        assert compiled._cache_key(pp2d, False) not in compiled._compiled_cache
+        assert compiled._cache_key(pp2d) not in compiled._compiled_cache
 
     def test_clean_kernel_passes_the_gate_and_caches(self, monkeypatch, pp2d):
         import repro.codegen.compiled as compiled
@@ -234,10 +232,10 @@ class TestCompiledCacheGate:
         self._fresh()
         monkeypatch.setenv("REPRO_STATICCHECK", "1")
         entry = compiled.compiled_entry(pp2d)
-        assert compiled._cache_key(pp2d, False) in compiled._compiled_cache
+        assert compiled._cache_key(pp2d) in compiled._compiled_cache
         grid = np.random.default_rng(7).random((18, 23))
-        out = entry.fn(grid)
-        assert out.shape == (16, 21)
+        out = entry.fn(grid[None])
+        assert out.shape == (1, 16, 21)
 
     def test_gate_is_off_by_default(self, monkeypatch, pp2d):
         import repro.codegen.compiled as compiled
@@ -246,8 +244,8 @@ class TestCompiledCacheGate:
         monkeypatch.delenv("REPRO_STATICCHECK", raising=False)
         real = compiled.generate_pass
 
-        def corrupting(pp, batched=False):
-            gen = real(pp, batched=batched)
+        def corrupting(pp):
+            gen = real(pp)
             return dataclasses.replace(
                 gen, source=gen.source.replace("np.float64", "np.float32", 1)
             )

@@ -177,6 +177,15 @@ class TestCodegenSubcommand:
         lines = run(["codegen", "heat-1d", "--shape", "64"])
         assert any(ln.startswith("def compiled_pass") for ln in lines)
 
+    def test_help_lists_no_batched_flag(self, capsys):
+        # one 2-D kernel body: the batch-axis one, with no flag to pick it
+        with pytest.raises(SystemExit):
+            run(["codegen", "--help"])
+        out = capsys.readouterr().out
+        assert "--shape" in out and "--batched" not in out
+        with pytest.raises(SystemExit):
+            run(["codegen", "heat-2d", "--shape", "16x16", "--batched"])
+
     def test_verify_accepts_compiled_backend(self):
         lines = run([
             "verify", "--quick", "--seed", "0", "--cases", "3",
