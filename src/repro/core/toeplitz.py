@@ -1,4 +1,4 @@
-"""Banded-Toeplitz GEMM pass: the row-band form of Stencil Matrixization.
+"""Banded-Toeplitz GEMM pass: the banded-matrix form of Stencil Matrixization.
 
 The plan-level GEMM strategy for a CPU (see :mod:`repro.runtime.plan`).
 Dual tessellation stages its GEMM operands with the stencil2row gather
@@ -18,22 +18,36 @@ of the rows that offset reads, and one stacked matmul adds the row's
 contribution for every block into one accumulator.  All-zero rows are
 skipped: structured sparsity at row granularity.  The ``n % BAND``
 column tail is one narrower GEMM against the band's leading
-``(tail + k - 1, tail)`` corner, which is the tail's own band.  The
-accumulator is written to ``out`` once, through a strided view of it.
+``(tail + k - 1, tail)`` corner, which is the tail's own band.
 
-Bits.  Each GEMM's shape is a pure function of the pass: ``M`` is the
-valid extent of the axis before the last (1-D: the number of blocks),
-``K`` is ``BAND + k - 1`` and ``N`` is ``BAND`` (the tail: its width).
-Rows are never split, a batch stacks the same per-grid GEMMs along an
-outer axis, and the rows are summed in a fixed order, so per-grid bits
-do not depend on the batch extent, on axis-0 slicing or on the layout of
-``out``.  They differ from the reference stencil's by reassociation
-only (within the mirror oracle's ULP budget).
+A 2-D star (every nonzero on the centre row or the centre column) would
+pay one banded GEMM per single-point arm row.  Its centre column runs
+along the other axis instead: output rows are cut into blocks of
+:data:`BAND`, and the column band ``C = T.T`` of the centre column
+without its centre point, ``(BAND, BAND + k - 1)``, left-multiplies the
+``BAND + k - 1`` input rows each block reads (the ``m % BAND`` row tail
+against the band's leading corner).  So a star pass is two GEMMs, one
+per axis.  The accumulator is written to ``out`` once, through a strided
+view of it.
+
+Bits.  Each GEMM's shape is a pure function of the pass.  A row GEMM's
+``M`` is the valid extent of the axis before the last (1-D: the number
+of blocks), ``K`` is ``BAND + k - 1`` and ``N`` is ``BAND`` (the tail:
+its width); the column GEMM's ``M`` is ``BAND`` (the tail: its height),
+``K`` is ``M + k - 1`` and ``N`` the valid width.  Rows and columns are
+never split across GEMMs other than by these blocks, a batch stacks the
+same per-grid GEMMs along an outer axis, and the bands are summed in a
+fixed order, so per-grid bits do not depend on the batch extent, on
+axis-0 slicing or on the layout of ``out``.  They differ from the
+reference stencil's by reassociation only (within the mirror oracle's
+ULP budget).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -43,38 +57,63 @@ from repro.utils.arrays import strided_view
 
 __all__ = ["BAND", "band_matrices", "toeplitz_valid"]
 
-#: Output columns per block.  Of 8, 16, 24, 32 and 64, 16 and 8 were
-#: fastest on the dense 2-D spot cells and 16 on box-3d27p 48³ (x86_64,
-#: 2 CPUs, OpenBLAS 0.3); 64 was slowest.
+#: Output columns (and, for a star's column band, rows) per block.  Of 8,
+#: 16, 24, 32 and 64, 16 and 8 were fastest on the dense 2-D spot cells
+#: and 16 on box-3d27p 48³ (x86_64, 2 CPUs, OpenBLAS 0.3); 64 was slowest.
 BAND = 16
 
 
-def band_matrices(kernel: StencilKernel) -> Dict[Tuple[int, ...], np.ndarray]:
-    """Leading kernel offset → its row's ``(BAND + k - 1, BAND)`` band.
+@lru_cache(maxsize=64)
+def band_matrices(kernel: StencilKernel) -> Mapping[tuple, np.ndarray]:
+    """The bands of a ``toeplitz`` pass of ``kernel``, keyed by the index
+    of the kernel line each is built from (``kernel.weights[key]``).
 
-    Only offsets whose row has a nonzero weight appear, in row-major
-    order (the order the pass sums them in).  Built in one vectorised
-    gather over all rows.
+    A leading kernel offset (``(dx,)`` in 2-D) keys its row's
+    ``(BAND + k - 1, BAND)`` band; only rows with a nonzero weight
+    appear, in row-major order (the order the pass sums them in).  A 2-D
+    star instead has the centre row's band and, keyed ``(..., r)``, the
+    ``(BAND, BAND + k - 1)`` column band of the centre column without its
+    centre point, summed after it.  Built in one vectorised gather.
+
+    Memoised per kernel (kernels hash by identity; at most 64 are held
+    alive): the mapping and its arrays are read-only, and every plan of a
+    kernel shares them.
     """
-    k = kernel.edge
-    rows = np.ascontiguousarray(kernel.weights, dtype=np.float64).reshape(-1, k)
+    k, r = kernel.edge, kernel.radius
+    weights = np.asarray(kernel.weights, dtype=np.float64)
+    rows = weights.reshape(-1, k)
+    live = np.flatnonzero(rows.any(axis=1))
+    lead = weights.shape[:-1]
+    keys = [tuple(int(i) for i in np.unravel_index(row, lead)) for row in live]
+    lines = rows[live]
+    star = False
+    if kernel.ndim == 2 and len(live) > 1:
+        off_axes = weights.copy()
+        off_axes[r, :] = off_axes[:, r] = 0.0
+        star = not off_axes.any()
+    if star:
+        # The centre row (if it has a nonzero), then the rest of the
+        # centre column.
+        column = weights[:, r].copy()
+        column[r] = 0.0
+        keys = [(r,)] if weights[r].any() else []
+        lines = np.concatenate([weights[r:r + len(keys)], column[None]])
+        keys.append((..., r))
     lag = np.arange(BAND + k - 1)[:, None] - np.arange(BAND)[None, :]
     inside = (lag >= 0) & (lag < k)
-    live = np.flatnonzero(rows.any(axis=1))
-    bands = np.where(inside, rows[live][:, np.clip(lag, 0, k - 1)], 0.0)
-    bands.flags.writeable = False  # shared by every run of a cached plan
-    lead = kernel.weights.shape[:-1]
-    return {
-        tuple(int(i) for i in np.unravel_index(r, lead)): band
-        for r, band in zip(live, bands)
-    }
+    bands = list(np.where(inside, lines[:, np.clip(lag, 0, k - 1)], 0.0))
+    if star:
+        bands[-1] = np.ascontiguousarray(bands[-1].T)
+    for band in bands:
+        band.flags.writeable = False  # shared by every plan of the kernel
+    return MappingProxyType(dict(zip(keys, bands)))
 
 
 def toeplitz_valid(
     padded: np.ndarray,
     kernel: StencilKernel,
     *,
-    bands: Optional[Dict[Tuple[int, ...], np.ndarray]] = None,
+    bands: Optional[Mapping[tuple, np.ndarray]] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Valid-region stencil of a halo-padded stack of grids by banded GEMMs.
@@ -125,12 +164,12 @@ def toeplitz_valid(
     n = valid[-1]
     nblocks, tail = divmod(n, BAND)
     # The accumulator has the rows-by-columns layout of the output, so
-    # the rows add as contiguous arrays; each GEMM writes its blocks
+    # the bands add as contiguous arrays; each GEMM writes its blocks
     # straight into it through a strided view.
     acc = np.empty(batch + rows + (n,), dtype=np.float64)
     tmp = np.empty_like(acc) if len(bands) > 1 else None
     ps, a = padded.strides, acc.strides
-    gemms = []
+    row_gemms = []
     # Whole blocks, then the tail: each GEMM's shape is fixed by the pass.
     for col, count, width in ((0, nblocks, BAND), (nblocks * BAND, 1, tail)):
         if not count or not width:
@@ -144,19 +183,46 @@ def toeplitz_valid(
             col,
         )
         blocks = (batch + (count,) + rows + (width,), a[:1] + (BAND * a[-1],) + a[1:])
-        gemms.append((
+        row_gemms.append((
             views,
             (slice(0, width + k - 1), slice(0, width)),  # the block's band corner
             strided_view(acc, *blocks, col),
             None if tmp is None else strided_view(tmp, *blocks, col),
         ))
+    col_gemms = []
+    r = (k - 1) // 2
+    if (..., r) in bands:
+        # A star's column band: whole row blocks, then the row tail, each
+        # reading the centre column's input columns
+        # view[grid, block, c, j] = padded[grid, block·BAND + c, r + j].
+        hblocks, htail = divmod(valid[0], BAND)
+        if hblocks:
+            blocks = (batch + (hblocks, BAND, n), a[:1] + (BAND * a[1],) + a[1:])
+            col_gemms.append((
+                strided_view(padded, batch + (hblocks, BAND + k - 1, n),
+                             ps[:1] + (BAND * ps[1],) + ps[1:], r),
+                (slice(0, BAND), slice(0, BAND + k - 1)),
+                strided_view(acc, *blocks),
+                None if tmp is None else strided_view(tmp, *blocks),
+            ))
+        if htail:
+            top = hblocks * BAND
+            col_gemms.append((
+                padded[:, None, top:, r:r + n],
+                (slice(0, htail), slice(0, htail + k - 1)),
+                acc[:, None, top:],
+                None if tmp is None else tmp[:, None, top:],
+            ))
     first = True
     for offset, band in bands.items():
-        for views, corner, acc_blocks, tmp_blocks in gemms:
+        column = offset[:1] == (...,)  # the column band left-multiplies
+        for view, corner, acc_blocks, tmp_blocks in col_gemms if column else row_gemms:
+            lhs, rhs = (band[corner], view) if column else (view[offset], band[corner])
             # staticcheck: gemm-shape-pinned — per (grid, block) one
-            # (rows, width + k - 1) @ (width + k - 1, width) GEMM whatever
-            # the batch extent, so every grid of a stack keeps its bits.
-            np.matmul(views[offset], band[corner], out=acc_blocks if first else tmp_blocks)
+            # (rows, width + k - 1) @ (width + k - 1, width) row GEMM or
+            # (height, height + k - 1) @ (height + k - 1, n) column GEMM,
+            # whatever the batch extent, so every grid keeps its bits.
+            np.matmul(lhs, rhs, out=acc_blocks if first else tmp_blocks)
         if not first:
             acc += tmp
         first = False

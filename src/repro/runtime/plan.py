@@ -15,8 +15,11 @@ and reuses them across every time iteration (§3.4, Table 5).  An
 * for a ``gemm`` pass, the **GEMM tables** its engine reads: the
   stencil2row gather-offset LUT and the triangular weight matrices (1-D
   pairs, 2-D blocks, 3-D per-plane blocks + plane decomposition),
-* for a ``toeplitz`` pass, the **band table**: one banded Toeplitz
-  matrix per nonzero kernel row (:func:`~repro.core.toeplitz.band_matrices`).
+* for a ``toeplitz`` pass, the **band table**
+  (:func:`~repro.core.toeplitz.band_matrices`): one banded Toeplitz
+  matrix per nonzero kernel row, or for a 2-D star the centre row's band
+  and the centre column's, one per axis.  It is memoised per kernel, so
+  every plan of a kernel shares it.
 
 Tables are built only where they are read.  A ``direct`` pass reads
 none, so its plan carries none; if a ``direct`` or ``toeplitz`` pass is
@@ -32,7 +35,7 @@ so a 50-step run builds every table exactly once (via the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -96,9 +99,10 @@ class PassPlan:
     planes: Optional[tuple] = None
     #: 3-D only: ``dz`` → 2-D weight blocks for the dense planes.
     weights_by_plane: Optional[Dict[int, tuple]] = None
-    #: ``toeplitz`` only: leading kernel offset → banded Toeplitz matrix
-    #: of that kernel row, for the nonzero rows.
-    bands: Optional[Dict[Tuple[int, ...], np.ndarray]] = None
+    #: ``toeplitz`` only: kernel line → its banded Toeplitz matrix (a
+    #: leading offset per nonzero row; a 2-D star's centre row and, keyed
+    #: ``(..., r)``, its centre column), read-only and shared.
+    bands: Optional[Mapping[tuple, np.ndarray]] = None
     #: How the pass runs, set by :func:`choose_strategy` unless pinned:
     #: ``"gemm"`` hands it to the backend's dual-tessellation engine;
     #: ``"direct"`` and ``"toeplitz"`` run the shifted-add kernel and the
@@ -128,10 +132,10 @@ class PassPlan:
 #: The execution strategies a pass can carry.
 STRATEGIES = ("gemm", "direct", "toeplitz")
 
-#: Least weight score (defined in :func:`choose_strategy`) at which a
-#: 2-D or 3-D pass runs faster as banded GEMMs than as shifted adds.
+#: Least nonzero weights per band (see :func:`choose_strategy`) at which
+#: a 2-D or 3-D pass runs faster as banded GEMMs than as shifted adds.
 #: Fitted to ``benchmarks/results/strategy_crossover.json``.
-_TOEPLITZ_MIN_SCORE = 8
+_TOEPLITZ_MIN_POINTS_PER_BAND = 3
 
 
 def choose_strategy(kernel: StencilKernel, grid_shape: Tuple[int, ...]) -> str:
@@ -140,18 +144,23 @@ def choose_strategy(kernel: StencilKernel, grid_shape: Tuple[int, ...]) -> str:
     A pure function of the kernel's weights, so every process picks the
     same plan (``grid_shape`` is part of the signature; no fitted
     threshold depends on it).  A direct pass pays one shifted add per
-    nonzero weight; a banded pass multiplies the whole weight box, of
-    which only the nonzero share is useful.  The weight score is their
-    product, ``nonzero² / volume`` (box-2d49p and box-2d9p-x3 49,
-    box-3d27p 27, box-2d25p 25, heat-2d-x3 12.8, box-2d9p 9, heat-2d 2.8,
-    star-2d13p 3.4).  A 2-D or 3-D pass at or above
-    :data:`_TOEPLITZ_MIN_SCORE` runs ``toeplitz``; every other pass,
-    1-D included (its blocks overlap in memory, which BLAS cannot read in
-    place), runs ``direct``, the simpler path with the reference
-    stencil's bits.  Dual tessellation (``gemm``) is never chosen: on a
-    CPU its gather and window copy lose to both.
+    nonzero weight; a banded pass pays one GEMM per band
+    (:func:`~repro.core.toeplitz.band_matrices`: one per nonzero kernel
+    row, two for a 2-D star), of about the same cost whatever the band's
+    fill.  So the rule counts nonzero weights per band: box-2d9p and
+    box-3d27p 3, heat-2d-x3 3.6, star-2d9p 4.5, box-2d25p 5, star-2d13p
+    6.5, box-2d49p 7; heat-2d 2.5, heat-2d-x2 2.6, heat-3d 1.4.  A 2-D or
+    3-D pass with at least :data:`_TOEPLITZ_MIN_POINTS_PER_BAND` runs
+    ``toeplitz``; every other pass, 1-D included (its blocks overlap in
+    memory, which BLAS cannot read in place), runs ``direct``, the
+    simpler path with the reference stencil's bits.  Dual tessellation
+    (``gemm``) is never chosen: on a CPU its gather and window copy lose
+    to both.
     """
-    if kernel.ndim > 1 and kernel.points**2 >= _TOEPLITZ_MIN_SCORE * kernel.volume:
+    if kernel.ndim == 1:
+        return "direct"
+    bands = max(len(band_matrices(kernel)), 1)  # an all-zero kernel: direct
+    if kernel.points >= _TOEPLITZ_MIN_POINTS_PER_BAND * bands:
         return "toeplitz"
     return "direct"
 

@@ -22,7 +22,8 @@ RPR202    dirty-zone coverage: some padded input column is gathered by
 RPR203    weight matrices are not the triangular Figure-3 stacks, or
           their shape disagrees with the Eq. 13 MMA count
           ``2·⌈k²/4⌉·⌈(k+1)/8⌉``; or a ``toeplitz`` pass's bands are not
-          the banded Toeplitz matrices of its nonzero kernel rows.
+          the banded Toeplitz matrices of its nonzero kernel rows (of a
+          2-D star: its centre row and centre column).
 RPR204    halo geometry inconsistent with kernel radius (pass halo,
           padded shape, fused-pass radius vs fusion depth).
 RPR206    3-D plane decomposition inconsistent: bad plane offsets, or
@@ -101,40 +102,60 @@ def _expected_band(row_weights: np.ndarray, width: int) -> np.ndarray:
     return band
 
 
+def _expected_lines(weights: np.ndarray) -> Dict[tuple, np.ndarray]:
+    """The kernel lines a ``toeplitz`` pass bands, keyed like its bands:
+    every nonzero row in row-major order, or, for a 2-D star (two or
+    more nonzero rows, every nonzero on the centre row or column), the
+    centre row if nonzero, then ``(..., r)``, the centre column without
+    its centre point.  Re-derived here with loops, not imported."""
+    k = weights.shape[-1]
+    r = (k - 1) // 2
+    rows = {}
+    for index in np.ndindex(*weights.shape[:-1]):
+        if any(weights[index][i] != 0.0 for i in range(k)):
+            rows[index] = weights[index]
+    on_axes = weights.ndim == 2 and all(
+        weights[i, j] == 0.0 or i == r or j == r for i in range(k) for j in range(k)
+    )
+    if not on_axes or len(rows) < 2:
+        return rows
+    column = np.array([0.0 if i == r else weights[i, r] for i in range(k)])
+    lines = {(r,): weights[r]} if (r,) in rows else {}
+    lines[(..., r)] = column
+    return lines
+
+
 def _check_bands(pp, name: str, label: str, findings: List[Finding]) -> None:
     """RPR203: a toeplitz pass's bands, re-derived from the kernel weights."""
     bands = getattr(pp, "bands", None)
     if bands is None:
         return
-    k = pp.kernel.edge
-    weights = np.asarray(pp.kernel.weights, dtype=np.float64)
-    rows = weights.reshape(-1, k)
-    lead = weights.shape[:-1]
-    live = [tuple(int(i) for i in np.unravel_index(r, lead))
-            for r in range(rows.shape[0]) if rows[r].any()]
-    if list(bands) != live:
+    lines = _expected_lines(np.asarray(pp.kernel.weights, dtype=np.float64))
+    if list(bands) != list(lines):
         findings.append(
             _finding(
                 name,
                 "RPR203",
-                f"{label}: bands cover kernel rows {list(bands)}, expected the "
-                f"nonzero rows {live} in row-major order",
+                f"{label}: bands cover kernel lines {list(bands)}, expected "
+                f"{list(lines)} (the nonzero rows in row-major order, or a "
+                "2-D star's centre row and centre column)",
                 fix_hint="rebuild the plan; bands must come from band_matrices",
             )
         )
         return
-    width = next(iter(bands.values())).shape[-1]
-    for offset, band in bands.items():
-        if width < 1 or band.shape != (width + k - 1, width) or not (
-            np.array_equal(band, _expected_band(weights[offset], width))
-        ):
+    width = min(next(iter(bands.values())).shape)
+    for key, band in bands.items():
+        expected = _expected_band(lines[key], width)
+        if key[:1] == (...,):  # the column band is the row form transposed
+            expected = expected.T
+        if width < 1 or band.shape != expected.shape or not np.array_equal(band, expected):
             findings.append(
                 _finding(
                     name,
                     "RPR203",
-                    f"{label}: band of kernel row {offset} is not the banded "
-                    "Toeplitz matrix of that row (T[c, b] = w[c - b], one "
-                    "block width for every row)",
+                    f"{label}: band of kernel line {key} is not the banded "
+                    "Toeplitz matrix of that line (T[c, b] = w[c - b], its "
+                    "transpose for a column, one block width for every band)",
                     fix_hint="rebuild via band_matrices",
                 )
             )

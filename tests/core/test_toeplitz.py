@@ -30,7 +30,13 @@ CASES = [
     ("star-2d13p", (21, 40)),
     ("heat-3d", (9, 8, 35)),
     ("box-3d27p", (7, 10, 18)),
+    # Stars: a row band and a column band.  Neither extent a multiple of
+    # BAND, then fewer rows than BAND.
+    ("star-2d9p", (37, 19)),
+    ("star-2d13p", (9, 40)),
 ]
+
+STARS = ["heat-2d", "star-2d9p", "star-2d13p"]
 
 
 def _signed(shape, seed):
@@ -65,10 +71,60 @@ class TestAccuracy:
         assert out.shape == (1, 4, 5) and not out.any()
 
 
+class TestStars:
+    """A 2-D star is one band per axis: the centre row's, as for any
+    kernel, and the centre column's without its centre point."""
+
+    @pytest.mark.parametrize("name", STARS)
+    def test_one_band_per_axis(self, name):
+        kernel = get_kernel(name)
+        k, r = kernel.edge, kernel.radius
+        bands = band_matrices(kernel)
+        assert list(bands) == [(r,), (..., r)]
+        row, col = bands[(r,)], bands[(..., r)]
+        assert row.shape == (BAND + k - 1, BAND) and col.shape == (BAND, BAND + k - 1)
+        arm = kernel.weights[:, r].copy()
+        arm[r] = 0.0
+        for b in range(BAND):
+            assert np.array_equal(row[b : b + k, b], kernel.weights[r])
+            assert np.array_equal(col[b, b : b + k], arm)
+        assert np.count_nonzero(row) + np.count_nonzero(col) == BAND * kernel.points
+
+    def test_other_kernels_keep_their_row_bands(self):
+        """Off-axis weights, or a single nonzero row, keep one band per row."""
+        for name in ("box-2d9p", "box-2d25p"):
+            assert len(band_matrices(get_kernel(name))) == get_kernel(name).edge
+        fused = get_kernel("star-2d9p").fuse(2)  # fills its box
+        assert all(offset[:1] != (...,) for offset in band_matrices(fused))
+        row = np.zeros((5, 5))
+        row[2] = [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert list(band_matrices(StencilKernel(name="row", weights=row))) == [(2,)]
+
+    def test_a_column_alone_is_one_column_band(self):
+        weights = np.zeros((5, 5))
+        weights[:, 2] = [1.0, -2.0, 0.0, 3.0, 0.5]
+        kernel = StencilKernel(name="column", weights=weights)
+        assert list(band_matrices(kernel)) == [(..., 2)]
+        x = _signed((21, 18), 9)
+        got = toeplitz_valid(pad_halo(x, 2)[None], kernel)[0]
+        assert max_ulp(got, apply_stencil_reference(x, kernel)) <= DEFAULT_TIGHT_ULP
+
+    @pytest.mark.parametrize("boundary", ["reflect", "periodic"])
+    @pytest.mark.parametrize("shape", [(37, 41), (BAND, 2 * BAND), (5, 23), (BAND + 1, 3)])
+    @pytest.mark.parametrize("name", STARS)
+    def test_within_the_budget_of_the_reference(self, name, shape, boundary):
+        """Whole row blocks plus a tail, whole blocks only, fewer rows
+        than BAND, and a tail of one row."""
+        kernel = get_kernel(name)
+        x = _signed(shape, 10)
+        out = PinnedStencil(kernel, "toeplitz").run(x, steps=3, boundary=boundary)
+        assert max_ulp(out, run_reference(x, kernel, 3, boundary)) <= DEFAULT_TIGHT_ULP
+
+
 class TestColumnTails:
     @pytest.mark.parametrize("tail", [0, 1, BAND - 1])
     @pytest.mark.parametrize("blocks", [0, 1, 3])
-    @pytest.mark.parametrize("name", ["heat-1d", "box-2d25p", "box-3d27p"])
+    @pytest.mark.parametrize("name", ["heat-1d", "box-2d25p", "box-3d27p", "star-2d13p"])
     def test_tails_and_narrow_grids(self, name, blocks, tail):
         """Whole blocks plus a tail of 0, 1 or BAND-1 columns, and grids
         narrower than one block."""
@@ -140,18 +196,31 @@ class TestBatchBits:
 
     @pytest.mark.strategy_rule
     def test_the_rule_plan_runs_it(self):
-        """With the rule, box-2d25p runs ``toeplitz`` and its plan carries
-        the bands ``band_matrices`` builds; a run and a batch agree."""
-        kernel = get_kernel("box-2d25p")
-        pp = build_plan(kernel, (20, 30)).fused_pass
-        assert pp.strategy == "toeplitz"
-        want = band_matrices(kernel)
-        assert list(pp.bands) == list(want)
-        assert all(np.array_equal(pp.bands[o], want[o]) for o in want)
-        assert not next(iter(pp.bands.values())).flags.writeable
-        plan = build_plan(kernel, (20, 30))
-        x = _signed((2, 20, 30), 6)
-        assert np.array_equal(execute_batch(plan, x, steps=2)[1], execute(plan, x[1], steps=2))
+        """With the rule, box-2d25p and star-2d13p run ``toeplitz`` and
+        their plans carry the bands ``band_matrices`` builds; a run and a
+        batch agree."""
+        for name in ("box-2d25p", "star-2d13p"):
+            kernel = get_kernel(name)
+            pp = build_plan(kernel, (20, 30)).fused_pass
+            assert pp.strategy == "toeplitz"
+            assert pp.bands is band_matrices(kernel)
+            plan = build_plan(kernel, (20, 30))
+            x = _signed((2, 20, 30), 6)
+            assert np.array_equal(
+                execute_batch(plan, x, steps=2)[1], execute(plan, x[1], steps=2)
+            )
+
+    def test_plans_of_one_kernel_share_read_only_bands(self):
+        """The bands are memoised per kernel: two plans (other shapes,
+        other boundaries) hold the same arrays, which nobody can write."""
+        kernel = get_kernel("star-2d9p")
+        one = build_plan(kernel, (20, 30), strategy="toeplitz").fused_pass.bands
+        two = build_plan(kernel, (41, 17), "periodic", strategy="toeplitz").fused_pass.bands
+        assert one is two
+        assert all(a is b for a, b in zip(one.values(), two.values()))
+        assert not any(band.flags.writeable for band in one.values())
+        with pytest.raises(TypeError):
+            one[(0,)] = np.zeros((1, 1))
 
 
 def test_a_handed_pass_runs_as_gemm():

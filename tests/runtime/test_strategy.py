@@ -28,7 +28,7 @@ from repro.core import direct as direct_mod
 from repro.core.api import PinnedStencil
 from repro.core.direct import direct_valid
 from repro.core.fusion import plan_fusion
-from repro.core.toeplitz import toeplitz_valid
+from repro.core.toeplitz import band_matrices, toeplitz_valid
 from repro.errors import TessellationError
 from repro.runtime import (
     execute,
@@ -160,20 +160,22 @@ def test_unknown_strategy_rejected():
 @pytest.mark.parametrize(
     "name, fusion, shape, want",
     [
-        # 1-D passes and low-scoring kernels: direct at any size.
+        # 1-D passes and kernels under 3 nonzeros per band: direct at
+        # any size (heat-3d 1.4, heat-2d 2.5, heat-2d-x2 2.6).
         ("heat-1d", 1, (512,), "direct"),
         ("heat-1d", "auto", (512,), "direct"),
         ("heat-3d", 1, (8, 8, 8), "direct"),
-        # Dense 3-D (score 27): toeplitz.
+        # Dense 3-D (3 per band): toeplitz.
         ("box-3d27p", 1, (8, 8, 8), "toeplitz"),
         ("heat-2d", 1, (16, 16), "direct"),
         ("heat-2d", 2, (16, 16), "direct"),
-        # Dense 3x3 (score 9): toeplitz.
+        # Dense 3x3 (3 per band): toeplitz.
         ("box-2d9p", 1, (16, 16), "toeplitz"),
-        ("star-2d9p", 1, (16, 16), "direct"),
-        ("star-2d13p", 1, (16, 16), "direct"),
-        # Score 12.8 (heat-2d-x3: 25 of 49 weights) and up: toeplitz,
-        # whatever the grid size.
+        # Stars band one row and one column: 4.5 and 6.5 per band.
+        ("star-2d9p", 1, (16, 16), "toeplitz"),
+        ("star-2d13p", 1, (16, 16), "toeplitz"),
+        # heat-2d-x3 (25 weights in 7 rows, 3.6 per band) and up:
+        # toeplitz, whatever the grid size.
         ("heat-2d", "auto", (32, 64), "toeplitz"),
         ("heat-2d", "auto", (33, 64), "toeplitz"),
         ("box-2d25p", 1, (32, 64), "toeplitz"),
@@ -183,7 +185,7 @@ def test_unknown_strategy_rejected():
         ("box-2d49p", 1, (129, 256), "toeplitz"),
         ("box-2d9p", "auto", (128, 256), "toeplitz"),
         ("box-2d9p", "auto", (192, 192), "toeplitz"),
-        # A dense 1-D kernel scores 13 but stays direct.
+        # A dense 1-D kernel (13 per band) stays direct.
         ("1d5p", "auto", (512,), "direct"),
         # Fused star kernels fill their box: toeplitz.
         ("star-2d9p", 2, (16, 16), "toeplitz"),
@@ -202,10 +204,22 @@ def test_rule_table(name, fusion, shape, want):
 
 
 def test_rule_scores_the_useful_share_of_the_weight_box():
-    """25 weights spread over a 13x13 box score 3.7: direct."""
-    sparse = StencilKernel.star(2, 6, weights=np.ones(25))
+    """25 weights on the diagonals of a 13x13 box, off the centre lines
+    but for the centre point, need 13 row bands (1.9 per band): direct."""
+    weights = np.eye(13) + np.fliplr(np.eye(13))
+    sparse = StencilKernel(name="x13", weights=weights, shape_kind="custom")
     assert sparse.points == 25
+    assert len(band_matrices(sparse)) == 13
     assert plan_mod.choose_strategy(sparse, (8, 8)) == "direct"
+
+
+def test_rule_bands_a_wide_star_along_both_axes():
+    """The same 25 weights as a radius-6 star are one row band and one
+    column band (12.5 per band): toeplitz."""
+    star = StencilKernel.star(2, 6, weights=np.ones(25))
+    assert star.points == 25
+    assert list(band_matrices(star)) == [(6,), (..., 6)]
+    assert plan_mod.choose_strategy(star, (8, 8)) == "toeplitz"
 
 
 def test_rule_never_picks_gemm():

@@ -164,6 +164,25 @@ class TestBands:
         extra = {(0, 0): np.zeros_like(bands[first]), **bands}
         assert "RPR203" in self._with_bands(plan, extra)
 
+    @pytest.mark.parametrize("name", ["heat-2d", "star-2d13p"])
+    def test_star_honest_bands_pass(self, name):
+        plan = build_plan(get_kernel(name), (16, 21), strategy="toeplitz")
+        assert len(plan.base_pass.bands) == 2
+        assert check_plan(plan) == []
+
+    @pytest.mark.parametrize("name", ["heat-2d", "star-2d13p"])
+    def test_star_column_band_mutation_caught(self, name):
+        """Corrupting only a star's column band (one entry, or the band
+        swapped for its own transpose, the row form) raises RPR203 and
+        nothing else."""
+        plan = build_plan(get_kernel(name), (16, 21), strategy="toeplitz")
+        bands = dict(plan.base_pass.bands)
+        column = (..., plan.kernel.radius)
+        band = np.array(bands[column])
+        band[band.shape[0] // 2, band.shape[0] // 2] += 2.0**-40
+        assert self._with_bands(plan, {**bands, column: band}) == {"RPR203"}
+        assert self._with_bands(plan, {**bands, column: bands[column].T}) == {"RPR203"}
+
     def test_ragged_widths_caught(self):
         plan = build_plan(get_kernel("box-2d9p"), (16, 21), strategy="toeplitz")
         bands = dict(plan.base_pass.bands)
