@@ -566,7 +566,7 @@ def _run_report(argv: List[str]) -> List[str]:
         "--port",
         type=int,
         default=None,
-        help="exporter port for --serve (default $REPRO_OBS_PORT or 9109; 0 = ephemeral)",
+        help="exporter port for --serve (default 9109; 0 = ephemeral)",
     )
     args = parser.parse_args(argv)
 
@@ -685,7 +685,7 @@ def _run_serve(argv: List[str]) -> List[str]:
         "--port",
         type=int,
         default=None,
-        help="exporter port (default $REPRO_OBS_PORT or 9109; 0 = ephemeral)",
+        help="exporter port (default 9109; 0 = ephemeral)",
     )
     parser.add_argument(
         "--no-exporter",

@@ -24,7 +24,7 @@ from repro.codegen.compiled import (
     get_compiled_pass,
 )
 from repro.codegen.cuda import CudaKernelSpec, generate_cuda_1d, generate_cuda_2d
-from repro.codegen.specs import GemmSpec, gemm_spec, gemm_spec_from_pass, weight_fragments
+from repro.codegen.specs import GemmSpec, gemm_spec, gemm_spec_from_pass
 
 __all__ = [
     "CompiledPass",
@@ -38,5 +38,4 @@ __all__ = [
     "generate_cuda_1d",
     "generate_cuda_2d",
     "get_compiled_pass",
-    "weight_fragments",
 ]

@@ -1,26 +1,26 @@
 """Shared spec extraction for every code emitter (CUDA text, compiled Python).
 
 Both generators lower the *same* planner facts — kernel edge, group width
-``g = k + 1``, the Eq.-13 fragment chunking of the contraction dimension,
-and the 4×8 weight fragments — into target-specific text.  This module is
-the single source of those facts so the emitters cannot drift apart: the
-CUDA generator's ``CudaKernelSpec`` constants and the ``compiled``
-backend's :class:`~repro.runtime.plan.ExecutionPlan`-derived geometry are
-both views of one :class:`GemmSpec` (the spec-consistency tests pin this).
+``g = k + 1`` and the Eq.-13 fragment chunking of the contraction
+dimension — into target-specific text (the 4×8 weight fragments come from
+:func:`repro.core.chunks.weight_fragments`, which the simulator shares).
+This module is the single source of those facts so the emitters cannot
+drift apart: the CUDA generator's ``CudaKernelSpec`` constants and the
+``compiled`` backend's :class:`~repro.runtime.plan.ExecutionPlan`-derived
+geometry are both views of one :class:`GemmSpec` (the spec-consistency
+tests pin this).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
-
-import numpy as np
+from typing import Tuple
 
 from repro.core.chunks import chunk_plan
 from repro.errors import TessellationError
 from repro.stencils.kernel import StencilKernel
 
-__all__ = ["GemmSpec", "gemm_spec", "gemm_spec_from_pass", "weight_fragments"]
+__all__ = ["GemmSpec", "gemm_spec", "gemm_spec_from_pass"]
 
 
 @dataclass(frozen=True)
@@ -96,27 +96,3 @@ def gemm_spec_from_pass(pp) -> GemmSpec:
         chunk_starts=tuple(s for s, _ in plan),
         chunk_zero_prefixes=tuple(z for _, z in plan),
     )
-
-
-def weight_fragments(w: np.ndarray) -> List[np.ndarray]:
-    """Split a ``(rows, g)`` weight matrix into 4×8 fragment chunks.
-
-    Fragment layout follows :func:`repro.core.chunks.chunk_plan`; the
-    overlapped final fragment has its duplicate leading rows zeroed so an
-    MMA chain never double-counts.  Shared by the CUDA ``__constant__``
-    emitter and the simulated executor's fragment tables.
-    """
-    rows, g = w.shape
-    if g > 8:
-        raise TessellationError(
-            f"weight width {g} exceeds the m8n8k4 fragment"
-        )
-    frags = []
-    for start, zero_prefix in chunk_plan(rows):
-        frag = np.zeros((4, 8), dtype=np.float64)
-        take = min(4, rows - start)
-        frag[:take, :g] = w[start : start + take]
-        if zero_prefix:
-            frag[:zero_prefix] = 0.0
-        frags.append(frag)
-    return frags

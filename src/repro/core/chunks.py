@@ -10,14 +10,20 @@ instead of reading past the matrix end: it re-reads the last 4 rows and
 zeroes the already-accumulated prefix, which is exactly what lets the
 266-column block matrices pad to 268 rather than a full fragment stride.
 
-:func:`chunk_plan` is the single public source of that decomposition.
+:func:`chunk_plan` is the single public source of that decomposition,
+and :func:`weight_fragments` the single splitter of a weight matrix into
+its 4×8 fragments.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
-__all__ = ["chunk_plan"]
+import numpy as np
+
+from repro.errors import TessellationError
+
+__all__ = ["chunk_plan", "weight_fragments"]
 
 
 def chunk_plan(total_rows: int) -> List[Tuple[int, int]]:
@@ -41,3 +47,28 @@ def chunk_plan(total_rows: int) -> List[Tuple[int, int]]:
         plan.append((overlap_start, prev_end - overlap_start))
         return plan
     return [(s, 0) for s in starts]
+
+
+def weight_fragments(w: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+    """Split a ``(rows, g)`` weight matrix into ``(start, 4×8 fragment)``.
+
+    Fragments follow :func:`chunk_plan`; the overlapped final fragment has
+    its duplicate leading rows zeroed so an MMA chain never double-counts.
+    Shared by the CUDA ``__constant__`` emitter and the simulated
+    executor's fragment tables.
+    """
+    rows, g = w.shape
+    if g > 8:
+        raise TessellationError(
+            f"fragment-width kernels only (edge <= 7): "
+            f"weight width {g} exceeds the m8n8k4 fragment"
+        )
+    frags = []
+    for start, zero_prefix in chunk_plan(rows):
+        frag = np.zeros((4, 8), dtype=np.float64)
+        take = min(4, rows - start)
+        frag[:take, :g] = w[start : start + take]
+        if zero_prefix:
+            frag[:zero_prefix] = 0.0
+        frags.append((start, frag))
+    return frags

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.core.chunks import chunk_plan
+from repro.core.chunks import weight_fragments
 from repro.core.lookup import ColumnLookup, build_column_lookup
 from repro.core.padding import PaddingPlan, plan_padding
 from repro.core.weights import weight_matrices_1d, weight_matrices_2d
@@ -156,30 +156,6 @@ def _charge_explicit_roundtrip(sim: DeviceSim, live_elements: int) -> None:
     sim.global_memory.read_linear(0, live_elements)
 
 
-def _weight_fragments(w: np.ndarray) -> list:
-    """Split a ``(rows, g)`` weight matrix into ``(start, 4×8 fragment)``.
-
-    Fragments follow :func:`~repro.core.chunks.chunk_plan`; the overlapped
-    final fragment has its duplicate leading rows zeroed so the MMA chain
-    never double-counts.
-    """
-    rows, g = w.shape
-    if g > 8:
-        raise TessellationError(
-            f"simulated path supports fragment-width kernels (edge <= 7); "
-            f"weight width {g} exceeds the m8n8k4 fragment"
-        )
-    frags = []
-    for start, zero_prefix in chunk_plan(rows):
-        frag = np.zeros((4, 8), dtype=np.float64)
-        take = min(4, rows - start)
-        frag[:take, :g] = w[start : start + take]
-        if zero_prefix:
-            frag[:zero_prefix] = 0.0
-        frags.append((start, frag))
-    return frags
-
-
 def _live_fragments(frags: list, config: ExecutionConfig) -> list:
     """Optionally drop all-zero weight chunks (star-kernel sparsity)."""
     if not config.skip_zero_chunks:
@@ -235,8 +211,8 @@ def run_simulated_1d(
     out = np.full(bands * 8 * g, np.nan)
     if config.use_tensor_cores:
         wa, wb = weight_matrices_1d(kernel)
-        frags_a = _live_fragments(_weight_fragments(wa), config)
-        frags_b = _live_fragments(_weight_fragments(wb), config)
+        frags_a = _live_fragments(weight_fragments(wa), config)
+        frags_b = _live_fragments(weight_fragments(wb), config)
         for b in range(bands):
             acc = None
             for start, wfrag in frags_a:
@@ -331,8 +307,8 @@ def run_simulated_2d(
     out = np.zeros((x_valid, bands * 8 * g))
     if config.use_tensor_cores:
         wa, wb = weight_matrices_2d(kernel)
-        frags_a = _live_fragments(_weight_fragments(wa), config)
-        frags_b = _live_fragments(_weight_fragments(wb), config)
+        frags_a = _live_fragments(weight_fragments(wa), config)
+        frags_b = _live_fragments(weight_fragments(wb), config)
         for b in range(bands):
             for t in range(x_valid):
                 acc = None

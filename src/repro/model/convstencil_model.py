@@ -40,7 +40,6 @@ __all__ = [
     "convstencil_pass_time",
     "convstencil_throughput",
     "mma_per_point_2d",
-    "pass_mma_total",
 ]
 
 
@@ -102,22 +101,6 @@ def convstencil_mma_count(kernel: StencilKernel, n_points: int) -> float:
     if kernel.ndim == 2:
         return mma_per_point_2d(kernel.edge) * n_points
     return _mma_fma_per_point_3d(kernel)[0] * n_points
-
-
-def pass_mma_total(kernel: StencilKernel, n_points: int, steps: int, depth: int) -> float:
-    """Eq.-13 MMA total over the exact pass sequence ``steps`` executes.
-
-    Mirrors :meth:`repro.runtime.plan.ExecutionPlan.passes_for`: fused
-    passes advance ``depth`` steps each, the remainder runs unfused.
-    """
-    plan = plan_fusion(kernel, depth)
-    fused_passes, remainder = divmod(steps, plan.depth)
-    total = 0.0
-    if fused_passes:
-        total += fused_passes * convstencil_mma_count(plan.fused, n_points)
-    if remainder:
-        total += remainder * convstencil_mma_count(plan.base, n_points)
-    return total
 
 
 @dataclass(frozen=True)

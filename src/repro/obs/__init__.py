@@ -3,13 +3,12 @@
 Traces (:mod:`repro.telemetry`) say *where the time went* after the fact;
 this layer is the process's one metrics store and keeps the same signals
 **live**: while a workload runs it maintains per-plan-key and
-per-tenant latency histograms with SLO accounting, achieved
-MMA/s and GStencil/s against the calibrated model ceiling, named
-counters and gauges (:func:`count`, :func:`set_gauge`, and the
-simulator's ``sim.*`` fold), and a sampling profiler attributing time to
-the pipeline's phases — servable over HTTP (:mod:`repro.obs.exporter`)
-and rendered by ``repro report --live`` (the :mod:`repro.obs.top` frame,
-JSON or Prometheus text).
+per-tenant latency histograms with SLO accounting, the measured
+GStencil/s of each plan key, named counters and gauges (:func:`count`,
+:func:`set_gauge`, and the simulator's ``sim.*`` fold), and a sampling
+profiler attributing time to the pipeline's phases — servable over HTTP
+(:mod:`repro.obs.exporter`) and rendered by ``repro report --live``
+(the :mod:`repro.obs.top` frame, JSON or Prometheus text).
 
 Everything here runs from the ``metrics`` observability level up
 (``REPRO_OBS=metrics``, see :mod:`repro.telemetry.level`), and the
@@ -23,9 +22,9 @@ Environment knobs::
 
     REPRO_OBS=metrics             # off | metrics | trace | profile
     REPRO_OBS_SLO_MS=250          # per-run and per-request latency budget
-    REPRO_OBS_PORT=9109           # exporter default port
 
-The sampler's period is :data:`PROFILE_INTERVAL`.
+The sampler's period is :data:`PROFILE_INTERVAL`; the exporter's default
+port is :data:`repro.obs.exporter.DEFAULT_PORT`.
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
-"""The obs collector: per-plan-key run stats, serving gauges, efficiency.
+"""The obs collector: per-plan-key run stats, serving gauges, counters.
 
 One process-wide :class:`ObsCollector` accumulates, while the obs layer
 is enabled:
 
-* per plan key — ``kernel|shape|backend|fusion`` — run counts, latency
-  histograms (:class:`~repro.obs.hist.LatencyHistogram`), SLO breach
-  counters, and the paper-model quantities needed to price each run
-  (Eq.-13 MMA totals and the calibrated model ceiling, from
-  :mod:`repro.model.convstencil_model`), LRU-bounded at
-  :data:`MAX_PLAN_KEYS` because a served request picks its own shape;
+* per plan key — ``kernel|shape|backend|fusion`` — run, grid, step and
+  stencil-update counts, elapsed time and the achieved GStencil/s it
+  implies (Eq. 16's unit), latency histograms
+  (:class:`~repro.obs.hist.LatencyHistogram`) and SLO breach counters,
+  LRU-bounded at :data:`MAX_PLAN_KEYS` because a served request picks
+  its own shape.  Every number is measured: the paper's Eq.-13 MMA
+  count and Fig.-7 model ceiling describe the Tensor-Core kernel, not
+  the ``direct`` and ``toeplitz`` passes a CPU run takes;
 * per tenant — the serving layer's request outcomes, latency
   histograms and SLO breaches (LRU-bounded at :data:`MAX_TENANTS`);
 * named counters and gauges (``solver.*``, ``staticcheck.*``,
@@ -64,9 +66,9 @@ SLO_ENV = "REPRO_OBS_SLO_MS"
 #: stays bounded.
 MAX_TENANTS = 4096
 
-#: LRU bound on the per-plan-key run stats and on each pricing cache:
-#: requests choose their grid shapes, so a long-lived service would
-#: otherwise keep one histogram (and one exported series) per shape.
+#: LRU bound on the per-plan-key run stats: requests choose their grid
+#: shapes, so a long-lived service would otherwise keep one histogram
+#: (and one exported series) per shape.
 MAX_PLAN_KEYS = 4096
 
 #: The snapshot's ``serve`` block: counters summed over the running
@@ -124,23 +126,12 @@ class RunStats:
         "grids",
         "steps",
         "stencil_updates",
-        "mma_total",
         "elapsed",
         "slo_breaches",
         "hist",
-        "model_gstencils_per_s",
-        "model_bound",
     )
 
-    def __init__(
-        self,
-        kernel: str,
-        shape: Tuple[int, ...],
-        backend: str,
-        fusion: int,
-        model_gstencils_per_s: float,
-        model_bound: str,
-    ) -> None:
+    def __init__(self, kernel: str, shape: Tuple[int, ...], backend: str, fusion: int) -> None:
         self.kernel = kernel
         self.shape = shape
         self.backend = backend
@@ -149,23 +140,11 @@ class RunStats:
         self.grids = 0
         self.steps = 0
         self.stencil_updates = 0.0
-        self.mma_total = 0.0
         self.elapsed = 0.0
         self.slo_breaches = 0
         self.hist = LatencyHistogram()
-        self.model_gstencils_per_s = model_gstencils_per_s
-        self.model_bound = model_bound
 
     def to_dict(self) -> Dict[str, Any]:
-        achieved_gst = (
-            self.stencil_updates / self.elapsed / 1e9 if self.elapsed > 0 else 0.0
-        )
-        model_gst = self.model_gstencils_per_s
-        # Model MMA/s ceiling: the per-update MMA price times the model's
-        # update rate — the live analogue of Eq.-13 over the roofline.
-        mma_per_update = (
-            self.mma_total / self.stencil_updates if self.stencil_updates > 0 else 0.0
-        )
         return {
             "kernel": self.kernel,
             "shape": list(self.shape),
@@ -176,15 +155,9 @@ class RunStats:
             "steps": self.steps,
             "stencil_updates": self.stencil_updates,
             "elapsed_s": self.elapsed,
-            "mma_total": self.mma_total,
-            "achieved_mma_per_s": (
-                self.mma_total / self.elapsed if self.elapsed > 0 else 0.0
+            "achieved_gstencils_per_s": (
+                self.stencil_updates / self.elapsed / 1e9 if self.elapsed > 0 else 0.0
             ),
-            "achieved_gstencils_per_s": achieved_gst,
-            "model_gstencils_per_s": model_gst,
-            "model_mma_per_s": mma_per_update * model_gst * 1e9,
-            "model_attainment": achieved_gst / model_gst if model_gst > 0 else 0.0,
-            "model_bound": self.model_bound,
             "slo_breaches": self.slo_breaches,
             "latency": self.hist.to_dict(),
             "p50_s": self.hist.p50,
@@ -229,31 +202,6 @@ class ObsCollector:
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._started_at = _CLOCK()
-        # (kernel_name, n_grid, steps, depth) -> Eq.-13 MMA total;
-        # (kernel_name, shape, depth) -> (model GStencil/s, bound).
-        self._mma_cache: "OrderedDict[tuple, float]" = OrderedDict()
-        self._model_cache: "OrderedDict[tuple, Tuple[float, str]]" = OrderedDict()
-
-    # -- pricing helpers (called under ``_lock``) --------------------------
-
-    def _mma_for(self, plan, n_grid: int, steps: int) -> float:
-        from repro.model.convstencil_model import pass_mma_total
-
-        key = (plan.kernel.name, n_grid, steps, plan.fusion_depth)
-        return _lru_entry(
-            self._mma_cache, key, lambda: pass_mma_total(plan.kernel, *key[1:]), MAX_PLAN_KEYS
-        )
-
-    def _model_for(self, plan) -> Tuple[float, str]:
-        from repro.model.convstencil_model import convstencil_throughput
-
-        key = (plan.kernel.name, tuple(plan.grid_shape), plan.fusion_depth)
-
-        def price() -> Tuple[float, str]:
-            est = convstencil_throughput(plan.kernel, key[1], fusion=plan.fusion_depth)
-            return est.gstencils_per_s, est.bound
-
-        return _lru_entry(self._model_cache, key, price, MAX_PLAN_KEYS)
 
     # -- recording ---------------------------------------------------------
 
@@ -269,18 +217,14 @@ class ObsCollector:
         grids = max(1, batch)
 
         def new_stats() -> RunStats:
-            return RunStats(
-                plan.kernel.name, grid_shape, backend, plan.fusion_depth, *self._model_for(plan)
-            )
+            return RunStats(plan.kernel.name, grid_shape, backend, plan.fusion_depth)
 
         with self._lock:
-            mma = self._mma_for(plan, n_grid, steps) * grids
             stats = _lru_entry(self._runs, label, new_stats, MAX_PLAN_KEYS)
             stats.runs += 1
             stats.grids += grids
             stats.steps += steps
             stats.stencil_updates += float(steps) * n_grid * grids
-            stats.mma_total += mma
             stats.elapsed += elapsed
             stats.hist.observe(elapsed)
             if self.slo_seconds is not None and elapsed > self.slo_seconds:

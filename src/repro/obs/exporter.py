@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional
@@ -34,19 +33,8 @@ __all__ = [
 
 _log = get_logger("obs.exporter")
 
-PORT_ENV = "REPRO_OBS_PORT"
+#: The exporter's port when the caller names none.
 DEFAULT_PORT = 9109
-
-
-def _env_port() -> int:
-    raw = os.environ.get(PORT_ENV)
-    if raw is None or not raw.strip():
-        return DEFAULT_PORT
-    try:
-        return int(raw)
-    except ValueError:
-        _log.warning("%s=%r is not an integer; using %d", PORT_ENV, raw, DEFAULT_PORT)
-        return DEFAULT_PORT
 
 
 def _escape_label(value: str) -> str:
@@ -143,22 +131,6 @@ def render_prometheus(snap: Dict[str, Any]) -> str:
         )
         out.sample("repro_slo_breaches_total", plan, float(stats.get("slo_breaches", 0)))
         out.family(
-            "repro_achieved_mma_per_second",
-            "gauge",
-            "Achieved Eq.-13 MMA fragments per second.",
-        )
-        out.sample(
-            "repro_achieved_mma_per_second", plan, float(stats.get("achieved_mma_per_s", 0.0))
-        )
-        out.family(
-            "repro_model_mma_per_second",
-            "gauge",
-            "Calibrated-model MMA/s ceiling for this plan key.",
-        )
-        out.sample(
-            "repro_model_mma_per_second", plan, float(stats.get("model_mma_per_s", 0.0))
-        )
-        out.family(
             "repro_achieved_gstencils_per_second",
             "gauge",
             "Achieved stencil updates per second (1e9/s).",
@@ -168,22 +140,6 @@ def render_prometheus(snap: Dict[str, Any]) -> str:
             plan,
             float(stats.get("achieved_gstencils_per_s", 0.0)),
         )
-        out.family(
-            "repro_model_gstencils_per_second",
-            "gauge",
-            "Calibrated-model GStencil/s ceiling (roofline).",
-        )
-        out.sample(
-            "repro_model_gstencils_per_second",
-            plan,
-            float(stats.get("model_gstencils_per_s", 0.0)),
-        )
-        out.family(
-            "repro_model_attainment",
-            "gauge",
-            "Achieved / model-ceiling throughput fraction.",
-        )
-        out.sample("repro_model_attainment", plan, float(stats.get("model_attainment", 0.0)))
 
         latency = stats.get("latency")
         if latency:
@@ -389,7 +345,8 @@ def start_exporter(
     host: str = "127.0.0.1",
     snapshot_fn=None,
 ) -> ExporterServer:
-    """Start the exporter thread (``port=0`` picks an ephemeral port).
+    """Start the exporter thread on ``port`` (:data:`DEFAULT_PORT` when
+    ``None``; ``0`` picks an ephemeral port).
 
     ``snapshot_fn`` defaults to :func:`repro.obs.snapshot`; tests inject a
     canned snapshot instead.
@@ -398,6 +355,4 @@ def start_exporter(
         from repro import obs
 
         snapshot_fn = obs.snapshot
-    if port is None:
-        port = _env_port()
-    return ExporterServer(host, port, snapshot_fn)
+    return ExporterServer(host, DEFAULT_PORT if port is None else port, snapshot_fn)

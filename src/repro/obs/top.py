@@ -4,8 +4,8 @@ Renders, entirely from the collector's JSON snapshot (local or fetched
 from a running exporter's ``/health`` endpoint):
 
 * the plan cache line (hit rate, size, evictions);
-* a per-plan-key table — runs, p50/p95/p99 latency, SLO breaches,
-  achieved MMA/s and GStencil/s, model attainment;
+* a per-plan-key table — runs, p50/p95/p99 latency, SLO breaches and
+  achieved GStencil/s;
 * per-tenant serving state;
 * the profiler's phase attribution as proportional bars.
 
@@ -31,9 +31,6 @@ __all__ = ["fetch_snapshot", "render_top", "run_demo_workload", "run_live"]
 _CLEAR = "\x1b[2J\x1b[H"
 _BOLD = "\x1b[1m"
 _DIM = "\x1b[2m"
-_GREEN = "\x1b[32m"
-_YELLOW = "\x1b[33m"
-_RED = "\x1b[31m"
 _RESET = "\x1b[0m"
 
 #: Phase-bar glyphs: full block for the filled part, light shade for the rest.
@@ -52,14 +49,6 @@ def _fmt_latency(seconds: float) -> str:
 
 def _paint(text: str, code: str, color: bool) -> str:
     return f"{code}{text}{_RESET}" if color else text
-
-
-def _attainment_cell(fraction: float, color: bool) -> str:
-    text = f"{100.0 * fraction:.1f}%"
-    if not color:
-        return text
-    code = _GREEN if fraction >= 0.5 else (_YELLOW if fraction >= 0.1 else _RED)
-    return _paint(text, code, color)
 
 
 def _slowest_exemplar(entry: Dict[str, Any]) -> str:
@@ -111,14 +100,12 @@ def render_top(snap: Dict[str, Any], color: bool = True) -> List[str]:
                     _fmt_latency(float(stats.get("p95_s", 0.0))),
                     _fmt_latency(float(stats.get("p99_s", 0.0))),
                     stats.get("slo_breaches", 0),
-                    f"{float(stats.get('achieved_mma_per_s', 0.0)):.3g}",
                     f"{float(stats.get('achieved_gstencils_per_s', 0.0)):.4f}",
-                    _attainment_cell(float(stats.get("model_attainment", 0.0)), color),
                 )
             )
         lines.extend(
             format_table(
-                ["plan", "runs", "p50", "p95", "p99", "slo✗", "MMA/s", "GSt/s", "attain"],
+                ["plan", "runs", "p50", "p95", "p99", "slo✗", "GSt/s"],
                 rows,
                 title="Runs (per plan key)",
             ).splitlines()

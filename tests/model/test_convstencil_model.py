@@ -12,9 +12,7 @@ from repro.model.convstencil_model import (
     convstencil_pass_time,
     convstencil_throughput,
     mma_per_point_2d,
-    pass_mma_total,
 )
-from repro.runtime.execute import plan_for
 from repro.stencils.catalog import get_kernel
 from repro.stencils.grid import pad_halo
 from repro.utils.rng import default_rng
@@ -50,26 +48,6 @@ class TestEq13:
             mma_per_point_2d(0)
         with pytest.raises(ModelError):
             convstencil_mma_count(get_kernel("heat-2d"), 0)
-
-
-class TestPassMmaTotal:
-    _SHAPES = {1: (64,), 2: (16, 16), 3: (8, 8, 8)}
-
-    @pytest.mark.parametrize("fusion", [1, "auto"])
-    def test_matches_executed_pass_sequence(self, kernel_name, fusion):
-        """The closed form prices exactly the passes ``passes_for`` yields."""
-        kernel = get_kernel(kernel_name)
-        shape = self._SHAPES[kernel.ndim]
-        n = int(np.prod(shape))
-        plan = plan_for(kernel, shape, fusion=fusion)
-        depth = plan.fusion_depth
-        for steps in (0, 1, depth, depth + 1):
-            expected = sum(
-                convstencil_mma_count(pp.kernel, n) for pp in plan.passes_for(steps)
-            )
-            assert pass_mma_total(kernel, n, steps, depth) == pytest.approx(
-                expected, rel=1e-12
-            ), steps
 
 
 class TestPassTime:

@@ -43,11 +43,7 @@ EXPECTED_FAMILIES = (
     "repro_plan_cache_hit_rate",
     "repro_run_total",
     "repro_slo_breaches_total",
-    "repro_achieved_mma_per_second",
-    "repro_model_mma_per_second",
     "repro_achieved_gstencils_per_second",
-    "repro_model_gstencils_per_second",
-    "repro_model_attainment",
     "repro_run_latency_seconds",
     "repro_profiler_samples_total",
 )
@@ -61,6 +57,7 @@ class TestRenderPrometheus:
             assert family in types, f"missing family {family}"
             assert helps[family] == 1  # one HELP line per family
         assert types["repro_run_latency_seconds"] == "histogram"
+        assert not {f for f in types if "mma" in f or f.startswith("repro_model_")}
 
     def test_histogram_buckets_are_cumulative_and_end_at_inf(self, snap):
         text = render_prometheus(snap)

@@ -29,9 +29,7 @@ SNAP = {
             "p95_s": 0.004,
             "p99_s": 0.004,
             "slo_breaches": 0,
-            "achieved_mma_per_s": 1.5e6,
             "achieved_gstencils_per_s": 0.01,
-            "model_attainment": 0.42,
         }
     },
     "profile": {
@@ -51,6 +49,8 @@ class TestRenderTop:
         assert "SLO 250.0ms" in text
         assert "plan cache: 9 hit / 1 miss (rate 90.0%)" in text
         assert "heat-2d|96x96|serial|f1" in text
+        header = next(line for line in text.splitlines() if "| runs |" in line)
+        assert header.split() == "plan | runs | p50 | p95 | p99 | slo✗ | GSt/s".split()
         assert "Profiler phases (100 samples" in text
         assert "gemm" in text and "stencil2row" in text
 

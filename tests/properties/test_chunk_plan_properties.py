@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.chunks import chunk_plan
-from repro.core.simulated import _weight_fragments
+from repro.core.chunks import chunk_plan, weight_fragments
 from repro.utils.arrays import ceil_div
 from repro.utils.rng import default_rng
 
@@ -49,7 +48,7 @@ def test_fragment_chain_equals_full_product(rows, g, seed):
     w = rng.standard_normal((rows, g))
     data = rng.standard_normal((8, max(rows, 4)))
     acc = np.zeros((8, 8))
-    for start, frag in _weight_fragments(w):
+    for start, frag in weight_fragments(w):
         acc += data[:, start : start + 4] @ frag
     expected = np.zeros((8, 8))
     expected[:, :g] = data[:, :rows] @ w
